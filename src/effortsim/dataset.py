@@ -11,6 +11,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -125,9 +126,13 @@ class FeatureSchema:
         if self.label in names:
             raise SchemaError("label column cannot also be a feature")
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
+
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: k for k, name in enumerate(self.names)}
 
     @property
     def size(self) -> int:
@@ -135,8 +140,8 @@ class FeatureSchema:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise SchemaError(f"unknown feature {name!r}") from None
 
     def feature(self, name: str) -> Feature:
@@ -317,10 +322,17 @@ def _parse_cell(feature: Feature, raw: str) -> float:
                 f"column {feature.name!r}: value {raw!r} not among declared levels {list(levels)}"
             )
         return float(levels.index(raw))
+    return _parse_number(feature.name, raw)
+
+
+def _parse_number(column: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise DataError(f"column {feature.name!r}: cannot parse {raw!r} as a number") from None
+        raise DataError(f"column {column!r}: cannot parse {raw!r} as a number") from None
+    if not math.isfinite(value):
+        raise DataError(f"column {column!r}: non-finite value {raw!r}")
+    return value
 
 
 def load_csv(path: str | Path, schema_path: str | Path) -> Population:
@@ -356,7 +368,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
                 raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             try:
                 rows_x.append([_parse_cell(f, row[col_index[f.name]]) for f in schema.features])
-                rows_y.append(float(row[col_index[schema.label]]))
+                rows_y.append(_parse_number(schema.label, row[col_index[schema.label]]))
             except (DataError, ValueError) as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
     if not rows_x:

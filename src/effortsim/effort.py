@@ -241,6 +241,23 @@ def utility(
     return UtilityBreakdown.from_parts(r, e)
 
 
+# Pairwise kernels work on row tiles of about this many bytes, so their
+# temporaries stay cache-sized instead of growing as n-by-n.
+TILE_BYTES = 1 << 20
+
+
+def tile_rows(n_cols: int) -> int:
+    """Rows per tile so that one float64 tile of ``n_cols`` columns fills TILE_BYTES."""
+    return max(1, TILE_BYTES // (8 * max(n_cols, 1)))
+
+
+def row_tiles(n_rows: int, n_cols: int):
+    """``(lo, hi)`` bounds of consecutive row tiles covering ``n_rows`` rows."""
+    step = tile_rows(n_cols)
+    for lo in range(0, n_rows, step):
+        yield lo, min(lo + step, n_rows)
+
+
 class EffortEngine:
     """Vectorized effort computations over a frozen reference population.
 
@@ -258,38 +275,71 @@ class EffortEngine:
     def _tables(self, group: str) -> np.ndarray:
         return self.reference.feature_table(group)
 
-    def eps_matrix(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray) -> np.ndarray:
-        """(len(a), len(b)) per-feature efforts from values a to values b."""
+    def _eps_rule(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray):
+        """Feature k's per-kind effort rule from values a to values b.
+
+        Quantile ranks are taken once here. The returned ``fill(lo, hi, out,
+        mask)`` writes the efforts of rows ``a[lo:hi]`` into ``out`` (shape
+        ``(hi - lo, len(b))``), using ``mask`` (bool, same shape) as scratch.
+        """
         feature = self.schema.features[k]
         kind = feature.kind.kind
-        a = col_a[:, None]
         b = col_b[None, :]
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
-            return np.where(b != a, cost, 0.0)
+
+            def fill(lo, hi, out, mask):
+                np.not_equal(b, col_a[lo:hi, None], out=out)  # 1.0 or 0.0
+                np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
+
+            return fill
         if kind == IMMUTABLE:
-            return np.where(b != a, np.inf, 0.0)
+
+            def fill(lo, hi, out, mask):
+                np.not_equal(b, col_a[lo:hi, None], out=mask)
+                out.fill(0.0)
+                np.putmask(out, mask, np.inf)
+
+            return fill
         table = self._tables(group)[:, k]
-        if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
-            if feature.kind.direction == INCREASING:
-                qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
-            else:
-                qa, qb = _rank_desc(table, col_a), _rank_desc(table, col_b)
-            return np.maximum(0.0, qb[None, :] - qa[:, None])
-        if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
+        increasing = feature.kind.direction == INCREASING
+        if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
             qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
-            return np.abs(qb[None, :] - qa[:, None])
-        if kind == CONDITIONALLY_IMMUTABLE:
-            if feature.kind.direction == INCREASING:
-                qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
-                gap = qb[None, :] - qa[:, None]
-                out = np.where(b > a, gap, np.inf)
-            else:
-                qa, qb = _rank_desc(table, col_a), _rank_desc(table, col_b)
-                gap = qb[None, :] - qa[:, None]
-                out = np.where(b < a, gap, np.inf)
-            return np.where(b == a, 0.0, out)
-        raise SchemaError(f"unhandled feature kind {kind!r}")
+        else:
+            qa, qb = _rank_desc(table, col_a), _rank_desc(table, col_b)
+        qb = qb[None, :]
+        if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
+
+            def fill(lo, hi, out, mask):
+                np.subtract(qb, qa[lo:hi, None], out=out)
+                np.maximum(0.0, out, out=out)
+
+        elif kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
+
+            def fill(lo, hi, out, mask):
+                np.subtract(qb, qa[lo:hi, None], out=out)
+                np.abs(out, out=out)
+
+        elif kind == CONDITIONALLY_IMMUTABLE:
+            # Equal values have equal ranks, so the gap is already +0.0 there;
+            # everything else outside the allowed direction (NaN too) is inf.
+            allowed_or_equal = np.greater_equal if increasing else np.less_equal
+
+            def fill(lo, hi, out, mask):
+                np.subtract(qb, qa[lo:hi, None], out=out)
+                allowed_or_equal(b, col_a[lo:hi, None], out=mask)
+                np.logical_not(mask, out=mask)
+                np.putmask(out, mask, np.inf)
+
+        else:
+            raise SchemaError(f"unhandled feature kind {kind!r}")
+        return fill
+
+    def eps_matrix(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray) -> np.ndarray:
+        """(len(a), len(b)) per-feature efforts from values a to values b."""
+        out = np.empty((col_a.shape[0], col_b.shape[0]))
+        self._eps_rule(group, k, col_a, col_b)(0, col_a.shape[0], out, np.empty(out.shape, bool))
+        return out
 
     def eps_sum(
         self,
@@ -299,17 +349,27 @@ class EffortEngine:
         feature_indices: Sequence[int],
         weighted: bool,
     ) -> np.ndarray:
-        """Sum of per-feature efforts over the given features."""
-        acc = np.zeros((Xa.shape[0], Xb.shape[0]))
+        """Sum of per-feature efforts over the given features.
+
+        Accumulates ``acc + w * eps`` feature by feature in the given order,
+        one row tile at a time, so the temporaries stay tile-sized.
+        """
+        terms = []
         for k in feature_indices:
-            feature = self.schema.features[k]
-            if weighted:
-                w = self.params.weight_for(group, feature)
-                if w == 0.0:
-                    continue
-                acc = acc + w * self.eps_matrix(group, k, Xa[:, k], Xb[:, k])
-            else:
-                acc = acc + self.eps_matrix(group, k, Xa[:, k], Xb[:, k])
+            w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
+            if w == 0.0:
+                continue
+            terms.append((w, self._eps_rule(group, k, Xa[:, k], Xb[:, k])))
+        acc = np.zeros((Xa.shape[0], Xb.shape[0]))
+        tile = np.empty((min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0]))
+        mask = np.empty(tile.shape, bool)
+        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
+            acc_t, eps_t, mask_t = acc[lo:hi], tile[: hi - lo], mask[: hi - lo]
+            for w, fill in terms:
+                fill(lo, hi, eps_t, mask_t)
+                if w != 1.0:  # 1.0 * x == x exactly
+                    np.multiply(w, eps_t, out=eps_t)
+                np.add(acc_t, eps_t, out=acc_t)
         return acc
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
@@ -329,7 +389,8 @@ class EffortEngine:
         for g in pop.group_names:
             rows = pop.group_rows(g)
             block = self.eps_sum(g, pop.X[rows], pop.X, idx, weighted=True)
-            out[rows, :] = self.params.base_cost_for(g) + block / K
+            np.divide(block, K, out=block)
+            out[rows, :] = np.add(self.params.base_cost_for(g), block, out=block)
         return out
 
     def label_rank(self, group: str, values: np.ndarray) -> np.ndarray:

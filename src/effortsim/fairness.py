@@ -2,9 +2,11 @@
 
 All three effort measures scan, for every individual, the candidate
 profiles present in the supplied population (the same data whose quantile
-tables define effort), so the expensive pairwise effort/reward matrices
-are computed once per (model, population) pair and shared across measures
-and grid sweeps.
+tables define effort). An audit computes the pairwise effort matrix and
+the benefit vector once per (model, population) pair and shares them
+across measures and grid sweeps. Rewards ``b[j] - b[i]`` are not stored:
+each measure reads them from the benefit vector, one row tile at a time,
+and a whole delta sweep is one pass over the effort rows.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Population
-from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
+from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted, row_tiles
 
 BOUNDED_EFFORT = "bounded_effort"
 THRESHOLD_REWARD = "threshold_reward"
@@ -74,7 +76,14 @@ def _disparity(values: dict) -> float | None:
 
 
 class FairnessAudit:
-    """Pairwise effort/reward matrices for one model over one population."""
+    """The pairwise effort matrix and benefit vector of one model over one population.
+
+    The reward of moving from row i to candidate j is ``b[j] - b[i]``. It is
+    monotone in ``b[j]``, so one ordering of the benefits orders every row,
+    and each measure is one pass over the rows of the effort matrix, tile by
+    tile. The maxima and minima add no rounding, so the answers equal a
+    scan of every pair.
+    """
 
     def __init__(self, h, pop: Population, params: EffortParams, benefit: str):
         self.pop = pop
@@ -86,26 +95,61 @@ class FairnessAudit:
         self.benefits = np.asarray(
             risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha), dtype=np.float64
         )
-        self.rewards = self.benefits[None, :] - self.benefits[:, None]
         self._meta = {"candidate_set": "population", "benefit": benefit, "alpha": params.alpha}
+
+    @property
+    def rewards(self) -> np.ndarray:
+        """(n, n) rewards ``b[j] - b[i]``, built on demand."""
+        return self.benefits[None, :] - self.benefits[:, None]
 
     def _group_means(self, values: np.ndarray) -> dict:
         return {
             g: float(np.mean(values[self.pop.group_rows(g)])) for g in self.pop.group_names
         }
 
-    def bounded_effort(self, delta: float) -> UnfairnessReport:
-        """Best reachable reward per individual under an effort budget.
+    def _table(self, measure: str, grid: Sequence[float]) -> np.ndarray:
+        """(n, len(grid)) per-individual answers of one measure, one pass per row.
 
-        Individuals with no candidate inside the budget stay put and score
-        zero reward.
+        Each tile of effort rows is permuted into ascending-benefit order and
+        turned into suffix minima: ``sufmin[i, p]`` is the least effort of
+        the candidates at position p or later.
+
+        * Bounded effort: the positions whose suffix minimum fits the budget
+          form a prefix, and its last position is the reachable candidate
+          with the highest benefit. The answer is its benefit minus ``b[i]``,
+          or 0 when nothing fits.
+        * Threshold reward: the candidates reaching reward delta are the
+          positions from ``searchsorted(b_asc - b[i], delta)`` on, so the
+          answer is the suffix minimum there (``inf`` when infeasible).
         """
-        if delta < 0:
-            raise ValueError(f"effort budget must be >= 0, got {delta}")
-        # Infinite efforts mark unreachable candidates; no budget covers them.
-        feasible = (self.efforts <= delta) & np.isfinite(self.efforts)
-        best = np.where(feasible, self.rewards, -np.inf).max(axis=1)
-        best = np.where(feasible.any(axis=1), best, 0.0)
+        deltas = np.asarray(grid, dtype=np.float64)
+        if measure == BOUNDED_EFFORT:
+            if not np.all(deltas >= 0):
+                raise ValueError(f"effort budget must be >= 0, got {list(grid)}")
+            # Infinite efforts mark unreachable candidates; no budget covers them.
+            budgets = np.minimum(deltas, np.finfo(np.float64).max)
+        elif measure != THRESHOLD_REWARD:
+            raise ValueError(f"cannot sweep measure {measure!r}")
+        b = self.benefits
+        n = b.shape[0]
+        asc = np.argsort(b, kind="stable")
+        b_asc = b[asc]
+        out = np.empty((n, deltas.shape[0]))
+        for lo, hi in row_tiles(n, n):
+            sufmin = self.efforts[lo:hi, asc]
+            backwards = sufmin[:, ::-1]
+            np.minimum.accumulate(backwards, axis=1, out=backwards)
+            if measure == BOUNDED_EFFORT:
+                fits = np.array([np.searchsorted(row, budgets, side="right") for row in sufmin])
+                out[lo:hi] = np.where(fits > 0, b_asc[fits - 1] - b[lo:hi, None], 0.0)
+            else:
+                rewards = b_asc[None, :] - b[lo:hi, None]
+                first = np.array([np.searchsorted(row, deltas, side="left") for row in rewards])
+                least = np.take_along_axis(sufmin, np.minimum(first, n - 1), axis=1)
+                out[lo:hi] = np.where(first < n, least, np.inf)
+        return out
+
+    def _bounded_report(self, delta: float, best: np.ndarray) -> UnfairnessReport:
         values = self._group_means(best)
         return UnfairnessReport(
             measure=BOUNDED_EFFORT,
@@ -115,15 +159,8 @@ class FairnessAudit:
             metadata=dict(self._meta, infeasible="stay_put_zero_reward"),
         )
 
-    def threshold_reward(self, delta: float) -> UnfairnessReport:
-        """Least effort per individual to reach at least ``delta`` reward.
-
-        Individuals with no finite-effort candidate at that reward level
-        are excluded from the group mean and reported via ``feasibility``.
-        """
-        feasible = (self.rewards >= delta) & np.isfinite(self.efforts)
-        min_effort = np.where(feasible, self.efforts, np.inf).min(axis=1)
-        has_any = feasible.any(axis=1)
+    def _threshold_report(self, delta: float, min_effort: np.ndarray) -> UnfairnessReport:
+        has_any = np.isfinite(min_effort)
         values: dict = {}
         feas: dict = {}
         for g in self.pop.group_names:
@@ -140,9 +177,30 @@ class FairnessAudit:
             metadata=dict(self._meta, infeasible="excluded_from_mean"),
         )
 
+    def bounded_effort(self, delta: float) -> UnfairnessReport:
+        """Best reachable reward per individual under an effort budget.
+
+        Individuals with no candidate inside the budget stay put and score
+        zero reward.
+        """
+        return self._bounded_report(delta, self._table(BOUNDED_EFFORT, [delta])[:, 0])
+
+    def threshold_reward(self, delta: float) -> UnfairnessReport:
+        """Least effort per individual to reach at least ``delta`` reward.
+
+        Individuals with no finite-effort candidate at that reward level
+        are excluded from the group mean and reported via ``feasibility``.
+        """
+        return self._threshold_report(delta, self._table(THRESHOLD_REWARD, [delta])[:, 0])
+
     def effort_reward(self) -> UnfairnessReport:
         """Best achievable utility per individual, floored at staying put."""
-        best = np.maximum(self.rewards - self.efforts, -np.inf).max(axis=1)
+        b = self.benefits
+        best = np.empty(b.shape[0])
+        for lo, hi in row_tiles(b.shape[0], b.shape[0]):
+            utility = b[None, :] - b[lo:hi, None]
+            np.subtract(utility, self.efforts[lo:hi], out=utility)
+            utility.max(axis=1, out=best[lo:hi])
         best = np.maximum(best, 0.0)
         values = self._group_means(best)
         return UnfairnessReport(
@@ -157,10 +215,14 @@ class FairnessAudit:
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         if measure == BOUNDED_EFFORT:
-            finite = self.efforts[np.isfinite(self.efforts)]
-            hi = float(finite.max()) if finite.size else 0.0
+            top = -np.inf  # the largest finite effort
+            for lo, end in row_tiles(self.pop.size, self.pop.size):
+                tile = self.efforts[lo:end]
+                top = max(top, float(np.max(tile, where=np.isfinite(tile), initial=-np.inf)))
+            hi = top if top > -np.inf else 0.0
         elif measure == THRESHOLD_REWARD:
-            hi = float(max(self.rewards.max(), 0.0))
+            b = self.benefits
+            hi = float(max(b.max() - b.min(), 0.0))
         else:
             raise ValueError(f"no delta grid for measure {measure!r}")
         return tuple(np.linspace(0.0, hi, points).tolist())
@@ -169,15 +231,12 @@ class FairnessAudit:
         grid = tuple(float(d) for d in grid)
         if list(grid) != sorted(grid):
             raise ValueError("delta grid must be sorted ascending")
+        table = self._table(measure, grid)
+        report = self._bounded_report if measure == BOUNDED_EFFORT else self._threshold_report
         values: dict = {g: [] for g in self.pop.group_names}
         feas: dict = {g: [] for g in self.pop.group_names}
-        for d in grid:
-            if measure == BOUNDED_EFFORT:
-                rep = self.bounded_effort(d)
-            elif measure == THRESHOLD_REWARD:
-                rep = self.threshold_reward(d)
-            else:
-                raise ValueError(f"cannot sweep measure {measure!r}")
+        for col, d in enumerate(grid):
+            rep = report(d, table[:, col])
             for g in self.pop.group_names:
                 values[g].append(rep.per_group_value[g])
                 feas[g].append(rep.feasibility[g] if rep.feasibility else 1.0)
@@ -187,22 +246,6 @@ class FairnessAudit:
             per_group_values=values,
             per_group_feasibility=feas if measure == THRESHOLD_REWARD else None,
         )
-
-
-def bounded_effort(h, pop, params, benefit, delta) -> UnfairnessReport:
-    return FairnessAudit(h, pop, params, benefit).bounded_effort(delta)
-
-
-def threshold_reward(h, pop, params, benefit, delta) -> UnfairnessReport:
-    return FairnessAudit(h, pop, params, benefit).threshold_reward(delta)
-
-
-def effort_reward(h, pop, params, benefit) -> UnfairnessReport:
-    return FairnessAudit(h, pop, params, benefit).effort_reward()
-
-
-def sweep_delta(measure, h, pop, params, benefit, grid) -> DeltaCurve:
-    return FairnessAudit(h, pop, params, benefit).sweep(measure, grid)
 
 
 def residual_differences(h, pop: Population) -> tuple[UnfairnessReport, UnfairnessReport]:

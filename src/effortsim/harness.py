@@ -137,6 +137,9 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             raise SchemaError("model names must be unique")
         sweep = raw.get("sweep", {})
         thresh = raw.get("centralization_threshold")
+        delta_points = raw.get("delta_grid_points", 20)
+        if isinstance(delta_points, bool) or not isinstance(delta_points, int) or delta_points < 2:
+            raise SchemaError(f"delta_grid_points must be an integer >= 2, got {delta_points!r}")
         return ExperimentConfig(
             dataset=(base_dir / raw["dataset"]).resolve(),
             schema=(base_dir / raw["schema"]).resolve(),
@@ -145,7 +148,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             models=tuple(models),
             effort=effort,
             benefit=benefit,
-            delta_points=int(raw.get("delta_grid_points", 20)),
+            delta_points=delta_points,
             tau_grid=tuple(float(t) for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])),
             sweep_features=str(sweep.get("features", ALL_FEATURES)),
             beta=float(raw.get("beta", 0.5)),

@@ -29,13 +29,15 @@ class Predictor:
     def __init__(self, feature_names: Sequence[str], hyperparameters: Mapping | None = None):
         self.feature_names: tuple[str, ...] = tuple(feature_names)
         self.hyperparameters: dict = dict(hyperparameters or {})
+        self._columns: tuple[FeatureSchema, list[int]] | None = None
 
     def _design(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        cols = [schema.index(name) for name in self.feature_names]
-        return X[:, cols]
+        if self._columns is None or self._columns[0] is not schema:
+            self._columns = (schema, [schema.index(name) for name in self.feature_names])
+        return X[:, self._columns[1]]
 
     def predict_rows(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError

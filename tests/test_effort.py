@@ -15,6 +15,7 @@ from effortsim.effort import (
     quantile_rank,
     reward,
     risk_adjusted,
+    tile_rows,
     total_effort,
     utility,
 )
@@ -271,3 +272,86 @@ class TestVectorizedEngine:
         mutable = pop.schema.mutable_mask
         target[~mutable] = pop.X[0, ~mutable]
         assert E[0, 5] == total_effort(pop, params, "g1", pop.X[0], target)
+
+
+def _every_kind_pop(n_per_group=60, seed=0):
+    """Two groups over a schema holding every feature kind, with tied values."""
+    kinds = (
+        ("num_up", FeatureKind("numerical_monotone", direction="increasing"), True),
+        ("num_down", FeatureKind("numerical_monotone", direction="decreasing"), True),
+        ("num_free", FeatureKind("numerical_nonmonotone"), True),
+        ("ord_up", FeatureKind("ordinal_monotone", direction="increasing"), True),
+        ("ord_down", FeatureKind("ordinal_monotone", direction="decreasing"), True),
+        ("ord_free", FeatureKind("ordinal_nonmonotone"), True),
+        ("cat", FeatureKind("categorical", levels=("a", "b", "c")), True),
+        ("older", FeatureKind("conditionally_immutable", direction="increasing"), False),
+        ("fewer", FeatureKind("conditionally_immutable", direction="decreasing"), False),
+        ("born", FeatureKind("immutable"), False),
+    )
+    features = [Feature("grp", FeatureKind("immutable", levels=("g1", "g2")), mutable=False)]
+    features += [Feature(name, kind, mutable=mutable) for name, kind, mutable in kinds]
+    schema = FeatureSchema(features=tuple(features), sensitive="grp", label="y")
+    rng = np.random.default_rng(seed)
+    n = 2 * n_per_group
+    X = np.round(rng.normal(0.0, 1.0, size=(n, schema.size)), 1)  # ties on purpose
+    X[:, 0] = np.repeat([0.0, 1.0], n_per_group)
+    for k in (4, 5, 6, 7, 8, 9, 10):  # ordinal, categorical and conditional: few levels
+        X[:, k] = rng.integers(0, 3, size=n)
+    return Population(schema, X, np.zeros(n), ["g1"] * n_per_group + ["g2"] * n_per_group)
+
+
+def _schema_order_sum(engine, group, Xa, Xb, idx, weighted):
+    """The accumulation the tiled kernel must reproduce: acc + w * eps, feature by feature."""
+    acc = np.zeros((Xa.shape[0], Xb.shape[0]))
+    for k in idx:
+        eps = engine.eps_matrix(group, k, Xa[:, k], Xb[:, k])
+        if weighted:
+            w = engine.params.weight_for(group, engine.schema.features[k])
+            if w == 0.0:
+                continue
+            acc = acc + w * eps
+        else:
+            acc = acc + eps
+    return acc
+
+
+class TestTiledEpsSum:
+    N_COLS = 4096  # one tile then holds tile_rows(4096) = 32 rows
+
+    def test_eps_matrix_matches_scalar_rule_for_every_kind(self):
+        pop = _every_kind_pop(n_per_group=12)
+        params = EffortParams(categorical_cost=0.7)
+        engine = EffortEngine(pop, params)
+        for k in range(pop.schema.size):
+            col = pop.X[:, k]
+            for g in pop.group_names:
+                got = engine.eps_matrix(g, k, col, col)
+                for i, a in enumerate(col):
+                    for j, b in enumerate(col):
+                        assert got[i, j] == feature_effort(pop, params, g, k, a, b)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("mutable_only", [False, True])
+    def test_bit_identical_to_schema_order_sum(self, weighted, mutable_only):
+        pop = _every_kind_pop()
+        params = EffortParams(
+            categorical_cost=0.45,
+            feature_weights={
+                "g1": {"num_up": 2.5, "ord_free": 0.0, "older": 0.3},
+                "g2": {"num_down": 0.0, "cat": 7.0},
+            },
+        )
+        engine = EffortEngine(pop, params)
+        rng = np.random.default_rng(1)
+        Xb = pop.X[rng.integers(0, pop.size, size=self.N_COLS)]
+        height = tile_rows(self.N_COLS)
+        assert height == 32
+        idx = [k for k, f in enumerate(pop.schema.features) if f.mutable or not mutable_only]
+        for rows in (1, height - 1, height, 2 * height + 11):
+            Xa = pop.X[rng.integers(0, pop.size, size=rows)]
+            for g in pop.group_names:
+                got = engine.eps_sum(g, Xa, Xb, idx, weighted=weighted)
+                want = _schema_order_sum(engine, g, Xa, Xb, idx, weighted)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert (got == 0.0).any() and np.isinf(got).any() != mutable_only

@@ -7,17 +7,14 @@ import pytest
 
 import oracles
 from conftest import single_group_pop
+from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortParams
 from effortsim.fairness import (
     BOUNDED_EFFORT,
     THRESHOLD_REWARD,
     FairnessAudit,
-    bounded_effort,
-    effort_reward,
     residual_differences,
-    sweep_delta,
-    threshold_reward,
 )
 from effortsim.models import LinearPredictor, fit_tree
 from instances import random_instance
@@ -47,7 +44,7 @@ class TestBoundedEffort:
     def test_zero_budget_with_base_cost_means_nobody_moves(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = bounded_effort(h, pop, EffortParams(base_cost=0.1), "predicted", 0.0)
+        rep = FairnessAudit(h, pop, EffortParams(base_cost=0.1), "predicted").bounded_effort(0.0)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
@@ -55,7 +52,7 @@ class TestBoundedEffort:
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        rep = bounded_effort(h, pop, params, "predicted", math.inf)
+        rep = FairnessAudit(h, pop, params, "predicted").bounded_effort(math.inf)
         want = oracles.bounded_effort(h, pop, params, "predicted", math.inf)
         assert rep.per_group_value == pytest.approx(want, abs=1e-12)
 
@@ -73,21 +70,21 @@ class TestBoundedEffort:
     def test_negative_budget_rejected(self):
         pop = _two_group_skill_pop()
         with pytest.raises(ValueError):
-            bounded_effort(_skill_model(pop), pop, EffortParams(), "predicted", -0.5)
+            FairnessAudit(_skill_model(pop), pop, EffortParams(), "predicted").bounded_effort(-0.5)
 
 
 class TestThresholdReward:
     def test_self_candidate_makes_zero_threshold_free(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = threshold_reward(h, pop, EffortParams(), "predicted", 0.0)
+        rep = FairnessAudit(h, pop, EffortParams(), "predicted").threshold_reward(0.0)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.feasibility == {"g1": 1.0, "g2": 1.0}
 
     def test_unreachable_threshold_reports_absent(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = threshold_reward(h, pop, EffortParams(), "predicted", 1e9)
+        rep = FairnessAudit(h, pop, EffortParams(), "predicted").threshold_reward(1e9)
         assert rep.per_group_value == {"g1": None, "g2": None}
         assert rep.feasibility == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity is None
@@ -112,14 +109,14 @@ class TestEffortReward:
     def test_constant_predictor_floors_at_stay_put(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop, weight=0.0, intercept=5.0)
-        rep = effort_reward(h, pop, EffortParams(), "predicted")
+        rep = FairnessAudit(h, pop, EffortParams(), "predicted").effort_reward()
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(12, 18):
             pop, params, h, benefit = random_instance(seed)
-            got = effort_reward(h, pop, params, benefit).per_group_value
+            got = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
             want = oracles.effort_reward(h, pop, params, benefit)
             for g in want:
                 assert got[g] == pytest.approx(want[g], abs=1e-10)
@@ -137,7 +134,7 @@ class TestEffortReward:
     def test_single_group_disparity_zero(self):
         pop = single_group_pop([1, 2, 3, 4])
         h = _skill_model(pop)
-        assert effort_reward(h, pop, EffortParams(), "predicted").disparity == 0.0
+        assert FairnessAudit(h, pop, EffortParams(), "predicted").effort_reward().disparity == 0.0
 
     def test_permutation_invariance(self):
         pop, params, h, benefit = random_instance(19)
@@ -145,8 +142,8 @@ class TestEffortReward:
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        a = effort_reward(h, pop, params, benefit).per_group_value
-        b = effort_reward(h, shuffled, params, benefit).per_group_value
+        a = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
+        b = FairnessAudit(h, shuffled, params, benefit).effort_reward().per_group_value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -178,7 +175,7 @@ class TestSweep:
     def test_grid_must_be_sorted(self):
         pop, params, h, benefit = random_instance(20)
         with pytest.raises(ValueError):
-            sweep_delta(BOUNDED_EFFORT, h, pop, params, benefit, [1.0, 0.5])
+            FairnessAudit(h, pop, params, benefit).sweep(BOUNDED_EFFORT, [1.0, 0.5])
 
     def test_curves_nondecreasing_and_match_pointwise(self):
         for seed in (23, 24):
@@ -216,11 +213,72 @@ class TestSweep:
         assert all(len(r) == 3 for r in rows)
 
 
+def _sweep_cases():
+    """(population, params, predictor, benefit) with random, tied or constant benefits.
+
+    Groups stay under eight members, so numpy's group mean adds in the same
+    order as the oracle's loop and the comparison can be exact.
+    """
+    for seed in range(30, 42):
+        pop, params, h, benefit = random_instance(seed, max_individuals=10)
+        by_group = np.zeros(pop.schema.size)
+        by_group[pop.schema.index("grp")] = 1.5
+        for model in (
+            h,
+            LinearPredictor(pop.schema.names, by_group, 0.25),
+            LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0),
+        ):
+            yield pop, params, model, benefit
+
+
+class TestOnePassSweep:
+    @pytest.fixture(autouse=True)
+    def three_row_tiles(self, monkeypatch):
+        # Tiles of three rows, so every audit here crosses tile boundaries.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 3)
+
+    def test_bounded_effort_equals_oracle(self):
+        saw_inf = saw_ties = False
+        for pop, params, h, benefit in _sweep_cases():
+            audit = FairnessAudit(h, pop, params, benefit)
+            saw_inf |= bool(np.isinf(audit.efforts).any())
+            saw_ties |= len(set(audit.benefits.tolist())) < pop.size
+            finite = np.unique(audit.efforts[np.isfinite(audit.efforts)])
+            grid = sorted({0.0, *finite[:: max(1, finite.size // 6)].tolist(), math.inf})
+            curve = audit.sweep(BOUNDED_EFFORT, grid)
+            E = oracles.effort_matrix(pop, params)
+            for col, delta in enumerate(grid):
+                want = oracles.bounded_effort(h, pop, params, benefit, delta, E)
+                for g in pop.group_names:
+                    assert curve.per_group_values[g][col] == want[g], (delta, g)
+        assert saw_inf and saw_ties
+
+    def test_threshold_reward_equals_oracle(self):
+        for pop, params, h, benefit in _sweep_cases():
+            audit = FairnessAudit(h, pop, params, benefit)
+            rewards = np.unique(audit.rewards)
+            grid = sorted({-math.inf, *rewards[:: max(1, rewards.size // 6)].tolist(), math.inf})
+            curve = audit.sweep(THRESHOLD_REWARD, grid)
+            E = oracles.effort_matrix(pop, params)
+            for col, delta in enumerate(grid):
+                want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta, E)
+                for g in pop.group_names:
+                    assert curve.per_group_values[g][col] == want_vals[g], (delta, g)
+                    assert curve.per_group_feasibility[g][col] == want_feas[g], (delta, g)
+
+    def test_rewards_are_not_stored(self):
+        pop, params, h, benefit = random_instance(43)
+        audit = FairnessAudit(h, pop, params, benefit)
+        audit.sweep(THRESHOLD_REWARD, audit.default_grid(THRESHOLD_REWARD, 5))
+        assert "rewards" not in vars(audit)
+        assert audit.default_grid(THRESHOLD_REWARD, 5)[-1] == max(float(audit.rewards.max()), 0.0)
+
+
 class TestTreePredictorIntegration:
     def test_audit_works_with_trees(self):
         pop, params, _, benefit = random_instance(27)
         h = fit_tree(pop, 3)
-        got = effort_reward(h, pop, params, benefit).per_group_value
+        got = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
         want = oracles.effort_reward(h, pop, params, benefit)
         for g in want:
             assert got[g] == pytest.approx(want[g], abs=1e-10)

@@ -88,6 +88,25 @@ class TestConfig:
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
 
+    @pytest.mark.parametrize("points", [1, 0, 2.5, True, "20"])
+    def test_delta_grid_points_must_be_integer_of_at_least_two(self, toy_dir, points):
+        raw = json.loads((toy_dir / "config.json").read_text())
+        raw["delta_grid_points"] = points
+        (toy_dir / "config.json").write_text(json.dumps(raw))
+        assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("column", ["skill", "y"])
+    def test_non_finite_cell_is_data_error(self, toy_dir, column, cell):
+        rows = _read_rows(toy_dir / "toy.csv")
+        rows[3][column] = cell
+        with open(toy_dir / "toy.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 3
+        assert not (toy_dir / "o" / "fairness_report.json").exists()
+
     def test_missing_dataset_is_data_error(self, toy_dir):
         (toy_dir / "toy.csv").unlink()
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 3
