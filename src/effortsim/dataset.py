@@ -155,10 +155,6 @@ class FeatureSchema:
     def mutable_mask(self) -> np.ndarray:
         return np.array([f.mutable for f in self.features], dtype=bool)
 
-    @property
-    def mutable_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.features if f.mutable)
-
     def binary_count(self) -> int:
         """Number of features with exactly two declared levels."""
         return sum(1 for f in self.features if f.kind.levels is not None and len(f.kind.levels) == 2)
@@ -278,9 +274,6 @@ class Population:
     @property
     def size(self) -> int:
         return self.X.shape[0]
-
-    def __len__(self) -> int:
-        return self.size
 
     def group_rows(self, group: str) -> np.ndarray:
         if group not in self._group_rows:

@@ -59,66 +59,15 @@ class ImpactResult:
     metadata: dict = field(default_factory=dict)
 
 
-class _Selector:
-    """Shared state for scanning candidates: efforts and own benefits."""
-
-    def __init__(self, h, pop: Population, params: EffortParams, benefit: str):
-        self.h = h
-        self.pop = pop
-        self.params = params
-        self.benefit = benefit
-        engine = EffortEngine(pop, params)
-        # Imitation keeps non-mutable entries, so only mutable features cost.
-        self.efforts = engine.pairwise_effort(pop, mutable_only=True)
-        self.own_benefit = np.asarray(
-            risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha)
-        )
-        self.mutable = pop.schema.mutable_mask
-
-    def targets_for(self, i: int) -> np.ndarray:
-        """(n, K) matrix of imitation targets for individual i."""
-        T = self.pop.X.copy()
-        T[:, ~self.mutable] = self.pop.X[i, ~self.mutable]
-        return T
-
-    def scan(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rewards and utilities of imitating every candidate, for one row."""
-        T = self.targets_for(i)
-        preds = self.h.predict_rows(self.pop.schema, T)
-        target_benefit = np.asarray(
-            risk_adjusted(benefit_value(self.benefit, self.pop.y, preds), self.params.alpha)
-        )
-        rewards = target_benefit - self.own_benefit[i]
-        return rewards, rewards - self.efforts[i]
-
-    def best_for(self, i: int) -> tuple[int | None, UtilityBreakdown]:
-        rewards, utils = self.scan(i)
-        j = int(np.argmax(utils))  # ties resolve to the lowest index
-        best = UtilityBreakdown(
-            reward=float(rewards[j]),
-            effort=float(self.efforts[i, j]),
-            utility=float(utils[j]),
-        )
-        if best.utility > 0.0:
-            return j, best
-        return None, best
-
-
-def select_role_model(
-    h, pop: Population, params: EffortParams, benefit: str, i: int
-) -> tuple[int | None, UtilityBreakdown]:
-    """Utility-maximizing candidate for individual i, if strictly positive.
-
-    Returns the argmax candidate's breakdown either way; the index is
-    present only when imitation would actually improve utility.
-    """
-    return _Selector(h, pop, params, benefit).best_for(i)
-
-
 def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactResult:
     """Apply the imitation rule to every individual against the frozen data."""
-    sel = _Selector(h, pop, params, benefit)
+    # Imitation keeps non-mutable entries, so only mutable features cost.
+    efforts = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
+    own_benefit = np.asarray(
+        risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha)
+    )
     mutable = pop.schema.mutable_mask
+    targets = pop.X.copy()  # row j: candidate j's mutable entries, i's other ones
     new_X = pop.X.copy()
     new_y = pop.y.copy()
     outcomes: list[ImitationOutcome] = []
@@ -126,8 +75,15 @@ def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactRe
     focal_counts: dict[bytes, int] = {}
     focal_vectors: dict[bytes, np.ndarray] = {}
     for i in range(pop.size):
-        j, best = sel.best_for(i)
-        if j is None:
+        targets[:, ~mutable] = pop.X[i, ~mutable]
+        preds = h.predict_rows(pop.schema, targets)
+        rewards = (
+            np.asarray(risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha))
+            - own_benefit[i]
+        )
+        utils = rewards - efforts[i]
+        j = int(np.argmax(utils))  # ties resolve to the lowest index
+        if not utils[j] > 0.0:
             outcomes.append(
                 ImitationOutcome(
                     individual_index=i,
@@ -139,8 +95,10 @@ def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactRe
                 )
             )
             continue
-        target = pop.X[i].copy()
-        target[mutable] = pop.X[j, mutable]
+        best = UtilityBreakdown(
+            reward=float(rewards[j]), effort=float(efforts[i, j]), utility=float(utils[j])
+        )
+        target = targets[j].copy()
         new_X[i] = target
         new_y[i] = pop.y[j]
         outcomes.append(

@@ -1,9 +1,9 @@
-"""Group-conditional quantile ranks, per-feature effort, reward and utility.
+"""Group-conditional quantile effort, benefit and the pairwise effort engine.
 
 Effort to change feature k from value a to value b is measured on the
 quantile scale of the actor's own group: moving into territory that few
 group members occupy is expensive, moving where most of the group already
-is comes cheap. Per-kind rules:
+is comes cheap. Per-kind rules, written once in ``EffortEngine._eps_rule``:
 
 * monotone numerical/ordinal: positive rank gap in the desirable
   direction, free in the other direction;
@@ -14,8 +14,8 @@ is comes cheap. Per-kind rules:
   infinite otherwise.
 
 Total effort is ``base_cost + (1/K) * sum_k weight_k * eps_k`` over the
-schema's K features. The vectorized pairwise paths accumulate features in
-the same order as the scalar ones so both produce identical floats.
+schema's K features, accumulated in ascending schema order. The brute-force
+reference for every rule lives in the test suite's oracles.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .dataset import (
     ORDINAL_MONOTONE,
     ORDINAL_NONMONOTONE,
     Feature,
-    FeatureSchema,
-    Individual,
     Population,
     SchemaError,
 )
@@ -108,22 +106,8 @@ class UtilityBreakdown:
     effort: float
     utility: float
 
-    @classmethod
-    def from_parts(cls, reward: float, effort: float) -> "UtilityBreakdown":
-        return cls(reward=reward, effort=effort, utility=reward - effort)
-
 
 ZERO_BREAKDOWN = UtilityBreakdown(0.0, 0.0, 0.0)
-
-
-def quantile_rank(pop: Population, group: str, k: int, x: float) -> float:
-    """Fraction of group members whose feature-k value is <= x.
-
-    Right-continuous empirical CDF: below the group minimum gives 0, at or
-    above the maximum gives 1.
-    """
-    table = pop.feature_table(group)[:, k]
-    return float(np.searchsorted(table, x, side="right")) / table.shape[0]
 
 
 def _rank_desc(table: np.ndarray, x) -> np.ndarray | float:
@@ -136,61 +120,6 @@ def _rank_desc(table: np.ndarray, x) -> np.ndarray | float:
 def _rank_asc(table: np.ndarray, x) -> np.ndarray | float:
     n = table.shape[0]
     return np.searchsorted(table, x, side="right") / n
-
-
-def feature_effort(
-    pop: Population, params: EffortParams, group: str, k: int, x_k: float, xp_k: float
-) -> float:
-    """Effort for a group member to move feature k from ``x_k`` to ``xp_k``."""
-    feature = pop.schema.features[k]
-    kind = feature.kind.kind
-    if x_k == xp_k:
-        return 0.0
-    table = pop.feature_table(group)[:, k]
-    if kind == CATEGORICAL:
-        levels = feature.kind.levels or ()
-        if not (0 <= int(x_k) < len(levels) and 0 <= int(xp_k) < len(levels)):
-            raise SchemaError(f"feature {feature.name!r}: invalid level index")
-        return params.categorical_cost_for(feature)
-    if kind == IMMUTABLE:
-        return math.inf
-    if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
-        if feature.kind.direction == INCREASING:
-            return max(0.0, float(_rank_asc(table, xp_k)) - float(_rank_asc(table, x_k)))
-        return max(0.0, float(_rank_desc(table, xp_k)) - float(_rank_desc(table, x_k)))
-    if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
-        return abs(float(_rank_asc(table, xp_k)) - float(_rank_asc(table, x_k)))
-    if kind == CONDITIONALLY_IMMUTABLE:
-        if feature.kind.direction == INCREASING:
-            if xp_k > x_k:
-                return float(_rank_asc(table, xp_k)) - float(_rank_asc(table, x_k))
-            return math.inf
-        if xp_k < x_k:
-            return float(_rank_desc(table, xp_k)) - float(_rank_desc(table, x_k))
-        return math.inf
-    raise SchemaError(f"unhandled feature kind {kind!r}")
-
-
-def total_effort(
-    pop: Population,
-    params: EffortParams,
-    group: str,
-    x: Sequence[float] | np.ndarray,
-    xp: Sequence[float] | np.ndarray,
-) -> float:
-    """Base cost plus the weighted per-feature efforts, averaged over K."""
-    schema = pop.schema
-    x = np.asarray(x, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    if x.shape != (schema.size,) or xp.shape != (schema.size,):
-        raise SchemaError(f"vectors must have length {schema.size}")
-    acc = 0.0
-    for k, feature in enumerate(schema.features):
-        w = params.weight_for(group, feature)
-        if w == 0.0:
-            continue
-        acc = acc + w * feature_effort(pop, params, group, k, float(x[k]), float(xp[k]))
-    return params.base_cost_for(group) + acc / schema.size
 
 
 def benefit_value(benefit: str, y, y_hat):
@@ -208,37 +137,9 @@ def risk_adjusted(value, alpha: float):
         return value
     arr = np.asarray(value, dtype=np.float64)
     if not float(alpha).is_integer() and np.any(arr < 0):
-        raise ValueError(f"negative benefit with non-integer risk aversion {alpha}")
+        raise SchemaError(f"negative benefit with non-integer risk aversion {alpha}")
     out = arr ** alpha
     return float(out) if np.isscalar(value) or arr.ndim == 0 else out
-
-
-def reward(
-    h,
-    schema: FeatureSchema,
-    benefit: str,
-    alpha: float,
-    z: Individual,
-    zp: Individual,
-) -> float:
-    """Risk-adjusted benefit gain from replacing profile z with z'."""
-    b_now = benefit_value(benefit, z.y, h.predict_rows(schema, z.x[None, :])[0])
-    b_then = benefit_value(benefit, zp.y, h.predict_rows(schema, zp.x[None, :])[0])
-    return float(risk_adjusted(b_then, alpha) - risk_adjusted(b_now, alpha))
-
-
-def utility(
-    h,
-    benefit: str,
-    params: EffortParams,
-    pop: Population,
-    z: Individual,
-    zp: Individual,
-) -> UtilityBreakdown:
-    """Reward minus effort, using z's own group for the effort side."""
-    r = reward(h, pop.schema, benefit, params.alpha, z, zp)
-    e = total_effort(pop, params, z.s, z.x, zp.x)
-    return UtilityBreakdown.from_parts(r, e)
 
 
 # Pairwise kernels work on row tiles of about this many bytes, so their
@@ -262,18 +163,15 @@ class EffortEngine:
     """Vectorized effort computations over a frozen reference population.
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
-    belong to any population with the same schema. All pairwise methods
-    accumulate features in ascending schema order, matching the scalar
-    ``total_effort`` term by term.
+    belong to any population with the same schema. Every effort goes
+    through ``eps_sum``, which applies the per-kind rule of ``_eps_rule``
+    and accumulates features in the order given (ascending schema order).
     """
 
     def __init__(self, reference: Population, params: EffortParams):
         self.reference = reference
         self.params = params
         self.schema = reference.schema
-
-    def _tables(self, group: str) -> np.ndarray:
-        return self.reference.feature_table(group)
 
     def _eps_rule(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray):
         """Feature k's per-kind effort rule from values a to values b.
@@ -301,7 +199,7 @@ class EffortEngine:
                 np.putmask(out, mask, np.inf)
 
             return fill
-        table = self._tables(group)[:, k]
+        table = self.reference.feature_table(group)[:, k]
         increasing = feature.kind.direction == INCREASING
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
             qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
@@ -334,12 +232,6 @@ class EffortEngine:
         else:
             raise SchemaError(f"unhandled feature kind {kind!r}")
         return fill
-
-    def eps_matrix(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray) -> np.ndarray:
-        """(len(a), len(b)) per-feature efforts from values a to values b."""
-        out = np.empty((col_a.shape[0], col_b.shape[0]))
-        self._eps_rule(group, k, col_a, col_b)(0, col_a.shape[0], out, np.empty(out.shape, bool))
-        return out
 
     def eps_sum(
         self,

@@ -57,14 +57,6 @@ class DeltaCurve:
     per_group_values: dict
     per_group_feasibility: dict | None = None
 
-    def rows(self) -> list[tuple]:
-        """(delta, group, value) triples for CSV emission."""
-        out = []
-        for gi, (g, vals) in enumerate(sorted(self.per_group_values.items())):
-            for d, v in zip(self.deltas, vals):
-                out.append((d, g, v))
-        return out
-
 
 def _disparity(values: dict) -> float | None:
     present = [v for v in values.values() if v is not None]
@@ -96,11 +88,6 @@ class FairnessAudit:
             risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha), dtype=np.float64
         )
         self._meta = {"candidate_set": "population", "benefit": benefit, "alpha": params.alpha}
-
-    @property
-    def rewards(self) -> np.ndarray:
-        """(n, n) rewards ``b[j] - b[i]``, built on demand."""
-        return self.benefits[None, :] - self.benefits[:, None]
 
     def _group_means(self, values: np.ndarray) -> dict:
         return {

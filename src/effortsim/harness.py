@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,6 +69,8 @@ class ModelSpec:
             raise SchemaError(f"unknown model kind {self.kind!r}")
         if self.features not in (ALL_FEATURES, "mutable", MUTABLE_PLUS_SENSITIVE):
             raise SchemaError(f"unknown feature set {self.features!r}")
+        if self.max_depth < 0 or not self.tau >= 0:
+            raise SchemaError(f"model {self.name!r}: max_depth and tau must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,6 +91,12 @@ class ExperimentConfig:
     connectivity_threshold: float
     seed: int
     raw: dict = field(repr=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.beta < 1.0):
+            raise SchemaError("train_fraction and beta must lie in (0,1)")
+        if not all(t >= 0 for t in self.tau_grid):
+            raise SchemaError(f"tau_grid entries must be >= 0, got {list(self.tau_grid)}")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -239,7 +246,6 @@ class StageRunner:
             "command": self.command,
             "config_sha256": self.config.config_hash(),
             "tool_version": __version__,
-            "threads": os.environ.get("EFFORTSIM_THREADS", "1"),
             "stages": self.stages
             + [
                 {

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Individual, Population
+from .dataset import Population
 from .effort import EffortEngine, EffortParams
 
 FOCAL_POINTS = "focal_points"
@@ -46,24 +46,13 @@ class MetricContext:
         return [k for k, f in enumerate(self.reference.schema.features) if f.mutable]
 
 
-def _directed_view(ctx: MetricContext, group: str, a: Individual, b: Individual) -> float:
-    """Distance from a to b as seen through one group's quantile tables."""
-    eng = ctx.engine
-    qa = float(eng.label_rank(group, np.array([a.y]))[0])
-    qb = float(eng.label_rank(group, np.array([b.y]))[0])
-    total = max(0.0, qb - qa)
-    for k in ctx.mutable_indices:
-        total += float(eng.eps_matrix(group, k, np.array([a.x[k]]), np.array([b.x[k]]))[0, 0])
-    return total
-
-
-def distance(ctx: MetricContext, a: Individual, b: Individual) -> float:
-    """max of the two group views; label gap plus mutable-feature efforts."""
-    return max(_directed_view(ctx, a.s, a, b), _directed_view(ctx, b.s, a, b))
-
-
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
-    """(n, n) distance matrix of a population under the frozen context."""
+    """(n, n) distance matrix of a population under the frozen context.
+
+    Entry (i, j) is the larger of two directed views of the move i -> j,
+    one through each endpoint's group tables: the positive label-rank gap
+    plus the unweighted mutable-feature efforts.
+    """
     eng = ctx.engine
     n = pop.size
     idx = ctx.mutable_indices
@@ -198,10 +187,12 @@ def absolute_clustering(
 
 
 def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
-    """Dominant eigenpair of a nonnegative symmetric matrix.
+    """Dominant (Perron) eigenpair of a nonnegative, possibly asymmetric matrix.
 
-    Iterates on M shifted by its largest row sum; without the shift,
-    near-bipartite components oscillate between +/- the spectral radius.
+    The within-group similarity exp(-d) comes from a directed distance, so M
+    need not be symmetric. Iterates on M shifted by its largest row sum;
+    without the shift, near-bipartite components oscillate between +/- the
+    spectral radius. Returns None when it does not converge.
     """
     n = M.shape[0]
     if n == 1:

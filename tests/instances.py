@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortParams
@@ -79,3 +80,47 @@ def random_instance(seed: int, max_individuals: int = 30):
     h = LinearPredictor(schema.names, weights, float(rng.normal()), kind="linear")
     benefit = "predicted" if rng.random() < 0.7 else "shifted_gain"
     return pop, params, h, benefit
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+_VALUES = st.sampled_from([-1.5, 0.0, 0.5, 1.0, 3.25])  # few values, so ties are common
+
+
+@st.composite
+def oracle_cases(draw, max_individuals: int = 12):
+    """(population, params): a random schema over every kind, two groups, ties.
+
+    Weights are per group (0 included) with the schema weight as fallback;
+    base costs are per group.
+    """
+    features = [Feature("grp", FeatureKind("immutable", levels=("a", "b")), mutable=False)]
+    for fi in range(draw(st.integers(1, 5))):
+        kind, direction = draw(st.sampled_from(_KIND_POOL))
+        levels = tuple(f"v{j}" for j in range(draw(st.integers(2, 4))))
+        features.append(
+            Feature(
+                f"f{fi}",
+                FeatureKind(kind, direction=direction, levels=levels if kind == "categorical" else None),
+                mutable=kind not in ("immutable", "conditionally_immutable"),
+                weight=draw(_WEIGHTS),
+                categorical_cost=draw(st.sampled_from([None, 0.0, 0.3])) if kind == "categorical" else None,
+            )
+        )
+    schema = FeatureSchema(features=tuple(features), sensitive="grp", label="y")
+    n_a = draw(st.integers(1, max_individuals - 1))
+    n_b = draw(st.integers(1, max_individuals - n_a))
+    n = n_a + n_b
+    cols = [np.repeat([0.0, 1.0], [n_a, n_b])]
+    for f in schema.features[1:]:
+        values = st.integers(0, len(f.kind.levels) - 1) if f.kind.levels else _VALUES
+        cols.append(draw(st.lists(values, min_size=n, max_size=n)))
+    y = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
+    pop = Population(schema, np.column_stack(cols).astype(float), np.array(y), ["a"] * n_a + ["b"] * n_b)
+    params = EffortParams(
+        base_cost={g: draw(st.sampled_from([0.0, 0.05])) for g in ("a", "b")},
+        categorical_cost=draw(st.sampled_from([0.5, 0.25])),
+        feature_weights={
+            g: draw(st.dictionaries(st.sampled_from(schema.names), _WEIGHTS)) for g in ("a", "b")
+        },
+    )
+    return pop, params

@@ -17,8 +17,8 @@ import oracles
 from conftest import ACCEPTANCE_LINES
 from effortsim import data_path
 from effortsim.dataset import load_csv, restrict_features, split, write_csv
-from effortsim.dynamics import _Selector, simulate
-from effortsim.effort import EffortParams
+from effortsim.dynamics import simulate
+from effortsim.effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
 from effortsim.fairness import (
     BOUNDED_EFFORT,
     THRESHOLD_REWARD,
@@ -163,7 +163,8 @@ def test_criterion_4_curve_monotonicity(config, student_split):
             # over the deltas where that individual stays feasible.
             prev = None
             for delta in tgrid:
-                feas = (audit.rewards >= delta) & np.isfinite(audit.efforts)
+                rewards = audit.benefits[None, :] - audit.benefits[:, None]
+                feas = (rewards >= delta) & np.isfinite(audit.efforts)
                 mins = np.where(feas, audit.efforts, np.inf).min(axis=1)
                 mins = np.where(feas.any(axis=1), mins, np.nan)
                 if prev is not None:
@@ -191,7 +192,7 @@ def test_criterion_5_oracle_equivalence():
                 want = oracles.bounded_effort(h, pop, params, benefit, delta, E)
                 for g in want:
                     assert abs(got[g] - want[g]) <= 1e-10, ("bounded", seed, delta, g)
-            hi = float(audit.rewards.max())
+            hi = float(audit.benefits.max() - audit.benefits.min())
             for delta in (0.0, hi / 3, hi):
                 got_rep = audit.threshold_reward(delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta, E)
@@ -205,13 +206,13 @@ def test_criterion_5_oracle_equivalence():
             want_er = oracles.effort_reward(h, pop, params, benefit, E)
             for g in want_er:
                 assert abs(got_er[g] - want_er[g]) <= 1e-10, ("effort_reward", seed, g)
-            sel = _Selector(h, pop, params, benefit)
+            outcomes = simulate(h, pop, params, benefit).outcomes
             for i in range(pop.size):
-                got_idx, got_best = sel.best_for(i)
+                got = outcomes[i]
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
-                assert got_idx == want_idx, ("role_model", seed, i)
+                assert got.role_model_index == want_idx, ("role_model", seed, i)
                 if want_idx is not None:
-                    assert abs(got_best.utility - want_u) <= 1e-10
+                    assert abs(got.exerted.utility - want_u) <= 1e-10
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
             got_aci = absolute_clustering(ctx, pop)
@@ -293,7 +294,8 @@ def test_criterion_7_dynamics_invariants(config, student_split):
             impact = simulate(h, train, params, config.benefit)
             preds_before = h.predict(train)
             preds_after = h.predict(impact.impacted)
-            sel = _Selector(h, train, params, config.benefit)
+            efforts = EffortEngine(train, params).pairwise_effort(train, mutable_only=True)
+            own = risk_adjusted(benefit_value(config.benefit, train.y, preds_before), params.alpha)
             mutable = train.schema.mutable_mask
             for o in impact.outcomes:
                 i = o.individual_index
@@ -304,7 +306,14 @@ def test_criterion_7_dynamics_invariants(config, student_split):
                 audited_changes += 1
                 assert o.exerted.utility > 0.0
                 assert preds_after[i] > preds_before[i]
-                _, utilities = sel.scan(i)  # exhaustive candidate audit
+                # exhaustive candidate audit: every imitation target of row i
+                targets = train.X.copy()
+                targets[:, ~mutable] = train.X[i, ~mutable]
+                preds = h.predict_rows(train.schema, targets)
+                target_benefit = risk_adjusted(
+                    benefit_value(config.benefit, train.y, preds), params.alpha
+                )
+                utilities = target_benefit - own[i] - efforts[i]
                 assert o.exerted.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
         fixed = simulate(flat, train, params, config.benefit)

@@ -5,9 +5,9 @@ import pytest
 
 import oracles
 from conftest import single_group_pop
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Individual, Population
-from effortsim.dynamics import feature_shift_report, select_role_model, simulate
-from effortsim.effort import EffortParams, utility
+from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim.dynamics import feature_shift_report, simulate
+from effortsim.effort import EffortParams
 from effortsim.models import LinearPredictor
 from instances import random_instance
 
@@ -30,6 +30,12 @@ def _toy_pop():
     X = np.array([[0, 1], [0, 5], [1, 3]], dtype=float)
     y = np.array([2.0, 9.0, 5.0])
     return Population(schema, X, y, ["g1", "g1", "g2"])
+
+
+def select_role_model(h, pop, params, benefit, i):
+    """(role model index or None, exerted breakdown) of row i after one imitation round."""
+    outcome = simulate(h, pop, params, benefit).outcomes[i]
+    return outcome.role_model_index, outcome.exerted
 
 
 class TestSelectRoleModel:
@@ -134,11 +140,14 @@ class TestSimulate:
         for o in impact.outcomes:
             if not o.changed:
                 continue
-            z = pop.individual(o.individual_index)
-            target = Individual(x=o.new_x, y=o.new_y, s=z.s)
-            again = utility(h, benefit, params, pop, z, target)
-            assert o.exerted.utility == pytest.approx(again.utility, abs=1e-10)
-            assert o.exerted.effort == pytest.approx(again.effort, abs=1e-10)
+            i = o.individual_index
+            preds = h.predict_rows(pop.schema, np.array([pop.X[i], o.new_x]))
+            reward = oracles.benefit(benefit, o.new_y, preds[1]) - oracles.benefit(
+                benefit, pop.y[i], preds[0]
+            )
+            effort = oracles.total_effort(pop, params, pop.groups[i], pop.X[i], o.new_x)
+            assert o.exerted.utility == pytest.approx(reward - effort, abs=1e-10)
+            assert o.exerted.effort == pytest.approx(effort, abs=1e-10)
 
     def test_predicted_label_strictly_increases_for_changers(self):
         pop, params, h, _ = random_instance(43)

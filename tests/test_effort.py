@@ -4,28 +4,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from conftest import single_group_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim.effort import (
-    EffortEngine,
-    EffortParams,
-    feature_effort,
-    quantile_rank,
-    reward,
-    risk_adjusted,
-    tile_rows,
-    total_effort,
-    utility,
-)
+from effortsim.effort import EffortEngine, EffortParams, risk_adjusted, tile_rows
+from effortsim.fairness import FairnessAudit
 from effortsim.models import LinearPredictor
-from instances import random_instance
+from instances import oracle_cases, random_instance
 
 
 @pytest.fixture
 def ladder_pop():
     return single_group_pop([1, 2, 3, 4, 5])
+
+
+def feature_effort(pop, params, group, k, a, b):
+    """Feature k's effort from value a to value b: one-feature ``eps_sum`` on a 1x1 pair."""
+    xa = np.zeros((1, pop.schema.size))
+    xb = np.zeros((1, pop.schema.size))
+    xa[0, k], xb[0, k] = a, b
+    return float(EffortEngine(pop, params).eps_sum(group, xa, xb, [k], weighted=False)[0, 0])
+
+
+def quantile_rank(pop, group, k, x):
+    """Fraction of the group's feature-k values <= x: the increasing-rank gap up from -inf."""
+    return feature_effort(pop, EffortParams(), group, k, -math.inf, x)
+
+
+def total_effort(pop, params, group, xa, xb):
+    """Total effort from xa to xb: ``pairwise_effort`` over a population holding both rows."""
+    rows = Population(pop.schema, np.array([xa, xb]), np.zeros(2), [group, group])
+    return float(EffortEngine(pop, params).pairwise_effort(rows)[0, 1])
 
 
 class TestQuantileRank:
@@ -189,6 +200,12 @@ class TestTotalEffort:
         assert total_effort(pop, params, "g1", xa, xb) == 0.0
 
 
+def _rewards(h, pop, benefit, alpha=1.0, base_cost=0.0):
+    """(audit, rewards b[j] - b[i]) from the audit's benefit vector."""
+    audit = FairnessAudit(h, pop, EffortParams(alpha=alpha, base_cost=base_cost), benefit)
+    return audit, audit.benefits[None, :] - audit.benefits[:, None]
+
+
 class TestRewardUtility:
     def _identity_model(self, pop):
         w = np.zeros(pop.schema.size)
@@ -197,20 +214,20 @@ class TestRewardUtility:
 
     def test_no_move_no_reward(self, ladder_pop):
         h = self._identity_model(ladder_pop)
-        z = ladder_pop.individual(0)
-        assert reward(h, ladder_pop.schema, "predicted", 1.0, z, z) == 0.0
+        _, rewards = _rewards(h, ladder_pop, "predicted")
+        assert rewards[0, 0] == 0.0
 
     def test_linear_alpha_one(self):
         pop = single_group_pop([11, 14])
         h = self._identity_model(pop)
-        z, zp = pop.individual(0), pop.individual(1)
-        assert reward(h, pop.schema, "predicted", 1.0, z, zp) == 3.0
+        _, rewards = _rewards(h, pop, "predicted")
+        assert rewards[0, 1] == 3.0
 
     def test_alpha_two_powers(self):
         pop = single_group_pop([2, 3])
         h = self._identity_model(pop)
-        z, zp = pop.individual(0), pop.individual(1)
-        assert reward(h, pop.schema, "predicted", 2.0, z, zp) == 5.0
+        _, rewards = _rewards(h, pop, "predicted", alpha=2.0)
+        assert rewards[0, 1] == 5.0
 
     def test_negative_benefit_fractional_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -219,36 +236,34 @@ class TestRewardUtility:
 
     def test_reward_equals_prediction_gap_for_alpha_one(self):
         pop, params, h, _ = random_instance(4)
+        _, rewards = _rewards(h, pop, "predicted")
+        preds = h.predict(pop)
         for i in (0, 1):
             for j in (2, 3):
-                r = reward(
-                    h, pop.schema, "predicted", 1.0, pop.individual(i), pop.individual(j)
-                )
-                hj = h.predict_rows(pop.schema, pop.X[j][None, :])[0]
-                hi = h.predict_rows(pop.schema, pop.X[i][None, :])[0]
-                assert r == hj - hi
+                assert rewards[i, j] == preds[j] - preds[i]
 
     def test_utility_breakdown(self):
         pop = single_group_pop([1, 2, 3, 4, 5])
         h = self._identity_model(pop)
-        z = pop.individual(0)
-        none_moved = utility(h, "predicted", EffortParams(), pop, z, z)
-        assert (none_moved.reward, none_moved.effort, none_moved.utility) == (0.0, 0.0, 0.0)
-        base = utility(h, "predicted", EffortParams(base_cost=0.1), pop, z, z)
-        assert base.utility == pytest.approx(-0.1)
+        audit, rewards = _rewards(h, pop, "predicted")
+        none_moved = (rewards[0, 0], audit.efforts[0, 0], rewards[0, 0] - audit.efforts[0, 0])
+        assert none_moved == (0.0, 0.0, 0.0)
+        audit, rewards = _rewards(h, pop, "predicted", base_cost=0.1)
+        assert rewards[0, 0] - audit.efforts[0, 0] == pytest.approx(-0.1)
 
     def test_immutable_move_gives_minus_infinity(self):
         pop = _mixed_pop()
         h = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 0.0)
-        out = utility(h, "predicted", EffortParams(), pop, pop.individual(0), pop.individual(5))
-        assert out.effort == math.inf and out.utility == -math.inf
+        audit, rewards = _rewards(h, pop, "predicted")
+        effort = audit.efforts[0, 5]
+        assert effort == math.inf and rewards[0, 5] - effort == -math.inf
 
     def test_shifted_gain_benefit(self):
         pop = single_group_pop([1, 4], labels=[2, 3])
         h = self._identity_model(pop)
-        z, zp = pop.individual(0), pop.individual(1)
+        _, rewards = _rewards(h, pop, "shifted_gain")
         # b = y_hat - y + 1: (4 - 3 + 1) - (1 - 2 + 1) = 2
-        assert reward(h, pop.schema, "shifted_gain", 1.0, z, zp) == 2.0
+        assert rewards[0, 1] == 2.0
 
 
 class TestVectorizedEngine:
@@ -259,7 +274,7 @@ class TestVectorizedEngine:
             E = engine.pairwise_effort(pop)
             for i in range(pop.size):
                 for j in range(pop.size):
-                    assert E[i, j] == total_effort(
+                    assert E[i, j] == oracles.total_effort(
                         pop, params, pop.groups[i], pop.X[i], pop.X[j]
                     )
 
@@ -271,7 +286,31 @@ class TestVectorizedEngine:
         target = pop.X[5].copy()
         mutable = pop.schema.mutable_mask
         target[~mutable] = pop.X[0, ~mutable]
-        assert E[0, 5] == total_effort(pop, params, "g1", pop.X[0], target)
+        assert E[0, 5] == oracles.total_effort(pop, params, "g1", pop.X[0], target)
+
+
+class TestOracleProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(oracle_cases())
+    def test_pairwise_effort_equals_oracle(self, case):
+        pop, params = case
+        E = EffortEngine(pop, params).pairwise_effort(pop)
+        for i in range(pop.size):
+            for j in range(pop.size):
+                want = oracles.total_effort(pop, params, pop.groups[i], pop.X[i], pop.X[j])
+                assert E[i, j] == want, (i, j)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(oracle_cases())
+    def test_mutable_only_equals_oracle_on_imitation_target(self, case):
+        pop, params = case
+        E = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
+        mutable = pop.schema.mutable_mask
+        for i in range(pop.size):
+            for j in range(pop.size):
+                target = np.where(mutable, pop.X[j], pop.X[i])
+                want = oracles.total_effort(pop, params, pop.groups[i], pop.X[i], target)
+                assert E[i, j] == want, (i, j)
 
 
 def _every_kind_pop(n_per_group=60, seed=0):
@@ -301,10 +340,14 @@ def _every_kind_pop(n_per_group=60, seed=0):
 
 
 def _schema_order_sum(engine, group, Xa, Xb, idx, weighted):
-    """The accumulation the tiled kernel must reproduce: acc + w * eps, feature by feature."""
+    """The accumulation the tiled kernel must reproduce: acc + w * eps, feature by feature.
+
+    Each per-feature matrix is a one-feature unweighted ``eps_sum``, which is
+    ``0 + eps`` and so equals eps bit for bit.
+    """
     acc = np.zeros((Xa.shape[0], Xb.shape[0]))
     for k in idx:
-        eps = engine.eps_matrix(group, k, Xa[:, k], Xb[:, k])
+        eps = engine.eps_sum(group, Xa, Xb, [k], weighted=False)
         if weighted:
             w = engine.params.weight_for(group, engine.schema.features[k])
             if w == 0.0:
@@ -325,10 +368,13 @@ class TestTiledEpsSum:
         for k in range(pop.schema.size):
             col = pop.X[:, k]
             for g in pop.group_names:
-                got = engine.eps_matrix(g, k, col, col)
+                got = engine.eps_sum(g, pop.X, pop.X, [k], weighted=False)
+                values = oracles.group_values(pop, g, k)
+                feature = pop.schema.features[k]
                 for i, a in enumerate(col):
                     for j, b in enumerate(col):
-                        assert got[i, j] == feature_effort(pop, params, g, k, a, b)
+                        want = oracles.feature_effort(feature, values, a, b, params.categorical_cost)
+                        assert got[i, j] == want
 
     @pytest.mark.parametrize("weighted", [True, False])
     @pytest.mark.parametrize("mutable_only", [False, True])

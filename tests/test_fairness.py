@@ -93,7 +93,7 @@ class TestThresholdReward:
         for seed in range(6, 12):
             pop, params, h, benefit = random_instance(seed)
             audit = FairnessAudit(h, pop, params, benefit)
-            hi = float(audit.rewards.max())
+            hi = float(audit.benefits.max() - audit.benefits.min())
             for delta in (0.0, hi / 2, hi):
                 got = audit.threshold_reward(delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta)
@@ -125,7 +125,7 @@ class TestEffortReward:
         pop, params, h, benefit = random_instance(18)
         audit = FairnessAudit(h, pop, params, benefit)
         rep = audit.effort_reward()
-        utilities = audit.rewards - audit.efforts
+        utilities = audit.benefits[None, :] - audit.benefits[:, None] - audit.efforts
         best = np.maximum(np.max(utilities, axis=1), 0.0)
         for i in range(pop.size):
             assert best[i] + 1e-12 >= np.max(utilities[i])
@@ -208,9 +208,9 @@ class TestSweep:
     def test_rows_layout(self):
         pop, params, h, benefit = random_instance(26)
         curve = FairnessAudit(h, pop, params, benefit).sweep(BOUNDED_EFFORT, [0.0, 0.1])
-        rows = curve.rows()
-        assert len(rows) == 2 * len(pop.group_names)
-        assert all(len(r) == 3 for r in rows)
+        assert curve.deltas == (0.0, 0.1)
+        assert sorted(curve.per_group_values) == list(pop.group_names)
+        assert all(len(vals) == 2 for vals in curve.per_group_values.values())
 
 
 def _sweep_cases():
@@ -256,7 +256,7 @@ class TestOnePassSweep:
     def test_threshold_reward_equals_oracle(self):
         for pop, params, h, benefit in _sweep_cases():
             audit = FairnessAudit(h, pop, params, benefit)
-            rewards = np.unique(audit.rewards)
+            rewards = np.unique(audit.benefits[None, :] - audit.benefits[:, None])
             grid = sorted({-math.inf, *rewards[:: max(1, rewards.size // 6)].tolist(), math.inf})
             curve = audit.sweep(THRESHOLD_REWARD, grid)
             E = oracles.effort_matrix(pop, params)
@@ -271,7 +271,8 @@ class TestOnePassSweep:
         audit = FairnessAudit(h, pop, params, benefit)
         audit.sweep(THRESHOLD_REWARD, audit.default_grid(THRESHOLD_REWARD, 5))
         assert "rewards" not in vars(audit)
-        assert audit.default_grid(THRESHOLD_REWARD, 5)[-1] == max(float(audit.rewards.max()), 0.0)
+        top = float(audit.benefits.max() - audit.benefits.min())
+        assert audit.default_grid(THRESHOLD_REWARD, 5)[-1] == max(top, 0.0)
 
 
 class TestTreePredictorIntegration:

@@ -95,6 +95,29 @@ class TestConfig:
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, edits",
+        [
+            ("simulate", [(("beta",), 1.5)]),
+            ("fairness", [(("benefit",), "shifted_gain"), (("effort", "alpha"), 0.5)]),
+            ("fairness", [(("split", "train_fraction"), 1.5)]),
+            ("fairness", [(("models", 2, "max_depth"), -1)]),
+            ("sweep-tau", [(("sweep", "tau_grid"), [-1])]),
+        ],
+        ids=["beta", "negative_benefit_fractional_alpha", "train_fraction", "max_depth", "tau_grid"],
+    )
+    def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
+        raw = json.loads(data_path("student_config.json").read_text())
+        raw["dataset"] = str(data_path(raw["dataset"]))
+        raw["schema"] = str(data_path(raw["schema"]))
+        for path, value in edits:
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     @pytest.mark.parametrize("column", ["skill", "y"])
     def test_non_finite_cell_is_data_error(self, toy_dir, column, cell):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from conftest import single_group_pop
@@ -21,12 +22,11 @@ from effortsim.segregation import (
     build_focal_neighborhoods,
     centralization,
     compare,
-    distance,
     measure_population,
     pairwise_distances,
     spectral_segregation,
 )
-from instances import random_instance
+from instances import oracle_cases, random_instance
 
 
 def _two_feature_pop():
@@ -53,25 +53,27 @@ class TestDistance:
     def test_self_distance_zero(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        for i in range(pop.size):
-            assert distance(ctx, pop.individual(i), pop.individual(i)) == 0.0
+        assert np.all(np.diag(pairwise_distances(ctx, pop)) == 0.0)
 
     def test_single_group_ladder_value(self):
         pop = single_group_pop([1, 2, 3, 4, 5])
         ctx = MetricContext(pop, EffortParams(), "g1")
-        a, b = pop.individual(0), pop.individual(2)  # skill 1 vs 3, labels equal
-        assert distance(ctx, a, b) == pytest.approx(0.4)
-        assert distance(ctx, b, a) == 0.0  # downhill move is free, labels equal
+        D = pairwise_distances(ctx, pop.take(np.array([0, 2])))  # skill 1 vs 3, labels equal
+        assert D[0, 1] == pytest.approx(0.4)
+        assert D[1, 0] == 0.0  # downhill move is free, labels equal
 
     def test_view_max_is_order_insensitive(self):
         pop = _two_feature_pop()
-        ctx = MetricContext(pop, EffortParams(), "g1")
-        a, b = pop.individual(0), pop.individual(2)
-        d_ab = distance(ctx, a, b)
+        params = EffortParams()
+        ctx = MetricContext(pop, params, "g1")
+        i, j = 0, 2
+        d_ij = pairwise_distances(ctx, pop)[i, j]
         # same ordered pair, group views swapped by hand
-        from effortsim.segregation import _directed_view
-
-        assert d_ab == max(_directed_view(ctx, b.s, a, b), _directed_view(ctx, a.s, a, b))
+        views = [
+            oracles.directed_view(pop, params, pop.groups[g], pop.X[i], pop.y[i], pop.X[j], pop.y[j])
+            for g in (j, i)
+        ]
+        assert d_ij == pytest.approx(max(views), abs=1e-12)
 
     def test_always_finite_and_nonnegative(self):
         for seed in (50, 51):
@@ -88,10 +90,19 @@ class TestDistance:
         D = pairwise_distances(ctx, pop)
         for i in range(pop.size):
             for j in range(pop.size):
-                assert D[i, j] == distance(ctx, pop.individual(i), pop.individual(j))
                 assert D[i, j] == pytest.approx(
                     oracles.distance(pop, params, pop, i, j), abs=1e-12
                 )
+
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(oracle_cases())
+    def test_matrix_equals_oracle_on_random_schemas(self, case):
+        pop, params = case
+        D = pairwise_distances(MetricContext(pop, params, "a"), pop)
+        for i in range(pop.size):
+            for j in range(pop.size):
+                assert D[i, j] == pytest.approx(oracles.distance(pop, params, pop, i, j), abs=1e-12)
 
 
 class TestFocalNeighborhoods:
@@ -320,6 +331,26 @@ class TestSpectralSegregation:
             vec = vec / vec.sum()
             scores = lam * vec * comp.size
             assert scores.sum() == pytest.approx(lam * comp.size, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[0.0, 2.0, 0.5], [1.0, 0.0, 3.0], [0.2, 0.7, 0.0]],
+            [[0.0, 0.9, 0.0, 0.0], [0.0, 0.0, 0.4, 0.0], [0.1, 0.0, 0.0, 0.8], [0.6, 0.3, 0.0, 0.0]],
+        ],
+    )
+    def test_power_iteration_on_asymmetric_matrix(self, M):
+        # nonnegative, asymmetric, strongly connected: a unique Perron pair
+        from effortsim.segregation import _power_iteration
+
+        M = np.array(M)
+        assert not np.array_equal(M, M.T)
+        eigvals, eigvecs = np.linalg.eig(M)
+        top = int(np.argmax(eigvals.real))
+        want = eigvecs[:, top].real
+        lam, vec = _power_iteration(M)
+        assert lam == pytest.approx(float(eigvals[top].real), abs=1e-8)
+        np.testing.assert_allclose(vec / vec.sum(), want / want.sum(), rtol=0, atol=1e-8)
 
 
 class TestCompare:
