@@ -22,6 +22,7 @@ from .effort import (
     ZERO_BREAKDOWN,
     benefit_value,
     risk_adjusted,
+    row_tiles,
 )
 
 
@@ -59,15 +60,43 @@ class ImpactResult:
     metadata: dict = field(default_factory=dict)
 
 
+def _best_moves(h, pop: Population, params: EffortParams, benefit: str, efforts: np.ndarray):
+    """Each row's utility-maximising candidate, with that candidate's reward and utility.
+
+    Works over row tiles of the reward matrix: one block of imitation
+    predictions per tile, whole-tile benefits and utilities, and a row-wise
+    argmax whose ties go to the lowest index. A row's own benefit is the
+    block's diagonal entry, so imitating oneself scores exactly zero reward.
+    The two tile buffers are reused across tiles and freed on return.
+    """
+    n = pop.size
+    block = h.imitation_block(pop.schema, pop.X)
+    best = np.empty(n, dtype=np.intp)
+    reward = np.empty(n)
+    utility = np.empty(n)
+    preds_buf = utils_buf = None
+    for lo, hi in row_tiles(n, n):
+        if preds_buf is None:  # the first tile is the tallest
+            preds_buf, utils_buf = np.empty((hi - lo, n)), np.empty((hi - lo, n))
+        preds = block(lo, hi, out=preds_buf[: hi - lo])
+        rewards = risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha)
+        rows = np.arange(hi - lo)
+        own_benefit = rewards[rows, lo + rows]  # a copy, taken before the subtraction
+        np.subtract(rewards, own_benefit[:, None], out=rewards)
+        utils = np.subtract(rewards, efforts[lo:hi], out=utils_buf[: hi - lo])
+        j = utils.argmax(axis=1)
+        best[lo:hi] = j
+        reward[lo:hi] = rewards[rows, j]
+        utility[lo:hi] = utils[rows, j]
+    return best, reward, utility
+
+
 def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactResult:
     """Apply the imitation rule to every individual against the frozen data."""
     # Imitation keeps non-mutable entries, so only mutable features cost.
     efforts = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
-    own_benefit = np.asarray(
-        risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha)
-    )
+    best, reward, utility = _best_moves(h, pop, params, benefit, efforts)
     mutable = pop.schema.mutable_mask
-    targets = pop.X.copy()  # row j: candidate j's mutable entries, i's other ones
     new_X = pop.X.copy()
     new_y = pop.y.copy()
     outcomes: list[ImitationOutcome] = []
@@ -75,15 +104,8 @@ def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactRe
     focal_counts: dict[bytes, int] = {}
     focal_vectors: dict[bytes, np.ndarray] = {}
     for i in range(pop.size):
-        targets[:, ~mutable] = pop.X[i, ~mutable]
-        preds = h.predict_rows(pop.schema, targets)
-        rewards = (
-            np.asarray(risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha))
-            - own_benefit[i]
-        )
-        utils = rewards - efforts[i]
-        j = int(np.argmax(utils))  # ties resolve to the lowest index
-        if not utils[j] > 0.0:
+        j = int(best[i])
+        if not utility[i] > 0.0:
             outcomes.append(
                 ImitationOutcome(
                     individual_index=i,
@@ -95,17 +117,18 @@ def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactRe
                 )
             )
             continue
-        best = UtilityBreakdown(
-            reward=float(rewards[j]), effort=float(efforts[i, j]), utility=float(utils[j])
+        exerted = UtilityBreakdown(
+            reward=float(reward[i]), effort=float(efforts[i, j]), utility=float(utility[i])
         )
-        target = targets[j].copy()
+        target = pop.X[i].copy()
+        target[mutable] = pop.X[j, mutable]
         new_X[i] = target
         new_y[i] = pop.y[j]
         outcomes.append(
             ImitationOutcome(
                 individual_index=i,
                 role_model_index=j,
-                exerted=best,
+                exerted=exerted,
                 changed=True,
                 new_x=target,
                 new_y=float(pop.y[j]),

@@ -31,19 +31,48 @@ class Predictor:
         self.hyperparameters: dict = dict(hyperparameters or {})
         self._columns: tuple[FeatureSchema, list[int]] | None = None
 
+    def _column_indices(self, schema: FeatureSchema) -> list[int]:
+        """Schema column of each model feature, in fit order."""
+        if self._columns is None or self._columns[0] is not schema:
+            self._columns = (schema, [schema.index(name) for name in self.feature_names])
+        return self._columns[1]
+
     def _design(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
-        if self._columns is None or self._columns[0] is not schema:
-            self._columns = (schema, [schema.index(name) for name in self.feature_names])
-        return X[:, self._columns[1]]
+        return X[:, self._column_indices(schema)]
 
     def predict_rows(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def predict(self, pop: Population) -> np.ndarray:
         return self.predict_rows(pop.schema, pop.X)
+
+    def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
+        """Predictions of every imitation target among the rows of ``X``.
+
+        The target of row i imitating row j keeps i's non-mutable entries
+        and takes j's mutable ones. Returns ``block(lo, hi, out=None)``,
+        the ``(hi - lo, n)`` array (written into ``out`` when given) whose
+        entry ``(r, j)`` is the prediction for row ``lo + r`` imitating row
+        j; entry ``(i - lo, i)`` is row i's own prediction. This fallback
+        predicts one rewritten target matrix per row; subclasses whose form
+        separates build their factors once per call.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        frozen = ~schema.mutable_mask
+        targets = X.copy()  # row j: j's mutable entries, the current row's others
+
+        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+            if out is None:
+                out = np.empty((hi - lo, X.shape[0]))
+            for r in range(hi - lo):
+                targets[:, frozen] = X[lo + r, frozen]
+                out[r] = self.predict_rows(schema, targets)
+            return out
+
+        return block
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -62,6 +91,26 @@ class LinearPredictor(Predictor):
 
     def predict_rows(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         return self._design(schema, X) @ self.weights + self.intercept
+
+    def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
+        """Outer sum ``own[i] + cand[j]``: non-mutable part plus intercept, mutable part.
+
+        Both factors accumulate ``w * x`` feature by feature in model order
+        with elementwise ops, so equal rows get equal bits wherever they
+        sit and self-imitation predicts exactly the diagonal value.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        own = np.zeros(X.shape[0])
+        cand = np.zeros(X.shape[0])
+        for w, k in zip(self.weights, self._column_indices(schema)):
+            acc = cand if schema.features[k].mutable else own
+            acc += w * X[:, k]
+        own += self.intercept
+
+        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+            return np.add(own[lo:hi, None], cand[None, :], out=out)
+
+        return block
 
     def to_dict(self) -> dict:
         return {
@@ -103,6 +152,45 @@ class TreePredictor(Predictor):
             stack.append((node["left"], rows[mask]))
             stack.append((node["right"], rows[~mask]))
         return out
+
+    def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
+        """``A_own[lo:hi] @ A_cand.T`` over the tree's L leaves.
+
+        One walk narrows, per leaf, a mask of rows i whose non-mutable
+        entries pass the path's tests and a mask of rows j whose mutable
+        entries do. ``A_own`` (n, L) holds the first mask times the leaf
+        value, ``A_cand`` (n, L) the second as 0/1. Exactly one leaf fires
+        for each pair, so every product sums one leaf value and zeros and
+        equals ``predict_rows`` bit for bit.
+        """
+        D = self._design(schema, X)
+        mutable = schema.mutable_mask[self._column_indices(schema)]
+        everyone = np.ones(D.shape[0], dtype=bool)
+        own_cols: list[np.ndarray] = []
+        cand_cols: list[np.ndarray] = []
+        stack = [(0, everyone, everyone)]
+        while stack:
+            node_id, own, cand = stack.pop()
+            node = self.nodes[node_id]
+            k = node["feature"]
+            if k < 0:
+                own_cols.append(own * node["value"])
+                cand_cols.append(cand)
+                continue
+            left = D[:, k] <= node["threshold"]
+            if mutable[k]:
+                stack.append((node["left"], own, cand & left))
+                stack.append((node["right"], own, cand & ~left))
+            else:
+                stack.append((node["left"], own & left, cand))
+                stack.append((node["right"], own & ~left, cand))
+        A_own = np.column_stack(own_cols)
+        A_cand = np.column_stack(cand_cols).astype(np.float64)
+
+        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+            return np.matmul(A_own[lo:hi], A_cand.T, out=out)
+
+        return block
 
     def to_dict(self) -> dict:
         return {

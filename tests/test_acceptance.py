@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +283,7 @@ def test_criterion_6_segregation_properties():
         )
 
 
-def test_criterion_7_dynamics_invariants(config, student_split):
+def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
     with _record("7 dynamics invariants") as rec:
         train, _ = student_split
         params = config.effort
@@ -317,11 +316,10 @@ def test_criterion_7_dynamics_invariants(config, student_split):
                 assert o.exerted.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
         fixed = simulate(flat, train, params, config.benefit)
-        ref_a, ref_b = Path("/tmp") / "dyn_a.csv", Path("/tmp") / "dyn_b.csv"
+        ref_a, ref_b = tmp_path / "dyn_a.csv", tmp_path / "dyn_b.csv"
         write_csv(train, ref_a)
         write_csv(fixed.impacted, ref_b)
         assert ref_a.read_bytes() == ref_b.read_bytes()
-        ref_a.unlink(), ref_b.unlink()
         rec.detail = (
             f"{audited_changes} moves audited across {len(config.models)} models; "
             "constant predictor reproduces its population byte-for-byte"

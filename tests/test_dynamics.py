@@ -6,9 +6,10 @@ import pytest
 import oracles
 from conftest import single_group_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim import effort
 from effortsim.dynamics import feature_shift_report, simulate
 from effortsim.effort import EffortParams
-from effortsim.models import LinearPredictor
+from effortsim.models import LinearPredictor, fit_tree
 from instances import random_instance
 
 
@@ -157,6 +158,67 @@ class TestSimulate:
         for o in impact.outcomes:
             if o.changed:
                 assert preds_after[o.individual_index] > preds_before[o.individual_index]
+
+
+class TestTiledSimulate:
+    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
+    def test_outcomes_do_not_depend_on_tile_size(self, monkeypatch, rows_per_tile):
+        cases = []
+        for seed in (50, 51, 52):
+            pop, params, h, benefit = random_instance(seed)
+            cases += [(h, pop, params, benefit), (fit_tree(pop, 3), pop, params, benefit)]
+        want = [simulate(*case) for case in cases]  # one tile: these populations are small
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
+        for case, w in zip(cases, want):
+            got = simulate(*case)
+            assert [o.to_dict() for o in got.outcomes] == [o.to_dict() for o in w.outcomes]
+            assert all(np.array_equal(a.new_x, b.new_x) for a, b in zip(got.outcomes, w.outcomes))
+            assert np.array_equal(got.impacted.X, w.impacted.X)
+            assert np.array_equal(got.impacted.y, w.impacted.y)
+            assert [(fp.vector.tolist(), fp.count) for fp in got.focal_points] == [
+                (fp.vector.tolist(), fp.count) for fp in w.focal_points
+            ]
+
+    @pytest.mark.parametrize("benefit", ["predicted", "shifted_gain"])
+    def test_duplicated_rows_never_move_onto_themselves(self, benefit):
+        # Weights 0.1 and 0.7 are not exact in binary, so an own benefit
+        # predicted by another route than the targets (or a prediction that
+        # depended on where a row sits) would hand duplicates a reward of one
+        # ulp; with zero base cost that alone would make them move. The
+        # profiles include ones whose rounding goes either way.
+        schema = FeatureSchema(
+            features=(
+                Feature("grp", FeatureKind("immutable", levels=("g1", "g2")), mutable=False),
+                Feature("skill", FeatureKind("numerical_monotone", direction="increasing"), mutable=True),
+                Feature("hours", FeatureKind("numerical_nonmonotone"), mutable=True),
+            ),
+            sensitive="grp",
+            label="y",
+        )
+        n = 203
+        grp = np.arange(n) % 2
+        groups = ["g1" if g == 0 else "g2" for g in grp]
+        h = LinearPredictor(schema.names, [0.7, 0.1, 0.7], 0.1)
+        profiles = [(0.3, 1.7), (0.7, 0.1), (0.9, 1.7), (2.9, 0.7), (1.1, 3.3), (1.3, 0.1)]
+        for skill, hours in profiles:
+            X = np.column_stack([grp, np.full(n, skill), np.full(n, hours)]).astype(float)
+            pop = Population(schema, X, np.full(n, 0.9), groups)
+            impact = simulate(h, pop, EffortParams(base_cost=0.0), benefit)
+            assert not any(o.changed for o in impact.outcomes), (skill, hours)
+            assert impact.focal_points == []
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_tree_role_models_match_oracle(self, depth):
+        for seed in range(60, 66):
+            pop, params, _, benefit = random_instance(seed)
+            h = fit_tree(pop, depth)
+            impact = simulate(h, pop, params, benefit)
+            for i in range(pop.size):
+                want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
+                got = impact.outcomes[i]
+                assert got.role_model_index == want_idx
+                if want_idx is not None:
+                    assert got.exerted.utility == pytest.approx(want_u, abs=1e-10)
 
 
 class TestFeatureShiftReport:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import single_group_pop
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, restrict_features
 from effortsim.models import (
     evaluate,
     fit_constrained_linear,
@@ -230,8 +230,6 @@ class TestSerialization:
 
 class TestNameBasedPrediction:
     def test_restricted_model_predicts_on_full_population(self, student_pop):
-        from effortsim.dataset import restrict_features
-
         restricted = restrict_features(student_pop, "mutable_plus_sensitive")
         h = fit_ridge(restricted, 200.0)
         preds_full = h.predict(student_pop)
@@ -244,3 +242,64 @@ class TestNameBasedPrediction:
         small = single_group_pop([1, 2, 3])
         with pytest.raises(Exception):
             h.predict(small)
+
+
+def _explicit_imitation_predictions(h, pop):
+    """Row i: ``predict_rows`` on i's non-mutable entries joined to every row's mutable ones."""
+    frozen = ~pop.schema.mutable_mask
+    out = np.empty((pop.size, pop.size))
+    for i in range(pop.size):
+        targets = pop.X.copy()
+        targets[:, frozen] = pop.X[i, frozen]
+        out[i] = h.predict_rows(pop.schema, targets)
+    return out
+
+
+@pytest.fixture(scope="module")
+def imitation_models(student_split):
+    train, _ = student_split
+    return train, {
+        "linear": fit_linear(train),
+        "ridge": fit_ridge(train, 200.0),
+        "constrained": fit_constrained_linear(train, 2.0, "predicted", "M"),
+        "tree_depth0": fit_tree(train, 0),
+        "tree_depth5": fit_tree(train, 5),
+        "ridge_mutable": fit_ridge(restrict_features(train, "mutable_plus_sensitive"), 200.0),
+        "mlp": fit_mlp(train, hidden=8, epochs=30, seed=3),
+    }
+
+
+MODEL_NAMES = (
+    "linear", "ridge", "constrained", "tree_depth0", "tree_depth5", "ridge_mutable", "mlp"
+)
+
+
+class TestImitationBlock:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_block_equals_explicit_targets(self, imitation_models, name):
+        train, models = imitation_models
+        h = models[name]
+        got = h.imitation_block(train.schema, train.X)(0, train.size)
+        want = _explicit_imitation_predictions(h, train)
+        if name.startswith("tree") or name == "mlp":
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_fixture_models_exercise_both_factors(self, imitation_models):
+        train, models = imitation_models
+        assert models["constrained"].hyperparameters["converged"]
+        assert models["ridge_mutable"].feature_names != train.schema.names
+        tree = models["tree_depth5"]
+        split_on = {tree.feature_names[node["feature"]] for node in tree.nodes if node["feature"] >= 0}
+        mutable = {f.name for f in train.schema.features if f.mutable}
+        assert split_on - mutable, "the depth-5 tree never tests a non-mutable feature"
+        assert split_on & mutable, "the depth-5 tree never tests a mutable feature"
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_uneven_tiles_concatenate_to_the_full_block(self, imitation_models, name):
+        train, models = imitation_models
+        block = models[name].imitation_block(train.schema, train.X)
+        bounds = [0, 1, 4, 11, 100, 257, train.size - 1, train.size]
+        tiles = np.concatenate([block(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+        assert np.array_equal(tiles, block(0, train.size))
