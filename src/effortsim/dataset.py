@@ -224,15 +224,6 @@ def load_schema(path: str | Path) -> FeatureSchema:
     return schema_from_dict(raw)
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One row of a population: feature vector, label, group id."""
-
-    x: np.ndarray
-    y: float
-    s: str
-
-
 class Population:
     """Immutable collection of individuals plus frozen per-group value tables.
 
@@ -292,13 +283,6 @@ class Population:
         if group not in self._label_tables:
             raise DataError(f"unknown group {group!r}")
         return self._label_tables[group]
-
-    def individual(self, i: int) -> Individual:
-        return Individual(x=self.X[i], y=float(self.y[i]), s=self.groups[i])
-
-    def columns(self, names: Sequence[str]) -> np.ndarray:
-        idx = [self.schema.index(n) for n in names]
-        return self.X[:, idx]
 
     def take(self, rows: np.ndarray) -> "Population":
         return Population(self.schema, self.X[rows], self.y[rows], [self.groups[i] for i in rows])

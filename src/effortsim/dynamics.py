@@ -32,8 +32,6 @@ class ImitationOutcome:
     role_model_index: int | None
     exerted: UtilityBreakdown
     changed: bool
-    new_x: np.ndarray
-    new_y: float
 
     def to_dict(self) -> dict:
         return {
@@ -100,50 +98,24 @@ def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactRe
     new_X = pop.X.copy()
     new_y = pop.y.copy()
     outcomes: list[ImitationOutcome] = []
-    focal_order: dict[bytes, int] = {}
+    # role model's mutable values -> number of imitators, in first-seen order
     focal_counts: dict[bytes, int] = {}
-    focal_vectors: dict[bytes, np.ndarray] = {}
     for i in range(pop.size):
         j = int(best[i])
         if not utility[i] > 0.0:
-            outcomes.append(
-                ImitationOutcome(
-                    individual_index=i,
-                    role_model_index=None,
-                    exerted=ZERO_BREAKDOWN,
-                    changed=False,
-                    new_x=pop.X[i].copy(),
-                    new_y=float(pop.y[i]),
-                )
-            )
+            outcomes.append(ImitationOutcome(i, None, ZERO_BREAKDOWN, changed=False))
             continue
         exerted = UtilityBreakdown(
             reward=float(reward[i]), effort=float(efforts[i, j]), utility=float(utility[i])
         )
-        target = pop.X[i].copy()
-        target[mutable] = pop.X[j, mutable]
-        new_X[i] = target
+        new_X[i, mutable] = pop.X[j, mutable]
         new_y[i] = pop.y[j]
-        outcomes.append(
-            ImitationOutcome(
-                individual_index=i,
-                role_model_index=j,
-                exerted=exerted,
-                changed=True,
-                new_x=target,
-                new_y=float(pop.y[j]),
-            )
-        )
+        outcomes.append(ImitationOutcome(i, j, exerted, changed=True))
         key = pop.X[j, mutable].tobytes()
-        if key not in focal_order:
-            focal_order[key] = len(focal_order)
-            focal_vectors[key] = pop.X[j, mutable].copy()
-            focal_counts[key] = 0
-        focal_counts[key] += 1
+        focal_counts[key] = focal_counts.get(key, 0) + 1
     impacted = Population(pop.schema, new_X, new_y, pop.groups)
     focal_points = [
-        FocalPoint(vector=focal_vectors[k], count=focal_counts[k])
-        for k in sorted(focal_order, key=focal_order.get)
+        FocalPoint(vector=np.frombuffer(k).copy(), count=c) for k, c in focal_counts.items()
     ]
     return ImpactResult(
         outcomes=outcomes,

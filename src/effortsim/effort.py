@@ -73,6 +73,8 @@ class EffortParams:
         for c in costs:
             if not (c >= 0 and math.isfinite(c)):
                 raise SchemaError("base costs must be finite and >= 0")
+        if not (self.feature_weights is None or isinstance(self.feature_weights, Mapping)):
+            raise SchemaError("feature_weights must map features or groups to weights")
 
     def base_cost_for(self, group: str) -> float:
         if isinstance(self.base_cost, Mapping):

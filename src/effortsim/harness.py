@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,7 +50,8 @@ from .models import (
     fit_tree,
     group_benefit_gap,
 )
-from .segregation import MetricContext, compare
+from . import segregation
+from .segregation import MetricContext
 
 MODEL_KINDS = ("linear", "ridge", "tree", "mlp", "constrained")
 SEGREGATION_MEASURES = ("atkinson", "centralization", "aci", "ssi")
@@ -71,6 +73,8 @@ class ModelSpec:
             raise SchemaError(f"unknown feature set {self.features!r}")
         if self.max_depth < 0 or not self.tau >= 0:
             raise SchemaError(f"model {self.name!r}: max_depth and tau must be >= 0")
+        if not (self.ridge_lambda >= 0 and math.isfinite(self.ridge_lambda)):
+            raise SchemaError(f"model {self.name!r}: lambda must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,12 @@ class ExperimentConfig:
             raise SchemaError("train_fraction and beta must lie in (0,1)")
         if not all(t >= 0 for t in self.tau_grid):
             raise SchemaError(f"tau_grid entries must be >= 0, got {list(self.tau_grid)}")
+        if self.centralization_threshold is not None and math.isnan(self.centralization_threshold):
+            raise SchemaError("centralization_threshold must be a number or null, got NaN")
+        if not self.connectivity_threshold >= 0:
+            raise SchemaError(
+                f"connectivity_threshold must be >= 0, got {self.connectivity_threshold}"
+            )
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -114,14 +124,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw, base_dir=path.parent)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
+        _object(raw, "config")
         seed = int(raw.get("seed", 0))
-        split_cfg = raw.get("split", {})
+        split_cfg = _object(raw.get("split", {}), "split")
         benefit = raw.get("benefit", "predicted")
         if benefit not in BENEFITS:
             raise SchemaError(f"unknown benefit {benefit!r}")
-        effort_cfg = raw.get("effort", {})
+        effort_cfg = _object(raw.get("effort", {}), "effort")
         effort = EffortParams(
             alpha=float(effort_cfg.get("alpha", 1.0)),
             base_cost=effort_cfg.get("base_costs", effort_cfg.get("base_cost", 0.0)),
@@ -142,7 +159,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             )
         if len({m.name for m in models}) != len(models):
             raise SchemaError("model names must be unique")
-        sweep = raw.get("sweep", {})
+        sweep = _object(raw.get("sweep", {}), "sweep")
         thresh = raw.get("centralization_threshold")
         delta_points = raw.get("delta_grid_points", 20)
         if isinstance(delta_points, bool) or not isinstance(delta_points, int) or delta_points < 2:
@@ -353,25 +370,27 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     return runner.finish()
 
 
-def _segregation_rows(name, ctx, h, train, impact, config):
-    threshold = config.centralization_threshold
-    if threshold is None:
-        threshold = float(np.mean(h.predict(train)))
-    before, after = compare(
-        ctx,
-        h,
-        train,
-        impact.impacted,
-        beta=config.beta,
-        threshold=threshold,
-        focal_points=impact.focal_points,
-        connectivity_threshold=config.connectivity_threshold,
-    )
-    rows = []
-    for pop_name, rep in (("initial", before), ("impacted", after)):
-        for measure, value in rep.values().items():
-            rows.append([name, measure, pop_name, value])
-    return rows, before, after, threshold
+def _reports(ctx: MetricContext, train: Population, runs: list, config: ExperimentConfig):
+    """Yield the ``(before, after)`` segregation reports of each ``(name, h, impact)`` run.
+
+    Every run starts from the same training population, whose ACI and SSI do
+    not depend on the model, so they are measured once for all runs. Each
+    report records its centralization threshold in ``metadata["threshold"]``.
+    """
+    conn = config.connectivity_threshold
+    initial = segregation.distance_indices(ctx, train, conn)
+    for _, h, impact in runs:
+        threshold = config.centralization_threshold
+        if threshold is None:
+            threshold = float(np.mean(h.predict(train)))
+        after_indices = segregation.distance_indices(ctx, impact.impacted, conn)
+        before, after = (
+            segregation.measure_population(
+                ctx, h, p, impact.focal_points, indices, config.beta, threshold, conn
+            )
+            for p, indices in ((train, initial), (impact.impacted, after_indices))
+        )
+        yield before, after
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
@@ -380,43 +399,24 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     pop, train, test = _load_and_split(config)
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    seg_rows: list[list] = []
-    summary: dict = {}
+    runs: list[tuple] = []
 
     def model_stage(spec: ModelSpec):
         def run():
             h = fit_model(spec, train, config)
             impact = simulate(h, train, config.effort, config.benefit)
-            files = []
+            runs.append((spec.name, h, impact))
             impacted_csv = f"impacted_{spec.name}.csv"
             write_csv(impact.impacted, out_dir / impacted_csv)
-            files.append(impacted_csv)
             shift_json = f"shift_{spec.name}.json"
             (out_dir / shift_json).write_text(
                 _json_text(feature_shift_report(train, impact.impacted)), encoding="utf-8"
             )
-            files.append(shift_json)
             outcomes_json = f"outcomes_{spec.name}.json"
             (out_dir / outcomes_json).write_text(
                 _json_text([o.to_dict() for o in impact.outcomes]), encoding="utf-8"
             )
-            files.append(outcomes_json)
-            rows, before, after, threshold = _segregation_rows(
-                spec.name, ctx, h, train, impact, config
-            )
-            seg_rows.extend(rows)
-            summary[spec.name] = {
-                "changed": sum(1 for o in impact.outcomes if o.changed),
-                "focal_points": [
-                    {"vector": fp.vector.tolist(), "count": fp.count}
-                    for fp in impact.focal_points
-                ],
-                "threshold": threshold,
-                "before": before.to_dict(),
-                "after": after.to_dict(),
-                "dynamics": impact.metadata,
-            }
-            return files
+            return [impacted_csv, shift_json, outcomes_json]
 
         return run
 
@@ -424,6 +424,23 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
         runner.run(f"simulate_{spec.name}", model_stage(spec))
 
     def stage_summary():
+        seg_rows: list[list] = []
+        summary: dict = {}
+        for (name, _, impact), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+            for pop_name, rep in (("initial", before), ("impacted", after)):
+                for measure, value in rep.values().items():
+                    seg_rows.append([name, measure, pop_name, value])
+            summary[name] = {
+                "changed": sum(1 for o in impact.outcomes if o.changed),
+                "focal_points": [
+                    {"vector": fp.vector.tolist(), "count": fp.count}
+                    for fp in impact.focal_points
+                ],
+                "threshold": before.metadata["threshold"],
+                "before": before.to_dict(),
+                "after": after.to_dict(),
+                "dynamics": impact.metadata,
+            }
         _write_csv_rows(
             out_dir / "segregation.csv",
             ["model", "measure", "population", "value"],
@@ -447,28 +464,18 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     fit_pop = train
     if config.sweep_features in ("mutable", MUTABLE_PLUS_SENSITIVE):
         fit_pop = restrict_features(train, MUTABLE_PLUS_SENSITIVE)
-    rows: list[list] = []
+    runs: list[tuple] = []
     details: dict = {}
 
     def tau_stage(tau: float):
         def run():
             h = fit_constrained_linear(fit_pop, tau, config.benefit, minority)
             impact = simulate(h, train, config.effort, config.benefit)
-            seg, before, after, threshold = _segregation_rows(
-                f"tau_{_fmt(tau)}", ctx, h, train, impact, config
-            )
-            for _, measure, pop_name, value in seg:
-                if pop_name == "impacted":
-                    rows.append([tau, measure, value])
-            gap = group_benefit_gap(h, train, config.benefit, minority)
-            rows.append([tau, "benefit_gap", gap])
+            runs.append((tau, h, impact))
             details[_fmt(tau)] = {
                 "weights": h.to_dict(),
-                "benefit_gap": gap,
+                "benefit_gap": group_benefit_gap(h, train, config.benefit, minority),
                 "changed": sum(1 for o in impact.outcomes if o.changed),
-                "threshold": threshold,
-                "initial": before.to_dict(),
-                "impacted": after.to_dict(),
             }
             return []
 
@@ -478,6 +485,17 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
         runner.run(f"tau_{_fmt(tau)}", tau_stage(tau))
 
     def stage_emit():
+        rows: list[list] = []
+        for (tau, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+            for measure, value in after.values().items():
+                rows.append([tau, measure, value])
+            entry = details[_fmt(tau)]
+            rows.append([tau, "benefit_gap", entry["benefit_gap"]])
+            entry.update(
+                threshold=before.metadata["threshold"],
+                initial=before.to_dict(),
+                impacted=after.to_dict(),
+            )
         _write_csv_rows(out_dir / "tau_sweep.csv", ["tau", "measure", "value"], rows)
         (out_dir / "tau_report.json").write_text(_json_text(details), encoding="utf-8")
         return ["tau_sweep.csv", "tau_report.json"]

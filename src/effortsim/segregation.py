@@ -20,9 +20,6 @@ import numpy as np
 from .dataset import Population
 from .effort import EffortEngine, EffortParams
 
-FOCAL_POINTS = "focal_points"
-PER_INDIVIDUAL = "per_individual"
-
 
 @dataclass(frozen=True)
 class MetricContext:
@@ -80,7 +77,6 @@ class Unit:
 @dataclass(frozen=True)
 class Neighborhoods:
     units: tuple
-    construction: str
 
     def counts(self) -> tuple[np.ndarray, np.ndarray]:
         m = np.array([u.minority_count for u in self.units], dtype=np.float64)
@@ -116,7 +112,7 @@ def build_focal_neighborhoods(
         members = tuple(int(i) for i in np.flatnonzero(nearest == fi))
         minority_count = sum(1 for i in members if pop.groups[i] == ctx.minority)
         units.append(Unit(members=members, minority_count=minority_count, total=len(members)))
-    return Neighborhoods(units=tuple(units), construction=FOCAL_POINTS)
+    return Neighborhoods(units=tuple(units))
 
 
 def atkinson_index(minority_counts, totals, beta: float) -> float:
@@ -156,9 +152,7 @@ def centralization(h, pop: Population, minority: str, threshold: float) -> float
     return float(np.mean(preds > threshold))
 
 
-def absolute_clustering(
-    ctx: MetricContext, pop: Population, dist: np.ndarray | None = None
-) -> float | None:
+def absolute_clustering(ctx: MetricContext, pop: Population, dist: np.ndarray) -> float | None:
     """Individual-level clustering index with closeness exp(-distance).
 
     Every individual is its own areal unit (t_j = 1, m_i in {0,1});
@@ -172,8 +166,6 @@ def absolute_clustering(
     m = minority_rows.size
     if m == 0 or m == n:
         raise ValueError("minority and majority must both be nonempty")
-    if dist is None:
-        dist = pairwise_distances(ctx, pop)
     C = np.exp(-dist)
     m_ind = np.zeros(n)
     m_ind[minority_rows] = 1.0
@@ -250,11 +242,7 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
 
 
 def spectral_segregation(
-    ctx: MetricContext,
-    pop: Population,
-    group: str,
-    connectivity_threshold: float = 1e-6,
-    dist: np.ndarray | None = None,
+    pop: Population, group: str, dist: np.ndarray, connectivity_threshold: float = 1e-6
 ) -> float | None:
     """Mean spectral score of a group's similarity network.
 
@@ -265,8 +253,6 @@ def spectral_segregation(
     iteration fails to converge.
     """
     rows = pop.group_rows(group)
-    if dist is None:
-        dist = pairwise_distances(ctx, pop)
     B = np.exp(-dist[np.ix_(rows, rows)])
     np.fill_diagonal(B, 0.0)
     B[B < connectivity_threshold] = 0.0
@@ -285,6 +271,21 @@ def spectral_segregation(
     return float(np.mean(scores))
 
 
+def distance_indices(
+    ctx: MetricContext, pop: Population, connectivity_threshold: float
+) -> tuple[float | None, float | None]:
+    """ACI and SSI of a population: the two measures read off its distance matrix.
+
+    They depend on the population alone, not on the model, so a population
+    shared by several runs is measured once.
+    """
+    dist = pairwise_distances(ctx, pop)
+    return (
+        absolute_clustering(ctx, pop, dist),
+        spectral_segregation(pop, ctx.minority, dist, connectivity_threshold),
+    )
+
+
 @dataclass(frozen=True)
 class SegregationReport:
     atkinson: float | None
@@ -294,13 +295,7 @@ class SegregationReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "atkinson": self.atkinson,
-            "centralization": self.centralization,
-            "aci": self.aci,
-            "ssi": self.ssi,
-            "metadata": self.metadata,
-        }
+        return {**self.values(), "metadata": self.metadata}
 
     def values(self) -> dict:
         return {
@@ -316,11 +311,17 @@ def measure_population(
     h,
     pop: Population,
     focal_points: Sequence,
+    indices: tuple[float | None, float | None],
     beta: float = 0.5,
     threshold: float = 0.0,
     connectivity_threshold: float = 1e-6,
 ) -> SegregationReport:
-    """All four measures of one population under one frozen context."""
+    """All four measures of one population under one frozen context.
+
+    ``indices`` is the population's ``(aci, ssi)`` from ``distance_indices``
+    at the same connectivity threshold; Atkinson and centralization are
+    computed here.
+    """
     meta: dict = {
         "beta": beta,
         "threshold": threshold,
@@ -335,36 +336,12 @@ def measure_population(
     else:
         atk = None
         meta["atkinson_absent"] = "no focal points (nobody imitated)"
-    dist = pairwise_distances(ctx, pop)
-    aci = absolute_clustering(ctx, pop, dist=dist)
+    aci, ssi = indices
     if aci is None:
         meta["aci_absent"] = "zero denominator in clustering normalization"
-    ssi = spectral_segregation(ctx, pop, ctx.minority, connectivity_threshold, dist=dist)
     if ssi is None:
         meta["ssi_absent"] = "power iteration did not converge"
     cent = centralization(h, pop, ctx.minority, threshold)
     return SegregationReport(
         atkinson=atk, centralization=cent, aci=aci, ssi=ssi, metadata=meta
     )
-
-
-def compare(
-    ctx: MetricContext,
-    h,
-    before: Population,
-    after: Population,
-    beta: float,
-    threshold: float,
-    focal_points: Sequence,
-    connectivity_threshold: float = 1e-6,
-) -> tuple[SegregationReport, SegregationReport]:
-    """Before/after reports under a single frozen context and threshold."""
-    if before.schema.names != after.schema.names:
-        raise ValueError("populations must share a schema")
-    rep_before = measure_population(
-        ctx, h, before, focal_points, beta, threshold, connectivity_threshold
-    )
-    rep_after = measure_population(
-        ctx, h, after, focal_points, beta, threshold, connectivity_threshold
-    )
-    return rep_before, rep_after

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from effortsim import cli, data_path
+from effortsim import cli, data_path, segregation
 from effortsim.dataset import (
     Feature,
     FeatureKind,
@@ -63,6 +63,14 @@ def toy_dir(tmp_path):
     return tmp_path
 
 
+def _bundled_config():
+    """The bundled student config with its data paths made absolute."""
+    raw = json.loads(data_path("student_config.json").read_text())
+    raw["dataset"] = str(data_path(raw["dataset"]))
+    raw["schema"] = str(data_path(raw["schema"]))
+    return raw
+
+
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -103,13 +111,37 @@ class TestConfig:
             ("fairness", [(("split", "train_fraction"), 1.5)]),
             ("fairness", [(("models", 2, "max_depth"), -1)]),
             ("sweep-tau", [(("sweep", "tau_grid"), [-1])]),
+            ("fairness", [(("split",), [0.7, 28])]),
+            ("fairness", [(("effort",), "flat")]),
+            ("sweep-tau", [(("sweep",), [0.0, 1.0])]),
+            ("fairness", [(("models", 0, "lambda"), -1)]),
+            ("fairness", [(("models", 0, "lambda"), float("nan"))]),
+            ("fairness", [(("models", 0, "lambda"), float("inf"))]),
+            ("simulate", [(("centralization_threshold",), float("nan"))]),
+            ("simulate", [(("connectivity_threshold",), float("nan"))]),
+            ("simulate", [(("connectivity_threshold",), -1e-6)]),
+            ("fairness", [(("effort", "feature_weights"), [2.0, 0.5])]),
         ],
-        ids=["beta", "negative_benefit_fractional_alpha", "train_fraction", "max_depth", "tau_grid"],
+        ids=[
+            "beta",
+            "negative_benefit_fractional_alpha",
+            "train_fraction",
+            "max_depth",
+            "tau_grid",
+            "split_not_object",
+            "effort_not_object",
+            "sweep_not_object",
+            "negative_lambda",
+            "nan_lambda",
+            "infinite_lambda",
+            "nan_centralization_threshold",
+            "nan_connectivity_threshold",
+            "negative_connectivity_threshold",
+            "list_feature_weights",
+        ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
-        raw = json.loads(data_path("student_config.json").read_text())
-        raw["dataset"] = str(data_path(raw["dataset"]))
-        raw["schema"] = str(data_path(raw["schema"]))
+        raw = _bundled_config()
         for path, value in edits:
             node = raw
             for key in path[:-1]:
@@ -117,6 +149,10 @@ class TestConfig:
             node[path[-1]] = value
         (tmp_path / "config.json").write_text(json.dumps(raw))
         assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
+
+    def test_top_level_config_must_be_object(self, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps([_bundled_config()]))
+        assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
     @pytest.mark.parametrize("column", ["skill", "y"])
@@ -220,6 +256,27 @@ class TestSimulateCommand:
             assert o["changed"] == (o["role_model"] is not None)
             if o["changed"]:
                 assert o["utility"] > 0.0
+
+
+class TestInitialPopulationMeasuredOnce:
+    def test_one_distance_matrix_per_population(self, tmp_path, monkeypatch):
+        sizes = []
+        original = segregation.pairwise_distances
+
+        def counting(ctx, pop):
+            sizes.append(pop.size)
+            return original(ctx, pop)
+
+        monkeypatch.setattr(segregation, "pairwise_distances", counting)
+        config = load_config(data_path("student_config.json"))
+        cmd_simulate(config, tmp_path / "simulate")
+        assert len(sizes) == 1 + len(config.models)
+        sizes.clear()
+        cmd_sweep_tau(config, tmp_path / "sweep")
+        assert len(sizes) == 1 + len(config.tau_grid)
+        report = json.loads((tmp_path / "simulate" / "simulate_report.json").read_text())
+        initial = {(r["before"]["aci"], r["before"]["ssi"]) for r in report.values()}
+        assert len(initial) == 1
 
 
 class TestSweepCommand:

@@ -21,7 +21,7 @@ from effortsim.segregation import (
     atkinson_index,
     build_focal_neighborhoods,
     centralization,
-    compare,
+    distance_indices,
     measure_population,
     pairwise_distances,
     spectral_segregation,
@@ -171,9 +171,7 @@ class TestAtkinson:
                 assert -1e-12 <= got <= 1.0 + 1e-12
 
     def test_neighborhoods_wrapper(self):
-        neigh = Neighborhoods(
-            units=(Unit((0, 1), 2, 2), Unit((2, 3), 0, 2)), construction="focal_points"
-        )
+        neigh = Neighborhoods(units=(Unit((0, 1), 2, 2), Unit((2, 3), 0, 2)))
         assert atkinson(neigh, 0.5) == pytest.approx(1.0)
 
     def test_degenerate_inputs_rejected(self):
@@ -217,7 +215,8 @@ class TestAbsoluteClustering:
     def test_frozen_hand_instance(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        assert absolute_clustering(ctx, pop) == pytest.approx(ACI_HAND_VALUE, abs=1e-12)
+        got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        assert got == pytest.approx(ACI_HAND_VALUE, abs=1e-12)
 
     def test_equal_distances_closed_form(self):
         schema = FeatureSchema(
@@ -233,22 +232,24 @@ class TestAbsoluteClustering:
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
         c = math.exp(-0.5)
         closed_form = (1 - c) / (1 + (pop.size - 1) * c)
-        assert absolute_clustering(ctx, pop) == pytest.approx(closed_form, abs=1e-12)
+        got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        assert got == pytest.approx(closed_form, abs=1e-12)
 
     def test_permutation_invariance(self):
         pop, params, _, _ = random_instance(54)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        value = absolute_clustering(ctx, pop)
+        value = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
         perm = np.random.default_rng(1).permutation(pop.size)
         shuffled = Population(pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm])
-        assert absolute_clustering(ctx, shuffled) == pytest.approx(value, abs=1e-10)
+        got = absolute_clustering(ctx, shuffled, pairwise_distances(ctx, shuffled))
+        assert got == pytest.approx(value, abs=1e-10)
 
     def test_matches_oracle_on_random_instances(self):
         for seed in (55, 56, 57):
             pop, params, _, _ = random_instance(seed)
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
-            got = absolute_clustering(ctx, pop)
+            got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
             D = oracles.distance_matrix(pop, params, pop)
             flags = [1 if g == minority else 0 for g in pop.groups]
             want = oracles.aci(D, flags)
@@ -266,7 +267,7 @@ class TestAbsoluteClustering:
             list(pop.groups) * 2,
         )
         ctx = MetricContext(doubled, params, minority)
-        got = absolute_clustering(ctx, doubled)
+        got = absolute_clustering(ctx, doubled, pairwise_distances(ctx, doubled))
         D = oracles.distance_matrix(doubled, params, doubled)
         flags = [1 if g == minority else 0 for g in doubled.groups]
         assert got == pytest.approx(oracles.aci(D, flags), abs=1e-10)
@@ -287,25 +288,26 @@ class TestSpectralSegregation:
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        value = spectral_segregation(ctx, pop, "g1")
+        value = spectral_segregation(pop, "g1", pairwise_distances(ctx, pop))
         assert value == pytest.approx(math.exp(-0.5), abs=1e-8)
 
     def test_threshold_above_everything_gives_zero(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(ctx, pop, "g1", connectivity_threshold=2.0) == 0.0
+        dist = pairwise_distances(ctx, pop)
+        assert spectral_segregation(pop, "g1", dist, connectivity_threshold=2.0) == 0.0
 
     def test_singleton_group_scores_zero(self):
         pop = single_group_pop([1.0])
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(ctx, pop, "g1") == 0.0
+        assert spectral_segregation(pop, "g1", pairwise_distances(ctx, pop)) == 0.0
 
     def test_matches_dense_eigensolver_oracle(self):
         for seed in (58, 59, 60):
             pop, params, _, _ = random_instance(seed)
             group = pop.group_names[0]
             ctx = MetricContext(pop, params, group)
-            got = spectral_segregation(ctx, pop, group)
+            got = spectral_segregation(pop, group, pairwise_distances(ctx, pop))
             D = np.array(oracles.distance_matrix(pop, params, pop))
             rows = pop.group_rows(group)
             B = np.exp(-D[np.ix_(rows, rows)])
@@ -358,8 +360,12 @@ class TestCompare:
         pop, params, h, benefit = random_instance(62)
         ctx = MetricContext(pop, params, pop.group_names[0])
         impact = simulate(h, pop, params, benefit)
-        before, after = compare(
-            ctx, h, pop, pop, beta=0.5, threshold=0.0, focal_points=impact.focal_points
+        before, after = (
+            measure_population(
+                ctx, h, pop, impact.focal_points, distance_indices(ctx, pop, 1e-6),
+                beta=0.5, threshold=0.0,
+            )
+            for _ in range(2)
         )
         assert before.values() == after.values()
 
@@ -368,7 +374,8 @@ class TestCompare:
         params = EffortParams()
         ctx = MetricContext(train, params, "F")
         h = LinearPredictor(train.schema.names, np.zeros(train.schema.size), 11.0)
-        rep = measure_population(ctx, h, train, [], beta=0.5, threshold=11.94)
+        indices = distance_indices(ctx, train, 1e-6)
+        rep = measure_population(ctx, h, train, [], indices, beta=0.5, threshold=11.94)
         assert rep.atkinson is None  # no focal points
         assert "atkinson_absent" in rep.metadata
         assert rep.metadata["beta"] == 0.5
@@ -382,9 +389,12 @@ class TestCompare:
         impact = simulate(h, pop, params, benefit)
         if not impact.focal_points:
             pytest.skip("instance produced no movers")
-        before, after = compare(
-            ctx, h, pop, impact.impacted, beta=0.5, threshold=0.0,
-            focal_points=impact.focal_points,
+        before, after = (
+            measure_population(
+                ctx, h, p, impact.focal_points, distance_indices(ctx, p, 1e-6),
+                beta=0.5, threshold=0.0,
+            )
+            for p in (pop, impact.impacted)
         )
         # the impacted population is measured against the initial tables, so
         # recomputing with a context frozen on the impacted data must differ
