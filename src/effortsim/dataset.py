@@ -229,7 +229,9 @@ class Population:
 
     ``feature_table(s)`` returns an (n_s, K) array whose column k holds the
     sorted feature-k values of group s; ``label_table(s)`` the sorted labels.
-    Row order of ``X``/``y``/``groups`` is the ingestion order.
+    Each table is sorted on first use and cached, so a population whose
+    tables nobody reads never sorts them. Row order of ``X``/``y``/``groups``
+    is the ingestion order.
     """
 
     def __init__(self, schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups: Sequence[str]):
@@ -255,12 +257,6 @@ class Population:
             if rows.size == 0:
                 raise DataError(f"group {g!r} is empty")
             self._group_rows[g] = rows
-            tab = np.sort(X[rows], axis=0)
-            tab.setflags(write=False)
-            self._feature_tables[g] = tab
-            lab = np.sort(y[rows])
-            lab.setflags(write=False)
-            self._label_tables[g] = lab
 
     @property
     def size(self) -> int:
@@ -275,14 +271,18 @@ class Population:
         return int(self.group_rows(group).size)
 
     def feature_table(self, group: str) -> np.ndarray:
-        if group not in self._feature_tables:
-            raise DataError(f"unknown group {group!r}")
-        return self._feature_tables[group]
+        return self._sorted(self._feature_tables, group, self.X)
 
     def label_table(self, group: str) -> np.ndarray:
-        if group not in self._label_tables:
-            raise DataError(f"unknown group {group!r}")
-        return self._label_tables[group]
+        return self._sorted(self._label_tables, group, self.y)
+
+    def _sorted(self, cache: dict, group: str, values: np.ndarray) -> np.ndarray:
+        """``values``' group rows sorted along axis 0, built once per group."""
+        if group not in cache:
+            table = np.sort(values[self.group_rows(group)], axis=0)
+            table.setflags(write=False)
+            cache[group] = table
+        return cache[group]
 
     def take(self, rows: np.ndarray) -> "Population":
         return Population(self.schema, self.X[rows], self.y[rows], [self.groups[i] for i in rows])

@@ -166,7 +166,7 @@ class EffortEngine:
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
-    through ``eps_sum``, which applies the per-kind rule of ``_eps_rule``
+    through ``eps_tiles``, which applies the per-kind rule of ``_eps_rule``
     and accumulates features in the order given (ascending schema order).
     """
 
@@ -235,6 +235,39 @@ class EffortEngine:
             raise SchemaError(f"unhandled feature kind {kind!r}")
         return fill
 
+    def eps_tiles(
+        self,
+        group: str,
+        Xa: np.ndarray,
+        Xb: np.ndarray,
+        feature_indices: Sequence[int],
+        weighted: bool,
+    ):
+        """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
+
+        Quantile ranks are taken once per call, not once per tile. Each tile
+        accumulates ``acc + w * eps`` feature by feature in the given order.
+        The tile is scratch that the next step overwrites, so a caller may
+        change it in place but must copy what it keeps.
+        """
+        terms = []
+        for k in feature_indices:
+            w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
+            if w == 0.0:
+                continue
+            terms.append((w, self._eps_rule(group, k, Xa[:, k], Xb[:, k])))
+        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
+        acc, eps, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
+            acc_t, eps_t, mask_t = acc[: hi - lo], eps[: hi - lo], mask[: hi - lo]
+            acc_t.fill(0.0)
+            for w, fill in terms:
+                fill(lo, hi, eps_t, mask_t)
+                if w != 1.0:  # 1.0 * x == x exactly
+                    np.multiply(w, eps_t, out=eps_t)
+                np.add(acc_t, eps_t, out=acc_t)
+            yield lo, hi, acc_t
+
     def eps_sum(
         self,
         group: str,
@@ -243,28 +276,11 @@ class EffortEngine:
         feature_indices: Sequence[int],
         weighted: bool,
     ) -> np.ndarray:
-        """Sum of per-feature efforts over the given features.
-
-        Accumulates ``acc + w * eps`` feature by feature in the given order,
-        one row tile at a time, so the temporaries stay tile-sized.
-        """
-        terms = []
-        for k in feature_indices:
-            w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
-            if w == 0.0:
-                continue
-            terms.append((w, self._eps_rule(group, k, Xa[:, k], Xb[:, k])))
-        acc = np.zeros((Xa.shape[0], Xb.shape[0]))
-        tile = np.empty((min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0]))
-        mask = np.empty(tile.shape, bool)
-        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            acc_t, eps_t, mask_t = acc[lo:hi], tile[: hi - lo], mask[: hi - lo]
-            for w, fill in terms:
-                fill(lo, hi, eps_t, mask_t)
-                if w != 1.0:  # 1.0 * x == x exactly
-                    np.multiply(w, eps_t, out=eps_t)
-                np.add(acc_t, eps_t, out=acc_t)
-        return acc
+        """Sum of per-feature efforts over the given features, as one matrix."""
+        out = np.empty((Xa.shape[0], Xb.shape[0]))
+        for lo, hi, tile in self.eps_tiles(group, Xa, Xb, feature_indices, weighted):
+            out[lo:hi] = tile
+        return out
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
         """(n, n) matrix of total efforts from row i to row j's values.
@@ -272,6 +288,7 @@ class EffortEngine:
         Row i's own group supplies the quantile tables and base cost. With
         ``mutable_only`` the non-mutable features are skipped, which is the
         cost of an imitation target that keeps i's non-mutable entries.
+        Each group's rows go into the output one tile at a time.
         """
         n = pop.size
         K = self.schema.size
@@ -282,9 +299,10 @@ class EffortEngine:
         out = np.empty((n, n))
         for g in pop.group_names:
             rows = pop.group_rows(g)
-            block = self.eps_sum(g, pop.X[rows], pop.X, idx, weighted=True)
-            np.divide(block, K, out=block)
-            out[rows, :] = np.add(self.params.base_cost_for(g), block, out=block)
+            base = self.params.base_cost_for(g)
+            for lo, hi, tile in self.eps_tiles(g, pop.X[rows], pop.X, idx, weighted=True):
+                np.divide(tile, K, out=tile)
+                out[rows[lo:hi]] = np.add(base, tile, out=tile)
         return out
 
     def label_rank(self, group: str, values: np.ndarray) -> np.ndarray:

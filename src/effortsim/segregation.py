@@ -43,28 +43,60 @@ class MetricContext:
         return [k for k, f in enumerate(self.reference.schema.features) if f.mutable]
 
 
+def _distance_tiles(ctx: MetricContext, pop: Population):
+    """Yield ``(row_group, col_group, lo, hi, tile)`` covering the distance matrix.
+
+    The walk goes one (row group, column group) block at a time, in row
+    tiles: ``tile`` holds the distances from the row group's members
+    ``lo:hi`` to every member of the column group, in ``group_rows`` order.
+    A view of group g is the positive label-rank gap plus the unweighted
+    mutable-feature efforts, on g's tables; entry (i, j) is the larger of
+    i's group view and j's group view, so a same-group block needs one view
+    and a cross-group block two. The tile is scratch that the next step
+    overwrites.
+    """
+    eng = ctx.engine
+    idx = ctx.mutable_indices
+    label_ranks = {g: eng.label_rank(g, pop.y) for g in pop.group_names}
+
+    def view_tiles(g, rows, cols):
+        ly = label_ranks[g]
+        ly_cols = ly[cols][None, :]
+        buf = None
+        for lo, hi, tile in eng.eps_tiles(g, pop.X[rows], pop.X[cols], idx, weighted=False):
+            if buf is None:  # the first tile is the tallest
+                buf = np.empty_like(tile)
+            gap = buf[: hi - lo]
+            np.subtract(ly_cols, ly[rows[lo:hi], None], out=gap)
+            np.maximum(0.0, gap, out=gap)
+            yield lo, hi, np.add(gap, tile, out=tile)
+
+    for row_group in pop.group_names:
+        rows = pop.group_rows(row_group)
+        for col_group in pop.group_names:
+            cols = pop.group_rows(col_group)
+            if row_group == col_group:
+                for lo, hi, tile in view_tiles(row_group, rows, cols):
+                    yield row_group, col_group, lo, hi, tile
+                continue
+            pairs = zip(view_tiles(row_group, rows, cols), view_tiles(col_group, rows, cols))
+            for (lo, hi, own), (_, _, other) in pairs:
+                yield row_group, col_group, lo, hi, np.maximum(own, other, out=own)
+
+
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     """(n, n) distance matrix of a population under the frozen context.
 
     Entry (i, j) is the larger of two directed views of the move i -> j,
     one through each endpoint's group tables: the positive label-rank gap
-    plus the unweighted mutable-feature efforts.
+    plus the unweighted mutable-feature efforts. This dense form is the
+    definition; ``distance_indices`` reads ACI and SSI off the same tiles
+    without building it.
     """
-    eng = ctx.engine
-    n = pop.size
-    idx = ctx.mutable_indices
-    views: dict[str, np.ndarray] = {}
-    for g in ctx.reference.group_names:
-        ly = eng.label_rank(g, pop.y)
-        label_term = np.maximum(0.0, ly[None, :] - ly[:, None])
-        views[g] = label_term + eng.eps_sum(g, pop.X, pop.X, idx, weighted=False)
-    row_view = np.empty((n, n))
-    col_view = np.empty((n, n))
-    for g in pop.group_names:
-        rows = pop.group_rows(g)
-        row_view[rows, :] = views[g][rows, :]
-        col_view[:, rows] = views[g][:, rows]
-    return np.maximum(row_view, col_view)
+    out = np.empty((pop.size, pop.size))
+    for row_group, col_group, lo, hi, tile in _distance_tiles(ctx, pop):
+        out[np.ix_(pop.group_rows(row_group)[lo:hi], pop.group_rows(col_group))] = tile
+    return out
 
 
 @dataclass(frozen=True)
@@ -152,30 +184,27 @@ def centralization(h, pop: Population, minority: str, threshold: float) -> float
     return float(np.mean(preds > threshold))
 
 
-def absolute_clustering(ctx: MetricContext, pop: Population, dist: np.ndarray) -> float | None:
+def absolute_clustering(
+    n: int, m: int, total: float, minority_rows: float, minority_pairs: float
+) -> float | None:
     """Individual-level clustering index with closeness exp(-distance).
 
-    Every individual is its own areal unit (t_j = 1, m_i in {0,1});
-    the diagonal weight is exp(0) = 1. Returns None when the
-    normalization denominator vanishes.
+    Every individual is its own areal unit (t_j = 1, m_i in {0,1}); the
+    diagonal weight is exp(0) = 1. The index needs three sums of exp(-d):
+    over all n x n pairs (``total``), over the m minority rows
+    (``minority_rows``) and over the minority x minority pairs
+    (``minority_pairs``). Returns None when the normalization denominator
+    vanishes.
     """
-    if pop.size < 2:
+    if n < 2:
         raise ValueError("clustering needs at least 2 individuals")
-    minority_rows = pop.group_rows(ctx.minority)
-    n = pop.size
-    m = minority_rows.size
     if m == 0 or m == n:
         raise ValueError("minority and majority must both be nonempty")
-    C = np.exp(-dist)
-    m_ind = np.zeros(n)
-    m_ind[minority_rows] = 1.0
-    weighted_rows = (m_ind / m) @ C  # sum_i c_ij m_i / m, for each j
-    first = float(weighted_rows @ m_ind)
-    uniform = float(C.sum()) * (1.0 / n) * (m / n)
-    denom = float(weighted_rows.sum()) - uniform
+    uniform = total * (1.0 / n) * (m / n)
+    denom = minority_rows / m - uniform
     if denom == 0.0:
         return None
-    return (first - uniform) / denom
+    return (minority_pairs / m - uniform) / denom
 
 
 def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
@@ -184,7 +213,9 @@ def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     The within-group similarity exp(-d) comes from a directed distance, so M
     need not be symmetric. Iterates on M shifted by its largest row sum;
     without the shift, near-bipartite components oscillate between +/- the
-    spectral radius. Returns None when it does not converge.
+    spectral radius. Each step takes one product with the shifted matrix: the
+    product that checks a step's residual is the next step's iterate.
+    Returns None when it does not converge.
     """
     n = M.shape[0]
     if n == 1:
@@ -192,20 +223,19 @@ def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     shift = float(M.sum(axis=1).max())
     if shift == 0.0:
         return 0.0, np.full(n, 1.0 / n)
-    S = M + shift * np.eye(n)
+    S = M.copy()
+    S.flat[:: n + 1] += shift  # M + shift * I, without two more n x n temporaries
     x = np.full(n, 1.0 / math.sqrt(n))
-    lam_shifted = 0.0
+    y = S @ x
     for _ in range(max_iter):
-        y = S @ x
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, np.full(n, 1.0 / n)
-        x_new = y / norm
-        lam_shifted = float(x_new @ (S @ x_new))
-        if float(np.abs(S @ x_new - lam_shifted * x_new).max()) <= tol * max(1.0, abs(lam_shifted)):
-            x = x_new
+        x = y / norm
+        y = S @ x
+        lam_shifted = float(x @ y)
+        if float(np.abs(y - lam_shifted * x).max()) <= tol * max(1.0, abs(lam_shifted)):
             break
-        x = x_new
     else:
         return None  # did not converge
     lam = lam_shifted - shift
@@ -218,7 +248,9 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     """Connected components, treating any nonzero entry as an undirected edge.
 
     The similarity matrix need not be symmetric (the underlying distance is
-    directed), so both in- and out-edges connect.
+    directed), so both in- and out-edges connect. Each component is sorted,
+    and components come in the order of their smallest member. Labels spread
+    a whole frontier at a time, one row-block reduction per step.
     """
     sym = (adj != 0.0) | (adj.T != 0.0)
     n = adj.shape[0]
@@ -227,36 +259,31 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     for start in range(n):
         if seen[start]:
             continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in np.flatnonzero(sym[v]):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(int(w))
-        comps.append(np.array(sorted(members)))
+        members = np.zeros(n, dtype=bool)
+        members[start] = True
+        frontier = members.copy()
+        while frontier.any():
+            frontier = sym[frontier].any(axis=0) & ~members
+            members |= frontier
+        seen |= members
+        comps.append(np.flatnonzero(members))
     return comps
 
 
-def spectral_segregation(
-    pop: Population, group: str, dist: np.ndarray, connectivity_threshold: float = 1e-6
-) -> float | None:
+def spectral_segregation(within: np.ndarray, connectivity_threshold: float = 1e-6) -> float | None:
     """Mean spectral score of a group's similarity network.
 
-    The within-group similarity matrix exp(-d) gets a zeroed diagonal and
-    entries below the connectivity threshold removed; each connected
-    component contributes lambda * eigvec_i * |component| per member, with
-    the dominant eigenvector normalized to sum one. Returns None if power
-    iteration fails to converge.
+    ``within`` is the group's within-group distance block. The similarity
+    matrix exp(-d) gets a zeroed diagonal and entries below the connectivity
+    threshold removed; each connected component contributes
+    lambda * eigvec_i * |component| per member, with the dominant
+    eigenvector normalized to sum one. Returns None if power iteration fails
+    to converge.
     """
-    rows = pop.group_rows(group)
-    B = np.exp(-dist[np.ix_(rows, rows)])
+    B = np.exp(-within)
     np.fill_diagonal(B, 0.0)
     B[B < connectivity_threshold] = 0.0
-    scores = np.zeros(rows.size)
+    scores = np.zeros(B.shape[0])
     for comp in _components(B):
         sub = B[np.ix_(comp, comp)]
         result = _power_iteration(sub)
@@ -274,15 +301,31 @@ def spectral_segregation(
 def distance_indices(
     ctx: MetricContext, pop: Population, connectivity_threshold: float
 ) -> tuple[float | None, float | None]:
-    """ACI and SSI of a population: the two measures read off its distance matrix.
+    """ACI and SSI of a population, read off its distance tiles.
 
-    They depend on the population alone, not on the model, so a population
-    shared by several runs is measured once.
+    The walk never holds the n x n distance matrix: each tile's closeness
+    exp(-d) goes into ACI's three running sums, and only the
+    minority x minority block is kept, for SSI. Both measures depend on the
+    population alone, not on the model, so a population shared by several
+    runs is measured once.
     """
-    dist = pairwise_distances(ctx, pop)
+    minority = ctx.minority
+    m = pop.group_size(minority)
+    within = np.empty((m, m))
+    total = minority_rows = minority_pairs = 0.0
+    for row_group, col_group, lo, hi, tile in _distance_tiles(ctx, pop):
+        if row_group == col_group == minority:
+            within[lo:hi] = tile
+        np.negative(tile, out=tile)
+        s = float(np.exp(tile, out=tile).sum())
+        total += s
+        if row_group == minority:
+            minority_rows += s
+            if col_group == minority:
+                minority_pairs += s
     return (
-        absolute_clustering(ctx, pop, dist),
-        spectral_segregation(pop, ctx.minority, dist, connectivity_threshold),
+        absolute_clustering(pop.size, m, total, minority_rows, minority_pairs),
+        spectral_segregation(within, connectivity_threshold),
     )
 
 

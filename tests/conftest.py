@@ -9,7 +9,16 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from effortsim import data_path
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, load_csv, split
+from effortsim.dataset import (
+    Feature,
+    FeatureKind,
+    FeatureSchema,
+    Population,
+    generate_synthetic,
+    load_csv,
+    load_schema,
+    split,
+)
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -57,3 +66,10 @@ def single_group_pop(skill_values, labels=None) -> Population:
         labels = np.zeros_like(skill)
     X = np.column_stack([np.zeros_like(skill), skill])
     return Population(schema, X, np.asarray(labels, dtype=float), ["g1"] * len(skill))
+
+
+def synthetic_student_pop(rows: int, seed: int = 5) -> Population:
+    """A synthetic population on the bundled schema, 40% of it in group "F"."""
+    minority = round(0.4 * rows)
+    schema = load_schema(data_path("student_schema.json"))
+    return generate_synthetic(schema, {"F": minority, "M": rows - minority}, seed=seed, shift=0.5)

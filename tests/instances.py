@@ -87,13 +87,15 @@ _VALUES = st.sampled_from([-1.5, 0.0, 0.5, 1.0, 3.25])  # few values, so ties ar
 
 
 @st.composite
-def oracle_cases(draw, max_individuals: int = 12):
-    """(population, params): a random schema over every kind, two groups, ties.
+def oracle_cases(draw, max_individuals: int = 12, n_groups: int = 2):
+    """(population, params): a random schema over every kind, ``n_groups`` groups, ties.
 
-    Weights are per group (0 included) with the schema weight as fallback;
-    base costs are per group.
+    The groups are "a", "b", ... in that order, each nonempty. Weights are
+    per group (0 included) with the schema weight as fallback; base costs
+    are per group.
     """
-    features = [Feature("grp", FeatureKind("immutable", levels=("a", "b")), mutable=False)]
+    names = tuple("abcdefgh"[:n_groups])
+    features = [Feature("grp", FeatureKind("immutable", levels=names), mutable=False)]
     for fi in range(draw(st.integers(1, 5))):
         kind, direction = draw(st.sampled_from(_KIND_POOL))
         levels = tuple(f"v{j}" for j in range(draw(st.integers(2, 4))))
@@ -107,20 +109,24 @@ def oracle_cases(draw, max_individuals: int = 12):
             )
         )
     schema = FeatureSchema(features=tuple(features), sensitive="grp", label="y")
-    n_a = draw(st.integers(1, max_individuals - 1))
-    n_b = draw(st.integers(1, max_individuals - n_a))
-    n = n_a + n_b
-    cols = [np.repeat([0.0, 1.0], [n_a, n_b])]
+    sizes = []
+    left = max_individuals
+    for gi in range(n_groups):
+        sizes.append(draw(st.integers(1, left - (n_groups - gi - 1))))
+        left -= sizes[-1]
+    n = sum(sizes)
+    cols = [np.repeat(np.arange(n_groups, dtype=float), sizes)]
     for f in schema.features[1:]:
         values = st.integers(0, len(f.kind.levels) - 1) if f.kind.levels else _VALUES
         cols.append(draw(st.lists(values, min_size=n, max_size=n)))
     y = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), min_size=n, max_size=n))
-    pop = Population(schema, np.column_stack(cols).astype(float), np.array(y), ["a"] * n_a + ["b"] * n_b)
+    groups = [g for g, size in zip(names, sizes) for _ in range(size)]
+    pop = Population(schema, np.column_stack(cols).astype(float), np.array(y), groups)
     params = EffortParams(
-        base_cost={g: draw(st.sampled_from([0.0, 0.05])) for g in ("a", "b")},
+        base_cost={g: draw(st.sampled_from([0.0, 0.05])) for g in names},
         categorical_cost=draw(st.sampled_from([0.5, 0.25])),
         feature_weights={
-            g: draw(st.dictionaries(st.sampled_from(schema.names), _WEIGHTS)) for g in ("a", "b")
+            g: draw(st.dictionaries(st.sampled_from(schema.names), _WEIGHTS)) for g in names
         },
     )
     return pop, params

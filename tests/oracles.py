@@ -261,6 +261,30 @@ def atkinson(minority_counts, totals, beta) -> float:
     return 1.0 - (P / (1.0 - P)) * inner ** (1.0 / (1.0 - beta))
 
 
+def components(adj) -> list[list[int]]:
+    """Connected components by depth-first search; a nonzero entry either way is an edge.
+
+    Each component is sorted; components come in the order of their
+    smallest member.
+    """
+    n = len(adj)
+    unseen = set(range(n))
+    out = []
+    while unseen:
+        start = min(unseen)
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in range(n):
+                if (adj[v][w] != 0.0 or adj[w][v] != 0.0) and w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        unseen -= comp
+        out.append(sorted(comp))
+    return out
+
+
 def ssi(similarity) -> float:
     """Spectral segregation via dense eigendecomposition (no power iteration).
 
@@ -269,21 +293,8 @@ def ssi(similarity) -> float:
     eigensolver.
     """
     B = np.array(similarity, dtype=float)
-    n = B.shape[0]
-    unseen = set(range(n))
-    scores = np.zeros(n)
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in range(n):
-                if (B[v, w] != 0.0 or B[w, v] != 0.0) and w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        unseen -= comp
-        members = sorted(comp)
+    scores = np.zeros(B.shape[0])
+    for members in components(B):
         sub = B[np.ix_(members, members)]
         eigvals, eigvecs = np.linalg.eig(sub)
         top = int(np.argmax(eigvals.real))

@@ -33,13 +33,7 @@ from effortsim.harness import (
     load_config,
 )
 from effortsim.models import evaluate, fit_constrained_linear, fit_linear, fit_ridge, fit_tree
-from effortsim.segregation import (
-    MetricContext,
-    absolute_clustering,
-    atkinson_index,
-    pairwise_distances,
-    spectral_segregation,
-)
+from effortsim.segregation import MetricContext, atkinson_index, distance_indices
 from instances import random_instance
 
 
@@ -220,7 +214,7 @@ def test_criterion_5_oracle_equivalence():
                     assert abs(got.exerted.utility - want_u) <= 1e-10
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
-            got_aci = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+            got_aci, _ = distance_indices(ctx, pop, 1e-6)
             D = oracles.distance_matrix(pop, params, pop)
             flags = [1 if g == minority else 0 for g in pop.groups]
             want_aci = oracles.aci(D, flags)
@@ -272,17 +266,17 @@ def test_criterion_6_segregation_properties():
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop2 = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx2 = MetricContext(pop2, EffortParams(categorical_cost=0.5), "g1")
-        assert spectral_segregation(pop2, "g1", pairwise_distances(ctx2, pop2)) == pytest.approx(
+        assert distance_indices(ctx2, pop2, 1e-6)[1] == pytest.approx(
             math.exp(-0.5), abs=1e-8
         )
         pop, params, _, _ = random_instance(200)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        base = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        base, _ = distance_indices(ctx, pop, 1e-6)
         perm = np.random.default_rng(3).permutation(pop.size)
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        shuffled_aci = absolute_clustering(ctx, shuffled, pairwise_distances(ctx, shuffled))
+        shuffled_aci, _ = distance_indices(ctx, shuffled, 1e-6)
         assert shuffled_aci == pytest.approx(base, abs=1e-10)
         rec.detail = (
             f"Atkinson bounds on {configs} random configurations x 3 betas, "

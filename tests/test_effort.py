@@ -1,15 +1,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import single_group_pop
+from conftest import single_group_pop, synthetic_student_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim.effort import EffortEngine, EffortParams, risk_adjusted, tile_rows
+from effortsim.effort import TILE_BYTES, EffortEngine, EffortParams, risk_adjusted, tile_rows
 from effortsim.fairness import FairnessAudit
 from effortsim.models import LinearPredictor
 from instances import oracle_cases, random_instance
@@ -401,3 +402,18 @@ class TestTiledEpsSum:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert (got == 0.0).any() and np.isinf(got).any() != mutable_only
+
+
+class TestPairwiseEffortMemory:
+    def test_peak_is_the_output_plus_a_few_tiles(self):
+        # Each group's rows go straight into the output, tile by tile; no
+        # (group rows x n) accumulator next to it.
+        pop = synthetic_student_pop(1500)
+        engine = EffortEngine(pop, EffortParams(base_cost=0.1))
+        tracemalloc.start()
+        try:
+            engine.pairwise_effort(pop)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pop.size**2 + 4 * TILE_BYTES

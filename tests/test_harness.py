@@ -261,13 +261,13 @@ class TestSimulateCommand:
 class TestInitialPopulationMeasuredOnce:
     def test_one_distance_matrix_per_population(self, tmp_path, monkeypatch):
         sizes = []
-        original = segregation.pairwise_distances
+        original = segregation.distance_indices
 
-        def counting(ctx, pop):
+        def counting(ctx, pop, connectivity_threshold):
             sizes.append(pop.size)
-            return original(ctx, pop)
+            return original(ctx, pop, connectivity_threshold)
 
-        monkeypatch.setattr(segregation, "pairwise_distances", counting)
+        monkeypatch.setattr(segregation, "distance_indices", counting)
         config = load_config(data_path("student_config.json"))
         cmd_simulate(config, tmp_path / "simulate")
         assert len(sizes) == 1 + len(config.models)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from conftest import single_group_pop
+from conftest import single_group_pop, synthetic_student_pop
+from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.dynamics import simulate
 from effortsim.effort import EffortParams
@@ -16,7 +19,6 @@ from effortsim.segregation import (
     MetricContext,
     Neighborhoods,
     Unit,
-    absolute_clustering,
     atkinson,
     atkinson_index,
     build_focal_neighborhoods,
@@ -26,6 +28,7 @@ from effortsim.segregation import (
     pairwise_distances,
     spectral_segregation,
 )
+from effortsim.segregation import _components, _power_iteration
 from instances import oracle_cases, random_instance
 
 
@@ -47,6 +50,16 @@ def _two_feature_pop():
 # Frozen via the counting/enumeration oracle before wiring the test:
 # four individuals above, minority g1, categorical cost 0.5.
 ACI_HAND_VALUE = 0.19785005312731524
+
+
+def _aci(ctx, pop):
+    return distance_indices(ctx, pop, 1e-6)[0]
+
+
+def _within(ctx, pop, group):
+    """The group's within-group block of the dense distance matrix."""
+    rows = pop.group_rows(group)
+    return pairwise_distances(ctx, pop)[np.ix_(rows, rows)]
 
 
 class TestDistance:
@@ -215,7 +228,7 @@ class TestAbsoluteClustering:
     def test_frozen_hand_instance(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        got = _aci(ctx, pop)
         assert got == pytest.approx(ACI_HAND_VALUE, abs=1e-12)
 
     def test_equal_distances_closed_form(self):
@@ -232,16 +245,16 @@ class TestAbsoluteClustering:
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
         c = math.exp(-0.5)
         closed_form = (1 - c) / (1 + (pop.size - 1) * c)
-        got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        got = _aci(ctx, pop)
         assert got == pytest.approx(closed_form, abs=1e-12)
 
     def test_permutation_invariance(self):
         pop, params, _, _ = random_instance(54)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        value = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+        value = _aci(ctx, pop)
         perm = np.random.default_rng(1).permutation(pop.size)
         shuffled = Population(pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm])
-        got = absolute_clustering(ctx, shuffled, pairwise_distances(ctx, shuffled))
+        got = _aci(ctx, shuffled)
         assert got == pytest.approx(value, abs=1e-10)
 
     def test_matches_oracle_on_random_instances(self):
@@ -249,7 +262,7 @@ class TestAbsoluteClustering:
             pop, params, _, _ = random_instance(seed)
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
-            got = absolute_clustering(ctx, pop, pairwise_distances(ctx, pop))
+            got = _aci(ctx, pop)
             D = oracles.distance_matrix(pop, params, pop)
             flags = [1 if g == minority else 0 for g in pop.groups]
             want = oracles.aci(D, flags)
@@ -267,7 +280,7 @@ class TestAbsoluteClustering:
             list(pop.groups) * 2,
         )
         ctx = MetricContext(doubled, params, minority)
-        got = absolute_clustering(ctx, doubled, pairwise_distances(ctx, doubled))
+        got = _aci(ctx, doubled)
         D = oracles.distance_matrix(doubled, params, doubled)
         flags = [1 if g == minority else 0 for g in doubled.groups]
         assert got == pytest.approx(oracles.aci(D, flags), abs=1e-10)
@@ -288,26 +301,26 @@ class TestSpectralSegregation:
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        value = spectral_segregation(pop, "g1", pairwise_distances(ctx, pop))
+        value = spectral_segregation(_within(ctx, pop, "g1"))
         assert value == pytest.approx(math.exp(-0.5), abs=1e-8)
 
     def test_threshold_above_everything_gives_zero(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        dist = pairwise_distances(ctx, pop)
-        assert spectral_segregation(pop, "g1", dist, connectivity_threshold=2.0) == 0.0
+        within = _within(ctx, pop, "g1")
+        assert spectral_segregation(within, connectivity_threshold=2.0) == 0.0
 
     def test_singleton_group_scores_zero(self):
         pop = single_group_pop([1.0])
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(pop, "g1", pairwise_distances(ctx, pop)) == 0.0
+        assert spectral_segregation(_within(ctx, pop, "g1")) == 0.0
 
     def test_matches_dense_eigensolver_oracle(self):
         for seed in (58, 59, 60):
             pop, params, _, _ = random_instance(seed)
             group = pop.group_names[0]
             ctx = MetricContext(pop, params, group)
-            got = spectral_segregation(pop, group, pairwise_distances(ctx, pop))
+            got = spectral_segregation(_within(ctx, pop, group))
             D = np.array(oracles.distance_matrix(pop, params, pop))
             rows = pop.group_rows(group)
             B = np.exp(-D[np.ix_(rows, rows)])
@@ -321,12 +334,8 @@ class TestSpectralSegregation:
         pop, params, _, _ = random_instance(61)
         group = pop.group_names[1]
         ctx = MetricContext(pop, params, group)
-        rows = pop.group_rows(group)
-        D = pairwise_distances(ctx, pop)
-        B = np.exp(-D[np.ix_(rows, rows)])
+        B = np.exp(-_within(ctx, pop, group))
         np.fill_diagonal(B, 0.0)
-        from effortsim.segregation import _components, _power_iteration
-
         for comp in _components(B):
             sub = B[np.ix_(comp, comp)]
             lam, vec = _power_iteration(sub)
@@ -343,8 +352,6 @@ class TestSpectralSegregation:
     )
     def test_power_iteration_on_asymmetric_matrix(self, M):
         # nonnegative, asymmetric, strongly connected: a unique Perron pair
-        from effortsim.segregation import _power_iteration
-
         M = np.array(M)
         assert not np.array_equal(M, M.T)
         eigvals, eigvecs = np.linalg.eig(M)
@@ -400,3 +407,57 @@ class TestCompare:
         # recomputing with a context frozen on the impacted data must differ
         # in general; here we just assert both reports are complete
         assert before.centralization is not None and after.centralization is not None
+
+
+class TestStreamedIndices:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.one_of(oracle_cases(), oracle_cases(max_individuals=10, n_groups=3)))
+    def test_equal_oracles_at_any_tile_height(self, case):
+        pop, params = case
+        D = np.array(oracles.distance_matrix(pop, params, pop))
+        for minority in pop.group_names:
+            ctx = MetricContext(pop, params, minority)
+            flags = [1 if g == minority else 0 for g in pop.groups]
+            want_aci = oracles.aci(D.tolist(), flags)
+            rows = pop.group_rows(minority)
+            B = np.exp(-D[np.ix_(rows, rows)])
+            np.fill_diagonal(B, 0.0)
+            B[B < 1e-6] = 0.0
+            want_ssi = oracles.ssi(B)
+            dense_ssi = spectral_segregation(_within(ctx, pop, minority))
+            for height in (1, 3, 7):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(effort, "tile_rows", lambda n_cols: height)
+                    aci, ssi = distance_indices(ctx, pop, 1e-6)
+                assert aci == pytest.approx(want_aci, abs=1e-12)
+                # bit for bit the dense definition's SSI; the eigensolver
+                # oracle agrees to the power iteration's tolerance
+                assert ssi == dense_ssi
+                assert ssi == pytest.approx(want_ssi, abs=1e-8)
+
+    def test_peak_memory_below_two_n_squared(self):
+        pop = synthetic_student_pop(1500)
+        ctx = MetricContext(pop, EffortParams(), "F")
+        tracemalloc.start()
+        try:
+            distance_indices(ctx, pop, 1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * pop.size**2
+
+
+class TestComponents:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_match_search_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        weights = rng.random((n, n))
+        for adj in (
+            np.zeros((n, n)),
+            np.ones((n, n)),
+            weights * (rng.random((n, n)) < 2.0 / max(n, 1)),  # sparse, asymmetric
+            np.triu(weights * (rng.random((n, n)) < 0.1), k=1),  # every edge one-way
+        ):
+            got = [c.tolist() for c in _components(adj)]
+            assert got == oracles.components(adj.tolist())
