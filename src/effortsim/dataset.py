@@ -402,21 +402,22 @@ def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population
 
 MUTABLE_PLUS_SENSITIVE = "mutable_plus_sensitive"
 ALL_FEATURES = "all"
+FEATURE_SETS = (ALL_FEATURES, "mutable", MUTABLE_PLUS_SENSITIVE)
 
 
 def restrict_features(pop: Population, keep: str) -> Population:
     """Project a population onto a feature subset.
 
-    ``keep`` is either ``"all"`` (identity schema) or
-    ``"mutable_plus_sensitive"`` (drop immutable and conditionally
-    immutable features, always retaining the sensitive one).
+    ``keep`` is either ``"all"`` (the population itself: it is immutable)
+    or ``"mutable_plus_sensitive"``, also called ``"mutable"`` (drop
+    immutable and conditionally immutable features, always retaining the
+    sensitive one).
     """
-    if keep == ALL_FEATURES:
-        kept = list(pop.schema.features)
-    elif keep == MUTABLE_PLUS_SENSITIVE:
-        kept = [f for f in pop.schema.features if f.mutable or f.name == pop.schema.sensitive]
-    else:
+    if keep not in FEATURE_SETS:
         raise SchemaError(f"unknown feature filter {keep!r}")
+    if keep == ALL_FEATURES:
+        return pop
+    kept = [f for f in pop.schema.features if f.mutable or f.name == pop.schema.sensitive]
     new_schema = FeatureSchema(
         features=tuple(kept), sensitive=pop.schema.sensitive, label=pop.schema.label
     )

@@ -16,7 +16,6 @@ import numpy as np
 
 from .dataset import Population
 from .effort import (
-    EffortEngine,
     EffortParams,
     UtilityBreakdown,
     ZERO_BREAKDOWN,
@@ -89,10 +88,15 @@ def _best_moves(h, pop: Population, params: EffortParams, benefit: str, efforts:
     return best, reward, utility
 
 
-def simulate(h, pop: Population, params: EffortParams, benefit: str) -> ImpactResult:
-    """Apply the imitation rule to every individual against the frozen data."""
-    # Imitation keeps non-mutable entries, so only mutable features cost.
-    efforts = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
+def simulate(
+    h, pop: Population, efforts: np.ndarray, params: EffortParams, benefit: str
+) -> ImpactResult:
+    """Apply the imitation rule to every individual against the frozen data.
+
+    ``efforts`` is ``pairwise_effort(pop, mutable_only=True)``, one matrix for
+    every model: an imitation target keeps the individual's own non-mutable
+    entries, so only mutable features cost.
+    """
     best, reward, utility = _best_moves(h, pop, params, benefit, efforts)
     mutable = pop.schema.mutable_mask
     new_X = pop.X.copy()

@@ -2,15 +2,16 @@
 
 All three effort measures scan, for every individual, the candidate
 profiles present in the supplied population (the same data whose quantile
-tables define effort). An audit computes the pairwise effort matrix and
-the benefit vector once per (model, population) pair and shares them
-across measures and grid sweeps. Rewards ``b[j] - b[i]`` are not stored:
-each measure reads them from the benefit vector, one row tile at a time,
-and a whole delta sweep is one pass over the effort rows.
+tables define effort). Effort does not depend on the decision policy, so
+an audit builds the pairwise effort matrix once per population and audits
+each model through its benefit vector. Rewards ``b[j] - b[i]`` are not
+stored: each measure reads them from the benefit vector, one row tile at a
+time, and a whole delta sweep is one pass over the effort rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -68,34 +69,46 @@ def _disparity(values: dict) -> float | None:
 
 
 class FairnessAudit:
-    """The pairwise effort matrix and benefit vector of one model over one population.
+    """The pairwise effort matrix of one population, audited one model at a time.
 
-    The reward of moving from row i to candidate j is ``b[j] - b[i]``. It is
-    monotone in ``b[j]``, so one ordering of the benefits orders every row,
-    and each measure is one pass over the rows of the effort matrix, tile by
-    tile. The maxima and minima add no rounding, so the answers equal a
-    scan of every pair.
+    Each measure audits a model ``h`` through its benefits ``b``. The reward
+    of moving from row i to candidate j is ``b[j] - b[i]``, monotone in
+    ``b[j]``, so one ordering of the benefits orders every row and each
+    measure is one pass over the effort rows, tile by tile. The maxima and
+    minima add no rounding, so the answers equal a scan of every pair.
     """
 
-    def __init__(self, h, pop: Population, params: EffortParams, benefit: str):
+    def __init__(self, pop: Population, params: EffortParams, benefit: str):
         self.pop = pop
         self.params = params
         self.benefit = benefit
-        engine = EffortEngine(pop, params)
-        self.efforts = engine.pairwise_effort(pop)  # row i -> candidate j
-        preds = h.predict(pop)
-        self.benefits = np.asarray(
-            risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha), dtype=np.float64
-        )
+        self.efforts = EffortEngine(pop, params).pairwise_effort(pop)  # row i -> candidate j
         self._meta = {"candidate_set": "population", "benefit": benefit, "alpha": params.alpha}
+
+    def benefits(self, h) -> np.ndarray:
+        """The risk-adjusted benefit of each row under model ``h``."""
+        preds = h.predict(self.pop)
+        return np.asarray(
+            risk_adjusted(benefit_value(self.benefit, self.pop.y, preds), self.params.alpha),
+            dtype=np.float64,
+        )
+
+    @functools.cached_property
+    def max_finite_effort(self) -> float:
+        """Top of the bounded-effort grid: the largest finite effort, 0.0 if none is finite."""
+        top = 0.0  # efforts are never negative
+        for lo, hi in row_tiles(self.pop.size, self.pop.size):
+            tile = self.efforts[lo:hi]
+            top = max(top, float(np.max(tile, where=np.isfinite(tile), initial=0.0)))
+        return top
 
     def _group_means(self, values: np.ndarray) -> dict:
         return {
             g: float(np.mean(values[self.pop.group_rows(g)])) for g in self.pop.group_names
         }
 
-    def _table(self, measure: str, grid: Sequence[float]) -> np.ndarray:
-        """(n, len(grid)) per-individual answers of one measure, one pass per row.
+    def _table(self, b: np.ndarray, measure: str, grid: Sequence[float]) -> np.ndarray:
+        """(n, len(grid)) per-individual answers of one measure under benefits ``b``.
 
         Each tile of effort rows is permuted into ascending-benefit order and
         turned into suffix minima: ``sufmin[i, p]`` is the least effort of
@@ -117,7 +130,6 @@ class FairnessAudit:
             budgets = np.minimum(deltas, np.finfo(np.float64).max)
         elif measure != THRESHOLD_REWARD:
             raise ValueError(f"cannot sweep measure {measure!r}")
-        b = self.benefits
         n = b.shape[0]
         asc = np.argsort(b, kind="stable")
         b_asc = b[asc]
@@ -164,25 +176,27 @@ class FairnessAudit:
             metadata=dict(self._meta, infeasible="excluded_from_mean"),
         )
 
-    def bounded_effort(self, delta: float) -> UnfairnessReport:
+    def bounded_effort(self, h, delta: float) -> UnfairnessReport:
         """Best reachable reward per individual under an effort budget.
 
         Individuals with no candidate inside the budget stay put and score
         zero reward.
         """
-        return self._bounded_report(delta, self._table(BOUNDED_EFFORT, [delta])[:, 0])
+        b = self.benefits(h)
+        return self._bounded_report(delta, self._table(b, BOUNDED_EFFORT, [delta])[:, 0])
 
-    def threshold_reward(self, delta: float) -> UnfairnessReport:
+    def threshold_reward(self, h, delta: float) -> UnfairnessReport:
         """Least effort per individual to reach at least ``delta`` reward.
 
         Individuals with no finite-effort candidate at that reward level
         are excluded from the group mean and reported via ``feasibility``.
         """
-        return self._threshold_report(delta, self._table(THRESHOLD_REWARD, [delta])[:, 0])
+        b = self.benefits(h)
+        return self._threshold_report(delta, self._table(b, THRESHOLD_REWARD, [delta])[:, 0])
 
-    def effort_reward(self) -> UnfairnessReport:
+    def effort_reward(self, h) -> UnfairnessReport:
         """Best achievable utility per individual, floored at staying put."""
-        b = self.benefits
+        b = self.benefits(h)
         best = np.empty(b.shape[0])
         for lo, hi in row_tiles(b.shape[0], b.shape[0]):
             utility = b[None, :] - b[lo:hi, None]
@@ -197,42 +211,31 @@ class FairnessAudit:
             metadata=dict(self._meta, floor="stay_put_zero_utility"),
         )
 
-    def default_grid(self, measure: str, points: int = 20) -> tuple:
+    def default_grid(self, h, measure: str, points: int = 20) -> tuple:
         """Evenly spaced budgets/thresholds spanning the observed pairwise range."""
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         if measure == BOUNDED_EFFORT:
-            top = -np.inf  # the largest finite effort
-            for lo, end in row_tiles(self.pop.size, self.pop.size):
-                tile = self.efforts[lo:end]
-                top = max(top, float(np.max(tile, where=np.isfinite(tile), initial=-np.inf)))
-            hi = top if top > -np.inf else 0.0
+            hi = self.max_finite_effort
         elif measure == THRESHOLD_REWARD:
-            b = self.benefits
+            b = self.benefits(h)
             hi = float(max(b.max() - b.min(), 0.0))
         else:
             raise ValueError(f"no delta grid for measure {measure!r}")
         return tuple(np.linspace(0.0, hi, points).tolist())
 
-    def sweep(self, measure: str, grid: Sequence[float]) -> DeltaCurve:
+    def sweep(self, h, measure: str, grid: Sequence[float]) -> DeltaCurve:
         grid = tuple(float(d) for d in grid)
         if list(grid) != sorted(grid):
             raise ValueError("delta grid must be sorted ascending")
-        table = self._table(measure, grid)
+        table = self._table(self.benefits(h), measure, grid)
         report = self._bounded_report if measure == BOUNDED_EFFORT else self._threshold_report
-        values: dict = {g: [] for g in self.pop.group_names}
-        feas: dict = {g: [] for g in self.pop.group_names}
-        for col, d in enumerate(grid):
-            rep = report(d, table[:, col])
-            for g in self.pop.group_names:
-                values[g].append(rep.per_group_value[g])
-                feas[g].append(rep.feasibility[g] if rep.feasibility else 1.0)
-        return DeltaCurve(
-            measure=measure,
-            deltas=grid,
-            per_group_values=values,
-            per_group_feasibility=feas if measure == THRESHOLD_REWARD else None,
-        )
+        reps = [report(d, table[:, col]) for col, d in enumerate(grid)]
+        values = {g: [r.per_group_value[g] for r in reps] for g in self.pop.group_names}
+        feas = None
+        if measure == THRESHOLD_REWARD:
+            feas = {g: [r.feasibility[g] for r in reps] for g in self.pop.group_names}
+        return DeltaCurve(measure, grid, values, feas)
 
 
 def residual_differences(h, pop: Population) -> tuple[UnfairnessReport, UnfairnessReport]:

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     ALL_FEATURES,
-    MUTABLE_PLUS_SENSITIVE,
+    FEATURE_SETS,
     DataError,
     Population,
     SchemaError,
@@ -54,7 +54,6 @@ from . import segregation
 from .segregation import MetricContext
 
 MODEL_KINDS = ("linear", "ridge", "tree", "mlp", "constrained")
-SEGREGATION_MEASURES = ("atkinson", "centralization", "aci", "ssi")
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise SchemaError(f"unknown model kind {self.kind!r}")
-        if self.features not in (ALL_FEATURES, "mutable", MUTABLE_PLUS_SENSITIVE):
+        if self.features not in FEATURE_SETS:
             raise SchemaError(f"unknown feature set {self.features!r}")
         if self.max_depth < 0 or not self.tau >= 0:
             raise SchemaError(f"model {self.name!r}: max_depth and tau must be >= 0")
@@ -99,6 +98,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.beta < 1.0):
             raise SchemaError("train_fraction and beta must lie in (0,1)")
+        if self.sweep_features not in FEATURE_SETS:
+            raise SchemaError(f"unknown sweep feature set {self.sweep_features!r}")
         if not all(t >= 0 for t in self.tau_grid):
             raise SchemaError(f"tau_grid entries must be >= 0, got {list(self.tau_grid)}")
         if self.centralization_threshold is not None and math.isnan(self.centralization_threshold):
@@ -124,9 +125,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(raw, base_dir=path.parent)
 
 
+# The keys each section of an experiment config may hold; any other key is an error.
+CONFIG_KEYS = {
+    "config": (
+        "dataset", "schema", "seed", "split", "models", "effort", "benefit",
+        "delta_grid_points", "sweep", "beta", "minority", "centralization_threshold",
+        "connectivity_threshold",
+    ),
+    "split": ("train_fraction", "seed"),
+    "effort": ("alpha", "base_costs", "categorical_cost", "feature_weights"),
+    "model": ("name", "kind", "features", "lambda", "max_depth", "tau"),
+    "sweep": ("tau_grid", "features"),
+}
+
+
 def _object(value, what: str) -> dict:
+    """``value`` as config section ``what``: a JSON object holding only its known keys."""
     if not isinstance(value, dict):
         raise SchemaError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(CONFIG_KEYS[what]))
+    if unknown:
+        raise SchemaError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
     return value
 
 
@@ -141,12 +160,13 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         effort_cfg = _object(raw.get("effort", {}), "effort")
         effort = EffortParams(
             alpha=float(effort_cfg.get("alpha", 1.0)),
-            base_cost=effort_cfg.get("base_costs", effort_cfg.get("base_cost", 0.0)),
+            base_cost=effort_cfg.get("base_costs", 0.0),
             categorical_cost=float(effort_cfg.get("categorical_cost", 0.5)),
             feature_weights=effort_cfg.get("feature_weights"),
         )
         models = []
         for md in raw.get("models", []):
+            _object(md, "model")
             models.append(
                 ModelSpec(
                     name=str(md["name"]),
@@ -189,9 +209,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
 
 
 def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> Predictor:
-    pop = train
-    if spec.features in ("mutable", MUTABLE_PLUS_SENSITIVE):
-        pop = restrict_features(train, MUTABLE_PLUS_SENSITIVE)
+    pop = restrict_features(train, spec.features)
     if spec.kind == "linear":
         return fit_linear(pop)
     if spec.kind == "ridge":
@@ -309,32 +327,20 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
         return ["mae_report.json", "models.json"]
 
     def stage_curves():
-        audits = {
-            name: FairnessAudit(h, train, config.effort, config.benefit)
-            for name, h in state["models"].items()
-        }
-        state["audits"] = audits
+        state["audit"] = audit = FairnessAudit(train, config.effort, config.benefit)
         files = []
-        for measure, fname in (
-            (BOUNDED_EFFORT, "bounded_effort_curves.csv"),
-            (THRESHOLD_REWARD, "threshold_reward_curves.csv"),
+        for measure, fname, extra_columns in (
+            (BOUNDED_EFFORT, "bounded_effort_curves.csv", []),
+            (THRESHOLD_REWARD, "threshold_reward_curves.csv", ["feasibility"]),
         ):
             rows = []
-            for name in sorted(audits):
-                audit = audits[name]
-                curve = audit.sweep(measure, audit.default_grid(measure, config.delta_points))
-                state.setdefault("curves", {})[(name, measure)] = curve
+            for name, h in sorted(state["models"].items()):
+                curve = audit.sweep(h, measure, audit.default_grid(h, measure, config.delta_points))
+                feas = curve.per_group_feasibility  # threshold reward only
                 for g in sorted(curve.per_group_values):
-                    vals = curve.per_group_values[g]
-                    feas = (curve.per_group_feasibility or {}).get(g)
-                    for idx, (d, v) in enumerate(zip(curve.deltas, vals)):
-                        row = [name, g, d, v]
-                        if measure == THRESHOLD_REWARD:
-                            row.append(feas[idx] if feas else 1.0)
-                        rows.append(row)
-            header = ["model", "group", "delta", "value"]
-            if measure == THRESHOLD_REWARD:
-                header.append("feasibility")
+                    for idx, (d, v) in enumerate(zip(curve.deltas, curve.per_group_values[g])):
+                        rows.append([name, g, d, v] + ([feas[g][idx]] if feas else []))
+            header = ["model", "group", "delta", "value"] + extra_columns
             _write_csv_rows(out_dir / fname, header, rows)
             files.append(fname)
         return files
@@ -342,10 +348,8 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     def stage_reports():
         bars = []
         combined: dict = {"benefit": config.benefit, "models": {}}
-        for name in sorted(state["audits"]):
-            audit = state["audits"][name]
-            h = state["models"][name]
-            er = audit.effort_reward()
+        for name, h in sorted(state["models"].items()):
+            er = state["audit"].effort_reward(h)
             pos, neg = residual_differences(h, train)
             pos_full, neg_full = residual_differences(h, pop)
             combined["models"][name] = {
@@ -399,12 +403,13 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     pop, train, test = _load_and_split(config)
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
+    efforts = ctx.engine.pairwise_effort(train, mutable_only=True)  # shared by every model
     runs: list[tuple] = []
 
     def model_stage(spec: ModelSpec):
         def run():
             h = fit_model(spec, train, config)
-            impact = simulate(h, train, config.effort, config.benefit)
+            impact = simulate(h, train, efforts, config.effort, config.benefit)
             runs.append((spec.name, h, impact))
             impacted_csv = f"impacted_{spec.name}.csv"
             write_csv(impact.impacted, out_dir / impacted_csv)
@@ -422,6 +427,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
 
     for spec in config.models:
         runner.run(f"simulate_{spec.name}", model_stage(spec))
+    del efforts  # freed before the distance walk of the final stage
 
     def stage_summary():
         seg_rows: list[list] = []
@@ -461,16 +467,15 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     pop, train, test = _load_and_split(config)
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    fit_pop = train
-    if config.sweep_features in ("mutable", MUTABLE_PLUS_SENSITIVE):
-        fit_pop = restrict_features(train, MUTABLE_PLUS_SENSITIVE)
+    fit_pop = restrict_features(train, config.sweep_features)
+    efforts = ctx.engine.pairwise_effort(train, mutable_only=True)  # shared by every tau
     runs: list[tuple] = []
     details: dict = {}
 
     def tau_stage(tau: float):
         def run():
             h = fit_constrained_linear(fit_pop, tau, config.benefit, minority)
-            impact = simulate(h, train, config.effort, config.benefit)
+            impact = simulate(h, train, efforts, config.effort, config.benefit)
             runs.append((tau, h, impact))
             details[_fmt(tau)] = {
                 "weights": h.to_dict(),
@@ -483,6 +488,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
     for tau in config.tau_grid:
         runner.run(f"tau_{_fmt(tau)}", tau_stage(tau))
+    del efforts  # freed before the distance walk of the final stage
 
     def stage_emit():
         rows: list[list] = []

@@ -11,6 +11,7 @@ the within-group similarity network.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -32,11 +33,10 @@ class MetricContext:
     def __post_init__(self) -> None:
         if self.minority not in self.reference.group_names:
             raise ValueError(f"minority group {self.minority!r} not present in reference")
-        object.__setattr__(self, "_engine", EffortEngine(self.reference, self.params))
 
-    @property
+    @functools.cached_property
     def engine(self) -> EffortEngine:
-        return self._engine  # type: ignore[attr-defined]
+        return EffortEngine(self.reference, self.params)
 
     @property
     def mutable_indices(self) -> list[int]:

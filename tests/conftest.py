@@ -19,6 +19,8 @@ from effortsim.dataset import (
     load_schema,
     split,
 )
+from effortsim.dynamics import simulate
+from effortsim.effort import EffortEngine
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -73,3 +75,9 @@ def synthetic_student_pop(rows: int, seed: int = 5) -> Population:
     minority = round(0.4 * rows)
     schema = load_schema(data_path("student_schema.json"))
     return generate_synthetic(schema, {"F": minority, "M": rows - minority}, seed=seed, shift=0.5)
+
+
+def run_simulate(h, pop: Population, params, benefit: str):
+    """One imitation round of ``h`` on ``pop``, with the effort matrix built for it."""
+    efforts = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
+    return simulate(h, pop, efforts, params, benefit)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, run_simulate
 from effortsim import data_path
 from effortsim.dataset import load_csv, restrict_features, split, write_csv
 from effortsim.dynamics import simulate
@@ -119,8 +119,9 @@ def test_criterion_3_effort_reward_contrast(student_pop, student_split, ridge_mo
         train, _ = student_split
         h_mut, h_comb = ridge_models
         params = EffortParams()
-        er_mut = FairnessAudit(h_mut, train, params, "predicted").effort_reward()
-        er_comb = FairnessAudit(h_comb, train, params, "predicted").effort_reward()
+        audit = FairnessAudit(train, params, "predicted")
+        er_mut = audit.effort_reward(h_mut)
+        er_comb = audit.effort_reward(h_comb)
         assert er_comb.disparity > 2.0 * er_mut.disparity, (er_mut.disparity, er_comb.disparity)
         pos_mut, _ = residual_differences(h_mut, student_pop)
         pos_comb, _ = residual_differences(h_comb, student_pop)
@@ -139,21 +140,21 @@ def test_criterion_4_curve_monotonicity(config, student_split):
     with _record("4 curve monotonicity") as rec:
         train, _ = student_split
         checked = 0
+        audit = FairnessAudit(train, config.effort, config.benefit)
         for spec in config.models:
             h = fit_model(spec, train, config)
-            audit = FairnessAudit(h, train, config.effort, config.benefit)
-            grid = audit.default_grid(BOUNDED_EFFORT, 20)
-            curve = audit.sweep(BOUNDED_EFFORT, grid)
-            lo = audit.bounded_effort(0.0).per_group_value
-            hi = audit.bounded_effort(math.inf).per_group_value
+            grid = audit.default_grid(h, BOUNDED_EFFORT, 20)
+            curve = audit.sweep(h, BOUNDED_EFFORT, grid)
+            lo = audit.bounded_effort(h, 0.0).per_group_value
+            hi = audit.bounded_effort(h, math.inf).per_group_value
             for g, vals in curve.per_group_values.items():
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:])), (spec.name, g)
                 assert vals[0] == lo[g] and vals[-1] == hi[g], (spec.name, g)
                 checked += 1
-            tgrid = audit.default_grid(THRESHOLD_REWARD, 20)
-            tcurve = audit.sweep(THRESHOLD_REWARD, tgrid)
-            t0 = audit.threshold_reward(tgrid[0]).per_group_value
-            t_end = audit.threshold_reward(tgrid[-1]).per_group_value
+            tgrid = audit.default_grid(h, THRESHOLD_REWARD, 20)
+            tcurve = audit.sweep(h, THRESHOLD_REWARD, tgrid)
+            t0 = audit.threshold_reward(h, tgrid[0]).per_group_value
+            t_end = audit.threshold_reward(h, tgrid[-1]).per_group_value
             for g, vals in tcurve.per_group_values.items():
                 assert vals[0] == t0[g] and vals[-1] == t_end[g]
                 checked += 1
@@ -161,8 +162,9 @@ def test_criterion_4_curve_monotonicity(config, student_split):
             # feasibility, so the guaranteed monotone form is per individual
             # over the deltas where that individual stays feasible.
             prev = None
+            b = audit.benefits(h)
             for delta in tgrid:
-                rewards = audit.benefits[None, :] - audit.benefits[:, None]
+                rewards = b[None, :] - b[:, None]
                 feas = (rewards >= delta) & np.isfinite(audit.efforts)
                 mins = np.where(feas, audit.efforts, np.inf).min(axis=1)
                 mins = np.where(feas.any(axis=1), mins, np.nan)
@@ -182,18 +184,19 @@ def test_criterion_5_oracle_equivalence():
         for seed in range(100, 100 + n_instances):
             pop, params, h, benefit = random_instance(seed, max_individuals=30)
             assert pop.size <= 30
-            audit = FairnessAudit(h, pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit)
             E = oracles.effort_matrix(pop, params)
             finite = audit.efforts[np.isfinite(audit.efforts)]
             deltas = (0.0, float(np.median(finite)), float(finite.max()))
             for delta in deltas:
-                got = audit.bounded_effort(delta).per_group_value
+                got = audit.bounded_effort(h, delta).per_group_value
                 want = oracles.bounded_effort(h, pop, params, benefit, delta, E)
                 for g in want:
                     assert abs(got[g] - want[g]) <= 1e-10, ("bounded", seed, delta, g)
-            hi = float(audit.benefits.max() - audit.benefits.min())
+            b = audit.benefits(h)
+            hi = float(b.max() - b.min())
             for delta in (0.0, hi / 3, hi):
-                got_rep = audit.threshold_reward(delta)
+                got_rep = audit.threshold_reward(h, delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta, E)
                 for g in want_vals:
                     if want_vals[g] is None:
@@ -201,11 +204,11 @@ def test_criterion_5_oracle_equivalence():
                     else:
                         assert abs(got_rep.per_group_value[g] - want_vals[g]) <= 1e-10
                     assert got_rep.feasibility[g] == want_feas[g]
-            got_er = audit.effort_reward().per_group_value
+            got_er = audit.effort_reward(h).per_group_value
             want_er = oracles.effort_reward(h, pop, params, benefit, E)
             for g in want_er:
                 assert abs(got_er[g] - want_er[g]) <= 1e-10, ("effort_reward", seed, g)
-            outcomes = simulate(h, pop, params, benefit).outcomes
+            outcomes = run_simulate(h, pop, params, benefit).outcomes
             for i in range(pop.size):
                 got = outcomes[i]
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
@@ -289,12 +292,12 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
         train, _ = student_split
         params = config.effort
         audited_changes = 0
+        efforts = EffortEngine(train, params).pairwise_effort(train, mutable_only=True)
         for spec in config.models:
             h = fit_model(spec, train, config)
-            impact = simulate(h, train, params, config.benefit)
+            impact = simulate(h, train, efforts, params, config.benefit)
             preds_before = h.predict(train)
             preds_after = h.predict(impact.impacted)
-            efforts = EffortEngine(train, params).pairwise_effort(train, mutable_only=True)
             own = risk_adjusted(benefit_value(config.benefit, train.y, preds_before), params.alpha)
             mutable = train.schema.mutable_mask
             for o in impact.outcomes:
@@ -316,7 +319,7 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
                 utilities = target_benefit - own[i] - efforts[i]
                 assert o.exerted.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
-        fixed = simulate(flat, train, params, config.benefit)
+        fixed = simulate(flat, train, efforts, params, config.benefit)
         ref_a, ref_b = tmp_path / "dyn_a.csv", tmp_path / "dyn_b.csv"
         write_csv(train, ref_a)
         write_csv(fixed.impacted, ref_b)

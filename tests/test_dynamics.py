@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import single_group_pop
+from conftest import run_simulate, single_group_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim import effort
-from effortsim.dynamics import feature_shift_report, simulate
+from effortsim.dynamics import feature_shift_report
 from effortsim.effort import EffortParams
 from effortsim.models import LinearPredictor, fit_tree
 from instances import random_instance
@@ -35,7 +35,7 @@ def _toy_pop():
 
 def select_role_model(h, pop, params, benefit, i):
     """(role model index or None, exerted breakdown) of row i after one imitation round."""
-    outcome = simulate(h, pop, params, benefit).outcomes[i]
+    outcome = run_simulate(h, pop, params, benefit).outcomes[i]
     return outcome.role_model_index, outcome.exerted
 
 
@@ -90,7 +90,7 @@ class TestSimulate:
     def test_constant_predictor_is_fixed_point(self):
         pop = _toy_pop()
         h = _skill_model(pop, weight=0.0, intercept=3.0)
-        impact = simulate(h, pop, EffortParams(), "predicted")
+        impact = run_simulate(h, pop, EffortParams(), "predicted")
         assert np.array_equal(impact.impacted.X, pop.X)
         assert np.array_equal(impact.impacted.y, pop.y)
         assert impact.focal_points == []
@@ -99,7 +99,7 @@ class TestSimulate:
     def test_single_imitator_single_focal_point(self):
         pop = _toy_pop()
         h = _skill_model(pop)
-        impact = simulate(h, pop, EffortParams(), "predicted")
+        impact = run_simulate(h, pop, EffortParams(), "predicted")
         changed = [o for o in impact.outcomes if o.changed]
         # individual 0 imitates 1; individual 1 stays; individual 2 is alone
         # in its group but can still copy 1's mutable skill.
@@ -111,7 +111,7 @@ class TestSimulate:
     def test_bookkeeping_consistency(self):
         for seed in (40, 41):
             pop, params, h, benefit = random_instance(seed)
-            impact = simulate(h, pop, params, benefit)
+            impact = run_simulate(h, pop, params, benefit)
             mutable = pop.schema.mutable_mask
             for o in impact.outcomes:
                 new_x = impact.impacted.X[o.individual_index]
@@ -137,7 +137,7 @@ class TestSimulate:
 
     def test_recorded_utility_matches_recompute(self):
         pop, params, h, benefit = random_instance(42)
-        impact = simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params, benefit)
         for o in impact.outcomes:
             if not o.changed:
                 continue
@@ -153,7 +153,7 @@ class TestSimulate:
 
     def test_predicted_label_strictly_increases_for_changers(self):
         pop, params, h, _ = random_instance(43)
-        impact = simulate(h, pop, params, "predicted")
+        impact = run_simulate(h, pop, params, "predicted")
         preds_before = h.predict(pop)
         preds_after = h.predict(impact.impacted)
         for o in impact.outcomes:
@@ -168,10 +168,10 @@ class TestTiledSimulate:
         for seed in (50, 51, 52):
             pop, params, h, benefit = random_instance(seed)
             cases += [(h, pop, params, benefit), (fit_tree(pop, 3), pop, params, benefit)]
-        want = [simulate(*case) for case in cases]  # one tile: these populations are small
+        want = [run_simulate(*case) for case in cases]  # one tile: these populations are small
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
         for case, w in zip(cases, want):
-            got = simulate(*case)
+            got = run_simulate(*case)
             assert [o.to_dict() for o in got.outcomes] == [o.to_dict() for o in w.outcomes]
             assert np.array_equal(got.impacted.X, w.impacted.X)
             assert np.array_equal(got.impacted.y, w.impacted.y)
@@ -203,7 +203,7 @@ class TestTiledSimulate:
         for skill, hours in profiles:
             X = np.column_stack([grp, np.full(n, skill), np.full(n, hours)]).astype(float)
             pop = Population(schema, X, np.full(n, 0.9), groups)
-            impact = simulate(h, pop, EffortParams(base_cost=0.0), benefit)
+            impact = run_simulate(h, pop, EffortParams(base_cost=0.0), benefit)
             assert not any(o.changed for o in impact.outcomes), (skill, hours)
             assert impact.focal_points == []
 
@@ -212,7 +212,7 @@ class TestTiledSimulate:
         for seed in range(60, 66):
             pop, params, _, benefit = random_instance(seed)
             h = fit_tree(pop, depth)
-            impact = simulate(h, pop, params, benefit)
+            impact = run_simulate(h, pop, params, benefit)
             for i in range(pop.size):
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
                 got = impact.outcomes[i]
@@ -245,7 +245,7 @@ class TestFeatureShiftReport:
 
     def test_histograms_conserve_group_sizes(self):
         pop, params, h, benefit = random_instance(44)
-        impact = simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params, benefit)
         report = feature_shift_report(pop, impact.impacted)
         for feature in report.values():
             for g, summary in feature["groups"].items():

@@ -203,8 +203,9 @@ class TestTotalEffort:
 
 def _rewards(h, pop, benefit, alpha=1.0, base_cost=0.0):
     """(audit, rewards b[j] - b[i]) from the audit's benefit vector."""
-    audit = FairnessAudit(h, pop, EffortParams(alpha=alpha, base_cost=base_cost), benefit)
-    return audit, audit.benefits[None, :] - audit.benefits[:, None]
+    audit = FairnessAudit(pop, EffortParams(alpha=alpha, base_cost=base_cost), benefit)
+    b = audit.benefits(h)
+    return audit, b[None, :] - b[:, None]
 
 
 class TestRewardUtility:

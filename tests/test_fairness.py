@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import single_group_pop
-from effortsim import effort
+from effortsim import effort, fairness
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortParams
 from effortsim.fairness import (
@@ -44,7 +44,7 @@ class TestBoundedEffort:
     def test_zero_budget_with_base_cost_means_nobody_moves(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(h, pop, EffortParams(base_cost=0.1), "predicted").bounded_effort(0.0)
+        rep = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted").bounded_effort(h, 0.0)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
@@ -52,17 +52,17 @@ class TestBoundedEffort:
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        rep = FairnessAudit(h, pop, params, "predicted").bounded_effort(math.inf)
+        rep = FairnessAudit(pop, params, "predicted").bounded_effort(h, math.inf)
         want = oracles.bounded_effort(h, pop, params, "predicted", math.inf)
         assert rep.per_group_value == pytest.approx(want, abs=1e-12)
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(h, pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit)
             finite = audit.efforts[np.isfinite(audit.efforts)]
             for delta in (0.0, float(np.median(finite)), float(finite.max())):
-                got = audit.bounded_effort(delta).per_group_value
+                got = audit.bounded_effort(h, delta).per_group_value
                 want = oracles.bounded_effort(h, pop, params, benefit, delta)
                 for g in want:
                     assert got[g] == pytest.approx(want[g], abs=1e-10)
@@ -70,21 +70,21 @@ class TestBoundedEffort:
     def test_negative_budget_rejected(self):
         pop = _two_group_skill_pop()
         with pytest.raises(ValueError):
-            FairnessAudit(_skill_model(pop), pop, EffortParams(), "predicted").bounded_effort(-0.5)
+            FairnessAudit(pop, EffortParams(), "predicted").bounded_effort(_skill_model(pop), -0.5)
 
 
 class TestThresholdReward:
     def test_self_candidate_makes_zero_threshold_free(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(h, pop, EffortParams(), "predicted").threshold_reward(0.0)
+        rep = FairnessAudit(pop, EffortParams(), "predicted").threshold_reward(h, 0.0)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.feasibility == {"g1": 1.0, "g2": 1.0}
 
     def test_unreachable_threshold_reports_absent(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(h, pop, EffortParams(), "predicted").threshold_reward(1e9)
+        rep = FairnessAudit(pop, EffortParams(), "predicted").threshold_reward(h, 1e9)
         assert rep.per_group_value == {"g1": None, "g2": None}
         assert rep.feasibility == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity is None
@@ -92,10 +92,11 @@ class TestThresholdReward:
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6, 12):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(h, pop, params, benefit)
-            hi = float(audit.benefits.max() - audit.benefits.min())
+            audit = FairnessAudit(pop, params, benefit)
+            b = audit.benefits(h)
+            hi = float(b.max() - b.min())
             for delta in (0.0, hi / 2, hi):
-                got = audit.threshold_reward(delta)
+                got = audit.threshold_reward(h, delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta)
                 for g in want_vals:
                     if want_vals[g] is None:
@@ -109,23 +110,24 @@ class TestEffortReward:
     def test_constant_predictor_floors_at_stay_put(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop, weight=0.0, intercept=5.0)
-        rep = FairnessAudit(h, pop, EffortParams(), "predicted").effort_reward()
+        rep = FairnessAudit(pop, EffortParams(), "predicted").effort_reward(h)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(12, 18):
             pop, params, h, benefit = random_instance(seed)
-            got = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
+            got = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
             want = oracles.effort_reward(h, pop, params, benefit)
             for g in want:
                 assert got[g] == pytest.approx(want[g], abs=1e-10)
 
     def test_dominates_every_candidate(self):
         pop, params, h, benefit = random_instance(18)
-        audit = FairnessAudit(h, pop, params, benefit)
-        rep = audit.effort_reward()
-        utilities = audit.benefits[None, :] - audit.benefits[:, None] - audit.efforts
+        audit = FairnessAudit(pop, params, benefit)
+        rep = audit.effort_reward(h)
+        b = audit.benefits(h)
+        utilities = b[None, :] - b[:, None] - audit.efforts
         best = np.maximum(np.max(utilities, axis=1), 0.0)
         for i in range(pop.size):
             assert best[i] + 1e-12 >= np.max(utilities[i])
@@ -134,7 +136,7 @@ class TestEffortReward:
     def test_single_group_disparity_zero(self):
         pop = single_group_pop([1, 2, 3, 4])
         h = _skill_model(pop)
-        assert FairnessAudit(h, pop, EffortParams(), "predicted").effort_reward().disparity == 0.0
+        assert FairnessAudit(pop, EffortParams(), "predicted").effort_reward(h).disparity == 0.0
 
     def test_permutation_invariance(self):
         pop, params, h, benefit = random_instance(19)
@@ -142,8 +144,8 @@ class TestEffortReward:
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        a = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
-        b = FairnessAudit(h, shuffled, params, benefit).effort_reward().per_group_value
+        a = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
+        b = FairnessAudit(shuffled, params, benefit).effort_reward(h).per_group_value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -175,39 +177,57 @@ class TestSweep:
     def test_grid_must_be_sorted(self):
         pop, params, h, benefit = random_instance(20)
         with pytest.raises(ValueError):
-            FairnessAudit(h, pop, params, benefit).sweep(BOUNDED_EFFORT, [1.0, 0.5])
+            FairnessAudit(pop, params, benefit).sweep(h, BOUNDED_EFFORT, [1.0, 0.5])
 
     def test_curves_nondecreasing_and_match_pointwise(self):
         for seed in (23, 24):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(h, pop, params, benefit)
-            grid = audit.default_grid(BOUNDED_EFFORT, 8)
-            curve = audit.sweep(BOUNDED_EFFORT, grid)
+            audit = FairnessAudit(pop, params, benefit)
+            grid = audit.default_grid(h, BOUNDED_EFFORT, 8)
+            curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             for g, vals in curve.per_group_values.items():
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
                 for d, v in zip(curve.deltas, vals):
-                    assert v == audit.bounded_effort(d).per_group_value[g]
-            tgrid = audit.default_grid(THRESHOLD_REWARD, 8)
-            tcurve = audit.sweep(THRESHOLD_REWARD, tgrid)
+                    assert v == audit.bounded_effort(h, d).per_group_value[g]
+            tgrid = audit.default_grid(h, THRESHOLD_REWARD, 8)
+            tcurve = audit.sweep(h, THRESHOLD_REWARD, tgrid)
             for g, vals in tcurve.per_group_values.items():
                 present = [v for v in vals if v is not None]
                 assert all(a <= b + 1e-12 for a, b in zip(present, present[1:]))
 
     def test_endpoints_match_closed_forms(self):
         pop, params, h, benefit = random_instance(25)
-        audit = FairnessAudit(h, pop, params, benefit)
-        grid = audit.default_grid(BOUNDED_EFFORT, 6)
-        curve = audit.sweep(BOUNDED_EFFORT, grid)
-        lo = audit.bounded_effort(0.0).per_group_value
-        hi = audit.bounded_effort(math.inf).per_group_value
+        audit = FairnessAudit(pop, params, benefit)
+        grid = audit.default_grid(h, BOUNDED_EFFORT, 6)
+        curve = audit.sweep(h, BOUNDED_EFFORT, grid)
+        lo = audit.bounded_effort(h, 0.0).per_group_value
+        hi = audit.bounded_effort(h, math.inf).per_group_value
         for g in lo:
             assert curve.per_group_values[g][0] == lo[g]
             # the top of the default grid admits every finite-effort candidate
             assert curve.per_group_values[g][-1] == hi[g]
 
+    def test_grid_top_is_scanned_once_per_audit(self, monkeypatch):
+        pop, params, h, benefit = random_instance(23)
+        audit = FairnessAudit(pop, params, benefit)
+        scans = []
+        original = fairness.row_tiles
+
+        def counting(n_rows, n_cols):
+            scans.append(n_rows)
+            return original(n_rows, n_cols)
+
+        monkeypatch.setattr(fairness, "row_tiles", counting)
+        flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
+        grids = [audit.default_grid(model, BOUNDED_EFFORT, 5) for model in (h, flat, h)]
+        assert len(scans) == 1
+        finite = audit.efforts[np.isfinite(audit.efforts)]
+        assert grids[0] == grids[1] == grids[2]
+        assert grids[0][-1] == float(finite.max())
+
     def test_rows_layout(self):
         pop, params, h, benefit = random_instance(26)
-        curve = FairnessAudit(h, pop, params, benefit).sweep(BOUNDED_EFFORT, [0.0, 0.1])
+        curve = FairnessAudit(pop, params, benefit).sweep(h, BOUNDED_EFFORT, [0.0, 0.1])
         assert curve.deltas == (0.0, 0.1)
         assert sorted(curve.per_group_values) == list(pop.group_names)
         assert all(len(vals) == 2 for vals in curve.per_group_values.values())
@@ -240,12 +260,12 @@ class TestOnePassSweep:
     def test_bounded_effort_equals_oracle(self):
         saw_inf = saw_ties = False
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(h, pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit)
             saw_inf |= bool(np.isinf(audit.efforts).any())
-            saw_ties |= len(set(audit.benefits.tolist())) < pop.size
+            saw_ties |= len(set(audit.benefits(h).tolist())) < pop.size
             finite = np.unique(audit.efforts[np.isfinite(audit.efforts)])
             grid = sorted({0.0, *finite[:: max(1, finite.size // 6)].tolist(), math.inf})
-            curve = audit.sweep(BOUNDED_EFFORT, grid)
+            curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             E = oracles.effort_matrix(pop, params)
             for col, delta in enumerate(grid):
                 want = oracles.bounded_effort(h, pop, params, benefit, delta, E)
@@ -255,10 +275,11 @@ class TestOnePassSweep:
 
     def test_threshold_reward_equals_oracle(self):
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(h, pop, params, benefit)
-            rewards = np.unique(audit.benefits[None, :] - audit.benefits[:, None])
+            audit = FairnessAudit(pop, params, benefit)
+            b = audit.benefits(h)
+            rewards = np.unique(b[None, :] - b[:, None])
             grid = sorted({-math.inf, *rewards[:: max(1, rewards.size // 6)].tolist(), math.inf})
-            curve = audit.sweep(THRESHOLD_REWARD, grid)
+            curve = audit.sweep(h, THRESHOLD_REWARD, grid)
             E = oracles.effort_matrix(pop, params)
             for col, delta in enumerate(grid):
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta, E)
@@ -268,18 +289,19 @@ class TestOnePassSweep:
 
     def test_rewards_are_not_stored(self):
         pop, params, h, benefit = random_instance(43)
-        audit = FairnessAudit(h, pop, params, benefit)
-        audit.sweep(THRESHOLD_REWARD, audit.default_grid(THRESHOLD_REWARD, 5))
+        audit = FairnessAudit(pop, params, benefit)
+        audit.sweep(h, THRESHOLD_REWARD, audit.default_grid(h, THRESHOLD_REWARD, 5))
         assert "rewards" not in vars(audit)
-        top = float(audit.benefits.max() - audit.benefits.min())
-        assert audit.default_grid(THRESHOLD_REWARD, 5)[-1] == max(top, 0.0)
+        b = audit.benefits(h)
+        top = float(b.max() - b.min())
+        assert audit.default_grid(h, THRESHOLD_REWARD, 5)[-1] == max(top, 0.0)
 
 
 class TestTreePredictorIntegration:
     def test_audit_works_with_trees(self):
         pop, params, _, benefit = random_instance(27)
         h = fit_tree(pop, 3)
-        got = FairnessAudit(h, pop, params, benefit).effort_reward().per_group_value
+        got = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
         want = oracles.effort_reward(h, pop, params, benefit)
         for g in want:
             assert got[g] == pytest.approx(want[g], abs=1e-10)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from effortsim.dataset import (
     schema_to_dict,
     write_csv,
 )
-from effortsim.effort import EffortParams
+from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import cmd_figures
 from effortsim.harness import cmd_fairness, cmd_simulate, cmd_sweep_tau, load_config
 
@@ -121,6 +122,12 @@ class TestConfig:
             ("simulate", [(("connectivity_threshold",), float("nan"))]),
             ("simulate", [(("connectivity_threshold",), -1e-6)]),
             ("fairness", [(("effort", "feature_weights"), [2.0, 0.5])]),
+            ("simulate", [(("conectivity_threshold",), 5.0)]),
+            ("fairness", [(("models", 0, "lamda"), 50.0)]),
+            ("fairness", [(("split", "train_frac"), 0.5)]),
+            ("fairness", [(("effort", "base_cost"), 0.1)]),
+            ("sweep-tau", [(("sweep", "tau_grd"), [0.0, 1.0])]),
+            ("sweep-tau", [(("sweep", "features"), "mutabel")]),
         ],
         ids=[
             "beta",
@@ -138,6 +145,12 @@ class TestConfig:
             "nan_connectivity_threshold",
             "negative_connectivity_threshold",
             "list_feature_weights",
+            "unknown_top_level_key",
+            "unknown_model_key",
+            "unknown_split_key",
+            "unknown_effort_key",
+            "unknown_sweep_key",
+            "unknown_sweep_feature_set",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
@@ -279,7 +292,62 @@ class TestInitialPopulationMeasuredOnce:
         assert len(initial) == 1
 
 
+class TestOneEffortMatrix:
+    """Effort does not depend on the model: each command builds one matrix for all of them."""
+
+    @pytest.mark.parametrize("command", [cmd_fairness, cmd_simulate, cmd_sweep_tau])
+    def test_one_matrix_per_command(self, toy_dir, monkeypatch, command):
+        calls = []
+        original = EffortEngine.pairwise_effort
+
+        def counting(self, pop, mutable_only=False):
+            calls.append(mutable_only)
+            return original(self, pop, mutable_only)
+
+        monkeypatch.setattr(EffortEngine, "pairwise_effort", counting)
+        config = load_config(toy_dir / "config.json")
+        assert len(config.models) == 3 and len(config.tau_grid) == 3
+        command(config, toy_dir / "out")
+        mutable_only = command is not cmd_fairness  # imitation costs the mutable features only
+        assert calls == [mutable_only]
+
+    @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
+    def test_mutable_matrix_freed_before_final_stage(self, toy_dir, monkeypatch, command):
+        # The final stage streams the distances; the shared matrix must not
+        # sit in memory beside them.
+        refs = []
+        alive_at_final_stage = []
+        original_effort = EffortEngine.pairwise_effort
+        original_indices = segregation.distance_indices
+
+        def recording(self, pop, mutable_only=False):
+            out = original_effort(self, pop, mutable_only)
+            if mutable_only:
+                refs.append(weakref.ref(out))
+            return out
+
+        def checking(ctx, pop, connectivity_threshold):
+            if not alive_at_final_stage:
+                alive_at_final_stage.append([r() is not None for r in refs])
+            return original_indices(ctx, pop, connectivity_threshold)
+
+        monkeypatch.setattr(EffortEngine, "pairwise_effort", recording)
+        monkeypatch.setattr(segregation, "distance_indices", checking)
+        command(load_config(toy_dir / "config.json"), toy_dir / "out")
+        assert alive_at_final_stage == [[False]]
+
+
 class TestSweepCommand:
+    def test_feature_set_picks_the_fitted_columns(self, toy_dir):
+        raw = json.loads((toy_dir / "config.json").read_text())
+        raw["sweep"]["features"] = "mutable"
+        (toy_dir / "config.json").write_text(json.dumps(raw))
+        out = toy_dir / "out"
+        cmd_sweep_tau(load_config(toy_dir / "config.json"), out)
+        report = json.loads((out / "tau_report.json").read_text())
+        for entry in report.values():
+            assert entry["weights"]["features"] == ["grp", "skill", "habit", "club"]
+
     def test_rows_per_measure_and_tau(self, toy_dir):
         out = toy_dir / "out"
         cmd_sweep_tau(load_config(toy_dir / "config.json"), out)

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import single_group_pop, synthetic_student_pop
+from conftest import run_simulate, single_group_pop, synthetic_student_pop
 from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim.dynamics import simulate
 from effortsim.effort import EffortParams
 from effortsim.models import LinearPredictor
 from effortsim.segregation import (
@@ -366,7 +365,7 @@ class TestCompare:
     def test_identical_populations_identical_reports(self):
         pop, params, h, benefit = random_instance(62)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        impact = simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params, benefit)
         before, after = (
             measure_population(
                 ctx, h, pop, impact.focal_points, distance_indices(ctx, pop, 1e-6),
@@ -393,7 +392,7 @@ class TestCompare:
     def test_before_after_use_frozen_reference(self):
         pop, params, h, benefit = random_instance(63)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        impact = simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params, benefit)
         if not impact.focal_points:
             pytest.skip("instance produced no movers")
         before, after = (
