@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -434,7 +435,9 @@ def generate_synthetic(
 ) -> Population:
     """Deterministic synthetic population for tests and offline fixtures.
 
-    Groups are the sensitive feature's levels. ``shift`` displaces the mean
+    Groups are the sensitive feature's levels; ``group_sizes`` gives each
+    level an integer size of at least 1, by name or in level order (any
+    other key is an error). ``shift`` displaces the mean
     of every numerical/ordinal feature by ``shift * group_index`` so that
     group-conditional effort asymmetries exist when it is nonzero. The
     label is a fixed linear blend of the features plus Gaussian noise.
@@ -446,13 +449,20 @@ def generate_synthetic(
         if len(group_sizes) != len(levels):
             raise SchemaError("group_sizes must match the sensitive feature's levels")
         group_sizes = dict(zip(levels, group_sizes))
+    if set(group_sizes) != set(levels):
+        raise SchemaError(
+            f"group_sizes must give one size per level of {schema.sensitive!r}: {list(levels)}"
+        )
+    for level, n_g in group_sizes.items():
+        if isinstance(n_g, bool) or not isinstance(n_g, numbers.Integral):
+            raise SchemaError(f"size of group {level!r} must be an integer, got {n_g!r}")
+        if n_g < 1:
+            raise SchemaError(f"group {level!r} needs at least one individual")
     rng = np.random.default_rng(seed)
     blocks: list[np.ndarray] = []
     groups: list[str] = []
     for gi, level in enumerate(levels):
         n_g = int(group_sizes[level])
-        if n_g < 1:
-            raise SchemaError(f"group {level!r} needs at least one individual")
         cols = []
         for f in schema.features:
             kind = f.kind.kind

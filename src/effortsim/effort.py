@@ -16,6 +16,12 @@ is comes cheap. Per-kind rules, written once in ``EffortEngine._eps_rule``:
 Total effort is ``base_cost + (1/K) * sum_k weight_k * eps_k`` over the
 schema's K features, accumulated in ascending schema order. The brute-force
 reference for every rule lives in the test suite's oracles.
+
+Feature k's effort from row i depends only on i's value of k, and most
+features take a handful of values. So the pairwise kernel works in row
+tiles: in each tile it computes feature k's weighted effort row once per
+distinct value of k among the tile's rows, then gathers those level rows to
+the tile's rows. Every entry still gets exactly ``acc + w * eps``.
 """
 
 from __future__ import annotations
@@ -154,6 +160,37 @@ def tile_rows(n_cols: int) -> int:
     return max(1, TILE_BYTES // (8 * max(n_cols, 1)))
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``a``, sorted (each NaN counts as its own entry)."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _tile_levels(col: np.ndarray, step: int):
+    """The distinct values of ``col``, and which of them each row tile of ``step`` rows holds.
+
+    Returns ``(values, present, starts, inverse)``. ``values`` lists the
+    distinct values in ascending order; tile t holds the values
+    ``values[present[starts[t]:starts[t + 1]]]``, and row i holds entry
+    ``inverse[i]`` of its tile's list. Rows are matched to values by binary
+    search, so values that compare equal (``-0.0`` and ``0.0``) and all NaNs
+    share one entry; every effort rule gives them equal rows. ``inverse`` is
+    held in the smallest integer type that fits a tile, as one such array
+    lives per feature for the whole call.
+    """
+    n = col.shape[0]
+    values = _distinct(col)
+    m = values.shape[0]
+    tile = np.arange(n) // step
+    keys = tile * m + np.searchsorted(values, col)
+    held = _distinct(keys)
+    starts = np.searchsorted(held, np.arange(-(-n // step) + 1) * m)
+    inverse = np.searchsorted(held, keys) - starts[tile]
+    return values, held % max(m, 1), starts, inverse.astype(np.min_scalar_type(step))
+
+
 def row_tiles(n_rows: int, n_cols: int):
     """``(lo, hi)`` bounds of consecutive row tiles covering ``n_rows`` rows."""
     step = tile_rows(n_cols)
@@ -167,7 +204,9 @@ class EffortEngine:
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
     through ``eps_tiles``, which applies the per-kind rule of ``_eps_rule``
-    and accumulates features in the order given (ascending schema order).
+    once per distinct value in a row tile, gathers the level rows to the
+    tile, and accumulates features in the order given (ascending schema
+    order).
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -178,9 +217,11 @@ class EffortEngine:
     def _eps_rule(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray):
         """Feature k's per-kind effort rule from values a to values b.
 
-        Quantile ranks are taken once here. The returned ``fill(lo, hi, out,
-        mask)`` writes the efforts of rows ``a[lo:hi]`` into ``out`` (shape
-        ``(hi - lo, len(b))``), using ``mask`` (bool, same shape) as scratch.
+        Quantile ranks are taken once here. The returned ``fill(rows, out,
+        mask)`` writes the efforts from the values ``col_a[rows]`` (``rows``
+        is an index array) to every value of ``col_b`` into ``out`` (shape
+        ``(len(rows), len(col_b))``), using ``mask`` (bool, same shape) as
+        scratch.
         """
         feature = self.schema.features[k]
         kind = feature.kind.kind
@@ -188,15 +229,15 @@ class EffortEngine:
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
-            def fill(lo, hi, out, mask):
-                np.not_equal(b, col_a[lo:hi, None], out=out)  # 1.0 or 0.0
+            def fill(rows, out, mask):
+                np.not_equal(b, col_a[rows, None], out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
             return fill
         if kind == IMMUTABLE:
 
-            def fill(lo, hi, out, mask):
-                np.not_equal(b, col_a[lo:hi, None], out=mask)
+            def fill(rows, out, mask):
+                np.not_equal(b, col_a[rows, None], out=mask)
                 out.fill(0.0)
                 np.putmask(out, mask, np.inf)
 
@@ -210,14 +251,14 @@ class EffortEngine:
         qb = qb[None, :]
         if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
 
-            def fill(lo, hi, out, mask):
-                np.subtract(qb, qa[lo:hi, None], out=out)
+            def fill(rows, out, mask):
+                np.subtract(qb, qa[rows, None], out=out)
                 np.maximum(0.0, out, out=out)
 
         elif kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
 
-            def fill(lo, hi, out, mask):
-                np.subtract(qb, qa[lo:hi, None], out=out)
+            def fill(rows, out, mask):
+                np.subtract(qb, qa[rows, None], out=out)
                 np.abs(out, out=out)
 
         elif kind == CONDITIONALLY_IMMUTABLE:
@@ -225,9 +266,9 @@ class EffortEngine:
             # everything else outside the allowed direction (NaN too) is inf.
             allowed_or_equal = np.greater_equal if increasing else np.less_equal
 
-            def fill(lo, hi, out, mask):
-                np.subtract(qb, qa[lo:hi, None], out=out)
-                allowed_or_equal(b, col_a[lo:hi, None], out=mask)
+            def fill(rows, out, mask):
+                np.subtract(qb, qa[rows, None], out=out)
+                allowed_or_equal(b, col_a[rows, None], out=mask)
                 np.logical_not(mask, out=mask)
                 np.putmask(out, mask, np.inf)
 
@@ -245,26 +286,42 @@ class EffortEngine:
     ):
         """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
 
-        Quantile ranks are taken once per call, not once per tile. Each tile
-        accumulates ``acc + w * eps`` feature by feature in the given order.
-        The tile is scratch that the next step overwrites, so a caller may
-        change it in place but must copy what it keeps.
+        Quantile ranks and each column's distinct values are taken once per
+        call, not once per tile. In a tile, feature k's rule fills one level
+        row per distinct value of ``Xa[lo:hi, k]``, the weight multiplies the
+        level rows, and ``np.take`` gathers them to the tile's rows. Each
+        tile then accumulates ``acc + w * eps`` feature by feature in the
+        given order, so every entry gets the same arithmetic as when the
+        rule runs on every row. The tile is scratch that the next step
+        overwrites, so a caller may change it in place but must copy what it
+        keeps.
         """
+        step = tile_rows(Xb.shape[0])
         terms = []
+        height = 0  # level rows: the most distinct values one tile holds
         for k in feature_indices:
             w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
             if w == 0.0:
                 continue
-            terms.append((w, self._eps_rule(group, k, Xa[:, k], Xb[:, k])))
-        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        acc, eps, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            acc_t, eps_t, mask_t = acc[: hi - lo], eps[: hi - lo], mask[: hi - lo]
+            values, present, starts, inverse = _tile_levels(Xa[:, k], step)
+            fill = self._eps_rule(group, k, values, Xb[:, k])
+            terms.append((w, fill, present, starts, inverse))
+            height = max(height, np.diff(starts).max(initial=0))
+        shape = (min(step, Xa.shape[0]), Xb.shape[0])
+        acc, eps = np.empty(shape), np.empty(shape)
+        level, mask = np.empty((height, shape[1])), np.empty((height, shape[1]), bool)
+        for t, (lo, hi) in enumerate(row_tiles(Xa.shape[0], Xb.shape[0])):
+            acc_t, eps_t = acc[: hi - lo], eps[: hi - lo]
             acc_t.fill(0.0)
-            for w, fill in terms:
-                fill(lo, hi, eps_t, mask_t)
+            for w, fill, present, starts, inverse in terms:
+                rows = present[starts[t] : starts[t + 1]]
+                level_t = level[: rows.shape[0]]
+                fill(rows, level_t, mask[: rows.shape[0]])
                 if w != 1.0:  # 1.0 * x == x exactly
-                    np.multiply(w, eps_t, out=eps_t)
+                    np.multiply(w, level_t, out=level_t)
+                # mode="clip": with the default "raise", take buffers its output
+                # through a tile-sized temporary; every index is in range anyway.
+                np.take(level_t, inverse[lo:hi], axis=0, out=eps_t, mode="clip")
                 np.add(acc_t, eps_t, out=acc_t)
             yield lo, hi, acc_t
 
@@ -303,6 +360,7 @@ class EffortEngine:
             for lo, hi, tile in self.eps_tiles(g, pop.X[rows], pop.X, idx, weighted=True):
                 np.divide(tile, K, out=tile)
                 out[rows[lo:hi]] = np.add(base, tile, out=tile)
+            del tile  # a view of the finished group's buffers: free them before the next group
         return out
 
     def label_rank(self, group: str, values: np.ndarray) -> np.ndarray:

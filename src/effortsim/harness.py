@@ -136,6 +136,7 @@ CONFIG_KEYS = {
     "effort": ("alpha", "base_costs", "categorical_cost", "feature_weights"),
     "model": ("name", "kind", "features", "lambda", "max_depth", "tau"),
     "sweep": ("tau_grid", "features"),
+    "synth": ("features", "sensitive", "label", "group_sizes", "seed", "shift"),
 }
 
 
@@ -518,16 +519,18 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
         raise SchemaError(f"synthetic spec not found: {spec_path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{spec_path}: invalid JSON ({exc})") from None
+    _object(raw, "synth")
     for key in ("group_sizes", "seed"):
         if key not in raw:
             raise SchemaError(f"synthetic spec missing {key!r}")
-    schema = schema_from_dict(raw)
-    pop = generate_synthetic(
-        schema,
-        raw["group_sizes"],
-        seed=int(raw["seed"]),
-        shift=float(raw.get("shift", 0.0)),
-    )
+    sizes, seed, shift = raw["group_sizes"], raw["seed"], raw.get("shift", 0.0)
+    if not isinstance(sizes, (dict, list)):
+        raise SchemaError(f"synthetic spec group_sizes must be an object or a list, got {sizes!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaError(f"synthetic spec seed must be an integer, got {seed!r}")
+    if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not math.isfinite(shift):
+        raise SchemaError(f"synthetic spec shift must be a finite number, got {shift!r}")
+    pop = generate_synthetic(schema_from_dict(raw), sizes, seed=seed, shift=float(shift))
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "synthetic.csv"
     write_csv(pop, out_path)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 import oracles
 from conftest import single_group_pop, synthetic_student_pop
+from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import TILE_BYTES, EffortEngine, EffortParams, risk_adjusted, tile_rows
 from effortsim.fairness import FairnessAudit
@@ -403,6 +404,105 @@ class TestTiledEpsSum:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert (got == 0.0).any() and np.isinf(got).any() != mutable_only
+
+
+def _value_pattern_pop(pattern, rows=23, seed=4):
+    """Rows on ``_every_kind_pop``'s schema whose feature columns all follow one value pattern."""
+    schema = _every_kind_pop().schema
+    rng = np.random.default_rng(seed)
+    X = np.empty((rows, schema.size))
+    groups = rng.choice(["g1", "g2"], size=rows)
+    X[:, 0] = groups == "g2"
+    for k in range(1, schema.size):
+        if pattern == "one_value":
+            X[:, k] = 1.0
+        elif pattern == "all_distinct":
+            X[:, k] = rng.permutation(rows) * 0.17 - 2.0
+        elif pattern == "heavy_ties":
+            X[:, k] = rng.choice([0.0, 1.0, 2.0], size=rows, p=[0.7, 0.2, 0.1])
+        elif pattern == "signed_zero":
+            X[:, k] = rng.choice([-0.0, 0.0, 1.0], size=rows)
+        else:  # "nan_cell": ties, and one NaN in every feature column
+            X[:, k] = rng.integers(0, 3, size=rows)
+            X[rows // 2, k] = np.nan
+    return Population(schema, X, np.zeros(rows), groups)
+
+
+def _row_by_row(engine, group, Xa, Xb, idx, weighted):
+    """``acc + w * eps`` in the given feature order, each rule run on every row of ``Xa``.
+
+    No tiles and no distinct values: the reference the gathering kernel must
+    reproduce bit for bit.
+    """
+    acc = np.zeros((Xa.shape[0], Xb.shape[0]))
+    every_row = np.arange(Xa.shape[0])
+    for k in idx:
+        w = engine.params.weight_for(group, engine.schema.features[k]) if weighted else 1.0
+        if w == 0.0:
+            continue
+        eps = np.empty_like(acc)
+        fill = engine._eps_rule(group, k, Xa[:, k], Xb[:, k])
+        fill(every_row, eps, np.empty(acc.shape, bool))
+        acc = acc + w * eps
+    return acc
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestDistinctValueGather:
+    """Each tile computes one level row per distinct value and gathers it; no entry may move."""
+
+    PARAMS = EffortParams(
+        base_cost={"g1": 0.25},
+        categorical_cost=0.45,
+        feature_weights={
+            "g1": {"num_up": 2.5, "ord_free": 0.0, "older": 0.3, "cat": 1.7},
+            "g2": {"num_down": 0.0, "cat": 7.0, "born": 0.5, "ord_up": 3.1},
+        },
+    )
+
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    @pytest.mark.parametrize(
+        "pattern", ["one_value", "all_distinct", "heavy_ties", "signed_zero", "nan_cell"]
+    )
+    def test_eps_sum_and_pairwise_effort_keep_their_bits(self, monkeypatch, pattern, height):
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        pop = _value_pattern_pop(pattern)
+        schema = pop.schema
+        Xb = np.vstack([pop.X, engine.reference.X[::3]])
+        every = list(range(schema.size))
+        mutable = [k for k in every if schema.features[k].mutable]
+        for g in pop.group_names:
+            for idx in (every, mutable):
+                for weighted in (True, False):
+                    got = engine.eps_sum(g, pop.X, Xb, idx, weighted)
+                    assert _same_bits(got, _row_by_row(engine, g, pop.X, Xb, idx, weighted))
+        for idx, mutable_only in ((every, False), (mutable, True)):
+            E = engine.pairwise_effort(pop, mutable_only=mutable_only)
+            for g in pop.group_names:
+                rows = pop.group_rows(g)
+                acc = _row_by_row(engine, g, pop.X[rows], pop.X, idx, weighted=True)
+                want = self.PARAMS.base_cost_for(g) + acc / schema.size
+                assert _same_bits(E[rows], want)
+
+    def test_merged_values_share_a_level_row(self):
+        # -0.0 and 0.0 compare equal and all NaNs sort together, so each pair
+        # shares one level row; the per-row rule gives them equal rows too.
+        pop = _value_pattern_pop("signed_zero")
+        col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
+        values, present, starts, inverse = effort._tile_levels(col, 6)
+        assert present.shape == (3,) and starts.tolist() == [0, 3]
+        assert inverse.tolist() == [0, 0, 2, 1, 2, 0]
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        for k in range(1, pop.schema.size):
+            eps = np.empty((col.shape[0], pop.size))
+            fill = engine._eps_rule("g1", k, col, pop.X[:, k])
+            fill(np.arange(col.shape[0]), eps, np.empty(eps.shape, bool))
+            for i, j in ((0, 1), (0, 5), (2, 4)):
+                assert _same_bits(eps[i], eps[j])
 
 
 class TestPairwiseEffortMemory:

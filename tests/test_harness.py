@@ -435,6 +435,45 @@ class TestSynthCommand:
         pop = load_csv(tmp_path / "s1" / "synthetic.csv", _write_schema(tmp_path))
         assert pop.size == 20
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            {"shfit": 0.5},
+            {"seed": "abc"},
+            {"seed": 2.0},
+            {"seed": True},
+            {"shift": "x"},
+            {"shift": float("nan")},
+            {"shift": float("inf")},
+            {"group_sizes": {"a": 12}},
+            {"group_sizes": {"a": 12, "b": 8, "c": 3}},
+            {"group_sizes": {"a": 2.7, "b": 8}},
+            {"group_sizes": {"a": True, "b": 8}},
+            {"group_sizes": 20},
+        ],
+        ids=[
+            "misspelled_key",
+            "string_seed",
+            "float_seed",
+            "bool_seed",
+            "string_shift",
+            "nan_shift",
+            "infinite_shift",
+            "missing_level",
+            "unknown_level",
+            "fractional_size",
+            "bool_size",
+            "scalar_sizes",
+        ],
+    )
+    def test_bad_spec_is_config_error(self, tmp_path, edits):
+        spec = schema_to_dict(_toy_schema())
+        spec.update({"group_sizes": {"a": 12, "b": 8}, "shift": 0.4, "seed": 3})
+        spec.update(edits)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert cli.main(["synth", "--config", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "synthetic.csv").exists()
+
     def test_missing_sizes_is_config_error(self, tmp_path):
         spec = schema_to_dict(_toy_schema())
         spec["seed"] = 1
