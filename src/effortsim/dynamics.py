@@ -6,22 +6,27 @@ candidate's mutable feature values and label while keeping the
 individual's own non-mutable entries. Moves happen only on strictly
 positive utility; everyone else stays put. Responses do not cascade:
 every selection reads the original population.
+
+Effort does not depend on the model, so one walk over the effort row tiles
+scores every model of a command; no n x n array is held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from . import effort
 from .dataset import Population
 from .effort import (
+    EffortEngine,
     EffortParams,
     UtilityBreakdown,
     ZERO_BREAKDOWN,
     benefit_value,
     risk_adjusted,
-    row_tiles,
 )
 
 
@@ -57,47 +62,59 @@ class ImpactResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _best_moves(h, pop: Population, params: EffortParams, benefit: str, efforts: np.ndarray):
-    """Each row's utility-maximising candidate, with that candidate's reward and utility.
+class RoundResults(list):
+    """The ``ImpactResult`` of each model of one round, in model order.
 
-    Works over row tiles of the reward matrix: one block of imitation
-    predictions per tile, whole-tile benefits and utilities, and a row-wise
-    argmax whose ties go to the lowest index. A row's own benefit is the
-    block's diagonal entry, so imitating oneself scores exactly zero reward.
-    The two tile buffers are reused across tiles and freed on return.
+    ``outcomes`` and ``focal_points`` chain every model's, so the round's
+    totals read like one result's (``perfbench --trace 1`` counts
+    imitators and focal points this way).
+    """
+
+    @property
+    def outcomes(self) -> list:
+        return [o for result in self for o in result.outcomes]
+
+    @property
+    def focal_points(self) -> list:
+        return [fp for result in self for fp in result.focal_points]
+
+
+def _best_moves(models: Sequence, pop: Population, params: EffortParams, benefit: str):
+    """Each model's utility-maximising candidate per row, with its reward, effort and utility.
+
+    One walk over the mutable-only effort row tiles serves every model. Per
+    tile, each model predicts its block of imitation targets, takes
+    whole-tile benefits and utilities, and a row-wise argmax whose ties go
+    to the lowest index, then gathers the chosen entry's effort. A row's
+    own benefit is the block's entry at its own column, so imitating
+    oneself scores exactly zero reward. The two prediction/utility buffers
+    hold the tallest tile and are shared by the models.
     """
     n = pop.size
-    block = h.imitation_block(pop.schema, pop.X)
-    best = np.empty(n, dtype=np.intp)
-    reward = np.empty(n)
-    utility = np.empty(n)
-    preds_buf = utils_buf = None
-    for lo, hi in row_tiles(n, n):
-        if preds_buf is None:  # the first tile is the tallest
-            preds_buf, utils_buf = np.empty((hi - lo, n)), np.empty((hi - lo, n))
-        preds = block(lo, hi, out=preds_buf[: hi - lo])
-        rewards = risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha)
-        rows = np.arange(hi - lo)
-        own_benefit = rewards[rows, lo + rows]  # a copy, taken before the subtraction
-        np.subtract(rewards, own_benefit[:, None], out=rewards)
-        utils = np.subtract(rewards, efforts[lo:hi], out=utils_buf[: hi - lo])
-        j = utils.argmax(axis=1)
-        best[lo:hi] = j
-        reward[lo:hi] = rewards[rows, j]
-        utility[lo:hi] = utils[rows, j]
-    return best, reward, utility
+    blocks = [h.imitation_block(pop.schema, pop.X) for h in models]
+    best = np.empty((len(models), n), dtype=np.intp)
+    reward, exerted, utility = (np.empty((len(models), n)) for _ in range(3))
+    height = min(effort.tile_rows(n), n)  # effort_tiles' tiles hold at most this many rows
+    preds_buf, utils_buf = np.empty((height, n)), np.empty((height, n))
+    for rows, tile in EffortEngine(pop, params).effort_tiles(pop, mutable_only=True):
+        r = np.arange(rows.shape[0])
+        for m, block in enumerate(blocks):
+            preds = block(rows, out=preds_buf[: r.shape[0]])
+            rewards = risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha)
+            own_benefit = rewards[r, rows]  # a copy, taken before the subtraction
+            np.subtract(rewards, own_benefit[:, None], out=rewards)
+            utils = np.subtract(rewards, tile, out=utils_buf[: r.shape[0]])
+            j = utils.argmax(axis=1)
+            best[m, rows] = j
+            reward[m, rows] = rewards[r, j]
+            exerted[m, rows] = tile[r, j]
+            utility[m, rows] = utils[r, j]
+        del tile  # see EffortEngine.effort_tiles
+    return best, reward, exerted, utility
 
 
-def simulate(
-    h, pop: Population, efforts: np.ndarray, params: EffortParams, benefit: str
-) -> ImpactResult:
-    """Apply the imitation rule to every individual against the frozen data.
-
-    ``efforts`` is ``pairwise_effort(pop, mutable_only=True)``, one matrix for
-    every model: an imitation target keeps the individual's own non-mutable
-    entries, so only mutable features cost.
-    """
-    best, reward, utility = _best_moves(h, pop, params, benefit, efforts)
+def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> ImpactResult:
+    """One model's impacted population, outcomes and focal points from its best moves."""
     mutable = pop.schema.mutable_mask
     new_X = pop.X.copy()
     new_y = pop.y.copy()
@@ -109,28 +126,51 @@ def simulate(
         if not utility[i] > 0.0:
             outcomes.append(ImitationOutcome(i, None, ZERO_BREAKDOWN, changed=False))
             continue
-        exerted = UtilityBreakdown(
-            reward=float(reward[i]), effort=float(efforts[i, j]), utility=float(utility[i])
+        moved = UtilityBreakdown(
+            reward=float(reward[i]), effort=float(exerted[i]), utility=float(utility[i])
         )
         new_X[i, mutable] = pop.X[j, mutable]
         new_y[i] = pop.y[j]
-        outcomes.append(ImitationOutcome(i, j, exerted, changed=True))
+        outcomes.append(ImitationOutcome(i, j, moved, changed=True))
         key = pop.X[j, mutable].tobytes()
         focal_counts[key] = focal_counts.get(key, 0) + 1
-    impacted = Population(pop.schema, new_X, new_y, pop.groups)
-    focal_points = [
-        FocalPoint(vector=np.frombuffer(k).copy(), count=c) for k, c in focal_counts.items()
-    ]
     return ImpactResult(
         outcomes=outcomes,
-        impacted=impacted,
-        focal_points=focal_points,
-        metadata={
-            "benefit": benefit,
-            "alpha": params.alpha,
-            "label_rule": "adopt_role_model_label",
-            "rounds": 1,
-        },
+        impacted=Population(pop.schema, new_X, new_y, pop.groups),
+        focal_points=[
+            FocalPoint(vector=np.frombuffer(k).copy(), count=c) for k, c in focal_counts.items()
+        ],
+        metadata=metadata,
+    )
+
+
+def simulate(
+    models: Sequence, pop: Population, params: EffortParams, benefit: str
+) -> RoundResults:
+    """Apply the imitation rule of each model to every individual against the frozen data.
+
+    An imitation target keeps the individual's own non-mutable entries, so
+    only mutable features cost; their efforts are measured on ``pop``'s own
+    quantile tables and streamed once for all models. Returns one
+    ``ImpactResult`` per model, in order; each equals that model's result
+    when simulated alone.
+    """
+    best, reward, exerted, utility = _best_moves(models, pop, params, benefit)
+    return RoundResults(
+        _impact(
+            pop,
+            best[m],
+            reward[m],
+            exerted[m],
+            utility[m],
+            {
+                "benefit": benefit,
+                "alpha": params.alpha,
+                "label_rule": "adopt_role_model_label",
+                "rounds": 1,
+            },
+        )
+        for m in range(len(models))
     )
 
 

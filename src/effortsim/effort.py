@@ -339,28 +339,34 @@ class EffortEngine:
             out[lo:hi] = tile
         return out
 
-    def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
-        """(n, n) matrix of total efforts from row i to row j's values.
+    def effort_tiles(self, pop: Population, mutable_only: bool = False):
+        """Yield ``(rows, tile)``: the total efforts from rows ``rows`` of ``pop`` to every row.
 
         Row i's own group supplies the quantile tables and base cost. With
         ``mutable_only`` the non-mutable features are skipped, which is the
-        cost of an imitation target that keeps i's non-mutable entries.
-        Each group's rows go into the output one tile at a time.
+        cost of an imitation target that keeps i's non-mutable entries. The
+        walk goes group by group in row tiles, so ``rows`` is a slice of
+        ``pop.group_rows(g)``. The tile is scratch that the next step
+        overwrites, and a consumer drops it before asking for the next one:
+        a finished group's buffers are then freed before the next group's
+        are allocated.
         """
-        n = pop.size
         K = self.schema.size
-        if mutable_only:
-            idx = [k for k in range(K) if self.schema.features[k].mutable]
-        else:
-            idx = list(range(K))
-        out = np.empty((n, n))
+        idx = [k for k in range(K) if self.schema.features[k].mutable or not mutable_only]
         for g in pop.group_names:
             rows = pop.group_rows(g)
             base = self.params.base_cost_for(g)
             for lo, hi, tile in self.eps_tiles(g, pop.X[rows], pop.X, idx, weighted=True):
                 np.divide(tile, K, out=tile)
-                out[rows[lo:hi]] = np.add(base, tile, out=tile)
-            del tile  # a view of the finished group's buffers: free them before the next group
+                yield rows[lo:hi], np.add(base, tile, out=tile)
+            del tile  # a view of the finished group's buffers
+
+    def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
+        """(n, n) matrix of total efforts from row i to row j's values: ``effort_tiles`` assembled."""
+        out = np.empty((pop.size, pop.size))
+        for rows, tile in self.effort_tiles(pop, mutable_only):
+            out[rows] = tile
+            del tile  # see effort_tiles
         return out
 
     def label_rank(self, group: str, values: np.ndarray) -> np.ndarray:

@@ -273,6 +273,13 @@ class StageRunner:
             entries.append({"path": f, "sha256": digest})
         self.stages.append({"stage": name, "files": entries})
 
+    def timed(self, name: str, fn):
+        """``fn()``, with its seconds in the timings but no manifest stage (it writes no file)."""
+        start = time.perf_counter()
+        result = fn()
+        self.timings.append({"stage": name, "seconds": time.perf_counter() - start})
+        return result
+
     def finish(self) -> Path:
         tag = self.command.replace("-", "_")
         timings_name = f"timings_{tag}.json"
@@ -399,26 +406,26 @@ def _reports(ctx: MetricContext, train: Population, runs: list, config: Experime
 
 
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
-    """Run the imitation round per model; emit impacted data and segregation."""
+    """Fit every model, run one imitation round for all; emit impacted data and segregation."""
     runner = StageRunner(out_dir, config, "simulate")
     pop, train, test = _load_and_split(config)
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    efforts = ctx.engine.pairwise_effort(train, mutable_only=True)  # shared by every model
-    runs: list[tuple] = []
+    models = runner.timed("fit", lambda: [fit_model(s, train, config) for s in config.models])
+    impacts = runner.timed(
+        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
+    )
+    runs = [(spec.name, h, impact) for spec, h, impact in zip(config.models, models, impacts)]
 
-    def model_stage(spec: ModelSpec):
+    def model_stage(name: str, impact):
         def run():
-            h = fit_model(spec, train, config)
-            impact = simulate(h, train, efforts, config.effort, config.benefit)
-            runs.append((spec.name, h, impact))
-            impacted_csv = f"impacted_{spec.name}.csv"
+            impacted_csv = f"impacted_{name}.csv"
             write_csv(impact.impacted, out_dir / impacted_csv)
-            shift_json = f"shift_{spec.name}.json"
+            shift_json = f"shift_{name}.json"
             (out_dir / shift_json).write_text(
                 _json_text(feature_shift_report(train, impact.impacted)), encoding="utf-8"
             )
-            outcomes_json = f"outcomes_{spec.name}.json"
+            outcomes_json = f"outcomes_{name}.json"
             (out_dir / outcomes_json).write_text(
                 _json_text([o.to_dict() for o in impact.outcomes]), encoding="utf-8"
             )
@@ -426,9 +433,8 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
 
         return run
 
-    for spec in config.models:
-        runner.run(f"simulate_{spec.name}", model_stage(spec))
-    del efforts  # freed before the distance walk of the final stage
+    for name, _, impact in runs:
+        runner.run(f"simulate_{name}", model_stage(name, impact))
 
     def stage_summary():
         seg_rows: list[list] = []
@@ -461,7 +467,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
-    """Constrained-linear sweep: fit, simulate and measure per tau."""
+    """Constrained-linear sweep: fit every tau, run one imitation round for all, measure each."""
     if not config.tau_grid:
         raise SchemaError("tau grid must be nonempty")
     runner = StageRunner(out_dir, config, "sweep-tau")
@@ -469,15 +475,21 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
     fit_pop = restrict_features(train, config.sweep_features)
-    efforts = ctx.engine.pairwise_effort(train, mutable_only=True)  # shared by every tau
-    runs: list[tuple] = []
+    models = runner.timed(
+        "fit",
+        lambda: [
+            fit_constrained_linear(fit_pop, tau, config.benefit, minority)
+            for tau in config.tau_grid
+        ],
+    )
+    impacts = runner.timed(
+        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
+    )
+    runs = list(zip(config.tau_grid, models, impacts))
     details: dict = {}
 
-    def tau_stage(tau: float):
+    def tau_stage(tau: float, h, impact):
         def run():
-            h = fit_constrained_linear(fit_pop, tau, config.benefit, minority)
-            impact = simulate(h, train, efforts, config.effort, config.benefit)
-            runs.append((tau, h, impact))
             details[_fmt(tau)] = {
                 "weights": h.to_dict(),
                 "benefit_gap": group_benefit_gap(h, train, config.benefit, minority),
@@ -487,9 +499,8 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
         return run
 
-    for tau in config.tau_grid:
-        runner.run(f"tau_{_fmt(tau)}", tau_stage(tau))
-    del efforts  # freed before the distance walk of the final stage
+    for tau, h, impact in runs:
+        runner.run(f"tau_{_fmt(tau)}", tau_stage(tau, h, impact))
 
     def stage_emit():
         rows: list[list] = []

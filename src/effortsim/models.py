@@ -53,22 +53,23 @@ class Predictor:
         """Predictions of every imitation target among the rows of ``X``.
 
         The target of row i imitating row j keeps i's non-mutable entries
-        and takes j's mutable ones. Returns ``block(lo, hi, out=None)``,
-        the ``(hi - lo, n)`` array (written into ``out`` when given) whose
-        entry ``(r, j)`` is the prediction for row ``lo + r`` imitating row
-        j; entry ``(i - lo, i)`` is row i's own prediction. This fallback
-        predicts one rewritten target matrix per row; subclasses whose form
-        separates build their factors once per call.
+        and takes j's mutable ones. Returns ``block(rows, out=None)``: for
+        an index array ``rows``, the ``(len(rows), n)`` array (written into
+        ``out`` when given) whose entry ``(r, j)`` is the prediction for row
+        ``rows[r]`` imitating row j; entry ``(r, rows[r])`` is that row's own
+        prediction. This fallback predicts one rewritten target matrix per
+        row; subclasses whose form separates build their factors once per
+        call.
         """
         X = np.asarray(X, dtype=np.float64)
         frozen = ~schema.mutable_mask
         targets = X.copy()  # row j: j's mutable entries, the current row's others
 
-        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
+        def block(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             if out is None:
-                out = np.empty((hi - lo, X.shape[0]))
-            for r in range(hi - lo):
-                targets[:, frozen] = X[lo + r, frozen]
+                out = np.empty((rows.shape[0], X.shape[0]))
+            for r, i in enumerate(rows):
+                targets[:, frozen] = X[i, frozen]
                 out[r] = self.predict_rows(schema, targets)
             return out
 
@@ -107,8 +108,8 @@ class LinearPredictor(Predictor):
             acc += w * X[:, k]
         own += self.intercept
 
-        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-            return np.add(own[lo:hi, None], cand[None, :], out=out)
+        def block(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            return np.add(own[rows, None], cand[None, :], out=out)
 
         return block
 
@@ -154,7 +155,7 @@ class TreePredictor(Predictor):
         return out
 
     def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
-        """``A_own[lo:hi] @ A_cand.T`` over the tree's L leaves.
+        """``A_own[rows] @ A_cand.T`` over the tree's L leaves.
 
         One walk narrows, per leaf, a mask of rows i whose non-mutable
         entries pass the path's tests and a mask of rows j whose mutable
@@ -187,8 +188,8 @@ class TreePredictor(Predictor):
         A_own = np.column_stack(own_cols)
         A_cand = np.column_stack(cand_cols).astype(np.float64)
 
-        def block(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
-            return np.matmul(A_own[lo:hi], A_cand.T, out=out)
+        def block(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            return np.matmul(A_own[rows], A_cand.T, out=out)
 
         return block
 
@@ -265,12 +266,18 @@ def fit_linear(pop: Population) -> LinearPredictor:
     return fit_ridge(pop, 0.0)
 
 
-def _node_sse(y_sum: float, y_sq: float, n: int) -> float:
+def _node_sse(y_sum, y_sq, n):
+    """Sum of squared deviations from the sums of y and y²; elementwise on arrays."""
     return y_sq - y_sum * y_sum / n
 
 
 def _best_split(D: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
-    """Exhaustive midpoint scan; returns (feature, threshold, child SSE)."""
+    """Exhaustive midpoint scan; returns (feature, threshold, child SSE).
+
+    Each feature scores every split position between distinct sorted
+    values at once; ``argmin`` keeps the first (lowest threshold) of equal
+    scores, and a later feature wins only with a strictly lower one.
+    """
     n = y.shape[0]
     best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
     for k in range(D.shape[1]):
@@ -279,18 +286,17 @@ def _best_split(D: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None
         ys = y[order]
         csum = np.cumsum(ys)
         csq = np.cumsum(ys * ys)
-        total_sum = csum[-1]
-        total_sq = csq[-1]
         distinct = np.flatnonzero(xs[1:] != xs[:-1])  # split after position i
-        for i in distinct:
-            nl = int(i) + 1
-            nr = n - nl
-            sse = _node_sse(csum[i], csq[i], nl) + _node_sse(
-                total_sum - csum[i], total_sq - csq[i], nr
-            )
-            thr = (xs[i] + xs[i + 1]) / 2.0
-            if best is None or sse < best[0]:
-                best = (sse, k, thr)
+        if distinct.size == 0:
+            continue
+        nl = distinct + 1
+        ls, lq = csum[distinct], csq[distinct]
+        rs, rq = csum[-1] - ls, csq[-1] - lq
+        sse = _node_sse(ls, lq, nl) + _node_sse(rs, rq, n - nl)
+        p = int(np.argmin(sse))
+        if best is None or sse[p] < best[0]:
+            i = distinct[p]
+            best = (sse[p], k, (xs[i] + xs[i + 1]) / 2.0)
     if best is None:
         return None
     return best[1], best[2], best[0]

@@ -270,22 +270,25 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def spectral_segregation(within: np.ndarray, connectivity_threshold: float = 1e-6) -> float | None:
+def spectral_segregation(
+    similarity: np.ndarray, connectivity_threshold: float = 1e-6
+) -> float | None:
     """Mean spectral score of a group's similarity network.
 
-    ``within`` is the group's within-group distance block. The similarity
-    matrix exp(-d) gets a zeroed diagonal and entries below the connectivity
-    threshold removed; each connected component contributes
-    lambda * eigvec_i * |component| per member, with the dominant
-    eigenvector normalized to sum one. Returns None if power iteration fails
-    to converge.
+    ``similarity`` is the closeness exp(-d) of the group's within-group
+    distance block; it gets a zeroed diagonal and entries below the
+    connectivity threshold removed, in place. Each connected component
+    contributes lambda * eigvec_i * |component| per member, with the
+    dominant eigenvector normalized to sum one; a component spanning the
+    whole group is iterated on without a copy. Returns None if power
+    iteration fails to converge.
     """
-    B = np.exp(-within)
+    B = similarity
     np.fill_diagonal(B, 0.0)
     B[B < connectivity_threshold] = 0.0
     scores = np.zeros(B.shape[0])
     for comp in _components(B):
-        sub = B[np.ix_(comp, comp)]
+        sub = B if comp.size == B.shape[0] else B[np.ix_(comp, comp)]
         result = _power_iteration(sub)
         if result is None:
             return None
@@ -304,20 +307,20 @@ def distance_indices(
     """ACI and SSI of a population, read off its distance tiles.
 
     The walk never holds the n x n distance matrix: each tile's closeness
-    exp(-d) goes into ACI's three running sums, and only the
-    minority x minority block is kept, for SSI. Both measures depend on the
+    exp(-d) goes into ACI's three running sums, and only the closeness of
+    the minority x minority block is kept, for SSI. Both measures depend on the
     population alone, not on the model, so a population shared by several
     runs is measured once.
     """
     minority = ctx.minority
     m = pop.group_size(minority)
-    within = np.empty((m, m))
+    closeness = np.empty((m, m))
     total = minority_rows = minority_pairs = 0.0
     for row_group, col_group, lo, hi, tile in _distance_tiles(ctx, pop):
-        if row_group == col_group == minority:
-            within[lo:hi] = tile
         np.negative(tile, out=tile)
         s = float(np.exp(tile, out=tile).sum())
+        if row_group == col_group == minority:
+            closeness[lo:hi] = tile
         total += s
         if row_group == minority:
             minority_rows += s
@@ -325,7 +328,7 @@ def distance_indices(
                 minority_pairs += s
     return (
         absolute_clustering(pop.size, m, total, minority_rows, minority_pairs),
-        spectral_segregation(within, connectivity_threshold),
+        spectral_segregation(closeness, connectivity_threshold),
     )
 
 

@@ -20,7 +20,6 @@ from effortsim.dataset import (
     split,
 )
 from effortsim.dynamics import simulate
-from effortsim.effort import EffortEngine
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -78,6 +77,6 @@ def synthetic_student_pop(rows: int, seed: int = 5) -> Population:
 
 
 def run_simulate(h, pop: Population, params, benefit: str):
-    """One imitation round of ``h`` on ``pop``, with the effort matrix built for it."""
-    efforts = EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True)
-    return simulate(h, pop, efforts, params, benefit)
+    """One imitation round of ``h`` alone on ``pop``."""
+    [impact] = simulate([h], pop, params, benefit)
+    return impact

@@ -308,3 +308,34 @@ def ssi(similarity) -> float:
             for pos, idx in enumerate(members):
                 scores[idx] = lam * float(vec[pos]) * len(members)
     return float(np.mean(scores))
+
+
+def tree_split(D, y):
+    """The CART split scan as one scalar loop: ``(feature, threshold, child SSE)`` or None.
+
+    Every position between distinct sorted values of every feature is scored
+    in turn, and a split replaces the best only with a strictly lower SSE,
+    so ties go to the lowest feature, then the lowest threshold.
+    """
+    n = y.shape[0]
+    best = None  # (sse, feature, threshold)
+    for k in range(D.shape[1]):
+        order = np.argsort(D[:, k], kind="stable")
+        xs = D[order, k]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        total_sum = csum[-1]
+        total_sq = csq[-1]
+        for i in np.flatnonzero(xs[1:] != xs[:-1]):  # split after position i
+            nl = int(i) + 1
+            nr = n - nl
+            left = csq[i] - csum[i] * csum[i] / nl
+            rs, rq = total_sum - csum[i], total_sq - csq[i]
+            sse = left + (rq - rs * rs / nr)
+            thr = (xs[i] + xs[i + 1]) / 2.0
+            if best is None or sse < best[0]:
+                best = (sse, k, thr)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]

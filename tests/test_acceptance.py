@@ -293,9 +293,8 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
         params = config.effort
         audited_changes = 0
         efforts = EffortEngine(train, params).pairwise_effort(train, mutable_only=True)
-        for spec in config.models:
-            h = fit_model(spec, train, config)
-            impact = simulate(h, train, efforts, params, config.benefit)
+        models = [fit_model(spec, train, config) for spec in config.models]
+        for h, impact in zip(models, simulate(models, train, params, config.benefit)):
             preds_before = h.predict(train)
             preds_after = h.predict(impact.impacted)
             own = risk_adjusted(benefit_value(config.benefit, train.y, preds_before), params.alpha)
@@ -319,7 +318,7 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
                 utilities = target_benefit - own[i] - efforts[i]
                 assert o.exerted.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
-        fixed = simulate(flat, train, efforts, params, config.benefit)
+        [fixed] = simulate([flat], train, params, config.benefit)
         ref_a, ref_b = tmp_path / "dyn_a.csv", tmp_path / "dyn_b.csv"
         write_csv(train, ref_a)
         write_csv(fixed.impacted, ref_b)

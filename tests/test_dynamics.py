@@ -7,9 +7,16 @@ import oracles
 from conftest import run_simulate, single_group_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim import effort
-from effortsim.dynamics import feature_shift_report
+from effortsim.dynamics import feature_shift_report, simulate
 from effortsim.effort import EffortParams
-from effortsim.models import LinearPredictor, fit_tree
+from effortsim.models import (
+    LinearPredictor,
+    fit_constrained_linear,
+    fit_linear,
+    fit_mlp,
+    fit_ridge,
+    fit_tree,
+)
 from instances import random_instance
 
 
@@ -161,23 +168,39 @@ class TestSimulate:
                 assert preds_after[o.individual_index] > preds_before[o.individual_index]
 
 
+def _short_first_group_pop():
+    """Group g1 has 2 rows, g2 has 12: at 3 or 7 rows per tile the first tile is the shortest."""
+    rng = np.random.default_rng(8)
+    schema = _toy_pop().schema
+    grp = np.array([0] * 2 + [1] * 12, dtype=float)
+    X = np.column_stack([grp, rng.integers(0, 6, size=14)]).astype(float)
+    return Population(schema, X, rng.normal(5.0, 2.0, size=14), ["g1"] * 2 + ["g2"] * 12)
+
+
+def _same_result(got, want):
+    assert [o.to_dict() for o in got.outcomes] == [o.to_dict() for o in want.outcomes]
+    assert np.array_equal(got.impacted.X, want.impacted.X)
+    assert np.array_equal(got.impacted.y, want.impacted.y)
+    assert [(fp.vector.tolist(), fp.count) for fp in got.focal_points] == [
+        (fp.vector.tolist(), fp.count) for fp in want.focal_points
+    ]
+    assert got.metadata == want.metadata
+
+
 class TestTiledSimulate:
     @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
     def test_outcomes_do_not_depend_on_tile_size(self, monkeypatch, rows_per_tile):
-        cases = []
+        short = _short_first_group_pop()
+        cases = [(_skill_model(short), short, EffortParams(), "predicted")]
+        cases.append((fit_tree(short, 2), short, EffortParams(), "shifted_gain"))
         for seed in (50, 51, 52):
             pop, params, h, benefit = random_instance(seed)
             cases += [(h, pop, params, benefit), (fit_tree(pop, 3), pop, params, benefit)]
         want = [run_simulate(*case) for case in cases]  # one tile: these populations are small
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
+        assert any(o.changed for o in want[0].outcomes + want[1].outcomes)
         for case, w in zip(cases, want):
-            got = run_simulate(*case)
-            assert [o.to_dict() for o in got.outcomes] == [o.to_dict() for o in w.outcomes]
-            assert np.array_equal(got.impacted.X, w.impacted.X)
-            assert np.array_equal(got.impacted.y, w.impacted.y)
-            assert [(fp.vector.tolist(), fp.count) for fp in got.focal_points] == [
-                (fp.vector.tolist(), fp.count) for fp in w.focal_points
-            ]
+            _same_result(run_simulate(*case), w)
 
     @pytest.mark.parametrize("benefit", ["predicted", "shifted_gain"])
     def test_duplicated_rows_never_move_onto_themselves(self, benefit):
@@ -219,6 +242,29 @@ class TestTiledSimulate:
                 assert got.role_model_index == want_idx
                 if want_idx is not None:
                     assert got.exerted.utility == pytest.approx(want_u, abs=1e-10)
+
+
+class TestSharedRound:
+    @pytest.mark.parametrize("benefit, alpha", [("predicted", 1.0), ("shifted_gain", 2.0)])
+    def test_each_model_scores_as_if_alone(self, student_split, benefit, alpha):
+        train, _ = student_split
+        models = [
+            fit_linear(train),
+            fit_ridge(train, 200.0),
+            fit_tree(train, 4),
+            fit_constrained_linear(train, 2.0, benefit, "M"),
+            fit_mlp(train, hidden=8, epochs=30, seed=3),
+        ]
+        params = EffortParams(alpha=alpha, base_cost=0.05)
+        together = simulate(models, train, params, benefit)
+        assert len(together) == len(models)
+        for h, got in zip(models, together):
+            [alone] = simulate([h], train, params, benefit)
+            _same_result(got, alone)
+        assert sum(o.changed for o in together.outcomes) > 0
+
+    def test_no_models_no_results(self):
+        assert simulate([], _toy_pop(), EffortParams(), "predicted") == []
 
 
 class TestFeatureShiftReport:

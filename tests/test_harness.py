@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from effortsim import cli, data_path, segregation
+from conftest import synthetic_student_pop
+from effortsim import cli, data_path, harness, segregation
 from effortsim.dataset import (
     Feature,
     FeatureKind,
@@ -20,7 +21,13 @@ from effortsim.dataset import (
 )
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import cmd_figures
-from effortsim.harness import cmd_fairness, cmd_simulate, cmd_sweep_tau, load_config
+from effortsim.harness import (
+    cmd_fairness,
+    cmd_simulate,
+    cmd_sweep_tau,
+    config_from_dict,
+    load_config,
+)
 
 
 def _toy_schema():
@@ -293,48 +300,62 @@ class TestInitialPopulationMeasuredOnce:
 
 
 class TestOneEffortMatrix:
-    """Effort does not depend on the model: each command builds one matrix for all of them."""
+    """Effort does not depend on the model: each command walks the efforts once for all of them."""
 
     @pytest.mark.parametrize("command", [cmd_fairness, cmd_simulate, cmd_sweep_tau])
     def test_one_matrix_per_command(self, toy_dir, monkeypatch, command):
-        calls = []
-        original = EffortEngine.pairwise_effort
+        matrices, walks = [], []
+        original_matrix = EffortEngine.pairwise_effort
+        original_walk = EffortEngine.effort_tiles
 
-        def counting(self, pop, mutable_only=False):
-            calls.append(mutable_only)
-            return original(self, pop, mutable_only)
+        def counting_matrix(self, pop, mutable_only=False):
+            matrices.append(mutable_only)
+            return original_matrix(self, pop, mutable_only)
 
-        monkeypatch.setattr(EffortEngine, "pairwise_effort", counting)
+        def counting_walk(self, pop, mutable_only=False):
+            walks.append(mutable_only)
+            return original_walk(self, pop, mutable_only)
+
+        monkeypatch.setattr(EffortEngine, "pairwise_effort", counting_matrix)
+        monkeypatch.setattr(EffortEngine, "effort_tiles", counting_walk)
         config = load_config(toy_dir / "config.json")
         assert len(config.models) == 3 and len(config.tau_grid) == 3
         command(config, toy_dir / "out")
-        mutable_only = command is not cmd_fairness  # imitation costs the mutable features only
-        assert calls == [mutable_only]
+        if command is cmd_fairness:  # the audit assembles one full matrix
+            assert matrices == [False] and walks == [False]
+        else:  # the imitation round streams one mutable-only walk, no matrix
+            assert matrices == [] and walks == [True]
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
-    def test_mutable_matrix_freed_before_final_stage(self, toy_dir, monkeypatch, command):
-        # The final stage streams the distances; the shared matrix must not
-        # sit in memory beside them.
-        refs = []
-        alive_at_final_stage = []
-        original_effort = EffortEngine.pairwise_effort
-        original_indices = segregation.distance_indices
+    def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):
+        # No n x n effort array at all: the imitation round of every model
+        # (every tau) holds a fixed set of 1 MiB row tiles, whatever n is;
+        # at this n a quarter matrix is well above that set.
+        rows = 2500
+        write_csv(synthetic_student_pop(round(rows / 0.7)), tmp_path / "synthetic.csv")
+        raw = _bundled_config()  # train_fraction 0.7
+        raw["dataset"] = str(tmp_path / "synthetic.csv")
+        peaks = []
+        original = harness.simulate
 
-        def recording(self, pop, mutable_only=False):
-            out = original_effort(self, pop, mutable_only)
-            if mutable_only:
-                refs.append(weakref.ref(out))
+        def tracing(models, train, params, benefit):
+            assert train.size == rows
+            tracemalloc.start()
+            try:
+                out = original(models, train, params, benefit)
+                peaks.append((len(models), tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
             return out
 
-        def checking(ctx, pop, connectivity_threshold):
-            if not alive_at_final_stage:
-                alive_at_final_stage.append([r() is not None for r in refs])
-            return original_indices(ctx, pop, connectivity_threshold)
-
-        monkeypatch.setattr(EffortEngine, "pairwise_effort", recording)
-        monkeypatch.setattr(segregation, "distance_indices", checking)
-        command(load_config(toy_dir / "config.json"), toy_dir / "out")
-        assert alive_at_final_stage == [[False]]
+        monkeypatch.setattr(harness, "simulate", tracing)
+        # the final stage's distance walks are another test's business (and slow here)
+        monkeypatch.setattr(segregation, "distance_indices", lambda *args: (None, None))
+        config = config_from_dict(raw, tmp_path)
+        command(config, tmp_path / "out")
+        want_models = len(config.models) if command is cmd_simulate else len(config.tau_grid)
+        assert [m for m, _ in peaks] == [want_models]
+        assert peaks[0][1] < 8 * rows**2 / 4, peaks
 
 
 class TestSweepCommand:

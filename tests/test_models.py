@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import single_group_pop
+from effortsim import models
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, restrict_features
 from effortsim.models import (
     evaluate,
@@ -111,6 +117,24 @@ def _brute_force_best_split(X, y):
     return best
 
 
+@st.composite
+def split_cases(draw):
+    """``(X, y, depth)`` with few distinct values, so columns, positions and SSEs tie.
+
+    A constant column has no split at all.
+    """
+    n = draw(st.integers(2, 40))
+    values = st.sampled_from(draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.0, 0.1, 0.7, 2.5)])))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(np.full(n, draw(values)))
+        else:
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n))))
+    y = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    return np.column_stack(columns), y, draw(st.integers(1, 4))
+
+
 class TestTree:
     def test_depth_zero_is_label_mean(self):
         pop = _two_group_pop(seed=5)
@@ -148,6 +172,27 @@ class TestTree:
         pop = _two_group_pop(seed=6)
         t1, t2 = fit_tree(pop, 4), fit_tree(pop, 4)
         assert t1.nodes == t2.nodes
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(split_cases())
+    @example((np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]), 1))  # equal SSEs
+    def test_vectorised_scan_equals_scalar_oracle(self, case):
+        X, y, depth = case
+        n, n_cols = X.shape
+        assert models._best_split(X, y) == oracles.tree_split(X, y)
+        schema = FeatureSchema(
+            features=tuple(
+                Feature(f"x{k}", FeatureKind("numerical_nonmonotone"), mutable=True)
+                for k in range(n_cols)
+            )
+            + (Feature("grp", FeatureKind("immutable", levels=("a",)), mutable=False),),
+            sensitive="grp",
+            label="y",
+        )
+        pop = Population(schema, np.column_stack([X, np.zeros(n)]), y, ["a"] * n)
+        with mock.patch.object(models, "_best_split", oracles.tree_split):
+            want = fit_tree(pop, depth).to_dict()
+        assert fit_tree(pop, depth).to_dict() == want
 
 
 class TestConstrained:
@@ -279,7 +324,7 @@ class TestImitationBlock:
     def test_block_equals_explicit_targets(self, imitation_models, name):
         train, models = imitation_models
         h = models[name]
-        got = h.imitation_block(train.schema, train.X)(0, train.size)
+        got = h.imitation_block(train.schema, train.X)(np.arange(train.size))
         want = _explicit_imitation_predictions(h, train)
         if name.startswith("tree") or name == "mlp":
             assert np.array_equal(got, want)
@@ -301,5 +346,23 @@ class TestImitationBlock:
         train, models = imitation_models
         block = models[name].imitation_block(train.schema, train.X)
         bounds = [0, 1, 4, 11, 100, 257, train.size - 1, train.size]
-        tiles = np.concatenate([block(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-        assert np.array_equal(tiles, block(0, train.size))
+        tiles = np.concatenate([block(np.arange(lo, hi)) for lo, hi in zip(bounds, bounds[1:])])
+        assert np.array_equal(tiles, block(np.arange(train.size)))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_any_row_array_picks_the_full_block_rows(self, imitation_models, name):
+        # Tiles of a group walk are slices of its rows: not contiguous in
+        # the population, and a caller may pass rows in any order.
+        train, models = imitation_models
+        block = models[name].imitation_block(train.schema, train.X)
+        full = block(np.arange(train.size))
+        rng = np.random.default_rng(4)
+        for rows in (
+            np.arange(1, train.size, 3),  # strided
+            train.group_rows("F")[5:40],  # one group's rows
+            rng.permutation(train.size)[:50],  # unsorted
+            np.array([7, 7, 2]),  # repeated
+        ):
+            out = np.full((rows.shape[0], train.size), np.nan)
+            assert block(rows, out=out) is out
+            assert np.array_equal(out, full[rows])

@@ -55,10 +55,10 @@ def _aci(ctx, pop):
     return distance_indices(ctx, pop, 1e-6)[0]
 
 
-def _within(ctx, pop, group):
-    """The group's within-group block of the dense distance matrix."""
+def _closeness(ctx, pop, group):
+    """exp(-d) over the group's within-group block of the dense distance matrix."""
     rows = pop.group_rows(group)
-    return pairwise_distances(ctx, pop)[np.ix_(rows, rows)]
+    return np.exp(-pairwise_distances(ctx, pop)[np.ix_(rows, rows)])
 
 
 class TestDistance:
@@ -300,26 +300,25 @@ class TestSpectralSegregation:
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        value = spectral_segregation(_within(ctx, pop, "g1"))
+        value = spectral_segregation(_closeness(ctx, pop, "g1"))
         assert value == pytest.approx(math.exp(-0.5), abs=1e-8)
 
     def test_threshold_above_everything_gives_zero(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        within = _within(ctx, pop, "g1")
-        assert spectral_segregation(within, connectivity_threshold=2.0) == 0.0
+        assert spectral_segregation(_closeness(ctx, pop, "g1"), connectivity_threshold=2.0) == 0.0
 
     def test_singleton_group_scores_zero(self):
         pop = single_group_pop([1.0])
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(_within(ctx, pop, "g1")) == 0.0
+        assert spectral_segregation(_closeness(ctx, pop, "g1")) == 0.0
 
     def test_matches_dense_eigensolver_oracle(self):
         for seed in (58, 59, 60):
             pop, params, _, _ = random_instance(seed)
             group = pop.group_names[0]
             ctx = MetricContext(pop, params, group)
-            got = spectral_segregation(_within(ctx, pop, group))
+            got = spectral_segregation(_closeness(ctx, pop, group))
             D = np.array(oracles.distance_matrix(pop, params, pop))
             rows = pop.group_rows(group)
             B = np.exp(-D[np.ix_(rows, rows)])
@@ -333,7 +332,7 @@ class TestSpectralSegregation:
         pop, params, _, _ = random_instance(61)
         group = pop.group_names[1]
         ctx = MetricContext(pop, params, group)
-        B = np.exp(-_within(ctx, pop, group))
+        B = _closeness(ctx, pop, group)
         np.fill_diagonal(B, 0.0)
         for comp in _components(B):
             sub = B[np.ix_(comp, comp)]
@@ -423,7 +422,7 @@ class TestStreamedIndices:
             np.fill_diagonal(B, 0.0)
             B[B < 1e-6] = 0.0
             want_ssi = oracles.ssi(B)
-            dense_ssi = spectral_segregation(_within(ctx, pop, minority))
+            dense_ssi = spectral_segregation(_closeness(ctx, pop, minority))
             for height in (1, 3, 7):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(effort, "tile_rows", lambda n_cols: height)
