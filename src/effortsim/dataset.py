@@ -2,12 +2,13 @@
 
 A population bundles the raw feature matrix with per-group sorted value
 tables; those tables are what every downstream quantile-rank computation
-reads, so they are built once at construction time and never mutated.
+reads, so each is sorted on first use, cached and never mutated.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -181,9 +182,13 @@ def _kind_from_dict(d: Mapping) -> FeatureKind:
 
 
 def schema_from_dict(d: Mapping) -> FeatureSchema:
+    if not isinstance(d, Mapping):
+        raise SchemaError(f"schema must be a JSON object, got {type(d).__name__}")
     try:
         feats = []
         for fd in d["features"]:
+            if not isinstance(fd, Mapping):
+                raise SchemaError(f"schema features must be JSON objects, got {type(fd).__name__}")
             feats.append(
                 Feature(
                     name=fd["name"],
@@ -198,6 +203,10 @@ def schema_from_dict(d: Mapping) -> FeatureSchema:
         return FeatureSchema(features=tuple(feats), sensitive=d["sensitive"], label=d["label"])
     except KeyError as exc:
         raise SchemaError(f"schema missing required field: {exc}") from None
+    except SchemaError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad schema value: {exc}") from None
 
 
 def schema_to_dict(schema: FeatureSchema) -> dict:
@@ -216,13 +225,27 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
     return {"features": feats, "sensitive": schema.sensitive, "label": schema.label}
 
 
+def _read_text(path: str | Path, error: type[ValueError], what: str) -> str:
+    """The UTF-8 text of file ``path``; a file that cannot be read or decoded raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in file ``path``; an unreadable or invalid file is a ``SchemaError``."""
+    try:
+        return json.loads(_read_text(path, SchemaError, what))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} {path}: not valid JSON ({exc})") from None
+
+
 def load_schema(path: str | Path) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
-    return schema_from_dict(raw)
+    return schema_from_dict(read_json(path, "schema"))
 
 
 class Population:
@@ -321,7 +344,7 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
     (the UCI student files use ';').
     """
     schema = load_schema(schema_path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with io.StringIO(_read_text(path, DataError, "dataset"), newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
         delim = ";" if sample.count(";") > sample.count(",") else ","

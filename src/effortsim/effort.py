@@ -13,6 +13,10 @@ is comes cheap. Per-kind rules, written once in ``EffortEngine._eps_rule``:
 * conditionally immutable: monotone rule in the allowed direction,
   infinite otherwise.
 
+Column K, one past the schema's features, is the label: the segregation
+distance takes its positive rank gap on the group's label table, through
+the increasing monotone rule.
+
 Total effort is ``base_cost + (1/K) * sum_k weight_k * eps_k`` over the
 schema's K features, accumulated in ascending schema order. The brute-force
 reference for every rule lives in the test suite's oracles.
@@ -217,14 +221,20 @@ class EffortEngine:
     def _eps_rule(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray):
         """Feature k's per-kind effort rule from values a to values b.
 
-        Quantile ranks are taken once here. The returned ``fill(rows, out,
-        mask)`` writes the efforts from the values ``col_a[rows]`` (``rows``
-        is an index array) to every value of ``col_b`` into ``out`` (shape
-        ``(len(rows), len(col_b))``), using ``mask`` (bool, same shape) as
-        scratch.
+        Column ``k = schema.size`` is the label: the increasing monotone rule
+        on the group's label table. Quantile ranks are taken once here. The
+        returned ``fill(rows, out, mask)`` writes the efforts from the values
+        ``col_a[rows]`` (``rows`` is an index array) to every value of
+        ``col_b`` into ``out`` (shape ``(len(rows), len(col_b))``), using
+        ``mask`` (bool, same shape) as scratch.
         """
-        feature = self.schema.features[k]
-        kind = feature.kind.kind
+        if k == self.schema.size:
+            feature, kind, increasing = None, NUMERICAL_MONOTONE, True
+            table = self.reference.label_table(group)
+        else:
+            feature = self.schema.features[k]
+            kind, increasing = feature.kind.kind, feature.kind.direction == INCREASING
+            table = self.reference.feature_table(group)[:, k]
         b = col_b[None, :]
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
@@ -242,8 +252,6 @@ class EffortEngine:
                 np.putmask(out, mask, np.inf)
 
             return fill
-        table = self.reference.feature_table(group)[:, k]
-        increasing = feature.kind.direction == INCREASING
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
             qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
         else:
@@ -292,7 +300,9 @@ class EffortEngine:
         level rows, and ``np.take`` gathers them to the tile's rows. Each
         tile then accumulates ``acc + w * eps`` feature by feature in the
         given order, so every entry gets the same arithmetic as when the
-        rule runs on every row. The tile is scratch that the next step
+        rule runs on every row. Column ``schema.size`` of ``Xa`` and ``Xb``,
+        if present, is the label; only unweighted calls may name it, as the
+        label has no weight. The tile is scratch that the next step
         overwrites, so a caller may change it in place but must copy what it
         keeps.
         """
@@ -368,8 +378,3 @@ class EffortEngine:
             out[rows] = tile
             del tile  # see effort_tiles
         return out
-
-    def label_rank(self, group: str, values: np.ndarray) -> np.ndarray:
-        """Ranks of label values in the reference group's label table."""
-        table = self.reference.label_table(group)
-        return np.asarray(_rank_asc(table, values), dtype=np.float64)

@@ -26,6 +26,7 @@ from .dataset import (
     Population,
     SchemaError,
     load_csv,
+    read_json,
     restrict_features,
     schema_from_dict,
     split,
@@ -53,7 +54,15 @@ from .models import (
 from . import segregation
 from .segregation import MetricContext
 
-MODEL_KINDS = ("linear", "ridge", "tree", "mlp", "constrained")
+# The config key each model kind reads besides name, kind and features; a
+# knob that a kind does not read is an error rather than a silent no-op.
+MODEL_KNOBS = {
+    "linear": (),
+    "ridge": ("lambda",),
+    "tree": ("max_depth",),
+    "mlp": (),
+    "constrained": ("tau",),
+}
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class ModelSpec:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODEL_KNOBS:
             raise SchemaError(f"unknown model kind {self.kind!r}")
         if self.features not in FEATURE_SETS:
             raise SchemaError(f"unknown feature set {self.features!r}")
@@ -116,13 +125,7 @@ class ExperimentConfig:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from None
-    return config_from_dict(raw, base_dir=path.parent)
+    return config_from_dict(read_json(path, "config file"), base_dir=path.parent)
 
 
 # The keys each section of an experiment config may hold; any other key is an error.
@@ -168,16 +171,19 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         models = []
         for md in raw.get("models", []):
             _object(md, "model")
-            models.append(
-                ModelSpec(
-                    name=str(md["name"]),
-                    kind=str(md["kind"]),
-                    features=str(md.get("features", ALL_FEATURES)),
-                    ridge_lambda=float(md.get("lambda", 0.0)),
-                    max_depth=int(md.get("max_depth", 5)),
-                    tau=float(md.get("tau", 0.0)),
-                )
+            spec = ModelSpec(
+                name=str(md["name"]),
+                kind=str(md["kind"]),
+                features=str(md.get("features", ALL_FEATURES)),
+                ridge_lambda=float(md.get("lambda", 0.0)),
+                max_depth=int(md.get("max_depth", 5)),
+                tau=float(md.get("tau", 0.0)),
             )
+            idle = sorted(set(md) - {"name", "kind", "features", *MODEL_KNOBS[spec.kind]})
+            if idle:
+                unread = ", ".join(map(repr, idle))
+                raise SchemaError(f"model {spec.name!r}: kind {spec.kind!r} does not read {unread}")
+            models.append(spec)
         if len({m.name for m in models}) != len(models):
             raise SchemaError("model names must be unique")
         sweep = _object(raw.get("sweep", {}), "sweep")
@@ -524,13 +530,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
 def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
     """Generate a synthetic population CSV from a schema-plus-sizes spec."""
-    try:
-        raw = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise SchemaError(f"synthetic spec not found: {spec_path}") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{spec_path}: invalid JSON ({exc})") from None
-    _object(raw, "synth")
+    raw = _object(read_json(spec_path, "synthetic spec"), "synth")
     for key in ("group_sizes", "seed"):
         if key not in raw:
             raise SchemaError(f"synthetic spec missing {key!r}")

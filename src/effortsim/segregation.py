@@ -49,27 +49,18 @@ def _distance_tiles(ctx: MetricContext, pop: Population):
     The walk goes one (row group, column group) block at a time, in row
     tiles: ``tile`` holds the distances from the row group's members
     ``lo:hi`` to every member of the column group, in ``group_rows`` order.
-    A view of group g is the positive label-rank gap plus the unweighted
-    mutable-feature efforts, on g's tables; entry (i, j) is the larger of
-    i's group view and j's group view, so a same-group block needs one view
-    and a cross-group block two. The tile is scratch that the next step
+    A view of group g is one ``eps_tiles`` walk on g's tables over the
+    unweighted mutable features and, last, the label column: the efforts
+    plus the positive label-rank gap. Entry (i, j) is the larger of i's
+    group view and j's group view, so a same-group block needs one view and
+    a cross-group block two. The tile is scratch that the next step
     overwrites.
     """
-    eng = ctx.engine
-    idx = ctx.mutable_indices
-    label_ranks = {g: eng.label_rank(g, pop.y) for g in pop.group_names}
+    idx = ctx.mutable_indices + [pop.schema.size]  # the label column last
+    XY = np.column_stack([pop.X, pop.y])
 
     def view_tiles(g, rows, cols):
-        ly = label_ranks[g]
-        ly_cols = ly[cols][None, :]
-        buf = None
-        for lo, hi, tile in eng.eps_tiles(g, pop.X[rows], pop.X[cols], idx, weighted=False):
-            if buf is None:  # the first tile is the tallest
-                buf = np.empty_like(tile)
-            gap = buf[: hi - lo]
-            np.subtract(ly_cols, ly[rows[lo:hi], None], out=gap)
-            np.maximum(0.0, gap, out=gap)
-            yield lo, hi, np.add(gap, tile, out=tile)
+        return ctx.engine.eps_tiles(g, XY[rows], XY[cols], idx, weighted=False)
 
     for row_group in pop.group_names:
         rows = pop.group_rows(row_group)
@@ -88,8 +79,8 @@ def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     """(n, n) distance matrix of a population under the frozen context.
 
     Entry (i, j) is the larger of two directed views of the move i -> j,
-    one through each endpoint's group tables: the positive label-rank gap
-    plus the unweighted mutable-feature efforts. This dense form is the
+    one through each endpoint's group tables: the unweighted mutable-feature
+    efforts plus the positive label-rank gap. This dense form is the
     definition; ``distance_indices`` reads ACI and SSI off the same tiles
     without building it.
     """
@@ -99,52 +90,28 @@ def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Unit:
-    members: tuple
-    minority_count: int
-    total: int
-
-
-@dataclass(frozen=True)
-class Neighborhoods:
-    units: tuple
-
-    def counts(self) -> tuple[np.ndarray, np.ndarray]:
-        m = np.array([u.minority_count for u in self.units], dtype=np.float64)
-        t = np.array([u.total for u in self.units], dtype=np.float64)
-        return m, t
-
-
 def build_focal_neighborhoods(
-    ctx: MetricContext, focal_points: Sequence, pop: Population
-) -> Neighborhoods:
-    """Assign each individual to its nearest focal point.
+    ctx: MetricContext, vectors: Sequence[np.ndarray], pop: Population
+) -> np.ndarray:
+    """The index of each individual's nearest focal vector.
 
     Focal vectors live in the mutable subspace; the distance is the sum of
     the individual's own-group feature efforts toward the focal values
-    (no label term). Ties go to the lowest-index focal point.
+    (no label term). Ties go to the lowest-index focal vector.
     """
-    if not focal_points:
-        raise ValueError("focal point list is empty")
     idx = ctx.mutable_indices
-    F = np.zeros((len(focal_points), ctx.reference.schema.size))
-    for fi, fp in enumerate(focal_points):
-        vec = np.asarray(getattr(fp, "vector", fp), dtype=np.float64)
-        if vec.shape != (len(idx),):
-            raise ValueError("focal vectors must live in the mutable subspace")
-        F[fi, idx] = vec
-    dist = np.empty((pop.size, len(focal_points)))
+    if len(vectors) == 0:
+        raise ValueError("focal point list is empty")
+    V = np.asarray(vectors, dtype=np.float64)
+    if V.shape != (len(vectors), len(idx)):
+        raise ValueError("focal vectors must live in the mutable subspace")
+    F = np.zeros((len(V), ctx.reference.schema.size))
+    F[:, idx] = V
+    dist = np.empty((pop.size, len(V)))
     for g in pop.group_names:
         rows = pop.group_rows(g)
-        dist[rows, :] = ctx.engine.eps_sum(g, pop.X[rows], F, idx, weighted=False)
-    nearest = np.argmin(dist, axis=1)  # first minimum wins
-    units = []
-    for fi in range(len(focal_points)):
-        members = tuple(int(i) for i in np.flatnonzero(nearest == fi))
-        minority_count = sum(1 for i in members if pop.groups[i] == ctx.minority)
-        units.append(Unit(members=members, minority_count=minority_count, total=len(members)))
-    return Neighborhoods(units=tuple(units))
+        dist[rows] = ctx.engine.eps_sum(g, pop.X[rows], F, idx, weighted=False)
+    return np.argmin(dist, axis=1)  # first minimum wins
 
 
 def atkinson_index(minority_counts, totals, beta: float) -> float:
@@ -170,11 +137,6 @@ def atkinson_index(minority_counts, totals, beta: float) -> float:
     terms[interior] = (1.0 - p[interior]) ** (1.0 - beta) * p[interior] ** beta
     inner = float(np.sum(terms * t) / (T * P))
     return 1.0 - (P / (1.0 - P)) * inner ** (1.0 / (1.0 - beta))
-
-
-def atkinson(neigh: Neighborhoods, beta: float = 0.5) -> float:
-    m, t = neigh.counts()
-    return atkinson_index(m, t, beta)
 
 
 def centralization(h, pop: Population, minority: str, threshold: float) -> float:
@@ -377,8 +339,10 @@ def measure_population(
         "quantile_tables": "frozen_reference",
     }
     if focal_points:
-        neigh = build_focal_neighborhoods(ctx, focal_points, pop)
-        atk = atkinson(neigh, beta)
+        nearest = build_focal_neighborhoods(ctx, [fp.vector for fp in focal_points], pop)
+        units = len(focal_points)
+        minority = np.bincount(nearest[pop.group_rows(ctx.minority)], minlength=units)
+        atk = atkinson_index(minority, np.bincount(nearest, minlength=units), beta)
     else:
         atk = None
         meta["atkinson_absent"] = "no focal points (nobody imitated)"

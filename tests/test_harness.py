@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from conftest import synthetic_student_pop
+import effortsim
 from effortsim import cli, data_path, harness, segregation
 from effortsim.dataset import (
     Feature,
@@ -135,6 +140,15 @@ class TestConfig:
             ("fairness", [(("effort", "base_cost"), 0.1)]),
             ("sweep-tau", [(("sweep", "tau_grd"), [0.0, 1.0])]),
             ("sweep-tau", [(("sweep", "features"), "mutabel")]),
+            ("fairness", [(("models", 3, "max_depth"), 3)]),
+            ("fairness", [(("models", 3, "tau"), 9.0)]),
+            ("fairness", [(("models", 3, "lambda"), 5.0)]),
+            ("fairness", [(("models", 2, "lambda"), 1e9)]),
+            ("fairness", [(("models", 2, "tau"), 1.0)]),
+            ("fairness", [(("models", 0, "max_depth"), 3)]),
+            ("fairness", [(("models", 0, "tau"), 1.0)]),
+            ("sweep-tau", [(("models", 3, "kind"), "constrained"), (("models", 3, "lambda"), 5.0)]),
+            ("fairness", [(("models", 3, "kind"), "mlp"), (("models", 3, "max_depth"), 2)]),
         ],
         ids=[
             "beta",
@@ -158,6 +172,15 @@ class TestConfig:
             "unknown_effort_key",
             "unknown_sweep_key",
             "unknown_sweep_feature_set",
+            "linear_max_depth",
+            "linear_tau",
+            "linear_lambda",
+            "tree_lambda",
+            "tree_tau",
+            "ridge_max_depth",
+            "ridge_tau",
+            "constrained_lambda",
+            "mlp_max_depth",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
@@ -189,6 +212,54 @@ class TestConfig:
     def test_missing_dataset_is_data_error(self, toy_dir):
         (toy_dir / "toy.csv").unlink()
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 3
+
+    @pytest.mark.parametrize(
+        "case, code",
+        [
+            ("dataset_is_directory", 3),
+            ("dataset_not_utf8", 3),
+            ("config_is_directory", 2),
+            ("config_not_utf8", 2),
+            ("schema_is_directory", 2),
+            ("schema_is_list", 2),
+            ("schema_feature_is_string", 2),
+            ("synth_config_is_directory", 2),
+        ],
+    )
+    def test_bad_input_file_exits_without_traceback(self, toy_dir, case, code):
+        config = toy_dir / "config.json"
+        raw = json.loads(config.read_text())
+        (toy_dir / "folder").mkdir()
+        argv = ["fairness", "--config", str(config), "--out", str(toy_dir / "o")]
+        if case == "dataset_is_directory":
+            raw["dataset"] = "folder"
+        elif case == "dataset_not_utf8":
+            with open(toy_dir / "toy.csv", "ab") as fh:
+                fh.write(b"caf\xe9\n")
+        elif case == "config_is_directory":
+            argv[2] = str(toy_dir / "folder")
+        elif case == "config_not_utf8":
+            raw["minority"] = "\xe9"  # rewritten as latin-1 below
+        elif case == "schema_is_directory":
+            raw["schema"] = "folder"
+        elif case == "schema_is_list":
+            (toy_dir / "toy_schema.json").write_text("[]")
+        elif case == "schema_feature_is_string":
+            schema = json.loads((toy_dir / "toy_schema.json").read_text())
+            schema["features"][1] = "skill"
+            (toy_dir / "toy_schema.json").write_text(json.dumps(schema))
+        elif case == "synth_config_is_directory":
+            argv = ["synth", "--config", str(toy_dir / "folder"), "--out", str(toy_dir / "o")]
+        config.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
+        src = Path(effortsim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "effortsim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestFairnessCommand:

@@ -12,13 +12,11 @@ import oracles
 from conftest import run_simulate, single_group_pop, synthetic_student_pop
 from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim.dynamics import FocalPoint
 from effortsim.effort import EffortParams
 from effortsim.models import LinearPredictor
 from effortsim.segregation import (
     MetricContext,
-    Neighborhoods,
-    Unit,
-    atkinson,
     atkinson_index,
     build_focal_neighborhoods,
     centralization,
@@ -117,23 +115,56 @@ class TestDistance:
                 assert D[i, j] == pytest.approx(oracles.distance(pop, params, pop, i, j), abs=1e-12)
 
 
+
+def _distance_reference(ctx, pop):
+    """The distance matrix from ``eps_sum`` and the label ranks, one full-matrix view per group."""
+    views = {}
+    for g in pop.group_names:
+        table = ctx.reference.label_table(g)
+        rank = np.searchsorted(table, pop.y, side="right") / table.shape[0]
+        gap = np.maximum(0.0, rank[None, :] - rank[:, None])
+        views[g] = ctx.engine.eps_sum(g, pop.X, pop.X, ctx.mutable_indices, weighted=False) + gap
+    own = np.array([views[pop.groups[i]][i] for i in range(pop.size)])
+    other = np.array([views[pop.groups[j]][:, j] for j in range(pop.size)]).T
+    return np.maximum(own, other)
+
+
+class TestDistanceBits:
+    @pytest.mark.parametrize("labels", ["tied", "distinct", "signed_zero"])
+    @pytest.mark.parametrize("seed", [64, 65])
+    def test_bits_equal_eps_sum_plus_label_gap(self, seed, labels):
+        pop, params, _, _ = random_instance(seed)
+        n = pop.size
+        y = {
+            "tied": np.arange(n) % 3 * 1.5,
+            "distinct": np.random.default_rng(seed).permutation(n) * 0.37,
+            "signed_zero": np.where(np.arange(n) % 2 == 0, -0.0, 0.0) + (np.arange(n) % 5 == 0),
+        }[labels]
+        pop = Population(pop.schema, pop.X, y, pop.groups)
+        ctx = MetricContext(pop, params, pop.group_names[0])
+        want = _distance_reference(ctx, pop).view(np.uint64)
+        for height in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(effort, "tile_rows", lambda n_cols: height)
+                got = pairwise_distances(ctx, pop)
+            assert np.array_equal(got.view(np.uint64), want), height
+
+
 class TestFocalNeighborhoods:
     def test_single_focal_point_collects_everyone(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        neigh = build_focal_neighborhoods(ctx, [np.array([3.0, 1.0])], pop)
-        assert len(neigh.units) == 1
-        assert neigh.units[0].total == pop.size
-        assert neigh.units[0].minority_count == 2
+        nearest = build_focal_neighborhoods(ctx, [np.array([3.0, 1.0])], pop)
+        assert nearest.tolist() == [0] * pop.size
 
     def test_own_vector_is_distance_zero_home(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
         mutable = pop.schema.mutable_mask
         focals = [pop.X[0, mutable], pop.X[3, mutable]]
-        neigh = build_focal_neighborhoods(ctx, focals, pop)
-        assert 0 in neigh.units[0].members
-        assert 3 in neigh.units[1].members
+        nearest = build_focal_neighborhoods(ctx, focals, pop)
+        assert nearest[0] == 0
+        assert nearest[3] == 1
 
     def test_assignment_matches_bruteforce(self):
         for seed in (52, 53):
@@ -143,13 +174,8 @@ class TestFocalNeighborhoods:
             rng = np.random.default_rng(seed)
             rows = rng.choice(pop.size, size=3, replace=False)
             focals = [pop.X[r, mutable] for r in rows]
-            neigh = build_focal_neighborhoods(ctx, focals, pop)
-            want = oracles.focal_assignment(pop, params, pop, focals)
-            got = np.empty(pop.size, dtype=int)
-            for ui, unit in enumerate(neigh.units):
-                for member in unit.members:
-                    got[member] = ui
-            assert got.tolist() == want
+            nearest = build_focal_neighborhoods(ctx, focals, pop)
+            assert nearest.tolist() == oracles.focal_assignment(pop, params, pop, focals)
 
     def test_empty_focal_list_rejected(self):
         pop = _two_feature_pop()
@@ -182,9 +208,25 @@ class TestAtkinson:
                 assert got == pytest.approx(want, abs=1e-12)
                 assert -1e-12 <= got <= 1.0 + 1e-12
 
-    def test_neighborhoods_wrapper(self):
-        neigh = Neighborhoods(units=(Unit((0, 1), 2, 2), Unit((2, 3), 0, 2)))
-        assert atkinson(neigh, 0.5) == pytest.approx(1.0)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(oracle_cases(), st.data())
+    def test_measure_population_matches_focal_oracle(self, case, data):
+        pop, params = case
+        mutable = pop.schema.mutable_mask
+        rows = data.draw(st.lists(st.integers(0, pop.size - 1), min_size=1, max_size=4))
+        vectors = [pop.X[r, mutable] for r in rows]
+        beta = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        ctx = MetricContext(pop, params, "a")
+        h = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 0.0)
+        focal_points = [FocalPoint(vector=v, count=1) for v in vectors]
+        got = measure_population(ctx, h, pop, focal_points, (None, None), beta=beta).atkinson
+        nearest = oracles.focal_assignment(pop, params, pop, vectors)
+        units = range(len(vectors))
+        totals = [nearest.count(u) for u in units]
+        minority = [
+            sum(1 for i, v in enumerate(nearest) if v == u and pop.groups[i] == "a") for u in units
+        ]
+        assert got == pytest.approx(oracles.atkinson(minority, totals, beta), abs=1e-12)
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
