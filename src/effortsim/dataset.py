@@ -428,6 +428,8 @@ MUTABLE_PLUS_SENSITIVE = "mutable_plus_sensitive"
 ALL_FEATURES = "all"
 FEATURE_SETS = (ALL_FEATURES, "mutable", MUTABLE_PLUS_SENSITIVE)
 
+SYNTH_LABEL_NOISE = 1.0
+
 
 def restrict_features(pop: Population, keep: str) -> Population:
     """Project a population onto a feature subset.
@@ -454,7 +456,6 @@ def generate_synthetic(
     group_sizes: Mapping[str, int] | Sequence[int],
     seed: int,
     shift: float = 0.0,
-    label_noise: float = 1.0,
 ) -> Population:
     """Deterministic synthetic population for tests and offline fixtures.
 
@@ -463,7 +464,8 @@ def generate_synthetic(
     other key is an error). ``shift`` displaces the mean
     of every numerical/ordinal feature by ``shift * group_index`` so that
     group-conditional effort asymmetries exist when it is nonzero. The
-    label is a fixed linear blend of the features plus Gaussian noise.
+    label is a fixed linear blend of the features plus Gaussian noise of
+    standard deviation ``SYNTH_LABEL_NOISE``.
     """
     levels = schema.feature(schema.sensitive).kind.levels
     if levels is None:
@@ -507,5 +509,5 @@ def generate_synthetic(
     coefs = np.array(
         [0.0 if f.name == schema.sensitive else ((k % 3) - 1) * 0.5 for k, f in enumerate(schema.features)]
     )
-    y = X @ coefs + rng.normal(scale=label_noise, size=X.shape[0])
+    y = X @ coefs + rng.normal(scale=SYNTH_LABEL_NOISE, size=X.shape[0])
     return Population(schema, X, y, groups)

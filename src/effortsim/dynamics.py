@@ -20,30 +20,32 @@ import numpy as np
 
 from . import effort
 from .dataset import Population
-from .effort import (
-    EffortEngine,
-    EffortParams,
-    UtilityBreakdown,
-    ZERO_BREAKDOWN,
-    benefit_value,
-    risk_adjusted,
-)
+from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
+
+SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
 
 
 @dataclass(frozen=True)
 class ImitationOutcome:
+    """One row's imitation: its reward, the effort exerted and utility = reward - effort.
+
+    A row that stays put has no role model and zeros for all three.
+    """
+
     individual_index: int
     role_model_index: int | None
-    exerted: UtilityBreakdown
+    reward: float
+    effort: float
+    utility: float
     changed: bool
 
     def to_dict(self) -> dict:
         return {
             "individual": self.individual_index,
             "role_model": self.role_model_index,
-            "reward": self.exerted.reward,
-            "effort": self.exerted.effort,
-            "utility": self.exerted.utility,
+            "reward": self.reward,
+            "effort": self.effort,
+            "utility": self.utility,
             "changed": self.changed,
         }
 
@@ -124,14 +126,15 @@ def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> 
     for i in range(pop.size):
         j = int(best[i])
         if not utility[i] > 0.0:
-            outcomes.append(ImitationOutcome(i, None, ZERO_BREAKDOWN, changed=False))
+            outcomes.append(ImitationOutcome(i, None, 0.0, 0.0, 0.0, changed=False))
             continue
-        moved = UtilityBreakdown(
-            reward=float(reward[i]), effort=float(exerted[i]), utility=float(utility[i])
-        )
         new_X[i, mutable] = pop.X[j, mutable]
         new_y[i] = pop.y[j]
-        outcomes.append(ImitationOutcome(i, j, moved, changed=True))
+        outcomes.append(
+            ImitationOutcome(
+                i, j, float(reward[i]), float(exerted[i]), float(utility[i]), changed=True
+            )
+        )
         key = pop.X[j, mutable].tobytes()
         focal_counts[key] = focal_counts.get(key, 0) + 1
     return ImpactResult(
@@ -174,8 +177,12 @@ def simulate(
     )
 
 
-def feature_shift_report(original: Population, impacted: Population, bins: int = 10) -> dict:
-    """Per-feature, per-group before/after summary: mean, variance, histogram."""
+def feature_shift_report(original: Population, impacted: Population) -> dict:
+    """Per-feature, per-group before/after summary: mean, variance, histogram.
+
+    Each feature's histograms share ``SHIFT_BINS`` bins over its range in
+    both populations.
+    """
     if original.schema.names != impacted.schema.names:
         raise ValueError("populations must share a schema")
     report: dict = {}
@@ -184,7 +191,7 @@ def feature_shift_report(original: Population, impacted: Population, bins: int =
         hi = float(max(original.X[:, k].max(), impacted.X[:, k].max()))
         if hi == lo:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
+        edges = np.linspace(lo, hi, SHIFT_BINS + 1)
         per_group: dict = {}
         for g in original.group_names:
             rows_before = original.group_rows(g)

@@ -112,16 +112,6 @@ class EffortParams:
         return float(self.categorical_cost)
 
 
-@dataclass(frozen=True)
-class UtilityBreakdown:
-    reward: float
-    effort: float
-    utility: float
-
-
-ZERO_BREAKDOWN = UtilityBreakdown(0.0, 0.0, 0.0)
-
-
 def _rank_desc(table: np.ndarray, x) -> np.ndarray | float:
     """Fraction of values >= x (the mirrored CDF for decreasing features)."""
     n = table.shape[0]

@@ -32,8 +32,6 @@ class UnfairnessReport:
     measure: str
     per_group_value: dict
     disparity: float | None
-    delta: float | None = None
-    feasibility: dict | None = None
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -42,10 +40,6 @@ class UnfairnessReport:
             "per_group_value": self.per_group_value,
             "disparity": self.disparity,
         }
-        if self.delta is not None:
-            out["delta"] = self.delta
-        if self.feasibility is not None:
-            out["feasibility"] = self.feasibility
         if self.metadata:
             out["metadata"] = self.metadata
         return out
@@ -83,7 +77,6 @@ class FairnessAudit:
         self.params = params
         self.benefit = benefit
         self.efforts = EffortEngine(pop, params).pairwise_effort(pop)  # row i -> candidate j
-        self._meta = {"candidate_set": "population", "benefit": benefit, "alpha": params.alpha}
 
     def benefits(self, h) -> np.ndarray:
         """The risk-adjusted benefit of each row under model ``h``."""
@@ -101,11 +94,6 @@ class FairnessAudit:
             tile = self.efforts[lo:hi]
             top = max(top, float(np.max(tile, where=np.isfinite(tile), initial=0.0)))
         return top
-
-    def _group_means(self, values: np.ndarray) -> dict:
-        return {
-            g: float(np.mean(values[self.pop.group_rows(g)])) for g in self.pop.group_names
-        }
 
     def _table(self, b: np.ndarray, measure: str, grid: Sequence[float]) -> np.ndarray:
         """(n, len(grid)) per-individual answers of one measure under benefits ``b``.
@@ -148,52 +136,6 @@ class FairnessAudit:
                 out[lo:hi] = np.where(first < n, least, np.inf)
         return out
 
-    def _bounded_report(self, delta: float, best: np.ndarray) -> UnfairnessReport:
-        values = self._group_means(best)
-        return UnfairnessReport(
-            measure=BOUNDED_EFFORT,
-            per_group_value=values,
-            disparity=_disparity(values),
-            delta=float(delta),
-            metadata=dict(self._meta, infeasible="stay_put_zero_reward"),
-        )
-
-    def _threshold_report(self, delta: float, min_effort: np.ndarray) -> UnfairnessReport:
-        has_any = np.isfinite(min_effort)
-        values: dict = {}
-        feas: dict = {}
-        for g in self.pop.group_names:
-            rows = self.pop.group_rows(g)
-            ok = has_any[rows]
-            feas[g] = float(np.mean(ok))
-            values[g] = float(np.mean(min_effort[rows][ok])) if ok.any() else None
-        return UnfairnessReport(
-            measure=THRESHOLD_REWARD,
-            per_group_value=values,
-            disparity=_disparity(values),
-            delta=float(delta),
-            feasibility=feas,
-            metadata=dict(self._meta, infeasible="excluded_from_mean"),
-        )
-
-    def bounded_effort(self, h, delta: float) -> UnfairnessReport:
-        """Best reachable reward per individual under an effort budget.
-
-        Individuals with no candidate inside the budget stay put and score
-        zero reward.
-        """
-        b = self.benefits(h)
-        return self._bounded_report(delta, self._table(b, BOUNDED_EFFORT, [delta])[:, 0])
-
-    def threshold_reward(self, h, delta: float) -> UnfairnessReport:
-        """Least effort per individual to reach at least ``delta`` reward.
-
-        Individuals with no finite-effort candidate at that reward level
-        are excluded from the group mean and reported via ``feasibility``.
-        """
-        b = self.benefits(h)
-        return self._threshold_report(delta, self._table(b, THRESHOLD_REWARD, [delta])[:, 0])
-
     def effort_reward(self, h) -> UnfairnessReport:
         """Best achievable utility per individual, floored at staying put."""
         b = self.benefits(h)
@@ -203,12 +145,17 @@ class FairnessAudit:
             np.subtract(utility, self.efforts[lo:hi], out=utility)
             utility.max(axis=1, out=best[lo:hi])
         best = np.maximum(best, 0.0)
-        values = self._group_means(best)
+        values = {g: float(np.mean(best[self.pop.group_rows(g)])) for g in self.pop.group_names}
         return UnfairnessReport(
             measure=EFFORT_REWARD,
             per_group_value=values,
             disparity=_disparity(values),
-            metadata=dict(self._meta, floor="stay_put_zero_utility"),
+            metadata={
+                "candidate_set": "population",
+                "benefit": self.benefit,
+                "alpha": self.params.alpha,
+                "floor": "stay_put_zero_utility",
+            },
         )
 
     def default_grid(self, h, measure: str, points: int = 20) -> tuple:
@@ -225,17 +172,35 @@ class FairnessAudit:
         return tuple(np.linspace(0.0, hi, points).tolist())
 
     def sweep(self, h, measure: str, grid: Sequence[float]) -> DeltaCurve:
+        """Per-group means of one measure at every delta of an ascending grid.
+
+        * Bounded effort (delta is an effort budget): the best reachable
+          reward. An individual with no candidate inside the budget stays
+          put and scores zero reward.
+        * Threshold reward (delta is a reward level): the least effort that
+          reaches it. An individual with no finite-effort candidate at that
+          level is excluded from the group mean; the group's feasible share
+          is its feasibility, and its value is ``None`` when nobody is
+          feasible.
+        """
         grid = tuple(float(d) for d in grid)
         if list(grid) != sorted(grid):
             raise ValueError("delta grid must be sorted ascending")
         table = self._table(self.benefits(h), measure, grid)
-        report = self._bounded_report if measure == BOUNDED_EFFORT else self._threshold_report
-        reps = [report(d, table[:, col]) for col, d in enumerate(grid)]
-        values = {g: [r.per_group_value[g] for r in reps] for g in self.pop.group_names}
-        feas = None
-        if measure == THRESHOLD_REWARD:
-            feas = {g: [r.feasibility[g] for r in reps] for g in self.pop.group_names}
-        return DeltaCurve(measure, grid, values, feas)
+        values: dict = {}
+        feas: dict = {}
+        for g in self.pop.group_names:
+            # One contiguous row per delta, so each mean adds in row order.
+            cols = np.ascontiguousarray(table[self.pop.group_rows(g)].T)
+            if measure == BOUNDED_EFFORT:
+                values[g] = [float(np.mean(col)) for col in cols]
+            else:
+                finite = np.isfinite(cols)
+                values[g] = [
+                    float(np.mean(col[ok])) if ok.any() else None for col, ok in zip(cols, finite)
+                ]
+                feas[g] = [float(np.mean(ok)) for ok in finite]
+        return DeltaCurve(measure, grid, values, feas if measure == THRESHOLD_REWARD else None)
 
 
 def residual_differences(h, pop: Population) -> tuple[UnfairnessReport, UnfairnessReport]:

@@ -258,6 +258,14 @@ def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _make_out_dir(out_dir: Path) -> None:
+    """Create the output directory; a path that cannot be one is a ``DataError``."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"output directory {out_dir}: {exc.strerror or exc}") from None
+
+
 class StageRunner:
     """Collects emitted files and timings for the manifest."""
 
@@ -267,7 +275,7 @@ class StageRunner:
         self.command = command
         self.stages: list[dict] = []
         self.timings: list[dict] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_out_dir(out_dir)
 
     def run(self, name: str, fn) -> None:
         start = time.perf_counter()
@@ -542,7 +550,7 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
     if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not math.isfinite(shift):
         raise SchemaError(f"synthetic spec shift must be a finite number, got {shift!r}")
     pop = generate_synthetic(schema_from_dict(raw), sizes, seed=seed, shift=float(shift))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out_dir(out_dir)
     out_path = out_dir / "synthetic.csv"
     write_csv(pop, out_path)
     return out_path

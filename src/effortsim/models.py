@@ -19,6 +19,10 @@ from .dataset import DataError, FeatureSchema, Population
 from .effort import BENEFIT_PREDICTED, benefit_value
 
 JITTER = 1e-8
+# Descent budget of fit_constrained_linear: at most this many steps, and it
+# stops once the gradient norm is within the tolerance times max(1, |w|).
+CONSTRAINED_MAX_ITER = 500
+CONSTRAINED_TOL = 1e-9
 
 
 class Predictor:
@@ -360,8 +364,6 @@ def fit_constrained_linear(
     tau: float,
     benefit: str = BENEFIT_PREDICTED,
     minority: str | None = None,
-    max_iter: int = 500,
-    tol: float = 1e-9,
 ) -> LinearPredictor:
     """Least squares plus ``tau * max(0, majority minus minority benefit)``.
 
@@ -418,13 +420,13 @@ def fit_constrained_linear(
     f_w = objective(w)
     converged = False
     grad_norm = math.inf
-    for _ in range(max_iter):
+    for _ in range(CONSTRAINED_MAX_ITER):
         pred = A @ w
         grad = (2.0 / n) * (A.T @ (pred - y))
         if gap_of(pred) > 0.0:
             grad = grad + tau * gap_grad
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= tol * max(1.0, float(np.linalg.norm(w))):
+        if grad_norm <= CONSTRAINED_TOL * max(1.0, float(np.linalg.norm(w))):
             converged = True
             break
         step = 1.0

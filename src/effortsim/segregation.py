@@ -21,6 +21,10 @@ import numpy as np
 from .dataset import Population
 from .effort import EffortEngine, EffortParams
 
+# Power iteration stops once the residual is within POWER_TOL * max(1, |lambda|).
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10000
+
 
 @dataclass(frozen=True)
 class MetricContext:
@@ -169,7 +173,7 @@ def absolute_clustering(
     return (minority_pairs / m - uniform) / denom
 
 
-def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
+def _power_iteration(M: np.ndarray):
     """Dominant (Perron) eigenpair of a nonnegative, possibly asymmetric matrix.
 
     The within-group similarity exp(-d) comes from a directed distance, so M
@@ -177,7 +181,7 @@ def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     without the shift, near-bipartite components oscillate between +/- the
     spectral radius. Each step takes one product with the shifted matrix: the
     product that checks a step's residual is the next step's iterate.
-    Returns None when it does not converge.
+    Returns None when it does not converge within ``POWER_MAX_ITER`` steps.
     """
     n = M.shape[0]
     if n == 1:
@@ -189,14 +193,14 @@ def _power_iteration(M: np.ndarray, tol: float = 1e-10, max_iter: int = 10000):
     S.flat[:: n + 1] += shift  # M + shift * I, without two more n x n temporaries
     x = np.full(n, 1.0 / math.sqrt(n))
     y = S @ x
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, np.full(n, 1.0 / n)
         x = y / norm
         y = S @ x
         lam_shifted = float(x @ y)
-        if float(np.abs(y - lam_shifted * x).max()) <= tol * max(1.0, abs(lam_shifted)):
+        if float(np.abs(y - lam_shifted * x).max()) <= POWER_TOL * max(1.0, abs(lam_shifted)):
             break
     else:
         return None  # did not converge

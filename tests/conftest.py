@@ -76,6 +76,19 @@ def synthetic_student_pop(rows: int, seed: int = 5) -> Population:
     return generate_synthetic(schema, {"F": minority, "M": rows - minority}, seed=seed, shift=0.5)
 
 
+def sweep_point(audit, h, measure: str, delta: float) -> tuple[dict, dict | None]:
+    """Per-group values and feasibility of ``audit``'s one-point sweep at ``delta``.
+
+    Feasibility is ``None`` for bounded effort, as in ``DeltaCurve``.
+    """
+    curve = audit.sweep(h, measure, [delta])
+    feas = curve.per_group_feasibility
+    return (
+        {g: vals[0] for g, vals in curve.per_group_values.items()},
+        None if feas is None else {g: shares[0] for g, shares in feas.items()},
+    )
+
+
 def run_simulate(h, pop: Population, params, benefit: str):
     """One imitation round of ``h`` alone on ``pop``."""
     [impact] = simulate([h], pop, params, benefit)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import ACCEPTANCE_LINES, run_simulate
+from conftest import ACCEPTANCE_LINES, run_simulate, sweep_point
 from effortsim import data_path
 from effortsim.dataset import load_csv, restrict_features, split, write_csv
 from effortsim.dynamics import simulate
@@ -145,16 +145,16 @@ def test_criterion_4_curve_monotonicity(config, student_split):
             h = fit_model(spec, train, config)
             grid = audit.default_grid(h, BOUNDED_EFFORT, 20)
             curve = audit.sweep(h, BOUNDED_EFFORT, grid)
-            lo = audit.bounded_effort(h, 0.0).per_group_value
-            hi = audit.bounded_effort(h, math.inf).per_group_value
+            lo, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
+            hi, _ = sweep_point(audit, h, BOUNDED_EFFORT, math.inf)
             for g, vals in curve.per_group_values.items():
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:])), (spec.name, g)
                 assert vals[0] == lo[g] and vals[-1] == hi[g], (spec.name, g)
                 checked += 1
             tgrid = audit.default_grid(h, THRESHOLD_REWARD, 20)
             tcurve = audit.sweep(h, THRESHOLD_REWARD, tgrid)
-            t0 = audit.threshold_reward(h, tgrid[0]).per_group_value
-            t_end = audit.threshold_reward(h, tgrid[-1]).per_group_value
+            t0, _ = sweep_point(audit, h, THRESHOLD_REWARD, tgrid[0])
+            t_end, _ = sweep_point(audit, h, THRESHOLD_REWARD, tgrid[-1])
             for g, vals in tcurve.per_group_values.items():
                 assert vals[0] == t0[g] and vals[-1] == t_end[g]
                 checked += 1
@@ -189,21 +189,21 @@ def test_criterion_5_oracle_equivalence():
             finite = audit.efforts[np.isfinite(audit.efforts)]
             deltas = (0.0, float(np.median(finite)), float(finite.max()))
             for delta in deltas:
-                got = audit.bounded_effort(h, delta).per_group_value
+                got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)
                 want = oracles.bounded_effort(h, pop, params, benefit, delta, E)
                 for g in want:
                     assert abs(got[g] - want[g]) <= 1e-10, ("bounded", seed, delta, g)
             b = audit.benefits(h)
             hi = float(b.max() - b.min())
             for delta in (0.0, hi / 3, hi):
-                got_rep = audit.threshold_reward(h, delta)
+                got_vals, got_feas = sweep_point(audit, h, THRESHOLD_REWARD, delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta, E)
                 for g in want_vals:
                     if want_vals[g] is None:
-                        assert got_rep.per_group_value[g] is None
+                        assert got_vals[g] is None
                     else:
-                        assert abs(got_rep.per_group_value[g] - want_vals[g]) <= 1e-10
-                    assert got_rep.feasibility[g] == want_feas[g]
+                        assert abs(got_vals[g] - want_vals[g]) <= 1e-10
+                    assert got_feas[g] == want_feas[g]
             got_er = audit.effort_reward(h).per_group_value
             want_er = oracles.effort_reward(h, pop, params, benefit, E)
             for g in want_er:
@@ -214,7 +214,7 @@ def test_criterion_5_oracle_equivalence():
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
                 assert got.role_model_index == want_idx, ("role_model", seed, i)
                 if want_idx is not None:
-                    assert abs(got.exerted.utility - want_u) <= 1e-10
+                    assert abs(got.utility - want_u) <= 1e-10
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
             got_aci, _ = distance_indices(ctx, pop, 1e-6)
@@ -302,7 +302,7 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
                 if not o.changed:
                     continue
                 audited_changes += 1
-                assert o.exerted.utility > 0.0
+                assert o.utility > 0.0
                 assert preds_after[i] > preds_before[i]
                 # exhaustive candidate audit: every imitation target of row i
                 targets = train.X.copy()
@@ -312,7 +312,7 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
                     benefit_value(config.benefit, train.y, preds), params.alpha
                 )
                 utilities = target_benefit - own[i] - efforts[i]
-                assert o.exerted.utility >= float(np.max(utilities)) - 1e-12
+                assert o.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
         [fixed] = simulate([flat], train, params, config.benefit)
         ref_a, ref_b = tmp_path / "dyn_a.csv", tmp_path / "dyn_b.csv"

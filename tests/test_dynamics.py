@@ -41,9 +41,9 @@ def _toy_pop():
 
 
 def select_role_model(h, pop, params, benefit, i):
-    """(role model index or None, exerted breakdown) of row i after one imitation round."""
+    """(role model index or None, outcome) of row i after one imitation round."""
     outcome = run_simulate(h, pop, params, benefit).outcomes[i]
-    return outcome.role_model_index, outcome.exerted
+    return outcome.role_model_index, outcome
 
 
 class TestSelectRoleModel:
@@ -124,7 +124,7 @@ class TestSimulate:
                 new_x = impact.impacted.X[o.individual_index]
                 new_y = impact.impacted.y[o.individual_index]
                 assert o.changed == (o.role_model_index is not None)
-                assert o.changed == (o.exerted.utility > 0.0)
+                assert o.changed == (o.utility > 0.0)
                 if o.changed:
                     j = o.role_model_index
                     assert np.array_equal(new_x[mutable], pop.X[j, mutable])
@@ -155,8 +155,8 @@ class TestSimulate:
                 benefit, pop.y[i], preds[0]
             )
             effort = oracles.total_effort(pop, params, pop.groups[i], pop.X[i], new_x)
-            assert o.exerted.utility == pytest.approx(reward - effort, abs=1e-10)
-            assert o.exerted.effort == pytest.approx(effort, abs=1e-10)
+            assert o.utility == pytest.approx(reward - effort, abs=1e-10)
+            assert o.effort == pytest.approx(effort, abs=1e-10)
 
     def test_predicted_label_strictly_increases_for_changers(self):
         pop, params, h, _ = random_instance(43)
@@ -241,7 +241,7 @@ class TestTiledSimulate:
                 got = impact.outcomes[i]
                 assert got.role_model_index == want_idx
                 if want_idx is not None:
-                    assert got.exerted.utility == pytest.approx(want_u, abs=1e-10)
+                    assert got.utility == pytest.approx(want_u, abs=1e-10)
 
 
 class TestSharedRound:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import single_group_pop
+from conftest import single_group_pop, sweep_point
 from effortsim import effort, fairness
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortParams
@@ -44,17 +44,19 @@ class TestBoundedEffort:
     def test_zero_budget_with_base_cost_means_nobody_moves(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted").bounded_effort(h, 0.0)
-        assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
-        assert rep.disparity == 0.0
+        audit = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted")
+        values, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
+        assert values == {"g1": 0.0, "g2": 0.0}
+        assert fairness._disparity(values) == 0.0
 
     def test_unbounded_budget_reaches_best_candidate(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        rep = FairnessAudit(pop, params, "predicted").bounded_effort(h, math.inf)
+        audit = FairnessAudit(pop, params, "predicted")
+        values, _ = sweep_point(audit, h, BOUNDED_EFFORT, math.inf)
         want = oracles.bounded_effort(h, pop, params, "predicted", math.inf)
-        assert rep.per_group_value == pytest.approx(want, abs=1e-12)
+        assert values == pytest.approx(want, abs=1e-12)
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6):
@@ -62,32 +64,35 @@ class TestBoundedEffort:
             audit = FairnessAudit(pop, params, benefit)
             finite = audit.efforts[np.isfinite(audit.efforts)]
             for delta in (0.0, float(np.median(finite)), float(finite.max())):
-                got = audit.bounded_effort(h, delta).per_group_value
+                got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)
                 want = oracles.bounded_effort(h, pop, params, benefit, delta)
                 for g in want:
                     assert got[g] == pytest.approx(want[g], abs=1e-10)
 
     def test_negative_budget_rejected(self):
         pop = _two_group_skill_pop()
+        audit = FairnessAudit(pop, EffortParams(), "predicted")
         with pytest.raises(ValueError):
-            FairnessAudit(pop, EffortParams(), "predicted").bounded_effort(_skill_model(pop), -0.5)
+            sweep_point(audit, _skill_model(pop), BOUNDED_EFFORT, -0.5)
 
 
 class TestThresholdReward:
     def test_self_candidate_makes_zero_threshold_free(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(pop, EffortParams(), "predicted").threshold_reward(h, 0.0)
-        assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
-        assert rep.feasibility == {"g1": 1.0, "g2": 1.0}
+        audit = FairnessAudit(pop, EffortParams(), "predicted")
+        values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 0.0)
+        assert values == {"g1": 0.0, "g2": 0.0}
+        assert feasibility == {"g1": 1.0, "g2": 1.0}
 
     def test_unreachable_threshold_reports_absent(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        rep = FairnessAudit(pop, EffortParams(), "predicted").threshold_reward(h, 1e9)
-        assert rep.per_group_value == {"g1": None, "g2": None}
-        assert rep.feasibility == {"g1": 0.0, "g2": 0.0}
-        assert rep.disparity is None
+        audit = FairnessAudit(pop, EffortParams(), "predicted")
+        values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 1e9)
+        assert values == {"g1": None, "g2": None}
+        assert feasibility == {"g1": 0.0, "g2": 0.0}
+        assert fairness._disparity(values) is None
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6, 12):
@@ -96,14 +101,14 @@ class TestThresholdReward:
             b = audit.benefits(h)
             hi = float(b.max() - b.min())
             for delta in (0.0, hi / 2, hi):
-                got = audit.threshold_reward(h, delta)
+                got, got_feas = sweep_point(audit, h, THRESHOLD_REWARD, delta)
                 want_vals, want_feas = oracles.threshold_reward(h, pop, params, benefit, delta)
                 for g in want_vals:
                     if want_vals[g] is None:
-                        assert got.per_group_value[g] is None
+                        assert got[g] is None
                     else:
-                        assert got.per_group_value[g] == pytest.approx(want_vals[g], abs=1e-10)
-                    assert got.feasibility[g] == pytest.approx(want_feas[g], abs=1e-12)
+                        assert got[g] == pytest.approx(want_vals[g], abs=1e-10)
+                    assert got_feas[g] == pytest.approx(want_feas[g], abs=1e-12)
 
 
 class TestEffortReward:
@@ -188,7 +193,7 @@ class TestSweep:
             for g, vals in curve.per_group_values.items():
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
                 for d, v in zip(curve.deltas, vals):
-                    assert v == audit.bounded_effort(h, d).per_group_value[g]
+                    assert v == sweep_point(audit, h, BOUNDED_EFFORT, d)[0][g]
             tgrid = audit.default_grid(h, THRESHOLD_REWARD, 8)
             tcurve = audit.sweep(h, THRESHOLD_REWARD, tgrid)
             for g, vals in tcurve.per_group_values.items():
@@ -200,8 +205,8 @@ class TestSweep:
         audit = FairnessAudit(pop, params, benefit)
         grid = audit.default_grid(h, BOUNDED_EFFORT, 6)
         curve = audit.sweep(h, BOUNDED_EFFORT, grid)
-        lo = audit.bounded_effort(h, 0.0).per_group_value
-        hi = audit.bounded_effort(h, math.inf).per_group_value
+        lo, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
+        hi, _ = sweep_point(audit, h, BOUNDED_EFFORT, math.inf)
         for g in lo:
             assert curve.per_group_values[g][0] == lo[g]
             # the top of the default grid admits every finite-effort candidate

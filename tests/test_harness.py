@@ -224,6 +224,8 @@ class TestConfig:
             ("schema_is_list", 2),
             ("schema_feature_is_string", 2),
             ("synth_config_is_directory", 2),
+            ("out_is_file", 3),
+            ("synth_out_is_file", 3),
         ],
     )
     def test_bad_input_file_exits_without_traceback(self, toy_dir, case, code):
@@ -250,6 +252,13 @@ class TestConfig:
             (toy_dir / "toy_schema.json").write_text(json.dumps(schema))
         elif case == "synth_config_is_directory":
             argv = ["synth", "--config", str(toy_dir / "folder"), "--out", str(toy_dir / "o")]
+        elif case == "out_is_file":
+            argv[-1] = str(toy_dir / "toy.csv")
+        elif case == "synth_out_is_file":
+            spec = json.loads((toy_dir / "toy_schema.json").read_text())
+            spec.update(group_sizes={"a": 4, "b": 3}, seed=1)
+            (toy_dir / "spec.json").write_text(json.dumps(spec))
+            argv = ["synth", "--config", str(toy_dir / "spec.json"), "--out", str(toy_dir / "toy.csv")]
         config.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
         src = Path(effortsim.__file__).resolve().parents[1]
         proc = subprocess.run(
