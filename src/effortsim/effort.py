@@ -362,7 +362,11 @@ class EffortEngine:
             del tile  # a view of the finished group's buffers
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
-        """(n, n) matrix of total efforts from row i to row j's values: ``effort_tiles`` assembled."""
+        """(n, n) matrix of total efforts from row i to row j's values: ``effort_tiles`` assembled.
+
+        No command calls it; the tests compare against it, and the
+        benchmark's traced run wraps it by name.
+        """
         out = np.empty((pop.size, pop.size))
         for rows, tile in self.effort_tiles(pop, mutable_only):
             out[rows] = tile

@@ -2,23 +2,23 @@
 
 All three effort measures scan, for every individual, the candidate
 profiles present in the supplied population (the same data whose quantile
-tables define effort). Effort does not depend on the decision policy, so
-an audit builds the pairwise effort matrix once per population and audits
-each model through its benefit vector. Rewards ``b[j] - b[i]`` are not
-stored: each measure reads them from the benefit vector, one row tile at a
-time, and a whole delta sweep is one pass over the effort rows.
+tables define effort). Effort does not depend on the decision policy, so an
+audit walks the population's effort row tiles once and serves every model
+it audits from that walk; no n x n array is held. Per row and model it keeps
+only the row's Pareto staircase (least effort for at least a given benefit),
+and every measure reads its answers off the staircases.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import effort
 from .dataset import Population
-from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted, row_tiles
+from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
 
 BOUNDED_EFFORT = "bounded_effort"
 THRESHOLD_REWARD = "threshold_reward"
@@ -62,53 +62,59 @@ def _disparity(values: dict) -> float | None:
     return float(max(present) - min(present))
 
 
-class FairnessAudit:
-    """The pairwise effort matrix of one population, audited one model at a time.
+@dataclass(frozen=True)
+class _Staircases:
+    """One model's per-row Pareto staircases, flat and in row order.
 
-    Each measure audits a model ``h`` through its benefits ``b``. The reward
-    of moving from row i to candidate j is ``b[j] - b[i]``, monotone in
-    ``b[j]``, so one ordering of the benefits orders every row and each
-    measure is one pass over the effort rows, tile by tile. The maxima and
-    minima add no rounding, so the answers equal a scan of every pair.
+    With the candidates in stable ascending-benefit order ``b_asc``, the
+    suffix minimum ``sufmin[p]`` of row i's efforts is the least effort of
+    the candidates at position p or later. It is nondecreasing, and it only
+    steps up right after a position p whose own effort is ``sufmin[p]``.
+    Those positions, plus the last one, are row i's staircase: row i's
+    points are ``pos[starts[i]:starts[i + 1]]`` and their efforts
+    ``val[...]``, both strictly increasing. ``sufmin`` is constant from one
+    point back to the point before it, so the staircase answers every
+    measure with comparisons and the same subtractions as a scan of the
+    whole row, and keeps its bits.
     """
 
-    def __init__(self, pop: Population, params: EffortParams, benefit: str):
-        self.pop = pop
-        self.params = params
-        self.benefit = benefit
-        self.efforts = EffortEngine(pop, params).pairwise_effort(pop)  # row i -> candidate j
+    b: np.ndarray
+    b_asc: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
+    starts: np.ndarray
 
-    def benefits(self, h) -> np.ndarray:
-        """The risk-adjusted benefit of each row under model ``h``."""
-        preds = h.predict(self.pop)
-        return np.asarray(
-            risk_adjusted(benefit_value(self.benefit, self.pop.y, preds), self.params.alpha),
-            dtype=np.float64,
-        )
+    @classmethod
+    def assemble(cls, b: np.ndarray, asc: np.ndarray, tiles: list) -> "_Staircases":
+        """Join the walk's per-tile ``(rows, counts, pos, val)`` pieces in row order."""
+        rows, counts, pos, val = (np.concatenate(parts) for parts in zip(*tiles))
+        walk_starts = np.cumsum(counts) - counts
+        per_row, walk_start = np.empty_like(counts), np.empty_like(counts)
+        per_row[rows], walk_start[rows] = counts, walk_starts
+        starts = np.zeros(b.shape[0] + 1, dtype=np.intp)
+        np.cumsum(per_row, out=starts[1:])
+        take = np.arange(pos.shape[0]) + np.repeat(walk_start - starts[:-1], per_row)
+        return cls(b, b[asc], pos[take], val[take], starts)
 
-    @functools.cached_property
-    def max_finite_effort(self) -> float:
-        """Top of the bounded-effort grid: the largest finite effort, 0.0 if none is finite."""
-        top = 0.0  # efforts are never negative
-        for lo, hi in row_tiles(self.pop.size, self.pop.size):
-            tile = self.efforts[lo:hi]
-            top = max(top, float(np.max(tile, where=np.isfinite(tile), initial=0.0)))
-        return top
+    def _count(self, hits: np.ndarray) -> np.ndarray:
+        """Per row, the number of its points with ``hits`` set, for each column of ``hits``."""
+        # Every row has at least one point, so no segment of reduceat is empty.
+        return np.add.reduceat(hits, self.starts[:-1], axis=0, dtype=np.intp)
 
-    def _table(self, b: np.ndarray, measure: str, grid: Sequence[float]) -> np.ndarray:
-        """(n, len(grid)) per-individual answers of one measure under benefits ``b``.
+    def rewards(self) -> np.ndarray:
+        """``b[j] - b[i]`` at every point j of every row i."""
+        return self.b_asc[self.pos] - np.repeat(self.b, np.diff(self.starts))
 
-        Each tile of effort rows is permuted into ascending-benefit order and
-        turned into suffix minima: ``sufmin[i, p]`` is the least effort of
-        the candidates at position p or later.
+    def table(self, measure: str, grid: Sequence[float]) -> np.ndarray:
+        """(n, len(grid)) per-individual answers of one measure.
 
-        * Bounded effort: the positions whose suffix minimum fits the budget
-          form a prefix, and its last position is the reachable candidate
-          with the highest benefit. The answer is its benefit minus ``b[i]``,
-          or 0 when nothing fits.
-        * Threshold reward: the candidates reaching reward delta are the
-          positions from ``searchsorted(b_asc - b[i], delta)`` on, so the
-          answer is the suffix minimum there (``inf`` when infeasible).
+        * Bounded effort: the points within the budget form a prefix, and
+          its last point is the reachable candidate with the highest
+          benefit. The answer is its benefit minus ``b[i]``, or 0 when no
+          point fits.
+        * Threshold reward: the first point whose reward reaches delta has
+          the least effort of all candidates that do (``inf`` when no
+          point does).
         """
         deltas = np.asarray(grid, dtype=np.float64)
         if measure == BOUNDED_EFFORT:
@@ -116,35 +122,100 @@ class FairnessAudit:
                 raise ValueError(f"effort budget must be >= 0, got {list(grid)}")
             # Infinite efforts mark unreachable candidates; no budget covers them.
             budgets = np.minimum(deltas, np.finfo(np.float64).max)
-        elif measure != THRESHOLD_REWARD:
-            raise ValueError(f"cannot sweep measure {measure!r}")
-        n = b.shape[0]
-        asc = np.argsort(b, kind="stable")
-        b_asc = b[asc]
-        out = np.empty((n, deltas.shape[0]))
-        for lo, hi in row_tiles(n, n):
-            sufmin = self.efforts[lo:hi, asc]
-            backwards = sufmin[:, ::-1]
-            np.minimum.accumulate(backwards, axis=1, out=backwards)
-            if measure == BOUNDED_EFFORT:
-                fits = np.array([np.searchsorted(row, budgets, side="right") for row in sufmin])
-                out[lo:hi] = np.where(fits > 0, b_asc[fits - 1] - b[lo:hi, None], 0.0)
-            else:
-                rewards = b_asc[None, :] - b[lo:hi, None]
-                first = np.array([np.searchsorted(row, deltas, side="left") for row in rewards])
-                least = np.take_along_axis(sufmin, np.minimum(first, n - 1), axis=1)
-                out[lo:hi] = np.where(first < n, least, np.inf)
-        return out
+            fits = self._count(self.val[:, None] <= budgets)
+            last = self.pos[self.starts[:-1, None] + fits - 1]  # read only where fits > 0
+            return np.where(fits > 0, self.b_asc[last] - self.b[:, None], 0.0)
+        if measure == THRESHOLD_REWARD:
+            first = self.starts[:-1, None] + self._count(self.rewards()[:, None] < deltas)
+            inside = first < self.starts[1:, None]
+            return np.where(inside, self.val[np.where(inside, first, 0)], np.inf)
+        raise ValueError(f"cannot sweep measure {measure!r}")
+
+    def best_utility(self) -> np.ndarray:
+        """Each row's best ``(b[j] - b[i]) - e[i, j]`` over all candidates j.
+
+        Any candidate is matched by the staircase point at or after its
+        position, which has no less benefit and no more effort. Rounded
+        subtraction is monotone in both operands, so that point's utility
+        is no lower, and the maximum over the points is the row's maximum.
+        """
+        return np.maximum.reduceat(self.rewards() - self.val, self.starts[:-1])
+
+
+class FairnessAudit:
+    """Every audited model's effort staircases over one population, from one effort walk.
+
+    The constructor takes the models to audit and computes each one's
+    benefits ``b`` once. The reward of moving from row i to candidate j is
+    ``b[j] - b[i]``, monotone in ``b[j]``, so one ordering of the benefits
+    orders every row. The walk over ``EffortEngine.effort_tiles`` gathers
+    each tile into every model's ascending-benefit order, takes its suffix
+    minima and keeps each row's staircase points; it also keeps the largest
+    finite effort, the top of the bounded-effort grid. Every measure is then
+    answered from the staircases, with the same bits as a scan of every
+    pair. Asking about a model the audit was not built with is a
+    ``ValueError``.
+    """
+
+    def __init__(self, pop: Population, params: EffortParams, benefit: str, models: Iterable):
+        self.pop = pop
+        self.params = params
+        self.benefit = benefit
+        self.models = tuple(models)
+        n = pop.size
+        benefits = [
+            np.asarray(
+                risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha),
+                dtype=np.float64,
+            )
+            for h in self.models
+        ]
+        orders = [np.argsort(b, kind="stable") for b in benefits]
+        pieces: list[list] = [[] for _ in self.models]
+        height = min(effort.tile_rows(n), n)  # effort_tiles' tiles hold at most this many rows
+        sufmin_buf, flags_buf = np.empty((height, n)), np.empty((height, n), bool)
+        top = 0.0  # efforts are never negative
+        self.tiles = 0
+        for rows, tile in EffortEngine(pop, params).effort_tiles(pop):
+            self.tiles += 1
+            sufmin, flags = sufmin_buf[: rows.shape[0]], flags_buf[: rows.shape[0]]
+            top = max(top, float(np.max(tile, where=np.isfinite(tile, out=flags), initial=0.0)))
+            for asc, parts in zip(orders, pieces):
+                np.take(tile, asc, axis=1, out=sufmin, mode="clip")  # see EffortEngine.eps_tiles
+                backwards = sufmin[:, ::-1]
+                np.minimum.accumulate(backwards, axis=1, out=backwards)
+                np.less(sufmin[:, :-1], sufmin[:, 1:], out=flags[:, :-1])
+                flags[:, -1] = True
+                at = np.flatnonzero(flags)
+                r, p = np.divmod(at, n)
+                counts = np.bincount(r, minlength=rows.shape[0])
+                parts.append((rows, counts, p, np.take(sufmin, at)))
+            del tile  # see EffortEngine.effort_tiles
+        self.max_finite_effort = top
+        self._staircases = {
+            id(h): _Staircases.assemble(b, asc, parts)
+            for h, b, asc, parts in zip(self.models, benefits, orders, pieces)
+        }
+
+    def _of(self, h) -> _Staircases:
+        # self.models keeps every audited model alive, so no other object shares its id.
+        try:
+            return self._staircases[id(h)]
+        except KeyError:
+            raise ValueError("the audit was not built with this model") from None
+
+    def benefits(self, h) -> np.ndarray:
+        """The risk-adjusted benefit of each row under model ``h``."""
+        return self._of(h).b
+
+    def staircase_size(self, h) -> dict:
+        """Model ``h``'s staircase points in total and in the longest row."""
+        counts = np.diff(self._of(h).starts)
+        return {"points": int(counts.sum()), "max_row_points": int(counts.max(initial=0))}
 
     def effort_reward(self, h) -> UnfairnessReport:
         """Best achievable utility per individual, floored at staying put."""
-        b = self.benefits(h)
-        best = np.empty(b.shape[0])
-        for lo, hi in row_tiles(b.shape[0], b.shape[0]):
-            utility = b[None, :] - b[lo:hi, None]
-            np.subtract(utility, self.efforts[lo:hi], out=utility)
-            utility.max(axis=1, out=best[lo:hi])
-        best = np.maximum(best, 0.0)
+        best = np.maximum(self._of(h).best_utility(), 0.0)
         values = {g: float(np.mean(best[self.pop.group_rows(g)])) for g in self.pop.group_names}
         return UnfairnessReport(
             measure=EFFORT_REWARD,
@@ -162,10 +233,10 @@ class FairnessAudit:
         """Evenly spaced budgets/thresholds spanning the observed pairwise range."""
         if points < 2:
             raise ValueError("grid needs at least 2 points")
+        b = self.benefits(h)
         if measure == BOUNDED_EFFORT:
             hi = self.max_finite_effort
         elif measure == THRESHOLD_REWARD:
-            b = self.benefits(h)
             hi = float(max(b.max() - b.min(), 0.0))
         else:
             raise ValueError(f"no delta grid for measure {measure!r}")
@@ -186,7 +257,7 @@ class FairnessAudit:
         grid = tuple(float(d) for d in grid)
         if list(grid) != sorted(grid):
             raise ValueError("delta grid must be sorted ascending")
-        table = self._table(self.benefits(h), measure, grid)
+        table = self._of(h).table(measure, grid)
         values: dict = {}
         feas: dict = {}
         for g in self.pop.group_names:

@@ -3,8 +3,9 @@
 One JSON config plus the input files determines every output byte. Each
 stage writes its artifacts into the output directory and a
 ``manifest.json`` listing the config hash, tool version and the sha256 of
-every stable output; wall-clock numbers go to ``timings.json``, which the
-manifest lists by name only so reruns stay byte-identical.
+every stable output; wall-clock numbers and run sizes go to
+``timings.json``, which the manifest lists by name only so reruns stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -349,14 +350,19 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
         return ["mae_report.json", "models.json"]
 
     def stage_curves():
-        state["audit"] = audit = FairnessAudit(train, config.effort, config.benefit)
+        models = state["models"]
+        state["audit"] = audit = FairnessAudit(
+            train, config.effort, config.benefit, models.values()
+        )
+        sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
+        runner.timings.append({"audit": {"tiles": audit.tiles, "staircases": sizes}})
         files = []
         for measure, fname, extra_columns in (
             (BOUNDED_EFFORT, "bounded_effort_curves.csv", []),
             (THRESHOLD_REWARD, "threshold_reward_curves.csv", ["feasibility"]),
         ):
             rows = []
-            for name, h in sorted(state["models"].items()):
+            for name, h in sorted(models.items()):
                 curve = audit.sweep(h, measure, audit.default_grid(h, measure, config.delta_points))
                 feas = curve.per_group_feasibility  # threshold reward only
                 for g in sorted(curve.per_group_values):

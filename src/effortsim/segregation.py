@@ -182,6 +182,8 @@ def _power_iteration(M: np.ndarray):
     spectral radius. Each step takes one product with the shifted matrix: the
     product that checks a step's residual is the next step's iterate.
     Returns None when it does not converge within ``POWER_MAX_ITER`` steps.
+    The shift is added to M's diagonal in place, so M is consumed: callers
+    pass an array they own and drop afterwards.
     """
     n = M.shape[0]
     if n == 1:
@@ -189,16 +191,15 @@ def _power_iteration(M: np.ndarray):
     shift = float(M.sum(axis=1).max())
     if shift == 0.0:
         return 0.0, np.full(n, 1.0 / n)
-    S = M.copy()
-    S.flat[:: n + 1] += shift  # M + shift * I, without two more n x n temporaries
+    M.flat[:: n + 1] += shift  # M + shift * I, without a copy or an n x n temporary
     x = np.full(n, 1.0 / math.sqrt(n))
-    y = S @ x
+    y = M @ x
     for _ in range(POWER_MAX_ITER):
         norm = float(np.linalg.norm(y))
         if norm == 0.0:
             return 0.0, np.full(n, 1.0 / n)
         x = y / norm
-        y = S @ x
+        y = M @ x
         lam_shifted = float(x @ y)
         if float(np.abs(y - lam_shifted * x).max()) <= POWER_TOL * max(1.0, abs(lam_shifted)):
             break
@@ -246,8 +247,8 @@ def spectral_segregation(
     connectivity threshold removed, in place. Each connected component
     contributes lambda * eigvec_i * |component| per member, with the
     dominant eigenvector normalized to sum one; a component spanning the
-    whole group is iterated on without a copy. Returns None if power
-    iteration fails to converge.
+    whole group is iterated on in place, so ``similarity`` is consumed.
+    Returns None if power iteration fails to converge.
     """
     B = similarity
     np.fill_diagonal(B, 0.0)

@@ -119,7 +119,7 @@ def test_criterion_3_effort_reward_contrast(student_pop, student_split, ridge_mo
         train, _ = student_split
         h_mut, h_comb = ridge_models
         params = EffortParams()
-        audit = FairnessAudit(train, params, "predicted")
+        audit = FairnessAudit(train, params, "predicted", [h_mut, h_comb])
         er_mut = audit.effort_reward(h_mut)
         er_comb = audit.effort_reward(h_comb)
         assert er_comb.disparity > 2.0 * er_mut.disparity, (er_mut.disparity, er_comb.disparity)
@@ -140,9 +140,10 @@ def test_criterion_4_curve_monotonicity(config, student_split):
     with _record("4 curve monotonicity") as rec:
         train, _ = student_split
         checked = 0
-        audit = FairnessAudit(train, config.effort, config.benefit)
-        for spec in config.models:
-            h = fit_model(spec, train, config)
+        models = [fit_model(spec, train, config) for spec in config.models]
+        audit = FairnessAudit(train, config.effort, config.benefit, models)
+        efforts = EffortEngine(train, config.effort).pairwise_effort(train)
+        for spec, h in zip(config.models, models):
             grid = audit.default_grid(h, BOUNDED_EFFORT, 20)
             curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             lo, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
@@ -165,8 +166,8 @@ def test_criterion_4_curve_monotonicity(config, student_split):
             b = audit.benefits(h)
             for delta in tgrid:
                 rewards = b[None, :] - b[:, None]
-                feas = (rewards >= delta) & np.isfinite(audit.efforts)
-                mins = np.where(feas, audit.efforts, np.inf).min(axis=1)
+                feas = (rewards >= delta) & np.isfinite(efforts)
+                mins = np.where(feas, efforts, np.inf).min(axis=1)
                 mins = np.where(feas.any(axis=1), mins, np.nan)
                 if prev is not None:
                     both = ~np.isnan(prev) & ~np.isnan(mins)
@@ -184,9 +185,10 @@ def test_criterion_5_oracle_equivalence():
         for seed in range(100, 100 + n_instances):
             pop, params, h, benefit = random_instance(seed, max_individuals=30)
             assert pop.size <= 30
-            audit = FairnessAudit(pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit, [h])
             E = oracles.effort_matrix(pop, params)
-            finite = audit.efforts[np.isfinite(audit.efforts)]
+            efforts = EffortEngine(pop, params).pairwise_effort(pop)
+            finite = efforts[np.isfinite(efforts)]
             deltas = (0.0, float(np.median(finite)), float(finite.max()))
             for delta in deltas:
                 got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)

@@ -52,7 +52,7 @@ def test_counters_read_live_results(bench):
     spans, es = bench
     fairness, dynamics = es["fairness"], es["dynamics"]
     pop, params, h, benefit = random_instance(3)
-    audit = fairness.FairnessAudit(pop, params, benefit)
+    audit = fairness.FairnessAudit(pop, params, benefit, [h])
     curve = audit.sweep(h, fairness.BOUNDED_EFFORT, [0.0, 1.0])
     assert spans._sweep((), {}, curve) == {"passes": 2}
     [impact] = rounds = dynamics.simulate([h], pop, params, benefit)

@@ -203,10 +203,10 @@ class TestTotalEffort:
 
 
 def _rewards(h, pop, benefit, alpha=1.0, base_cost=0.0):
-    """(audit, rewards b[j] - b[i]) from the audit's benefit vector."""
-    audit = FairnessAudit(pop, EffortParams(alpha=alpha, base_cost=base_cost), benefit)
-    b = audit.benefits(h)
-    return audit, b[None, :] - b[:, None]
+    """(dense efforts, rewards b[j] - b[i] from the audit's benefit vector)."""
+    params = EffortParams(alpha=alpha, base_cost=base_cost)
+    b = FairnessAudit(pop, params, benefit, [h]).benefits(h)
+    return EffortEngine(pop, params).pairwise_effort(pop), b[None, :] - b[:, None]
 
 
 class TestRewardUtility:
@@ -248,17 +248,17 @@ class TestRewardUtility:
     def test_utility_breakdown(self):
         pop = single_group_pop([1, 2, 3, 4, 5])
         h = self._identity_model(pop)
-        audit, rewards = _rewards(h, pop, "predicted")
-        none_moved = (rewards[0, 0], audit.efforts[0, 0], rewards[0, 0] - audit.efforts[0, 0])
+        efforts, rewards = _rewards(h, pop, "predicted")
+        none_moved = (rewards[0, 0], efforts[0, 0], rewards[0, 0] - efforts[0, 0])
         assert none_moved == (0.0, 0.0, 0.0)
-        audit, rewards = _rewards(h, pop, "predicted", base_cost=0.1)
-        assert rewards[0, 0] - audit.efforts[0, 0] == pytest.approx(-0.1)
+        efforts, rewards = _rewards(h, pop, "predicted", base_cost=0.1)
+        assert rewards[0, 0] - efforts[0, 0] == pytest.approx(-0.1)
 
     def test_immutable_move_gives_minus_infinity(self):
         pop = _mixed_pop()
         h = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 0.0)
-        audit, rewards = _rewards(h, pop, "predicted")
-        effort = audit.efforts[0, 5]
+        efforts, rewards = _rewards(h, pop, "predicted")
+        effort = efforts[0, 5]
         assert effort == math.inf and rewards[0, 5] - effort == -math.inf
 
     def test_shifted_gain_benefit(self):

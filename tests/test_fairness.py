@@ -9,7 +9,7 @@ import oracles
 from conftest import single_group_pop, sweep_point
 from effortsim import effort, fairness
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim.effort import EffortParams
+from effortsim.effort import EffortEngine, EffortParams
 from effortsim.fairness import (
     BOUNDED_EFFORT,
     THRESHOLD_REWARD,
@@ -24,6 +24,11 @@ def _skill_model(pop, weight=1.0, intercept=0.0):
     w = np.zeros(pop.schema.size)
     w[pop.schema.index("skill")] = weight
     return LinearPredictor(pop.schema.names, w, intercept)
+
+
+def _dense_efforts(pop, params):
+    """The full n x n effort matrix, which the audit itself never holds."""
+    return EffortEngine(pop, params).pairwise_effort(pop)
 
 
 def _two_group_skill_pop():
@@ -44,7 +49,7 @@ class TestBoundedEffort:
     def test_zero_budget_with_base_cost_means_nobody_moves(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted")
+        audit = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted", [h])
         values, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
         assert values == {"g1": 0.0, "g2": 0.0}
         assert fairness._disparity(values) == 0.0
@@ -53,7 +58,7 @@ class TestBoundedEffort:
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        audit = FairnessAudit(pop, params, "predicted")
+        audit = FairnessAudit(pop, params, "predicted", [h])
         values, _ = sweep_point(audit, h, BOUNDED_EFFORT, math.inf)
         want = oracles.bounded_effort(h, pop, params, "predicted", math.inf)
         assert values == pytest.approx(want, abs=1e-12)
@@ -61,8 +66,9 @@ class TestBoundedEffort:
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit)
-            finite = audit.efforts[np.isfinite(audit.efforts)]
+            audit = FairnessAudit(pop, params, benefit, [h])
+            efforts = _dense_efforts(pop, params)
+            finite = efforts[np.isfinite(efforts)]
             for delta in (0.0, float(np.median(finite)), float(finite.max())):
                 got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)
                 want = oracles.bounded_effort(h, pop, params, benefit, delta)
@@ -71,16 +77,17 @@ class TestBoundedEffort:
 
     def test_negative_budget_rejected(self):
         pop = _two_group_skill_pop()
-        audit = FairnessAudit(pop, EffortParams(), "predicted")
+        h = _skill_model(pop)
+        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
         with pytest.raises(ValueError):
-            sweep_point(audit, _skill_model(pop), BOUNDED_EFFORT, -0.5)
+            sweep_point(audit, h, BOUNDED_EFFORT, -0.5)
 
 
 class TestThresholdReward:
     def test_self_candidate_makes_zero_threshold_free(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted")
+        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
         values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 0.0)
         assert values == {"g1": 0.0, "g2": 0.0}
         assert feasibility == {"g1": 1.0, "g2": 1.0}
@@ -88,7 +95,7 @@ class TestThresholdReward:
     def test_unreachable_threshold_reports_absent(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted")
+        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
         values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 1e9)
         assert values == {"g1": None, "g2": None}
         assert feasibility == {"g1": 0.0, "g2": 0.0}
@@ -97,7 +104,7 @@ class TestThresholdReward:
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6, 12):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit, [h])
             b = audit.benefits(h)
             hi = float(b.max() - b.min())
             for delta in (0.0, hi / 2, hi):
@@ -115,24 +122,24 @@ class TestEffortReward:
     def test_constant_predictor_floors_at_stay_put(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop, weight=0.0, intercept=5.0)
-        rep = FairnessAudit(pop, EffortParams(), "predicted").effort_reward(h)
+        rep = FairnessAudit(pop, EffortParams(), "predicted", [h]).effort_reward(h)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(12, 18):
             pop, params, h, benefit = random_instance(seed)
-            got = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
+            got = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
             want = oracles.effort_reward(h, pop, params, benefit)
             for g in want:
                 assert got[g] == pytest.approx(want[g], abs=1e-10)
 
     def test_dominates_every_candidate(self):
         pop, params, h, benefit = random_instance(18)
-        audit = FairnessAudit(pop, params, benefit)
+        audit = FairnessAudit(pop, params, benefit, [h])
         rep = audit.effort_reward(h)
         b = audit.benefits(h)
-        utilities = b[None, :] - b[:, None] - audit.efforts
+        utilities = b[None, :] - b[:, None] - _dense_efforts(pop, params)
         best = np.maximum(np.max(utilities, axis=1), 0.0)
         for i in range(pop.size):
             assert best[i] + 1e-12 >= np.max(utilities[i])
@@ -141,7 +148,8 @@ class TestEffortReward:
     def test_single_group_disparity_zero(self):
         pop = single_group_pop([1, 2, 3, 4])
         h = _skill_model(pop)
-        assert FairnessAudit(pop, EffortParams(), "predicted").effort_reward(h).disparity == 0.0
+        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
+        assert audit.effort_reward(h).disparity == 0.0
 
     def test_permutation_invariance(self):
         pop, params, h, benefit = random_instance(19)
@@ -149,8 +157,8 @@ class TestEffortReward:
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        a = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
-        b = FairnessAudit(shuffled, params, benefit).effort_reward(h).per_group_value
+        a = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
+        b = FairnessAudit(shuffled, params, benefit, [h]).effort_reward(h).per_group_value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -182,12 +190,12 @@ class TestSweep:
     def test_grid_must_be_sorted(self):
         pop, params, h, benefit = random_instance(20)
         with pytest.raises(ValueError):
-            FairnessAudit(pop, params, benefit).sweep(h, BOUNDED_EFFORT, [1.0, 0.5])
+            FairnessAudit(pop, params, benefit, [h]).sweep(h, BOUNDED_EFFORT, [1.0, 0.5])
 
     def test_curves_nondecreasing_and_match_pointwise(self):
         for seed in (23, 24):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit, [h])
             grid = audit.default_grid(h, BOUNDED_EFFORT, 8)
             curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             for g, vals in curve.per_group_values.items():
@@ -202,7 +210,7 @@ class TestSweep:
 
     def test_endpoints_match_closed_forms(self):
         pop, params, h, benefit = random_instance(25)
-        audit = FairnessAudit(pop, params, benefit)
+        audit = FairnessAudit(pop, params, benefit, [h])
         grid = audit.default_grid(h, BOUNDED_EFFORT, 6)
         curve = audit.sweep(h, BOUNDED_EFFORT, grid)
         lo, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
@@ -214,25 +222,26 @@ class TestSweep:
 
     def test_grid_top_is_scanned_once_per_audit(self, monkeypatch):
         pop, params, h, benefit = random_instance(23)
-        audit = FairnessAudit(pop, params, benefit)
-        scans = []
-        original = fairness.row_tiles
+        walks = []
+        original = EffortEngine.effort_tiles
 
-        def counting(n_rows, n_cols):
-            scans.append(n_rows)
-            return original(n_rows, n_cols)
+        def counting(self, pop, mutable_only=False):
+            walks.append(mutable_only)
+            return original(self, pop, mutable_only)
 
-        monkeypatch.setattr(fairness, "row_tiles", counting)
+        monkeypatch.setattr(EffortEngine, "effort_tiles", counting)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
+        audit = FairnessAudit(pop, params, benefit, [h, flat])
         grids = [audit.default_grid(model, BOUNDED_EFFORT, 5) for model in (h, flat, h)]
-        assert len(scans) == 1
-        finite = audit.efforts[np.isfinite(audit.efforts)]
+        assert walks == [False]
+        efforts = _dense_efforts(pop, params)
+        finite = efforts[np.isfinite(efforts)]
         assert grids[0] == grids[1] == grids[2]
         assert grids[0][-1] == float(finite.max())
 
     def test_rows_layout(self):
         pop, params, h, benefit = random_instance(26)
-        curve = FairnessAudit(pop, params, benefit).sweep(h, BOUNDED_EFFORT, [0.0, 0.1])
+        curve = FairnessAudit(pop, params, benefit, [h]).sweep(h, BOUNDED_EFFORT, [0.0, 0.1])
         assert curve.deltas == (0.0, 0.1)
         assert sorted(curve.per_group_values) == list(pop.group_names)
         assert all(len(vals) == 2 for vals in curve.per_group_values.values())
@@ -265,10 +274,11 @@ class TestOnePassSweep:
     def test_bounded_effort_equals_oracle(self):
         saw_inf = saw_ties = False
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(pop, params, benefit)
-            saw_inf |= bool(np.isinf(audit.efforts).any())
+            audit = FairnessAudit(pop, params, benefit, [h])
+            efforts = _dense_efforts(pop, params)
+            saw_inf |= bool(np.isinf(efforts).any())
             saw_ties |= len(set(audit.benefits(h).tolist())) < pop.size
-            finite = np.unique(audit.efforts[np.isfinite(audit.efforts)])
+            finite = np.unique(efforts[np.isfinite(efforts)])
             grid = sorted({0.0, *finite[:: max(1, finite.size // 6)].tolist(), math.inf})
             curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             E = oracles.effort_matrix(pop, params)
@@ -280,7 +290,7 @@ class TestOnePassSweep:
 
     def test_threshold_reward_equals_oracle(self):
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(pop, params, benefit)
+            audit = FairnessAudit(pop, params, benefit, [h])
             b = audit.benefits(h)
             rewards = np.unique(b[None, :] - b[:, None])
             grid = sorted({-math.inf, *rewards[:: max(1, rewards.size // 6)].tolist(), math.inf})
@@ -294,7 +304,7 @@ class TestOnePassSweep:
 
     def test_rewards_are_not_stored(self):
         pop, params, h, benefit = random_instance(43)
-        audit = FairnessAudit(pop, params, benefit)
+        audit = FairnessAudit(pop, params, benefit, [h])
         audit.sweep(h, THRESHOLD_REWARD, audit.default_grid(h, THRESHOLD_REWARD, 5))
         assert "rewards" not in vars(audit)
         b = audit.benefits(h)
@@ -302,11 +312,119 @@ class TestOnePassSweep:
         assert audit.default_grid(h, THRESHOLD_REWARD, 5)[-1] == max(top, 0.0)
 
 
+def _row_answers(E, b, measure, grid):
+    """Per-row answers of a dense scan of every candidate (``E`` from the oracles)."""
+    n = len(b)
+    out = np.empty((n, len(grid)))
+    for i in range(n):
+        finite = [j for j in range(n) if math.isfinite(E[i][j])]
+        for col, delta in enumerate(grid):
+            if measure == BOUNDED_EFFORT:
+                reach = [b[j] - b[i] for j in finite if E[i][j] <= delta]
+                out[i, col] = max(reach) if reach else 0.0
+            else:
+                costs = [E[i][j] for j in finite if b[j] - b[i] >= delta]
+                out[i, col] = min(costs) if costs else math.inf
+    return out
+
+
+def _dense_best_utility(E, b):
+    n = len(b)
+    return np.array(
+        [max(-math.inf if math.isinf(E[i][j]) else (b[j] - b[i]) - E[i][j] for j in range(n))
+         for i in range(n)]
+    )
+
+
+class TestStaircases:
+    """Each row's staircase answers exactly what a scan of its whole effort row does."""
+
+    @pytest.fixture(autouse=True)
+    def three_row_tiles(self, monkeypatch):
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 3)
+
+    def test_row_answers_equal_dense_scan(self):
+        saw_inf = saw_ties = False
+        for pop, params, h, benefit in _sweep_cases():
+            audit = FairnessAudit(pop, params, benefit, [h])
+            stairs = audit._of(h)
+            E = oracles.effort_matrix(pop, params)
+            b = oracles.benefit_vector(h, pop, params, benefit)
+            saw_inf |= any(math.isinf(e) for row in E for e in row)
+            saw_ties |= len(set(b)) < pop.size
+            # grid points exactly at effort values and at reward values
+            efforts = sorted({e for row in E for e in row if math.isfinite(e)})
+            rewards = sorted({bj - bi for bi in b for bj in b})
+            for measure, values, ends in (
+                (BOUNDED_EFFORT, efforts, (0.0, math.inf)),
+                (THRESHOLD_REWARD, rewards, (-math.inf, math.inf)),
+            ):
+                grid = sorted({*ends, *values[:: max(1, len(values) // 12)], values[-1]})
+                got = stairs.table(measure, grid)
+                np.testing.assert_array_equal(got, _row_answers(E, b, measure, grid))
+            np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
+        assert saw_inf and saw_ties
+
+    def test_rising_effort_gives_a_point_per_candidate(self):
+        # Effort rises strictly with benefit above each row, so row i's
+        # staircase holds every candidate from i up: O(n) points per row.
+        n = 40
+        pop = single_group_pop(np.arange(1.0, n + 1))
+        h = _skill_model(pop)
+        params = EffortParams()
+        audit = FairnessAudit(pop, params, "predicted", [h])
+        assert audit.staircase_size(h) == {"points": n * (n + 1) // 2, "max_row_points": n}
+        E = oracles.effort_matrix(pop, params)
+        b = oracles.benefit_vector(h, pop, params, "predicted")
+        stairs = audit._of(h)
+        efforts = sorted({e for row in E for e in row})
+        rewards = sorted({bj - bi for bi in b for bj in b})
+        for measure, grid in ((BOUNDED_EFFORT, efforts), (THRESHOLD_REWARD, rewards)):
+            np.testing.assert_array_equal(
+                stairs.table(measure, grid), _row_answers(E, b, measure, grid)
+            )
+        np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
+
+    def test_one_walk_serves_every_model(self, monkeypatch):
+        pop, params, h, benefit = random_instance(44)
+        flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
+        walks = []
+        original = EffortEngine.effort_tiles
+
+        def counting(self, pop, mutable_only=False):
+            walks.append(mutable_only)
+            return original(self, pop, mutable_only)
+
+        monkeypatch.setattr(EffortEngine, "effort_tiles", counting)
+        both = FairnessAudit(pop, params, benefit, [h, flat])
+        assert walks == [False]
+        assert both.tiles == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
+        for model in (h, flat):
+            alone = FairnessAudit(pop, params, benefit, [model])
+            grid = both.default_grid(model, BOUNDED_EFFORT, 5)
+            curves = [audit.sweep(model, BOUNDED_EFFORT, grid) for audit in (both, alone)]
+            assert curves[0] == curves[1]
+            assert both.effort_reward(model) == alone.effort_reward(model)
+
+    def test_unaudited_model_rejected(self):
+        pop, params, h, benefit = random_instance(45)
+        audit = FairnessAudit(pop, params, benefit, [h])
+        other = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
+        for ask in (
+            lambda: audit.benefits(other),
+            lambda: audit.sweep(other, BOUNDED_EFFORT, [0.0]),
+            lambda: audit.effort_reward(other),
+            lambda: audit.default_grid(other, THRESHOLD_REWARD),
+        ):
+            with pytest.raises(ValueError):
+                ask()
+
+
 class TestTreePredictorIntegration:
     def test_audit_works_with_trees(self):
         pop, params, _, benefit = random_instance(27)
         h = fit_tree(pop, 3)
-        got = FairnessAudit(pop, params, benefit).effort_reward(h).per_group_value
+        got = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
         want = oracles.effort_reward(h, pop, params, benefit)
         for g in want:
             assert got[g] == pytest.approx(want[g], abs=1e-10)

@@ -33,6 +33,7 @@ from effortsim.harness import (
     config_from_dict,
     load_config,
 )
+from effortsim.models import Predictor
 
 
 def _toy_schema():
@@ -298,6 +299,47 @@ class TestFairnessCommand:
                 continue  # wall-clock readings; unhashed in the manifest
             assert (out2 / f.name).read_bytes() == f.read_bytes(), f.name
 
+    def test_each_model_predicted_once_by_the_audit(self, toy_dir, monkeypatch):
+        audit_calls = []
+        original = Predictor.predict
+
+        def counting(self, pop):
+            if sys._getframe(1).f_code.co_qualname.startswith("FairnessAudit."):
+                audit_calls.append(id(self))
+            return original(self, pop)
+
+        monkeypatch.setattr(Predictor, "predict", counting)
+        config = load_config(toy_dir / "config.json")
+        cmd_fairness(config, toy_dir / "out")
+        assert len(audit_calls) == len(set(audit_calls)) == len(config.models)
+
+    def test_timings_record_the_audit_walk(self, toy_dir):
+        out = toy_dir / "out"
+        cmd_fairness(load_config(toy_dir / "config.json"), out)
+        timings = json.loads((out / "timings_fairness.json").read_text())
+        [entry] = [e["audit"] for e in timings if "audit" in e]
+        assert entry["tiles"] >= 2  # one walk, group by group
+        assert set(entry["staircases"]) == {"linear", "ridge", "stump"}
+        for size in entry["staircases"].values():
+            assert 1 <= size["max_row_points"] <= size["points"]
+
+    def test_audit_holds_no_quarter_matrix(self, tmp_path):
+        # The audit keeps staircases, not an n x n effort matrix: the whole
+        # command stays below a quarter of one at this n, while the fixed
+        # 1 MiB row tiles of the walk are well below it.
+        rows = 2500
+        write_csv(synthetic_student_pop(round(rows / 0.7)), tmp_path / "synthetic.csv")
+        raw = _bundled_config()  # train_fraction 0.7
+        raw["dataset"] = str(tmp_path / "synthetic.csv")
+        config = config_from_dict(raw, tmp_path)
+        tracemalloc.start()
+        try:
+            cmd_fairness(config, tmp_path / "out")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows**2 / 4, peak
+
 
 class TestSimulateCommand:
     def test_constant_predictor_fixed_point(self, toy_dir):
@@ -401,10 +443,9 @@ class TestOneEffortMatrix:
         config = load_config(toy_dir / "config.json")
         assert len(config.models) == 3 and len(config.tau_grid) == 3
         command(config, toy_dir / "out")
-        if command is cmd_fairness:  # the audit assembles one full matrix
-            assert matrices == [False] and walks == [False]
-        else:  # the imitation round streams one mutable-only walk, no matrix
-            assert matrices == [] and walks == [True]
+        assert matrices == []  # no command assembles an n x n effort matrix
+        # the audit walks every feature once, the imitation round the mutable ones
+        assert walks == ([False] if command is cmd_fairness else [True])
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):

@@ -355,6 +355,21 @@ class TestSpectralSegregation:
         ctx = MetricContext(pop, EffortParams(), "g1")
         assert spectral_segregation(_closeness(ctx, pop, "g1")) == 0.0
 
+    def test_connected_block_iterated_without_a_copy(self):
+        # A component spanning the whole block is shifted and iterated in
+        # place: beyond its input, SSI allocates less than one more block.
+        m = 600
+        block = np.exp(-np.random.default_rng(0).random((m, m)))  # connected: every entry > 1e-6
+        want = spectral_segregation(block.copy())
+        tracemalloc.start()
+        try:
+            got = spectral_segregation(block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < block.nbytes, peak
+
     def test_matches_dense_eigensolver_oracle(self):
         for seed in (58, 59, 60):
             pop, params, _, _ = random_instance(seed)
