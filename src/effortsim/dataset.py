@@ -157,10 +157,6 @@ class FeatureSchema:
     def mutable_mask(self) -> np.ndarray:
         return np.array([f.mutable for f in self.features], dtype=bool)
 
-    def binary_count(self) -> int:
-        """Number of features with exactly two declared levels."""
-        return sum(1 for f in self.features if f.kind.levels is not None and len(f.kind.levels) == 2)
-
     def group_of_value(self, value: float) -> str:
         """Group identifier for a raw sensitive-column value."""
         levels = self.feature(self.sensitive).kind.levels

@@ -7,9 +7,10 @@ so regenerating from unchanged CSVs reproduces the files byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 
-from .dataset import DataError
+from .dataset import DataError, _read_text
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
@@ -183,12 +184,30 @@ def bar_chart(categories: list[str], series: list[tuple[str, list[float | None]]
     return _doc(elements)
 
 
-def _read_csv(path: Path, expected: list[str]) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise DataError(f"{path.name}: expected columns {expected}, got {reader.fieldnames}")
-        rows = list(reader)
+def _read_csv(path: Path, expected: list[str], parse: dict) -> list[dict]:
+    """The rows of report CSV ``path``, each cell of a ``parse`` column converted.
+
+    A wrong header, a row of the wrong width or a cell that does not parse
+    is a ``DataError`` naming the file and the line.
+    """
+    reader = csv.reader(io.StringIO(_read_text(path, DataError, "report CSV"), newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header] != expected:
+        raise DataError(f"{path.name}: expected columns {expected}, got {header}")
+    rows = []
+    for cells in reader:
+        if not cells:
+            continue
+        where = f"{path.name} line {reader.line_num}"
+        if len(cells) != len(expected):
+            raise DataError(f"{where}: expected {len(expected)} cells, got {len(cells)}")
+        row = dict(zip(expected, cells))
+        for col, convert in parse.items():
+            try:
+                row[col] = convert(row[col])
+            except ValueError:
+                raise DataError(f"{where}: {col} {row[col]!r} is not a number") from None
+        rows.append(row)
     if not rows:
         raise DataError(f"{path.name}: no data rows")
     return rows
@@ -200,21 +219,21 @@ def _num(cell: str) -> float | None:
 
 def _curves_svg(path: Path, has_feasibility: bool, title: str) -> str:
     cols = ["model", "group", "delta", "value"] + (["feasibility"] if has_feasibility else [])
-    rows = _read_csv(path, cols)
+    rows = _read_csv(path, cols, {"delta": float, "value": _num})
     series: dict[str, list] = {}
     for row in rows:
         label = f'{row["model"]}/{row["group"]}'
-        series.setdefault(label, []).append((float(row["delta"]), _num(row["value"])))
+        series.setdefault(label, []).append((row["delta"], row["value"]))
     ordered = [(label, series[label]) for label in sorted(series)]
     return line_chart(ordered, title, "delta", "value")
 
 
 def _bars_svg(path: Path, title: str) -> str:
-    rows = _read_csv(path, ["model", "measure", "group", "value"])
+    rows = _read_csv(path, ["model", "measure", "group", "value"], {"value": _num})
     disp: dict[str, dict] = {}
     for row in rows:
         if row["group"] == "__disparity__":
-            disp.setdefault(row["measure"], {})[row["model"]] = _num(row["value"])
+            disp.setdefault(row["measure"], {})[row["model"]] = row["value"]
     categories = sorted(disp)
     models = sorted({m for vals in disp.values() for m in vals})
     series = [(m, [disp[c].get(m) for c in categories]) for m in models]
@@ -222,10 +241,10 @@ def _bars_svg(path: Path, title: str) -> str:
 
 
 def _segregation_svg(path: Path) -> str:
-    rows = _read_csv(path, ["model", "measure", "population", "value"])
+    rows = _read_csv(path, ["model", "measure", "population", "value"], {"value": _num})
     data: dict[tuple[str, str], dict] = {}
     for row in rows:
-        data.setdefault((row["model"], row["population"]), {})[row["measure"]] = _num(row["value"])
+        data.setdefault((row["model"], row["population"]), {})[row["measure"]] = row["value"]
     categories = sorted({m for vals in data.values() for m in vals})
     series = [
         (f"{model}/{popname}", [data[(model, popname)].get(c) for c in categories])
@@ -235,10 +254,10 @@ def _segregation_svg(path: Path) -> str:
 
 
 def _tau_svg(path: Path) -> str:
-    rows = _read_csv(path, ["tau", "measure", "value"])
+    rows = _read_csv(path, ["tau", "measure", "value"], {"tau": float, "value": _num})
     series: dict[str, list] = {}
     for row in rows:
-        series.setdefault(row["measure"], []).append((float(row["tau"]), _num(row["value"])))
+        series.setdefault(row["measure"], []).append((row["tau"], row["value"]))
     ordered = [(label, sorted(series[label])) for label in sorted(series)]
     return line_chart(ordered, "Impact measures vs constraint strength", "tau", "value")
 

@@ -1,11 +1,12 @@
 """End-to-end experiment stages: fairness audit, impact simulation, tau sweep.
 
 One JSON config plus the input files determines every output byte. Each
-stage writes its artifacts into the output directory and a
-``manifest.json`` listing the config hash, tool version and the sha256 of
-every stable output; wall-clock numbers and run sizes go to
-``timings.json``, which the manifest lists by name only so reruns stay
-byte-identical.
+command runs its stages through a ``StageRunner``: a stage is a plain call
+whose result the runner returns, and it names every file it writes through
+``runner.file``. The command's ``manifest_<command>.json`` lists the config
+hash, tool version and the sha256 of each stage's files; wall-clock numbers
+and run sizes go to ``timings_<command>.json``, which the manifest lists by
+name only so reruns stay byte-identical.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ class ModelSpec:
             raise SchemaError(f"unknown model kind {self.kind!r}")
         if self.features not in FEATURE_SETS:
             raise SchemaError(f"unknown feature set {self.features!r}")
-        if self.max_depth < 0 or not self.tau >= 0:
-            raise SchemaError(f"model {self.name!r}: max_depth and tau must be >= 0")
-        if not (self.ridge_lambda >= 0 and math.isfinite(self.ridge_lambda)):
-            raise SchemaError(f"model {self.name!r}: lambda must be finite and >= 0")
+        if self.max_depth < 0:
+            raise SchemaError(f"model {self.name!r}: max_depth must be >= 0")
+        for knob, value in (("lambda", self.ridge_lambda), ("tau", self.tau)):
+            if not (value >= 0 and math.isfinite(value)):
+                raise SchemaError(f"model {self.name!r}: {knob} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -110,8 +112,10 @@ class ExperimentConfig:
             raise SchemaError("train_fraction and beta must lie in (0,1)")
         if self.sweep_features not in FEATURE_SETS:
             raise SchemaError(f"unknown sweep feature set {self.sweep_features!r}")
-        if not all(t >= 0 for t in self.tau_grid):
-            raise SchemaError(f"tau_grid entries must be >= 0, got {list(self.tau_grid)}")
+        # Each tau keys tau_report.json and names a stage: finite, distinct (-0.0 == 0.0).
+        taus = self.tau_grid
+        if not all(t >= 0 and math.isfinite(t) for t in taus) or len(set(taus)) != len(taus):
+            raise SchemaError(f"tau_grid entries must be finite, distinct and >= 0, got {list(taus)}")
         if self.centralization_threshold is not None and math.isnan(self.centralization_threshold):
             raise SchemaError("centralization_threshold must be a number or null, got NaN")
         if not self.connectivity_threshold >= 0:
@@ -241,8 +245,8 @@ def _minority(config: ExperimentConfig, pop: Population) -> str:
     return pop.smallest_group()
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _fmt(v) -> str:
@@ -268,7 +272,7 @@ def _make_out_dir(out_dir: Path) -> None:
 
 
 class StageRunner:
-    """Collects emitted files and timings for the manifest."""
+    """Times each stage and hashes the files it names, for the timings and the manifest."""
 
     def __init__(self, out_dir: Path, config: ExperimentConfig, command: str):
         self.out_dir = out_dir
@@ -276,30 +280,32 @@ class StageRunner:
         self.command = command
         self.stages: list[dict] = []
         self.timings: list[dict] = []
+        self._named: list[str] = []
         _make_out_dir(out_dir)
 
-    def run(self, name: str, fn) -> None:
-        start = time.perf_counter()
-        files = fn()
-        self.timings.append({"stage": name, "seconds": time.perf_counter() - start})
-        entries = []
-        for f in files:
-            digest = hashlib.sha256((self.out_dir / f).read_bytes()).hexdigest()
-            entries.append({"path": f, "sha256": digest})
-        self.stages.append({"stage": name, "files": entries})
+    def file(self, name: str) -> Path:
+        """``out_dir / name``, listed under the running stage for the manifest."""
+        self._named.append(name)
+        return self.out_dir / name
 
-    def timed(self, name: str, fn):
-        """``fn()``, with its seconds in the timings but no manifest stage (it writes no file)."""
+    def run(self, name: str, fn):
+        """``fn()``, timed; the files it named through ``file`` are hashed in naming order."""
+        self._named = []
         start = time.perf_counter()
         result = fn()
         self.timings.append({"stage": name, "seconds": time.perf_counter() - start})
+        entries = []
+        for f in self._named:
+            digest = hashlib.sha256((self.out_dir / f).read_bytes()).hexdigest()
+            entries.append({"path": f, "sha256": digest})
+        self.stages.append({"stage": name, "files": entries})
         return result
 
     def finish(self) -> Path:
         tag = self.command.replace("-", "_")
         timings_name = f"timings_{tag}.json"
         manifest_name = f"manifest_{tag}.json"
-        (self.out_dir / timings_name).write_text(_json_text(self.timings), encoding="utf-8")
+        _write_json(self.out_dir / timings_name, self.timings)
         manifest = {
             "command": self.command,
             "config_sha256": self.config.config_hash(),
@@ -316,7 +322,7 @@ class StageRunner:
             ],
         }
         path = self.out_dir / manifest_name
-        path.write_text(_json_text(manifest), encoding="utf-8")
+        _write_json(path, manifest)
         return path
 
 
@@ -330,33 +336,27 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     """Train every configured model and emit curves, reports and MAEs."""
     runner = StageRunner(out_dir, config, "fairness")
     pop, train, test = _load_and_split(config)
-    state: dict = {}
 
-    def stage_train():
-        state["models"] = {spec.name: fit_model(spec, train, config) for spec in config.models}
-        report = {}
-        for name, h in state["models"].items():
-            report[name] = {
+    def train_models():
+        models = {spec.name: fit_model(spec, train, config) for spec in config.models}
+        mae = {
+            name: {
                 "train": evaluate(h, train).to_dict(),
                 "test": evaluate(h, test).to_dict(),
                 "full": evaluate(h, pop).to_dict(),
             }
-        state["mae"] = report
-        (out_dir / "mae_report.json").write_text(_json_text(report), encoding="utf-8")
-        (out_dir / "models.json").write_text(
-            _json_text({name: h.to_dict() for name, h in state["models"].items()}),
-            encoding="utf-8",
-        )
-        return ["mae_report.json", "models.json"]
+            for name, h in models.items()
+        }
+        _write_json(runner.file("mae_report.json"), mae)
+        _write_json(runner.file("models.json"), {name: h.to_dict() for name, h in models.items()})
+        return models, mae
 
-    def stage_curves():
-        models = state["models"]
-        state["audit"] = audit = FairnessAudit(
-            train, config.effort, config.benefit, models.values()
-        )
+    models, mae = runner.run("train", train_models)
+
+    def curves():
+        audit = FairnessAudit(train, config.effort, config.benefit, models.values())
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
         runner.timings.append({"audit": {"tiles": audit.tiles, "staircases": sizes}})
-        files = []
         for measure, fname, extra_columns in (
             (BOUNDED_EFFORT, "bounded_effort_curves.csv", []),
             (THRESHOLD_REWARD, "threshold_reward_curves.csv", ["feasibility"]),
@@ -369,15 +369,16 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                     for idx, (d, v) in enumerate(zip(curve.deltas, curve.per_group_values[g])):
                         rows.append([name, g, d, v] + ([feas[g][idx]] if feas else []))
             header = ["model", "group", "delta", "value"] + extra_columns
-            _write_csv_rows(out_dir / fname, header, rows)
-            files.append(fname)
-        return files
+            _write_csv_rows(runner.file(fname), header, rows)
+        return audit
 
-    def stage_reports():
+    audit = runner.run("delta_curves", curves)
+
+    def reports():
         bars = []
         combined: dict = {"benefit": config.benefit, "models": {}}
-        for name, h in sorted(state["models"].items()):
-            er = state["audit"].effort_reward(h)
+        for name, h in sorted(models.items()):
+            er = audit.effort_reward(h)
             pos, neg = residual_differences(h, train)
             pos_full, neg_full = residual_differences(h, pop)
             combined["models"][name] = {
@@ -386,19 +387,16 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                 "negative_residual_train": neg.to_dict(),
                 "positive_residual_full": pos_full.to_dict(),
                 "negative_residual_full": neg_full.to_dict(),
-                "mae": state["mae"][name],
+                "mae": mae[name],
             }
             for rep in (er, pos_full, neg_full):
                 for g, v in sorted(rep.per_group_value.items()):
                     bars.append([name, rep.measure, g, v])
                 bars.append([name, rep.measure, "__disparity__", rep.disparity])
-        _write_csv_rows(out_dir / "fairness_bars.csv", ["model", "measure", "group", "value"], bars)
-        (out_dir / "fairness_report.json").write_text(_json_text(combined), encoding="utf-8")
-        return ["fairness_bars.csv", "fairness_report.json"]
+        _write_csv_rows(runner.file("fairness_bars.csv"), ["model", "measure", "group", "value"], bars)
+        _write_json(runner.file("fairness_report.json"), combined)
 
-    runner.run("train", stage_train)
-    runner.run("delta_curves", stage_curves)
-    runner.run("reports", stage_reports)
+    runner.run("reports", reports)
     return runner.finish()
 
 
@@ -431,39 +429,28 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     pop, train, test = _load_and_split(config)
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    models = runner.timed("fit", lambda: [fit_model(s, train, config) for s in config.models])
-    impacts = runner.timed(
+    models = runner.run("fit", lambda: [fit_model(s, train, config) for s in config.models])
+    impacts = runner.run(
         "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
     )
     runs = [(spec.name, h, impact) for spec, h, impact in zip(config.models, models, impacts)]
 
-    def model_stage(name: str, impact):
-        def run():
-            impacted_csv = f"impacted_{name}.csv"
-            write_csv(impact.impacted, out_dir / impacted_csv)
-            shift_json = f"shift_{name}.json"
-            (out_dir / shift_json).write_text(
-                _json_text(feature_shift_report(train, impact.impacted)), encoding="utf-8"
-            )
-            outcomes_json = f"outcomes_{name}.json"
-            (out_dir / outcomes_json).write_text(
-                _json_text([o.to_dict() for o in impact.outcomes]), encoding="utf-8"
-            )
-            return [impacted_csv, shift_json, outcomes_json]
-
-        return run
+    def emit_impact(name: str, impact):
+        write_csv(impact.impacted, runner.file(f"impacted_{name}.csv"))
+        _write_json(runner.file(f"shift_{name}.json"), feature_shift_report(train, impact.impacted))
+        _write_json(runner.file(f"outcomes_{name}.json"), [o.to_dict() for o in impact.outcomes])
 
     for name, _, impact in runs:
-        runner.run(f"simulate_{name}", model_stage(name, impact))
+        runner.run(f"simulate_{name}", lambda: emit_impact(name, impact))
 
-    def stage_summary():
+    def summary():
         seg_rows: list[list] = []
-        summary: dict = {}
+        report: dict = {}
         for (name, _, impact), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
             for pop_name, rep in (("initial", before), ("impacted", after)):
                 for measure, value in rep.values().items():
                     seg_rows.append([name, measure, pop_name, value])
-            summary[name] = {
+            report[name] = {
                 "changed": sum(1 for o in impact.outcomes if o.changed),
                 "focal_points": [
                     {"vector": fp.vector.tolist(), "count": fp.count}
@@ -474,15 +461,11 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
                 "after": after.to_dict(),
                 "dynamics": impact.metadata,
             }
-        _write_csv_rows(
-            out_dir / "segregation.csv",
-            ["model", "measure", "population", "value"],
-            seg_rows,
-        )
-        (out_dir / "simulate_report.json").write_text(_json_text(summary), encoding="utf-8")
-        return ["segregation.csv", "simulate_report.json"]
+        header = ["model", "measure", "population", "value"]
+        _write_csv_rows(runner.file("segregation.csv"), header, seg_rows)
+        _write_json(runner.file("simulate_report.json"), report)
 
-    runner.run("segregation", stage_summary)
+    runner.run("segregation", summary)
     return runner.finish()
 
 
@@ -495,34 +478,30 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     minority = _minority(config, train)
     ctx = MetricContext(reference=train, params=config.effort, minority=minority)
     fit_pop = restrict_features(train, config.sweep_features)
-    models = runner.timed(
+    models = runner.run(
         "fit",
         lambda: [
             fit_constrained_linear(fit_pop, tau, config.benefit, minority)
             for tau in config.tau_grid
         ],
     )
-    impacts = runner.timed(
+    impacts = runner.run(
         "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
     )
     runs = list(zip(config.tau_grid, models, impacts))
-    details: dict = {}
-
-    def tau_stage(tau: float, h, impact):
-        def run():
-            details[_fmt(tau)] = {
+    details = {
+        _fmt(tau): runner.run(
+            f"tau_{_fmt(tau)}",
+            lambda: {
                 "weights": h.to_dict(),
                 "benefit_gap": group_benefit_gap(h, train, config.benefit, minority),
                 "changed": sum(1 for o in impact.outcomes if o.changed),
-            }
-            return []
+            },
+        )
+        for tau, h, impact in runs
+    }
 
-        return run
-
-    for tau, h, impact in runs:
-        runner.run(f"tau_{_fmt(tau)}", tau_stage(tau, h, impact))
-
-    def stage_emit():
+    def emit():
         rows: list[list] = []
         for (tau, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
             for measure, value in after.values().items():
@@ -534,11 +513,10 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
                 initial=before.to_dict(),
                 impacted=after.to_dict(),
             )
-        _write_csv_rows(out_dir / "tau_sweep.csv", ["tau", "measure", "value"], rows)
-        (out_dir / "tau_report.json").write_text(_json_text(details), encoding="utf-8")
-        return ["tau_sweep.csv", "tau_report.json"]
+        _write_csv_rows(runner.file("tau_sweep.csv"), ["tau", "measure", "value"], rows)
+        _write_json(runner.file("tau_report.json"), details)
 
-    runner.run("emit", stage_emit)
+    runner.run("emit", emit)
     return runner.finish()
 
 

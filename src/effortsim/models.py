@@ -549,27 +549,3 @@ def evaluate(h: Predictor, pop: Population) -> FitReport:
         mae_overall=float(np.mean(err)),
         mae_per_group=per_group,
     )
-
-
-def predictor_from_dict(d: Mapping) -> Predictor:
-    kind = d["kind"]
-    if kind in ("linear", "ridge", "constrained"):
-        return LinearPredictor(
-            d["features"], d["weights"], d["intercept"], kind=kind,
-            hyperparameters=d.get("hyperparameters"),
-        )
-    if kind == "tree":
-        return TreePredictor(d["features"], list(d["nodes"]), d.get("hyperparameters"))
-    if kind == "mlp":
-        return MlpPredictor(
-            d["features"],
-            (
-                np.asarray(d["W1"], dtype=np.float64),
-                np.asarray(d["b1"], dtype=np.float64),
-                np.asarray(d["W2"], dtype=np.float64),
-                float(d["b2"]),
-            ),
-            (np.asarray(d["x_mean"], dtype=np.float64), np.asarray(d["x_scale"], dtype=np.float64)),
-            d.get("hyperparameters"),
-        )
-    raise DataError(f"unknown predictor kind {kind!r}")

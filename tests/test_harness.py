@@ -150,6 +150,11 @@ class TestConfig:
             ("fairness", [(("models", 0, "tau"), 1.0)]),
             ("sweep-tau", [(("models", 3, "kind"), "constrained"), (("models", 3, "lambda"), 5.0)]),
             ("fairness", [(("models", 3, "kind"), "mlp"), (("models", 3, "max_depth"), 2)]),
+            ("sweep-tau", [(("sweep", "tau_grid"), [0.0, 0.0, 1.0])]),
+            ("sweep-tau", [(("sweep", "tau_grid"), [0.0, -0.0, 1.0])]),
+            ("sweep-tau", [(("sweep", "tau_grid"), [0.0, float("inf")])]),
+            ("sweep-tau", [(("sweep", "tau_grid"), [float("nan")])]),
+            ("fairness", [(("models", 3, "kind"), "constrained"), (("models", 3, "tau"), float("inf"))]),
         ],
         ids=[
             "beta",
@@ -182,6 +187,11 @@ class TestConfig:
             "ridge_tau",
             "constrained_lambda",
             "mlp_max_depth",
+            "duplicate_tau",
+            "signed_zero_duplicate_tau",
+            "infinite_tau_grid",
+            "nan_tau_grid",
+            "infinite_constrained_tau",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
@@ -552,6 +562,23 @@ class TestFiguresCommand:
         (tmp_path / "tau_sweep.csv").write_text("wrong,columns\n1,2\n")
         assert cli.main(["figures", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"m,a,abc,0.5\n",
+            b"m,a,1.0\n",
+            b"m,a,1.0,\xff\n",
+        ],
+        ids=["non_numeric_delta", "short_row", "not_utf8"],
+    )
+    def test_bad_report_csv_is_data_error(self, tmp_path, capsys, body):
+        (tmp_path / "bounded_effort_curves.csv").write_bytes(b"model,group,delta,value\n" + body)
+        assert cli.main(["figures", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "bounded_effort_curves.csv" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "bounded_effort_curves.svg").exists()
+
     def test_regeneration_is_byte_identical(self, toy_dir):
         out = toy_dir / "out"
         config = load_config(toy_dir / "config.json")
@@ -630,12 +657,16 @@ def _write_schema(tmp_path):
 
 
 class TestManifest:
-    def test_lists_every_file_once_with_valid_hashes(self, toy_dir):
+    @pytest.mark.parametrize(
+        "command, tag",
+        [(cmd_fairness, "fairness"), (cmd_simulate, "simulate"), (cmd_sweep_tau, "sweep_tau")],
+    )
+    def test_lists_every_file_once_with_valid_hashes(self, toy_dir, command, tag):
         import hashlib
 
         out = toy_dir / "out"
-        cmd_fairness(load_config(toy_dir / "config.json"), out)
-        manifest = json.loads((out / "manifest_fairness.json").read_text())
+        command(load_config(toy_dir / "config.json"), out)
+        manifest = json.loads((out / f"manifest_{tag}.json").read_text())
         listed = [f["path"] for stage in manifest["stages"] for f in stage["files"]]
         assert len(listed) == len(set(listed))
         on_disk = {p.name for p in out.iterdir()}
@@ -645,6 +676,9 @@ class TestManifest:
                 if f["sha256"] is not None:
                     digest = hashlib.sha256((out / f["path"]).read_bytes()).hexdigest()
                     assert digest == f["sha256"]
+        timings = json.loads((out / f"timings_{tag}.json").read_text())
+        timed = [entry["stage"] for entry in timings if "stage" in entry]
+        assert [stage["stage"] for stage in manifest["stages"]] == timed + ["bookkeeping"]
 
     def test_default_config_is_bundled_student_pipeline(self):
         config = load_config(data_path("student_config.json"))
