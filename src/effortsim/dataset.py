@@ -177,14 +177,27 @@ def _kind_from_dict(d: Mapping) -> FeatureKind:
     )
 
 
+# The keys a schema and each of its feature entries may hold; any other key is an error.
+SCHEMA_KEYS = ("features", "sensitive", "label")
+FEATURE_KEYS = ("name", "kind", "direction", "levels", "mutable", "weight", "categorical_cost")
+
+
+def _check_keys(d: Mapping, allowed: Sequence[str], what: str) -> None:
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise SchemaError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def schema_from_dict(d: Mapping) -> FeatureSchema:
     if not isinstance(d, Mapping):
         raise SchemaError(f"schema must be a JSON object, got {type(d).__name__}")
+    _check_keys(d, SCHEMA_KEYS, "schema")
     try:
         feats = []
         for fd in d["features"]:
             if not isinstance(fd, Mapping):
                 raise SchemaError(f"schema features must be JSON objects, got {type(fd).__name__}")
+            _check_keys(fd, FEATURE_KEYS, f"schema feature {fd.get('name')!r}")
             feats.append(
                 Feature(
                     name=fd["name"],
@@ -376,14 +389,16 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
     return Population(schema, X, y, groups)
 
 
+def format_number(value: float) -> str:
+    """``value`` as text that parses back to the same float: an integer without a point."""
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
+
+
 def format_value(feature: Feature, value: float) -> str:
     """Render one cell the way ``load_csv`` can re-ingest it, bit-exactly."""
     levels = feature.kind.levels
-    if levels is not None:
-        return levels[int(value)]
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+    return format_number(value) if levels is None else levels[int(value)]
 
 
 def write_csv(pop: Population, path: str | Path) -> None:
@@ -394,9 +409,7 @@ def write_csv(pop: Population, path: str | Path) -> None:
         writer.writerow(list(schema.names) + [schema.label])
         for i in range(pop.size):
             cells = [format_value(f, pop.X[i, k]) for k, f in enumerate(schema.features)]
-            yv = pop.y[i]
-            cells.append(str(int(yv)) if float(yv).is_integer() else repr(float(yv)))
-            writer.writerow(cells)
+            writer.writerow(cells + [format_number(pop.y[i])])
 
 
 def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population, Population]:

@@ -22,15 +22,19 @@ schema's K features, accumulated in ascending schema order. The brute-force
 reference for every rule lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
-features take a handful of values. So the pairwise kernel works in row
-tiles: in each tile it computes feature k's weighted effort row once per
-distinct value of k among the tile's rows, then gathers those level rows to
-the tile's rows. Every entry still gets exactly ``acc + w * eps``.
+features take a handful of values. The pairwise kernel works in row tiles
+and chooses, once per call, how each column gets there. A column with few
+distinct values gets one level table: its weighted effort row for each
+distinct value, which every tile gathers to its rows. The tables share a
+budget of one tile's rows, so they never outgrow a tile. Every other column
+runs its rule on the tile's own rows. Both paths give every entry exactly
+``acc + w * eps``, so the choice never changes a bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -53,6 +57,10 @@ from .dataset import (
 BENEFIT_PREDICTED = "predicted"
 BENEFIT_SHIFTED_GAIN = "shifted_gain"
 BENEFITS = (BENEFIT_PREDICTED, BENEFIT_SHIFTED_GAIN)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -81,10 +89,15 @@ class EffortParams:
             self.base_cost.values() if isinstance(self.base_cost, Mapping) else [self.base_cost]
         )
         for c in costs:
-            if not (c >= 0 and math.isfinite(c)):
+            if not (_is_number(c) and c >= 0 and math.isfinite(c)):
                 raise SchemaError("base costs must be finite and >= 0")
-        if not (self.feature_weights is None or isinstance(self.feature_weights, Mapping)):
+        fw = self.feature_weights
+        if not (fw is None or isinstance(fw, Mapping)):
             raise SchemaError("feature_weights must map features or groups to weights")
+        for key, value in (fw or {}).items():
+            for name, w in value.items() if isinstance(value, Mapping) else [(key, value)]:
+                if not (_is_number(w) and w >= 0 and math.isfinite(w)):
+                    raise SchemaError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
 
     def base_cost_for(self, group: str) -> float:
         if isinstance(self.base_cost, Mapping):
@@ -99,12 +112,7 @@ class EffortParams:
                 w = fw[group].get(feature.name)
             elif feature.name in fw and not isinstance(fw.get(feature.name), Mapping):
                 w = fw[feature.name]
-        if w is None:
-            w = feature.weight
-        w = float(w)
-        if not (w >= 0 and math.isfinite(w)):
-            raise SchemaError(f"weight for {feature.name!r} must be finite and >= 0")
-        return w
+        return float(feature.weight if w is None else w)
 
     def categorical_cost_for(self, feature: Feature) -> float:
         if feature.categorical_cost is not None:
@@ -162,29 +170,6 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _tile_levels(col: np.ndarray, step: int):
-    """The distinct values of ``col``, and which of them each row tile of ``step`` rows holds.
-
-    Returns ``(values, present, starts, inverse)``. ``values`` lists the
-    distinct values in ascending order; tile t holds the values
-    ``values[present[starts[t]:starts[t + 1]]]``, and row i holds entry
-    ``inverse[i]`` of its tile's list. Rows are matched to values by binary
-    search, so values that compare equal (``-0.0`` and ``0.0``) and all NaNs
-    share one entry; every effort rule gives them equal rows. ``inverse`` is
-    held in the smallest integer type that fits a tile, as one such array
-    lives per feature for the whole call.
-    """
-    n = col.shape[0]
-    values = _distinct(col)
-    m = values.shape[0]
-    tile = np.arange(n) // step
-    keys = tile * m + np.searchsorted(values, col)
-    held = _distinct(keys)
-    starts = np.searchsorted(held, np.arange(-(-n // step) + 1) * m)
-    inverse = np.searchsorted(held, keys) - starts[tile]
-    return values, held % max(m, 1), starts, inverse.astype(np.min_scalar_type(step))
-
-
 def row_tiles(n_rows: int, n_cols: int):
     """``(lo, hi)`` bounds of consecutive row tiles covering ``n_rows`` rows."""
     step = tile_rows(n_cols)
@@ -198,8 +183,8 @@ class EffortEngine:
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
     through ``eps_tiles``, which applies the per-kind rule of ``_eps_rule``
-    once per distinct value in a row tile, gathers the level rows to the
-    tile, and accumulates features in the order given (ascending schema
+    through a level table for few-valued columns or on each tile's rows for
+    the rest, and accumulates features in the order given (ascending schema
     order).
     """
 
@@ -208,15 +193,15 @@ class EffortEngine:
         self.params = params
         self.schema = reference.schema
 
-    def _eps_rule(self, group: str, k: int, col_a: np.ndarray, col_b: np.ndarray):
-        """Feature k's per-kind effort rule from values a to values b.
+    def _eps_rule(self, group: str, k: int, col_b: np.ndarray):
+        """Feature k's per-kind effort rule from values a to the values ``col_b``.
 
         Column ``k = schema.size`` is the label: the increasing monotone rule
-        on the group's label table. Quantile ranks are taken once here. The
-        returned ``fill(rows, out, mask)`` writes the efforts from the values
-        ``col_a[rows]`` (``rows`` is an index array) to every value of
-        ``col_b`` into ``out`` (shape ``(len(rows), len(col_b))``), using
-        ``mask`` (bool, same shape) as scratch.
+        on the group's label table. ``col_b`` is ranked once here. The
+        returned ``fill(a, out, mask)`` writes the efforts from each value of
+        the 1-D array ``a`` to every value of ``col_b`` into ``out`` (shape
+        ``(len(a), len(col_b))``), using ``mask`` (bool, same shape) as
+        scratch.
         """
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
@@ -229,34 +214,34 @@ class EffortEngine:
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
-            def fill(rows, out, mask):
-                np.not_equal(b, col_a[rows, None], out=out)  # 1.0 or 0.0
+            def fill(a, out, mask):
+                np.not_equal(b, a[:, None], out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
             return fill
         if kind == IMMUTABLE:
 
-            def fill(rows, out, mask):
-                np.not_equal(b, col_a[rows, None], out=mask)
+            def fill(a, out, mask):
+                np.not_equal(b, a[:, None], out=mask)
                 out.fill(0.0)
                 np.putmask(out, mask, np.inf)
 
             return fill
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
-            qa, qb = _rank_asc(table, col_a), _rank_asc(table, col_b)
+            rank = _rank_asc
         else:
-            qa, qb = _rank_desc(table, col_a), _rank_desc(table, col_b)
-        qb = qb[None, :]
+            rank = _rank_desc
+        qb = rank(table, col_b)[None, :]
         if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
 
-            def fill(rows, out, mask):
-                np.subtract(qb, qa[rows, None], out=out)
+            def fill(a, out, mask):
+                np.subtract(qb, rank(table, a)[:, None], out=out)
                 np.maximum(0.0, out, out=out)
 
         elif kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
 
-            def fill(rows, out, mask):
-                np.subtract(qb, qa[rows, None], out=out)
+            def fill(a, out, mask):
+                np.subtract(qb, rank(table, a)[:, None], out=out)
                 np.abs(out, out=out)
 
         elif kind == CONDITIONALLY_IMMUTABLE:
@@ -264,9 +249,9 @@ class EffortEngine:
             # everything else outside the allowed direction (NaN too) is inf.
             allowed_or_equal = np.greater_equal if increasing else np.less_equal
 
-            def fill(rows, out, mask):
-                np.subtract(qb, qa[rows, None], out=out)
-                allowed_or_equal(b, col_a[rows, None], out=mask)
+            def fill(a, out, mask):
+                np.subtract(qb, rank(table, a)[:, None], out=out)
+                allowed_or_equal(b, a[:, None], out=mask)
                 np.logical_not(mask, out=mask)
                 np.putmask(out, mask, np.inf)
 
@@ -284,44 +269,55 @@ class EffortEngine:
     ):
         """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
 
-        Quantile ranks and each column's distinct values are taken once per
-        call, not once per tile. In a tile, feature k's rule fills one level
-        row per distinct value of ``Xa[lo:hi, k]``, the weight multiplies the
-        level rows, and ``np.take`` gathers them to the tile's rows. Each
-        tile then accumulates ``acc + w * eps`` feature by feature in the
-        given order, so every entry gets the same arithmetic as when the
-        rule runs on every row. Column ``schema.size`` of ``Xa`` and ``Xb``,
-        if present, is the label; only unweighted calls may name it, as the
-        label has no weight. The tile is scratch that the next step
-        overwrites, so a caller may change it in place but must copy what it
-        keeps.
+        Each column's ``Xb`` values are ranked, and its path chosen, once per
+        call. A column whose distinct values fit the level budget gets a
+        level table: its rule fills one row per distinct value, the weight
+        multiplies the table once, and each tile gathers the rows its values
+        select. The tables share a budget of one tile's rows, spent in the
+        given feature order, so together they never outgrow one tile. Any
+        other column runs its rule on the tile's own values, then applies the
+        weight. Either way every entry gets ``acc + w * rule(a_i)``, feature
+        by feature in the given order, so both paths give the same bits.
+        Column ``schema.size``
+        of ``Xa`` and ``Xb``, if present, is the label; only unweighted calls
+        may name it, as the label has no weight. The tile is scratch that the
+        next step overwrites, so a caller may change it in place but must
+        copy what it keeps.
         """
-        step = tile_rows(Xb.shape[0])
+        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
+        acc, eps, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
+        budget = shape[0]  # level-table rows left
         terms = []
-        height = 0  # level rows: the most distinct values one tile holds
         for k in feature_indices:
             w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
             if w == 0.0:
                 continue
-            values, present, starts, inverse = _tile_levels(Xa[:, k], step)
-            fill = self._eps_rule(group, k, values, Xb[:, k])
-            terms.append((w, fill, present, starts, inverse))
-            height = max(height, np.diff(starts).max(initial=0))
-        shape = (min(step, Xa.shape[0]), Xb.shape[0])
-        acc, eps = np.empty(shape), np.empty(shape)
-        level, mask = np.empty((height, shape[1])), np.empty((height, shape[1]), bool)
-        for t, (lo, hi) in enumerate(row_tiles(Xa.shape[0], Xb.shape[0])):
+            fill = self._eps_rule(group, k, Xb[:, k])
+            values = _distinct(Xa[:, k])
+            if values.shape[0] > budget:
+                terms.append((k, w, fill, None, None))
+                continue
+            budget -= values.shape[0]
+            table = np.empty((values.shape[0], shape[1]))
+            fill(values, table, mask[: values.shape[0]])
+            if w != 1.0:  # 1.0 * x == x exactly
+                np.multiply(w, table, out=table)
+            # Binary search matches values that compare equal (-0.0 and 0.0)
+            # and all NaNs to one row; every rule gives them equal rows.
+            codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
+            terms.append((k, w, fill, table, codes))
+        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
             acc_t, eps_t = acc[: hi - lo], eps[: hi - lo]
             acc_t.fill(0.0)
-            for w, fill, present, starts, inverse in terms:
-                rows = present[starts[t] : starts[t + 1]]
-                level_t = level[: rows.shape[0]]
-                fill(rows, level_t, mask[: rows.shape[0]])
-                if w != 1.0:  # 1.0 * x == x exactly
-                    np.multiply(w, level_t, out=level_t)
-                # mode="clip": with the default "raise", take buffers its output
-                # through a tile-sized temporary; every index is in range anyway.
-                np.take(level_t, inverse[lo:hi], axis=0, out=eps_t, mode="clip")
+            for k, w, fill, table, codes in terms:
+                if table is None:
+                    fill(Xa[lo:hi, k], eps_t, mask[: hi - lo])
+                    if w != 1.0:
+                        np.multiply(w, eps_t, out=eps_t)
+                else:
+                    # mode="clip": with the default "raise", take buffers its output
+                    # through a tile-sized temporary; every index is in range anyway.
+                    np.take(table, codes[lo:hi], axis=0, out=eps_t, mode="clip")
                 np.add(acc_t, eps_t, out=acc_t)
             yield lo, hi, acc_t
 

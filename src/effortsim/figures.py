@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 from .dataset import DataError, _read_text
@@ -188,7 +189,8 @@ def _read_csv(path: Path, expected: list[str], parse: dict) -> list[dict]:
     """The rows of report CSV ``path``, each cell of a ``parse`` column converted.
 
     A wrong header, a row of the wrong width or a cell that does not parse
-    is a ``DataError`` naming the file and the line.
+    as a finite number is a ``DataError`` naming the file and the line: the
+    harness never writes ``inf`` or ``nan``.
     """
     reader = csv.reader(io.StringIO(_read_text(path, DataError, "report CSV"), newline=""))
     header = next(reader, None)
@@ -204,9 +206,12 @@ def _read_csv(path: Path, expected: list[str], parse: dict) -> list[dict]:
         row = dict(zip(expected, cells))
         for col, convert in parse.items():
             try:
-                row[col] = convert(row[col])
+                value = convert(row[col])
             except ValueError:
-                raise DataError(f"{where}: {col} {row[col]!r} is not a number") from None
+                value = math.nan
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{where}: {col} {row[col]!r} is not a finite number")
+            row[col] = value
         rows.append(row)
     if not rows:
         raise DataError(f"{path.name}: no data rows")

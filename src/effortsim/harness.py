@@ -17,6 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from .dataset import (
     ALL_FEATURES,
     FEATURE_SETS,
     DataError,
+    SCHEMA_KEYS,
     Population,
     SchemaError,
+    format_number,
     load_csv,
     read_json,
     restrict_features,
@@ -144,7 +147,7 @@ CONFIG_KEYS = {
     "effort": ("alpha", "base_costs", "categorical_cost", "feature_weights"),
     "model": ("name", "kind", "features", "lambda", "max_depth", "tau"),
     "sweep": ("tau_grid", "features"),
-    "synth": ("features", "sensitive", "label", "group_sizes", "seed", "shift"),
+    "synth": (*SCHEMA_KEYS, "group_sizes", "seed", "shift"),
 }
 
 
@@ -250,10 +253,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
+    return "" if v is None else format_number(v)
 
 
 def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
@@ -326,8 +326,33 @@ class StageRunner:
         return path
 
 
+def _check_cost_model(params: EffortParams, pop: Population) -> None:
+    """Every group and feature that the cost model names exists in ``pop``.
+
+    A ``feature_weights`` key holding a map names a group, and each key in
+    the map a feature; a key holding a number names a feature. A
+    ``base_costs`` key names a group.
+    """
+    groups, features = set(pop.group_names), set(pop.schema.names)
+
+    def check(name, known: set, what: str) -> None:
+        if name not in known:
+            raise SchemaError(f"{what} {name!r} is not one of {sorted(known)}")
+
+    for g in params.base_cost if isinstance(params.base_cost, Mapping) else ():
+        check(g, groups, "base_costs group")
+    for key, value in (params.feature_weights or {}).items():
+        if isinstance(value, Mapping):
+            check(key, groups, "feature_weights group")
+            for f in value:
+                check(f, features, f"feature_weights[{key!r}] feature")
+        else:
+            check(key, features, "feature_weights feature")
+
+
 def _load_and_split(config: ExperimentConfig):
     pop = load_csv(config.dataset, config.schema)
+    _check_cost_model(config.effort, pop)
     train, test = split(pop, config.train_fraction, config.split_seed)
     return pop, train, test
 
@@ -533,7 +558,8 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
         raise SchemaError(f"synthetic spec seed must be an integer, got {seed!r}")
     if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not math.isfinite(shift):
         raise SchemaError(f"synthetic spec shift must be a finite number, got {shift!r}")
-    pop = generate_synthetic(schema_from_dict(raw), sizes, seed=seed, shift=float(shift))
+    schema = schema_from_dict({k: raw[k] for k in SCHEMA_KEYS if k in raw})
+    pop = generate_synthetic(schema, sizes, seed=seed, shift=float(shift))
     _make_out_dir(out_dir)
     out_path = out_dir / "synthetic.csv"
     write_csv(pop, out_path)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -17,7 +18,9 @@ from effortsim.dataset import (
     generate_synthetic,
     load_csv,
     load_schema,
+    schema_to_dict,
     split,
+    write_csv,
 )
 from effortsim.dynamics import simulate
 
@@ -93,3 +96,46 @@ def run_simulate(h, pop: Population, params, benefit: str):
     """One imitation round of ``h`` alone on ``pop``."""
     [impact] = simulate([h], pop, params, benefit)
     return impact
+
+
+def harness_toy_schema() -> FeatureSchema:
+    """A two-level group, three mutable features and one conditionally immutable feature."""
+    return FeatureSchema(
+        features=(
+            Feature("grp", FeatureKind("immutable", levels=("a", "b")), mutable=False),
+            Feature("skill", FeatureKind("numerical_monotone", direction="increasing"), mutable=True),
+            Feature("habit", FeatureKind("ordinal_monotone", direction="decreasing"), mutable=True),
+            Feature("club", FeatureKind("categorical", levels=("no", "yes")), mutable=True),
+            Feature("age", FeatureKind("conditionally_immutable", direction="increasing"), mutable=False),
+        ),
+        sensitive="grp",
+        label="y",
+    )
+
+
+@pytest.fixture
+def toy_dir(tmp_path):
+    """A toy dataset, its schema and an experiment config naming both, in ``tmp_path``."""
+    schema = harness_toy_schema()
+    pop = generate_synthetic(schema, {"a": 40, "b": 25}, seed=9, shift=0.6)
+    write_csv(pop, tmp_path / "toy.csv")
+    (tmp_path / "toy_schema.json").write_text(json.dumps(schema_to_dict(schema)))
+    config = {
+        "dataset": "toy.csv",
+        "schema": "toy_schema.json",
+        "seed": 5,
+        "split": {"train_fraction": 0.7, "seed": 5},
+        "models": [
+            {"name": "linear", "kind": "linear", "features": "all"},
+            {"name": "ridge", "kind": "ridge", "lambda": 3.0, "features": "mutable"},
+            {"name": "stump", "kind": "tree", "max_depth": 2, "features": "all"},
+        ],
+        "effort": {"alpha": 1.0, "base_costs": 0.0, "categorical_cost": 0.5},
+        "benefit": "predicted",
+        "delta_grid_points": 6,
+        "sweep": {"tau_grid": [0.0, 1.0, 4.0], "features": "all"},
+        "beta": 0.5,
+        "minority": "b",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    return tmp_path

@@ -4,7 +4,8 @@
 the traced run (``perfbench/run.py --trace 1``), and its counters read
 fields of the results. A rename or deletion in ``src`` would break that
 run, so these tests load the benchmark's own target list and counters,
-without changing or importing anything else under ``perfbench/``.
+without changing or importing anything else under ``perfbench/``, and
+run the toy commands under its wrappers.
 """
 
 from __future__ import annotations
@@ -61,3 +62,26 @@ def test_counters_read_live_results(bench):
         "scanned": pop.size,
         "focal_points": len(impact.focal_points),
     }
+
+
+def test_traced_toy_commands_count_live_calls(bench, toy_dir):
+    spans, es = bench
+    h = es["harness"]
+    config = h.load_config(toy_dir / "config.json")
+    targets = spans.targets(es)
+    originals = [(owner, attr, vars(owner)[attr]) for owner, attr, _, _ in targets]
+    tracer = spans.Tracer()
+    with spans.Instrumentation(tracer, targets):
+        h.cmd_fairness(config, toy_dir / "out")
+        h.cmd_simulate(config, toy_dir / "out")
+    assert all(vars(owner)[attr] is original for owner, attr, original in originals)
+    metrics = spans.iteration_metrics(tracer.spans)
+    for name in (
+        "effort.EffortEngine.eps_sum.feature_cells",
+        "dataset.load_csv.rows",
+        "dataset.write_csv.rows",
+        "models.predict_rows.rows",
+    ):
+        assert metrics[name] > 0, name
+    spectral = [s for s in tracer.spans if s.name == "segregation.spectral_segregation"]
+    assert spectral and all("absent" in s.counts for s in spectral)

@@ -431,18 +431,16 @@ def _value_pattern_pop(pattern, rows=23, seed=4):
 def _row_by_row(engine, group, Xa, Xb, idx, weighted):
     """``acc + w * eps`` in the given feature order, each rule run on every row of ``Xa``.
 
-    No tiles and no distinct values: the reference the gathering kernel must
-    reproduce bit for bit.
+    No tiles and no level tables: the reference the kernel must reproduce bit
+    for bit on both of its paths.
     """
     acc = np.zeros((Xa.shape[0], Xb.shape[0]))
-    every_row = np.arange(Xa.shape[0])
     for k in idx:
         w = engine.params.weight_for(group, engine.schema.features[k]) if weighted else 1.0
         if w == 0.0:
             continue
         eps = np.empty_like(acc)
-        fill = engine._eps_rule(group, k, Xa[:, k], Xb[:, k])
-        fill(every_row, eps, np.empty(acc.shape, bool))
+        engine._eps_rule(group, k, Xb[:, k])(Xa[:, k], eps, np.empty(acc.shape, bool))
         acc = acc + w * eps
     return acc
 
@@ -452,7 +450,7 @@ def _same_bits(got, want):
 
 
 class TestDistinctValueGather:
-    """Each tile computes one level row per distinct value and gathers it; no entry may move."""
+    """Few-valued columns gather level-table rows, the rest run per row; no entry may move."""
 
     PARAMS = EffortParams(
         base_cost={"g1": 0.25},
@@ -488,19 +486,53 @@ class TestDistinctValueGather:
                 want = self.PARAMS.base_cost_for(g) + acc / schema.size
                 assert _same_bits(E[rows], want)
 
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    def test_level_budget_is_one_tile_spent_in_feature_order(self, monkeypatch, height):
+        # Distinct counts of columns 0-4: two over the whole budget (run per
+        # row), one value (a table), then the rest of the budget exactly (a
+        # table; at height 1 column 2 already filled it), then one value over
+        # an empty budget (runs per row). The other columns run per row.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
+        weights = {"num_up": 1.5, "num_down": 2.5, "ord_free": 0.0}  # per row, table, skipped
+        params = EffortParams(feature_weights={"g1": weights})
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), params)
+        Xa = _value_pattern_pop("nan_cell").X.copy()
+        rng = np.random.default_rng(9)
+        for k, count in enumerate((height + 1, height + 1, 1, max(height - 1, 1), 1)):
+            Xa[:, k] = rng.permutation(np.arange(Xa.shape[0]) % count) * 0.5 - 1.0
+        tabled = {2, 3} if height > 1 else {2}
+        Xb = np.vstack([Xa, engine.reference.X[::3]])
+        every = list(range(Xa.shape[1]))
+        mutable = [k for k in every if engine.schema.features[k].mutable]  # 1-7: all finite
+        fills = []  # the column of every fill call
+
+        def counted_rule(group, k, col_b):
+            fill = EffortEngine._eps_rule(engine, group, k, col_b)
+            return lambda a, out, mask: (fills.append(k), fill(a, out, mask))
+
+        tiles = -(-Xa.shape[0] // height)
+        for idx in (every, mutable):
+            for weighted in (True, False):
+                fills.clear()
+                engine._eps_rule = counted_rule
+                got = engine.eps_sum("g1", Xa, Xb, idx, weighted)
+                del engine._eps_rule
+                assert _same_bits(got, _row_by_row(engine, "g1", Xa, Xb, idx, weighted))
+                skipped = {6} if weighted else set()  # g1 weighs ord_free 0.0
+                assert [fills.count(k) for k in every] == [
+                    0 if k in skipped or k not in idx else 1 if k in tabled else tiles
+                    for k in every
+                ]
+
     def test_merged_values_share_a_level_row(self):
-        # -0.0 and 0.0 compare equal and all NaNs sort together, so each pair
-        # shares one level row; the per-row rule gives them equal rows too.
+        # -0.0 and 0.0 compare equal and all NaNs sort together, so a level
+        # table gives each pair one row; the rule gives them equal rows too.
         pop = _value_pattern_pop("signed_zero")
         col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
-        values, present, starts, inverse = effort._tile_levels(col, 6)
-        assert present.shape == (3,) and starts.tolist() == [0, 3]
-        assert inverse.tolist() == [0, 0, 2, 1, 2, 0]
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
         for k in range(1, pop.schema.size):
             eps = np.empty((col.shape[0], pop.size))
-            fill = engine._eps_rule("g1", k, col, pop.X[:, k])
-            fill(np.arange(col.shape[0]), eps, np.empty(eps.shape, bool))
+            engine._eps_rule("g1", k, pop.X[:, k])(col, eps, np.empty(eps.shape, bool))
             for i, j in ((0, 1), (0, 5), (2, 4)):
                 assert _same_bits(eps[i], eps[j])
 
@@ -518,3 +550,19 @@ class TestPairwiseEffortMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * pop.size**2 + 4 * TILE_BYTES
+
+    def test_eps_tiles_walk_stays_under_four_tiles(self):
+        # Group F against everyone on a synthetic population: the few-valued
+        # columns' level tables share one tile's rows next to the
+        # accumulator, the gather tile and the rule mask.
+        pop = synthetic_student_pop(3000, seed=1)
+        tracemalloc.start()
+        try:
+            engine = EffortEngine(pop, EffortParams())
+            Xa = pop.X[pop.group_rows("F")]
+            for _ in engine.eps_tiles("F", Xa, pop.X, range(pop.schema.size), weighted=True):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * TILE_BYTES

@@ -12,18 +12,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import synthetic_student_pop
+from conftest import harness_toy_schema, synthetic_student_pop
 import effortsim
 from effortsim import cli, data_path, harness, segregation
-from effortsim.dataset import (
-    Feature,
-    FeatureKind,
-    FeatureSchema,
-    generate_synthetic,
-    load_csv,
-    schema_to_dict,
-    write_csv,
-)
+from effortsim.dataset import load_csv, schema_to_dict, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import cmd_figures
 from effortsim.harness import (
@@ -34,47 +26,6 @@ from effortsim.harness import (
     load_config,
 )
 from effortsim.models import Predictor
-
-
-def _toy_schema():
-    return FeatureSchema(
-        features=(
-            Feature("grp", FeatureKind("immutable", levels=("a", "b")), mutable=False),
-            Feature("skill", FeatureKind("numerical_monotone", direction="increasing"), mutable=True),
-            Feature("habit", FeatureKind("ordinal_monotone", direction="decreasing"), mutable=True),
-            Feature("club", FeatureKind("categorical", levels=("no", "yes")), mutable=True),
-            Feature("age", FeatureKind("conditionally_immutable", direction="increasing"), mutable=False),
-        ),
-        sensitive="grp",
-        label="y",
-    )
-
-
-@pytest.fixture
-def toy_dir(tmp_path):
-    schema = _toy_schema()
-    pop = generate_synthetic(schema, {"a": 40, "b": 25}, seed=9, shift=0.6)
-    write_csv(pop, tmp_path / "toy.csv")
-    (tmp_path / "toy_schema.json").write_text(json.dumps(schema_to_dict(schema)))
-    config = {
-        "dataset": "toy.csv",
-        "schema": "toy_schema.json",
-        "seed": 5,
-        "split": {"train_fraction": 0.7, "seed": 5},
-        "models": [
-            {"name": "linear", "kind": "linear", "features": "all"},
-            {"name": "ridge", "kind": "ridge", "lambda": 3.0, "features": "mutable"},
-            {"name": "stump", "kind": "tree", "max_depth": 2, "features": "all"},
-        ],
-        "effort": {"alpha": 1.0, "base_costs": 0.0, "categorical_cost": 0.5},
-        "benefit": "predicted",
-        "delta_grid_points": 6,
-        "sweep": {"tau_grid": [0.0, 1.0, 4.0], "features": "all"},
-        "beta": 0.5,
-        "minority": "b",
-    }
-    (tmp_path / "config.json").write_text(json.dumps(config))
-    return tmp_path
 
 
 def _bundled_config():
@@ -204,6 +155,37 @@ class TestConfig:
         (tmp_path / "config.json").write_text(json.dumps(raw))
         assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("feature_weights", {"studytime": "abc"}),
+            ("feature_weights", {"studytime": [2.0]}),
+            ("feature_weights", {"studytime": -1}),
+            ("feature_weights", {"nosuch": 3.0}),
+            ("feature_weights", {"X": {"studytime": 2.0}}),
+            ("feature_weights", {"F": {"nosuch": 2.0}}),
+            ("base_costs", {"X": 0.3}),
+        ],
+        ids=[
+            "text_weight",
+            "list_weight",
+            "negative_weight",
+            "unknown_feature",
+            "unknown_group",
+            "unknown_group_feature",
+            "unknown_base_cost_group",
+        ],
+    )
+    def test_bad_cost_model_fails_before_any_stage(self, tmp_path, capsys, key, value):
+        raw = _bundled_config()
+        raw["effort"][key] = value
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_top_level_config_must_be_object(self, tmp_path):
         (tmp_path / "config.json").write_text(json.dumps([_bundled_config()]))
         assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
@@ -234,6 +216,8 @@ class TestConfig:
             ("schema_is_directory", 2),
             ("schema_is_list", 2),
             ("schema_feature_is_string", 2),
+            ("schema_feature_key_misspelt", 2),
+            ("schema_unknown_top_level_key", 2),
             ("synth_config_is_directory", 2),
             ("out_is_file", 3),
             ("synth_out_is_file", 3),
@@ -260,6 +244,14 @@ class TestConfig:
         elif case == "schema_feature_is_string":
             schema = json.loads((toy_dir / "toy_schema.json").read_text())
             schema["features"][1] = "skill"
+            (toy_dir / "toy_schema.json").write_text(json.dumps(schema))
+        elif case == "schema_feature_key_misspelt":
+            schema = json.loads((toy_dir / "toy_schema.json").read_text())
+            schema["features"][1]["wieght"] = 3
+            (toy_dir / "toy_schema.json").write_text(json.dumps(schema))
+        elif case == "schema_unknown_top_level_key":
+            schema = json.loads((toy_dir / "toy_schema.json").read_text())
+            schema["lable"] = "y"
             (toy_dir / "toy_schema.json").write_text(json.dumps(schema))
         elif case == "synth_config_is_directory":
             argv = ["synth", "--config", str(toy_dir / "folder"), "--out", str(toy_dir / "o")]
@@ -563,21 +555,23 @@ class TestFiguresCommand:
         assert cli.main(["figures", "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize(
-        "body",
+        "name, body",
         [
-            b"m,a,abc,0.5\n",
-            b"m,a,1.0\n",
-            b"m,a,1.0,\xff\n",
+            ("bounded_effort_curves", b"model,group,delta,value\nm,a,abc,0.5\n"),
+            ("bounded_effort_curves", b"model,group,delta,value\nm,a,1.0\n"),
+            ("bounded_effort_curves", b"model,group,delta,value\nm,a,1.0,\xff\n"),
+            ("tau_sweep", b"tau,measure,value\n0,aci,0.5\n1,aci,inf\n"),
+            ("tau_sweep", b"tau,measure,value\n0,aci,0.5\nnan,aci,0.25\n"),
         ],
-        ids=["non_numeric_delta", "short_row", "not_utf8"],
+        ids=["non_numeric_delta", "short_row", "not_utf8", "inf_value", "nan_tau"],
     )
-    def test_bad_report_csv_is_data_error(self, tmp_path, capsys, body):
-        (tmp_path / "bounded_effort_curves.csv").write_bytes(b"model,group,delta,value\n" + body)
+    def test_bad_report_csv_is_data_error(self, tmp_path, capsys, name, body):
+        (tmp_path / f"{name}.csv").write_bytes(body)
         assert cli.main(["figures", "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "bounded_effort_curves.csv" in err
+        assert err.startswith("data error:") and f"{name}.csv" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "bounded_effort_curves.svg").exists()
+        assert not (tmp_path / f"{name}.svg").exists()
 
     def test_regeneration_is_byte_identical(self, toy_dir):
         out = toy_dir / "out"
@@ -594,7 +588,7 @@ class TestFiguresCommand:
 
 class TestSynthCommand:
     def test_generates_deterministic_csv(self, tmp_path):
-        spec = schema_to_dict(_toy_schema())
+        spec = schema_to_dict(harness_toy_schema())
         spec.update({"group_sizes": {"a": 12, "b": 8}, "shift": 0.4, "seed": 3})
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         assert cli.main(["synth", "--config", str(tmp_path / "spec.json"), "--out", str(tmp_path / "s1")]) == 0
@@ -636,7 +630,7 @@ class TestSynthCommand:
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, edits):
-        spec = schema_to_dict(_toy_schema())
+        spec = schema_to_dict(harness_toy_schema())
         spec.update({"group_sizes": {"a": 12, "b": 8}, "shift": 0.4, "seed": 3})
         spec.update(edits)
         (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -644,7 +638,7 @@ class TestSynthCommand:
         assert not (tmp_path / "synthetic.csv").exists()
 
     def test_missing_sizes_is_config_error(self, tmp_path):
-        spec = schema_to_dict(_toy_schema())
+        spec = schema_to_dict(harness_toy_schema())
         spec["seed"] = 1
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         assert cli.main(["synth", "--config", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 2
@@ -652,7 +646,7 @@ class TestSynthCommand:
 
 def _write_schema(tmp_path):
     path = tmp_path / "schema_only.json"
-    path.write_text(json.dumps(schema_to_dict(_toy_schema())))
+    path.write_text(json.dumps(schema_to_dict(harness_toy_schema())))
     return path
 
 
