@@ -29,6 +29,11 @@ distinct value, which every tile gathers to its rows. The tables share a
 budget of one tile's rows, so they never outgrow a tile. Every other column
 runs its rule on the tile's own rows. Both paths give every entry exactly
 ``acc + w * eps``, so the choice never changes a bit.
+
+Only immutable and conditionally immutable features (the gates) give
+``inf``, and they rule out most pairs. The pair form of the kernel finds a
+tile's feasible pairs from its gates first and runs every term on those
+pairs alone, with the same operations, so each finite effort keeps its bits.
 """
 
 from __future__ import annotations
@@ -170,6 +175,12 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
+# Selections that make ``_eps_rule``'s fills work on a whole tile: each
+# value of the tile's column against every value of ``col_b``.
+COLUMN = (slice(None), None)
+EVERY = slice(None)
+
+
 def row_tiles(n_rows: int, n_cols: int):
     """``(lo, hi)`` bounds of consecutive row tiles covering ``n_rows`` rows."""
     step = tile_rows(n_cols)
@@ -182,10 +193,11 @@ class EffortEngine:
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
-    through ``eps_tiles``, which applies the per-kind rule of ``_eps_rule``
-    through a level table for few-valued columns or on each tile's rows for
-    the rest, and accumulates features in the order given (ascending schema
-    order).
+    through ``eps_tiles`` (every pair of each row tile) or ``eps_pairs``
+    (only the pairs of finite effort), which apply the per-kind rules of
+    ``_eps_rule`` through a level table for few-valued columns or on each
+    tile's own values for the rest, and accumulate features in the order
+    given (ascending schema order).
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -194,14 +206,19 @@ class EffortEngine:
         self.schema = reference.schema
 
     def _eps_rule(self, group: str, k: int, col_b: np.ndarray):
-        """Feature k's per-kind effort rule from values a to the values ``col_b``.
+        """Feature k's per-kind effort rule from values a to the values ``col_b``, and its gate.
 
         Column ``k = schema.size`` is the label: the increasing monotone rule
         on the group's label table. ``col_b`` is ranked once here. The
-        returned ``fill(a, out, mask)`` writes the efforts from each value of
-        the 1-D array ``a`` to every value of ``col_b`` into ``out`` (shape
-        ``(len(a), len(col_b))``), using ``mask`` (bool, same shape) as
-        scratch.
+        returned ``fill(a, rows, cols, out, mask)`` writes the efforts from
+        ``a[rows]`` to ``col_b[cols]`` into ``out``, with ``mask`` (bool, the
+        shape of ``out``) as scratch; ``a`` is a 1-D array, ranked once per
+        call. Any two broadcastable selections work: ``COLUMN`` and ``EVERY``
+        give a tile, every value of ``a`` against every value of ``col_b``;
+        two equal-length index arrays give one effort per pair. The gate is
+        ``allowed(a, rows, cols, out)``, which writes where the effort is
+        finite, for the kinds that can give ``inf`` (immutable and
+        conditionally immutable); it is ``None`` for the rest.
         """
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
@@ -210,54 +227,93 @@ class EffortEngine:
             feature = self.schema.features[k]
             kind, increasing = feature.kind.kind, feature.kind.direction == INCREASING
             table = self.reference.feature_table(group)[:, k]
-        b = col_b[None, :]
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
-            def fill(a, out, mask):
-                np.not_equal(b, a[:, None], out=out)  # 1.0 or 0.0
+            def fill(a, rows, cols, out, mask):
+                np.not_equal(col_b[cols], a[rows], out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
-            return fill
+            return fill, None
         if kind == IMMUTABLE:
 
-            def fill(a, out, mask):
-                np.not_equal(b, a[:, None], out=mask)
+            def allowed(a, rows, cols, out):
+                np.equal(col_b[cols], a[rows], out=out)
+
+            def fill(a, rows, cols, out, mask):
+                allowed(a, rows, cols, mask)
+                np.logical_not(mask, out=mask)
                 out.fill(0.0)
                 np.putmask(out, mask, np.inf)
 
-            return fill
+            return fill, allowed
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
             rank = _rank_asc
         else:
             rank = _rank_desc
-        qb = rank(table, col_b)[None, :]
+        qb = rank(table, col_b)
         if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
 
-            def fill(a, out, mask):
-                np.subtract(qb, rank(table, a)[:, None], out=out)
+            def fill(a, rows, cols, out, mask):
+                np.subtract(qb[cols], rank(table, a)[rows], out=out)
                 np.maximum(0.0, out, out=out)
 
-        elif kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
+            return fill, None
+        if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
 
-            def fill(a, out, mask):
-                np.subtract(qb, rank(table, a)[:, None], out=out)
+            def fill(a, rows, cols, out, mask):
+                np.subtract(qb[cols], rank(table, a)[rows], out=out)
                 np.abs(out, out=out)
 
-        elif kind == CONDITIONALLY_IMMUTABLE:
+            return fill, None
+        if kind == CONDITIONALLY_IMMUTABLE:
             # Equal values have equal ranks, so the gap is already +0.0 there;
             # everything else outside the allowed direction (NaN too) is inf.
             allowed_or_equal = np.greater_equal if increasing else np.less_equal
 
-            def fill(a, out, mask):
-                np.subtract(qb, rank(table, a)[:, None], out=out)
-                allowed_or_equal(b, a[:, None], out=mask)
+            def allowed(a, rows, cols, out):
+                allowed_or_equal(col_b[cols], a[rows], out=out)
+
+            def fill(a, rows, cols, out, mask):
+                np.subtract(qb[cols], rank(table, a)[rows], out=out)
+                allowed(a, rows, cols, mask)
                 np.logical_not(mask, out=mask)
                 np.putmask(out, mask, np.inf)
 
-        else:
-            raise SchemaError(f"unhandled feature kind {kind!r}")
-        return fill
+            return fill, allowed
+        raise SchemaError(f"unhandled feature kind {kind!r}")
+
+    def _terms(self, group, Xa, Xb, feature_indices, weighted, mask):
+        """``(k, w, fill, allowed, table, codes)`` of each weighted column, in the given order.
+
+        A column whose distinct ``Xa`` values fit what is left of the level
+        budget (``mask``'s rows, spent in the given order) gets a level
+        table: its rule fills one row per distinct value, the weight
+        multiplies the table once, and ``codes`` holds each ``Xa`` row's
+        table row. Any other column gets ``table = codes = None`` and runs
+        its rule on each tile's own values, then applies the weight.
+        """
+        budget = mask.shape[0]
+        terms = []
+        for k in feature_indices:
+            w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
+            if w == 0.0:
+                continue
+            fill, allowed = self._eps_rule(group, k, Xb[:, k])
+            values = _distinct(Xa[:, k])
+            if values.shape[0] > budget:
+                terms.append((k, w, fill, allowed, None, None))
+                continue
+            budget -= values.shape[0]
+            table = np.empty((values.shape[0], Xb.shape[0]))
+            fill(values, COLUMN, EVERY, table, mask[: values.shape[0]])
+            if w != 1.0:  # 1.0 * x == x exactly
+                np.multiply(w, table, out=table)
+            # Binary search matches values that compare equal (-0.0 and 0.0)
+            # and all NaNs to one row; every rule gives them equal rows.
+            codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
+            terms.append((k, w, fill, allowed, table, codes))
+        return terms
 
     def eps_tiles(
         self,
@@ -270,48 +326,26 @@ class EffortEngine:
         """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
 
         Each column's ``Xb`` values are ranked, and its path chosen, once per
-        call. A column whose distinct values fit the level budget gets a
-        level table: its rule fills one row per distinct value, the weight
-        multiplies the table once, and each tile gathers the rows its values
-        select. The tables share a budget of one tile's rows, spent in the
-        given feature order, so together they never outgrow one tile. Any
-        other column runs its rule on the tile's own values, then applies the
-        weight. Either way every entry gets ``acc + w * rule(a_i)``, feature
-        by feature in the given order, so both paths give the same bits.
-        Column ``schema.size``
-        of ``Xa`` and ``Xb``, if present, is the label; only unweighted calls
-        may name it, as the label has no weight. The tile is scratch that the
-        next step overwrites, so a caller may change it in place but must
-        copy what it keeps.
+        call (see ``_terms``): a few-valued column's tiles gather rows of its
+        level table, and any other column runs its rule on the tile's own
+        values. The level tables share a budget of one tile's rows, so
+        together they never outgrow one tile. Either way every entry gets
+        ``acc + w * rule(a_i)``, feature by feature in the given order, so
+        both paths give the same bits. Column ``schema.size`` of ``Xa`` and
+        ``Xb``, if present, is the label; only unweighted calls may name it,
+        as the label has no weight. The tile is scratch that the next step
+        overwrites, so a caller may change it in place but must copy what it
+        keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
         acc, eps, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-        budget = shape[0]  # level-table rows left
-        terms = []
-        for k in feature_indices:
-            w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
-            if w == 0.0:
-                continue
-            fill = self._eps_rule(group, k, Xb[:, k])
-            values = _distinct(Xa[:, k])
-            if values.shape[0] > budget:
-                terms.append((k, w, fill, None, None))
-                continue
-            budget -= values.shape[0]
-            table = np.empty((values.shape[0], shape[1]))
-            fill(values, table, mask[: values.shape[0]])
-            if w != 1.0:  # 1.0 * x == x exactly
-                np.multiply(w, table, out=table)
-            # Binary search matches values that compare equal (-0.0 and 0.0)
-            # and all NaNs to one row; every rule gives them equal rows.
-            codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
-            terms.append((k, w, fill, table, codes))
+        terms = self._terms(group, Xa, Xb, feature_indices, weighted, mask)
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
             acc_t, eps_t = acc[: hi - lo], eps[: hi - lo]
             acc_t.fill(0.0)
-            for k, w, fill, table, codes in terms:
+            for k, w, fill, _, table, codes in terms:
                 if table is None:
-                    fill(Xa[lo:hi, k], eps_t, mask[: hi - lo])
+                    fill(Xa[lo:hi, k], COLUMN, EVERY, eps_t, mask[: hi - lo])
                     if w != 1.0:
                         np.multiply(w, eps_t, out=eps_t)
                 else:
@@ -320,6 +354,64 @@ class EffortEngine:
                     np.take(table, codes[lo:hi], axis=0, out=eps_t, mode="clip")
                 np.add(acc_t, eps_t, out=acc_t)
             yield lo, hi, acc_t
+
+    def eps_pairs(
+        self,
+        group: str,
+        Xa: np.ndarray,
+        Xb: np.ndarray,
+        feature_indices: Sequence[int],
+        weighted: bool,
+    ):
+        """Yield ``(lo, hi, r, j, sums)``: the finite effort sums among rows ``Xa[lo:hi]`` and ``Xb``.
+
+        Pair t goes from row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``, and the
+        pairs come in row-major order. Every pair whose effort is ``inf`` is
+        left out, and with it all the work on it. Only the gates of
+        ``_eps_rule`` (immutable and conditionally immutable columns with a
+        nonzero weight) give ``inf``, so each tile's feasible pairs are where
+        all its gates allow the move; the rule's ``mask`` buffer holds them.
+        Every term then runs on those pairs only, in the given order and
+        with the same operations as ``eps_tiles``: a level-table column
+        gathers ``table[code_i, j]`` and any other column runs its rule on
+        the pair's two values. So each sum has the bits of the matching
+        ``eps_tiles`` entry. A walk with no gate has no ``inf`` and gives
+        every pair. The arrays are scratch that the next step may overwrite.
+        """
+        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
+        mask = np.empty(shape, bool)
+        terms = self._terms(group, Xa, Xb, feature_indices, weighted, mask)
+        # A gate's level table is inf exactly where the gate rules a move out
+        # (its finite efforts lie in [0, w]), so its finite entries are the
+        # allowed moves of each distinct value.
+        gates = [
+            (k, allowed, None if table is None else np.isfinite(table), codes)
+            for k, _, _, allowed, table, codes in terms
+            if allowed is not None
+        ]
+        gate = np.empty(shape, bool)
+        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
+            ok, allow = mask[: hi - lo], gate[: hi - lo]
+            ok.fill(True)
+            for k, allowed, levels, codes in gates:
+                if levels is None:
+                    allowed(Xa[lo:hi, k], COLUMN, EVERY, allow)
+                else:
+                    np.take(levels, codes[lo:hi], axis=0, out=allow, mode="clip")
+                np.logical_and(ok, allow, out=ok)
+            r, j = np.divmod(np.flatnonzero(ok), Xb.shape[0])
+            scratch = ok.reshape(-1)[: r.shape[0]]  # the tile mask is spent
+            acc, eps = np.zeros(r.shape), np.empty(r.shape)
+            for k, w, fill, _, table, codes in terms:
+                if table is None:
+                    fill(Xa[lo:hi, k], r, j, eps, scratch)
+                    if w != 1.0:
+                        np.multiply(w, eps, out=eps)
+                else:
+                    flat = (codes[lo:hi].astype(np.intp) * Xb.shape[0])[r] + j
+                    np.take(table, flat, out=eps, mode="clip")  # see eps_tiles
+                np.add(acc, eps, out=acc)
+            yield lo, hi, r, j, acc
 
     def eps_sum(
         self,
@@ -356,6 +448,23 @@ class EffortEngine:
                 np.divide(tile, K, out=tile)
                 yield rows[lo:hi], np.add(base, tile, out=tile)
             del tile  # a view of the finished group's buffers
+
+    def effort_pairs(self, pop: Population):
+        """Yield ``(rows, r, j, e)``: the finite total efforts from rows ``rows[r]`` of ``pop`` to rows ``j``.
+
+        The pair form of ``effort_tiles`` over every feature, through
+        ``eps_pairs``: each total is ``base + sum / K`` with the bits of the
+        matching ``pairwise_effort`` entry, and every pair whose effort is
+        ``inf`` is left out. The arrays are scratch that the next step may
+        overwrite.
+        """
+        K = self.schema.size
+        for g in pop.group_names:
+            rows = pop.group_rows(g)
+            base = self.params.base_cost_for(g)
+            for lo, hi, r, j, acc in self.eps_pairs(g, pop.X[rows], pop.X, range(K), weighted=True):
+                np.divide(acc, K, out=acc)
+                yield rows[lo:hi], r, j, np.add(base, acc, out=acc)
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
         """(n, n) matrix of total efforts from row i to row j's values: ``effort_tiles`` assembled.

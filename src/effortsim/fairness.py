@@ -3,7 +3,7 @@
 All three effort measures scan, for every individual, the candidate
 profiles present in the supplied population (the same data whose quantile
 tables define effort). Effort does not depend on the decision policy, so an
-audit walks the population's effort row tiles once and serves every model
+audit walks the population's finite-effort pairs once and serves every model
 it audits from that walk; no n x n array is held. Per row and model it keeps
 only the row's Pareto staircase (least effort for at least a given benefit),
 and every measure reads its answers off the staircases.
@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import effort
 from .dataset import Population
 from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
 
@@ -142,55 +141,101 @@ class _Staircases:
         return np.maximum.reduceat(self.rewards() - self.val, self.starts[:-1])
 
 
+def audit_benefits(
+    pop: Population, params: EffortParams, benefit: str, models: Iterable
+) -> list[np.ndarray]:
+    """Each model's risk-adjusted benefit of every row of ``pop``, as ``FairnessAudit`` takes it.
+
+    A negative benefit under a non-integer risk aversion is a
+    ``SchemaError``, so a caller can check the cost model before it writes
+    anything.
+    """
+    return [
+        np.asarray(
+            risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha),
+            dtype=np.float64,
+        )
+        for h in models
+    ]
+
+
 class FairnessAudit:
     """Every audited model's effort staircases over one population, from one effort walk.
 
-    The constructor takes the models to audit and computes each one's
-    benefits ``b`` once. The reward of moving from row i to candidate j is
-    ``b[j] - b[i]``, monotone in ``b[j]``, so one ordering of the benefits
-    orders every row. The walk over ``EffortEngine.effort_tiles`` gathers
-    each tile into every model's ascending-benefit order, takes its suffix
-    minima and keeps each row's staircase points; it also keeps the largest
+    The constructor takes the models to audit and each one's benefits ``b``
+    (``audit_benefits``, computed here unless given). The reward of moving
+    from row i to candidate j is ``b[j] - b[i]``, monotone in ``b[j]``, so
+    one ordering of the benefits orders every row. The walk over
+    ``EffortEngine.effort_pairs`` sees only the pairs of finite effort; an
+    unreachable candidate can be a staircase point only as a row's last
+    position, with effort ``inf``. Per tile, one sort of the pairs by (row,
+    effort) serves every model, which keeps each row's staircase points from
+    its pairs' ascending-benefit positions. The walk also keeps the largest
     finite effort, the top of the bounded-effort grid. Every measure is then
     answered from the staircases, with the same bits as a scan of every
     pair. Asking about a model the audit was not built with is a
     ``ValueError``.
     """
 
-    def __init__(self, pop: Population, params: EffortParams, benefit: str, models: Iterable):
+    def __init__(
+        self,
+        pop: Population,
+        params: EffortParams,
+        benefit: str,
+        models: Iterable,
+        benefits: Sequence[np.ndarray] | None = None,
+    ):
         self.pop = pop
         self.params = params
         self.benefit = benefit
         self.models = tuple(models)
         n = pop.size
-        benefits = [
-            np.asarray(
-                risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha),
-                dtype=np.float64,
-            )
-            for h in self.models
-        ]
+        if benefits is None:
+            benefits = audit_benefits(pop, params, benefit, self.models)
         orders = [np.argsort(b, kind="stable") for b in benefits]
+        positions = [np.empty_like(asc) for asc in orders]
+        for asc, position in zip(orders, positions):
+            position[asc] = np.arange(n)
         pieces: list[list] = [[] for _ in self.models]
-        height = min(effort.tile_rows(n), n)  # effort_tiles' tiles hold at most this many rows
-        sufmin_buf, flags_buf = np.empty((height, n)), np.empty((height, n), bool)
         top = 0.0  # efforts are never negative
-        self.tiles = 0
-        for rows, tile in EffortEngine(pop, params).effort_tiles(pop):
+        self.pairs, self.tiles, self.feasible_pairs = n * n, 0, 0
+        for rows, r, j, e in EffortEngine(pop, params).effort_pairs(pop):
             self.tiles += 1
-            sufmin, flags = sufmin_buf[: rows.shape[0]], flags_buf[: rows.shape[0]]
-            top = max(top, float(np.max(tile, where=np.isfinite(tile, out=flags), initial=0.0)))
-            for asc, parts in zip(orders, pieces):
-                np.take(tile, asc, axis=1, out=sufmin, mode="clip")  # see EffortEngine.eps_tiles
-                backwards = sufmin[:, ::-1]
-                np.minimum.accumulate(backwards, axis=1, out=backwards)
-                np.less(sufmin[:, :-1], sufmin[:, 1:], out=flags[:, :-1])
-                flags[:, -1] = True
-                at = np.flatnonzero(flags)
-                r, p = np.divmod(at, n)
-                counts = np.bincount(r, minlength=rows.shape[0])
-                parts.append((rows, counts, p, np.take(sufmin, at)))
-            del tile  # see EffortEngine.effort_tiles
+            finite = np.isfinite(e)  # a sum that overflowed is as unreachable as a gated move
+            if not finite.all():
+                r, j, e = r[finite], j[finite], e[finite]
+            self.feasible_pairs += e.shape[0]
+            top = max(top, float(e.max(initial=0.0)))
+            # One sort by (row, effort) serves every model: by effort, then a
+            # stable radix sort by row (several times faster than lexsort). A
+            # pair is a staircase point iff no pair of its row with no more
+            # effort has a later position, so it holds the highest position
+            # of all the row's pairs up to the end of its equal-effort run.
+            order = np.argsort(e)
+            row_type = np.min_scalar_type(rows.shape[0])
+            order = order[np.argsort(r[order].astype(row_type), kind="stable")]
+            r, j, e = r[order], j[order], e[order]
+            ends = np.ones(e.shape, bool)
+            np.not_equal(e[1:], e[:-1], out=ends[:-1])
+            ends[:-1] |= r[1:] != r[:-1]
+            ends = np.flatnonzero(ends)
+            run_end = np.repeat(ends, np.diff(ends, prepend=-1))
+            base = r * n  # rows take disjoint key ranges, in row order
+            for position, parts in zip(positions, pieces):
+                key = base + position[j]
+                keep = np.flatnonzero(key == np.maximum.accumulate(key)[run_end])
+                kr, kp = r[keep], position[j[keep]]
+                # A row whose highest-benefit candidate is out of reach ends in
+                # (n - 1, inf), as the suffix minimum of its whole row did.
+                counts = np.bincount(kr, minlength=rows.shape[0])
+                open_rows = np.ones(rows.shape[0], bool)
+                open_rows[kr[kp == n - 1]] = False
+                open_rows = np.flatnonzero(open_rows)
+                at = np.cumsum(counts)[open_rows]
+                counts[open_rows] += 1
+                parts.append(
+                    (rows, counts, np.insert(kp, at, n - 1), np.insert(e[keep], at, np.inf))
+                )
         self.max_finite_effort = top
         self._staircases = {
             id(h): _Staircases.assemble(b, asc, parts)

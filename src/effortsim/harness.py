@@ -44,6 +44,7 @@ from .fairness import (
     BOUNDED_EFFORT,
     THRESHOLD_REWARD,
     FairnessAudit,
+    audit_benefits,
     residual_differences,
 )
 from .models import (
@@ -364,6 +365,8 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
 
     def train_models():
         models = {spec.name: fit_model(spec, train, config) for spec in config.models}
+        # Before any file: a benefit the risk model cannot take is a config error.
+        benefits = audit_benefits(train, config.effort, config.benefit, models.values())
         mae = {
             name: {
                 "train": evaluate(h, train).to_dict(),
@@ -374,14 +377,15 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
         }
         _write_json(runner.file("mae_report.json"), mae)
         _write_json(runner.file("models.json"), {name: h.to_dict() for name, h in models.items()})
-        return models, mae
+        return models, mae, benefits
 
-    models, mae = runner.run("train", train_models)
+    models, mae, benefits = runner.run("train", train_models)
 
     def curves():
-        audit = FairnessAudit(train, config.effort, config.benefit, models.values())
+        audit = FairnessAudit(train, config.effort, config.benefit, models.values(), benefits)
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
-        runner.timings.append({"audit": {"tiles": audit.tiles, "staircases": sizes}})
+        walk = {"tiles": audit.tiles, "pairs": audit.pairs, "feasible_pairs": audit.feasible_pairs}
+        runner.timings.append({"audit": {**walk, "staircases": sizes}})
         for measure, fname, extra_columns in (
             (BOUNDED_EFFORT, "bounded_effort_curves.csv", []),
             (THRESHOLD_REWARD, "threshold_reward_curves.csv", ["feasibility"]),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,15 @@ import oracles
 from conftest import single_group_pop, synthetic_student_pop
 from effortsim import effort
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim.effort import TILE_BYTES, EffortEngine, EffortParams, risk_adjusted, tile_rows
+from effortsim.effort import (
+    COLUMN,
+    EVERY,
+    TILE_BYTES,
+    EffortEngine,
+    EffortParams,
+    risk_adjusted,
+    tile_rows,
+)
 from effortsim.fairness import FairnessAudit
 from effortsim.models import LinearPredictor
 from instances import oracle_cases, random_instance
@@ -440,7 +449,8 @@ def _row_by_row(engine, group, Xa, Xb, idx, weighted):
         if w == 0.0:
             continue
         eps = np.empty_like(acc)
-        engine._eps_rule(group, k, Xb[:, k])(Xa[:, k], eps, np.empty(acc.shape, bool))
+        fill, _ = engine._eps_rule(group, k, Xb[:, k])
+        fill(Xa[:, k], COLUMN, EVERY, eps, np.empty(acc.shape, bool))
         acc = acc + w * eps
     return acc
 
@@ -507,8 +517,8 @@ class TestDistinctValueGather:
         fills = []  # the column of every fill call
 
         def counted_rule(group, k, col_b):
-            fill = EffortEngine._eps_rule(engine, group, k, col_b)
-            return lambda a, out, mask: (fills.append(k), fill(a, out, mask))
+            fill, allowed = EffortEngine._eps_rule(engine, group, k, col_b)
+            return (lambda *args: (fills.append(k), fill(*args))), allowed
 
         tiles = -(-Xa.shape[0] // height)
         for idx in (every, mutable):
@@ -532,9 +542,84 @@ class TestDistinctValueGather:
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
         for k in range(1, pop.schema.size):
             eps = np.empty((col.shape[0], pop.size))
-            engine._eps_rule("g1", k, pop.X[:, k])(col, eps, np.empty(eps.shape, bool))
+            fill, _ = engine._eps_rule("g1", k, pop.X[:, k])
+            fill(col, COLUMN, EVERY, eps, np.empty(eps.shape, bool))
             for i, j in ((0, 1), (0, 5), (2, 4)):
                 assert _same_bits(eps[i], eps[j])
+
+
+def _scatter_pairs(walk, shape):
+    """The pairs of an ``eps_pairs`` walk written into an ``inf`` matrix, checked for order."""
+    out = np.full(shape, np.inf)
+    seen = np.zeros(shape, bool)
+    for lo, hi, r, j, sums in walk:
+        flat = r * shape[1] + j
+        assert np.all(np.diff(flat) > 0) and np.all(r < hi - lo)  # row-major, no repeats
+        out[lo + r, j] = sums
+        seen[lo + r, j] = True
+    return out, seen
+
+
+class TestPairForm:
+    """Gated walks compute only the finite pairs, and each keeps the bits of the dense kernel."""
+
+    @staticmethod
+    def _engine_pop(pattern):
+        # every kind, with a per-feature categorical cost on "cat"
+        pop = _every_kind_pop(n_per_group=12)
+        features = tuple(
+            dataclasses.replace(f, categorical_cost=1.3) if f.name == "cat" else f
+            for f in pop.schema.features
+        )
+        schema = dataclasses.replace(pop.schema, features=features)
+        reference = Population(schema, pop.X, pop.y, list(pop.groups))
+        rows = _value_pattern_pop(pattern)
+        return reference, Population(schema, rows.X, rows.y, list(rows.groups))
+
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    @pytest.mark.parametrize("pattern", ["heavy_ties", "all_distinct", "signed_zero", "nan_cell"])
+    def test_finite_pairs_keep_their_bits(self, monkeypatch, pattern, height):
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
+        reference, pop = self._engine_pop(pattern)
+        engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
+        Xb = np.vstack([pop.X, reference.X[::3]])
+        every = list(range(pop.schema.size))
+        for g in pop.group_names:
+            for weighted in (True, False):
+                want = engine.eps_sum(g, pop.X, Xb, every, weighted)
+                got, seen = _scatter_pairs(engine.eps_pairs(g, pop.X, Xb, every, weighted), want.shape)
+                assert np.array_equal(seen, np.isfinite(want))
+                assert _same_bits(got, want)
+                assert 0 < seen.sum() < seen.size
+
+    @pytest.mark.parametrize("height", [3, 1000])
+    def test_effort_pairs_match_pairwise_effort(self, monkeypatch, height):
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
+        reference, pop = self._engine_pop("heavy_ties")
+        engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
+        E = engine.pairwise_effort(pop)
+        got = np.full_like(E, np.inf)
+        for rows, r, j, e in engine.effort_pairs(pop):
+            assert np.all(np.isfinite(e))
+            got[rows[r], j] = e
+        assert _same_bits(got, E)
+        assert np.isinf(E).any()
+
+    def test_walk_without_gates_is_every_pair(self, monkeypatch):
+        # Zero weights switch every immutable and conditionally immutable
+        # column off for g1, so its walk has no gate: every pair, dense path.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 3)
+        off = {name: 0.0 for name in ("grp", "older", "fewer", "born")}
+        params = EffortParams(feature_weights={"g1": off}, base_cost=0.25)
+        reference, pop = self._engine_pop("heavy_ties")
+        engine = EffortEngine(reference, params)
+        every = list(range(pop.schema.size))
+        mutable = [k for k in every if pop.schema.features[k].mutable]
+        for g, idx, weighted in (("g1", every, True), ("g2", mutable, True), ("g2", mutable, False)):
+            want = engine.eps_sum(g, pop.X, reference.X, idx, weighted)
+            assert np.all(np.isfinite(want))
+            got, seen = _scatter_pairs(engine.eps_pairs(g, pop.X, reference.X, idx, weighted), want.shape)
+            assert seen.all() and _same_bits(got, want)
 
 
 class TestPairwiseEffortMemory:
@@ -561,6 +646,21 @@ class TestPairwiseEffortMemory:
             engine = EffortEngine(pop, EffortParams())
             Xa = pop.X[pop.group_rows("F")]
             for _ in engine.eps_tiles("F", Xa, pop.X, range(pop.schema.size), weighted=True):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * TILE_BYTES
+
+    def test_eps_pairs_walk_stays_under_four_tiles(self):
+        # The same walk in pairs: the feasibility mask reuses the rule's mask
+        # buffer, and no accumulator or gather tile is allocated.
+        pop = synthetic_student_pop(3000, seed=1)
+        tracemalloc.start()
+        try:
+            engine = EffortEngine(pop, EffortParams())
+            Xa = pop.X[pop.group_rows("F")]
+            for _ in engine.eps_pairs("F", Xa, pop.X, range(pop.schema.size), weighted=True):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:

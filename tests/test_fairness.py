@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import single_group_pop, sweep_point
+from conftest import single_group_pop, sweep_point, synthetic_student_pop, toy_schema
 from effortsim import effort, fairness
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortEngine, EffortParams
@@ -29,6 +29,24 @@ def _skill_model(pop, weight=1.0, intercept=0.0):
 def _dense_efforts(pop, params):
     """The full n x n effort matrix, which the audit itself never holds."""
     return EffortEngine(pop, params).pairwise_effort(pop)
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record every effort walk, dense (``effort_tiles``) or in pairs (``effort_pairs``)."""
+    walks = []
+    tiles, pairs = EffortEngine.effort_tiles, EffortEngine.effort_pairs
+
+    def counting_tiles(self, pop, mutable_only=False):
+        walks.append("tiles")
+        return tiles(self, pop, mutable_only)
+
+    def counting_pairs(self, pop):
+        walks.append("pairs")
+        return pairs(self, pop)
+
+    monkeypatch.setattr(EffortEngine, "effort_tiles", counting_tiles)
+    monkeypatch.setattr(EffortEngine, "effort_pairs", counting_pairs)
+    return walks
 
 
 def _two_group_skill_pop():
@@ -222,18 +240,11 @@ class TestSweep:
 
     def test_grid_top_is_scanned_once_per_audit(self, monkeypatch):
         pop, params, h, benefit = random_instance(23)
-        walks = []
-        original = EffortEngine.effort_tiles
-
-        def counting(self, pop, mutable_only=False):
-            walks.append(mutable_only)
-            return original(self, pop, mutable_only)
-
-        monkeypatch.setattr(EffortEngine, "effort_tiles", counting)
+        walks = _count_walks(monkeypatch)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
         audit = FairnessAudit(pop, params, benefit, [h, flat])
         grids = [audit.default_grid(model, BOUNDED_EFFORT, 5) for model in (h, flat, h)]
-        assert walks == [False]
+        assert walks == ["pairs"]
         efforts = _dense_efforts(pop, params)
         finite = efforts[np.isfinite(efforts)]
         assert grids[0] == grids[1] == grids[2]
@@ -365,6 +376,68 @@ class TestStaircases:
             np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
         assert saw_inf and saw_ties
 
+    def test_unreachable_top_candidate_ends_the_row_at_infinity(self):
+        # Row 2 has the highest benefit. Row 0 can reach it (same group, not
+        # older); row 1 is older and row 3 is in the other group, so their
+        # staircases end in (n - 1, inf), as a scan of the whole row does.
+        schema = toy_schema(age=FeatureKind("conditionally_immutable", direction="increasing"))
+        X = np.array([[0, 1, 20], [0, 2, 30], [0, 5, 25], [1, 3, 20], [1, 4, 22]], dtype=float)
+        pop = Population(schema, X, np.zeros(5), ["g1", "g1", "g1", "g2", "g2"])
+        h = _skill_model(pop)
+        params = EffortParams(base_cost=0.05)
+        audit = FairnessAudit(pop, params, "predicted", [h])
+        E = oracles.effort_matrix(pop, params)
+        b = oracles.benefit_vector(h, pop, params, "predicted")
+        top = int(np.argmax(b))
+        assert top == 2 and math.isfinite(E[0][top]) and math.isinf(E[1][top]) and math.isinf(E[3][top])
+        stairs = audit._of(h)
+        ends = stairs.starts[1:] - 1
+        assert stairs.pos[ends].tolist() == [pop.size - 1] * pop.size
+        assert [math.isinf(v) for v in stairs.val[ends]] == [False, True, False, True, True]
+        efforts = sorted({e for row in E for e in row if math.isfinite(e)})
+        rewards = sorted({bj - bi for bi in b for bj in b})
+        for measure, grid in (
+            (BOUNDED_EFFORT, [0.0, *efforts, math.inf]),
+            (THRESHOLD_REWARD, [-math.inf, *rewards, math.inf]),
+        ):
+            np.testing.assert_array_equal(
+                stairs.table(measure, grid), _row_answers(E, b, measure, grid)
+            )
+        np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
+
+    def test_mostly_infeasible_population_equals_oracle(self):
+        # The bundled schema's shape: one immutable and four conditionally
+        # immutable columns rule out most pairs.
+        pop = synthetic_student_pop(200, seed=3)
+        params = EffortParams(base_cost={"F": 0.02}, categorical_cost=0.4)
+        h = fit_tree(pop, 3)
+        audit = FairnessAudit(pop, params, "shifted_gain", [h])
+        dense = _dense_efforts(pop, params)
+        rng = np.random.default_rng(0)
+        for i, j in rng.integers(0, pop.size, size=(40, 2)):
+            g = pop.groups[i]
+            assert dense[i, j] == oracles.total_effort(pop, params, g, pop.X[i], pop.X[j])
+        assert np.isinf(dense).mean() > 0.9
+        E = dense.tolist()
+        b = oracles.benefit_vector(h, pop, params, "shifted_gain")
+        stairs = audit._of(h)
+        for measure in (BOUNDED_EFFORT, THRESHOLD_REWARD):
+            grid = audit.default_grid(h, measure, 7)
+            np.testing.assert_array_equal(
+                stairs.table(measure, grid), _row_answers(E, b, measure, grid)
+            )
+            curve = audit.sweep(h, measure, grid)
+            for col, delta in enumerate(grid):
+                if measure == BOUNDED_EFFORT:
+                    want = oracles.bounded_effort(h, pop, params, "shifted_gain", delta, E)
+                else:
+                    want = oracles.threshold_reward(h, pop, params, "shifted_gain", delta, E)[0]
+                for g in pop.group_names:
+                    assert curve.per_group_values[g][col] == pytest.approx(want[g], rel=1e-12)
+        np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
+        assert audit.feasible_pairs == np.isfinite(dense).sum()
+        assert audit.pairs == pop.size**2
+
     def test_rising_effort_gives_a_point_per_candidate(self):
         # Effort rises strictly with benefit above each row, so row i's
         # staircase holds every candidate from i up: O(n) points per row.
@@ -388,16 +461,9 @@ class TestStaircases:
     def test_one_walk_serves_every_model(self, monkeypatch):
         pop, params, h, benefit = random_instance(44)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
-        walks = []
-        original = EffortEngine.effort_tiles
-
-        def counting(self, pop, mutable_only=False):
-            walks.append(mutable_only)
-            return original(self, pop, mutable_only)
-
-        monkeypatch.setattr(EffortEngine, "effort_tiles", counting)
+        walks = _count_walks(monkeypatch)
         both = FairnessAudit(pop, params, benefit, [h, flat])
-        assert walks == [False]
+        assert walks == ["pairs"]
         assert both.tiles == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
         for model in (h, flat):
             alone = FairnessAudit(pop, params, benefit, [model])

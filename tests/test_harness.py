@@ -186,6 +186,21 @@ class TestConfig:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("command", ["fairness", "simulate", "sweep-tau"])
+    def test_bad_risk_model_leaves_no_stage_file(self, tmp_path, capsys, command):
+        # shifted gain is negative for rows predicted more than one point
+        # below their label, which a fractional power cannot take
+        raw = _bundled_config()
+        raw["benefit"] = "shifted_gain"
+        raw["effort"]["alpha"] = 0.5
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "negative benefit with non-integer risk aversion 0.5" in err
+        assert "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_top_level_config_must_be_object(self, tmp_path):
         (tmp_path / "config.json").write_text(json.dumps([_bundled_config()]))
         assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
@@ -306,7 +321,8 @@ class TestFairnessCommand:
         original = Predictor.predict
 
         def counting(self, pop):
-            if sys._getframe(1).f_code.co_qualname.startswith("FairnessAudit."):
+            caller = sys._getframe(1).f_code.co_qualname
+            if caller.startswith(("FairnessAudit.", "audit_benefits")):
                 audit_calls.append(id(self))
             return original(self, pop)
 
@@ -321,6 +337,12 @@ class TestFairnessCommand:
         timings = json.loads((out / "timings_fairness.json").read_text())
         [entry] = [e["audit"] for e in timings if "audit" in e]
         assert entry["tiles"] >= 2  # one walk, group by group
+        # every pair is walked, and only the finite-effort ones computed
+        config = load_config(toy_dir / "config.json")
+        train = harness._load_and_split(config)[1]
+        efforts = EffortEngine(train, config.effort).pairwise_effort(train)
+        assert entry["pairs"] == train.size**2
+        assert entry["feasible_pairs"] == np.isfinite(efforts).sum() < entry["pairs"]
         assert set(entry["staircases"]) == {"linear", "ridge", "stump"}
         for size in entry["staircases"].values():
             assert 1 <= size["max_row_points"] <= size["points"]
@@ -431,23 +453,30 @@ class TestOneEffortMatrix:
         matrices, walks = [], []
         original_matrix = EffortEngine.pairwise_effort
         original_walk = EffortEngine.effort_tiles
+        original_pairs = EffortEngine.effort_pairs
 
         def counting_matrix(self, pop, mutable_only=False):
             matrices.append(mutable_only)
             return original_matrix(self, pop, mutable_only)
 
         def counting_walk(self, pop, mutable_only=False):
-            walks.append(mutable_only)
+            walks.append(("tiles", mutable_only))
             return original_walk(self, pop, mutable_only)
+
+        def counting_pairs(self, pop):
+            walks.append(("pairs", False))
+            return original_pairs(self, pop)
 
         monkeypatch.setattr(EffortEngine, "pairwise_effort", counting_matrix)
         monkeypatch.setattr(EffortEngine, "effort_tiles", counting_walk)
+        monkeypatch.setattr(EffortEngine, "effort_pairs", counting_pairs)
         config = load_config(toy_dir / "config.json")
         assert len(config.models) == 3 and len(config.tau_grid) == 3
         command(config, toy_dir / "out")
         assert matrices == []  # no command assembles an n x n effort matrix
-        # the audit walks every feature once, the imitation round the mutable ones
-        assert walks == ([False] if command is cmd_fairness else [True])
+        # the audit walks the feasible pairs of every feature once, the
+        # imitation round every pair of the mutable ones
+        assert walks == ([("pairs", False)] if command is cmd_fairness else [("tiles", True)])
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):
