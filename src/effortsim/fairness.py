@@ -67,14 +67,15 @@ class _Staircases:
 
     With the candidates in stable ascending-benefit order ``b_asc``, the
     suffix minimum ``sufmin[p]`` of row i's efforts is the least effort of
-    the candidates at position p or later. It is nondecreasing, and it only
-    steps up right after a position p whose own effort is ``sufmin[p]``.
-    Those positions, plus the last one, are row i's staircase: row i's
-    points are ``pos[starts[i]:starts[i + 1]]`` and their efforts
-    ``val[...]``, both strictly increasing. ``sufmin`` is constant from one
-    point back to the point before it, so the staircase answers every
-    measure with comparisons and the same subtractions as a scan of the
-    whole row, and keeps its bits.
+    the candidates at position p or later, and ``inf`` past the last one. It
+    is nondecreasing, and it only steps up right after a position p whose
+    own effort is ``sufmin[p]``. Those positions of finite effort are row
+    i's staircase: row i's points are ``pos[starts[i]:starts[i + 1]]`` and
+    their efforts ``val[...]``, both strictly increasing. ``sufmin`` is
+    constant from one point back to the point before it, and ``inf`` after
+    the last point, so the staircase answers every measure with comparisons
+    and the same subtractions as a scan of the whole row, and keeps its
+    bits.
     """
 
     b: np.ndarray
@@ -97,7 +98,7 @@ class _Staircases:
 
     def _count(self, hits: np.ndarray) -> np.ndarray:
         """Per row, the number of its points with ``hits`` set, for each column of ``hits``."""
-        # Every row has at least one point, so no segment of reduceat is empty.
+        # Every row reaches itself, so it has a point and no segment of reduceat is empty.
         return np.add.reduceat(hits, self.starts[:-1], axis=0, dtype=np.intp)
 
     def rewards(self) -> np.ndarray:
@@ -119,9 +120,7 @@ class _Staircases:
         if measure == BOUNDED_EFFORT:
             if not np.all(deltas >= 0):
                 raise ValueError(f"effort budget must be >= 0, got {list(grid)}")
-            # Infinite efforts mark unreachable candidates; no budget covers them.
-            budgets = np.minimum(deltas, np.finfo(np.float64).max)
-            fits = self._count(self.val[:, None] <= budgets)
+            fits = self._count(self.val[:, None] <= deltas)
             last = self.pos[self.starts[:-1, None] + fits - 1]  # read only where fits > 0
             return np.where(fits > 0, self.b_asc[last] - self.b[:, None], 0.0)
         if measure == THRESHOLD_REWARD:
@@ -166,15 +165,14 @@ class FairnessAudit:
     (``audit_benefits``, computed here unless given). The reward of moving
     from row i to candidate j is ``b[j] - b[i]``, monotone in ``b[j]``, so
     one ordering of the benefits orders every row. The walk over
-    ``EffortEngine.effort_pairs`` sees only the pairs of finite effort; an
-    unreachable candidate can be a staircase point only as a row's last
-    position, with effort ``inf``. Per tile, one sort of the pairs by (row,
-    effort) serves every model, which keeps each row's staircase points from
-    its pairs' ascending-benefit positions. The walk also keeps the largest
-    finite effort, the top of the bounded-effort grid. Every measure is then
-    answered from the staircases, with the same bits as a scan of every
-    pair. Asking about a model the audit was not built with is a
-    ``ValueError``.
+    ``EffortEngine.effort_pairs`` sees only the pairs of finite effort, and
+    an unreachable candidate is never a staircase point. Per tile, one sort
+    of the pairs by (row, effort) serves every model, which keeps each row's
+    staircase points from its pairs' ascending-benefit positions. The walk
+    also keeps the largest finite effort, the top of the bounded-effort
+    grid. Every measure is then answered from the staircases, with the same
+    bits as a scan of every pair. Asking about a model the audit was not
+    built with is a ``ValueError``.
     """
 
     def __init__(
@@ -224,18 +222,8 @@ class FairnessAudit:
             for position, parts in zip(positions, pieces):
                 key = base + position[j]
                 keep = np.flatnonzero(key == np.maximum.accumulate(key)[run_end])
-                kr, kp = r[keep], position[j[keep]]
-                # A row whose highest-benefit candidate is out of reach ends in
-                # (n - 1, inf), as the suffix minimum of its whole row did.
-                counts = np.bincount(kr, minlength=rows.shape[0])
-                open_rows = np.ones(rows.shape[0], bool)
-                open_rows[kr[kp == n - 1]] = False
-                open_rows = np.flatnonzero(open_rows)
-                at = np.cumsum(counts)[open_rows]
-                counts[open_rows] += 1
-                parts.append(
-                    (rows, counts, np.insert(kp, at, n - 1), np.insert(e[keep], at, np.inf))
-                )
+                counts = np.bincount(r[keep], minlength=rows.shape[0])
+                parts.append((rows, counts, position[j[keep]], e[keep]))
         self.max_finite_effort = top
         self._staircases = {
             id(h): _Staircases.assemble(b, asc, parts)

@@ -19,10 +19,6 @@ from .dataset import DataError, FeatureSchema, Population
 from .effort import BENEFIT_PREDICTED, benefit_value
 
 JITTER = 1e-8
-# Descent budget of fit_constrained_linear: at most this many steps, and it
-# stops once the gradient norm is within the tolerance times max(1, |w|).
-CONSTRAINED_MAX_ITER = 500
-CONSTRAINED_TOL = 1e-9
 
 
 class Predictor:
@@ -226,11 +222,13 @@ def _design_with_intercept(pop: Population) -> np.ndarray:
     return np.column_stack([pop.X, np.ones(pop.size)])
 
 
-def _solve_least_squares(A: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.ndarray, bool]:
+def _solve_least_squares(
+    A: np.ndarray, y: np.ndarray, lam: float
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """Normal equations with an unpenalized intercept (last column).
 
-    Returns (coefficients, jitter_used). A singular system at lam == 0
-    falls back to adding 1e-8 to the whole diagonal.
+    Returns (coefficients, the matrix they solve, jitter_used). A singular
+    system at lam == 0 falls back to adding 1e-8 to the whole diagonal.
     """
     G = A.T @ A
     if lam:
@@ -249,8 +247,9 @@ def _solve_least_squares(A: np.ndarray, y: np.ndarray, lam: float) -> tuple[np.n
         ok = False
     if not ok:
         jitter_used = True
-        w = np.linalg.solve(G + JITTER * np.eye(A.shape[1]), b)
-    return w, jitter_used
+        G = G + JITTER * np.eye(A.shape[1])
+        w = np.linalg.solve(G, b)
+    return w, G, jitter_used
 
 
 def fit_ridge(pop: Population, lam: float) -> LinearPredictor:
@@ -258,7 +257,7 @@ def fit_ridge(pop: Population, lam: float) -> LinearPredictor:
     if lam < 0:
         raise DataError(f"ridge penalty must be >= 0, got {lam}")
     A = _design_with_intercept(pop)
-    w, jitter_used = _solve_least_squares(A, pop.y, lam)
+    w, _, jitter_used = _solve_least_squares(A, pop.y, lam)
     hyper: dict = {"lambda": float(lam)}
     if jitter_used:
         hyper["jitter"] = JITTER
@@ -348,15 +347,19 @@ def fit_tree(pop: Population, max_depth: int = 5) -> TreePredictor:
     return TreePredictor(pop.schema.names, nodes, {"max_depth": int(max_depth)})
 
 
+def _majority_minus_minority(values: np.ndarray, pop: Population, minority: str) -> np.ndarray:
+    """Mean of ``values`` over the non-minority rows minus the minority's, along axis 0."""
+    min_rows = pop.group_rows(minority)
+    maj_rows = np.setdiff1d(np.arange(pop.size), min_rows)
+    return np.mean(values[maj_rows], axis=0) - np.mean(values[min_rows], axis=0)
+
+
 def group_benefit_gap(
     h: Predictor, pop: Population, benefit: str, minority: str
 ) -> float:
     """Mean benefit of the non-minority group minus the minority's."""
-    preds = h.predict(pop)
-    bene = benefit_value(benefit, pop.y, preds)
-    min_rows = pop.group_rows(minority)
-    maj_rows = np.setdiff1d(np.arange(pop.size), min_rows)
-    return float(np.mean(bene[maj_rows]) - np.mean(bene[min_rows]))
+    bene = benefit_value(benefit, pop.y, h.predict(pop))
+    return float(_majority_minus_minority(bene, pop, minority))
 
 
 def fit_constrained_linear(
@@ -365,13 +368,18 @@ def fit_constrained_linear(
     benefit: str = BENEFIT_PREDICTED,
     minority: str | None = None,
 ) -> LinearPredictor:
-    """Least squares plus ``tau * max(0, majority minus minority benefit)``.
+    """Least squares plus ``tau * max(0, majority minus minority benefit)``, solved exactly.
 
-    Deterministic full-batch descent with backtracking line search, warm
-    started at the least-squares solution; ``tau == 0`` returns that
-    solution unchanged. The hinge penalty stands in for a welfare
-    constraint of declared strength, which is recorded in the
-    hyperparameters.
+    Both benefit forms are linear in the prediction with slope 1, so the
+    gap is affine in the weights, ``g(w) = c . w + g0``, with ``c`` the
+    majority-minus-minority mean design row. The objective is a convex
+    quadratic plus a hinge, so its minimiser lies on the ray
+    ``w0 - mu * G^-1 c`` from the least-squares solution ``w0`` (``G`` the
+    normal matrix it was solved with). ``mu`` is 0 when ``tau == 0`` or
+    ``g(w0) <= 0``, which returns ``w0`` unchanged; otherwise it is the
+    smaller of ``tau * n / 2`` (the hinge stays active) and the step that
+    closes the gap. The hinge penalty stands in for a welfare constraint
+    of declared strength, which is recorded in the hyperparameters.
     """
     if tau < 0:
         raise DataError(f"tau must be >= 0, got {tau}")
@@ -381,12 +389,9 @@ def fit_constrained_linear(
         minority = pop.smallest_group()
     if minority not in pop.group_names:
         raise DataError(f"unknown minority group {minority!r}")
-    majority = next(g for g in pop.group_names if g != minority)
 
     A = _design_with_intercept(pop)
-    y = pop.y
-    n = pop.size
-    w0, jitter_used = _solve_least_squares(A, y, 0.0)
+    w, G, jitter_used = _solve_least_squares(A, pop.y, 0.0)
     hyper: dict = {
         "tau": float(tau),
         "benefit": benefit,
@@ -395,55 +400,13 @@ def fit_constrained_linear(
     }
     if jitter_used:
         hyper["jitter"] = JITTER
-    if tau == 0.0:
-        hyper["converged"] = True
-        return LinearPredictor(
-            pop.schema.names, w0[:-1], w0[-1], kind="constrained", hyperparameters=hyper
-        )
-
-    maj_rows = pop.group_rows(majority)
-    min_rows = pop.group_rows(minority)
-    # d(mean benefit)/dw is the group-mean design row for both benefit forms
-    # (benefit is linear in the prediction with slope 1).
-    gap_grad = A[maj_rows].mean(axis=0) - A[min_rows].mean(axis=0)
-
-    def gap_of(resid_free_pred: np.ndarray) -> float:
-        bene = benefit_value(benefit, y, resid_free_pred)
-        return float(np.mean(bene[maj_rows]) - np.mean(bene[min_rows]))
-
-    def objective(w: np.ndarray) -> float:
-        pred = A @ w
-        mse = float(np.mean((pred - y) ** 2))
-        return mse + tau * max(0.0, gap_of(pred))
-
-    w = w0.copy()
-    f_w = objective(w)
-    converged = False
-    grad_norm = math.inf
-    for _ in range(CONSTRAINED_MAX_ITER):
-        pred = A @ w
-        grad = (2.0 / n) * (A.T @ (pred - y))
-        if gap_of(pred) > 0.0:
-            grad = grad + tau * gap_grad
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= CONSTRAINED_TOL * max(1.0, float(np.linalg.norm(w))):
-            converged = True
-            break
-        step = 1.0
-        improved = False
-        while step >= 1e-14:
-            cand = w - step * grad
-            f_cand = objective(cand)
-            if f_cand < f_w - 1e-4 * step * grad_norm * grad_norm:
-                w, f_w = cand, f_cand
-                improved = True
-                break
-            step /= 2.0
-        if not improved:
-            converged = True  # no descent direction left at float resolution
-            break
-    hyper["converged"] = converged
-    hyper["grad_norm"] = grad_norm
+    gap = float(_majority_minus_minority(benefit_value(benefit, pop.y, A @ w), pop, minority))
+    if tau > 0.0 and gap > 0.0:
+        # c is nonzero (the sensitive column separates the groups) and G is
+        # positive definite, so c . G^-1 c > 0.
+        c = _majority_minus_minority(A, pop, minority)
+        direction = np.linalg.solve(G, c)
+        w = w - min(tau * pop.size / 2.0, gap / float(c @ direction)) * direction
     return LinearPredictor(
         pop.schema.names, w[:-1], w[-1], kind="constrained", hyperparameters=hyper
     )

@@ -339,3 +339,43 @@ def tree_split(D, y):
     if best is None:
         return None
     return best[1], best[2], best[0]
+
+
+def constrained_objective(pop, tau, name, minority, w) -> float:
+    """Mean squared error plus ``tau * max(0, gap)`` of the linear weights ``w`` (intercept last).
+
+    The gap is the non-minority rows' mean benefit minus the minority's.
+    """
+    pred = np.column_stack([pop.X, np.ones(pop.size)]) @ w
+    bene = [benefit(name, float(pop.y[i]), float(pred[i])) for i in range(pop.size)]
+    majority = [v for v, g in zip(bene, pop.groups) if g != minority]
+    minority_values = [v for v, g in zip(bene, pop.groups) if g == minority]
+    gap = sum(majority) / len(majority) - sum(minority_values) / len(minority_values)
+    return float(np.mean((pred - pop.y) ** 2)) + tau * max(0.0, gap)
+
+
+def constrained_optimum(pop, tau, name, minority, jitter=0.0) -> float:
+    """Least ``constrained_objective`` over the three points one of which minimises it.
+
+    With ``G = A'A`` (plus ``jitter`` on the diagonal) and the gap written
+    as ``c . w + g0``, the minimiser either leaves the hinge inactive (the
+    least-squares solution), keeps it active (the minimiser of the
+    quadratic plus ``tau * c . w``), or sits on the kink (least squares
+    subject to a zero gap, from the bordered KKT system). Each is one
+    ``np.linalg.solve``.
+    """
+    n = pop.size
+    A = np.column_stack([pop.X, np.ones(n)])
+    G = A.T @ A + jitter * np.eye(A.shape[1])
+    b = A.T @ pop.y
+    in_majority = np.array([g != minority for g in pop.groups])
+    c = A[in_majority].mean(axis=0) - A[~in_majority].mean(axis=0)
+    bene0 = np.array([benefit(name, float(y), 0.0) for y in pop.y])
+    g0 = bene0[in_majority].mean() - bene0[~in_majority].mean()
+    bordered = np.block([[2.0 * G / n, c[:, None]], [c[None, :], np.zeros((1, 1))]])
+    candidates = [
+        np.linalg.solve(G, b),
+        np.linalg.solve(G, b - tau * n / 2.0 * c),
+        np.linalg.solve(bordered, np.append(2.0 * b / n, -g0))[:-1],
+    ]
+    return min(constrained_objective(pop, tau, name, minority, w) for w in candidates)

@@ -552,6 +552,27 @@ class TestSweepCommand:
         by_tau = {float(r["tau"]): float(r["value"]) for r in rows}
         assert by_tau[4.0] <= by_tau[0.0] + 1e-12
 
+    def test_bundled_sweep_closes_the_gap_of_an_active_hinge(self, tmp_path):
+        # With M as the minority the least-squares fit favours F, so every
+        # tau above the kink (about 0.33) closes the predicted-benefit gap.
+        raw = _bundled_config()
+        raw["minority"] = "M"
+        out = tmp_path / "out"
+        cmd_sweep_tau(config_from_dict(raw, tmp_path), out)
+        gaps = {
+            float(r["tau"]): float(r["value"])
+            for r in _read_rows(out / "tau_sweep.csv")
+            if r["measure"] == "benefit_gap"
+        }
+        weights = {
+            float(tau): entry["weights"]
+            for tau, entry in json.loads((out / "tau_report.json").read_text()).items()
+        }
+        assert gaps[0.0] > 0.1 and sorted(gaps) == [0.0, 0.5, 1.0, 2.0, 5.0]
+        for tau in (0.5, 1.0, 2.0, 5.0):
+            assert abs(gaps[tau]) <= 1e-12
+            assert weights[tau]["weights"] != weights[0.0]["weights"]
+
     def test_empty_grid_rejected(self, toy_dir):
         raw = json.loads((toy_dir / "config.json").read_text())
         raw["sweep"]["tau_grid"] = []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -230,6 +231,48 @@ class TestConstrained:
         with pytest.raises(Exception):
             fit_constrained_linear(pop, 1.0, "predicted", None)
 
+    @staticmethod
+    def _objective(h, pop, tau, benefit, minority):
+        w = np.append(h.weights, h.intercept)
+        return oracles.constrained_objective(pop, tau, benefit, minority, w)
+
+    @pytest.mark.parametrize("benefit", ["predicted", "shifted_gain"])
+    @pytest.mark.parametrize("tau", [0.01, 0.1, 0.5, 2.0, 5.0, 50.0])
+    def test_reaches_the_oracle_optimum(self, student_split, benefit, tau):
+        # Minority M: least squares favours F, so the predicted-benefit hinge
+        # is active. Below tau ~ 0.328 the optimum keeps a positive gap;
+        # above it the gap is closed to 0.
+        train, _ = student_split
+        h = fit_constrained_linear(train, tau, benefit, "M")
+        want = oracles.constrained_optimum(train, tau, benefit, "M")
+        assert self._objective(h, train, tau, benefit, "M") == pytest.approx(want, rel=1e-12)
+        if benefit == "predicted":
+            gap = group_benefit_gap(h, train, benefit, "M")
+            assert gap > 1e-3 if tau < 0.3 else abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [0.01, 0.5, 50.0])
+    def test_inactive_hinge_returns_least_squares(self, student_split, tau):
+        # Minority F: least squares already gives F the higher mean prediction.
+        train, _ = student_split
+        assert group_benefit_gap(fit_linear(train), train, "predicted", "F") < 0
+        h = fit_constrained_linear(train, tau, "predicted", "F")
+        hl = fit_linear(train)
+        assert np.array_equal(h.weights, hl.weights)
+        assert h.intercept == hl.intercept
+
+    @pytest.mark.parametrize("benefit", ["predicted", "shifted_gain"])
+    @pytest.mark.parametrize("tau", [0.1, 2.0, 50.0])
+    def test_duplicated_column_takes_the_jitter_path(self, student_split, benefit, tau):
+        train, _ = student_split
+        k = train.schema.index("G1")
+        copy = replace(train.schema.features[k], name="G1_copy")
+        schema = replace(train.schema, features=train.schema.features + (copy,))
+        pop = Population(schema, np.column_stack([train.X, train.X[:, k]]), train.y, train.groups)
+        h = fit_constrained_linear(pop, tau, benefit, "M")
+        assert h.hyperparameters["jitter"] == models.JITTER
+        want = oracles.constrained_optimum(pop, tau, benefit, "M", jitter=models.JITTER)
+        assert self._objective(h, pop, tau, benefit, "M") == pytest.approx(want, rel=1e-12)
+
 
 class TestEvaluate:
     def test_perfect_model(self):
@@ -318,7 +361,6 @@ class TestImitationBlock:
 
     def test_fixture_models_exercise_both_factors(self, imitation_models):
         train, models = imitation_models
-        assert models["constrained"].hyperparameters["converged"]
         assert models["ridge_mutable"].feature_names != train.schema.names
         tree = models["tree_depth5"]
         split_on = {tree.feature_names[node["feature"]] for node in tree.nodes if node["feature"] >= 0}
