@@ -324,67 +324,86 @@ class Population:
         return min(self.group_names, key=lambda g: (self.group_size(g), g))
 
 
-def _parse_cell(feature: Feature, raw: str) -> float:
-    levels = feature.kind.levels
+def read_table(path: str | Path, what: str) -> tuple[list[str], list[int], list[list[str]]]:
+    """The header, each data row's line number and the data rows of delimited text file ``path``.
+
+    The delimiter is ';' if the header line holds more ';' than ',', else ','.
+    Header names lose blanks and '"'; blank lines are skipped. An empty file, a
+    row of the wrong width or no data rows is a ``DataError`` naming the line.
+    """
+    text = _read_text(path, DataError, what)
+    first = text.partition("\n")[0]
+    delim = ";" if first.count(";") > first.count(",") else ","
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delim)
+    del text  # the reader's buffer holds its own copy
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip().strip('"') for h in header]
+    lines, rows = [], []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+        lines.append(reader.line_num)
+        rows.append(row)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    return header, lines, rows
+
+
+def parse_column(path: str | Path, lines: Sequence[int], name: str, cells: Sequence[str],
+                 levels: Sequence[str] | None = None, blank: bool = False) -> list:
+    """Column ``name`` of table ``path``: level codes if ``levels`` is given, else finite floats.
+
+    Each cell is stripped of blanks and '"'; with ``blank`` an empty cell
+    gives ``None``. The column converts in one pass; only a failure scans it
+    cell by cell, so the ``DataError`` names the line of the first bad cell.
+    """
+    cells = [c.strip().strip('"') for c in cells]
     if levels is not None:
-        if raw not in levels:
-            raise DataError(
-                f"column {feature.name!r}: value {raw!r} not among declared levels {list(levels)}"
-            )
-        return float(levels.index(raw))
-    return _parse_number(feature.name, raw)
-
-
-def _parse_number(column: str, raw: str) -> float:
+        codes = {level: float(k) for k, level in enumerate(levels)}
+        values = list(map(codes.get, cells))
+        if None not in values:
+            return values
+        bad = values.index(None)
+        raise DataError(
+            f"{path}:{lines[bad]}: column {name!r}: value {cells[bad]!r} "
+            f"not among declared levels {list(levels)}"
+        )
     try:
-        value = float(raw)
+        values = [float(c) if c else None for c in cells] if blank else list(map(float, cells))
+        if all(map(math.isfinite, filter(None, values))):  # skips None, and zeros, which are finite
+            return values
     except ValueError:
-        raise DataError(f"column {column!r}: cannot parse {raw!r} as a number") from None
-    if not math.isfinite(value):
-        raise DataError(f"column {column!r}: non-finite value {raw!r}")
-    return value
+        pass
+    for cell, line in zip(cells, lines):
+        try:
+            finite = math.isfinite(float(cell))
+        except ValueError:
+            finite = blank and not cell
+        if not finite:
+            raise DataError(f"{path}:{line}: column {name!r}: {cell!r} is not a finite number")
 
 
 def load_csv(path: str | Path, schema_path: str | Path) -> Population:
-    """Load a delimited text file against a schema file.
+    """Load a delimited text file (see ``read_table``) against a schema file.
 
-    The header row must contain every schema feature plus the label column;
-    extra columns are ignored. Both ',' and ';' delimiters are accepted
-    (the UCI student files use ';').
+    The header must name every schema feature and the label; other columns are ignored.
     """
     schema = load_schema(schema_path)
-    with io.StringIO(_read_text(path, DataError, "dataset"), newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delim = ";" if sample.count(";") > sample.count(",") else ","
-        reader = csv.reader(fh, delimiter=delim)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip().strip('"') for h in header]
-        col_index: dict[str, int] = {}
-        for name in list(schema.names) + [schema.label]:
-            if name not in header:
-                raise DataError(f"{path}: missing column {name!r}")
-            col_index[name] = header.index(name)
-        rows_x: list[list[float]] = []
-        rows_y: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            row = [c.strip().strip('"') for c in row]
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            try:
-                rows_x.append([_parse_cell(f, row[col_index[f.name]]) for f in schema.features])
-                rows_y.append(_parse_number(schema.label, row[col_index[schema.label]]))
-            except (DataError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-    if not rows_x:
-        raise DataError(f"{path}: no data rows")
-    X = np.array(rows_x, dtype=np.float64)
-    y = np.array(rows_y, dtype=np.float64)
+    header, lines, rows = read_table(path, "dataset")
+    names = [*schema.names, schema.label]
+    for name in names:
+        if name not in header:
+            raise DataError(f"{path}: missing column {name!r}")
+    columns = list(zip(*rows))
+    del rows  # the columns hold the cells from here on
+    X = np.empty((len(lines), schema.size))
+    for k, f in enumerate(schema.features):
+        X[:, k] = parse_column(path, lines, f.name, columns[header.index(f.name)], f.kind.levels)
+    y = np.array(parse_column(path, lines, schema.label, columns[header.index(schema.label)]))
     groups = [schema.group_of_value(v) for v in X[:, schema.sensitive_index]]
     return Population(schema, X, y, groups)
 
@@ -395,21 +414,34 @@ def format_number(value: float) -> str:
     return str(int(value)) if value.is_integer() else repr(value)
 
 
-def format_value(feature: Feature, value: float) -> str:
-    """Render one cell the way ``load_csv`` can re-ingest it, bit-exactly."""
-    levels = feature.kind.levels
-    return format_number(value) if levels is None else levels[int(value)]
+def write_table(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as comma-separated text, quoted where needed.
+
+    A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
 
 
 def write_csv(pop: Population, path: str | Path) -> None:
-    """Serialize a population in the input CSV format (comma-separated)."""
-    schema = pop.schema
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(schema.names) + [schema.label])
-        for i in range(pop.size):
-            cells = [format_value(f, pop.X[i, k]) for k, f in enumerate(schema.features)]
-            writer.writerow(cells + [format_number(pop.y[i])])
+    """Serialize a population in the input CSV format, which ``load_csv`` re-ingests bit-exactly.
+
+    Cells are formatted a column at a time, 256 rows at a time to hold little text at once.
+    """
+    levels = [f.kind.levels for f in pop.schema.features] + [None]
+
+    def rows():
+        for start in range(0, pop.size, 256):
+            block = pop.X[start:start + 256].T.tolist() + [pop.y[start:start + 256].tolist()]
+            yield from zip(*(
+                list(map(format_number, col)) if lv is None else [lv[int(v)] for v in col]
+                for lv, col in zip(levels, block)
+            ))
+
+    write_table(path, [*pop.schema.names, pop.schema.label], rows())
 
 
 def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population, Population]:

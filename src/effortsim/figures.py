@@ -6,12 +6,9 @@ so regenerating from unchanged CSVs reproduces the files byte for byte.
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from pathlib import Path
 
-from .dataset import DataError, _read_text
+from .dataset import DataError, parse_column, read_table
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
@@ -185,46 +182,24 @@ def bar_chart(categories: list[str], series: list[tuple[str, list[float | None]]
     return _doc(elements)
 
 
-def _read_csv(path: Path, expected: list[str], parse: dict) -> list[dict]:
-    """The rows of report CSV ``path``, each cell of a ``parse`` column converted.
+def _read_csv(path: Path, expected: list[str], numbers: tuple[str, ...]) -> list[dict]:
+    """The rows of report CSV ``path``, each cell of a ``numbers`` column a finite float.
 
-    A wrong header, a row of the wrong width or a cell that does not parse
-    as a finite number is a ``DataError`` naming the file and the line: the
-    harness never writes ``inf`` or ``nan``.
+    An empty ``value`` cell gives ``None``. A wrong header, or anything that
+    ``read_table`` or ``parse_column`` rejects, is a ``DataError``.
     """
-    reader = csv.reader(io.StringIO(_read_text(path, DataError, "report CSV"), newline=""))
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != expected:
+    header, lines, rows = read_table(path, "report CSV")
+    if header != expected:
         raise DataError(f"{path.name}: expected columns {expected}, got {header}")
-    rows = []
-    for cells in reader:
-        if not cells:
-            continue
-        where = f"{path.name} line {reader.line_num}"
-        if len(cells) != len(expected):
-            raise DataError(f"{where}: expected {len(expected)} cells, got {len(cells)}")
-        row = dict(zip(expected, cells))
-        for col, convert in parse.items():
-            try:
-                value = convert(row[col])
-            except ValueError:
-                value = math.nan
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"{where}: {col} {row[col]!r} is not a finite number")
-            row[col] = value
-        rows.append(row)
-    if not rows:
-        raise DataError(f"{path.name}: no data rows")
-    return rows
-
-
-def _num(cell: str) -> float | None:
-    return None if cell == "" else float(cell)
+    columns = dict(zip(header, zip(*rows)))
+    for col in numbers:
+        columns[col] = parse_column(path, lines, col, columns[col], blank=col == "value")
+    return [dict(zip(header, row)) for row in zip(*columns.values())]
 
 
 def _curves_svg(path: Path, has_feasibility: bool, title: str) -> str:
     cols = ["model", "group", "delta", "value"] + (["feasibility"] if has_feasibility else [])
-    rows = _read_csv(path, cols, {"delta": float, "value": _num})
+    rows = _read_csv(path, cols, ("delta", "value"))
     series: dict[str, list] = {}
     for row in rows:
         label = f'{row["model"]}/{row["group"]}'
@@ -234,7 +209,7 @@ def _curves_svg(path: Path, has_feasibility: bool, title: str) -> str:
 
 
 def _bars_svg(path: Path, title: str) -> str:
-    rows = _read_csv(path, ["model", "measure", "group", "value"], {"value": _num})
+    rows = _read_csv(path, ["model", "measure", "group", "value"], ("value",))
     disp: dict[str, dict] = {}
     for row in rows:
         if row["group"] == "__disparity__":
@@ -246,7 +221,7 @@ def _bars_svg(path: Path, title: str) -> str:
 
 
 def _segregation_svg(path: Path) -> str:
-    rows = _read_csv(path, ["model", "measure", "population", "value"], {"value": _num})
+    rows = _read_csv(path, ["model", "measure", "population", "value"], ("value",))
     data: dict[tuple[str, str], dict] = {}
     for row in rows:
         data.setdefault((row["model"], row["population"]), {})[row["measure"]] = row["value"]
@@ -259,7 +234,7 @@ def _segregation_svg(path: Path) -> str:
 
 
 def _tau_svg(path: Path) -> str:
-    rows = _read_csv(path, ["tau", "measure", "value"], {"tau": float, "value": _num})
+    rows = _read_csv(path, ["tau", "measure", "value"], ("tau", "value"))
     series: dict[str, list] = {}
     for row in rows:
         series.setdefault(row["measure"], []).append((row["tau"], row["value"]))

@@ -36,6 +36,7 @@ from .dataset import (
     schema_from_dict,
     split,
     write_csv,
+    write_table,
     generate_synthetic,
 )
 from .dynamics import feature_shift_report, simulate
@@ -87,6 +88,8 @@ class ModelSpec:
             raise SchemaError(f"unknown feature set {self.features!r}")
         if self.max_depth < 0:
             raise SchemaError(f"model {self.name!r}: max_depth must be >= 0")
+        if "/" in self.name or "\0" in self.name:
+            raise SchemaError(f"model name {self.name!r} must not contain '/' or NUL: it names files")
         for knob, value in (("lambda", self.ridge_lambda), ("tau", self.tau)):
             if not (value >= 0 and math.isfinite(value)):
                 raise SchemaError(f"model {self.name!r}: {knob} must be finite and >= 0")
@@ -253,17 +256,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _fmt(v) -> str:
-    return "" if v is None else format_number(v)
-
-
-def _write_csv_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _make_out_dir(out_dir: Path) -> None:
     """Create the output directory; a path that cannot be one is a ``DataError``."""
     try:
@@ -398,7 +390,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                     for idx, (d, v) in enumerate(zip(curve.deltas, curve.per_group_values[g])):
                         rows.append([name, g, d, v] + ([feas[g][idx]] if feas else []))
             header = ["model", "group", "delta", "value"] + extra_columns
-            _write_csv_rows(runner.file(fname), header, rows)
+            write_table(runner.file(fname), header, rows)
         return audit
 
     audit = runner.run("delta_curves", curves)
@@ -422,7 +414,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                 for g, v in sorted(rep.per_group_value.items()):
                     bars.append([name, rep.measure, g, v])
                 bars.append([name, rep.measure, "__disparity__", rep.disparity])
-        _write_csv_rows(runner.file("fairness_bars.csv"), ["model", "measure", "group", "value"], bars)
+        write_table(runner.file("fairness_bars.csv"), ["model", "measure", "group", "value"], bars)
         _write_json(runner.file("fairness_report.json"), combined)
 
     runner.run("reports", reports)
@@ -491,7 +483,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
                 "dynamics": impact.metadata,
             }
         header = ["model", "measure", "population", "value"]
-        _write_csv_rows(runner.file("segregation.csv"), header, seg_rows)
+        write_table(runner.file("segregation.csv"), header, seg_rows)
         _write_json(runner.file("simulate_report.json"), report)
 
     runner.run("segregation", summary)
@@ -519,8 +511,8 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     )
     runs = list(zip(config.tau_grid, models, impacts))
     details = {
-        _fmt(tau): runner.run(
-            f"tau_{_fmt(tau)}",
+        format_number(tau): runner.run(
+            f"tau_{format_number(tau)}",
             lambda: {
                 "weights": h.to_dict(),
                 "benefit_gap": group_benefit_gap(h, train, config.benefit, minority),
@@ -535,14 +527,14 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
         for (tau, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
             for measure, value in after.values().items():
                 rows.append([tau, measure, value])
-            entry = details[_fmt(tau)]
+            entry = details[format_number(tau)]
             rows.append([tau, "benefit_gap", entry["benefit_gap"]])
             entry.update(
                 threshold=before.metadata["threshold"],
                 initial=before.to_dict(),
                 impacted=after.to_dict(),
             )
-        _write_csv_rows(runner.file("tau_sweep.csv"), ["tau", "measure", "value"], rows)
+        write_table(runner.file("tau_sweep.csv"), ["tau", "measure", "value"], rows)
         _write_json(runner.file("tau_report.json"), details)
 
     runner.run("emit", emit)

@@ -16,10 +16,11 @@ byte-identical for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 from pathlib import Path
 
 import numpy as np
+
+from .dataset import write_table
 
 SEED = 231007
 N_FEMALE = 383
@@ -131,11 +132,7 @@ def generate_rows(seed: int = SEED) -> list[list[str]]:
 
 
 def write_csv(path: str | Path, seed: int = SEED) -> None:
-    rows = generate_rows(seed)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        writer.writerows(rows)
+    write_table(path, COLUMNS, generate_rows(seed))
 
 
 def main(argv=None) -> int:

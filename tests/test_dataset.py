@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import effortsim
+from effortsim import data_path, studentgen
 from effortsim.dataset import (
     DataError,
     Feature,
@@ -17,6 +21,7 @@ from effortsim.dataset import (
     restrict_features,
     split,
     write_csv,
+    write_table,
 )
 
 
@@ -70,6 +75,32 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="abc"):
             load_csv(csv_path, tiny_schema_file)
 
+    def test_delimiter_comes_from_the_header_line(self, tmp_path, tiny_schema_file):
+        rows = "".join(f"x,A,{i},3,a;b;c;d;e;f;g\n" for i in range(4))
+        csv_path = _write(tmp_path / "d.csv", "g,cat,num,score,notes\n" + rows)
+        pop = load_csv(csv_path, tiny_schema_file)
+        assert pop.size == 4 and pop.X[:, 2].tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_bad_cell_is_reported_at_its_physical_line(self, tmp_path, tiny_schema_file):
+        csv_path = _write(
+            tmp_path / "d.csv", 'g,cat,num,score,notes\nx,A,1,3,"two\nlines"\ny,B,abc,4,ok\n'
+        )
+        with pytest.raises(DataError, match=r":4: column 'num': 'abc'"):
+            load_csv(csv_path, tiny_schema_file)
+
+    def test_first_bad_column_in_schema_order_is_reported(self, tmp_path, tiny_schema_file):
+        csv_path = _write(tmp_path / "d.csv", "g,cat,num,score\nx,A,inf,3\nx,Z,1,4\n")
+        with pytest.raises(DataError, match=r":3: column 'cat': value 'Z'"):
+            load_csv(csv_path, tiny_schema_file)
+
+    def test_wrong_width_row_and_empty_file_rejected(self, tmp_path, tiny_schema_file):
+        csv_path = _write(tmp_path / "d.csv", "g,cat,num,score\nx,A,1,3\n\nx,B,2\n")
+        with pytest.raises(DataError, match=r":4: expected 4 cells, got 3"):
+            load_csv(csv_path, tiny_schema_file)
+        for text, message in (("", "empty file"), ("g,cat,num,score\n\n", "no data rows")):
+            with pytest.raises(DataError, match=message):
+                load_csv(_write(tmp_path / "e.csv", text), tiny_schema_file)
+
     def test_roundtrip_is_bit_exact(self, tmp_path, tiny_schema_file):
         csv_path = _write(
             tmp_path / "d.csv",
@@ -82,6 +113,31 @@ class TestLoadCsv:
         assert np.array_equal(pop.X, again.X)
         assert np.array_equal(pop.y, again.y)
         assert pop.groups == again.groups
+
+
+class TestWriteTable:
+    def test_cells_are_formatted_and_quoted_where_needed(self, tmp_path):
+        out = tmp_path / "t.csv"
+        write_table(out, ["model", "value"], [["lin,ear", 2.0], ['say "hi"', None], ["m", 0.1]])
+        assert out.read_text() == 'model,value\n"lin,ear",2\n"say ""hi""",\nm,0.1\n'
+
+    def test_studentgen_reproduces_the_bundled_csv(self, tmp_path):
+        studentgen.write_csv(tmp_path / "student.csv")
+        bundled = data_path("student_por_synthetic.csv").read_bytes()
+        assert (tmp_path / "student.csv").read_bytes() == bundled
+
+
+def test_only_dataset_imports_csv():
+    """The CSV format lives in ``dataset`` alone: no other module imports ``csv``."""
+    importers = []
+    for path in sorted(Path(effortsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(n == "csv" or n.startswith("csv.") for n in names):
+                importers.append(path.name)
+    assert importers == ["dataset.py"]
 
 
 class TestSchemaValidation:

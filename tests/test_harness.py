@@ -17,7 +17,7 @@ import effortsim
 from effortsim import cli, data_path, harness, segregation
 from effortsim.dataset import load_csv, schema_to_dict, write_csv
 from effortsim.effort import EffortEngine, EffortParams
-from effortsim.figures import cmd_figures
+from effortsim.figures import _esc, cmd_figures
 from effortsim.harness import (
     cmd_fairness,
     cmd_simulate,
@@ -106,6 +106,8 @@ class TestConfig:
             ("sweep-tau", [(("sweep", "tau_grid"), [0.0, float("inf")])]),
             ("sweep-tau", [(("sweep", "tau_grid"), [float("nan")])]),
             ("fairness", [(("models", 3, "kind"), "constrained"), (("models", 3, "tau"), float("inf"))]),
+            ("simulate", [(("models", 1, "name"), "ridge/x")]),
+            ("fairness", [(("models", 0, "name"), "ridge\0x")]),
         ],
         ids=[
             "beta",
@@ -143,6 +145,8 @@ class TestConfig:
             "infinite_tau_grid",
             "nan_tau_grid",
             "infinite_constrained_tau",
+            "slash_model_name",
+            "nul_model_name",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
@@ -154,6 +158,7 @@ class TestConfig:
             node[path[-1]] = value
         (tmp_path / "config.json").write_text(json.dumps(raw))
         assert cli.main([command, "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "o")]) == 2
+        assert not list((tmp_path / "o").rglob("*"))  # no stage file
 
     @pytest.mark.parametrize(
         "key, value",
@@ -622,6 +627,25 @@ class TestFiguresCommand:
         assert err.startswith("data error:") and f"{name}.csv" in err
         assert "Traceback" not in err
         assert not (tmp_path / f"{name}.svg").exists()
+
+    def test_report_tables_survive_awkward_model_names(self, toy_dir):
+        raw = json.loads((toy_dir / "config.json").read_text())
+        names = ["lin,ear", 'say "hi"']
+        for model, name in zip(raw["models"], names):
+            model["name"] = name
+        (toy_dir / "config.json").write_text(json.dumps(raw))
+        out = toy_dir / "out"
+        for command in ("fairness", "simulate"):
+            assert cli.main([command, "--config", str(toy_dir / "config.json"), "--out", str(out)]) == 0
+        assert cli.main(["figures", "--out", str(out)]) == 0
+        for svg in ("bounded_effort_curves", "threshold_reward_curves", "fairness_bars", "segregation"):
+            text = (out / f"{svg}.svg").read_text()
+            for name in names:
+                assert f">{_esc(name)}" in text, (svg, name)
+
+    def test_number_cells_are_stripped_like_dataset_cells(self, tmp_path):
+        (tmp_path / "tau_sweep.csv").write_text('tau,measure,value\n0,aci, "0.5"\n1,aci,\n')
+        assert [p.name for p in cmd_figures(tmp_path)] == ["tau_sweep.svg"]
 
     def test_regeneration_is_byte_identical(self, toy_dir):
         out = toy_dir / "out"
