@@ -245,11 +245,12 @@ def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> P
 
 
 def _minority(config: ExperimentConfig, pop: Population) -> str:
-    if config.minority is not None:
-        if config.minority not in pop.group_names:
-            raise DataError(f"minority group {config.minority!r} not in data")
-        return config.minority
-    return pop.smallest_group()
+    minority = config.minority if config.minority is not None else pop.smallest_group()
+    if minority not in pop.group_names:
+        raise DataError(f"minority group {minority!r} not in data")
+    if len(pop.group_names) < 2:
+        raise DataError(f"data holds only group {minority!r}; the measures need a second group")
+    return minority
 
 
 def _write_json(path: Path, obj) -> None:

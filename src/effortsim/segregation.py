@@ -173,42 +173,33 @@ def absolute_clustering(
     return (minority_pairs / m - uniform) / denom
 
 
-def _power_iteration(M: np.ndarray):
-    """Dominant (Perron) eigenpair of a nonnegative, possibly asymmetric matrix.
+def _spectral_radius(M: np.ndarray) -> float | None:
+    """Perron root of a nonnegative, possibly asymmetric matrix, by power iteration.
 
     The within-group similarity exp(-d) comes from a directed distance, so M
     need not be symmetric. Iterates on M shifted by its largest row sum;
     without the shift, near-bipartite components oscillate between +/- the
-    spectral radius. Each step takes one product with the shifted matrix: the
+    spectral radius. The start vector and the shift are positive, so every
+    iterate is. Each step takes one product with the shifted matrix: the
     product that checks a step's residual is the next step's iterate.
     Returns None when it does not converge within ``POWER_MAX_ITER`` steps.
     The shift is added to M's diagonal in place, so M is consumed: callers
     pass an array they own and drop afterwards.
     """
     n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0]), np.array([1.0])
     shift = float(M.sum(axis=1).max())
     if shift == 0.0:
-        return 0.0, np.full(n, 1.0 / n)
+        return 0.0
     M.flat[:: n + 1] += shift  # M + shift * I, without a copy or an n x n temporary
     x = np.full(n, 1.0 / math.sqrt(n))
     y = M @ x
     for _ in range(POWER_MAX_ITER):
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            return 0.0, np.full(n, 1.0 / n)
-        x = y / norm
+        x = y / float(np.linalg.norm(y))
         y = M @ x
         lam_shifted = float(x @ y)
         if float(np.abs(y - lam_shifted * x).max()) <= POWER_TOL * max(1.0, abs(lam_shifted)):
-            break
-    else:
-        return None  # did not converge
-    lam = lam_shifted - shift
-    if x.sum() < 0:
-        x = -x
-    return lam, x
+            return lam_shifted - shift
+    return None  # did not converge
 
 
 def _components(adj: np.ndarray) -> list[np.ndarray]:
@@ -240,32 +231,28 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
 def spectral_segregation(
     similarity: np.ndarray, connectivity_threshold: float = 1e-6
 ) -> float | None:
-    """Mean spectral score of a group's similarity network.
+    """Spectral segregation index of a group's similarity network.
 
     ``similarity`` is the closeness exp(-d) of the group's within-group
     distance block; it gets a zeroed diagonal and entries below the
-    connectivity threshold removed, in place. Each connected component
-    contributes lambda * eigvec_i * |component| per member, with the
-    dominant eigenvector normalized to sum one; a component spanning the
-    whole group is iterated on in place, so ``similarity`` is consumed.
-    Returns None if power iteration fails to converge.
+    connectivity threshold removed, in place. Each member of component c
+    scores lambda_c * v_i * |c|, with v the Perron vector normalized to sum
+    one, so the mean score over the m members is sum_c |c| * lambda_c / m and
+    needs no eigenvector. A component spanning the whole group is iterated on
+    in place, so ``similarity`` is consumed. Returns None if power iteration
+    fails to converge.
     """
     B = similarity
     np.fill_diagonal(B, 0.0)
     B[B < connectivity_threshold] = 0.0
-    scores = np.zeros(B.shape[0])
+    total = 0.0
     for comp in _components(B):
         sub = B if comp.size == B.shape[0] else B[np.ix_(comp, comp)]
-        result = _power_iteration(sub)
-        if result is None:
+        lam = _spectral_radius(sub)
+        if lam is None:
             return None
-        lam, vec = result
-        total = float(vec.sum())
-        if total == 0.0:
-            continue
-        vec = vec / total
-        scores[comp] = lam * vec * comp.size
-    return float(np.mean(scores))
+        total += comp.size * lam
+    return total / B.shape[0]
 
 
 def distance_indices(
@@ -341,6 +328,7 @@ def measure_population(
         "connectivity_threshold": connectivity_threshold,
         "minority": ctx.minority,
         "atkinson_form": "normalized (no 1/N factor; even configurations score 0)",
+        "ssi_form": "sum over components of size * spectral radius / m (unnormalized)",
         "quantile_tables": "frozen_reference",
     }
     if focal_points:

@@ -241,6 +241,7 @@ class TestConfig:
             ("synth_config_is_directory", 2),
             ("out_is_file", 3),
             ("synth_out_is_file", 3),
+            ("one_group_dataset", 3),
         ],
     )
     def test_bad_input_file_exits_without_traceback(self, toy_dir, case, code):
@@ -282,6 +283,13 @@ class TestConfig:
             spec.update(group_sizes={"a": 4, "b": 3}, seed=1)
             (toy_dir / "spec.json").write_text(json.dumps(spec))
             argv = ["synth", "--config", str(toy_dir / "spec.json"), "--out", str(toy_dir / "toy.csv")]
+        elif case == "one_group_dataset":
+            rows = _read_rows(toy_dir / "toy.csv")
+            with open(toy_dir / "toy.csv", "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+                writer.writeheader()
+                writer.writerows({**row, "grp": "b"} for row in rows)
+            argv[0] = "simulate"
         config.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
         src = Path(effortsim.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -292,6 +300,8 @@ class TestConfig:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        if case == "one_group_dataset":
+            assert not list((toy_dir / "o").rglob("*"))  # no stage file
 
 
 class TestFairnessCommand:

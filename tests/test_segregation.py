@@ -25,7 +25,7 @@ from effortsim.segregation import (
     pairwise_distances,
     spectral_segregation,
 )
-from effortsim.segregation import _components, _power_iteration
+from effortsim.segregation import _components, _spectral_radius
 from instances import oracle_cases, random_instance
 
 
@@ -383,20 +383,25 @@ class TestSpectralSegregation:
             B[B < 1e-6] = 0.0
             assert got == pytest.approx(oracles.ssi(B), abs=1e-8)
 
-    def test_component_score_sums(self):
-        # eigenvector normalized to sum one implies component scores sum to
-        # lambda times the component size
-        pop, params, _, _ = random_instance(61)
-        group = pop.group_names[1]
-        ctx = MetricContext(pop, params, group)
-        B = _closeness(ctx, pop, group)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_several_components_match_dense_eigensolver_oracle(self, seed):
+        # asymmetric blocks on the diagonal, with singletons between them,
+        # then one permutation of rows and columns to scatter the members
+        rng = np.random.default_rng(seed)
+        sizes = [int(k) for k in rng.integers(2, 7, size=int(rng.integers(2, 5)))] + [1, 1]
+        B = np.zeros((sum(sizes), sum(sizes)))
+        lo = 0
+        for size in sizes:
+            block = rng.uniform(0.05, 1.0, (size, size)) * (rng.random((size, size)) < 0.8)
+            block[np.arange(size), (np.arange(size) + 1) % size] = rng.uniform(0.05, 1.0, size)
+            B[lo : lo + size, lo : lo + size] = block  # the cycle keeps each block connected
+            lo += size
         np.fill_diagonal(B, 0.0)
-        for comp in _components(B):
-            sub = B[np.ix_(comp, comp)]
-            lam, vec = _power_iteration(sub)
-            vec = vec / vec.sum()
-            scores = lam * vec * comp.size
-            assert scores.sum() == pytest.approx(lam * comp.size, abs=1e-8)
+        perm = rng.permutation(len(B))
+        B = B[np.ix_(perm, perm)]
+        assert not np.array_equal(B, B.T)
+        assert sum(comp.size > 1 for comp in _components(B)) >= 2
+        assert spectral_segregation(B.copy()) == pytest.approx(oracles.ssi(B), abs=1e-8)
 
     @pytest.mark.parametrize(
         "M",
@@ -406,15 +411,35 @@ class TestSpectralSegregation:
         ],
     )
     def test_power_iteration_on_asymmetric_matrix(self, M):
-        # nonnegative, asymmetric, strongly connected: a unique Perron pair
+        # nonnegative, asymmetric, strongly connected: a unique Perron root
         M = np.array(M)
         assert not np.array_equal(M, M.T)
-        eigvals, eigvecs = np.linalg.eig(M)
-        top = int(np.argmax(eigvals.real))
-        want = eigvecs[:, top].real
-        lam, vec = _power_iteration(M)
-        assert lam == pytest.approx(float(eigvals[top].real), abs=1e-8)
-        np.testing.assert_allclose(vec / vec.sum(), want / want.sum(), rtol=0, atol=1e-8)
+        eigvals = np.linalg.eigvals(M)
+        assert _spectral_radius(M) == pytest.approx(float(eigvals.real.max()), abs=1e-8)
+
+
+class TestDuplicatedPopulation:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [3, 58, 200])
+    def test_how_each_index_grows_with_group_size(self, seed, k):
+        # Every row repeated k times, measured against the original's frozen
+        # context: duplicates sit at distance 0 (closeness 1), so each
+        # component's network becomes C kron J_k - I with C = B + I, whose
+        # spectral radius is k * (lambda + 1) - 1. SSI follows suit; the
+        # shares and ratios behind the other three indices do not move.
+        pop, params, h, _ = random_instance(seed)
+        ctx = MetricContext(pop, params, pop.group_names[0])
+        mutable = ctx.mutable_indices
+        focal = [FocalPoint(vector=pop.X[i, mutable], count=1) for i in (0, pop.size // 2, pop.size - 1)]
+        before, after = (
+            measure_population(
+                ctx, h, p, focal, distance_indices(ctx, p, 1e-6), beta=0.5, threshold=0.0
+            )
+            for p in (pop, pop.take(np.repeat(np.arange(pop.size), k)))
+        )
+        assert after.ssi == pytest.approx(k * (before.ssi + 1.0) - 1.0, rel=1e-9)
+        for measure in ("aci", "atkinson", "centralization"):
+            assert getattr(after, measure) == pytest.approx(getattr(before, measure), abs=1e-12)
 
 
 class TestCompare:
