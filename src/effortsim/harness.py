@@ -117,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.beta < 1.0):
             raise SchemaError("train_fraction and beta must lie in (0,1)")
+        if self.delta_points < 2:
+            raise SchemaError(f"delta_grid_points must be >= 2, got {self.delta_points}")
         if self.sweep_features not in FEATURE_SETS:
             raise SchemaError(f"unknown sweep feature set {self.sweep_features!r}")
         # Each tau keys tau_report.json and names a stage: finite, distinct (-0.0 == 0.0).
@@ -165,19 +167,26 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _number(value, what: str, integer: bool = False):
+    """``value`` as a config number, an int if ``integer`` and else a float; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         _object(raw, "config")
-        seed = int(raw.get("seed", 0))
+        seed = _number(raw.get("seed", 0), "seed", integer=True)
         split_cfg = _object(raw.get("split", {}), "split")
         benefit = raw.get("benefit", "predicted")
         if benefit not in BENEFITS:
             raise SchemaError(f"unknown benefit {benefit!r}")
         effort_cfg = _object(raw.get("effort", {}), "effort")
         effort = EffortParams(
-            alpha=float(effort_cfg.get("alpha", 1.0)),
+            alpha=_number(effort_cfg.get("alpha", 1.0), "alpha"),
             base_cost=effort_cfg.get("base_costs", 0.0),
-            categorical_cost=float(effort_cfg.get("categorical_cost", 0.5)),
+            categorical_cost=_number(effort_cfg.get("categorical_cost", 0.5), "categorical_cost"),
             feature_weights=effort_cfg.get("feature_weights"),
         )
         models = []
@@ -187,9 +196,9 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
                 name=str(md["name"]),
                 kind=str(md["kind"]),
                 features=str(md.get("features", ALL_FEATURES)),
-                ridge_lambda=float(md.get("lambda", 0.0)),
-                max_depth=int(md.get("max_depth", 5)),
-                tau=float(md.get("tau", 0.0)),
+                ridge_lambda=_number(md.get("lambda", 0.0), "lambda"),
+                max_depth=_number(md.get("max_depth", 5), "max_depth", integer=True),
+                tau=_number(md.get("tau", 0.0), "tau"),
             )
             idle = sorted(set(md) - {"name", "kind", "features", *MODEL_KNOBS[spec.kind]})
             if idle:
@@ -200,24 +209,27 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             raise SchemaError("model names must be unique")
         sweep = _object(raw.get("sweep", {}), "sweep")
         thresh = raw.get("centralization_threshold")
-        delta_points = raw.get("delta_grid_points", 20)
-        if isinstance(delta_points, bool) or not isinstance(delta_points, int) or delta_points < 2:
-            raise SchemaError(f"delta_grid_points must be an integer >= 2, got {delta_points!r}")
         return ExperimentConfig(
             dataset=(base_dir / raw["dataset"]).resolve(),
             schema=(base_dir / raw["schema"]).resolve(),
-            train_fraction=float(split_cfg.get("train_fraction", 0.7)),
-            split_seed=int(split_cfg.get("seed", seed)),
+            train_fraction=_number(split_cfg.get("train_fraction", 0.7), "train_fraction"),
+            split_seed=_number(split_cfg.get("seed", seed), "split seed", integer=True),
             models=tuple(models),
             effort=effort,
             benefit=benefit,
-            delta_points=delta_points,
-            tau_grid=tuple(float(t) for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])),
+            delta_points=_number(raw.get("delta_grid_points", 20), "delta_grid_points", integer=True),
+            tau_grid=tuple(
+                _number(t, "tau_grid entry") for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
+            ),
             sweep_features=str(sweep.get("features", ALL_FEATURES)),
-            beta=float(raw.get("beta", 0.5)),
+            beta=_number(raw.get("beta", 0.5), "beta"),
             minority=raw.get("minority"),
-            centralization_threshold=None if thresh is None else float(thresh),
-            connectivity_threshold=float(raw.get("connectivity_threshold", 1e-6)),
+            centralization_threshold=(
+                None if thresh is None else _number(thresh, "centralization_threshold")
+            ),
+            connectivity_threshold=_number(
+                raw.get("connectivity_threshold", 1e-6), "connectivity_threshold"
+            ),
             seed=seed,
             raw=raw,
         )
@@ -245,12 +257,7 @@ def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> P
 
 
 def _minority(config: ExperimentConfig, pop: Population) -> str:
-    minority = config.minority if config.minority is not None else pop.smallest_group()
-    if minority not in pop.group_names:
-        raise DataError(f"minority group {minority!r} not in data")
-    if len(pop.group_names) < 2:
-        raise DataError(f"data holds only group {minority!r}; the measures need a second group")
-    return minority
+    return config.minority if config.minority is not None else pop.smallest_group()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -348,6 +355,12 @@ def _load_and_split(config: ExperimentConfig):
     pop = load_csv(config.dataset, config.schema)
     _check_cost_model(config.effort, pop)
     train, test = split(pop, config.train_fraction, config.split_seed)
+    # Every measure compares groups (and the split keeps each group in both parts).
+    groups = train.group_names
+    if len(groups) < 2:
+        raise DataError(f"data holds only group {groups[0]!r}; the measures need a second group")
+    if config.minority is not None and config.minority not in groups:
+        raise DataError(f"minority group {config.minority!r} not in data")
     return pop, train, test
 
 
@@ -422,8 +435,22 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     return runner.finish()
 
 
+def _impact_runs(config: ExperimentConfig, runner: StageRunner, specs):
+    """Fit ``specs`` on the training split and run one imitation round for all of them.
+
+    Returns the training population, its ``MetricContext`` and each run's ``(spec, h, impact)``.
+    """
+    _, train, _ = _load_and_split(config)
+    ctx = MetricContext(reference=train, params=config.effort, minority=_minority(config, train))
+    models = runner.run("fit", lambda: [fit_model(s, train, config) for s in specs])
+    impacts = runner.run(
+        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
+    )
+    return train, ctx, list(zip(specs, models, impacts))
+
+
 def _reports(ctx: MetricContext, train: Population, runs: list, config: ExperimentConfig):
-    """Yield the ``(before, after)`` segregation reports of each ``(name, h, impact)`` run.
+    """Yield the ``(before, after)`` segregation reports of each ``(spec, h, impact)`` run.
 
     Every run starts from the same training population, whose ACI and SSI do
     not depend on the model, so they are measured once for all runs. Each
@@ -448,31 +475,24 @@ def _reports(ctx: MetricContext, train: Population, runs: list, config: Experime
 def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     """Fit every model, run one imitation round for all; emit impacted data and segregation."""
     runner = StageRunner(out_dir, config, "simulate")
-    pop, train, test = _load_and_split(config)
-    minority = _minority(config, train)
-    ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    models = runner.run("fit", lambda: [fit_model(s, train, config) for s in config.models])
-    impacts = runner.run(
-        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
-    )
-    runs = [(spec.name, h, impact) for spec, h, impact in zip(config.models, models, impacts)]
+    train, ctx, runs = _impact_runs(config, runner, config.models)
 
     def emit_impact(name: str, impact):
         write_csv(impact.impacted, runner.file(f"impacted_{name}.csv"))
         _write_json(runner.file(f"shift_{name}.json"), feature_shift_report(train, impact.impacted))
         _write_json(runner.file(f"outcomes_{name}.json"), [o.to_dict() for o in impact.outcomes])
 
-    for name, _, impact in runs:
-        runner.run(f"simulate_{name}", lambda: emit_impact(name, impact))
+    for spec, _, impact in runs:
+        runner.run(f"simulate_{spec.name}", lambda: emit_impact(spec.name, impact))
 
     def summary():
         seg_rows: list[list] = []
         report: dict = {}
-        for (name, _, impact), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+        for (spec, _, impact), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
             for pop_name, rep in (("initial", before), ("impacted", after)):
                 for measure, value in rep.values().items():
-                    seg_rows.append([name, measure, pop_name, value])
-            report[name] = {
+                    seg_rows.append([spec.name, measure, pop_name, value])
+            report[spec.name] = {
                 "changed": sum(1 for o in impact.outcomes if o.changed),
                 "focal_points": [
                     {"vector": fp.vector.tolist(), "count": fp.count}
@@ -496,40 +516,30 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
     if not config.tau_grid:
         raise SchemaError("tau grid must be nonempty")
     runner = StageRunner(out_dir, config, "sweep-tau")
-    pop, train, test = _load_and_split(config)
-    minority = _minority(config, train)
-    ctx = MetricContext(reference=train, params=config.effort, minority=minority)
-    fit_pop = restrict_features(train, config.sweep_features)
-    models = runner.run(
-        "fit",
-        lambda: [
-            fit_constrained_linear(fit_pop, tau, config.benefit, minority)
-            for tau in config.tau_grid
-        ],
-    )
-    impacts = runner.run(
-        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
-    )
-    runs = list(zip(config.tau_grid, models, impacts))
+    specs = [
+        ModelSpec(f"tau_{format_number(tau)}", "constrained", config.sweep_features, tau=tau)
+        for tau in config.tau_grid
+    ]
+    train, ctx, runs = _impact_runs(config, runner, specs)
     details = {
-        format_number(tau): runner.run(
-            f"tau_{format_number(tau)}",
+        format_number(spec.tau): runner.run(
+            spec.name,
             lambda: {
                 "weights": h.to_dict(),
-                "benefit_gap": group_benefit_gap(h, train, config.benefit, minority),
+                "benefit_gap": group_benefit_gap(h, train, config.benefit, ctx.minority),
                 "changed": sum(1 for o in impact.outcomes if o.changed),
             },
         )
-        for tau, h, impact in runs
+        for spec, h, impact in runs
     }
 
     def emit():
         rows: list[list] = []
-        for (tau, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+        for (spec, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
             for measure, value in after.values().items():
-                rows.append([tau, measure, value])
-            entry = details[format_number(tau)]
-            rows.append([tau, "benefit_gap", entry["benefit_gap"]])
+                rows.append([spec.tau, measure, value])
+            entry = details[format_number(spec.tau)]
+            rows.append([spec.tau, "benefit_gap", entry["benefit_gap"]])
             entry.update(
                 threshold=before.metadata["threshold"],
                 initial=before.to_dict(),
@@ -548,15 +558,15 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
     for key in ("group_sizes", "seed"):
         if key not in raw:
             raise SchemaError(f"synthetic spec missing {key!r}")
-    sizes, seed, shift = raw["group_sizes"], raw["seed"], raw.get("shift", 0.0)
+    sizes = raw["group_sizes"]
+    seed = _number(raw["seed"], "synthetic spec seed", integer=True)
+    shift = _number(raw.get("shift", 0.0), "synthetic spec shift")
     if not isinstance(sizes, (dict, list)):
         raise SchemaError(f"synthetic spec group_sizes must be an object or a list, got {sizes!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError(f"synthetic spec seed must be an integer, got {seed!r}")
-    if isinstance(shift, bool) or not isinstance(shift, (int, float)) or not math.isfinite(shift):
-        raise SchemaError(f"synthetic spec shift must be a finite number, got {shift!r}")
+    if not math.isfinite(shift):
+        raise SchemaError(f"synthetic spec shift must be finite, got {shift!r}")
     schema = schema_from_dict({k: raw[k] for k in SCHEMA_KEYS if k in raw})
-    pop = generate_synthetic(schema, sizes, seed=seed, shift=float(shift))
+    pop = generate_synthetic(schema, sizes, seed=seed, shift=shift)
     _make_out_dir(out_dir)
     out_path = out_dir / "synthetic.csv"
     write_csv(pop, out_path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import oracles
 from conftest import harness_toy_schema, synthetic_student_pop
 import effortsim
 from effortsim import cli, data_path, harness, segregation
-from effortsim.dataset import load_csv, schema_to_dict, write_csv
+from effortsim.dataset import load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, cmd_figures
 from effortsim.harness import (
@@ -39,6 +40,14 @@ def _bundled_config():
 def _read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _assert_same_files(out1, out2, skip=("timings_",)):
+    """``out1`` and ``out2`` hold the same files with the same bytes, apart from names starting with ``skip``."""
+    names = sorted(f.name for f in out1.iterdir() if not f.name.startswith(skip))
+    assert names == sorted(f.name for f in out2.iterdir() if not f.name.startswith(skip))
+    for name in names:
+        assert (out2 / name).read_bytes() == (out1 / name).read_bytes(), name
 
 
 class TestConfig:
@@ -108,6 +117,15 @@ class TestConfig:
             ("fairness", [(("models", 3, "kind"), "constrained"), (("models", 3, "tau"), float("inf"))]),
             ("simulate", [(("models", 1, "name"), "ridge/x")]),
             ("fairness", [(("models", 0, "name"), "ridge\0x")]),
+            ("fairness", [(("seed",), 28.9)]),
+            ("fairness", [(("seed",), True)]),
+            ("fairness", [(("split", "seed"), 28.0)]),
+            ("fairness", [(("models", 2, "max_depth"), 2.7)]),
+            ("fairness", [(("models", 0, "lambda"), "200")]),
+            ("simulate", [(("beta",), "0.5")]),
+            ("simulate", [(("connectivity_threshold",), "1e-6")]),
+            ("simulate", [(("centralization_threshold",), False)]),
+            ("sweep-tau", [(("sweep", "tau_grid"), "05")]),
         ],
         ids=[
             "beta",
@@ -147,6 +165,15 @@ class TestConfig:
             "infinite_constrained_tau",
             "slash_model_name",
             "nul_model_name",
+            "fractional_seed",
+            "bool_seed",
+            "float_split_seed",
+            "fractional_max_depth",
+            "string_lambda",
+            "string_beta",
+            "string_connectivity_threshold",
+            "bool_centralization_threshold",
+            "string_tau_grid",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
@@ -170,6 +197,12 @@ class TestConfig:
             ("feature_weights", {"X": {"studytime": 2.0}}),
             ("feature_weights", {"F": {"nosuch": 2.0}}),
             ("base_costs", {"X": 0.3}),
+            ("alpha", 0),
+            ("alpha", -1),
+            ("alpha", float("nan")),
+            ("categorical_cost", -0.5),
+            ("base_costs", -1),
+            ("base_costs", {"a": -1}),
         ],
         ids=[
             "text_weight",
@@ -179,6 +212,12 @@ class TestConfig:
             "unknown_group",
             "unknown_group_feature",
             "unknown_base_cost_group",
+            "zero_alpha",
+            "negative_alpha",
+            "nan_alpha",
+            "negative_categorical_cost",
+            "negative_base_cost",
+            "negative_group_base_cost",
         ],
     )
     def test_bad_cost_model_fails_before_any_stage(self, tmp_path, capsys, key, value):
@@ -242,6 +281,8 @@ class TestConfig:
             ("out_is_file", 3),
             ("synth_out_is_file", 3),
             ("one_group_dataset", 3),
+            ("one_group_dataset_fairness", 3),
+            ("minority_not_in_data", 3),
         ],
     )
     def test_bad_input_file_exits_without_traceback(self, toy_dir, case, code):
@@ -283,13 +324,16 @@ class TestConfig:
             spec.update(group_sizes={"a": 4, "b": 3}, seed=1)
             (toy_dir / "spec.json").write_text(json.dumps(spec))
             argv = ["synth", "--config", str(toy_dir / "spec.json"), "--out", str(toy_dir / "toy.csv")]
-        elif case == "one_group_dataset":
+        elif case.startswith("one_group_dataset"):
             rows = _read_rows(toy_dir / "toy.csv")
             with open(toy_dir / "toy.csv", "w", newline="") as fh:
                 writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
                 writer.writeheader()
                 writer.writerows({**row, "grp": "b"} for row in rows)
-            argv[0] = "simulate"
+            if case == "one_group_dataset":
+                argv[0] = "simulate"
+        elif case == "minority_not_in_data":
+            raw["minority"] = "c"
         config.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
         src = Path(effortsim.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -300,7 +344,8 @@ class TestConfig:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if case == "one_group_dataset":
+        if case.startswith("one_group_dataset") or case == "minority_not_in_data":
+            assert proc.stderr.startswith("data error:"), proc.stderr
             assert not list((toy_dir / "o").rglob("*"))  # no stage file
 
 
@@ -326,10 +371,20 @@ class TestFairnessCommand:
         config = load_config(toy_dir / "config.json")
         cmd_fairness(config, out1)
         cmd_fairness(config, out2)
-        for f in sorted(out1.iterdir()):
-            if f.name.startswith("timings_"):
-                continue  # wall-clock readings; unhashed in the manifest
-            assert (out2 / f.name).read_bytes() == f.read_bytes(), f.name
+        _assert_same_files(out1, out2)  # timings are wall-clock readings, unhashed in the manifest
+
+    def test_cli_seed_reseeds_the_split(self, toy_dir):
+        # --seed replaces the master seed and drops the pinned split seed, so
+        # the run is the config's with that seed and no split seed, manifest included.
+        raw = json.loads((toy_dir / "config.json").read_text())
+        raw["seed"] = 7
+        del raw["split"]["seed"]
+        (toy_dir / "seeded.json").write_text(json.dumps(raw))
+        for config, out in (("config.json", "cli"), ("seeded.json", "file")):
+            argv = ["fairness", "--config", str(toy_dir / config), "--out", str(toy_dir / out)]
+            assert cli.main(argv + (["--seed", "7"] if out == "cli" else [])) == 0
+        _assert_same_files(toy_dir / "cli", toy_dir / "file")
+        assert (toy_dir / "cli" / "manifest_fairness.json").exists()
 
     def test_each_model_predicted_once_by_the_audit(self, toy_dir, monkeypatch):
         audit_calls = []
@@ -381,6 +436,19 @@ class TestFairnessCommand:
 
 
 class TestSimulateCommand:
+    def test_default_minority_is_the_smaller_training_group(self, toy_dir):
+        raw = json.loads((toy_dir / "config.json").read_text())
+        config = config_from_dict(raw, toy_dir)
+        train, _ = split(load_csv(config.dataset, config.schema), config.train_fraction, config.split_seed)
+        counts = Counter(train.groups)
+        smaller = min(counts, key=counts.get)
+        assert counts[smaller] < max(counts.values())
+        for minority in (None, smaller):
+            cmd_simulate(config_from_dict({**raw, "minority": minority}, toy_dir), toy_dir / str(minority))
+        _assert_same_files(toy_dir / "None", toy_dir / smaller, skip=("timings_", "manifest_"))
+        default, named = (json.loads((toy_dir / d / "manifest_simulate.json").read_text()) for d in ("None", smaller))
+        assert {**default, "config_sha256": None} == {**named, "config_sha256": None}
+
     def test_constant_predictor_fixed_point(self, toy_dir):
         raw = json.loads((toy_dir / "config.json").read_text())
         raw["models"] = [{"name": "flat", "kind": "tree", "max_depth": 0, "features": "all"}]
