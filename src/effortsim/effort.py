@@ -3,37 +3,32 @@
 Effort to change feature k from value a to value b is measured on the
 quantile scale of the actor's own group: moving into territory that few
 group members occupy is expensive, moving where most of the group already
-is comes cheap. Per-kind rules, written once in ``EffortEngine._eps_rule``:
+is comes cheap. Rules give finite efforts and gates decide feasibility.
+Per kind, written once in ``EffortEngine._eps_rule``:
 
 * monotone numerical/ordinal: positive rank gap in the desirable
   direction, free in the other direction;
 * non-monotone: absolute rank gap (either direction costs);
 * categorical: a flat constant for any change;
-* immutable: infinite for any change;
-* conditionally immutable: monotone rule in the allowed direction,
-  infinite otherwise.
+* immutable: no rule, and a gate that allows no change;
+* conditionally immutable: the monotone rule, and a gate that allows the
+  desirable direction only.
 
 Column K, one past the schema's features, is the label: the segregation
 distance takes its positive rank gap on the group's label table, through
 the increasing monotone rule.
 
 Total effort is ``base_cost + (1/K) * sum_k weight_k * eps_k`` over the
-schema's K features, accumulated in ascending schema order. The brute-force
-reference for every rule lives in the test suite's oracles.
+schema's K features, accumulated in ascending schema order, and ``inf``
+where a gate of nonzero weight rules the move out. The brute-force
+reference lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
-features take a handful of values. The pairwise kernel works in row tiles
-and chooses, once per call, how each column gets there. A column with few
-distinct values gets one level table: its weighted effort row for each
-distinct value, which every tile gathers to its rows. The tables share a
-budget of one tile's rows, so they never outgrow a tile. Every other column
-runs its rule on the tile's own rows. Both paths give every entry exactly
-``acc + w * eps``, so the choice never changes a bit.
-
-Only immutable and conditionally immutable features (the gates) give
-``inf``, and they rule out most pairs. The pair form of the kernel finds a
-tile's feasible pairs from its gates first and runs every term on those
-pairs alone, with the same operations, so each finite effort keeps its bits.
+features take a handful of values. The pairwise kernel works in row tiles.
+A column with few distinct values gets level tables, its weighted rule's
+row and its gate's row for each distinct value, which every tile gathers;
+every other column runs its rule and gate on the tile's own rows. Both
+paths give the same bits.
 """
 
 from __future__ import annotations
@@ -90,19 +85,38 @@ class EffortParams:
             raise SchemaError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (self.categorical_cost >= 0 and math.isfinite(self.categorical_cost)):
             raise SchemaError("categorical_cost must be finite and >= 0")
-        costs = (
-            self.base_cost.values() if isinstance(self.base_cost, Mapping) else [self.base_cost]
-        )
+        costs = self.base_cost.values() if isinstance(self.base_cost, Mapping) else [self.base_cost]
         for c in costs:
             if not (_is_number(c) and c >= 0 and math.isfinite(c)):
                 raise SchemaError("base costs must be finite and >= 0")
-        fw = self.feature_weights
-        if not (fw is None or isinstance(fw, Mapping)):
+        if not (self.feature_weights is None or isinstance(self.feature_weights, Mapping)):
             raise SchemaError("feature_weights must map features or groups to weights")
-        for key, value in (fw or {}).items():
-            for name, w in value.items() if isinstance(value, Mapping) else [(key, value)]:
+        for _, weights in self._weight_maps():
+            for name, w in weights.items():
                 if not (_is_number(w) and w >= 0 and math.isfinite(w)):
                     raise SchemaError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
+
+    def _weight_maps(self):
+        """``(group, {feature: w})`` of each ``feature_weights`` entry; ``group`` is None if flat."""
+        for key, value in (self.feature_weights or {}).items():
+            yield (key, value) if isinstance(value, Mapping) else (None, {key: value})
+
+    def check_names(self, pop: Population) -> None:
+        """Every group and feature that the cost model names exists in ``pop``."""
+        groups, features = set(pop.group_names), set(pop.schema.names)
+
+        def check(name, known: set, what: str) -> None:
+            if name not in known:
+                raise SchemaError(f"{what} {name!r} is not one of {sorted(known)}")
+
+        for g in self.base_cost if isinstance(self.base_cost, Mapping) else ():
+            check(g, groups, "base_costs group")
+        for group, weights in self._weight_maps():
+            if group is not None:
+                check(group, groups, "feature_weights group")
+            what = "feature_weights feature" if group is None else f"feature_weights[{group!r}] feature"
+            for f in weights:
+                check(f, features, what)
 
     def base_cost_for(self, group: str) -> float:
         if isinstance(self.base_cost, Mapping):
@@ -175,8 +189,8 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-# Selections that make ``_eps_rule``'s fills work on a whole tile: each
-# value of the tile's column against every value of ``col_b``.
+# Selections that make ``_eps_rule``'s fills and gates work on a whole tile:
+# each value of the tile's column against every value of ``col_b``.
 COLUMN = (slice(None), None)
 EVERY = slice(None)
 
@@ -188,16 +202,46 @@ def row_tiles(n_rows: int, n_cols: int):
         yield lo, min(lo + step, n_rows)
 
 
+def _weighted(fill, w: float):
+    """``fill`` times ``w``; ``fill`` itself for 1.0 (``1.0 * x == x`` exactly) and for no rule."""
+    if fill is None or w == 1.0:
+        return fill
+
+    def weighted_fill(a, rows, cols, out):
+        fill(a, rows, cols, out)
+        np.multiply(w, out, out=out)
+
+    return weighted_fill
+
+
+def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Write a term's or a gate's entries from rows ``Xa[lo:hi]`` to every column into ``out``."""
+    k, rule, table, codes = column
+    if table is None:
+        rule(Xa[lo:hi, k], COLUMN, EVERY, out)
+    else:
+        # mode="clip": with the default "raise", take buffers its output
+        # through a tile-sized temporary; every index is in range anyway.
+        np.take(table, codes[lo:hi], axis=0, out=out, mode="clip")
+
+
+def _gate(gates, Xa: np.ndarray, lo: int, hi: int, ok: np.ndarray, allow: np.ndarray) -> np.ndarray:
+    """``ok``, set where every gate allows the move from row ``Xa[lo + r]`` to column j."""
+    ok.fill(True)
+    for gate in gates:
+        _tile(gate, Xa, lo, hi, allow)
+        np.logical_and(ok, allow, out=ok)
+    return ok
+
+
 class EffortEngine:
     """Vectorized effort computations over a frozen reference population.
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
     through ``eps_tiles`` (every pair of each row tile) or ``eps_pairs``
-    (only the pairs of finite effort), which apply the per-kind rules of
-    ``_eps_rule`` through a level table for few-valued columns or on each
-    tile's own values for the rest, and accumulate features in the order
-    given (ascending schema order).
+    (the feasible pairs only). Both sum the finite rules of ``_eps_rule`` in
+    the order given and take feasibility from its gates in one shared step.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -206,19 +250,17 @@ class EffortEngine:
         self.schema = reference.schema
 
     def _eps_rule(self, group: str, k: int, col_b: np.ndarray):
-        """Feature k's per-kind effort rule from values a to the values ``col_b``, and its gate.
+        """Feature k's effort rule and gate from values a to the values ``col_b``: ``(fill, allowed)``.
 
         Column ``k = schema.size`` is the label: the increasing monotone rule
-        on the group's label table. ``col_b`` is ranked once here. The
-        returned ``fill(a, rows, cols, out, mask)`` writes the efforts from
-        ``a[rows]`` to ``col_b[cols]`` into ``out``, with ``mask`` (bool, the
-        shape of ``out``) as scratch; ``a`` is a 1-D array, ranked once per
-        call. Any two broadcastable selections work: ``COLUMN`` and ``EVERY``
-        give a tile, every value of ``a`` against every value of ``col_b``;
-        two equal-length index arrays give one effort per pair. The gate is
-        ``allowed(a, rows, cols, out)``, which writes where the effort is
-        finite, for the kinds that can give ``inf`` (immutable and
-        conditionally immutable); it is ``None`` for the rest.
+        on the group's label table. ``col_b`` is ranked once here.
+        ``fill(a, rows, cols, out)`` writes the finite efforts from
+        ``a[rows]`` to ``col_b[cols]``, ranking the 1-D ``a`` once, and
+        ``allowed(a, rows, cols, out)`` whether those moves can be made at
+        all. ``COLUMN`` and ``EVERY`` select a tile, every value of ``a``
+        against every value of ``col_b``; two equal-length index arrays
+        select pairs. An immutable column has no rule (``fill is None``), and
+        only the immutable kinds have a gate (else ``allowed is None``).
         """
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
@@ -230,7 +272,7 @@ class EffortEngine:
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
-            def fill(a, rows, cols, out, mask):
+            def fill(a, rows, cols, out):
                 np.not_equal(col_b[cols], a[rows], out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
@@ -240,80 +282,68 @@ class EffortEngine:
             def allowed(a, rows, cols, out):
                 np.equal(col_b[cols], a[rows], out=out)
 
-            def fill(a, rows, cols, out, mask):
-                allowed(a, rows, cols, mask)
-                np.logical_not(mask, out=mask)
-                out.fill(0.0)
-                np.putmask(out, mask, np.inf)
-
-            return fill, allowed
+            return None, allowed
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
             rank = _rank_asc
         else:
             rank = _rank_desc
         qb = rank(table, col_b)
-        if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
-
-            def fill(a, rows, cols, out, mask):
-                np.subtract(qb[cols], rank(table, a)[rows], out=out)
-                np.maximum(0.0, out, out=out)
-
-            return fill, None
         if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
 
-            def fill(a, rows, cols, out, mask):
+            def fill(a, rows, cols, out):
                 np.subtract(qb[cols], rank(table, a)[rows], out=out)
                 np.abs(out, out=out)
 
             return fill, None
+
+        def fill(a, rows, cols, out):
+            np.subtract(qb[cols], rank(table, a)[rows], out=out)
+            np.maximum(0.0, out, out=out)
+
+        if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
+            return fill, None
         if kind == CONDITIONALLY_IMMUTABLE:
-            # Equal values have equal ranks, so the gap is already +0.0 there;
-            # everything else outside the allowed direction (NaN too) is inf.
+            # An allowed move never lowers the rank, so its gap is already
+            # >= +0.0; the gate rules out the other direction and NaN.
             allowed_or_equal = np.greater_equal if increasing else np.less_equal
 
             def allowed(a, rows, cols, out):
                 allowed_or_equal(col_b[cols], a[rows], out=out)
 
-            def fill(a, rows, cols, out, mask):
-                np.subtract(qb[cols], rank(table, a)[rows], out=out)
-                allowed(a, rows, cols, mask)
-                np.logical_not(mask, out=mask)
-                np.putmask(out, mask, np.inf)
-
             return fill, allowed
         raise SchemaError(f"unhandled feature kind {kind!r}")
 
-    def _terms(self, group, Xa, Xb, feature_indices, weighted, mask):
-        """``(k, w, fill, allowed, table, codes)`` of each weighted column, in the given order.
+    def _terms(self, group, Xa, Xb, feature_indices, weighted, budget: int):
+        """The effort terms and the gates of the weighted columns, each ``[(k, rule, table, codes)]``.
 
-        A column whose distinct ``Xa`` values fit what is left of the level
-        budget (``mask``'s rows, spent in the given order) gets a level
-        table: its rule fills one row per distinct value, the weight
-        multiplies the table once, and ``codes`` holds each ``Xa`` row's
-        table row. Any other column gets ``table = codes = None`` and runs
-        its rule on each tile's own values, then applies the weight.
+        A term's rule is its column's ``fill`` times the weight, a gate's its
+        ``allowed``. A column whose distinct ``Xa`` values fit what is left of
+        the level budget (``budget`` rows, spent in the given order) gets a
+        level table per rule, one row for each distinct value (bool for a
+        gate), and ``codes`` holds each ``Xa`` row's table row. Any other
+        column gets ``table = codes = None``.
         """
-        budget = mask.shape[0]
-        terms = []
+        terms, gates = [], []
         for k in feature_indices:
             w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
             if w == 0.0:
                 continue
             fill, allowed = self._eps_rule(group, k, Xb[:, k])
-            values = _distinct(Xa[:, k])
-            if values.shape[0] > budget:
-                terms.append((k, w, fill, allowed, None, None))
-                continue
-            budget -= values.shape[0]
-            table = np.empty((values.shape[0], Xb.shape[0]))
-            fill(values, COLUMN, EVERY, table, mask[: values.shape[0]])
-            if w != 1.0:  # 1.0 * x == x exactly
-                np.multiply(w, table, out=table)
-            # Binary search matches values that compare equal (-0.0 and 0.0)
-            # and all NaNs to one row; every rule gives them equal rows.
-            codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
-            terms.append((k, w, fill, allowed, table, codes))
-        return terms
+            values, codes = _distinct(Xa[:, k]), None
+            if values.shape[0] <= budget:
+                budget -= values.shape[0]
+                # Binary search matches values that compare equal (-0.0 and 0.0)
+                # and all NaNs to one row; every rule gives them equal rows.
+                codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
+            for rule, dtype, out in ((_weighted(fill, w), float, terms), (allowed, bool, gates)):
+                if rule is None:
+                    continue
+                table = None
+                if codes is not None:
+                    table = np.empty((values.shape[0], Xb.shape[0]), dtype)
+                    rule(values, COLUMN, EVERY, table)
+                out.append((k, rule, table, codes))
+        return terms, gates
 
     def eps_tiles(
         self,
@@ -325,34 +355,27 @@ class EffortEngine:
     ):
         """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
 
-        Each column's ``Xb`` values are ranked, and its path chosen, once per
-        call (see ``_terms``): a few-valued column's tiles gather rows of its
-        level table, and any other column runs its rule on the tile's own
-        values. The level tables share a budget of one tile's rows, so
-        together they never outgrow one tile. Either way every entry gets
-        ``acc + w * rule(a_i)``, feature by feature in the given order, so
-        both paths give the same bits. Column ``schema.size`` of ``Xa`` and
-        ``Xb``, if present, is the label; only unweighted calls may name it,
-        as the label has no weight. The tile is scratch that the next step
-        overwrites, so a caller may change it in place but must copy what it
-        keeps.
+        Each column's path is chosen once per call (see ``_terms``), and the
+        level tables share a budget of one tile's rows. Either path gives
+        every entry ``acc + w * rule(a_i)``, feature by feature in the given
+        order; then one ``putmask`` writes ``inf`` where a gate rules the move
+        out. Column ``schema.size``, if present, is the label, for unweighted
+        calls only. The tile is scratch that the next step overwrites, so a
+        caller may change it in place but must copy what it keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        acc, eps, mask = np.empty(shape), np.empty(shape), np.empty(shape, bool)
-        terms = self._terms(group, Xa, Xb, feature_indices, weighted, mask)
+        acc, eps = np.empty(shape), np.empty(shape)
+        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
+        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
             acc_t, eps_t = acc[: hi - lo], eps[: hi - lo]
             acc_t.fill(0.0)
-            for k, w, fill, _, table, codes in terms:
-                if table is None:
-                    fill(Xa[lo:hi, k], COLUMN, EVERY, eps_t, mask[: hi - lo])
-                    if w != 1.0:
-                        np.multiply(w, eps_t, out=eps_t)
-                else:
-                    # mode="clip": with the default "raise", take buffers its output
-                    # through a tile-sized temporary; every index is in range anyway.
-                    np.take(table, codes[lo:hi], axis=0, out=eps_t, mode="clip")
+            for term in terms:
+                _tile(term, Xa, lo, hi, eps_t)
                 np.add(acc_t, eps_t, out=acc_t)
+            if gates:
+                feasible = _gate(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo])
+                np.putmask(acc_t, np.logical_not(feasible, out=feasible), np.inf)
             yield lo, hi, acc_t
 
     def eps_pairs(
@@ -365,51 +388,26 @@ class EffortEngine:
     ):
         """Yield ``(lo, hi, r, j, sums)``: the finite effort sums among rows ``Xa[lo:hi]`` and ``Xb``.
 
-        Pair t goes from row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``, and the
-        pairs come in row-major order. Every pair whose effort is ``inf`` is
-        left out, and with it all the work on it. Only the gates of
-        ``_eps_rule`` (immutable and conditionally immutable columns with a
-        nonzero weight) give ``inf``, so each tile's feasible pairs are where
-        all its gates allow the move; the rule's ``mask`` buffer holds them.
-        Every term then runs on those pairs only, in the given order and
-        with the same operations as ``eps_tiles``: a level-table column
-        gathers ``table[code_i, j]`` and any other column runs its rule on
-        the pair's two values. So each sum has the bits of the matching
-        ``eps_tiles`` entry. A walk with no gate has no ``inf`` and gives
-        every pair. The arrays are scratch that the next step may overwrite.
+        Pair t goes from row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``, in
+        row-major order. The gate step of ``eps_tiles`` picks each tile's
+        feasible pairs, and every term runs on those alone, in the given
+        order and with the same operations, so each sum has the bits of the
+        matching ``eps_tiles`` entry. A walk with no gate gives every pair.
+        The arrays are scratch that the next step may overwrite.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        mask = np.empty(shape, bool)
-        terms = self._terms(group, Xa, Xb, feature_indices, weighted, mask)
-        # A gate's level table is inf exactly where the gate rules a move out
-        # (its finite efforts lie in [0, w]), so its finite entries are the
-        # allowed moves of each distinct value.
-        gates = [
-            (k, allowed, None if table is None else np.isfinite(table), codes)
-            for k, _, _, allowed, table, codes in terms
-            if allowed is not None
-        ]
-        gate = np.empty(shape, bool)
+        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
+        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            ok, allow = mask[: hi - lo], gate[: hi - lo]
-            ok.fill(True)
-            for k, allowed, levels, codes in gates:
-                if levels is None:
-                    allowed(Xa[lo:hi, k], COLUMN, EVERY, allow)
-                else:
-                    np.take(levels, codes[lo:hi], axis=0, out=allow, mode="clip")
-                np.logical_and(ok, allow, out=ok)
-            r, j = np.divmod(np.flatnonzero(ok), Xb.shape[0])
-            scratch = ok.reshape(-1)[: r.shape[0]]  # the tile mask is spent
+            feasible = _gate(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo])
+            r, j = np.divmod(np.flatnonzero(feasible), Xb.shape[0])
             acc, eps = np.zeros(r.shape), np.empty(r.shape)
-            for k, w, fill, _, table, codes in terms:
+            for k, fill, table, codes in terms:
                 if table is None:
-                    fill(Xa[lo:hi, k], r, j, eps, scratch)
-                    if w != 1.0:
-                        np.multiply(w, eps, out=eps)
+                    fill(Xa[lo:hi, k], r, j, eps)
                 else:
                     flat = (codes[lo:hi].astype(np.intp) * Xb.shape[0])[r] + j
-                    np.take(table, flat, out=eps, mode="clip")  # see eps_tiles
+                    np.take(table, flat, out=eps, mode="clip")  # see _tile
                 np.add(acc, eps, out=acc)
             yield lo, hi, r, j, acc
 

@@ -17,7 +17,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -174,6 +173,13 @@ def _number(value, what: str, integer: bool = False):
     return value if integer else float(value)
 
 
+def _string(value, what: str, optional: bool = False):
+    """``value`` as a config string, or None if ``optional``; never a number, a list or a bool."""
+    if not (isinstance(value, str) or optional and value is None):
+        raise SchemaError(f"{what} must be a string{' or null' if optional else ''}, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         _object(raw, "config")
@@ -193,9 +199,9 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         for md in raw.get("models", []):
             _object(md, "model")
             spec = ModelSpec(
-                name=str(md["name"]),
-                kind=str(md["kind"]),
-                features=str(md.get("features", ALL_FEATURES)),
+                name=_string(md["name"], "model name"),
+                kind=_string(md["kind"], "model kind"),
+                features=_string(md.get("features", ALL_FEATURES), "model features"),
                 ridge_lambda=_number(md.get("lambda", 0.0), "lambda"),
                 max_depth=_number(md.get("max_depth", 5), "max_depth", integer=True),
                 tau=_number(md.get("tau", 0.0), "tau"),
@@ -221,9 +227,9 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             tau_grid=tuple(
                 _number(t, "tau_grid entry") for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
             ),
-            sweep_features=str(sweep.get("features", ALL_FEATURES)),
+            sweep_features=_string(sweep.get("features", ALL_FEATURES), "sweep features"),
             beta=_number(raw.get("beta", 0.5), "beta"),
-            minority=raw.get("minority"),
+            minority=_string(raw.get("minority"), "minority", optional=True),
             centralization_threshold=(
                 None if thresh is None else _number(thresh, "centralization_threshold")
             ),
@@ -327,33 +333,9 @@ class StageRunner:
         return path
 
 
-def _check_cost_model(params: EffortParams, pop: Population) -> None:
-    """Every group and feature that the cost model names exists in ``pop``.
-
-    A ``feature_weights`` key holding a map names a group, and each key in
-    the map a feature; a key holding a number names a feature. A
-    ``base_costs`` key names a group.
-    """
-    groups, features = set(pop.group_names), set(pop.schema.names)
-
-    def check(name, known: set, what: str) -> None:
-        if name not in known:
-            raise SchemaError(f"{what} {name!r} is not one of {sorted(known)}")
-
-    for g in params.base_cost if isinstance(params.base_cost, Mapping) else ():
-        check(g, groups, "base_costs group")
-    for key, value in (params.feature_weights or {}).items():
-        if isinstance(value, Mapping):
-            check(key, groups, "feature_weights group")
-            for f in value:
-                check(f, features, f"feature_weights[{key!r}] feature")
-        else:
-            check(key, features, "feature_weights feature")
-
-
 def _load_and_split(config: ExperimentConfig):
     pop = load_csv(config.dataset, config.schema)
-    _check_cost_model(config.effort, pop)
+    config.effort.check_names(pop)
     train, test = split(pop, config.train_fraction, config.split_seed)
     # Every measure compares groups (and the split keeps each group in both parts).
     groups = train.group_names

@@ -6,6 +6,7 @@ PASS/FAIL lines appear in the terminal summary section.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -379,3 +380,52 @@ def test_criterion_9_determinism_and_runtime(config, pipeline, tmp_path):
             f"two full runs byte-identical ({len(manifests)} manifests); "
             f"pipeline wall clock {elapsed:.1f}s < 120s"
         )
+
+
+# sha256 of every output of the bundled pipeline apart from the timings. A
+# change that moves one of them is a declared output change: it says why in
+# CHANGES.md and updates the entry here.
+BUNDLED_SHA256 = {
+    "bounded_effort_curves.csv": "4a9a609f9c680eeb9b33f0826586dd18f2581eb0f3cdbcb34e0e42090547eb8d",
+    "bounded_effort_curves.svg": "9054921482be30f1d8121313ebeee3611be1cea139fbb001577be8fe907bb6b3",
+    "fairness_bars.csv": "a4488ed920b83d497d9c9ac8b3ee35ab38ab07e8e3ad73a49f118e375a7287d1",
+    "fairness_bars.svg": "ffd33b81806228e02e9eea009f9278893849b5e68ea08978df8ce66754d2b1ef",
+    "fairness_report.json": "ef41da5fac9fc2d3a82b9279a8bd8790320066f436e6253da041bdbb8d58d969",
+    "impacted_linear.csv": "a7e7af22b69a1b2f47aa9c2405c0914994c4d8b7efe82b467390300792bc30cd",
+    "impacted_ridge_combined.csv": "2a2d095d4b2921f37958ed07a9c2726c5ccf9c99d06bd57df8c84dc30d81b5b9",
+    "impacted_ridge_mutable.csv": "83cff316b54deccc35685c625459ed65fa591c2d418e4f1702a6733ed36388c2",
+    "impacted_tree.csv": "83f7487fe9b47c0ab16e85989aece54455209965f73ec246a03c509a5d9c0001",
+    "mae_report.json": "18f9677d6e5b103761bfaa9a4a247dea8412d76173d3d998c1188d77cba65a6f",
+    "manifest_fairness.json": "5a29a8f16f5b9c365392dde4e5b4c27f1310701568483abb64b48d5cd45c3970",
+    "manifest_simulate.json": "a73af5f1785dc74d08dd4199e2cc2a3f0d82529259f8079983a1c4ae7296ad19",
+    "manifest_sweep_tau.json": "07c7128d7cd4483df57349ea213d4fb017fa4fca00a76ecb3dce26211b7934ab",
+    "models.json": "a72dc4072431b4ac29af91caaae85c8b16f118a41e2bc69dd4e81707842bc2ae",
+    "outcomes_linear.json": "a77f9d4e26ae1cdcb58963aae9bd2d0223a678bd72ceadfe1015162623b79917",
+    "outcomes_ridge_combined.json": "b5522da57ec4d3cfc8be7164a8956e6b8d44c67782ca11eda0967d02b2307d5c",
+    "outcomes_ridge_mutable.json": "604328788099ac3219c4d4060b5243241ecd1aef65ec75367764b2eed0767be8",
+    "outcomes_tree.json": "d346245f07c55b63c2bbd11b26a712819f89a19324d849d323038025c9ba5205",
+    "segregation.csv": "e93e36f76158dedb7e4c2d8a7ce9f150dea1b2c918fb2cdd54a03757ddaf8a55",
+    "segregation.svg": "800e867ea796588fc2e9bf69cc80f02842d61f2390bfa5e8f9537b881d260a0d",
+    "shift_linear.json": "92c6f0de955d1bf65d308994180b3cd858d487f6980425252436a682ff683d88",
+    "shift_ridge_combined.json": "8fa746841564b0d0759ff719a72d4534da91bd171596b6a73500b5358fcc438b",
+    "shift_ridge_mutable.json": "7f0885edca66ca17dc04a3cb8dcece167ee5e0bf2097c95df4f27a304a7e2196",
+    "shift_tree.json": "18e1a425ed43cfb33b7dfd0f600f6ad0dc6bc9817f60c736f8e91b76e7c9bbd5",
+    "simulate_report.json": "311e56a1a0e2082192b069609d6d58147c4083fab301c54bbf594892eca10d63",
+    "tau_report.json": "ea65f5c440adebd10b7d9740ed8deb6b5b7ae1fcffd7a0e164040cf9af840974",
+    "tau_sweep.csv": "0da30408b62c3e041c9dcb459d1c22ec48c4a9544ce042ef4293af75331b41c0",
+    "tau_sweep.svg": "be7cdb8c0ca48a3e21e9181827a7dd067ffee1b448f5de8b8ac0622e0d9f2ef6",
+    "threshold_reward_curves.csv": "57134b1b06add62b5b7b16222fa7852f046551f0f6b9ee5f28bebd0b1752ff07",
+    "threshold_reward_curves.svg": "9c800943ce6411f194770f16aa5ba6388f5918bccaca7a999b4dc81e331f39f1",
+}
+
+
+def test_bundled_outputs_keep_their_sha256(pipeline):
+    out, _ = pipeline
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.iterdir()
+        if not p.name.startswith("timings_")
+    }
+    names = got.keys() | BUNDLED_SHA256.keys()
+    differ = sorted(name for name in names if got.get(name) != BUNDLED_SHA256.get(name))
+    assert not differ, f"outputs that differ from the pinned table: {', '.join(differ)}"

@@ -440,17 +440,24 @@ def _value_pattern_pop(pattern, rows=23, seed=4):
 def _row_by_row(engine, group, Xa, Xb, idx, weighted):
     """``acc + w * eps`` in the given feature order, each rule run on every row of ``Xa``.
 
-    No tiles and no level tables: the reference the kernel must reproduce bit
-    for bit on both of its paths.
+    No tiles, no level tables and no separate gate step: a gated column's
+    ``eps`` is ``inf`` where its gate rules the move out (and 0 elsewhere for
+    an immutable column, which has no rule), inside the sum. The reference
+    the kernel must reproduce bit for bit on both of its paths.
     """
     acc = np.zeros((Xa.shape[0], Xb.shape[0]))
     for k in idx:
         w = engine.params.weight_for(group, engine.schema.features[k]) if weighted else 1.0
         if w == 0.0:
             continue
-        eps = np.empty_like(acc)
-        fill, _ = engine._eps_rule(group, k, Xb[:, k])
-        fill(Xa[:, k], COLUMN, EVERY, eps, np.empty(acc.shape, bool))
+        eps = np.zeros_like(acc)
+        fill, allowed = engine._eps_rule(group, k, Xb[:, k])
+        if fill is not None:
+            fill(Xa[:, k], COLUMN, EVERY, eps)
+        if allowed is not None:
+            ok = np.empty(acc.shape, bool)
+            allowed(Xa[:, k], COLUMN, EVERY, ok)
+            eps[~ok] = np.inf
         acc = acc + w * eps
     return acc
 
@@ -502,6 +509,8 @@ class TestDistinctValueGather:
         # row), one value (a table), then the rest of the budget exactly (a
         # table; at height 1 column 2 already filled it), then one value over
         # an empty budget (runs per row). The other columns run per row.
+        # Column 0 (immutable "grp") and column 10 have no rule, so their
+        # gate calls are counted instead.
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
         weights = {"num_up": 1.5, "num_down": 2.5, "ord_free": 0.0}  # per row, table, skipped
         params = EffortParams(feature_weights={"g1": weights})
@@ -514,11 +523,17 @@ class TestDistinctValueGather:
         Xb = np.vstack([Xa, engine.reference.X[::3]])
         every = list(range(Xa.shape[1]))
         mutable = [k for k in every if engine.schema.features[k].mutable]  # 1-7: all finite
-        fills = []  # the column of every fill call
+        fills = []  # the column of every fill call, or of every gate call for a column without a rule
 
         def counted_rule(group, k, col_b):
             fill, allowed = EffortEngine._eps_rule(engine, group, k, col_b)
-            return (lambda *args: (fills.append(k), fill(*args))), allowed
+
+            def counted(rule):
+                return lambda *args: (fills.append(k), rule(*args))
+
+            if fill is None:  # immutable: only a gate, called as often as a rule would be
+                return None, counted(allowed)
+            return counted(fill), allowed
 
         tiles = -(-Xa.shape[0] // height)
         for idx in (every, mutable):
@@ -534,18 +549,58 @@ class TestDistinctValueGather:
                     for k in every
                 ]
 
+    @pytest.mark.parametrize(
+        "pattern", ["one_value", "all_distinct", "heavy_ties", "signed_zero", "nan_cell"]
+    )
+    def test_rules_are_finite_and_only_weighted_gates_give_inf(self, pattern):
+        # g1 weighs the immutable "born" 0.0, so its gate must not count there.
+        weights = {g: dict(w) for g, w in self.PARAMS.feature_weights.items()}
+        weights["g1"]["born"] = 0.0
+        params = dataclasses.replace(self.PARAMS, feature_weights=weights)
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), params)
+        pop = _value_pattern_pop(pattern)
+        Xb = np.vstack([pop.X, engine.reference.X[::3]])
+        shape = (pop.size, Xb.shape[0])
+        r, j = np.divmod(np.arange(pop.size * Xb.shape[0]), Xb.shape[0])
+        for g in pop.group_names:
+            ruled_out = np.zeros(shape, bool)
+            for k, feature in enumerate(pop.schema.features):
+                fill, allowed = engine._eps_rule(g, k, Xb[:, k])
+                gated = feature.kind.kind in ("immutable", "conditionally_immutable")
+                assert (fill is None) == (feature.kind.kind == "immutable")
+                assert (allowed is not None) == gated
+                if fill is not None:
+                    for rows, cols, size in ((COLUMN, EVERY, shape), (r, j, r.shape)):
+                        out = np.full(size, np.nan)
+                        fill(pop.X[:, k], rows, cols, out)
+                        assert np.all(np.isfinite(out)), feature.name
+                if gated and params.weight_for(g, feature) != 0.0:
+                    ok = np.empty(shape, bool)
+                    allowed(pop.X[:, k], COLUMN, EVERY, ok)
+                    ruled_out |= ~ok
+            got = engine.eps_sum(g, pop.X, Xb, range(pop.schema.size), weighted=True)
+            assert np.array_equal(np.isinf(got), ruled_out)
+            assert not np.isnan(got).any()
+
     def test_merged_values_share_a_level_row(self):
         # -0.0 and 0.0 compare equal and all NaNs sort together, so a level
-        # table gives each pair one row; the rule gives them equal rows too.
+        # table gives each pair one row; every rule and every gate gives them
+        # equal rows too, the immutable group column's gate included.
         pop = _value_pattern_pop("signed_zero")
         col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
-        for k in range(1, pop.schema.size):
-            eps = np.empty((col.shape[0], pop.size))
-            fill, _ = engine._eps_rule("g1", k, pop.X[:, k])
-            fill(col, COLUMN, EVERY, eps, np.empty(eps.shape, bool))
-            for i, j in ((0, 1), (0, 5), (2, 4)):
-                assert _same_bits(eps[i], eps[j])
+        gated = 0
+        for k in range(pop.schema.size):
+            fill, allowed = engine._eps_rule("g1", k, pop.X[:, k])
+            for rule, dtype in ((fill, float), (allowed, bool)):
+                if rule is None:
+                    continue
+                rows = np.empty((col.shape[0], pop.size), dtype)
+                rule(col, COLUMN, EVERY, rows)
+                for i, j in ((0, 1), (0, 5), (2, 4)):
+                    assert np.array_equal(rows[i].view(np.uint8), rows[j].view(np.uint8))
+                gated += dtype is bool
+        assert gated == 4  # grp, older, fewer, born
 
 
 def _scatter_pairs(walk, shape):
@@ -607,7 +662,7 @@ class TestPairForm:
 
     def test_walk_without_gates_is_every_pair(self, monkeypatch):
         # Zero weights switch every immutable and conditionally immutable
-        # column off for g1, so its walk has no gate: every pair, dense path.
+        # column off for g1, so its walk has no gate and every pair is feasible.
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 3)
         off = {name: 0.0 for name in ("grp", "older", "fewer", "born")}
         params = EffortParams(feature_weights={"g1": off}, base_cost=0.25)

@@ -126,6 +126,14 @@ class TestConfig:
             ("simulate", [(("connectivity_threshold",), "1e-6")]),
             ("simulate", [(("centralization_threshold",), False)]),
             ("sweep-tau", [(("sweep", "tau_grid"), "05")]),
+            ("fairness", [(("minority",), 5)]),
+            ("simulate", [(("minority",), ["F"])]),
+            ("sweep-tau", [(("minority",), True)]),
+            ("simulate", [(("models", 0, "name"), None)]),
+            ("simulate", [(("models", 0, "name"), 5)]),
+            ("fairness", [(("models", 0, "kind"), ["ridge"])]),
+            ("fairness", [(("models", 0, "features"), ["mutable"])]),
+            ("sweep-tau", [(("sweep", "features"), 0)]),
         ],
         ids=[
             "beta",
@@ -174,6 +182,14 @@ class TestConfig:
             "string_connectivity_threshold",
             "bool_centralization_threshold",
             "string_tau_grid",
+            "number_minority",
+            "list_minority",
+            "bool_minority",
+            "null_model_name",
+            "number_model_name",
+            "list_model_kind",
+            "list_model_features",
+            "number_sweep_features",
         ],
     )
     def test_bad_bundled_config_value_is_config_error(self, tmp_path, command, edits):
