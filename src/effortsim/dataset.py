@@ -458,11 +458,11 @@ def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population
     n_train = min(max(n_train, 1), pop.size - 1)
     train_rows = np.sort(order[:n_train])
     test_rows = np.sort(order[n_train:])
+    parts = pop.take(train_rows), pop.take(test_rows)
     for g in pop.group_names:
-        grows = set(pop.group_rows(g).tolist())
-        if not grows & set(train_rows.tolist()) or not grows & set(test_rows.tolist()):
+        if any(g not in part.group_names for part in parts):
             raise DataError(f"split leaves group {g!r} empty in one part")
-    return pop.take(train_rows), pop.take(test_rows)
+    return parts
 
 
 MUTABLE_PLUS_SENSITIVE = "mutable_plus_sensitive"

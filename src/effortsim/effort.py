@@ -24,11 +24,14 @@ where a gate of nonzero weight rules the move out. The brute-force
 reference lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
-features take a handful of values. The pairwise kernel works in row tiles.
-A column with few distinct values gets level tables, its weighted rule's
-row and its gate's row for each distinct value, which every tile gathers;
-every other column runs its rule and gate on the tile's own rows. Both
-paths give the same bits.
+features take a handful of values. The pairwise kernel works in row tiles,
+over every pair of a tile or over chosen pairs of it. ``_tile`` is its one
+read of a column: a column with few distinct values gets level tables, its
+weighted rule's row and its gate's row for each distinct value, which the
+read gathers from; every other column runs its rule or gate on the rows
+read. Both paths give the same bits. ``_fold`` is its one loop that
+combines columns, in the order given: ``np.add`` for terms, ``np.logical_and``
+for gates.
 """
 
 from __future__ import annotations
@@ -214,24 +217,28 @@ def _weighted(fill, w: float):
     return weighted_fill
 
 
-def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    """Write a term's or a gate's entries from rows ``Xa[lo:hi]`` to every column into ``out``."""
+def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray, pairs=None) -> None:
+    """Write a term's or a gate's entries into ``out``: rows ``Xa[lo:hi]`` to every column, or
+    with ``pairs=(r, j)`` each pair t, row ``Xa[lo + r[t]]`` to column ``j[t]``."""
     k, rule, table, codes = column
     if table is None:
-        rule(Xa[lo:hi, k], COLUMN, EVERY, out)
-    else:
+        rule(Xa[lo:hi, k], *((COLUMN, EVERY) if pairs is None else pairs), out)
+    elif pairs is None:
         # mode="clip": with the default "raise", take buffers its output
-        # through a tile-sized temporary; every index is in range anyway.
+        # through a temporary; every index is in range anyway.
         np.take(table, codes[lo:hi], axis=0, out=out, mode="clip")
+    else:
+        flat = (codes[lo:hi].astype(np.intp) * table.shape[1])[pairs[0]] + pairs[1]
+        np.take(table, flat, out=out, mode="clip")
 
 
-def _gate(gates, Xa: np.ndarray, lo: int, hi: int, ok: np.ndarray, allow: np.ndarray) -> np.ndarray:
-    """``ok``, set where every gate allows the move from row ``Xa[lo + r]`` to column j."""
-    ok.fill(True)
-    for gate in gates:
-        _tile(gate, Xa, lo, hi, allow)
-        np.logical_and(ok, allow, out=ok)
-    return ok
+def _fold(columns, Xa: np.ndarray, lo: int, hi: int, acc, buf, start, op, pairs=None) -> np.ndarray:
+    """``acc`` set to ``start``, then ``op``-ed in place with each column's ``_tile`` (read into ``buf``)."""
+    acc.fill(start)
+    for column in columns:
+        _tile(column, Xa, lo, hi, buf, pairs)
+        op(acc, buf, out=acc)
+    return acc
 
 
 class EffortEngine:
@@ -240,8 +247,9 @@ class EffortEngine:
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
     through ``eps_tiles`` (every pair of each row tile) or ``eps_pairs``
-    (the feasible pairs only). Both sum the finite rules of ``_eps_rule`` in
-    the order given and take feasibility from its gates in one shared step.
+    (the feasible pairs only). Both ``_fold`` the finite rules of
+    ``_eps_rule`` in the order given and take feasibility from a ``_fold``
+    of its gates, so a pair's sum has the same bits in either walk.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -358,23 +366,20 @@ class EffortEngine:
         Each column's path is chosen once per call (see ``_terms``), and the
         level tables share a budget of one tile's rows. Either path gives
         every entry ``acc + w * rule(a_i)``, feature by feature in the given
-        order; then one ``putmask`` writes ``inf`` where a gate rules the move
-        out. Column ``schema.size``, if present, is the label, for unweighted
-        calls only. The tile is scratch that the next step overwrites, so a
-        caller may change it in place but must copy what it keeps.
+        order; then one ``putmask`` writes ``inf`` where the gates' fold rules
+        the move out. Column ``schema.size``, if present, is the label, for
+        unweighted calls only. The tile is scratch that the next step
+        overwrites, so a caller may change it in place but must copy what it
+        keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
         acc, eps = np.empty(shape), np.empty(shape)
         ok, allow = np.empty(shape, bool), np.empty(shape, bool)
         terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            acc_t, eps_t = acc[: hi - lo], eps[: hi - lo]
-            acc_t.fill(0.0)
-            for term in terms:
-                _tile(term, Xa, lo, hi, eps_t)
-                np.add(acc_t, eps_t, out=acc_t)
+            acc_t = _fold(terms, Xa, lo, hi, acc[: hi - lo], eps[: hi - lo], 0.0, np.add)
             if gates:
-                feasible = _gate(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo])
+                feasible = _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
                 np.putmask(acc_t, np.logical_not(feasible, out=feasible), np.inf)
             yield lo, hi, acc_t
 
@@ -389,8 +394,8 @@ class EffortEngine:
         """Yield ``(lo, hi, r, j, sums)``: the finite effort sums among rows ``Xa[lo:hi]`` and ``Xb``.
 
         Pair t goes from row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``, in
-        row-major order. The gate step of ``eps_tiles`` picks each tile's
-        feasible pairs, and every term runs on those alone, in the given
+        row-major order. The gate fold of ``eps_tiles`` picks each tile's
+        feasible pairs, and the terms' fold reads those alone, in the given
         order and with the same operations, so each sum has the bits of the
         matching ``eps_tiles`` entry. A walk with no gate gives every pair.
         The arrays are scratch that the next step may overwrite.
@@ -399,16 +404,9 @@ class EffortEngine:
         ok, allow = np.empty(shape, bool), np.empty(shape, bool)
         terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            feasible = _gate(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo])
+            feasible = _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
             r, j = np.divmod(np.flatnonzero(feasible), Xb.shape[0])
-            acc, eps = np.zeros(r.shape), np.empty(r.shape)
-            for k, fill, table, codes in terms:
-                if table is None:
-                    fill(Xa[lo:hi, k], r, j, eps)
-                else:
-                    flat = (codes[lo:hi].astype(np.intp) * Xb.shape[0])[r] + j
-                    np.take(table, flat, out=eps, mode="clip")  # see _tile
-                np.add(acc, eps, out=acc)
+            acc = _fold(terms, Xa, lo, hi, np.empty(r.shape), np.empty(r.shape), 0.0, np.add, (r, j))
             yield lo, hi, r, j, acc
 
     def eps_sum(

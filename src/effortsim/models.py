@@ -124,11 +124,12 @@ class LinearPredictor(Predictor):
 
 
 class TreePredictor(Predictor):
-    """Binary regression tree stored as parallel node arrays.
+    """Binary regression tree stored as a list of node dicts.
 
-    Node i: ``feature[i]`` < 0 marks a leaf predicting ``value[i]``;
-    otherwise rows with column value <= ``threshold[i]`` go to
-    ``left[i]``, the rest to ``right[i]``.
+    Node i: ``nodes[i]["feature"]`` < 0 marks a leaf predicting
+    ``nodes[i]["value"]``; otherwise rows with column value <=
+    ``nodes[i]["threshold"]`` go to node ``nodes[i]["left"]``, the rest to
+    ``nodes[i]["right"]``.
     """
 
     kind = "tree"
@@ -137,27 +138,40 @@ class TreePredictor(Predictor):
         super().__init__(feature_names, hyperparameters)
         self.nodes = nodes  # list of dicts: feature, threshold, left, right, value
 
+    def _leaves(self, D: np.ndarray, narrows_cand: np.ndarray):
+        """Yield ``(value, own, cand)`` per leaf: two masks over the rows of ``D`` that pass its path.
+
+        A test on a design column with ``narrows_cand`` set narrows ``cand``,
+        any other test narrows ``own``.
+        """
+        everyone = np.ones(D.shape[0], dtype=bool)
+        stack = [(0, everyone, everyone)]
+        while stack:
+            node_id, own, cand = stack.pop()
+            node = self.nodes[node_id]
+            k = node["feature"]
+            if k < 0:
+                yield node["value"], own, cand
+                continue
+            left = D[:, k] <= node["threshold"]
+            if narrows_cand[k]:
+                stack.append((node["left"], own, cand & left))
+                stack.append((node["right"], own, cand & ~left))
+            else:
+                stack.append((node["left"], own & left, cand))
+                stack.append((node["right"], own & ~left, cand))
+
     def predict_rows(self, schema: FeatureSchema, X: np.ndarray) -> np.ndarray:
         D = self._design(schema, X)
         out = np.empty(D.shape[0])
-        stack = [(0, np.arange(D.shape[0]))]
-        while stack:
-            node_id, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            node = self.nodes[node_id]
-            if node["feature"] < 0:
-                out[rows] = node["value"]
-                continue
-            mask = D[rows, node["feature"]] <= node["threshold"]
-            stack.append((node["left"], rows[mask]))
-            stack.append((node["right"], rows[~mask]))
+        for value, own, _ in self._leaves(D, np.zeros(D.shape[1], dtype=bool)):
+            out[own] = value
         return out
 
     def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
         """``A_own[rows] @ A_cand.T`` over the tree's L leaves.
 
-        One walk narrows, per leaf, a mask of rows i whose non-mutable
+        ``_leaves`` narrows, per leaf, a mask of rows i whose non-mutable
         entries pass the path's tests and a mask of rows j whose mutable
         entries do. ``A_own`` (n, L) holds the first mask times the leaf
         value, ``A_cand`` (n, L) the second as 0/1. Exactly one leaf fires
@@ -166,25 +180,11 @@ class TreePredictor(Predictor):
         """
         D = self._design(schema, X)
         mutable = schema.mutable_mask[self._column_indices(schema)]
-        everyone = np.ones(D.shape[0], dtype=bool)
         own_cols: list[np.ndarray] = []
         cand_cols: list[np.ndarray] = []
-        stack = [(0, everyone, everyone)]
-        while stack:
-            node_id, own, cand = stack.pop()
-            node = self.nodes[node_id]
-            k = node["feature"]
-            if k < 0:
-                own_cols.append(own * node["value"])
-                cand_cols.append(cand)
-                continue
-            left = D[:, k] <= node["threshold"]
-            if mutable[k]:
-                stack.append((node["left"], own, cand & left))
-                stack.append((node["right"], own, cand & ~left))
-            else:
-                stack.append((node["left"], own & left, cand))
-                stack.append((node["right"], own & ~left, cand))
+        for value, own, cand in self._leaves(D, mutable):
+            own_cols.append(own * value)
+            cand_cols.append(cand)
         A_own = np.column_stack(own_cols)
         A_cand = np.column_stack(cand_cols).astype(np.float64)
 
@@ -319,28 +319,17 @@ def fit_tree(pop: Population, max_depth: int = 5) -> TreePredictor:
 
     def build(rows: np.ndarray, depth: int) -> int:
         node_id = len(nodes)
-        nodes.append({})
         ys = y[rows]
-        value = float(np.mean(ys))
-        if depth >= max_depth or rows.size < 2 or np.all(ys == ys[0]):
-            nodes[node_id] = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": value}
-            return node_id
-        found = _best_split(D[rows], ys)
-        node_sse = _node_sse(float(np.sum(ys)), float(np.sum(ys * ys)), rows.size)
-        if found is None or found[2] >= node_sse:
-            nodes[node_id] = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": value}
-            return node_id
-        k, thr, _ = found
-        mask = D[rows, k] <= thr
-        left = build(rows[mask], depth + 1)
-        right = build(rows[~mask], depth + 1)
-        nodes[node_id] = {
-            "feature": int(k),
-            "threshold": float(thr),
-            "left": left,
-            "right": right,
-            "value": value,
-        }
+        node = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": float(np.mean(ys))}
+        nodes.append(node)  # a leaf unless a split below helps
+        if depth < max_depth and rows.size >= 2 and not np.all(ys == ys[0]):
+            found = _best_split(D[rows], ys)
+            node_sse = _node_sse(float(np.sum(ys)), float(np.sum(ys * ys)), rows.size)
+            if found is not None and found[2] < node_sse:
+                k, thr, _ = found
+                mask = D[rows, k] <= thr
+                left, right = build(rows[mask], depth + 1), build(rows[~mask], depth + 1)
+                node.update(feature=int(k), threshold=float(thr), left=left, right=right)
         return node_id
 
     build(np.arange(pop.size), 0)

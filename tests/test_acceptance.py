@@ -7,8 +7,11 @@ PASS/FAIL lines appear in the terminal summary section.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,15 @@ import pytest
 import oracles
 from conftest import ACCEPTANCE_LINES, run_simulate, sweep_point
 from effortsim import data_path
-from effortsim.dataset import load_csv, restrict_features, split, write_csv
+from effortsim.dataset import (
+    Population,
+    generate_synthetic,
+    load_csv,
+    load_schema,
+    restrict_features,
+    split,
+    write_csv,
+)
 from effortsim.dynamics import simulate
 from effortsim.effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
 from effortsim.fairness import (
@@ -419,13 +430,135 @@ BUNDLED_SHA256 = {
 }
 
 
-def test_bundled_outputs_keep_their_sha256(pipeline):
-    out, _ = pipeline
+def _differ_from_pins(out, pins: dict) -> list[str]:
+    """The outputs in ``out`` (timings aside) and in ``pins`` whose sha256 is not the pinned one."""
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in out.iterdir()
         if not p.name.startswith("timings_")
     }
-    names = got.keys() | BUNDLED_SHA256.keys()
-    differ = sorted(name for name in names if got.get(name) != BUNDLED_SHA256.get(name))
+    return sorted(name for name in got.keys() | pins.keys() if got.get(name) != pins.get(name))
+
+
+def test_bundled_outputs_keep_their_sha256(pipeline):
+    out, _ = pipeline
+    differ = _differ_from_pins(out, BUNDLED_SHA256)
     assert not differ, f"outputs that differ from the pinned table: {', '.join(differ)}"
+
+
+def _run_config(run_dir: Path, raw: dict, commands) -> Path:
+    """Write ``raw`` as ``run_dir/config.json``, run ``commands`` on it into ``run_dir/out``; return that."""
+    path = run_dir / "config.json"
+    path.write_text(json.dumps(raw, indent=2), encoding="utf-8")
+    config = load_config(path)
+    for command in commands:
+        command(config, run_dir / "out")
+    return run_dir / "out"
+
+
+def _bundled_config(**changes) -> dict:
+    raw = json.loads(data_path("student_config.json").read_text(encoding="utf-8"))
+    raw.update(changes)
+    return raw
+
+
+# The synthetic workloads of the benchmark: a 3000-row population on the
+# bundled schema (F:M = 2:3, mean shift 0.5) from the seed, split with the
+# seed, audited with one linear model or simulated with one depth-5 tree.
+SYNTH_RUNS = {
+    "synth-audit": ({"name": "linear", "kind": "linear", "features": "all"}, cmd_fairness),
+    "synth-impact": ({"name": "tree", "kind": "tree", "max_depth": 5, "features": "all"}, cmd_simulate),
+}
+
+# sha256 of every output of those runs apart from the timings, for seeds 3
+# and 11. The config names its files by relative paths, so the config hash
+# in the manifests does not depend on where the run happens.
+SYNTH_SHA256 = {
+    ("synth-audit", 3): {
+        "bounded_effort_curves.csv": "483aff8823022e3ed3c5c5890dce692c8218d262a2fca4b6833bcaf07594f6ce",
+        "fairness_bars.csv": "0c3dedf28c4e554a2bd75904d6b459f5d2b9dd3b6035f4ed942f3cb99efed073",
+        "fairness_report.json": "94fedbd3b93c6192574b62f48ad0ea9d4355f01a9c387e766330e75159c12d2d",
+        "mae_report.json": "93ba67987b080c0ef984247212c1ab37515d72d4a470adc1829d4a72b94b334b",
+        "manifest_fairness.json": "d604a7b0480ac42ae305bc827207ebac40a06045aea7958aeb9b4427a29bf937",
+        "models.json": "fc1881b42a3853f8403c71b5510eeb7b2c5603157929e183531731cf700b683e",
+        "threshold_reward_curves.csv": "091b1210beeba5fd1741f2deee8381a6a65f3c834b972803b7d2c5441bbf8c2c",
+    },
+    ("synth-audit", 11): {
+        "bounded_effort_curves.csv": "d6aa78762633e167927ac989df2b094f49e56a27d205425a10c33ee85ea03e9a",
+        "fairness_bars.csv": "bd53a3679602e12d42df3bcf5a008c71b50808c6c4338a84b2618127db0bbe0a",
+        "fairness_report.json": "de7c65cc2bfd9436c738fb5b691c83c3b64e3881fe42d64a8a9d3a483559112b",
+        "mae_report.json": "67e1eca9b2f5f3b1676df63b44c28658353ea047bdceb5cdfca17a9c3c0bd34f",
+        "manifest_fairness.json": "db004b87ed05ba2e512426ffaddde962bba5ef007a37e596283ea9ba9010ff2a",
+        "models.json": "034a654d07d7945c15e27e745c395105532e985455a1e99023c6751b7822308c",
+        "threshold_reward_curves.csv": "ec4eed6ae76be3cafca0663cc6aa761cb91ac24de02f051e30453e7965a93d6f",
+    },
+    ("synth-impact", 3): {
+        "impacted_tree.csv": "e2e076fe39ae29b43bb4753f14108ad2f47109d980ea5a37ba09132335c3c8e8",
+        "manifest_simulate.json": "db1757f2044c577260dc17d8cf6507bd5d1600aff25b189fbe26a46ebee7fb13",
+        "outcomes_tree.json": "cfa0e2dc1072bb67c564b137395037f8c62c4e18a9492990181ae72c02746c72",
+        "segregation.csv": "41b14d6fcdf893e241ba89c52f401adc09c4732ee4f3bbc501e1fabe3e13ea9c",
+        "shift_tree.json": "9fd3c4c00161acc7f25723ff58d160c5be0ecae59db042192d594de25d45eafd",
+        "simulate_report.json": "b749c00c0d0a72afcab60154ec754e8f6a7527140bf8bb55a8fc4f2534a2c768",
+    },
+    ("synth-impact", 11): {
+        "impacted_tree.csv": "9fd4f854d68029a2b02f4d7df37e0a1eb0cf9707cef2b449b7ea7e531fa50e8d",
+        "manifest_simulate.json": "f436542f41ffaa1c818158bc3e164c39e6099a45fd147313bf2d974a92fc4226",
+        "outcomes_tree.json": "6a08f255ed66d2702646d002a577c7212f118730b7772ea5273a8a543348be44",
+        "segregation.csv": "c2a1fab915a95b4ad6ea431f1ff3a2b0ed7bff5db441ddd315e139cd67a4a84b",
+        "shift_tree.json": "330ca064f1b7cdc4fb054cbe55e66218def70c146882cbd76742b778632a5989",
+        "simulate_report.json": "4ee777f2c917a17b69f10b0e9b3352f3ee52553305796df90119c239f39de90e",
+    },
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(SYNTH_SHA256))
+def test_synthetic_outputs_keep_their_sha256(tmp_path, workload, seed):
+    shutil.copy(data_path("student_schema.json"), tmp_path / "student_schema.json")
+    schema = load_schema(tmp_path / "student_schema.json")
+    write_csv(generate_synthetic(schema, {"F": 1200, "M": 1800}, seed, shift=0.5), tmp_path / "population.csv")
+    model, command = SYNTH_RUNS[workload]
+    raw = _bundled_config(
+        dataset="population.csv",
+        seed=seed,
+        split={"train_fraction": 0.7, "seed": seed},
+        models=[model],
+    )
+    differ = _differ_from_pins(_run_config(tmp_path, raw, [command]), SYNTH_SHA256[workload, seed])
+    assert not differ, f"outputs that differ from the pinned table: {', '.join(differ)}"
+
+
+# Outputs that see a feature only through the order of its values within
+# each group, so a strictly increasing recoding of a column keeps their bytes.
+ORDER_ONLY_OUTPUTS = (
+    "bounded_effort_curves.csv",
+    "threshold_reward_curves.csv",
+    "fairness_bars.csv",
+    "fairness_report.json",
+    "mae_report.json",
+    "outcomes_tree.json",
+    "segregation.csv",
+)
+
+
+def test_increasing_recoding_keeps_order_only_outputs(student_pop, tmp_path):
+    X = student_pop.X.copy()
+    recodings = {
+        "absences": lambda x: x**3 + 2 * x + 5,  # numerical monotone
+        "studytime": lambda x: 10 * x + 0.25,  # ordinal monotone
+        "age": lambda x: 2 * x + 1,  # conditionally immutable
+    }
+    for name, recode in recodings.items():
+        k = student_pop.schema.index(name)
+        X[:, k] = recode(X[:, k])
+    recoded = Population(student_pop.schema, X, student_pop.y, list(student_pop.groups))
+    write_csv(recoded, tmp_path / "recoded.csv")
+    tree = [m for m in _bundled_config()["models"] if m["name"] == "tree"]
+    outs = []
+    for dataset in (data_path("student_por_synthetic.csv"), tmp_path / "recoded.csv"):
+        (tmp_path / dataset.stem).mkdir()
+        raw = _bundled_config(dataset=str(dataset), schema=str(data_path("student_schema.json")), models=tree)
+        outs.append(_run_config(tmp_path / dataset.stem, raw, [cmd_fairness, cmd_simulate]))
+    differ = [name for name in ORDER_ONLY_OUTPUTS if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes()]
+    assert not differ, f"outputs that a recoding moved: {', '.join(differ)}"
+    # the recoding reaches the model: its thresholds are printed in the new coding
+    assert (outs[0] / "models.json").read_bytes() != (outs[1] / "models.json").read_bytes()

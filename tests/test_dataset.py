@@ -14,6 +14,7 @@ from effortsim.dataset import (
     Feature,
     FeatureKind,
     FeatureSchema,
+    Population,
     SchemaError,
     generate_synthetic,
     load_csv,
@@ -206,6 +207,16 @@ class TestSplit:
         pop = load_csv(csv_path, tiny_schema_file)
         with pytest.raises(DataError):
             split(pop, 0.5, seed=1)  # group y has one row; some part loses it
+
+    def test_error_names_the_lost_group(self):
+        schema = FeatureSchema(
+            features=(Feature("g", FeatureKind("immutable", levels=("a", "b")), mutable=False),),
+            sensitive="g",
+            label="y",
+        )
+        pop = Population(schema, np.zeros((10, 1)), np.zeros(10), ["a"] * 9 + ["b"])
+        with pytest.raises(DataError, match="split leaves group 'b' empty in one part"):
+            split(pop, 0.7, seed=0)
 
 
 class TestRestrictFeatures:

@@ -721,3 +721,39 @@ class TestPairwiseEffortMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * TILE_BYTES
+
+
+class TestReversalInvariance:
+    """Quantile effort sees only the order within a group: negating a monotone column and
+    flipping its direction keeps every effort bit."""
+
+    @staticmethod
+    def _coded(pop, k, direction, sign):
+        """``pop`` with column k given ``direction`` and multiplied by ``sign``."""
+        features = list(pop.schema.features)
+        kind = dataclasses.replace(features[k].kind, direction=direction)
+        features[k] = dataclasses.replace(features[k], kind=kind)
+        X = pop.X.copy()
+        X[:, k] *= sign
+        schema = dataclasses.replace(pop.schema, features=tuple(features))
+        return Population(schema, X, pop.y, list(pop.groups))
+
+    # numerical monotone, ordinal monotone, conditionally immutable
+    @pytest.mark.parametrize("name", ["absences", "studytime", "age"])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_negated_column_keeps_every_bit(self, student_split, name, direction):
+        train, _ = student_split
+        k = train.schema.index(name)
+        other = "decreasing" if direction == "increasing" else "increasing"
+        pops = self._coded(train, k, direction, 1.0), self._coded(train, k, other, -1.0)
+        params = EffortParams(base_cost=0.25)
+        engines = [EffortEngine(p, params) for p in pops]
+        E = [engine.pairwise_effort(p) for engine, p in zip(engines, pops)]
+        assert _same_bits(*E)
+        for g in train.group_names:
+            eps = [e.eps_sum(g, p.X[p.group_rows(g)], p.X, [k], weighted=False) for e, p in zip(engines, pops)]
+            assert _same_bits(*eps)
+            assert np.any(eps[0] > 0)
+        # the flip alone, without the negation, moves efforts: the check sees the direction
+        flipped = self._coded(train, k, other, 1.0)
+        assert not _same_bits(E[0], EffortEngine(flipped, params).pairwise_effort(flipped))
