@@ -25,6 +25,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
+# The commands that run an experiment config: each one's function and help.
+EXPERIMENTS = {
+    "fairness": (cmd_fairness, "train models and emit effort-unfairness curves and reports"),
+    "simulate": (cmd_simulate, "run one imitation round and measure segregation before/after"),
+    "sweep-tau": (cmd_sweep_tau, "sweep the constrained model's penalty strength"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -35,11 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("fairness", "train models and emit effort-unfairness curves and reports"),
-        ("simulate", "run one imitation round and measure segregation before/after"),
-        ("sweep-tau", "sweep the constrained model's penalty strength"),
-    ):
+    for name, (_, help_text) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="experiment config JSON (default: bundled student config)")
         p.add_argument("--out", required=True, help="output directory")
@@ -69,21 +72,15 @@ def _experiment_config(args):
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fairness":
-            manifest = cmd_fairness(_experiment_config(args), Path(args.out))
-        elif args.command == "simulate":
-            manifest = cmd_simulate(_experiment_config(args), Path(args.out))
-        elif args.command == "sweep-tau":
-            manifest = cmd_sweep_tau(_experiment_config(args), Path(args.out))
-        elif args.command == "figures":
+        if args.command == "figures":
             for path in cmd_figures(Path(args.out)):
                 print(path)
             return EXIT_OK
-        elif args.command == "synth":
+        if args.command == "synth":
             print(cmd_synth(Path(args.config), Path(args.out)))
             return EXIT_OK
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_CONFIG
+        run, _ = EXPERIMENTS[args.command]
+        manifest = run(_experiment_config(args), Path(args.out))
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -185,7 +185,12 @@ def tile_rows(n_cols: int) -> int:
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``a``, sorted (each NaN counts as its own entry)."""
+    """The distinct entries of ``a``, sorted (each NaN counts as its own entry).
+
+    This is ``np.unique(a, equal_nan=False)`` bit for bit, but the first
+    ``np.unique`` call of a process imports ``numpy.ma``, which adds about
+    1.6 MB to the peak resident set of a run.
+    """
     a = np.sort(a)
     keep = np.ones(a.shape, bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])

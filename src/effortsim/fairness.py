@@ -88,13 +88,12 @@ class _Staircases:
     def assemble(cls, b: np.ndarray, asc: np.ndarray, tiles: list) -> "_Staircases":
         """Join the walk's per-tile ``(rows, counts, pos, val)`` pieces in row order."""
         rows, counts, pos, val = (np.concatenate(parts) for parts in zip(*tiles))
-        walk_starts = np.cumsum(counts) - counts
-        per_row, walk_start = np.empty_like(counts), np.empty_like(counts)
-        per_row[rows], walk_start[rows] = counts, walk_starts
+        # Each row sits in one tile with its points in order, so a stable sort
+        # on the row puts every point in place.
+        take = np.argsort(np.repeat(rows, counts), kind="stable")
         starts = np.zeros(b.shape[0] + 1, dtype=np.intp)
-        np.cumsum(per_row, out=starts[1:])
-        take = np.arange(pos.shape[0]) + np.repeat(walk_start - starts[:-1], per_row)
-        return cls(b, b[asc], pos[take], val[take], starts)
+        starts[rows + 1] = counts
+        return cls(b, b[asc], pos[take], val[take], np.cumsum(starts))
 
     def _count(self, hits: np.ndarray) -> np.ndarray:
         """Per row, the number of its points with ``hits`` set, for each column of ``hits``."""

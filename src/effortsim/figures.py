@@ -6,12 +6,23 @@ so regenerating from unchanged CSVs reproduces the files byte for byte.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 from .dataset import DataError, parse_column, read_table
 
 WIDTH, HEIGHT = 640, 400
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 50
+
+# The columns of each report CSV, as lists because ``read_table`` returns
+# the header as one. The harness writes each report with these columns.
+REPORT_COLUMNS = {
+    "bounded_effort_curves.csv": ["model", "group", "delta", "value"],
+    "threshold_reward_curves.csv": ["model", "group", "delta", "value", "feasibility"],
+    "fairness_bars.csv": ["model", "measure", "group", "value"],
+    "segregation.csv": ["model", "measure", "population", "value"],
+    "tau_sweep.csv": ["tau", "measure", "value"],
+}
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -51,37 +62,22 @@ def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
     ]
 
 
-def _scales(xs: list[float], ys: list[float]):
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+def _span(values: list[float]) -> tuple[float, float]:
+    """The least and the greatest of ``values``, the greatest moved to least + 1 when they are equal."""
+    lo, hi = min(values), max(values)
+    return lo, hi if hi != lo else lo + 1.0
 
-    def sx(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+
+def _y_axis(y_lo: float, y_hi: float):
+    """The scale from ``[y_lo, y_hi]`` onto the plot's height, and the axis's two end labels."""
 
     def sy(y: float) -> float:
         return (HEIGHT - MARGIN_B) - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
 
-    return sx, sy, (x_lo, x_hi, y_lo, y_hi)
-
-
-def _axis_labels(bounds) -> list[str]:
-    x_lo, x_hi, y_lo, y_hi = bounds
-    y0 = HEIGHT - MARGIN_B
-    return [
-        f'<text x="{MARGIN_L}" y="{y0 + 16}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="middle">{_f(x_lo)}</text>',
-        f'<text x="{WIDTH - MARGIN_R}" y="{y0 + 16}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="middle">{_f(x_hi)}</text>',
-        f'<text x="{MARGIN_L - 6}" y="{y0 + 4}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="end">{_f(y_lo)}</text>',
-        f'<text x="{MARGIN_L - 6}" y="{MARGIN_T + 4}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="end">{_f(y_hi)}</text>',
+    return sy, [
+        f'<text x="{MARGIN_L - 6}" y="{y + 4}" font-family="sans-serif" font-size="11" '
+        f'text-anchor="end">{_f(v)}</text>'
+        for y, v in ((HEIGHT - MARGIN_B, y_lo), (MARGIN_T, y_hi))
     ]
 
 
@@ -106,29 +102,33 @@ def line_chart(series: list[tuple[str, list[tuple[float, float | None]]]],
     ys = [y for _, pts in series for _, y in pts if y is not None]
     if not xs or not ys:
         raise DataError("no plottable points")
-    sx, sy, bounds = _scales(xs, ys)
-    elements = _frame(title, xlabel, ylabel) + _axis_labels(bounds)
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span(ys)
+    pad = 0.05 * (y_hi - y_lo)
+    sy, y_labels = _y_axis(y_lo - pad, y_hi + pad)
+
+    def sx(x: float) -> float:
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+
+    elements = _frame(title, xlabel, ylabel) + [
+        f'<text x="{x}" y="{HEIGHT - MARGIN_B + 16}" font-family="sans-serif" font-size="11" '
+        f'text-anchor="middle">{_f(v)}</text>'
+        for x, v in ((MARGIN_L, x_lo), (WIDTH - MARGIN_R, x_hi))
+    ] + y_labels
     for i, (label, pts) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        segment: list[str] = []
-        segments: list[list[str]] = []
-        for x, y in pts:
-            if y is None:
-                if segment:
-                    segments.append(segment)
-                    segment = []
+        # A missing value breaks the line; a piece of one point is drawn as a dot.
+        for present, piece in itertools.groupby(pts, key=lambda p: p[1] is not None):
+            if not present:
                 continue
-            segment.append(f"{_f(sx(x))},{_f(sy(y))}")
-        if segment:
-            segments.append(segment)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
+            coords = [f"{_f(sx(x))},{_f(sy(y))}" for x, y in piece]
+            if len(coords) == 1:
+                cx, cy = coords[0].split(",")
                 elements.append(f'<circle cx="{cx}" cy="{cy}" r="2.5" fill="{color}"/>')
             else:
                 elements.append(
                     f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                    f'points="{" ".join(seg)}"/>'
+                    f'points="{" ".join(coords)}"/>'
                 )
     elements += _legend([label for label, _ in series])
     return _doc(elements)
@@ -139,26 +139,10 @@ def bar_chart(categories: list[str], series: list[tuple[str, list[float | None]]
     values = [v for _, vals in series for v in vals if v is not None]
     if not categories or not values:
         raise DataError("no plottable bars")
-    y_lo = min(0.0, min(values))
-    y_hi = max(0.0, max(values))
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    plot_w = WIDTH - MARGIN_L - MARGIN_R
-    plot_h = HEIGHT - MARGIN_T - MARGIN_B
-
-    def sy(y: float) -> float:
-        return (HEIGHT - MARGIN_B) - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-    elements = _frame(title, "", ylabel) + [
-        f'<text x="{MARGIN_L - 6}" y="{HEIGHT - MARGIN_B + 4}" font-family="sans-serif" '
-        f'font-size="11" text-anchor="end">{_f(y_lo)}</text>',
-        f'<text x="{MARGIN_L - 6}" y="{MARGIN_T + 4}" font-family="sans-serif" font-size="11" '
-        f'text-anchor="end">{_f(y_hi)}</text>',
-    ]
-    n_cat = len(categories)
-    n_ser = max(len(series), 1)
-    cat_w = plot_w / n_cat
-    bar_w = cat_w * 0.8 / n_ser
+    sy, y_labels = _y_axis(*_span([0.0, *values]))
+    elements = _frame(title, "", ylabel) + y_labels
+    cat_w = (WIDTH - MARGIN_L - MARGIN_R) / len(categories)
+    bar_w = cat_w * 0.8 / len(series)
     zero_y = sy(0.0)
     for ci, cat in enumerate(categories):
         cx = MARGIN_L + ci * cat_w
@@ -182,13 +166,15 @@ def bar_chart(categories: list[str], series: list[tuple[str, list[float | None]]
     return _doc(elements)
 
 
-def _read_csv(path: Path, expected: list[str], numbers: tuple[str, ...]) -> list[dict]:
+def _read_csv(path: Path, numbers: tuple[str, ...]) -> list[dict]:
     """The rows of report CSV ``path``, each cell of a ``numbers`` column a finite float.
 
-    An empty ``value`` cell gives ``None``. A wrong header, or anything that
-    ``read_table`` or ``parse_column`` rejects, is a ``DataError``.
+    An empty ``value`` cell gives ``None``. A header other than the file's
+    ``REPORT_COLUMNS``, or anything that ``read_table`` or ``parse_column``
+    rejects, is a ``DataError``.
     """
     header, lines, rows = read_table(path, "report CSV")
+    expected = REPORT_COLUMNS[path.name]
     if header != expected:
         raise DataError(f"{path.name}: expected columns {expected}, got {header}")
     columns = dict(zip(header, zip(*rows)))
@@ -197,59 +183,57 @@ def _read_csv(path: Path, expected: list[str], numbers: tuple[str, ...]) -> list
     return [dict(zip(header, row)) for row in zip(*columns.values())]
 
 
-def _curves_svg(path: Path, has_feasibility: bool, title: str) -> str:
-    cols = ["model", "group", "delta", "value"] + (["feasibility"] if has_feasibility else [])
-    rows = _read_csv(path, cols, ("delta", "value"))
-    series: dict[str, list] = {}
+def _lines(rows: list[dict], label, x: str) -> list[tuple[str, list]]:
+    """Per ``label(row)``, in label order, its ``(row[x], row["value"])`` points in ``x`` order."""
+    lines: dict[str, list] = {}
     for row in rows:
-        label = f'{row["model"]}/{row["group"]}'
-        series.setdefault(label, []).append((row["delta"], row["value"]))
-    ordered = [(label, series[label]) for label in sorted(series)]
-    return line_chart(ordered, title, "delta", "value")
+        lines.setdefault(label(row), []).append((row[x], row["value"]))
+    return [(name, sorted(lines[name], key=lambda p: p[0])) for name in sorted(lines)]
+
+
+def _bars(rows: list[dict], key, category: str) -> tuple[list, list]:
+    """The sorted ``category`` values, and for each sorted ``key(row)`` its value in each one.
+
+    A category that a key has no row for gives ``None``.
+    """
+    cells = {(key(row), row[category]): row["value"] for row in rows}
+    categories = sorted({c for _, c in cells})
+    keys = sorted({k for k, _ in cells})
+    return categories, [(k, [cells.get((k, c)) for c in categories]) for k in keys]
+
+
+def _curves_svg(path: Path, title: str) -> str:
+    rows = _read_csv(path, ("delta", "value"))
+    series = _lines(rows, lambda row: f'{row["model"]}/{row["group"]}', "delta")
+    return line_chart(series, title, "delta", "value")
 
 
 def _bars_svg(path: Path, title: str) -> str:
-    rows = _read_csv(path, ["model", "measure", "group", "value"], ("value",))
-    disp: dict[str, dict] = {}
-    for row in rows:
-        if row["group"] == "__disparity__":
-            disp.setdefault(row["measure"], {})[row["model"]] = row["value"]
-    categories = sorted(disp)
-    models = sorted({m for vals in disp.values() for m in vals})
-    series = [(m, [disp[c].get(m) for c in categories]) for m in models]
+    rows = [row for row in _read_csv(path, ("value",)) if row["group"] == "__disparity__"]
+    categories, series = _bars(rows, lambda row: row["model"], "measure")
     return bar_chart(categories, series, title, "disparity")
 
 
 def _segregation_svg(path: Path) -> str:
-    rows = _read_csv(path, ["model", "measure", "population", "value"], ("value",))
-    data: dict[tuple[str, str], dict] = {}
-    for row in rows:
-        data.setdefault((row["model"], row["population"]), {})[row["measure"]] = row["value"]
-    categories = sorted({m for vals in data.values() for m in vals})
-    series = [
-        (f"{model}/{popname}", [data[(model, popname)].get(c) for c in categories])
-        for model, popname in sorted(data)
-    ]
+    rows = _read_csv(path, ("value",))
+    categories, series = _bars(rows, lambda row: (row["model"], row["population"]), "measure")
+    series = [(f"{model}/{popname}", values) for (model, popname), values in series]
     return bar_chart(categories, series, "Segregation before vs after imitation", "value")
 
 
 def _tau_svg(path: Path) -> str:
-    rows = _read_csv(path, ["tau", "measure", "value"], ("tau", "value"))
-    series: dict[str, list] = {}
-    for row in rows:
-        series.setdefault(row["measure"], []).append((row["tau"], row["value"]))
-    ordered = [(label, sorted(series[label])) for label in sorted(series)]
-    return line_chart(ordered, "Impact measures vs constraint strength", "tau", "value")
+    series = _lines(_read_csv(path, ("tau", "value")), lambda row: row["measure"], "tau")
+    return line_chart(series, "Impact measures vs constraint strength", "tau", "value")
 
 
 FIGURES = {
     "bounded_effort_curves.csv": (
         "bounded_effort_curves.svg",
-        lambda p: _curves_svg(p, False, "Best reward within an effort budget"),
+        lambda p: _curves_svg(p, "Best reward within an effort budget"),
     ),
     "threshold_reward_curves.csv": (
         "threshold_reward_curves.svg",
-        lambda p: _curves_svg(p, True, "Least effort to reach a reward level"),
+        lambda p: _curves_svg(p, "Least effort to reach a reward level"),
     ),
     "fairness_bars.csv": ("fairness_bars.svg", lambda p: _bars_svg(p, "Unfairness measures")),
     "segregation.csv": ("segregation.svg", _segregation_svg),

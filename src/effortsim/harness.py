@@ -47,6 +47,7 @@ from .fairness import (
     audit_benefits,
     residual_differences,
 )
+from .figures import REPORT_COLUMNS
 from .models import (
     Predictor,
     evaluate,
@@ -116,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.beta < 1.0):
             raise SchemaError("train_fraction and beta must lie in (0,1)")
+        if self.seed < 0 or self.split_seed < 0:
+            raise SchemaError(f"seed must be >= 0, got seed {self.seed} and split seed {self.split_seed}")
         if self.delta_points < 2:
             raise SchemaError(f"delta_grid_points must be >= 2, got {self.delta_points}")
         if self.sweep_features not in FEATURE_SETS:
@@ -374,9 +377,9 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
         walk = {"tiles": audit.tiles, "pairs": audit.pairs, "feasible_pairs": audit.feasible_pairs}
         runner.timings.append({"audit": {**walk, "staircases": sizes}})
-        for measure, fname, extra_columns in (
-            (BOUNDED_EFFORT, "bounded_effort_curves.csv", []),
-            (THRESHOLD_REWARD, "threshold_reward_curves.csv", ["feasibility"]),
+        for measure, fname in (
+            (BOUNDED_EFFORT, "bounded_effort_curves.csv"),
+            (THRESHOLD_REWARD, "threshold_reward_curves.csv"),
         ):
             rows = []
             for name, h in sorted(models.items()):
@@ -385,8 +388,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                 for g in sorted(curve.per_group_values):
                     for idx, (d, v) in enumerate(zip(curve.deltas, curve.per_group_values[g])):
                         rows.append([name, g, d, v] + ([feas[g][idx]] if feas else []))
-            header = ["model", "group", "delta", "value"] + extra_columns
-            write_table(runner.file(fname), header, rows)
+            write_table(runner.file(fname), REPORT_COLUMNS[fname], rows)
         return audit
 
     audit = runner.run("delta_curves", curves)
@@ -410,7 +412,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
                 for g, v in sorted(rep.per_group_value.items()):
                     bars.append([name, rep.measure, g, v])
                 bars.append([name, rep.measure, "__disparity__", rep.disparity])
-        write_table(runner.file("fairness_bars.csv"), ["model", "measure", "group", "value"], bars)
+        write_table(runner.file("fairness_bars.csv"), REPORT_COLUMNS["fairness_bars.csv"], bars)
         _write_json(runner.file("fairness_report.json"), combined)
 
     runner.run("reports", reports)
@@ -485,8 +487,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
                 "after": after.to_dict(),
                 "dynamics": impact.metadata,
             }
-        header = ["model", "measure", "population", "value"]
-        write_table(runner.file("segregation.csv"), header, seg_rows)
+        write_table(runner.file("segregation.csv"), REPORT_COLUMNS["segregation.csv"], seg_rows)
         _write_json(runner.file("simulate_report.json"), report)
 
     runner.run("segregation", summary)
@@ -527,7 +528,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
                 initial=before.to_dict(),
                 impacted=after.to_dict(),
             )
-        write_table(runner.file("tau_sweep.csv"), ["tau", "measure", "value"], rows)
+        write_table(runner.file("tau_sweep.csv"), REPORT_COLUMNS["tau_sweep.csv"], rows)
         _write_json(runner.file("tau_report.json"), details)
 
     runner.run("emit", emit)
@@ -545,6 +546,8 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
     shift = _number(raw.get("shift", 0.0), "synthetic spec shift")
     if not isinstance(sizes, (dict, list)):
         raise SchemaError(f"synthetic spec group_sizes must be an object or a list, got {sizes!r}")
+    if seed < 0:
+        raise SchemaError(f"synthetic spec seed must be >= 0, got {seed}")
     if not math.isfinite(shift):
         raise SchemaError(f"synthetic spec shift must be finite, got {shift!r}")
     schema = schema_from_dict({k: raw[k] for k in SCHEMA_KEYS if k in raw})

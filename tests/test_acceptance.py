@@ -470,33 +470,42 @@ SYNTH_RUNS = {
     "synth-impact": ({"name": "tree", "kind": "tree", "max_depth": 5, "features": "all"}, cmd_simulate),
 }
 
-# sha256 of every output of those runs apart from the timings, for seeds 3
-# and 11. The config names its files by relative paths, so the config hash
-# in the manifests does not depend on where the run happens.
+# sha256 of every output of those runs and of their charts apart from the
+# timings, for seeds 3 and 11. Blank values in the threshold-reward curves
+# leave gaps in their lines, which no bundled chart has. The config names its
+# files by relative paths, so the config hash in the manifests does not
+# depend on where the run happens.
 SYNTH_SHA256 = {
     ("synth-audit", 3): {
         "bounded_effort_curves.csv": "483aff8823022e3ed3c5c5890dce692c8218d262a2fca4b6833bcaf07594f6ce",
+        "bounded_effort_curves.svg": "adb1c2f2ddb6b43b2d01c02dc68fda1b279894babc5ae95252a6197892a46b23",
         "fairness_bars.csv": "0c3dedf28c4e554a2bd75904d6b459f5d2b9dd3b6035f4ed942f3cb99efed073",
+        "fairness_bars.svg": "ea183af269dc273f5b6c1cf104df7b16edbc81deab6b7e457f8b2a636132c0a6",
         "fairness_report.json": "94fedbd3b93c6192574b62f48ad0ea9d4355f01a9c387e766330e75159c12d2d",
         "mae_report.json": "93ba67987b080c0ef984247212c1ab37515d72d4a470adc1829d4a72b94b334b",
         "manifest_fairness.json": "d604a7b0480ac42ae305bc827207ebac40a06045aea7958aeb9b4427a29bf937",
         "models.json": "fc1881b42a3853f8403c71b5510eeb7b2c5603157929e183531731cf700b683e",
         "threshold_reward_curves.csv": "091b1210beeba5fd1741f2deee8381a6a65f3c834b972803b7d2c5441bbf8c2c",
+        "threshold_reward_curves.svg": "03811b626ea82ab4e7fb781eb83fe31bbbaed59acf12b697da58d913e1095559",
     },
     ("synth-audit", 11): {
         "bounded_effort_curves.csv": "d6aa78762633e167927ac989df2b094f49e56a27d205425a10c33ee85ea03e9a",
+        "bounded_effort_curves.svg": "345e9d77e72881779a6ed99905fe6444611c84bbf8322eb15bb8585382817f3d",
         "fairness_bars.csv": "bd53a3679602e12d42df3bcf5a008c71b50808c6c4338a84b2618127db0bbe0a",
+        "fairness_bars.svg": "7b84dbd3a131266f10c5b9739a9145f788f853819c7d7d5ec2fc7709e2fcb98d",
         "fairness_report.json": "de7c65cc2bfd9436c738fb5b691c83c3b64e3881fe42d64a8a9d3a483559112b",
         "mae_report.json": "67e1eca9b2f5f3b1676df63b44c28658353ea047bdceb5cdfca17a9c3c0bd34f",
         "manifest_fairness.json": "db004b87ed05ba2e512426ffaddde962bba5ef007a37e596283ea9ba9010ff2a",
         "models.json": "034a654d07d7945c15e27e745c395105532e985455a1e99023c6751b7822308c",
         "threshold_reward_curves.csv": "ec4eed6ae76be3cafca0663cc6aa761cb91ac24de02f051e30453e7965a93d6f",
+        "threshold_reward_curves.svg": "b9f14602a1f93714eb5110f92a499150330259ed17c74dca94ac04da3521f4d3",
     },
     ("synth-impact", 3): {
         "impacted_tree.csv": "e2e076fe39ae29b43bb4753f14108ad2f47109d980ea5a37ba09132335c3c8e8",
         "manifest_simulate.json": "db1757f2044c577260dc17d8cf6507bd5d1600aff25b189fbe26a46ebee7fb13",
         "outcomes_tree.json": "cfa0e2dc1072bb67c564b137395037f8c62c4e18a9492990181ae72c02746c72",
         "segregation.csv": "41b14d6fcdf893e241ba89c52f401adc09c4732ee4f3bbc501e1fabe3e13ea9c",
+        "segregation.svg": "54fa3f444d4ea3320ce4b50d777cc834f27cc98e44b816bc2ae80b1766ae7999",
         "shift_tree.json": "9fd3c4c00161acc7f25723ff58d160c5be0ecae59db042192d594de25d45eafd",
         "simulate_report.json": "b749c00c0d0a72afcab60154ec754e8f6a7527140bf8bb55a8fc4f2534a2c768",
     },
@@ -505,6 +514,7 @@ SYNTH_SHA256 = {
         "manifest_simulate.json": "f436542f41ffaa1c818158bc3e164c39e6099a45fd147313bf2d974a92fc4226",
         "outcomes_tree.json": "6a08f255ed66d2702646d002a577c7212f118730b7772ea5273a8a543348be44",
         "segregation.csv": "c2a1fab915a95b4ad6ea431f1ff3a2b0ed7bff5db441ddd315e139cd67a4a84b",
+        "segregation.svg": "83b0f28fc6e44771ae12212a1ebafc61ccdfb2cca58c2fb917adad7d6dcf3052",
         "shift_tree.json": "330ca064f1b7cdc4fb054cbe55e66218def70c146882cbd76742b778632a5989",
         "simulate_report.json": "4ee777f2c917a17b69f10b0e9b3352f3ee52553305796df90119c239f39de90e",
     },
@@ -523,7 +533,9 @@ def test_synthetic_outputs_keep_their_sha256(tmp_path, workload, seed):
         split={"train_fraction": 0.7, "seed": seed},
         models=[model],
     )
-    differ = _differ_from_pins(_run_config(tmp_path, raw, [command]), SYNTH_SHA256[workload, seed])
+    out = _run_config(tmp_path, raw, [command])
+    cmd_figures(out)
+    differ = _differ_from_pins(out, SYNTH_SHA256[workload, seed])
     assert not differ, f"outputs that differ from the pinned table: {', '.join(differ)}"
 
 

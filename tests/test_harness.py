@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from collections import Counter
 import os
@@ -18,7 +19,7 @@ import effortsim
 from effortsim import cli, data_path, harness, segregation
 from effortsim.dataset import load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
-from effortsim.figures import _esc, cmd_figures
+from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
 from effortsim.harness import (
     cmd_fairness,
     cmd_simulate,
@@ -120,6 +121,7 @@ class TestConfig:
             ("fairness", [(("seed",), 28.9)]),
             ("fairness", [(("seed",), True)]),
             ("fairness", [(("split", "seed"), 28.0)]),
+            ("fairness", [(("split", "seed"), -5)]),
             ("fairness", [(("models", 2, "max_depth"), 2.7)]),
             ("fairness", [(("models", 0, "lambda"), "200")]),
             ("simulate", [(("beta",), "0.5")]),
@@ -176,6 +178,7 @@ class TestConfig:
             "fractional_seed",
             "bool_seed",
             "float_split_seed",
+            "negative_split_seed",
             "fractional_max_depth",
             "string_lambda",
             "string_beta",
@@ -401,6 +404,12 @@ class TestFairnessCommand:
             assert cli.main(argv + (["--seed", "7"] if out == "cli" else [])) == 0
         _assert_same_files(toy_dir / "cli", toy_dir / "file")
         assert (toy_dir / "cli" / "manifest_fairness.json").exists()
+
+    def test_negative_cli_seed_is_config_error(self, toy_dir, capsys):
+        argv = ["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (toy_dir / "o").exists()
 
     def test_each_model_predicted_once_by_the_audit(self, toy_dir, monkeypatch):
         audit_calls = []
@@ -741,6 +750,13 @@ class TestFiguresCommand:
         (tmp_path / "tau_sweep.csv").write_text('tau,measure,value\n0,aci, "0.5"\n1,aci,\n')
         assert [p.name for p in cmd_figures(tmp_path)] == ["tau_sweep.svg"]
 
+    def test_lines_follow_x_order(self, tmp_path):
+        # Points are sorted on tau alone, so a repeated tau with a blank value draws too.
+        (tmp_path / "tau_sweep.csv").write_text("tau,measure,value\n1,aci,0.25\n0,aci,\n0,aci,0.5\n")
+        cmd_figures(tmp_path)
+        svg = (tmp_path / "tau_sweep.svg").read_text()
+        assert 'points="70.00,54.09 480.00,335.91"' in svg and "<circle" not in svg
+
     def test_regeneration_is_byte_identical(self, toy_dir):
         out = toy_dir / "out"
         config = load_config(toy_dir / "config.json")
@@ -752,6 +768,36 @@ class TestFiguresCommand:
 
     def test_no_known_csvs_is_error(self, tmp_path):
         assert cli.main(["figures", "--out", str(tmp_path)]) == 3
+
+    # Paths that no bundled chart takes; each sha256 pins the chart's exact text.
+    def test_line_chart_breaks_lines_at_missing_values(self):
+        series = [
+            ("gaps", [(0.0, None), (1.0, 1.0), (2.0, 2.0), (3.0, None), (4.0, 0.5), (5.0, 1.5), (6.0, None)]),
+            ("lone", [(0.0, None), (1.0, None), (2.0, 3.0), (3.0, None)]),
+            ("empty", [(0.0, None), (6.0, None)]),
+        ]
+        svg = line_chart(series, "Gaps", "delta", "value")
+        marks = [line for line in svg.splitlines() if line.startswith(("<polyline", "<circle"))]
+        assert marks == [
+            '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="138.33,279.55 206.67,166.82"/>',
+            '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" points="343.33,335.91 411.67,223.18"/>',
+            '<circle cx="206.67" cy="54.09" r="2.5" fill="#d62728"/>',
+        ]
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "c0d91212e05f890b69e97b1bf927be5d9c5f303c9f6bb9b5f369fe8c95b1b736"
+        )
+
+    def test_bar_chart_skips_missing_bars(self):
+        series = [("s1", [1.0, None, -0.5]), ("s2", [None, None, 2.0]), ("s3", [None, None, None])]
+        svg = bar_chart(["a", "b", "c"], series, "Bars", "value")
+        assert [line for line in svg.splitlines() if line.startswith("<rect x=\"")][:3] == [
+            '<rect x="83.67" y="164.00" width="36.44" height="124.00" fill="#1f77b4"/>',
+            '<rect x="357.00" y="288.00" width="36.44" height="62.00" fill="#1f77b4"/>',
+            '<rect x="393.44" y="40.00" width="36.44" height="248.00" fill="#d62728"/>',
+        ]
+        assert hashlib.sha256(svg.encode()).hexdigest() == (
+            "2bbafbdcf488f89a847d209bdd010b7092c31c14bfdac993aa0460fd5bef3448"
+        )
 
 
 class TestSynthCommand:
@@ -773,6 +819,7 @@ class TestSynthCommand:
             {"seed": "abc"},
             {"seed": 2.0},
             {"seed": True},
+            {"seed": -3},
             {"shift": "x"},
             {"shift": float("nan")},
             {"shift": float("inf")},
@@ -787,6 +834,7 @@ class TestSynthCommand:
             "string_seed",
             "float_seed",
             "bool_seed",
+            "negative_seed",
             "string_shift",
             "nan_shift",
             "infinite_shift",
