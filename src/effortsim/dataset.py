@@ -7,8 +7,9 @@ reads, so each is sorted on first use, cached and never mutated.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import itertools
 import json
 import math
 import numbers
@@ -168,13 +169,18 @@ class FeatureSchema:
         return repr(float(value))
 
 
-def _kind_from_dict(d: Mapping) -> FeatureKind:
-    levels = d.get("levels")
-    return FeatureKind(
-        kind=d["kind"],
-        direction=d.get("direction"),
-        levels=tuple(levels) if levels is not None else None,
-    )
+def json_number(value, what: str, integer: bool = False):
+    """``value`` as a JSON number, an int if ``integer`` and else a float; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
+def json_string(value, what: str, optional: bool = False):
+    """``value`` as a JSON string, or None if ``optional``; never a number, a list or a bool."""
+    if not (isinstance(value, str) or optional and value is None):
+        raise SchemaError(f"{what} must be a string{' or null' if optional else ''}, got {value!r}")
+    return value
 
 
 # The keys a schema and each of its feature entries may hold; any other key is an error.
@@ -197,19 +203,28 @@ def schema_from_dict(d: Mapping) -> FeatureSchema:
         for fd in d["features"]:
             if not isinstance(fd, Mapping):
                 raise SchemaError(f"schema features must be JSON objects, got {type(fd).__name__}")
-            _check_keys(fd, FEATURE_KEYS, f"schema feature {fd.get('name')!r}")
+            what = f"schema feature {fd.get('name')!r}"
+            _check_keys(fd, FEATURE_KEYS, what)
+            if not isinstance(fd["mutable"], bool):
+                raise SchemaError(f"{what} mutable must be true or false, got {fd['mutable']!r}")
+            levels = fd.get("levels")
+            if levels is not None and not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
+                raise SchemaError(f"{what} levels must be a list of strings, got {levels!r}")
             feats.append(
                 Feature(
-                    name=fd["name"],
-                    kind=_kind_from_dict(fd),
-                    mutable=bool(fd["mutable"]),
-                    weight=float(fd.get("weight", 1.0)),
+                    name=json_string(fd["name"], "schema feature name"),
+                    kind=FeatureKind(fd["kind"], fd.get("direction"), None if levels is None else tuple(levels)),
+                    mutable=fd["mutable"],
+                    weight=json_number(fd.get("weight", Feature.weight), f"{what} weight"),
                     categorical_cost=(
-                        float(fd["categorical_cost"]) if "categorical_cost" in fd else None
+                        json_number(fd["categorical_cost"], f"{what} categorical_cost")
+                        if "categorical_cost" in fd
+                        else None
                     ),
                 )
             )
-        return FeatureSchema(features=tuple(feats), sensitive=d["sensitive"], label=d["label"])
+        sensitive, label = (json_string(d[key], f"schema {key}") for key in ("sensitive", "label"))
+        return FeatureSchema(features=tuple(feats), sensitive=sensitive, label=label)
     except KeyError as exc:
         raise SchemaError(f"schema missing required field: {exc}") from None
     except SchemaError:
@@ -234,21 +249,28 @@ def schema_to_dict(schema: FeatureSchema) -> dict:
     return {"features": feats, "sensitive": schema.sensitive, "label": schema.label}
 
 
-def _read_text(path: str | Path, error: type[ValueError], what: str) -> str:
-    """The UTF-8 text of file ``path``; a file that cannot be read or decoded raises ``error``."""
+@contextlib.contextmanager
+def _text_file(path: str | Path, error: type[ValueError], what: str):
+    """File ``path`` open as UTF-8 text; failing to read or decode it inside the block raises ``error``."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+            yield fh
     except OSError as exc:
         raise error(f"{what} {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
+        # A streamed read reports the offset within its chunk; decoding the whole file gives the file's.
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise error(f"{what} {path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def read_json(path: str | Path, what: str):
     """The JSON document in file ``path``; an unreadable or invalid file is a ``SchemaError``."""
     try:
-        return json.loads(_read_text(path, SchemaError, what))
+        with _text_file(path, SchemaError, what) as fh:
+            return json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} {path}: not valid JSON ({exc})") from None
 
@@ -286,10 +308,7 @@ class Population:
         self._label_tables: dict[str, np.ndarray] = {}
         garr = np.array(self.groups, dtype=object)
         for g in self.group_names:
-            rows = np.flatnonzero(garr == g)
-            if rows.size == 0:
-                raise DataError(f"group {g!r} is empty")
-            self._group_rows[g] = rows
+            self._group_rows[g] = np.flatnonzero(garr == g)
 
     @property
     def size(self) -> int:
@@ -331,23 +350,21 @@ def read_table(path: str | Path, what: str) -> tuple[list[str], list[int], list[
     Header names lose blanks and '"'; blank lines are skipped. An empty file, a
     row of the wrong width or no data rows is a ``DataError`` naming the line.
     """
-    text = _read_text(path, DataError, what)
-    first = text.partition("\n")[0]
-    delim = ";" if first.count(";") > first.count(",") else ","
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delim)
-    del text  # the reader's buffer holds its own copy
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip().strip('"') for h in header]
-    lines, rows = [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
-        lines.append(reader.line_num)
-        rows.append(row)
+    with _text_file(path, DataError, what) as fh:
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: empty file")
+        delim = ";" if first.count(";") > first.count(",") else ","
+        reader = csv.reader(itertools.chain([first], fh), delimiter=delim)
+        header = [h.strip().strip('"') for h in next(reader)]
+        lines, rows = [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}")
+            lines.append(reader.line_num)
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return header, lines, rows

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import effort
 from .dataset import Population
-from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
+from .effort import EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
 
@@ -81,7 +81,7 @@ class RoundResults(list):
         return [fp for result in self for fp in result.focal_points]
 
 
-def _best_moves(models: Sequence, pop: Population, params: EffortParams, benefit: str):
+def _best_moves(models: Sequence, pop: Population, params: EffortParams):
     """Each model's utility-maximising candidate per row, with its reward, effort and utility.
 
     One walk over the mutable-only effort row tiles serves every model. Per
@@ -102,7 +102,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, benefit
         r = np.arange(rows.shape[0])
         for m, block in enumerate(blocks):
             preds = block(rows, out=preds_buf[: r.shape[0]])
-            rewards = risk_adjusted(benefit_value(benefit, pop.y, preds), params.alpha)
+            rewards = params.reward(pop.y, preds)
             own_benefit = rewards[r, rows]  # a copy, taken before the subtraction
             np.subtract(rewards, own_benefit[:, None], out=rewards)
             utils = np.subtract(rewards, tile, out=utils_buf[: r.shape[0]])
@@ -147,9 +147,7 @@ def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> 
     )
 
 
-def simulate(
-    models: Sequence, pop: Population, params: EffortParams, benefit: str
-) -> RoundResults:
+def simulate(models: Sequence, pop: Population, params: EffortParams) -> RoundResults:
     """Apply the imitation rule of each model to every individual against the frozen data.
 
     An imitation target keeps the individual's own non-mutable entries, so
@@ -158,7 +156,7 @@ def simulate(
     ``ImpactResult`` per model, in order; each equals that model's result
     when simulated alone.
     """
-    best, reward, exerted, utility = _best_moves(models, pop, params, benefit)
+    best, reward, exerted, utility = _best_moves(models, pop, params)
     return RoundResults(
         _impact(
             pop,
@@ -167,7 +165,7 @@ def simulate(
             exerted[m],
             utility[m],
             {
-                "benefit": benefit,
+                "benefit": params.benefit,
                 "alpha": params.alpha,
                 "label_rule": "adopt_role_model_label",
                 "rounds": 1,

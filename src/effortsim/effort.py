@@ -68,22 +68,26 @@ def _is_number(x) -> bool:
 
 @dataclass(frozen=True)
 class EffortParams:
-    """Cost model knobs: risk aversion, base costs, weights.
+    """The utility model: the benefit of a prediction, risk aversion and the cost model.
 
-    ``base_cost`` is a single float applied to every group or a mapping
-    group -> cost. ``feature_weights`` may be flat ``{feature: w}`` or
-    nested ``{group: {feature: w}}``; unspecified weights fall back to the
-    schema feature's own weight (default 1). ``categorical_cost`` is the
-    default flat cost of changing a categorical feature, overridable per
-    feature in the schema.
+    ``benefit`` (one of ``BENEFITS``) and the risk aversion ``alpha`` make
+    ``reward``. ``base_cost`` is a single float applied to every group or a
+    mapping group -> cost. ``feature_weights`` may be flat ``{feature: w}``
+    or nested ``{group: {feature: w}}``; a group's nested map replaces the
+    flat entries, and unspecified weights fall back to the schema feature's
+    own weight (default 1). ``categorical_cost`` is the default flat cost of
+    changing a categorical feature, overridable per feature in the schema.
     """
 
     alpha: float = 1.0
     base_cost: float | Mapping[str, float] = 0.0
     categorical_cost: float = 0.5
     feature_weights: Mapping | None = None
+    benefit: str = BENEFIT_PREDICTED
 
     def __post_init__(self) -> None:
+        if self.benefit not in BENEFITS:
+            raise SchemaError(f"unknown benefit {self.benefit!r}")
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise SchemaError(f"alpha must be a positive finite real, got {self.alpha}")
         if not (self.categorical_cost >= 0 and math.isfinite(self.categorical_cost)):
@@ -94,15 +98,15 @@ class EffortParams:
                 raise SchemaError("base costs must be finite and >= 0")
         if not (self.feature_weights is None or isinstance(self.feature_weights, Mapping)):
             raise SchemaError("feature_weights must map features or groups to weights")
-        for _, weights in self._weight_maps():
-            for name, w in weights.items():
+        # feature_weights decoded once: {group: {feature: w}}, with the flat entries under None
+        weights: dict = {}
+        for key, value in (self.feature_weights or {}).items():
+            group, entries = (key, value) if isinstance(value, Mapping) else (None, {key: value})
+            for name, w in entries.items():
                 if not (_is_number(w) and w >= 0 and math.isfinite(w)):
                     raise SchemaError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
-
-    def _weight_maps(self):
-        """``(group, {feature: w})`` of each ``feature_weights`` entry; ``group`` is None if flat."""
-        for key, value in (self.feature_weights or {}).items():
-            yield (key, value) if isinstance(value, Mapping) else (None, {key: value})
+            weights.setdefault(group, {}).update(entries)
+        object.__setattr__(self, "_weights", weights)
 
     def check_names(self, pop: Population) -> None:
         """Every group and feature that the cost model names exists in ``pop``."""
@@ -114,12 +118,16 @@ class EffortParams:
 
         for g in self.base_cost if isinstance(self.base_cost, Mapping) else ():
             check(g, groups, "base_costs group")
-        for group, weights in self._weight_maps():
+        for group, weights in self._weights.items():
             if group is not None:
                 check(group, groups, "feature_weights group")
             what = "feature_weights feature" if group is None else f"feature_weights[{group!r}] feature"
             for f in weights:
                 check(f, features, what)
+
+    def reward(self, y, y_hat):
+        """The risk-adjusted benefit of receiving prediction ``y_hat`` (scalar or vectorized)."""
+        return risk_adjusted(benefit_value(self.benefit, y, y_hat), self.alpha)
 
     def base_cost_for(self, group: str) -> float:
         if isinstance(self.base_cost, Mapping):
@@ -127,13 +135,7 @@ class EffortParams:
         return float(self.base_cost)
 
     def weight_for(self, group: str, feature: Feature) -> float:
-        w = None
-        fw = self.feature_weights
-        if fw is not None:
-            if group in fw and isinstance(fw[group], Mapping):
-                w = fw[group].get(feature.name)
-            elif feature.name in fw and not isinstance(fw.get(feature.name), Mapping):
-                w = fw[feature.name]
+        w = self._weights.get(group, self._weights.get(None, {})).get(feature.name)
         return float(feature.weight if w is None else w)
 
     def categorical_cost_for(self, feature: Feature) -> float:

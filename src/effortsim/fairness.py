@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Population
-from .effort import EffortEngine, EffortParams, benefit_value, risk_adjusted
+from .effort import EffortEngine, EffortParams
 
 BOUNDED_EFFORT = "bounded_effort"
 THRESHOLD_REWARD = "threshold_reward"
@@ -139,22 +139,14 @@ class _Staircases:
         return np.maximum.reduceat(self.rewards() - self.val, self.starts[:-1])
 
 
-def audit_benefits(
-    pop: Population, params: EffortParams, benefit: str, models: Iterable
-) -> list[np.ndarray]:
-    """Each model's risk-adjusted benefit of every row of ``pop``, as ``FairnessAudit`` takes it.
+def audit_benefits(pop: Population, params: EffortParams, models: Iterable) -> list[np.ndarray]:
+    """Each model's ``params.reward`` for every row of ``pop``, as ``FairnessAudit`` takes it.
 
     A negative benefit under a non-integer risk aversion is a
     ``SchemaError``, so a caller can check the cost model before it writes
     anything.
     """
-    return [
-        np.asarray(
-            risk_adjusted(benefit_value(benefit, pop.y, h.predict(pop)), params.alpha),
-            dtype=np.float64,
-        )
-        for h in models
-    ]
+    return [np.asarray(params.reward(pop.y, h.predict(pop)), dtype=np.float64) for h in models]
 
 
 class FairnessAudit:
@@ -178,17 +170,15 @@ class FairnessAudit:
         self,
         pop: Population,
         params: EffortParams,
-        benefit: str,
         models: Iterable,
         benefits: Sequence[np.ndarray] | None = None,
     ):
         self.pop = pop
         self.params = params
-        self.benefit = benefit
         self.models = tuple(models)
         n = pop.size
         if benefits is None:
-            benefits = audit_benefits(pop, params, benefit, self.models)
+            benefits = audit_benefits(pop, params, self.models)
         orders = [np.argsort(b, kind="stable") for b in benefits]
         positions = [np.empty_like(asc) for asc in orders]
         for asc, position in zip(orders, positions):
@@ -255,7 +245,7 @@ class FairnessAudit:
             disparity=_disparity(values),
             metadata={
                 "candidate_set": "population",
-                "benefit": self.benefit,
+                "benefit": self.params.benefit,
                 "alpha": self.params.alpha,
                 "floor": "stay_put_zero_utility",
             },

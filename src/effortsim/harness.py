@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     ALL_FEATURES,
@@ -37,9 +35,11 @@ from .dataset import (
     write_csv,
     write_table,
     generate_synthetic,
+    json_number,
+    json_string,
 )
 from .dynamics import feature_shift_report, simulate
-from .effort import BENEFITS, EffortParams
+from .effort import EffortParams
 from .fairness import (
     BOUNDED_EFFORT,
     THRESHOLD_REWARD,
@@ -103,7 +103,6 @@ class ExperimentConfig:
     split_seed: int
     models: tuple
     effort: EffortParams
-    benefit: str
     delta_points: int
     tau_grid: tuple
     sweep_features: str
@@ -169,45 +168,32 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _number(value, what: str, integer: bool = False):
-    """``value`` as a config number, an int if ``integer`` and else a float; never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value if integer else float(value)
-
-
-def _string(value, what: str, optional: bool = False):
-    """``value`` as a config string, or None if ``optional``; never a number, a list or a bool."""
-    if not (isinstance(value, str) or optional and value is None):
-        raise SchemaError(f"{what} must be a string{' or null' if optional else ''}, got {value!r}")
-    return value
-
-
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
         _object(raw, "config")
-        seed = _number(raw.get("seed", 0), "seed", integer=True)
+        seed = json_number(raw.get("seed", 0), "seed", integer=True)
         split_cfg = _object(raw.get("split", {}), "split")
-        benefit = raw.get("benefit", "predicted")
-        if benefit not in BENEFITS:
-            raise SchemaError(f"unknown benefit {benefit!r}")
         effort_cfg = _object(raw.get("effort", {}), "effort")
+        # An absent key takes the default of the field it sets.
         effort = EffortParams(
-            alpha=_number(effort_cfg.get("alpha", 1.0), "alpha"),
-            base_cost=effort_cfg.get("base_costs", 0.0),
-            categorical_cost=_number(effort_cfg.get("categorical_cost", 0.5), "categorical_cost"),
+            alpha=json_number(effort_cfg.get("alpha", EffortParams.alpha), "alpha"),
+            base_cost=effort_cfg.get("base_costs", EffortParams.base_cost),
+            categorical_cost=json_number(
+                effort_cfg.get("categorical_cost", EffortParams.categorical_cost), "categorical_cost"
+            ),
             feature_weights=effort_cfg.get("feature_weights"),
+            benefit=raw.get("benefit", EffortParams.benefit),
         )
         models = []
         for md in raw.get("models", []):
             _object(md, "model")
             spec = ModelSpec(
-                name=_string(md["name"], "model name"),
-                kind=_string(md["kind"], "model kind"),
-                features=_string(md.get("features", ALL_FEATURES), "model features"),
-                ridge_lambda=_number(md.get("lambda", 0.0), "lambda"),
-                max_depth=_number(md.get("max_depth", 5), "max_depth", integer=True),
-                tau=_number(md.get("tau", 0.0), "tau"),
+                name=json_string(md["name"], "model name"),
+                kind=json_string(md["kind"], "model kind"),
+                features=json_string(md.get("features", ALL_FEATURES), "model features"),
+                ridge_lambda=json_number(md.get("lambda", 0.0), "lambda"),
+                max_depth=json_number(md.get("max_depth", 5), "max_depth", integer=True),
+                tau=json_number(md.get("tau", 0.0), "tau"),
             )
             idle = sorted(set(md) - {"name", "kind", "features", *MODEL_KNOBS[spec.kind]})
             if idle:
@@ -221,23 +207,23 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         return ExperimentConfig(
             dataset=(base_dir / raw["dataset"]).resolve(),
             schema=(base_dir / raw["schema"]).resolve(),
-            train_fraction=_number(split_cfg.get("train_fraction", 0.7), "train_fraction"),
-            split_seed=_number(split_cfg.get("seed", seed), "split seed", integer=True),
+            train_fraction=json_number(split_cfg.get("train_fraction", 0.7), "train_fraction"),
+            split_seed=json_number(split_cfg.get("seed", seed), "split seed", integer=True),
             models=tuple(models),
             effort=effort,
-            benefit=benefit,
-            delta_points=_number(raw.get("delta_grid_points", 20), "delta_grid_points", integer=True),
+            delta_points=json_number(raw.get("delta_grid_points", 20), "delta_grid_points", integer=True),
             tau_grid=tuple(
-                _number(t, "tau_grid entry") for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
+                json_number(t, "tau_grid entry") for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
             ),
-            sweep_features=_string(sweep.get("features", ALL_FEATURES), "sweep features"),
-            beta=_number(raw.get("beta", 0.5), "beta"),
-            minority=_string(raw.get("minority"), "minority", optional=True),
+            sweep_features=json_string(sweep.get("features", ALL_FEATURES), "sweep features"),
+            beta=json_number(raw.get("beta", MetricContext.beta), "beta"),
+            minority=json_string(raw.get("minority"), "minority", optional=True),
             centralization_threshold=(
-                None if thresh is None else _number(thresh, "centralization_threshold")
+                None if thresh is None else json_number(thresh, "centralization_threshold")
             ),
-            connectivity_threshold=_number(
-                raw.get("connectivity_threshold", 1e-6), "connectivity_threshold"
+            connectivity_threshold=json_number(
+                raw.get("connectivity_threshold", MetricContext.connectivity_threshold),
+                "connectivity_threshold",
             ),
             seed=seed,
             raw=raw,
@@ -258,11 +244,8 @@ def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> P
         return fit_tree(pop, spec.max_depth)
     if spec.kind == "mlp":
         return fit_mlp(pop, seed=config.seed + 1)
-    if spec.kind == "constrained":
-        return fit_constrained_linear(
-            pop, spec.tau, config.benefit, _minority(config, train)
-        )
-    raise SchemaError(f"unknown model kind {spec.kind!r}")
+    # "constrained", the one kind left that ModelSpec admits
+    return fit_constrained_linear(pop, spec.tau, config.effort.benefit, _minority(config, train))
 
 
 def _minority(config: ExperimentConfig, pop: Population) -> str:
@@ -357,7 +340,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     def train_models():
         models = {spec.name: fit_model(spec, train, config) for spec in config.models}
         # Before any file: a benefit the risk model cannot take is a config error.
-        benefits = audit_benefits(train, config.effort, config.benefit, models.values())
+        benefits = audit_benefits(train, config.effort, models.values())
         mae = {
             name: {
                 "train": evaluate(h, train).to_dict(),
@@ -373,7 +356,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     models, mae, benefits = runner.run("train", train_models)
 
     def curves():
-        audit = FairnessAudit(train, config.effort, config.benefit, models.values(), benefits)
+        audit = FairnessAudit(train, config.effort, models.values(), benefits)
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
         walk = {"tiles": audit.tiles, "pairs": audit.pairs, "feasible_pairs": audit.feasible_pairs}
         runner.timings.append({"audit": {**walk, "staircases": sizes}})
@@ -395,7 +378,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
 
     def reports():
         bars = []
-        combined: dict = {"benefit": config.benefit, "models": {}}
+        combined: dict = {"benefit": config.effort.benefit, "models": {}}
         for name, h in sorted(models.items()):
             er = audit.effort_reward(h)
             pos, neg = residual_differences(h, train)
@@ -425,32 +408,29 @@ def _impact_runs(config: ExperimentConfig, runner: StageRunner, specs):
     Returns the training population, its ``MetricContext`` and each run's ``(spec, h, impact)``.
     """
     _, train, _ = _load_and_split(config)
-    ctx = MetricContext(reference=train, params=config.effort, minority=_minority(config, train))
-    models = runner.run("fit", lambda: [fit_model(s, train, config) for s in specs])
-    impacts = runner.run(
-        "imitation_round", lambda: simulate(models, train, config.effort, config.benefit)
+    ctx = MetricContext(
+        train, config.effort, _minority(config, train),
+        config.beta, config.connectivity_threshold, config.centralization_threshold,
     )
+    models = runner.run("fit", lambda: [fit_model(s, train, config) for s in specs])
+    impacts = runner.run("imitation_round", lambda: simulate(models, train, config.effort))
     return train, ctx, list(zip(specs, models, impacts))
 
 
-def _reports(ctx: MetricContext, train: Population, runs: list, config: ExperimentConfig):
+def _reports(ctx: MetricContext, runs: list):
     """Yield the ``(before, after)`` segregation reports of each ``(spec, h, impact)`` run.
 
-    Every run starts from the same training population, whose ACI and SSI do
-    not depend on the model, so they are measured once for all runs. Each
-    report records its centralization threshold in ``metadata["threshold"]``.
+    Every run starts from the training population ``ctx.reference``, whose
+    ACI and SSI do not depend on the model, so they are measured once for all
+    runs. Each report records its centralization threshold in
+    ``metadata["threshold"]``.
     """
-    conn = config.connectivity_threshold
-    initial = segregation.distance_indices(ctx, train, conn)
+    train = ctx.reference
+    initial = segregation.distance_indices(ctx, train)
     for _, h, impact in runs:
-        threshold = config.centralization_threshold
-        if threshold is None:
-            threshold = float(np.mean(h.predict(train)))
-        after_indices = segregation.distance_indices(ctx, impact.impacted, conn)
+        after_indices = segregation.distance_indices(ctx, impact.impacted)
         before, after = (
-            segregation.measure_population(
-                ctx, h, p, impact.focal_points, indices, config.beta, threshold, conn
-            )
+            segregation.measure_population(ctx, h, p, impact.focal_points, indices)
             for p, indices in ((train, initial), (impact.impacted, after_indices))
         )
         yield before, after
@@ -472,7 +452,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     def summary():
         seg_rows: list[list] = []
         report: dict = {}
-        for (spec, _, impact), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+        for (spec, _, impact), (before, after) in zip(runs, _reports(ctx, runs)):
             for pop_name, rep in (("initial", before), ("impacted", after)):
                 for measure, value in rep.values().items():
                     seg_rows.append([spec.name, measure, pop_name, value])
@@ -509,7 +489,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
             spec.name,
             lambda: {
                 "weights": h.to_dict(),
-                "benefit_gap": group_benefit_gap(h, train, config.benefit, ctx.minority),
+                "benefit_gap": group_benefit_gap(h, train, config.effort.benefit, ctx.minority),
                 "changed": sum(1 for o in impact.outcomes if o.changed),
             },
         )
@@ -518,7 +498,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
     def emit():
         rows: list[list] = []
-        for (spec, _, _), (before, after) in zip(runs, _reports(ctx, train, runs, config)):
+        for (spec, _, _), (before, after) in zip(runs, _reports(ctx, runs)):
             for measure, value in after.values().items():
                 rows.append([spec.tau, measure, value])
             entry = details[format_number(spec.tau)]
@@ -542,8 +522,8 @@ def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
         if key not in raw:
             raise SchemaError(f"synthetic spec missing {key!r}")
     sizes = raw["group_sizes"]
-    seed = _number(raw["seed"], "synthetic spec seed", integer=True)
-    shift = _number(raw.get("shift", 0.0), "synthetic spec shift")
+    seed = json_number(raw["seed"], "synthetic spec seed", integer=True)
+    shift = json_number(raw.get("shift", 0.0), "synthetic spec shift")
     if not isinstance(sizes, (dict, list)):
         raise SchemaError(f"synthetic spec group_sizes must be an object or a list, got {sizes!r}")
     if seed < 0:

@@ -28,11 +28,19 @@ POWER_MAX_ITER = 10000
 
 @dataclass(frozen=True)
 class MetricContext:
-    """Frozen quantile tables + cost model + protected-group choice."""
+    """Every setting of the segregation measures, frozen for before/after comparisons.
+
+    The quantile tables of ``reference``, the cost model, the protected group,
+    Atkinson's ``beta``, the least closeness SSI keeps as an edge, and the
+    centralization threshold (``None``: each model's mean prediction on ``reference``).
+    """
 
     reference: Population
     params: EffortParams
     minority: str
+    beta: float = 0.5
+    connectivity_threshold: float = 1e-6
+    centralization_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.minority not in self.reference.group_names:
@@ -255,9 +263,7 @@ def spectral_segregation(
     return total / B.shape[0]
 
 
-def distance_indices(
-    ctx: MetricContext, pop: Population, connectivity_threshold: float
-) -> tuple[float | None, float | None]:
+def distance_indices(ctx: MetricContext, pop: Population) -> tuple[float | None, float | None]:
     """ACI and SSI of a population, read off its distance tiles.
 
     The walk never holds the n x n distance matrix: each tile's closeness
@@ -282,7 +288,7 @@ def distance_indices(
                 minority_pairs += s
     return (
         absolute_clustering(pop.size, m, total, minority_rows, minority_pairs),
-        spectral_segregation(closeness, connectivity_threshold),
+        spectral_segregation(closeness, ctx.connectivity_threshold),
     )
 
 
@@ -312,20 +318,19 @@ def measure_population(
     pop: Population,
     focal_points: Sequence,
     indices: tuple[float | None, float | None],
-    beta: float = 0.5,
-    threshold: float = 0.0,
-    connectivity_threshold: float = 1e-6,
 ) -> SegregationReport:
     """All four measures of one population under one frozen context.
 
     ``indices`` is the population's ``(aci, ssi)`` from ``distance_indices``
-    at the same connectivity threshold; Atkinson and centralization are
-    computed here.
+    under ``ctx``; Atkinson and centralization are computed here.
     """
+    threshold = ctx.centralization_threshold
+    if threshold is None:
+        threshold = float(np.mean(h.predict(ctx.reference)))
     meta: dict = {
-        "beta": beta,
+        "beta": ctx.beta,
         "threshold": threshold,
-        "connectivity_threshold": connectivity_threshold,
+        "connectivity_threshold": ctx.connectivity_threshold,
         "minority": ctx.minority,
         "atkinson_form": "normalized (no 1/N factor; even configurations score 0)",
         "ssi_form": "sum over components of size * spectral radius / m (unnormalized)",
@@ -335,7 +340,7 @@ def measure_population(
         nearest = build_focal_neighborhoods(ctx, [fp.vector for fp in focal_points], pop)
         units = len(focal_points)
         minority = np.bincount(nearest[pop.group_rows(ctx.minority)], minlength=units)
-        atk = atkinson_index(minority, np.bincount(nearest, minlength=units), beta)
+        atk = atkinson_index(minority, np.bincount(nearest, minlength=units), ctx.beta)
     else:
         atk = None
         meta["atkinson_absent"] = "no focal points (nobody imitated)"

@@ -92,9 +92,9 @@ def sweep_point(audit, h, measure: str, delta: float) -> tuple[dict, dict | None
     )
 
 
-def run_simulate(h, pop: Population, params, benefit: str):
+def run_simulate(h, pop: Population, params):
     """One imitation round of ``h`` alone on ``pop``."""
-    [impact] = simulate([h], pop, params, benefit)
+    [impact] = simulate([h], pop, params)
     return impact
 
 

@@ -24,7 +24,10 @@ _KIND_POOL = (
 
 
 def random_instance(seed: int, max_individuals: int = 30):
-    """(population, params, predictor, benefit) with mixed feature kinds."""
+    """(population, params, predictor, benefit) with mixed feature kinds.
+
+    ``params.benefit`` is ``benefit``, which is returned too for the oracles: they take it alone.
+    """
     rng = np.random.default_rng(seed)
     n_extra = int(rng.integers(3, 7))
     features = [
@@ -71,14 +74,14 @@ def random_instance(seed: int, max_individuals: int = 30):
     y = np.round(rng.normal(size=n) + X @ rng.normal(0.0, 0.5, size=X.shape[1]), 3)
     pop = Population(schema, X, y, ["a"] * n_a + ["b"] * n_b)
 
-    params = EffortParams(
-        alpha=1.0,
-        base_cost=float(rng.choice([0.0, 0.0, 0.05])),
-        categorical_cost=float(rng.choice([0.5, 0.25])),
-    )
+    base_cost = float(rng.choice([0.0, 0.0, 0.05]))
+    categorical_cost = float(rng.choice([0.5, 0.25]))
     weights = rng.normal(0.0, 1.0, size=schema.size)
     h = LinearPredictor(schema.names, weights, float(rng.normal()), kind="linear")
     benefit = "predicted" if rng.random() < 0.7 else "shifted_gain"
+    params = EffortParams(
+        alpha=1.0, base_cost=base_cost, categorical_cost=categorical_cost, benefit=benefit
+    )
     return pop, params, h, benefit
 
 

@@ -132,7 +132,7 @@ def test_criterion_3_effort_reward_contrast(student_pop, student_split, ridge_mo
         train, _ = student_split
         h_mut, h_comb = ridge_models
         params = EffortParams()
-        audit = FairnessAudit(train, params, "predicted", [h_mut, h_comb])
+        audit = FairnessAudit(train, params, [h_mut, h_comb])
         er_mut = audit.effort_reward(h_mut)
         er_comb = audit.effort_reward(h_comb)
         assert er_comb.disparity > 2.0 * er_mut.disparity, (er_mut.disparity, er_comb.disparity)
@@ -154,7 +154,7 @@ def test_criterion_4_curve_monotonicity(config, student_split):
         train, _ = student_split
         checked = 0
         models = [fit_model(spec, train, config) for spec in config.models]
-        audit = FairnessAudit(train, config.effort, config.benefit, models)
+        audit = FairnessAudit(train, config.effort, models)
         efforts = EffortEngine(train, config.effort).pairwise_effort(train)
         for spec, h in zip(config.models, models):
             grid = audit.default_grid(h, BOUNDED_EFFORT, 20)
@@ -198,7 +198,7 @@ def test_criterion_5_oracle_equivalence():
         for seed in range(100, 100 + n_instances):
             pop, params, h, benefit = random_instance(seed, max_individuals=30)
             assert pop.size <= 30
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             E = oracles.effort_matrix(pop, params)
             efforts = EffortEngine(pop, params).pairwise_effort(pop)
             finite = efforts[np.isfinite(efforts)]
@@ -223,7 +223,7 @@ def test_criterion_5_oracle_equivalence():
             want_er = oracles.effort_reward(h, pop, params, benefit, E)
             for g in want_er:
                 assert abs(got_er[g] - want_er[g]) <= 1e-10, ("effort_reward", seed, g)
-            outcomes = run_simulate(h, pop, params, benefit).outcomes
+            outcomes = run_simulate(h, pop, params).outcomes
             for i in range(pop.size):
                 got = outcomes[i]
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
@@ -232,7 +232,7 @@ def test_criterion_5_oracle_equivalence():
                     assert abs(got.utility - want_u) <= 1e-10
             minority = pop.group_names[0]
             ctx = MetricContext(pop, params, minority)
-            got_aci, _ = distance_indices(ctx, pop, 1e-6)
+            got_aci, _ = distance_indices(ctx, pop)
             D = oracles.distance_matrix(pop, params, pop)
             flags = [1 if g == minority else 0 for g in pop.groups]
             want_aci = oracles.aci(D, flags)
@@ -280,17 +280,17 @@ def test_criterion_6_segregation_properties():
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop2 = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx2 = MetricContext(pop2, EffortParams(categorical_cost=0.5), "g1")
-        assert distance_indices(ctx2, pop2, 1e-6)[1] == pytest.approx(
+        assert distance_indices(ctx2, pop2)[1] == pytest.approx(
             math.exp(-0.5), abs=1e-8
         )
         pop, params, _, _ = random_instance(200)
         ctx = MetricContext(pop, params, pop.group_names[0])
-        base, _ = distance_indices(ctx, pop, 1e-6)
+        base, _ = distance_indices(ctx, pop)
         perm = np.random.default_rng(3).permutation(pop.size)
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        shuffled_aci, _ = distance_indices(ctx, shuffled, 1e-6)
+        shuffled_aci, _ = distance_indices(ctx, shuffled)
         assert shuffled_aci == pytest.approx(base, abs=1e-10)
         rec.detail = (
             f"Atkinson bounds on {configs} random configurations x 3 betas, "
@@ -305,10 +305,10 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
         audited_changes = 0
         efforts = EffortEngine(train, params).pairwise_effort(train, mutable_only=True)
         models = [fit_model(spec, train, config) for spec in config.models]
-        for h, impact in zip(models, simulate(models, train, params, config.benefit)):
+        for h, impact in zip(models, simulate(models, train, params)):
             preds_before = h.predict(train)
             preds_after = h.predict(impact.impacted)
-            own = risk_adjusted(benefit_value(config.benefit, train.y, preds_before), params.alpha)
+            own = risk_adjusted(benefit_value(params.benefit, train.y, preds_before), params.alpha)
             mutable = train.schema.mutable_mask
             for o in impact.outcomes:
                 i = o.individual_index
@@ -324,12 +324,12 @@ def test_criterion_7_dynamics_invariants(config, student_split, tmp_path):
                 targets[:, ~mutable] = train.X[i, ~mutable]
                 preds = h.predict_rows(train.schema, targets)
                 target_benefit = risk_adjusted(
-                    benefit_value(config.benefit, train.y, preds), params.alpha
+                    benefit_value(params.benefit, train.y, preds), params.alpha
                 )
                 utilities = target_benefit - own[i] - efforts[i]
                 assert o.utility >= float(np.max(utilities)) - 1e-12
         flat = fit_tree(train, 0)
-        [fixed] = simulate([flat], train, params, config.benefit)
+        [fixed] = simulate([flat], train, params)
         ref_a, ref_b = tmp_path / "dyn_a.csv", tmp_path / "dyn_b.csv"
         write_csv(train, ref_a)
         write_csv(fixed.impacted, ref_b)
@@ -344,7 +344,7 @@ def test_criterion_8_tau_sweep_sanity(config, student_split, pipeline):
     with _record("8 tau-sweep sanity") as rec:
         train, _ = student_split
         minority = config.minority
-        h0 = fit_constrained_linear(train, 0.0, config.benefit, minority)
+        h0 = fit_constrained_linear(train, 0.0, config.effort.benefit, minority)
         hl = fit_linear(train)
         assert np.array_equal(h0.weights, hl.weights) and h0.intercept == hl.intercept
         out, _ = pipeline

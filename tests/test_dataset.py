@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import effortsim
+from conftest import synthetic_student_pop
 from effortsim import data_path, studentgen
 from effortsim.dataset import (
     DataError,
@@ -19,6 +21,7 @@ from effortsim.dataset import (
     generate_synthetic,
     load_csv,
     load_schema,
+    read_table,
     restrict_features,
     split,
     write_csv,
@@ -101,6 +104,20 @@ class TestLoadCsv:
         for text, message in (("", "empty file"), ("g,cat,num,score\n\n", "no data rows")):
             with pytest.raises(DataError, match=message):
                 load_csv(_write(tmp_path / "e.csv", text), tiny_schema_file)
+
+    def test_reader_holds_no_copy_of_the_text(self, tmp_path):
+        # The rows are read off the open file: beyond the table it returns,
+        # the reader's traced peak stays well below the file's own size.
+        path = tmp_path / "synthetic.csv"
+        write_csv(synthetic_student_pop(3000), path)
+        tracemalloc.start()
+        try:
+            table = read_table(path, "dataset")
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table[2]) == 3000
+        assert peak - kept < path.stat().st_size / 4, (peak, kept)
 
     def test_roundtrip_is_bit_exact(self, tmp_path, tiny_schema_file):
         csv_path = _write(

@@ -40,9 +40,9 @@ def _toy_pop():
     return Population(schema, X, y, ["g1", "g1", "g2"])
 
 
-def select_role_model(h, pop, params, benefit, i):
+def select_role_model(h, pop, params, i):
     """(role model index or None, outcome) of row i after one imitation round."""
-    outcome = run_simulate(h, pop, params, benefit).outcomes[i]
+    outcome = run_simulate(h, pop, params).outcomes[i]
     return outcome.role_model_index, outcome
 
 
@@ -51,7 +51,7 @@ class TestSelectRoleModel:
         pop = _toy_pop()
         h = _skill_model(pop, weight=0.0, intercept=3.0)
         for i in range(pop.size):
-            idx, best = select_role_model(h, pop, EffortParams(), "predicted", i)
+            idx, best = select_role_model(h, pop, EffortParams(), i)
             assert idx is None
             assert best.utility <= 0.0
 
@@ -62,19 +62,19 @@ class TestSelectRoleModel:
         pop = _toy_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        idx, best = select_role_model(h, pop, params, "predicted", 0)
+        idx, best = select_role_model(h, pop, params, 0)
         assert idx == 1
         assert best.reward == pytest.approx(4.0)
         assert best.effort == pytest.approx(0.25)  # (0 + 0.5) / K with K = 2
         assert best.utility == pytest.approx(3.75)
-        idx1, best1 = select_role_model(h, pop, params, "predicted", 1)
+        idx1, best1 = select_role_model(h, pop, params, 1)
         assert idx1 is None and best1.utility <= 0.0
 
     def test_matches_bruteforce_enumeration(self):
         for seed in range(30, 36):
             pop, params, h, benefit = random_instance(seed)
             for i in range(pop.size):
-                got_idx, got_best = select_role_model(h, pop, params, benefit, i)
+                got_idx, got_best = select_role_model(h, pop, params, i)
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
                 assert got_idx == want_idx
                 if want_idx is not None:
@@ -88,7 +88,7 @@ class TestSelectRoleModel:
         X = np.array([[0, 2], [1, 2]], dtype=float)
         pop = Population(schema, X, np.array([1.0, 1.0]), ["g1", "g2"])
         h = _skill_model(pop)
-        idx, best = select_role_model(h, pop, EffortParams(), "predicted", 0)
+        idx, best = select_role_model(h, pop, EffortParams(), 0)
         assert idx is None
         assert best.utility <= 0.0
 
@@ -97,7 +97,7 @@ class TestSimulate:
     def test_constant_predictor_is_fixed_point(self):
         pop = _toy_pop()
         h = _skill_model(pop, weight=0.0, intercept=3.0)
-        impact = run_simulate(h, pop, EffortParams(), "predicted")
+        impact = run_simulate(h, pop, EffortParams())
         assert np.array_equal(impact.impacted.X, pop.X)
         assert np.array_equal(impact.impacted.y, pop.y)
         assert impact.focal_points == []
@@ -106,7 +106,7 @@ class TestSimulate:
     def test_single_imitator_single_focal_point(self):
         pop = _toy_pop()
         h = _skill_model(pop)
-        impact = run_simulate(h, pop, EffortParams(), "predicted")
+        impact = run_simulate(h, pop, EffortParams())
         changed = [o for o in impact.outcomes if o.changed]
         # individual 0 imitates 1; individual 1 stays; individual 2 is alone
         # in its group but can still copy 1's mutable skill.
@@ -118,7 +118,7 @@ class TestSimulate:
     def test_bookkeeping_consistency(self):
         for seed in (40, 41):
             pop, params, h, benefit = random_instance(seed)
-            impact = run_simulate(h, pop, params, benefit)
+            impact = run_simulate(h, pop, params)
             mutable = pop.schema.mutable_mask
             for o in impact.outcomes:
                 new_x = impact.impacted.X[o.individual_index]
@@ -144,7 +144,7 @@ class TestSimulate:
 
     def test_recorded_utility_matches_recompute(self):
         pop, params, h, benefit = random_instance(42)
-        impact = run_simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params)
         for o in impact.outcomes:
             if not o.changed:
                 continue
@@ -160,7 +160,7 @@ class TestSimulate:
 
     def test_predicted_label_strictly_increases_for_changers(self):
         pop, params, h, _ = random_instance(43)
-        impact = run_simulate(h, pop, params, "predicted")
+        impact = run_simulate(h, pop, params)
         preds_before = h.predict(pop)
         preds_after = h.predict(impact.impacted)
         for o in impact.outcomes:
@@ -191,11 +191,11 @@ class TestTiledSimulate:
     @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
     def test_outcomes_do_not_depend_on_tile_size(self, monkeypatch, rows_per_tile):
         short = _short_first_group_pop()
-        cases = [(_skill_model(short), short, EffortParams(), "predicted")]
-        cases.append((fit_tree(short, 2), short, EffortParams(), "shifted_gain"))
+        cases = [(_skill_model(short), short, EffortParams())]
+        cases.append((fit_tree(short, 2), short, EffortParams(benefit="shifted_gain")))
         for seed in (50, 51, 52):
-            pop, params, h, benefit = random_instance(seed)
-            cases += [(h, pop, params, benefit), (fit_tree(pop, 3), pop, params, benefit)]
+            pop, params, h, _ = random_instance(seed)
+            cases += [(h, pop, params), (fit_tree(pop, 3), pop, params)]
         want = [run_simulate(*case) for case in cases]  # one tile: these populations are small
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
         assert any(o.changed for o in want[0].outcomes + want[1].outcomes)
@@ -226,7 +226,7 @@ class TestTiledSimulate:
         for skill, hours in profiles:
             X = np.column_stack([grp, np.full(n, skill), np.full(n, hours)]).astype(float)
             pop = Population(schema, X, np.full(n, 0.9), groups)
-            impact = run_simulate(h, pop, EffortParams(base_cost=0.0), benefit)
+            impact = run_simulate(h, pop, EffortParams(base_cost=0.0, benefit=benefit))
             assert not any(o.changed for o in impact.outcomes), (skill, hours)
             assert impact.focal_points == []
 
@@ -235,7 +235,7 @@ class TestTiledSimulate:
         for seed in range(60, 66):
             pop, params, _, benefit = random_instance(seed)
             h = fit_tree(pop, depth)
-            impact = run_simulate(h, pop, params, benefit)
+            impact = run_simulate(h, pop, params)
             for i in range(pop.size):
                 want_idx, want_u = oracles.role_model(h, pop, params, benefit, i)
                 got = impact.outcomes[i]
@@ -255,16 +255,16 @@ class TestSharedRound:
             fit_constrained_linear(train, 2.0, benefit, "M"),
             fit_mlp(train, hidden=8, epochs=30, seed=3),
         ]
-        params = EffortParams(alpha=alpha, base_cost=0.05)
-        together = simulate(models, train, params, benefit)
+        params = EffortParams(alpha=alpha, base_cost=0.05, benefit=benefit)
+        together = simulate(models, train, params)
         assert len(together) == len(models)
         for h, got in zip(models, together):
-            [alone] = simulate([h], train, params, benefit)
+            [alone] = simulate([h], train, params)
             _same_result(got, alone)
         assert sum(o.changed for o in together.outcomes) > 0
 
     def test_no_models_no_results(self):
-        assert simulate([], _toy_pop(), EffortParams(), "predicted") == []
+        assert simulate([], _toy_pop(), EffortParams()) == []
 
 
 class TestFeatureShiftReport:
@@ -291,7 +291,7 @@ class TestFeatureShiftReport:
 
     def test_histograms_conserve_group_sizes(self):
         pop, params, h, benefit = random_instance(44)
-        impact = run_simulate(h, pop, params, benefit)
+        impact = run_simulate(h, pop, params)
         report = feature_shift_report(pop, impact.impacted)
         for feature in report.values():
             for g, summary in feature["groups"].items():

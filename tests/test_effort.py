@@ -210,11 +210,36 @@ class TestTotalEffort:
         xb[1] = 5.0
         assert total_effort(pop, params, "g1", xa, xb) == 0.0
 
+    def test_nested_group_weights_replace_the_flat_ones(self):
+        # g1's nested map names "a" only, so g1's "b" falls back to the
+        # schema weight 1.5, not the flat 3.0; g2 has no nested map and reads
+        # the flat entry. Only g1 has a base cost.
+        schema = FeatureSchema(
+            features=(
+                Feature("grp", FeatureKind("immutable", levels=("g1", "g2")), mutable=False),
+                Feature("a", FeatureKind("numerical_nonmonotone"), mutable=True),
+                Feature("b", FeatureKind("numerical_nonmonotone"), mutable=True, weight=1.5),
+            ),
+            sensitive="grp",
+            label="y",
+        )
+        params = EffortParams(feature_weights={"g1": {"a": 2.0}, "b": 3.0}, base_cost={"g1": 0.2})
+        a, b = schema.features[1:]
+        lookups = [params.weight_for(g, f) for g in ("g1", "g2") for f in (a, b)]
+        assert lookups == [2.0, 1.5, 1.0, 3.0]
+        assert [params.base_cost_for(g) for g in ("g1", "g2")] == [0.2, 0.0]
+        # Each group's two rows differ in "b" alone, half its quantile scale apart.
+        X = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+        pop = Population(schema, X, np.zeros(4), ["g1", "g1", "g2", "g2"])
+        efforts = EffortEngine(pop, params).pairwise_effort(pop)
+        assert efforts[0, 1] == pytest.approx(0.2 + 1.5 * 0.5 / 3)
+        assert efforts[2, 3] == pytest.approx(3.0 * 0.5 / 3)
+
 
 def _rewards(h, pop, benefit, alpha=1.0, base_cost=0.0):
     """(dense efforts, rewards b[j] - b[i] from the audit's benefit vector)."""
-    params = EffortParams(alpha=alpha, base_cost=base_cost)
-    b = FairnessAudit(pop, params, benefit, [h]).benefits(h)
+    params = EffortParams(alpha=alpha, base_cost=base_cost, benefit=benefit)
+    b = FairnessAudit(pop, params, [h]).benefits(h)
     return EffortEngine(pop, params).pairwise_effort(pop), b[None, :] - b[:, None]
 
 

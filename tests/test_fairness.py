@@ -67,7 +67,7 @@ class TestBoundedEffort:
     def test_zero_budget_with_base_cost_means_nobody_moves(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(base_cost=0.1), "predicted", [h])
+        audit = FairnessAudit(pop, EffortParams(base_cost=0.1), [h])
         values, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
         assert values == {"g1": 0.0, "g2": 0.0}
         assert fairness._disparity(values) == 0.0
@@ -76,7 +76,7 @@ class TestBoundedEffort:
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
         params = EffortParams()
-        audit = FairnessAudit(pop, params, "predicted", [h])
+        audit = FairnessAudit(pop, params, [h])
         values, _ = sweep_point(audit, h, BOUNDED_EFFORT, math.inf)
         want = oracles.bounded_effort(h, pop, params, "predicted", math.inf)
         assert values == pytest.approx(want, abs=1e-12)
@@ -84,7 +84,7 @@ class TestBoundedEffort:
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             efforts = _dense_efforts(pop, params)
             finite = efforts[np.isfinite(efforts)]
             for delta in (0.0, float(np.median(finite)), float(finite.max())):
@@ -96,7 +96,7 @@ class TestBoundedEffort:
     def test_negative_budget_rejected(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
+        audit = FairnessAudit(pop, EffortParams(), [h])
         with pytest.raises(ValueError):
             sweep_point(audit, h, BOUNDED_EFFORT, -0.5)
 
@@ -105,7 +105,7 @@ class TestThresholdReward:
     def test_self_candidate_makes_zero_threshold_free(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
+        audit = FairnessAudit(pop, EffortParams(), [h])
         values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 0.0)
         assert values == {"g1": 0.0, "g2": 0.0}
         assert feasibility == {"g1": 1.0, "g2": 1.0}
@@ -113,7 +113,7 @@ class TestThresholdReward:
     def test_unreachable_threshold_reports_absent(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
+        audit = FairnessAudit(pop, EffortParams(), [h])
         values, feasibility = sweep_point(audit, h, THRESHOLD_REWARD, 1e9)
         assert values == {"g1": None, "g2": None}
         assert feasibility == {"g1": 0.0, "g2": 0.0}
@@ -122,7 +122,7 @@ class TestThresholdReward:
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(6, 12):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             b = audit.benefits(h)
             hi = float(b.max() - b.min())
             for delta in (0.0, hi / 2, hi):
@@ -140,21 +140,21 @@ class TestEffortReward:
     def test_constant_predictor_floors_at_stay_put(self):
         pop = _two_group_skill_pop()
         h = _skill_model(pop, weight=0.0, intercept=5.0)
-        rep = FairnessAudit(pop, EffortParams(), "predicted", [h]).effort_reward(h)
+        rep = FairnessAudit(pop, EffortParams(), [h]).effort_reward(h)
         assert rep.per_group_value == {"g1": 0.0, "g2": 0.0}
         assert rep.disparity == 0.0
 
     def test_matches_bruteforce_on_random_instances(self):
         for seed in range(12, 18):
             pop, params, h, benefit = random_instance(seed)
-            got = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
+            got = FairnessAudit(pop, params, [h]).effort_reward(h).per_group_value
             want = oracles.effort_reward(h, pop, params, benefit)
             for g in want:
                 assert got[g] == pytest.approx(want[g], abs=1e-10)
 
     def test_dominates_every_candidate(self):
         pop, params, h, benefit = random_instance(18)
-        audit = FairnessAudit(pop, params, benefit, [h])
+        audit = FairnessAudit(pop, params, [h])
         rep = audit.effort_reward(h)
         b = audit.benefits(h)
         utilities = b[None, :] - b[:, None] - _dense_efforts(pop, params)
@@ -166,7 +166,7 @@ class TestEffortReward:
     def test_single_group_disparity_zero(self):
         pop = single_group_pop([1, 2, 3, 4])
         h = _skill_model(pop)
-        audit = FairnessAudit(pop, EffortParams(), "predicted", [h])
+        audit = FairnessAudit(pop, EffortParams(), [h])
         assert audit.effort_reward(h).disparity == 0.0
 
     def test_permutation_invariance(self):
@@ -175,8 +175,8 @@ class TestEffortReward:
         shuffled = Population(
             pop.schema, pop.X[perm], pop.y[perm], [pop.groups[i] for i in perm]
         )
-        a = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
-        b = FairnessAudit(shuffled, params, benefit, [h]).effort_reward(h).per_group_value
+        a = FairnessAudit(pop, params, [h]).effort_reward(h).per_group_value
+        b = FairnessAudit(shuffled, params, [h]).effort_reward(h).per_group_value
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -208,12 +208,12 @@ class TestSweep:
     def test_grid_must_be_sorted(self):
         pop, params, h, benefit = random_instance(20)
         with pytest.raises(ValueError):
-            FairnessAudit(pop, params, benefit, [h]).sweep(h, BOUNDED_EFFORT, [1.0, 0.5])
+            FairnessAudit(pop, params, [h]).sweep(h, BOUNDED_EFFORT, [1.0, 0.5])
 
     def test_curves_nondecreasing_and_match_pointwise(self):
         for seed in (23, 24):
             pop, params, h, benefit = random_instance(seed)
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             grid = audit.default_grid(h, BOUNDED_EFFORT, 8)
             curve = audit.sweep(h, BOUNDED_EFFORT, grid)
             for g, vals in curve.per_group_values.items():
@@ -228,7 +228,7 @@ class TestSweep:
 
     def test_endpoints_match_closed_forms(self):
         pop, params, h, benefit = random_instance(25)
-        audit = FairnessAudit(pop, params, benefit, [h])
+        audit = FairnessAudit(pop, params, [h])
         grid = audit.default_grid(h, BOUNDED_EFFORT, 6)
         curve = audit.sweep(h, BOUNDED_EFFORT, grid)
         lo, _ = sweep_point(audit, h, BOUNDED_EFFORT, 0.0)
@@ -242,7 +242,7 @@ class TestSweep:
         pop, params, h, benefit = random_instance(23)
         walks = _count_walks(monkeypatch)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
-        audit = FairnessAudit(pop, params, benefit, [h, flat])
+        audit = FairnessAudit(pop, params, [h, flat])
         grids = [audit.default_grid(model, BOUNDED_EFFORT, 5) for model in (h, flat, h)]
         assert walks == ["pairs"]
         efforts = _dense_efforts(pop, params)
@@ -252,7 +252,7 @@ class TestSweep:
 
     def test_rows_layout(self):
         pop, params, h, benefit = random_instance(26)
-        curve = FairnessAudit(pop, params, benefit, [h]).sweep(h, BOUNDED_EFFORT, [0.0, 0.1])
+        curve = FairnessAudit(pop, params, [h]).sweep(h, BOUNDED_EFFORT, [0.0, 0.1])
         assert curve.deltas == (0.0, 0.1)
         assert sorted(curve.per_group_values) == list(pop.group_names)
         assert all(len(vals) == 2 for vals in curve.per_group_values.values())
@@ -285,7 +285,7 @@ class TestOnePassSweep:
     def test_bounded_effort_equals_oracle(self):
         saw_inf = saw_ties = False
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             efforts = _dense_efforts(pop, params)
             saw_inf |= bool(np.isinf(efforts).any())
             saw_ties |= len(set(audit.benefits(h).tolist())) < pop.size
@@ -301,7 +301,7 @@ class TestOnePassSweep:
 
     def test_threshold_reward_equals_oracle(self):
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             b = audit.benefits(h)
             rewards = np.unique(b[None, :] - b[:, None])
             grid = sorted({-math.inf, *rewards[:: max(1, rewards.size // 6)].tolist(), math.inf})
@@ -315,7 +315,7 @@ class TestOnePassSweep:
 
     def test_rewards_are_not_stored(self):
         pop, params, h, benefit = random_instance(43)
-        audit = FairnessAudit(pop, params, benefit, [h])
+        audit = FairnessAudit(pop, params, [h])
         audit.sweep(h, THRESHOLD_REWARD, audit.default_grid(h, THRESHOLD_REWARD, 5))
         assert "rewards" not in vars(audit)
         b = audit.benefits(h)
@@ -357,7 +357,7 @@ class TestStaircases:
     def test_row_answers_equal_dense_scan(self):
         saw_inf = saw_ties = False
         for pop, params, h, benefit in _sweep_cases():
-            audit = FairnessAudit(pop, params, benefit, [h])
+            audit = FairnessAudit(pop, params, [h])
             stairs = audit._of(h)
             E = oracles.effort_matrix(pop, params)
             b = oracles.benefit_vector(h, pop, params, benefit)
@@ -386,7 +386,7 @@ class TestStaircases:
         pop = Population(schema, X, np.zeros(5), ["g1", "g1", "g1", "g2", "g2"])
         h = _skill_model(pop)
         params = EffortParams(base_cost=0.05)
-        audit = FairnessAudit(pop, params, "predicted", [h])
+        audit = FairnessAudit(pop, params, [h])
         E = oracles.effort_matrix(pop, params)
         b = oracles.benefit_vector(h, pop, params, "predicted")
         top = int(np.argmax(b))
@@ -410,9 +410,9 @@ class TestStaircases:
         # The bundled schema's shape: one immutable and four conditionally
         # immutable columns rule out most pairs.
         pop = synthetic_student_pop(200, seed=3)
-        params = EffortParams(base_cost={"F": 0.02}, categorical_cost=0.4)
+        params = EffortParams(base_cost={"F": 0.02}, categorical_cost=0.4, benefit="shifted_gain")
         h = fit_tree(pop, 3)
-        audit = FairnessAudit(pop, params, "shifted_gain", [h])
+        audit = FairnessAudit(pop, params, [h])
         dense = _dense_efforts(pop, params)
         rng = np.random.default_rng(0)
         for i, j in rng.integers(0, pop.size, size=(40, 2)):
@@ -446,7 +446,7 @@ class TestStaircases:
         pop = single_group_pop(np.arange(1.0, n + 1))
         h = _skill_model(pop)
         params = EffortParams()
-        audit = FairnessAudit(pop, params, "predicted", [h])
+        audit = FairnessAudit(pop, params, [h])
         assert audit.staircase_size(h) == {"points": n * (n + 1) // 2, "max_row_points": n}
         E = oracles.effort_matrix(pop, params)
         b = oracles.benefit_vector(h, pop, params, "predicted")
@@ -463,11 +463,11 @@ class TestStaircases:
         pop, params, h, benefit = random_instance(44)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
         walks = _count_walks(monkeypatch)
-        both = FairnessAudit(pop, params, benefit, [h, flat])
+        both = FairnessAudit(pop, params, [h, flat])
         assert walks == ["pairs"]
         assert both.tiles == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
         for model in (h, flat):
-            alone = FairnessAudit(pop, params, benefit, [model])
+            alone = FairnessAudit(pop, params, [model])
             grid = both.default_grid(model, BOUNDED_EFFORT, 5)
             curves = [audit.sweep(model, BOUNDED_EFFORT, grid) for audit in (both, alone)]
             assert curves[0] == curves[1]
@@ -475,7 +475,7 @@ class TestStaircases:
 
     def test_unaudited_model_rejected(self):
         pop, params, h, benefit = random_instance(45)
-        audit = FairnessAudit(pop, params, benefit, [h])
+        audit = FairnessAudit(pop, params, [h])
         other = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
         for ask in (
             lambda: audit.benefits(other),
@@ -491,7 +491,7 @@ class TestTreePredictorIntegration:
     def test_audit_works_with_trees(self):
         pop, params, _, benefit = random_instance(27)
         h = fit_tree(pop, 3)
-        got = FairnessAudit(pop, params, benefit, [h]).effort_reward(h).per_group_value
+        got = FairnessAudit(pop, params, [h]).effort_reward(h).per_group_value
         want = oracles.effort_reward(h, pop, params, benefit)
         for g in want:
             assert got[g] == pytest.approx(want[g], abs=1e-10)

@@ -249,6 +249,34 @@ class TestConfig:
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "feature, key, value",
+        [
+            ("sex", "levels", "FM"),
+            ("studytime", "mutable", "yes"),
+            ("studytime", "weight", "2"),
+            ("studytime", "weight", True),
+            ("school", "categorical_cost", "0.5"),
+            ("studytime", "name", 5),
+            (None, "label", 7),
+        ],
+        ids=["string_levels", "string_mutable", "string_weight", "bool_weight",
+             "string_categorical_cost", "number_name", "number_label"],
+    )
+    def test_bad_schema_value_is_config_error(self, tmp_path, capsys, feature, key, value):
+        schema = json.loads(data_path("student_schema.json").read_text())
+        node = schema if feature is None else next(f for f in schema["features"] if f["name"] == feature)
+        node[key] = value
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        raw = _bundled_config()
+        raw["schema"] = str(tmp_path / "schema.json")
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["fairness", "simulate", "sweep-tau"])
     def test_bad_risk_model_leaves_no_stage_file(self, tmp_path, capsys, command):
         # shifted gain is negative for rows predicted more than one point
@@ -289,6 +317,7 @@ class TestConfig:
         [
             ("dataset_is_directory", 3),
             ("dataset_not_utf8", 3),
+            ("dataset_not_utf8_past_64k", 3),
             ("config_is_directory", 2),
             ("config_not_utf8", 2),
             ("schema_is_directory", 2),
@@ -314,6 +343,11 @@ class TestConfig:
         elif case == "dataset_not_utf8":
             with open(toy_dir / "toy.csv", "ab") as fh:
                 fh.write(b"caf\xe9\n")
+        elif case == "dataset_not_utf8_past_64k":
+            # Far past the first buffer a streamed read decodes.
+            header, _, body = (toy_dir / "toy.csv").read_text().partition("\n")
+            good = f"{header}\n{body * (65536 // len(body) + 1)}caf".encode()
+            (toy_dir / "toy.csv").write_bytes(good + b"\xe9\n")
         elif case == "config_is_directory":
             argv[2] = str(toy_dir / "folder")
         elif case == "config_not_utf8":
@@ -363,9 +397,11 @@ class TestConfig:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if case.startswith("one_group_dataset") or case == "minority_not_in_data":
+        if case.startswith(("one_group_dataset", "dataset_not_utf8")) or case == "minority_not_in_data":
             assert proc.stderr.startswith("data error:"), proc.stderr
             assert not list((toy_dir / "o").rglob("*"))  # no stage file
+        if case == "dataset_not_utf8_past_64k":
+            assert f"toy.csv: not UTF-8 text (invalid continuation byte at byte {len(good)})" in proc.stderr
 
 
 class TestFairnessCommand:
@@ -537,9 +573,9 @@ class TestInitialPopulationMeasuredOnce:
         sizes = []
         original = segregation.distance_indices
 
-        def counting(ctx, pop, connectivity_threshold):
+        def counting(ctx, pop):
             sizes.append(pop.size)
-            return original(ctx, pop, connectivity_threshold)
+            return original(ctx, pop)
 
         monkeypatch.setattr(segregation, "distance_indices", counting)
         config = load_config(data_path("student_config.json"))
@@ -598,11 +634,11 @@ class TestOneEffortMatrix:
         peaks = []
         original = harness.simulate
 
-        def tracing(models, train, params, benefit):
+        def tracing(models, train, params):
             assert train.size == rows
             tracemalloc.start()
             try:
-                out = original(models, train, params, benefit)
+                out = original(models, train, params)
                 peaks.append((len(models), tracemalloc.get_traced_memory()[1]))
             finally:
                 tracemalloc.stop()

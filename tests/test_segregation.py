@@ -50,7 +50,7 @@ ACI_HAND_VALUE = 0.19785005312731524
 
 
 def _aci(ctx, pop):
-    return distance_indices(ctx, pop, 1e-6)[0]
+    return distance_indices(ctx, pop)[0]
 
 
 def _closeness(ctx, pop, group):
@@ -216,10 +216,10 @@ class TestAtkinson:
         rows = data.draw(st.lists(st.integers(0, pop.size - 1), min_size=1, max_size=4))
         vectors = [pop.X[r, mutable] for r in rows]
         beta = data.draw(st.sampled_from([0.1, 0.5, 0.9]))
-        ctx = MetricContext(pop, params, "a")
+        ctx = MetricContext(pop, params, "a", beta=beta)
         h = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 0.0)
         focal_points = [FocalPoint(vector=v, count=1) for v in vectors]
-        got = measure_population(ctx, h, pop, focal_points, (None, None), beta=beta).atkinson
+        got = measure_population(ctx, h, pop, focal_points, (None, None)).atkinson
         nearest = oracles.focal_assignment(pop, params, pop, vectors)
         units = range(len(vectors))
         totals = [nearest.count(u) for u in units]
@@ -428,13 +428,11 @@ class TestDuplicatedPopulation:
         # spectral radius is k * (lambda + 1) - 1. SSI follows suit; the
         # shares and ratios behind the other three indices do not move.
         pop, params, h, _ = random_instance(seed)
-        ctx = MetricContext(pop, params, pop.group_names[0])
+        ctx = MetricContext(pop, params, pop.group_names[0], centralization_threshold=0.0)
         mutable = ctx.mutable_indices
         focal = [FocalPoint(vector=pop.X[i, mutable], count=1) for i in (0, pop.size // 2, pop.size - 1)]
         before, after = (
-            measure_population(
-                ctx, h, p, focal, distance_indices(ctx, p, 1e-6), beta=0.5, threshold=0.0
-            )
+            measure_population(ctx, h, p, focal, distance_indices(ctx, p))
             for p in (pop, pop.take(np.repeat(np.arange(pop.size), k)))
         )
         assert after.ssi == pytest.approx(k * (before.ssi + 1.0) - 1.0, rel=1e-9)
@@ -444,14 +442,11 @@ class TestDuplicatedPopulation:
 
 class TestCompare:
     def test_identical_populations_identical_reports(self):
-        pop, params, h, benefit = random_instance(62)
-        ctx = MetricContext(pop, params, pop.group_names[0])
-        impact = run_simulate(h, pop, params, benefit)
+        pop, params, h, _ = random_instance(62)
+        ctx = MetricContext(pop, params, pop.group_names[0], centralization_threshold=0.0)
+        impact = run_simulate(h, pop, params)
         before, after = (
-            measure_population(
-                ctx, h, pop, impact.focal_points, distance_indices(ctx, pop, 1e-6),
-                beta=0.5, threshold=0.0,
-            )
+            measure_population(ctx, h, pop, impact.focal_points, distance_indices(ctx, pop))
             for _ in range(2)
         )
         assert before.values() == after.values()
@@ -459,10 +454,10 @@ class TestCompare:
     def test_reports_complete_with_metadata(self, student_split):
         train, _ = student_split
         params = EffortParams()
-        ctx = MetricContext(train, params, "F")
+        ctx = MetricContext(train, params, "F", centralization_threshold=11.94)
         h = LinearPredictor(train.schema.names, np.zeros(train.schema.size), 11.0)
-        indices = distance_indices(ctx, train, 1e-6)
-        rep = measure_population(ctx, h, train, [], indices, beta=0.5, threshold=11.94)
+        indices = distance_indices(ctx, train)
+        rep = measure_population(ctx, h, train, [], indices)
         assert rep.atkinson is None  # no focal points
         assert "atkinson_absent" in rep.metadata
         assert rep.metadata["beta"] == 0.5
@@ -471,16 +466,13 @@ class TestCompare:
         assert set(rep.values()) == {"atkinson", "centralization", "aci", "ssi"}
 
     def test_before_after_use_frozen_reference(self):
-        pop, params, h, benefit = random_instance(63)
-        ctx = MetricContext(pop, params, pop.group_names[0])
-        impact = run_simulate(h, pop, params, benefit)
+        pop, params, h, _ = random_instance(63)
+        ctx = MetricContext(pop, params, pop.group_names[0], centralization_threshold=0.0)
+        impact = run_simulate(h, pop, params)
         if not impact.focal_points:
             pytest.skip("instance produced no movers")
         before, after = (
-            measure_population(
-                ctx, h, p, impact.focal_points, distance_indices(ctx, p, 1e-6),
-                beta=0.5, threshold=0.0,
-            )
+            measure_population(ctx, h, p, impact.focal_points, distance_indices(ctx, p))
             for p in (pop, impact.impacted)
         )
         # the impacted population is measured against the initial tables, so
@@ -508,7 +500,7 @@ class TestStreamedIndices:
             for height in (1, 3, 7):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(effort, "tile_rows", lambda n_cols: height)
-                    aci, ssi = distance_indices(ctx, pop, 1e-6)
+                    aci, ssi = distance_indices(ctx, pop)
                 assert aci == pytest.approx(want_aci, abs=1e-12)
                 # bit for bit the dense definition's SSI; the eigensolver
                 # oracle agrees to the power iteration's tolerance
@@ -520,7 +512,7 @@ class TestStreamedIndices:
         ctx = MetricContext(pop, EffortParams(), "F")
         tracemalloc.start()
         try:
-            distance_indices(ctx, pop, 1e-6)
+            distance_indices(ctx, pop)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
