@@ -157,12 +157,13 @@ def _rank_asc(table: np.ndarray, x) -> np.ndarray | float:
 
 
 def benefit_value(benefit: str, y, y_hat):
-    """Scalar (or vectorized) benefit of receiving prediction ``y_hat``."""
-    if benefit == BENEFIT_PREDICTED:
-        return y_hat
+    """Scalar (or vectorized) benefit of receiving prediction ``y_hat``.
+
+    ``benefit`` is one of ``BENEFITS``; ``EffortParams`` checks it.
+    """
     if benefit == BENEFIT_SHIFTED_GAIN:
         return y_hat - y + 1.0
-    raise SchemaError(f"unknown benefit function {benefit!r}")
+    return y_hat
 
 
 def risk_adjusted(value, alpha: float):
@@ -197,6 +198,24 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     keep = np.ones(a.shape, bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the rows of the 2-D ``a``: one row index per distinct row,
+    and the position in ``first`` of each row's own distinct row.
+
+    Sort-based like ``_distinct``, and for the same reason. Rows that compare
+    equal column by column are one row (-0.0 and 0.0 are one value), and a
+    row holding NaN is a row of its own, so ``a[first][inverse]`` holds the
+    values of ``a`` up to the sign of a zero.
+    """
+    order = np.lexsort(a.T[::-1])  # the first column is the primary key
+    s = a[order]
+    new = np.ones(a.shape[0], bool)
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inverse = np.empty(a.shape[0], np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 # Selections that make ``_eps_rule``'s fills and gates work on a whole tile:

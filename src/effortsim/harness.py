@@ -114,8 +114,10 @@ class ExperimentConfig:
     raw: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.train_fraction < 1.0 and 0.0 < self.beta < 1.0):
-            raise SchemaError("train_fraction and beta must lie in (0,1)")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise SchemaError(f"train_fraction must lie in (0,1), got {self.train_fraction}")
+        # The measures' own checks, here too: fairness builds no MetricContext.
+        segregation.check_settings(self.beta, self.connectivity_threshold, self.centralization_threshold)
         if self.seed < 0 or self.split_seed < 0:
             raise SchemaError(f"seed must be >= 0, got seed {self.seed} and split seed {self.split_seed}")
         if self.delta_points < 2:
@@ -126,12 +128,6 @@ class ExperimentConfig:
         taus = self.tau_grid
         if not all(t >= 0 and math.isfinite(t) for t in taus) or len(set(taus)) != len(taus):
             raise SchemaError(f"tau_grid entries must be finite, distinct and >= 0, got {list(taus)}")
-        if self.centralization_threshold is not None and math.isnan(self.centralization_threshold):
-            raise SchemaError("centralization_threshold must be a number or null, got NaN")
-        if not self.connectivity_threshold >= 0:
-            raise SchemaError(
-                f"connectivity_threshold must be >= 0, got {self.connectivity_threshold}"
-            )
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -245,7 +241,7 @@ def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> P
     if spec.kind == "mlp":
         return fit_mlp(pop, seed=config.seed + 1)
     # "constrained", the one kind left that ModelSpec admits
-    return fit_constrained_linear(pop, spec.tau, config.effort.benefit, _minority(config, train))
+    return fit_constrained_linear(pop, spec.tau, config.effort, _minority(config, train))
 
 
 def _minority(config: ExperimentConfig, pop: Population) -> str:
@@ -417,18 +413,26 @@ def _impact_runs(config: ExperimentConfig, runner: StageRunner, specs):
     return train, ctx, list(zip(specs, models, impacts))
 
 
-def _reports(ctx: MetricContext, runs: list):
+def _reports(ctx: MetricContext, runs: list, timings: list):
     """Yield the ``(before, after)`` segregation reports of each ``(spec, h, impact)`` run.
 
     Every run starts from the training population ``ctx.reference``, whose
     ACI and SSI do not depend on the model, so they are measured once for all
     runs. Each report records its centralization threshold in
-    ``metadata["threshold"]``.
+    ``metadata["threshold"]``. Each measured population's distance walk goes
+    to ``timings`` as a ``distances`` entry, named ``initial`` or after its run.
     """
+
+    def measured(name: str, pop: Population):
+        walk: dict = {}
+        result = segregation.distance_indices(ctx, pop, walk)
+        timings.append({"distances": {"population": name, **walk}})
+        return result
+
     train = ctx.reference
-    initial = segregation.distance_indices(ctx, train)
-    for _, h, impact in runs:
-        after_indices = segregation.distance_indices(ctx, impact.impacted)
+    initial = measured("initial", train)
+    for spec, h, impact in runs:
+        after_indices = measured(spec.name, impact.impacted)
         before, after = (
             segregation.measure_population(ctx, h, p, impact.focal_points, indices)
             for p, indices in ((train, initial), (impact.impacted, after_indices))
@@ -452,7 +456,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     def summary():
         seg_rows: list[list] = []
         report: dict = {}
-        for (spec, _, impact), (before, after) in zip(runs, _reports(ctx, runs)):
+        for (spec, _, impact), (before, after) in zip(runs, _reports(ctx, runs, runner.timings)):
             for pop_name, rep in (("initial", before), ("impacted", after)):
                 for measure, value in rep.values().items():
                     seg_rows.append([spec.name, measure, pop_name, value])
@@ -489,7 +493,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
             spec.name,
             lambda: {
                 "weights": h.to_dict(),
-                "benefit_gap": group_benefit_gap(h, train, config.effort.benefit, ctx.minority),
+                "benefit_gap": group_benefit_gap(h, train, config.effort, ctx.minority),
                 "changed": sum(1 for o in impact.outcomes if o.changed),
             },
         )
@@ -498,7 +502,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
     def emit():
         rows: list[list] = []
-        for (spec, _, _), (before, after) in zip(runs, _reports(ctx, runs)):
+        for (spec, _, _), (before, after) in zip(runs, _reports(ctx, runs, runner.timings)):
             for measure, value in after.values().items():
                 rows.append([spec.tau, measure, value])
             entry = details[format_number(spec.tau)]

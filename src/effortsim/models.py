@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import DataError, FeatureSchema, Population
-from .effort import BENEFIT_PREDICTED, benefit_value
+from .effort import EffortParams, benefit_value
 
 JITTER = 1e-8
 
@@ -343,24 +343,26 @@ def _majority_minus_minority(values: np.ndarray, pop: Population, minority: str)
     return np.mean(values[maj_rows], axis=0) - np.mean(values[min_rows], axis=0)
 
 
-def group_benefit_gap(
-    h: Predictor, pop: Population, benefit: str, minority: str
-) -> float:
-    """Mean benefit of the non-minority group minus the minority's."""
-    bene = benefit_value(benefit, pop.y, h.predict(pop))
+def group_benefit_gap(h: Predictor, pop: Population, params: EffortParams, minority: str) -> float:
+    """Mean benefit of the non-minority group minus the minority's.
+
+    The benefit is ``params.benefit``, before risk aversion.
+    """
+    bene = benefit_value(params.benefit, pop.y, h.predict(pop))
     return float(_majority_minus_minority(bene, pop, minority))
 
 
 def fit_constrained_linear(
     pop: Population,
     tau: float,
-    benefit: str = BENEFIT_PREDICTED,
+    params: EffortParams,
     minority: str | None = None,
 ) -> LinearPredictor:
     """Least squares plus ``tau * max(0, majority minus minority benefit)``, solved exactly.
 
-    Both benefit forms are linear in the prediction with slope 1, so the
-    gap is affine in the weights, ``g(w) = c . w + g0``, with ``c`` the
+    The benefit is ``params.benefit``, before risk aversion. Both benefit
+    forms are linear in the prediction with slope 1, so the gap is affine
+    in the weights, ``g(w) = c . w + g0``, with ``c`` the
     majority-minus-minority mean design row. The objective is a convex
     quadratic plus a hinge, so its minimiser lies on the ray
     ``w0 - mu * G^-1 c`` from the least-squares solution ``w0`` (``G`` the
@@ -383,13 +385,13 @@ def fit_constrained_linear(
     w, G, jitter_used = _solve_least_squares(A, pop.y, 0.0)
     hyper: dict = {
         "tau": float(tau),
-        "benefit": benefit,
+        "benefit": params.benefit,
         "minority": minority,
         "constraint": "hinge-penalty variant",
     }
     if jitter_used:
         hyper["jitter"] = JITTER
-    gap = float(_majority_minus_minority(benefit_value(benefit, pop.y, A @ w), pop, minority))
+    gap = float(_majority_minus_minority(benefit_value(params.benefit, pop.y, A @ w), pop, minority))
     if tau > 0.0 and gap > 0.0:
         # c is nonzero (the sensitive column separates the groups) and G is
         # positive definite, so c . G^-1 c > 0.

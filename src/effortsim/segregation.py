@@ -7,23 +7,56 @@ measures: Atkinson evenness over focal-point neighborhoods, minority
 share above a prediction threshold (centralization), proximity-weighted
 clustering (ACI) with closeness exp(-d), and a spectral index (SSI) over
 the within-group similarity network.
+
+ACI and SSI are read off one walk of the closeness exp(-d) in row tiles,
+one (row group, column group) block at a time. A distance reads only the
+mutable features and the label, and one imitation round collapses a
+population onto few such profiles. A block whose groups hold few profiles
+computes each profile pair once and gathers its tiles from that table;
+the gathered tiles hold the dense walk's bits, so both paths give the
+same indices.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .dataset import Population
-from .effort import EffortEngine, EffortParams
+from .dataset import Population, SchemaError
+from .effort import TILE_BYTES, EffortEngine, EffortParams, _distinct_rows, row_tiles
 
 # Power iteration stops once the residual is within POWER_TOL * max(1, |lambda|).
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
+
+# A block of the distance walk takes the profile path only if its table of
+# profile-pair closeness fits this many bytes (524 288 cells, 724 x 724).
+PROFILE_TABLE_BYTES = 4 * TILE_BYTES
+
+
+def check_settings(
+    beta: float, connectivity_threshold: float, centralization_threshold: float | None
+) -> None:
+    """Raise ``SchemaError`` unless the segregation settings can be measured with.
+
+    Atkinson's ``beta`` lies in (0, 1), SSI's ``connectivity_threshold`` is
+    finite and >= 0, and ``centralization_threshold`` is None or finite.
+    """
+    if not 0.0 < beta < 1.0:
+        raise SchemaError(f"beta must lie in (0,1), got {beta}")
+    if not (connectivity_threshold >= 0 and math.isfinite(connectivity_threshold)):
+        raise SchemaError(
+            f"connectivity_threshold must be finite and >= 0, got {connectivity_threshold}"
+        )
+    if not (centralization_threshold is None or math.isfinite(centralization_threshold)):
+        raise SchemaError(
+            f"centralization_threshold must be a finite number or null, got {centralization_threshold}"
+        )
 
 
 @dataclass(frozen=True)
@@ -43,6 +76,7 @@ class MetricContext:
     centralization_threshold: float | None = None
 
     def __post_init__(self) -> None:
+        check_settings(self.beta, self.connectivity_threshold, self.centralization_threshold)
         if self.minority not in self.reference.group_names:
             raise ValueError(f"minority group {self.minority!r} not present in reference")
 
@@ -55,36 +89,82 @@ class MetricContext:
         return [k for k, f in enumerate(self.reference.schema.features) if f.mutable]
 
 
-def _distance_tiles(ctx: MetricContext, pop: Population):
-    """Yield ``(row_group, col_group, lo, hi, tile)`` covering the distance matrix.
+def _view(ctx: MetricContext, pop: Population) -> tuple[list[int], np.ndarray]:
+    """The distance view's columns, the mutable features and then the label, and the rows they index."""
+    return ctx.mutable_indices + [pop.schema.size], np.column_stack([pop.X, pop.y])
+
+
+def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: str, A, B):
+    """Yield ``(lo, hi, tile)``: the distances from rows ``A[lo:hi]`` to every row of ``B``.
+
+    ``A`` holds members of ``row_group``, ``B`` of ``col_group``. A view of
+    group g is one ``eps_tiles`` walk on g's tables over the unweighted
+    columns ``idx``: the mutable-feature efforts plus the positive
+    label-rank gap. Entry (i, j) is the larger of i's group view and j's
+    group view, so a same-group block needs one view and a cross-group
+    block two. The tile is scratch that the next step overwrites.
+    """
+
+    def view(g):
+        return ctx.engine.eps_tiles(g, A, B, idx, weighted=False)
+
+    if row_group == col_group:
+        yield from view(row_group)
+        return
+    for (lo, hi, own), (_, _, other) in zip(view(row_group), view(col_group)):
+        yield lo, hi, np.maximum(own, other, out=own)
+
+
+def _closeness_tiles(ctx: MetricContext, pop: Population, walk: dict):
+    """Yield ``(row_group, col_group, lo, hi, tile)``: the closeness exp(-d), block by block.
 
     The walk goes one (row group, column group) block at a time, in row
-    tiles: ``tile`` holds the distances from the row group's members
-    ``lo:hi`` to every member of the column group, in ``group_rows`` order.
-    A view of group g is one ``eps_tiles`` walk on g's tables over the
-    unweighted mutable features and, last, the label column: the efforts
-    plus the positive label-rank gap. Entry (i, j) is the larger of i's
-    group view and j's group view, so a same-group block needs one view and
-    a cross-group block two. The tile is scratch that the next step
-    overwrites.
+    tiles: ``tile`` holds the closeness of the row group's members
+    ``lo:hi`` to every member of the column group, in ``group_rows``
+    order. The dense walk takes exp(-d) of each ``_block_tiles`` tile.
+
+    A view reads only its columns, so rows that agree on them (a profile)
+    have equal distances. A block whose groups have few profiles computes
+    its distances once per pair of profiles, through the same view, and
+    takes exp(-d) of that table once. Each row tile is then gathered from
+    the table, with the bounds and the layout of the dense walk's tile, so
+    it holds the same bits. The profile path is taken when its table has
+    at most half the block's cells and fits ``PROFILE_TABLE_BYTES``; any
+    other block runs the dense walk. ``walk`` receives the pairs, each
+    group's rows and profiles, and the cells each path computed. The tile
+    is scratch that the next step overwrites.
     """
-    idx = ctx.mutable_indices + [pop.schema.size]  # the label column last
-    XY = np.column_stack([pop.X, pop.y])
-
-    def view_tiles(g, rows, cols):
-        return ctx.engine.eps_tiles(g, XY[rows], XY[cols], idx, weighted=False)
-
-    for row_group in pop.group_names:
-        rows = pop.group_rows(row_group)
-        for col_group in pop.group_names:
-            cols = pop.group_rows(col_group)
-            if row_group == col_group:
-                for lo, hi, tile in view_tiles(row_group, rows, cols):
-                    yield row_group, col_group, lo, hi, tile
-                continue
-            pairs = zip(view_tiles(row_group, rows, cols), view_tiles(col_group, rows, cols))
-            for (lo, hi, own), (_, _, other) in pairs:
-                yield row_group, col_group, lo, hi, np.maximum(own, other, out=own)
+    idx, XY = _view(ctx, pop)
+    members = {g: XY[pop.group_rows(g)] for g in pop.group_names}
+    profiles = {g: _distinct_rows(A[:, idx]) for g, A in members.items()}
+    walk.update(
+        pairs=pop.size**2,
+        rows={g: A.shape[0] for g, A in members.items()},
+        profiles={g: first.shape[0] for g, (first, _) in profiles.items()},
+        dense_cells=0,
+        profile_cells=0,
+    )
+    for row_group, col_group in itertools.product(pop.group_names, repeat=2):
+        A, B = members[row_group], members[col_group]
+        (first_a, of_a), (first_b, of_b) = profiles[row_group], profiles[col_group]
+        cells = first_a.shape[0] * first_b.shape[0]
+        if 2 * cells > A.shape[0] * B.shape[0] or 8 * cells > PROFILE_TABLE_BYTES:
+            walk["dense_cells"] += A.shape[0] * B.shape[0]
+            for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B):
+                np.negative(tile, out=tile)
+                yield row_group, col_group, lo, hi, np.exp(tile, out=tile)
+            continue
+        walk["profile_cells"] += cells
+        table = np.empty((first_a.shape[0], first_b.shape[0]))
+        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A[first_a], B[first_b]):
+            table[lo:hi] = tile
+        np.exp(np.negative(table, out=table), out=table)
+        bounds = list(row_tiles(A.shape[0], B.shape[0]))
+        buf = np.empty((bounds[0][1], B.shape[0]))  # the first tile is the tallest
+        for lo, hi in bounds:
+            # mode="clip": see effort._tile; every index is in range.
+            tile = np.take(table[of_a[lo:hi]], of_b, axis=1, out=buf[: hi - lo], mode="clip")
+            yield row_group, col_group, lo, hi, tile
 
 
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
@@ -93,12 +173,16 @@ def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     Entry (i, j) is the larger of two directed views of the move i -> j,
     one through each endpoint's group tables: the unweighted mutable-feature
     efforts plus the positive label-rank gap. This dense form is the
-    definition; ``distance_indices`` reads ACI and SSI off the same tiles
+    definition, built one (row group, column group) block and row tile at
+    a time; ``distance_indices`` reads ACI and SSI off the same tiles
     without building it.
     """
+    idx, XY = _view(ctx, pop)
     out = np.empty((pop.size, pop.size))
-    for row_group, col_group, lo, hi, tile in _distance_tiles(ctx, pop):
-        out[np.ix_(pop.group_rows(row_group)[lo:hi], pop.group_rows(col_group))] = tile
+    for row_group, col_group in itertools.product(pop.group_names, repeat=2):
+        rows, cols = pop.group_rows(row_group), pop.group_rows(col_group)
+        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, XY[rows], XY[cols]):
+            out[np.ix_(rows[lo:hi], cols)] = tile
     return out
 
 
@@ -216,10 +300,15 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
     The similarity matrix need not be symmetric (the underlying distance is
     directed), so both in- and out-edges connect. Each component is sorted,
     and components come in the order of their smallest member. Labels spread
-    a whole frontier at a time, one row-block reduction per step.
+    a whole frontier at a time. The undirected adjacency is built, and each
+    step's frontier rows reduced, one row tile at a time, so beside the
+    adjacency the search holds only one tile's temporaries.
     """
-    sym = (adj != 0.0) | (adj.T != 0.0)
     n = adj.shape[0]
+    sym = np.empty((n, n), bool)
+    for lo, hi in row_tiles(n, n):
+        np.not_equal(adj[lo:hi], 0.0, out=sym[lo:hi])
+        sym[lo:hi] |= adj[:, lo:hi].T != 0.0
     seen = np.zeros(n, dtype=bool)
     comps = []
     for start in range(n):
@@ -229,7 +318,10 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
         members[start] = True
         frontier = members.copy()
         while frontier.any():
-            frontier = sym[frontier].any(axis=0) & ~members
+            rows, reach = np.flatnonzero(frontier), np.zeros(n, dtype=bool)
+            for lo, hi in row_tiles(rows.size, n):
+                reach |= sym[rows[lo:hi]].any(axis=0)
+            frontier = reach & ~members
             members |= frontier
         seen |= members
         comps.append(np.flatnonzero(members))
@@ -263,22 +355,26 @@ def spectral_segregation(
     return total / B.shape[0]
 
 
-def distance_indices(ctx: MetricContext, pop: Population) -> tuple[float | None, float | None]:
-    """ACI and SSI of a population, read off its distance tiles.
+def distance_indices(
+    ctx: MetricContext, pop: Population, walk: dict | None = None
+) -> tuple[float | None, float | None]:
+    """ACI and SSI of a population, read off its closeness tiles.
 
     The walk never holds the n x n distance matrix: each tile's closeness
     exp(-d) goes into ACI's three running sums, and only the closeness of
-    the minority x minority block is kept, for SSI. Both measures depend on the
-    population alone, not on the model, so a population shared by several
-    runs is measured once.
+    the minority x minority block is kept, for SSI. A population that the
+    imitation round collapsed onto few profiles is measured on them (see
+    ``_closeness_tiles``), with every tile, so every sum, bit for bit the
+    dense walk's. Both measures depend on the population alone, not on the
+    model, so a population shared by several runs is measured once.
+    ``walk``, if given, receives the walk's counts.
     """
     minority = ctx.minority
     m = pop.group_size(minority)
     closeness = np.empty((m, m))
     total = minority_rows = minority_pairs = 0.0
-    for row_group, col_group, lo, hi, tile in _distance_tiles(ctx, pop):
-        np.negative(tile, out=tile)
-        s = float(np.exp(tile, out=tile).sum())
+    for row_group, col_group, lo, hi, tile in _closeness_tiles(ctx, pop, {} if walk is None else walk):
+        s = float(tile.sum())
         if row_group == col_group == minority:
             closeness[lo:hi] = tile
         total += s

@@ -344,7 +344,7 @@ def test_criterion_8_tau_sweep_sanity(config, student_split, pipeline):
     with _record("8 tau-sweep sanity") as rec:
         train, _ = student_split
         minority = config.minority
-        h0 = fit_constrained_linear(train, 0.0, config.effort.benefit, minority)
+        h0 = fit_constrained_linear(train, 0.0, config.effort, minority)
         hl = fit_linear(train)
         assert np.array_equal(h0.weights, hl.weights) and h0.intercept == hl.intercept
         out, _ = pipeline

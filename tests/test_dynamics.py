@@ -252,7 +252,7 @@ class TestSharedRound:
             fit_linear(train),
             fit_ridge(train, 200.0),
             fit_tree(train, 4),
-            fit_constrained_linear(train, 2.0, benefit, "M"),
+            fit_constrained_linear(train, 2.0, EffortParams(benefit=benefit), "M"),
             fit_mlp(train, hidden=8, epochs=30, seed=3),
         ]
         params = EffortParams(alpha=alpha, base_cost=0.05, benefit=benefit)

@@ -18,6 +18,7 @@ from effortsim.effort import (
     TILE_BYTES,
     EffortEngine,
     EffortParams,
+    _distinct_rows,
     risk_adjusted,
     tile_rows,
 )
@@ -638,6 +639,26 @@ def _scatter_pairs(walk, shape):
         out[lo + r, j] = sums
         seen[lo + r, j] = True
     return out, seen
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_entry_per_distinct_row(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        a = rng.choice([-1.5, 0.0, 2.0], size=(n, k))
+        a[rng.random((n, k)) < 0.3] *= -1.0  # -0.0 beside 0.0
+        first, inverse = _distinct_rows(a)
+        assert np.array_equal(a[first][inverse], a)  # -0.0 == 0.0
+        assert len(first) == len({tuple(row) for row in a.tolist()})
+        assert sorted(set(inverse.tolist())) == list(range(len(first)))
+
+    def test_a_row_holding_nan_is_its_own(self):
+        a = np.array([[np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0]])
+        first, inverse = _distinct_rows(a)
+        assert len(first) == 3
+        assert inverse[1] == inverse[3] and len({inverse[0], inverse[2], inverse[1]}) == 3
+        assert first[inverse[0]] == 0 and first[inverse[2]] == 2
 
 
 class TestPairForm:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 from collections import Counter
+import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import oracles
 from conftest import harness_toy_schema, synthetic_student_pop
 import effortsim
 from effortsim import cli, data_path, harness, segregation
-from effortsim.dataset import load_csv, schema_to_dict, split, write_csv
+from effortsim.dataset import format_number, load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
 from effortsim.harness import (
@@ -95,6 +96,8 @@ class TestConfig:
             ("simulate", [(("centralization_threshold",), float("nan"))]),
             ("simulate", [(("connectivity_threshold",), float("nan"))]),
             ("simulate", [(("connectivity_threshold",), -1e-6)]),
+            ("simulate", [(("connectivity_threshold",), float("inf"))]),
+            ("fairness", [(("centralization_threshold",), float("-inf"))]),
             ("fairness", [(("effort", "feature_weights"), [2.0, 0.5])]),
             ("simulate", [(("conectivity_threshold",), 5.0)]),
             ("fairness", [(("models", 0, "lamda"), 50.0)]),
@@ -152,6 +155,8 @@ class TestConfig:
             "nan_centralization_threshold",
             "nan_connectivity_threshold",
             "negative_connectivity_threshold",
+            "infinite_connectivity_threshold",
+            "infinite_centralization_threshold",
             "list_feature_weights",
             "unknown_top_level_key",
             "unknown_model_key",
@@ -573,9 +578,9 @@ class TestInitialPopulationMeasuredOnce:
         sizes = []
         original = segregation.distance_indices
 
-        def counting(ctx, pop):
+        def counting(ctx, pop, walk=None):
             sizes.append(pop.size)
-            return original(ctx, pop)
+            return original(ctx, pop, walk)
 
         monkeypatch.setattr(segregation, "distance_indices", counting)
         config = load_config(data_path("student_config.json"))
@@ -587,6 +592,48 @@ class TestInitialPopulationMeasuredOnce:
         report = json.loads((tmp_path / "simulate" / "simulate_report.json").read_text())
         initial = {(r["before"]["aci"], r["before"]["ssi"]) for r in report.values()}
         assert len(initial) == 1
+
+
+    @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
+    def test_timings_record_the_distance_walks(self, toy_dir, command):
+        config = load_config(toy_dir / "config.json")
+        out = toy_dir / "out"
+        command(config, out)
+        tag = "simulate" if command is cmd_simulate else "sweep_tau"
+        timings = json.loads((out / f"timings_{tag}.json").read_text())
+        walks = [e["distances"] for e in timings if "distances" in e]
+        runs = (
+            [m.name for m in config.models]
+            if command is cmd_simulate
+            else [f"tau_{format_number(t)}" for t in config.tau_grid]
+        )
+        assert [w["population"] for w in walks] == ["initial"] + runs
+        train = harness._load_and_split(config)[1]
+        populations = [train] + (
+            [load_csv(out / f"impacted_{name}.csv", config.schema) for name in runs]
+            if command is cmd_simulate
+            else []
+        )
+        for walk, pop in zip(walks, populations):
+            XY = np.column_stack([pop.X, pop.y])
+            view = [k for k, f in enumerate(pop.schema.features) if f.mutable] + [pop.schema.size]
+            assert walk["rows"] == {g: pop.group_size(g) for g in pop.group_names}
+            assert walk["profiles"] == {
+                g: len({tuple(r) for r in XY[pop.group_rows(g)][:, view].tolist()}) for g in pop.group_names
+            }
+        for walk in walks:
+            # each block's cells are walked once, densely or through the profile table
+            dense = profile = 0
+            for a, b in itertools.product(walk["rows"], repeat=2):
+                cells, block = (walk[key][a] * walk[key][b] for key in ("profiles", "rows"))
+                if 2 * cells <= block and 8 * cells <= segregation.PROFILE_TABLE_BYTES:
+                    profile += cells
+                else:
+                    dense += block
+            assert walk["pairs"] == sum(walk["rows"].values()) ** 2
+            assert (walk["dense_cells"], walk["profile_cells"]) == (dense, profile)
+        assert walks[0]["dense_cells"] == walks[0]["pairs"]  # the training rows are all distinct
+        assert any(w["profile_cells"] > 0 for w in walks[1:])
 
 
 class TestOneEffortMatrix:

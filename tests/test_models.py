@@ -12,6 +12,7 @@ import oracles
 from conftest import single_group_pop
 from effortsim import models
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, restrict_features
+from effortsim.effort import EffortParams
 from effortsim.models import (
     evaluate,
     fit_constrained_linear,
@@ -22,6 +23,8 @@ from effortsim.models import (
     group_benefit_gap,
 )
 from instances import random_instance
+
+PREDICTED = EffortParams(benefit="predicted")
 
 
 def _line_pop(n=20, slope=2.0, intercept=1.0):
@@ -198,17 +201,17 @@ class TestTree:
 class TestConstrained:
     def test_tau_zero_is_least_squares(self):
         pop = _two_group_pop(seed=7)
-        h0 = fit_constrained_linear(pop, 0.0, "predicted", "b")
+        h0 = fit_constrained_linear(pop, 0.0, PREDICTED, "b")
         hl = fit_linear(pop)
         assert np.array_equal(h0.weights, hl.weights)
         assert h0.intercept == hl.intercept
 
     def test_large_tau_shrinks_group_gap(self):
         pop = _two_group_pop(seed=8, group_gap=2.0)
-        gap0 = group_benefit_gap(fit_constrained_linear(pop, 0.0, "predicted", "b"), pop, "predicted", "b")
+        gap0 = group_benefit_gap(fit_constrained_linear(pop, 0.0, PREDICTED, "b"), pop, PREDICTED, "b")
         assert gap0 > 0.5  # construction: least squares favors the majority
         gap_big = group_benefit_gap(
-            fit_constrained_linear(pop, 50.0, "predicted", "b"), pop, "predicted", "b"
+            fit_constrained_linear(pop, 50.0, PREDICTED, "b"), pop, PREDICTED, "b"
         )
         assert gap_big <= gap0
 
@@ -216,11 +219,11 @@ class TestConstrained:
         pop = _two_group_pop(seed=9, group_gap=2.0)
         hl = fit_linear(pop)
         for tau in (0.5, 2.0, 10.0):
-            hc = fit_constrained_linear(pop, tau, "predicted", "b")
+            hc = fit_constrained_linear(pop, tau, PREDICTED, "b")
 
             def objective(h):
                 mse = float(np.mean((h.predict(pop) - pop.y) ** 2))
-                gap = group_benefit_gap(h, pop, "predicted", "b")
+                gap = group_benefit_gap(h, pop, PREDICTED, "b")
                 return mse + tau * max(0.0, gap)
 
             assert objective(hc) <= objective(hl) + 1e-12
@@ -229,7 +232,7 @@ class TestConstrained:
     def test_needs_two_groups(self):
         pop = single_group_pop([1, 2, 3])
         with pytest.raises(Exception):
-            fit_constrained_linear(pop, 1.0, "predicted", None)
+            fit_constrained_linear(pop, 1.0, PREDICTED, None)
 
     @staticmethod
     def _objective(h, pop, tau, benefit, minority):
@@ -243,19 +246,19 @@ class TestConstrained:
         # is active. Below tau ~ 0.328 the optimum keeps a positive gap;
         # above it the gap is closed to 0.
         train, _ = student_split
-        h = fit_constrained_linear(train, tau, benefit, "M")
+        h = fit_constrained_linear(train, tau, EffortParams(benefit=benefit), "M")
         want = oracles.constrained_optimum(train, tau, benefit, "M")
         assert self._objective(h, train, tau, benefit, "M") == pytest.approx(want, rel=1e-12)
         if benefit == "predicted":
-            gap = group_benefit_gap(h, train, benefit, "M")
+            gap = group_benefit_gap(h, train, EffortParams(benefit=benefit), "M")
             assert gap > 1e-3 if tau < 0.3 else abs(gap) <= 1e-12
 
     @pytest.mark.parametrize("tau", [0.01, 0.5, 50.0])
     def test_inactive_hinge_returns_least_squares(self, student_split, tau):
         # Minority F: least squares already gives F the higher mean prediction.
         train, _ = student_split
-        assert group_benefit_gap(fit_linear(train), train, "predicted", "F") < 0
-        h = fit_constrained_linear(train, tau, "predicted", "F")
+        assert group_benefit_gap(fit_linear(train), train, PREDICTED, "F") < 0
+        h = fit_constrained_linear(train, tau, PREDICTED, "F")
         hl = fit_linear(train)
         assert np.array_equal(h.weights, hl.weights)
         assert h.intercept == hl.intercept
@@ -268,7 +271,7 @@ class TestConstrained:
         copy = replace(train.schema.features[k], name="G1_copy")
         schema = replace(train.schema, features=train.schema.features + (copy,))
         pop = Population(schema, np.column_stack([train.X, train.X[:, k]]), train.y, train.groups)
-        h = fit_constrained_linear(pop, tau, benefit, "M")
+        h = fit_constrained_linear(pop, tau, EffortParams(benefit=benefit), "M")
         assert h.hyperparameters["jitter"] == models.JITTER
         want = oracles.constrained_optimum(pop, tau, benefit, "M", jitter=models.JITTER)
         assert self._objective(h, pop, tau, benefit, "M") == pytest.approx(want, rel=1e-12)
@@ -334,7 +337,7 @@ def imitation_models(student_split):
     return train, {
         "linear": fit_linear(train),
         "ridge": fit_ridge(train, 200.0),
-        "constrained": fit_constrained_linear(train, 2.0, "predicted", "M"),
+        "constrained": fit_constrained_linear(train, 2.0, PREDICTED, "M"),
         "tree_depth0": fit_tree(train, 0),
         "tree_depth5": fit_tree(train, 5),
         "ridge_mutable": fit_ridge(restrict_features(train, "mutable_plus_sensitive"), 200.0),

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import run_simulate, single_group_pop, synthetic_student_pop
-from effortsim import effort
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim import effort, segregation
+from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, SchemaError
 from effortsim.dynamics import FocalPoint
 from effortsim.effort import EffortParams
 from effortsim.models import LinearPredictor
@@ -57,6 +57,25 @@ def _closeness(ctx, pop, group):
     """exp(-d) over the group's within-group block of the dense distance matrix."""
     rows = pop.group_rows(group)
     return np.exp(-pairwise_distances(ctx, pop)[np.ix_(rows, rows)])
+
+
+class TestMetricContext:
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("beta", 0.0),
+            ("beta", 1.0),
+            ("beta", math.nan),
+            ("connectivity_threshold", -1e-6),
+            ("connectivity_threshold", math.inf),
+            ("connectivity_threshold", math.nan),
+            ("centralization_threshold", math.nan),
+            ("centralization_threshold", -math.inf),
+        ],
+    )
+    def test_bad_setting_raises_at_construction(self, setting, value):
+        with pytest.raises(SchemaError, match=setting):
+            MetricContext(_two_feature_pop(), EffortParams(), "g1", **{setting: value})
 
 
 class TestDistance:
@@ -517,6 +536,85 @@ class TestStreamedIndices:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 8 * pop.size**2
+
+
+def _bits(indices):
+    return [None if v is None else v.hex() for v in indices]
+
+
+def _profile_and_dense(ctx, pop, height=None):
+    """``distance_indices`` and its walk counts as the walk chooses, then with the profile path shut off."""
+    walks = ({}, {})
+    with pytest.MonkeyPatch.context() as mp:
+        if height is not None:
+            mp.setattr(effort, "tile_rows", lambda n_cols: height)
+        chosen = distance_indices(ctx, pop, walks[0])
+        mp.setattr(segregation, "PROFILE_TABLE_BYTES", 0)
+        dense = distance_indices(ctx, pop, walks[1])
+    return chosen, dense, walks
+
+
+def _repeated_profiles(pop, pattern, copies):
+    """``pop`` with repeated (mutable, label) profiles in group "a" (in every group for "signed_zero")."""
+    a = pop.group_rows("a")
+    X, y = pop.X.copy(), pop.y.copy()
+    if pattern == "one_group_identical":
+        X[a], y[a] = X[a[0]], y[a[0]]
+        return Population(pop.schema, X, y, pop.groups)
+    repeat = np.arange(pop.size) if pattern == "signed_zero" else a
+    rows = np.concatenate([np.arange(pop.size)] + [repeat] * (copies - 1))
+    rows = rows[np.random.default_rng(copies).permutation(rows.size)]  # copies apart
+    X, y = X[rows], y[rows]
+    if pattern == "signed_zero":
+        X[1::2] = np.where(X[1::2] == 0.0, -0.0, X[1::2])
+        y[1::2] = np.where(y[1::2] == 0.0, -0.0, y[1::2])
+    return Population(pop.schema, X, y, [pop.groups[i] for i in rows])
+
+
+class TestProfilePath:
+    """A population with repeated profiles is measured on them, with the dense walk's bits."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        oracle_cases(max_individuals=10),
+        st.sampled_from(["one_group", "one_group_identical", "signed_zero"]),
+        st.integers(2, 4),
+    )
+    def test_same_bits_as_the_dense_walk(self, case, pattern, copies):
+        base, params = case
+        pop = _repeated_profiles(base, pattern, copies)
+        for minority in pop.group_names:
+            ctx = MetricContext(base, params, minority)
+            for height in (None, 1, 3, 7):
+                chosen, dense, (walk, dense_walk) = _profile_and_dense(ctx, pop, height)
+                assert _bits(chosen) == _bits(dense)
+                if pattern != "one_group_identical" or base.group_size("a") > 1:
+                    assert walk["profile_cells"] > 0  # block (a, a) at least
+                assert dense_walk["profile_cells"] == 0
+                assert dense_walk["dense_cells"] == pop.size**2
+
+    def test_signed_zeros_are_one_profile(self):
+        pop = _two_feature_pop()
+        X = pop.X.copy()
+        X[:, 2] = 0.0  # the categorical column
+        signed = X.copy()
+        signed[:, 2] = -0.0
+        flipped = Population(pop.schema, np.vstack([X, signed]), np.tile(pop.y, 2), pop.groups * 2)
+        ctx = MetricContext(pop, EffortParams(), "g1")
+        chosen, dense, (walk, _) = _profile_and_dense(ctx, flipped)
+        assert walk["profiles"] == {"g1": 2, "g2": 2}
+        assert walk["profile_cells"] == 16 and walk["dense_cells"] == 0
+        assert _bits(chosen) == _bits(dense)
+
+    @pytest.mark.parametrize(
+        "pop", [_two_feature_pop(), synthetic_student_pop(300)], ids=["hand", "synthetic"]
+    )
+    def test_all_distinct_population_takes_the_dense_walk(self, pop):
+        walk: dict = {}
+        distance_indices(MetricContext(pop, EffortParams(), pop.group_names[0]), pop, walk)
+        assert walk["profiles"] == walk["rows"] == {g: pop.group_size(g) for g in pop.group_names}
+        assert walk["pairs"] == walk["dense_cells"] == pop.size**2
+        assert walk["profile_cells"] == 0
 
 
 class TestComponents:
