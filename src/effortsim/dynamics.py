@@ -8,7 +8,9 @@ positive utility; everyone else stays put. Responses do not cascade:
 every selection reads the original population.
 
 Effort does not depend on the model, so one walk over the effort row tiles
-scores every model of a command; no n x n array is held.
+scores every model of a command; no n x n array is held. Gains are cheap
+and efforts are not, so each tile reads efforts only for the candidates
+that can win, with the bits of a whole-tile walk (see ``_best_moves``).
 """
 
 from __future__ import annotations
@@ -20,9 +22,14 @@ import numpy as np
 
 from . import effort
 from .dataset import Population
-from .effort import EffortEngine, EffortParams
+from .effort import EVERY, EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
+# A row tile whose models' candidate columns add up to more than this share
+# of all columns reads its whole effort tile, once for every later model of
+# the tile. At most 1/2: the held gains take that share of a scoring buffer.
+DENSE_SHARE = 0.5
+POSITIVE = np.nextafter(0.0, 1.0)  # the smallest positive float: x >= POSITIVE is x > 0
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,13 @@ class RoundResults(list):
 
     ``outcomes`` and ``focal_points`` chain every model's, so the round's
     totals read like one result's (``perfbench --trace 1`` counts
-    imitators and focal points this way).
+    imitators and focal points this way). ``walk`` holds the counts of the
+    round's effort walk (see ``_best_moves``).
     """
+
+    def __init__(self, results=(), walk: dict | None = None):
+        super().__init__(results)
+        self.walk = {} if walk is None else walk
 
     @property
     def outcomes(self) -> list:
@@ -81,37 +93,98 @@ class RoundResults(list):
         return [fp for result in self for fp in result.focal_points]
 
 
-def _best_moves(models: Sequence, pop: Population, params: EffortParams):
+def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: dict):
     """Each model's utility-maximising candidate per row, with its reward, effort and utility.
 
     One walk over the mutable-only effort row tiles serves every model. Per
-    tile, each model predicts its block of imitation targets, takes
-    whole-tile benefits and utilities, and a row-wise argmax whose ties go
-    to the lowest index, then gathers the chosen entry's effort. A row's
-    own benefit is the block's entry at its own column, so imitating
-    oneself scores exactly zero reward. The two prediction/utility buffers
-    hold the tallest tile and are shared by the models.
+    tile, each model predicts its block of imitation targets and takes the
+    gain of each candidate: its reward minus the row's own, which is the
+    block's entry at the row's own column, so imitating oneself gains
+    exactly zero. Utility is gain minus effort, and every effort of this
+    walk is finite and >= 0 (no mutable column has a gate). So a candidate
+    whose gain is below the row's best utility cannot win, and one whose
+    gain is <= 0 cannot make the row move. The utility of each row's
+    top-gain candidate, read through the pair form, is a lower bound ``L``
+    on the best one, and a model's candidate columns are those where some
+    row has a gain >= ``L`` and > 0. Each row's winner and every candidate
+    that ties it are among them, so the row's first maximum over the sorted
+    columns is the lowest index, as a row-wise argmax over every column
+    picks. The models of a tile keep their gains on their candidate columns
+    and share one read of the efforts on the union of those columns. Once
+    their columns add up to more than ``DENSE_SHARE`` of all columns, the
+    tile's efforts are read whole instead, and every later model of the
+    tile scores against that read without a search. Every effort, reward
+    and utility has the bits of a whole-tile walk.
+
+    Only the entries of rows with utility > 0 are read; a tile where no row
+    gains leaves its rows at zero. ``walk`` receives the counts.
     """
     n = pop.size
     blocks = [h.imitation_block(pop.schema, pop.X) for h in models]
-    best = np.empty((len(models), n), dtype=np.intp)
-    reward, exerted, utility = (np.empty((len(models), n)) for _ in range(3))
-    height = min(effort.tile_rows(n), n)  # effort_tiles' tiles hold at most this many rows
-    preds_buf, utils_buf = np.empty((height, n)), np.empty((height, n))
-    for rows, tile in EffortEngine(pop, params).effort_tiles(pop, mutable_only=True):
+    best = np.zeros((len(models), n), dtype=np.intp)
+    reward, exerted, utility = (np.zeros((len(models), n)) for _ in range(3))
+    height = min(effort.tile_rows(n), n)  # effort_reads' tiles hold at most this many rows
+    gains_buf, keep_buf = np.empty((height, n)), np.empty((height, n), bool)
+    # The held gains fill ``scores`` from the front, at most DENSE_SHARE
+    # (<= 1/2) of it, and a held model's utilities are scored at the back.
+    scores = np.empty(height * n)
+    walk.update(pairs=n * n, candidate_columns=[0] * len(models), bound_pairs=0, subtile_cells=0, dense_cells=0)
+
+    def settle(m, rows, gains, E, cols=EVERY, at=EVERY):
+        """Model m's winners among the columns ``cols``, whose efforts are ``E``'s columns ``at``."""
         r = np.arange(rows.shape[0])
+        if cols is EVERY:
+            utils = np.subtract(gains, E, out=scores[: E.size].reshape(E.shape))
+        else:
+            utils = np.take(E, at, axis=1, out=scores[scores.size - gains.size :].reshape(gains.shape))
+            np.subtract(gains, utils, out=utils)
+        win = utils.argmax(axis=1)
+        best[m, rows] = win if cols is EVERY else cols[win]
+        reward[m, rows] = gains[r, win]
+        exerted[m, rows] = E[r, win if cols is EVERY else at[win]]
+        utility[m, rows] = utils[r, win]
+
+    for rows, efforts in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
+        h = rows.shape[0]
+        r = np.arange(h)
+        held: list = []  # (model, candidate columns, its gains on them), awaiting their efforts
+        width = 0  # the held models' candidate columns, added up
+        dense = E = None  # the whole tile's efforts, once read; the read of the held columns
         for m, block in enumerate(blocks):
-            preds = block(rows, out=preds_buf[: r.shape[0]])
-            rewards = params.reward(pop.y, preds)
-            own_benefit = rewards[r, rows]  # a copy, taken before the subtraction
-            np.subtract(rewards, own_benefit[:, None], out=rewards)
-            utils = np.subtract(rewards, tile, out=utils_buf[: r.shape[0]])
-            j = utils.argmax(axis=1)
-            best[m, rows] = j
-            reward[m, rows] = rewards[r, j]
-            exerted[m, rows] = tile[r, j]
-            utility[m, rows] = utils[r, j]
-        del tile  # see EffortEngine.effort_tiles
+            gains = params.reward(pop.y, block(rows, out=gains_buf[:h]))
+            own = gains[r, rows]  # a copy, taken before the subtraction
+            np.subtract(gains, own[:, None], out=gains)
+            if dense is None:
+                top = gains.argmax(axis=1)  # a row holding a NaN gain gets a NaN bound
+                bound = np.subtract(gains[r, top], efforts(pairs=(r, top)))
+                np.maximum(bound, POSITIVE, out=bound)
+                keep = np.greater_equal(gains, bound[:, None], out=keep_buf[:h])
+                cols = np.flatnonzero(keep.any(axis=0))
+                walk["bound_pairs"] += h
+                walk["candidate_columns"][m] += cols.shape[0]
+                # (a NaN gain is where a row-wise argmax stops, so its row reads every column)
+                if width + cols.shape[0] <= DENSE_SHARE * n and not np.isnan(bound).any():
+                    if cols.shape[0]:
+                        sub = scores[h * width : h * (width + cols.shape[0])].reshape(h, cols.shape[0])
+                        held.append((m, cols, np.take(gains, cols, axis=1, out=sub)))
+                        width += cols.shape[0]
+                    continue
+                dense = efforts()
+                walk["dense_cells"] += dense.size
+                for k, cols_k, gains_k in held:
+                    settle(k, rows, gains_k, dense, cols_k, cols_k)
+                held = []
+            settle(m, rows, gains, dense)
+        if held:
+            wanted = np.zeros(n, bool)
+            for _, cols_k, _ in held:
+                wanted[cols_k] = True
+            union = np.flatnonzero(wanted)
+            E = efforts(cols=union)
+            walk["subtile_cells"] += E.size
+            for k, cols_k, gains_k in held:
+                settle(k, rows, gains_k, E, cols_k, np.searchsorted(union, cols_k))
+        del efforts, dense, E, held  # see EffortEngine.effort_reads
     return best, reward, exerted, utility
 
 
@@ -124,10 +197,10 @@ def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> 
     # role model's mutable values -> number of imitators, in first-seen order
     focal_counts: dict[bytes, int] = {}
     for i in range(pop.size):
-        j = int(best[i])
         if not utility[i] > 0.0:
             outcomes.append(ImitationOutcome(i, None, 0.0, 0.0, 0.0, changed=False))
             continue
+        j = int(best[i])
         new_X[i, mutable] = pop.X[j, mutable]
         new_y[i] = pop.y[j]
         outcomes.append(
@@ -156,22 +229,17 @@ def simulate(models: Sequence, pop: Population, params: EffortParams) -> RoundRe
     ``ImpactResult`` per model, in order; each equals that model's result
     when simulated alone.
     """
-    best, reward, exerted, utility = _best_moves(models, pop, params)
+    walk: dict = {}
+    best, reward, exerted, utility = _best_moves(models, pop, params, walk)
+    metadata = {
+        "benefit": params.benefit,
+        "alpha": params.alpha,
+        "label_rule": "adopt_role_model_label",
+        "rounds": 1,
+    }
     return RoundResults(
-        _impact(
-            pop,
-            best[m],
-            reward[m],
-            exerted[m],
-            utility[m],
-            {
-                "benefit": params.benefit,
-                "alpha": params.alpha,
-                "label_rule": "adopt_role_model_label",
-                "rounds": 1,
-            },
-        )
-        for m in range(len(models))
+        (_impact(pop, best[m], reward[m], exerted[m], utility[m], dict(metadata)) for m in range(len(models))),
+        walk,
     )
 
 

@@ -25,13 +25,14 @@ reference lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
 features take a handful of values. The pairwise kernel works in row tiles,
-over every pair of a tile or over chosen pairs of it. ``_tile`` is its one
-read of a column: a column with few distinct values gets level tables, its
-weighted rule's row and its gate's row for each distinct value, which the
-read gathers from; every other column runs its rule or gate on the rows
-read. Both paths give the same bits. ``_fold`` is its one loop that
-combines columns, in the order given: ``np.add`` for terms, ``np.logical_and``
-for gates.
+over every pair of a tile, over the pairs of chosen columns, or over chosen
+pairs. ``_tile`` is its one read of a column: a column with few distinct
+values gets level tables, its weighted rule's row and its gate's row for
+each distinct value, which the read gathers from; every other column runs
+its rule or gate on the rows read. Both paths give the same bits. ``_fold``
+is its one loop that combines columns, in the order given: ``np.add`` for
+terms, ``np.logical_and`` for gates. So an entry has the same bits whatever
+else is read with it.
 """
 
 from __future__ import annotations
@@ -207,9 +208,15 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Sort-based like ``_distinct``, and for the same reason. Rows that compare
     equal column by column are one row (-0.0 and 0.0 are one value), and a
     row holding NaN is a row of its own, so ``a[first][inverse]`` holds the
-    values of ``a`` up to the sign of a zero.
+    values of ``a`` up to the sign of a zero. The sort orders whole rows by
+    their bytes once every zero is +0.0 (one key, where a lexicographic sort
+    takes a pass per column), so rows that compare equal lie next to each
+    other; ``first`` follows that order.
     """
-    order = np.lexsort(a.T[::-1])  # the first column is the primary key
+    if not a.shape[1]:  # no columns: every row is the empty row
+        return np.zeros(min(a.shape[0], 1), np.intp), np.zeros(a.shape[0], np.intp)
+    rows = np.add(a, 0.0, order="C")  # -0.0 + 0.0 is 0.0; every other value keeps its bits
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(), kind="stable")
     s = a[order]
     new = np.ones(a.shape[0], bool)
     np.any(s[1:] != s[:-1], axis=1, out=new[1:])
@@ -243,26 +250,27 @@ def _weighted(fill, w: float):
     return weighted_fill
 
 
-def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray, pairs=None) -> None:
-    """Write a term's or a gate's entries into ``out``: rows ``Xa[lo:hi]`` to every column, or
-    with ``pairs=(r, j)`` each pair t, row ``Xa[lo + r[t]]`` to column ``j[t]``."""
+def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray, pairs=None, cols=EVERY) -> None:
+    """Write a term's or a gate's entries into ``out``: rows ``Xa[lo:hi]`` to the columns ``cols``
+    (every column, or a sorted index array), or with ``pairs=(r, j)`` each pair t, row
+    ``Xa[lo + r[t]]`` to column ``j[t]``."""
     k, rule, table, codes = column
     if table is None:
-        rule(Xa[lo:hi, k], *((COLUMN, EVERY) if pairs is None else pairs), out)
+        rule(Xa[lo:hi, k], *((COLUMN, cols) if pairs is None else pairs), out)
     elif pairs is None:
         # mode="clip": with the default "raise", take buffers its output
         # through a temporary; every index is in range anyway.
-        np.take(table, codes[lo:hi], axis=0, out=out, mode="clip")
+        np.take(table[:, cols], codes[lo:hi], axis=0, out=out, mode="clip")
     else:
         flat = (codes[lo:hi].astype(np.intp) * table.shape[1])[pairs[0]] + pairs[1]
         np.take(table, flat, out=out, mode="clip")
 
 
-def _fold(columns, Xa: np.ndarray, lo: int, hi: int, acc, buf, start, op, pairs=None) -> np.ndarray:
+def _fold(columns, Xa: np.ndarray, lo: int, hi: int, acc, buf, start, op, pairs=None, cols=EVERY) -> np.ndarray:
     """``acc`` set to ``start``, then ``op``-ed in place with each column's ``_tile`` (read into ``buf``)."""
     acc.fill(start)
     for column in columns:
-        _tile(column, Xa, lo, hi, buf, pairs)
+        _tile(column, Xa, lo, hi, buf, pairs, cols)
         op(acc, buf, out=acc)
     return acc
 
@@ -272,10 +280,11 @@ class EffortEngine:
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
-    through ``eps_tiles`` (every pair of each row tile) or ``eps_pairs``
-    (the feasible pairs only). Both ``_fold`` the finite rules of
-    ``_eps_rule`` in the order given and take feasibility from a ``_fold``
-    of its gates, so a pair's sum has the same bits in either walk.
+    through ``eps_reads`` (each row tile's every column, chosen columns or
+    chosen pairs, read on demand; ``eps_tiles`` reads every column) or
+    ``eps_pairs`` (the feasible pairs only). Both ``_fold`` the finite
+    rules of ``_eps_rule`` in the order given and take feasibility from a
+    ``_fold`` of its gates, so a pair's sum has the same bits in either walk.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -379,6 +388,48 @@ class EffortEngine:
                 out.append((k, rule, table, codes))
         return terms, gates
 
+    def eps_reads(
+        self,
+        group: str,
+        Xa: np.ndarray,
+        Xb: np.ndarray,
+        feature_indices: Sequence[int],
+        weighted: bool,
+    ):
+        """Yield ``(lo, hi, read)``, one per row tile of ``Xa``: ``read(cols=EVERY, pairs=None)``
+        gives the effort sums of rows ``Xa[lo:hi]`` to the rows ``cols`` of ``Xb`` (every row, or a
+        sorted index array), or with ``pairs=(r, j)`` of row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``.
+
+        Each column's path is chosen once per call (see ``_terms``), and the
+        level tables share a budget of one tile's rows. Every read gives each
+        entry ``acc + w * rule(a_i)``, feature by feature in the given order;
+        then one ``putmask`` writes ``inf`` where the gates' fold rules the
+        move out. So an entry has the same bits whatever else is read with
+        it. Column ``schema.size``, if present, is the label, for unweighted
+        calls only. A read is a contiguous array in the walk's scratch
+        buffers (at most one tile, so a read of pairs holds at most that many
+        pairs), which the next read overwrites: a caller may change it in
+        place but must copy what it keeps.
+        """
+        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
+        buffers = np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
+        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
+
+            def read(cols=EVERY, pairs=None, lo=lo, hi=hi):
+                if pairs is not None:
+                    dims = pairs[0].shape
+                else:
+                    dims = (hi - lo, Xb.shape[0] if cols is EVERY else cols.shape[0])
+                acc, eps, ok, allow = (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in buffers)
+                acc = _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
+                if gates:
+                    feasible = _fold(gates, Xa, lo, hi, ok, allow, True, np.logical_and, pairs, cols)
+                    np.putmask(acc, np.logical_not(feasible, out=feasible), np.inf)
+                return acc
+
+            yield lo, hi, read
+
     def eps_tiles(
         self,
         group: str,
@@ -389,25 +440,10 @@ class EffortEngine:
     ):
         """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
 
-        Each column's path is chosen once per call (see ``_terms``), and the
-        level tables share a budget of one tile's rows. Either path gives
-        every entry ``acc + w * rule(a_i)``, feature by feature in the given
-        order; then one ``putmask`` writes ``inf`` where the gates' fold rules
-        the move out. Column ``schema.size``, if present, is the label, for
-        unweighted calls only. The tile is scratch that the next step
-        overwrites, so a caller may change it in place but must copy what it
-        keeps.
+        Each tile is ``eps_reads``' read of every column, and the same scratch.
         """
-        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        acc, eps = np.empty(shape), np.empty(shape)
-        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
-        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
-        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            acc_t = _fold(terms, Xa, lo, hi, acc[: hi - lo], eps[: hi - lo], 0.0, np.add)
-            if gates:
-                feasible = _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
-                np.putmask(acc_t, np.logical_not(feasible, out=feasible), np.inf)
-            yield lo, hi, acc_t
+        for lo, hi, read in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
+            yield lo, hi, read()
 
     def eps_pairs(
         self,
@@ -449,27 +485,40 @@ class EffortEngine:
             out[lo:hi] = tile
         return out
 
-    def effort_tiles(self, pop: Population, mutable_only: bool = False):
-        """Yield ``(rows, tile)``: the total efforts from rows ``rows`` of ``pop`` to every row.
+    def effort_reads(self, pop: Population, mutable_only: bool = False):
+        """Yield ``(rows, read)``: ``read(cols=EVERY, pairs=None)`` gives the total efforts from
+        rows ``rows`` of ``pop`` to the rows ``cols`` of ``pop``, or of the pairs ``(r, j)``.
 
-        Row i's own group supplies the quantile tables and base cost. With
+        Row i's own group supplies the quantile tables and base cost, and each
+        total is ``base + sum / K`` over ``eps_reads``' sum, in place. With
         ``mutable_only`` the non-mutable features are skipped, which is the
         cost of an imitation target that keeps i's non-mutable entries. The
         walk goes group by group in row tiles, so ``rows`` is a slice of
-        ``pop.group_rows(g)``. The tile is scratch that the next step
-        overwrites, and a consumer drops it before asking for the next one:
-        a finished group's buffers are then freed before the next group's
-        are allocated.
+        ``pop.group_rows(g)``. A read is scratch that the next read
+        overwrites, and a consumer drops its reader and reads before asking
+        for the next row tile: a finished group's buffers are then freed
+        before the next group's are allocated.
         """
         K = self.schema.size
         idx = [k for k in range(K) if self.schema.features[k].mutable or not mutable_only]
         for g in pop.group_names:
             rows = pop.group_rows(g)
             base = self.params.base_cost_for(g)
-            for lo, hi, tile in self.eps_tiles(g, pop.X[rows], pop.X, idx, weighted=True):
-                np.divide(tile, K, out=tile)
-                yield rows[lo:hi], np.add(base, tile, out=tile)
-            del tile  # a view of the finished group's buffers
+            for lo, hi, read in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
+
+                def total(cols=EVERY, pairs=None, read=read):
+                    acc = read(cols, pairs)
+                    np.divide(acc, K, out=acc)
+                    return np.add(base, acc, out=acc)
+
+                yield rows[lo:hi], total
+            del read, total  # they hold the finished group's buffers
+
+    def effort_tiles(self, pop: Population, mutable_only: bool = False):
+        """Yield ``(rows, tile)``: ``effort_reads``' read of every column, scratch as a read is."""
+        for rows, read in self.effort_reads(pop, mutable_only):
+            yield rows, read()
+            del read  # see effort_reads
 
     def effort_pairs(self, pop: Population):
         """Yield ``(rows, r, j, e)``: the finite total efforts from rows ``rows[r]`` of ``pop`` to rows ``j``.

@@ -410,6 +410,8 @@ def _impact_runs(config: ExperimentConfig, runner: StageRunner, specs):
     )
     models = runner.run("fit", lambda: [fit_model(s, train, config) for s in specs])
     impacts = runner.run("imitation_round", lambda: simulate(models, train, config.effort))
+    per_model = dict(zip((s.name for s in specs), impacts.walk["candidate_columns"]))
+    runner.timings.append({"imitation": {**impacts.walk, "candidate_columns": per_model}})
     return train, ctx, list(zip(specs, models, impacts))
 
 

@@ -193,7 +193,10 @@ def build_focal_neighborhoods(
 
     Focal vectors live in the mutable subspace; the distance is the sum of
     the individual's own-group feature efforts toward the focal values
-    (no label term). Ties go to the lowest-index focal vector.
+    (no label term). Ties go to the lowest-index focal vector. A row's
+    distances depend on its mutable values alone, so each group's distinct
+    mutable profiles are measured once and their nearest vectors handed to
+    their rows: the same bits as measuring every row.
     """
     idx = ctx.mutable_indices
     if len(vectors) == 0:
@@ -203,11 +206,13 @@ def build_focal_neighborhoods(
         raise ValueError("focal vectors must live in the mutable subspace")
     F = np.zeros((len(V), ctx.reference.schema.size))
     F[:, idx] = V
-    dist = np.empty((pop.size, len(V)))
+    nearest = np.empty(pop.size, np.intp)
     for g in pop.group_names:
         rows = pop.group_rows(g)
-        dist[rows] = ctx.engine.eps_sum(g, pop.X[rows], F, idx, weighted=False)
-    return np.argmin(dist, axis=1)  # first minimum wins
+        first, of_row = _distinct_rows(pop.X[rows][:, idx])
+        dist = ctx.engine.eps_sum(g, pop.X[rows[first]], F, idx, weighted=False)
+        nearest[rows] = np.argmin(dist, axis=1)[of_row]  # first minimum wins
+    return nearest
 
 
 def atkinson_index(minority_counts, totals, beta: float) -> float:

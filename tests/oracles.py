@@ -186,6 +186,26 @@ def role_model(h, pop, params, name, i) -> tuple[int | None, float]:
     return (best_j if best_u > 0.0 else None), best_u
 
 
+def best_moves(rewards, E) -> list:
+    """The imitation round written densely, for bit-for-bit comparisons.
+
+    ``rewards[i, j]`` is row i's reward for imitating row j (``rewards[i, i]``
+    its own), ``E`` the mutable-only effort matrix. Each row takes the first
+    maximum over every column of ``gain - effort``, where gain is the reward
+    minus the row's own, with the same float operations as the library.
+    Returns per row ``(j, gain, effort, utility)``, or None where the
+    utility is not > 0.
+    """
+    rewards, E = np.asarray(rewards, dtype=np.float64), np.asarray(E, dtype=np.float64)
+    gains = rewards - np.diagonal(rewards)[:, None]
+    utils = gains - E
+    moves = []
+    for i in range(utils.shape[0]):
+        j = int(np.argmax(utils[i]))
+        moves.append((j, gains[i, j], E[i, j], utils[i, j]) if utils[i, j] > 0.0 else None)
+    return moves
+
+
 def directed_view(reference, params, group, xi, yi, xj, yj) -> float:
     labels = [float(reference.y[r]) for r in range(reference.size) if reference.groups[r] == group]
     total = max(0.0, rank_leq(labels, yj) - rank_leq(labels, yi))

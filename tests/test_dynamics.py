@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import run_simulate, single_group_pop
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
-from effortsim import effort
+from effortsim import dynamics, effort
 from effortsim.dynamics import feature_shift_report, simulate
-from effortsim.effort import EffortParams
+from effortsim.effort import EffortEngine, EffortParams
 from effortsim.models import (
     LinearPredictor,
     fit_constrained_linear,
@@ -265,6 +267,135 @@ class TestSharedRound:
 
     def test_no_models_no_results(self):
         assert simulate([], _toy_pop(), EffortParams()) == []
+
+
+def _dense_round(h, pop, params) -> list:
+    """``oracles.best_moves`` of ``h`` on ``pop``: every reward, and the mutable-only effort matrix."""
+    rewards = params.reward(pop.y, h.imitation_block(pop.schema, pop.X)(np.arange(pop.size)))
+    return oracles.best_moves(rewards, EffortEngine(pop, params).pairwise_effort(pop, mutable_only=True))
+
+
+def _moves(result) -> list:
+    """Per row, None or (role model, reward, effort, utility) with each float's bits in hex."""
+    return [
+        (o.role_model_index, o.reward.hex(), o.effort.hex(), o.utility.hex()) if o.changed else None
+        for o in result.outcomes
+    ]
+
+
+def _hex(moves) -> list:
+    return [None if m is None else (m[0], *(float(v).hex() for v in m[1:])) for m in moves]
+
+
+def _one_profile_pop():
+    """Six rows hold the top skill and are the same profile: every row gains most by copying them."""
+    schema = _toy_pop().schema
+    skill = np.array([5, 1, 0, 5, 2, 5, 3, 5, 0, 4, 5, 1, 5, 2], dtype=float)
+    grp = np.array([0] * 6 + [1] * 8, dtype=float)
+    y = np.where(skill == 5, 7.5, np.arange(14) / 4.0)
+    return Population(schema, np.column_stack([grp, skill]), y, ["g1"] * 6 + ["g2"] * 8)
+
+
+class TestCandidateColumns:
+    """Efforts are read only for candidates that can win, and every outcome keeps the dense round's bits."""
+
+    @staticmethod
+    def _cases():
+        """(models, population, params): random instances under each utility model, plus hand-made rounds."""
+        cases = []
+        for seed in (70, 71, 72, 73):
+            pop, params, h, _ = random_instance(seed)
+            constant = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
+            models = [h, fit_tree(pop, 3), fit_linear(pop), constant]
+            for utility in (
+                {},
+                {"benefit": "shifted_gain"},
+                {"alpha": 2.0, "base_cost": {"a": 0.05, "b": 0.2}},
+            ):
+                cases.append((models, pop, dataclasses.replace(params, **utility)))
+        one = _one_profile_pop()
+        for benefit in ("predicted", "shifted_gain"):
+            cases.append(([_skill_model(one, weight=10.0), fit_tree(one, 2)], one, EffortParams(benefit=benefit)))
+        return cases
+
+    def _check(self, cases):
+        walks = []
+        for models, pop, params in cases:
+            results = simulate(models, pop, params)
+            for h, result in zip(models, results):
+                assert _moves(result) == _hex(_dense_round(h, pop, params))
+            walks.append(results.walk)
+        return walks
+
+    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7, None])
+    def test_outcomes_equal_the_dense_round(self, monkeypatch, rows_per_tile):
+        if rows_per_tile is not None:
+            monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
+        walks = self._check(self._cases())
+        # both reads happen: the union of candidate columns, and whole tiles
+        assert any(w["subtile_cells"] for w in walks) and any(w["dense_cells"] for w in walks)
+        for w in walks:
+            assert w["subtile_cells"] + w["dense_cells"] <= w["pairs"]  # each tile is read once at most
+
+    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
+    def test_dense_tiles_give_the_same_outcomes(self, monkeypatch, rows_per_tile):
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
+        monkeypatch.setattr(dynamics, "DENSE_SHARE", 0.0)
+        walks = self._check(self._cases())
+        assert not any(w["subtile_cells"] for w in walks)
+
+    def test_every_row_copies_one_profile(self):
+        pop = _one_profile_pop()
+        for benefit in ("predicted", "shifted_gain"):
+            [result] = simulate([_skill_model(pop, weight=10.0)], pop, EffortParams(benefit=benefit))
+            movers = [o for o in result.outcomes if o.changed]
+            # the six top rows tie exactly, and the first of them wins every row
+            assert len(movers) == 8 and {o.role_model_index for o in movers} == {0}
+
+    def test_exactly_tied_gains_go_to_the_lowest_index(self):
+        # rows 1, 2 and 3 are one profile: equal gains and equal efforts from every row
+        schema = _toy_pop().schema
+        X = np.array([[0, 1], [0, 4], [0, 4], [1, 4], [1, 0]], dtype=float)
+        pop = Population(schema, X, np.full(5, 2.0), ["g1", "g1", "g1", "g2", "g2"])
+        [result] = simulate([_skill_model(pop)], pop, EffortParams())
+        assert [o.role_model_index for o in result.outcomes] == [1, None, None, None, 1]
+        assert _moves(result) == _hex(_dense_round(_skill_model(pop), pop, EffortParams()))
+
+    def test_nobody_gains_and_no_effort_is_read(self):
+        pop, params, _, _ = random_instance(74)
+        constant = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 2.0)
+        results = simulate([constant], pop, params)
+        assert not any(o.changed for o in results.outcomes)
+        assert results.walk["subtile_cells"] == results.walk["dense_cells"] == 0
+        assert results.walk["bound_pairs"] == pop.size and results.walk["candidate_columns"] == [0]
+
+    def test_a_tiny_gain_moves_a_row(self):
+        # One mutable profile, labels one ulp-scale step apart: under the
+        # shifted gain a row gains y_i - y_j at zero effort by adopting a
+        # lower label, and the least positive gain still counts.
+        schema = _toy_pop().schema
+        X = np.array([[0, 2], [0, 2], [0, 2]], dtype=float)
+        pop = Population(schema, X, np.array([2.0, 2.0 + 1e-12, 2.0]), ["g1"] * 3)
+        h, params = _skill_model(pop), EffortParams(benefit="shifted_gain")
+        [result] = simulate([h], pop, params)
+        assert [o.role_model_index for o in result.outcomes] == [None, 0, None]
+        assert 0.0 < result.outcomes[1].utility < 1e-11
+        assert _moves(result) == _hex(_dense_round(h, pop, params))
+
+    def test_nan_gains_read_every_column(self):
+        # Rewards overflow to -inf and +inf (alpha 3). A row whose own reward
+        # is -inf gains NaN (-inf - -inf) from the rows like it and +inf from
+        # the others; a row-wise argmax stops at its first NaN, so every row
+        # stays put, though reading only the +inf gains would move half.
+        pop = _short_first_group_pop()
+        h = _skill_model(pop, weight=1e200, intercept=-2.5e200)
+        params = EffortParams(alpha=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = simulate([h], pop, params)
+            want = _dense_round(h, pop, params)
+        assert _moves(results[0]) == _hex(want)
+        assert want == [None] * pop.size
+        assert results.walk["dense_cells"] > 0
 
 
 class TestFeatureShiftReport:

@@ -653,6 +653,11 @@ class TestDistinctRows:
         assert len(first) == len({tuple(row) for row in a.tolist()})
         assert sorted(set(inverse.tolist())) == list(range(len(first)))
 
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_rows_of_no_columns_are_one_row(self, n):
+        first, inverse = _distinct_rows(np.empty((n, 0)))
+        assert first.tolist() == [0] * min(n, 1) and inverse.tolist() == [0] * n
+
     def test_a_row_holding_nan_is_its_own(self):
         a = np.array([[np.nan, 1.0], [0.0, 1.0], [np.nan, 1.0], [-0.0, 1.0]])
         first, inverse = _distinct_rows(a)

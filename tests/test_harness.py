@@ -643,31 +643,63 @@ class TestOneEffortMatrix:
     def test_one_matrix_per_command(self, toy_dir, monkeypatch, command):
         matrices, walks = [], []
         original_matrix = EffortEngine.pairwise_effort
-        original_walk = EffortEngine.effort_tiles
+        original_reads = EffortEngine.effort_reads
         original_pairs = EffortEngine.effort_pairs
 
         def counting_matrix(self, pop, mutable_only=False):
             matrices.append(mutable_only)
             return original_matrix(self, pop, mutable_only)
 
-        def counting_walk(self, pop, mutable_only=False):
-            walks.append(("tiles", mutable_only))
-            return original_walk(self, pop, mutable_only)
+        def counting_reads(self, pop, mutable_only=False):
+            walks.append(("reads", mutable_only))
+            return original_reads(self, pop, mutable_only)
 
         def counting_pairs(self, pop):
             walks.append(("pairs", False))
             return original_pairs(self, pop)
 
         monkeypatch.setattr(EffortEngine, "pairwise_effort", counting_matrix)
-        monkeypatch.setattr(EffortEngine, "effort_tiles", counting_walk)
+        monkeypatch.setattr(EffortEngine, "effort_reads", counting_reads)
         monkeypatch.setattr(EffortEngine, "effort_pairs", counting_pairs)
         config = load_config(toy_dir / "config.json")
         assert len(config.models) == 3 and len(config.tau_grid) == 3
         command(config, toy_dir / "out")
         assert matrices == []  # no command assembles an n x n effort matrix
         # the audit walks the feasible pairs of every feature once, the
-        # imitation round every pair of the mutable ones
-        assert walks == ([("pairs", False)] if command is cmd_fairness else [("tiles", True)])
+        # imitation round the row tiles of the mutable ones (effort_tiles
+        # walks through effort_reads, so a dense walk would count here too)
+        assert walks == ([("pairs", False)] if command is cmd_fairness else [("reads", True)])
+
+    @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
+    def test_timings_record_the_imitation_walk(self, toy_dir, monkeypatch, command):
+        rounds = []
+        original = harness.simulate
+
+        def keeping(models, train, params):
+            rounds.append(original(models, train, params))
+            return rounds[-1]
+
+        monkeypatch.setattr(harness, "simulate", keeping)
+        config = load_config(toy_dir / "config.json")
+        out = toy_dir / "out"
+        command(config, out)
+        tag = "simulate" if command is cmd_simulate else "sweep_tau"
+        timings = json.loads((out / f"timings_{tag}.json").read_text())
+        [walk] = [e["imitation"] for e in timings if "imitation" in e]
+        [round_] = rounds
+        runs = (
+            [m.name for m in config.models]
+            if command is cmd_simulate
+            else [f"tau_{format_number(t)}" for t in config.tau_grid]
+        )
+        assert walk == {**round_.walk, "candidate_columns": dict(zip(runs, round_.walk["candidate_columns"]))}
+        n = harness._load_and_split(config)[1].size
+        assert walk["pairs"] == n * n
+        # every row searches with one model at least, and with each model at most
+        assert n <= walk["bound_pairs"] <= n * len(runs)
+        # a row tile's efforts are read once at most: whole, or on its candidate columns
+        assert walk["subtile_cells"] + walk["dense_cells"] <= n * n
+        assert walk["dense_cells"] % n == 0
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):

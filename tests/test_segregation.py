@@ -13,7 +13,7 @@ from conftest import run_simulate, single_group_pop, synthetic_student_pop
 from effortsim import effort, segregation
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, SchemaError
 from effortsim.dynamics import FocalPoint
-from effortsim.effort import EffortParams
+from effortsim.effort import EffortEngine, EffortParams
 from effortsim.models import LinearPredictor
 from effortsim.segregation import (
     MetricContext,
@@ -201,6 +201,43 @@ class TestFocalNeighborhoods:
         ctx = MetricContext(pop, EffortParams(), "g1")
         with pytest.raises(ValueError):
             build_focal_neighborhoods(ctx, [], pop)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        oracle_cases(max_individuals=10),
+        st.sampled_from(["one_group", "one_group_identical", "signed_zero"]),
+        st.integers(2, 4),
+        st.integers(0, 2**16),
+    )
+    def test_each_profile_is_measured_once(self, case, pattern, copies, seed):
+        base, params = case
+        pop = _repeated_profiles(base, pattern, copies)
+        ctx = MetricContext(base, params, base.group_names[0])
+        idx = ctx.mutable_indices
+        # focal vectors from the rows, so equal distances (ties) are common
+        picks = np.random.default_rng(seed).integers(0, pop.size, size=3)
+        focals = [pop.X[i, idx] for i in picks]
+        F = np.zeros((len(focals), pop.schema.size))
+        F[:, idx] = focals
+        dist = np.empty((pop.size, len(focals)))
+        for g in pop.group_names:
+            rows = pop.group_rows(g)
+            dist[rows] = ctx.engine.eps_sum(g, pop.X[rows], F, idx, weighted=False)
+        measured = []
+        original = EffortEngine.eps_sum
+
+        def counting(self, group, Xa, *args, **kwargs):
+            measured.append(Xa.shape[0])
+            return original(self, group, Xa, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EffortEngine, "eps_sum", counting)
+            nearest = build_focal_neighborhoods(ctx, focals, pop)
+        assert nearest.tolist() == np.argmin(dist, axis=1).tolist()  # the first minimum wins
+        # one row per mutable profile of each group; -0.0 is 0.0
+        assert measured == [
+            len({tuple(r) for r in (pop.X[pop.group_rows(g)][:, idx] + 0.0).tolist()}) for g in pop.group_names
+        ]
 
 
 class TestAtkinson:
