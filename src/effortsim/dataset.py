@@ -407,7 +407,7 @@ def parse_column(path: str | Path, lines: Sequence[int], name: str, cells: Seque
 def load_csv(path: str | Path, schema_path: str | Path) -> Population:
     """Load a delimited text file (see ``read_table``) against a schema file.
 
-    The header must name every schema feature and the label; other columns are ignored.
+    The header must name every schema feature and the label once; other columns are ignored.
     """
     schema = load_schema(schema_path)
     header, lines, rows = read_table(path, "dataset")
@@ -415,6 +415,8 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
     for name in names:
         if name not in header:
             raise DataError(f"{path}: missing column {name!r}")
+        if header.count(name) > 1:
+            raise DataError(f"{path}: column {name!r} appears {header.count(name)} times")
     columns = list(zip(*rows))
     del rows  # the columns hold the cells from here on
     X = np.empty((len(lines), schema.size))
@@ -426,9 +428,11 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
 
 
 def format_number(value: float) -> str:
-    """``value`` as text that parses back to the same float: an integer without a point."""
+    """``value`` as text that parses back to the same float: an integer without a point, ``-0`` for -0.0."""
     value = float(value)
-    return str(int(value)) if value.is_integer() else repr(value)
+    if not value.is_integer():
+        return repr(value)
+    return "-0" if value == 0 and math.copysign(1.0, value) < 0 else str(int(value))
 
 
 def write_table(path: str | Path, header: Sequence[str], rows) -> None:

@@ -24,15 +24,16 @@ where a gate of nonzero weight rules the move out. The brute-force
 reference lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
-features take a handful of values. The pairwise kernel works in row tiles,
-over every pair of a tile, over the pairs of chosen columns, or over chosen
-pairs. ``_tile`` is its one read of a column: a column with few distinct
-values gets level tables, its weighted rule's row and its gate's row for
-each distinct value, which the read gathers from; every other column runs
-its rule or gate on the rows read. Both paths give the same bits. ``_fold``
-is its one loop that combines columns, in the order given: ``np.add`` for
-terms, ``np.logical_and`` for gates. So an entry has the same bits whatever
-else is read with it.
+features take a handful of values. The pairwise kernel has one walk,
+``EffortEngine.eps_reads``, in row tiles: each tile's terms are read over
+every pair of the tile, over the pairs of chosen columns, or over chosen
+pairs, and its gates over the whole tile. ``_tile`` is its one read of a
+column: a column with few distinct values gets level tables, its weighted
+rule's row and its gate's row for each distinct value, which the read
+gathers from; every other column runs its rule or gate on the rows read.
+Both paths give the same bits. ``_fold`` is its one loop that combines
+columns, in the order given: ``np.add`` for terms, ``np.logical_and`` for
+gates. So an entry has the same bits whatever else is read with it.
 """
 
 from __future__ import annotations
@@ -280,11 +281,12 @@ class EffortEngine:
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
-    through ``eps_reads`` (each row tile's every column, chosen columns or
-    chosen pairs, read on demand; ``eps_tiles`` reads every column) or
-    ``eps_pairs`` (the feasible pairs only). Both ``_fold`` the finite
-    rules of ``_eps_rule`` in the order given and take feasibility from a
-    ``_fold`` of its gates, so a pair's sum has the same bits in either walk.
+    through ``eps_reads``: per row tile, a ``_fold`` of the finite rules of
+    ``_eps_rule`` in the order given, read on demand for every column, chosen
+    columns or chosen pairs, and a ``_fold`` of its gates over the tile. A
+    caller that needs ``inf`` for a ruled-out move (``eps_sum``,
+    ``pairwise_effort``) writes it from the gates; the audit reads its
+    feasible pairs alone. A pair's sum has the same bits in every read.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -396,80 +398,49 @@ class EffortEngine:
         feature_indices: Sequence[int],
         weighted: bool,
     ):
-        """Yield ``(lo, hi, read)``, one per row tile of ``Xa``: ``read(cols=EVERY, pairs=None)``
-        gives the effort sums of rows ``Xa[lo:hi]`` to the rows ``cols`` of ``Xb`` (every row, or a
-        sorted index array), or with ``pairs=(r, j)`` of row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``.
+        """Yield ``(lo, hi, read, allowed)``, one per row tile of ``Xa``.
+
+        ``read(cols=EVERY, pairs=None)`` gives the effort sums of rows
+        ``Xa[lo:hi]`` to the rows ``cols`` of ``Xb`` (every row, or a sorted
+        index array), or with ``pairs=(r, j)`` of row ``Xa[lo + r[t]]`` to row
+        ``Xb[j[t]]``. It folds the finite terms only: each entry is
+        ``acc + w * rule(a_i)``, feature by feature in the given order, so it
+        has the same bits whatever else is read with it. ``allowed()`` folds
+        the gates over the whole tile: whether each move of rows ``Xa[lo:hi]``
+        to every row of ``Xb`` can be made at all, all ``True`` for a walk
+        with no gate. Only the immutable kinds have gates, so a walk over
+        mutable columns and the label (column ``schema.size``, for unweighted
+        calls only) has none.
 
         Each column's path is chosen once per call (see ``_terms``), and the
-        level tables share a budget of one tile's rows. Every read gives each
-        entry ``acc + w * rule(a_i)``, feature by feature in the given order;
-        then one ``putmask`` writes ``inf`` where the gates' fold rules the
-        move out. So an entry has the same bits whatever else is read with
-        it. Column ``schema.size``, if present, is the label, for unweighted
-        calls only. A read is a contiguous array in the walk's scratch
-        buffers (at most one tile, so a read of pairs holds at most that many
-        pairs), which the next read overwrites: a caller may change it in
-        place but must copy what it keeps.
+        level tables share a budget of one tile's rows. A read of every
+        column or of chosen columns is a contiguous array in the walk's two
+        float tile buffers, allocated by the first such read and overwritten
+        by the next; a mask is one in two bool tile buffers, overwritten by
+        the next mask. A read of pairs is a new array sized to the pairs, so
+        a walk that reads pairs alone holds no float tile. A caller may
+        change a read or a mask in place but must copy what it keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        buffers = np.empty(shape), np.empty(shape), np.empty(shape, bool), np.empty(shape, bool)
+        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
+        scratch: list = []  # the float tile buffers, allocated by the first read that is not of pairs
         terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
 
             def read(cols=EVERY, pairs=None, lo=lo, hi=hi):
                 if pairs is not None:
-                    dims = pairs[0].shape
+                    acc, eps = np.empty(pairs[0].shape), np.empty(pairs[0].shape)
                 else:
                     dims = (hi - lo, Xb.shape[0] if cols is EVERY else cols.shape[0])
-                acc, eps, ok, allow = (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in buffers)
-                acc = _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
-                if gates:
-                    feasible = _fold(gates, Xa, lo, hi, ok, allow, True, np.logical_and, pairs, cols)
-                    np.putmask(acc, np.logical_not(feasible, out=feasible), np.inf)
-                return acc
+                    if not scratch:
+                        scratch.extend((np.empty(shape), np.empty(shape)))
+                    acc, eps = (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in scratch)
+                return _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
 
-            yield lo, hi, read
+            def allowed(lo=lo, hi=hi):
+                return _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
 
-    def eps_tiles(
-        self,
-        group: str,
-        Xa: np.ndarray,
-        Xb: np.ndarray,
-        feature_indices: Sequence[int],
-        weighted: bool,
-    ):
-        """Yield ``(lo, hi, tile)``: the effort sums of rows ``Xa[lo:hi]`` to every row of ``Xb``.
-
-        Each tile is ``eps_reads``' read of every column, and the same scratch.
-        """
-        for lo, hi, read in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
-            yield lo, hi, read()
-
-    def eps_pairs(
-        self,
-        group: str,
-        Xa: np.ndarray,
-        Xb: np.ndarray,
-        feature_indices: Sequence[int],
-        weighted: bool,
-    ):
-        """Yield ``(lo, hi, r, j, sums)``: the finite effort sums among rows ``Xa[lo:hi]`` and ``Xb``.
-
-        Pair t goes from row ``Xa[lo + r[t]]`` to row ``Xb[j[t]]``, in
-        row-major order. The gate fold of ``eps_tiles`` picks each tile's
-        feasible pairs, and the terms' fold reads those alone, in the given
-        order and with the same operations, so each sum has the bits of the
-        matching ``eps_tiles`` entry. A walk with no gate gives every pair.
-        The arrays are scratch that the next step may overwrite.
-        """
-        shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
-        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
-        for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
-            feasible = _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
-            r, j = np.divmod(np.flatnonzero(feasible), Xb.shape[0])
-            acc = _fold(terms, Xa, lo, hi, np.empty(r.shape), np.empty(r.shape), 0.0, np.add, (r, j))
-            yield lo, hi, r, j, acc
+            yield lo, hi, read, allowed
 
     def eps_sum(
         self,
@@ -479,72 +450,56 @@ class EffortEngine:
         feature_indices: Sequence[int],
         weighted: bool,
     ) -> np.ndarray:
-        """Sum of per-feature efforts over the given features, as one matrix."""
+        """Sum of per-feature efforts over the given features, as one matrix: ``inf`` where a gate
+        rules the move out."""
         out = np.empty((Xa.shape[0], Xb.shape[0]))
-        for lo, hi, tile in self.eps_tiles(group, Xa, Xb, feature_indices, weighted):
+        for lo, hi, read, allowed in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
+            tile, feasible = read(), allowed()
+            np.putmask(tile, np.logical_not(feasible, out=feasible), np.inf)
             out[lo:hi] = tile
         return out
 
     def effort_reads(self, pop: Population, mutable_only: bool = False):
-        """Yield ``(rows, read)``: ``read(cols=EVERY, pairs=None)`` gives the total efforts from
-        rows ``rows`` of ``pop`` to the rows ``cols`` of ``pop``, or of the pairs ``(r, j)``.
+        """Yield ``(rows, read, allowed)``: ``read(cols=EVERY, pairs=None)`` gives the total efforts
+        from rows ``rows`` of ``pop`` to the rows ``cols`` of ``pop``, or of the pairs ``(r, j)``, and
+        ``allowed()`` whether each move of the rows to every row of ``pop`` can be made at all.
 
         Row i's own group supplies the quantile tables and base cost, and each
         total is ``base + sum / K`` over ``eps_reads``' sum, in place. With
         ``mutable_only`` the non-mutable features are skipped, which is the
-        cost of an imitation target that keeps i's non-mutable entries. The
-        walk goes group by group in row tiles, so ``rows`` is a slice of
-        ``pop.group_rows(g)``. A read is scratch that the next read
-        overwrites, and a consumer drops its reader and reads before asking
-        for the next row tile: a finished group's buffers are then freed
-        before the next group's are allocated.
+        cost of an imitation target that keeps i's non-mutable entries; that
+        walk has no gate. The walk goes group by group in row tiles, so
+        ``rows`` is a slice of ``pop.group_rows(g)``. Reads and masks are
+        scratch as ``eps_reads`` says, and a consumer drops its reader and
+        reads before asking for the next row tile: a finished group's buffers
+        are then freed before the next group's are allocated.
         """
         K = self.schema.size
         idx = [k for k in range(K) if self.schema.features[k].mutable or not mutable_only]
         for g in pop.group_names:
             rows = pop.group_rows(g)
             base = self.params.base_cost_for(g)
-            for lo, hi, read in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
+            for lo, hi, read, allowed in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
 
                 def total(cols=EVERY, pairs=None, read=read):
                     acc = read(cols, pairs)
                     np.divide(acc, K, out=acc)
                     return np.add(base, acc, out=acc)
 
-                yield rows[lo:hi], total
-            del read, total  # they hold the finished group's buffers
-
-    def effort_tiles(self, pop: Population, mutable_only: bool = False):
-        """Yield ``(rows, tile)``: ``effort_reads``' read of every column, scratch as a read is."""
-        for rows, read in self.effort_reads(pop, mutable_only):
-            yield rows, read()
-            del read  # see effort_reads
-
-    def effort_pairs(self, pop: Population):
-        """Yield ``(rows, r, j, e)``: the finite total efforts from rows ``rows[r]`` of ``pop`` to rows ``j``.
-
-        The pair form of ``effort_tiles`` over every feature, through
-        ``eps_pairs``: each total is ``base + sum / K`` with the bits of the
-        matching ``pairwise_effort`` entry, and every pair whose effort is
-        ``inf`` is left out. The arrays are scratch that the next step may
-        overwrite.
-        """
-        K = self.schema.size
-        for g in pop.group_names:
-            rows = pop.group_rows(g)
-            base = self.params.base_cost_for(g)
-            for lo, hi, r, j, acc in self.eps_pairs(g, pop.X[rows], pop.X, range(K), weighted=True):
-                np.divide(acc, K, out=acc)
-                yield rows[lo:hi], r, j, np.add(base, acc, out=acc)
+                yield rows[lo:hi], total, allowed
+            del read, allowed, total  # they hold the finished group's buffers
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
-        """(n, n) matrix of total efforts from row i to row j's values: ``effort_tiles`` assembled.
+        """(n, n) matrix of total efforts from row i to row j's values: ``effort_reads`` assembled,
+        with ``inf`` where a gate rules the move out.
 
         No command calls it; the tests compare against it, and the
         benchmark's traced run wraps it by name.
         """
         out = np.empty((pop.size, pop.size))
-        for rows, tile in self.effort_tiles(pop, mutable_only):
+        for rows, read, allowed in self.effort_reads(pop, mutable_only):
+            tile, feasible = read(), allowed()
+            np.putmask(tile, np.logical_not(feasible, out=feasible), np.inf)
             out[rows] = tile
-            del tile  # see effort_tiles
+            del read, allowed, tile, feasible  # see effort_reads
         return out

@@ -156,14 +156,16 @@ class FairnessAudit:
     (``audit_benefits``, computed here unless given). The reward of moving
     from row i to candidate j is ``b[j] - b[i]``, monotone in ``b[j]``, so
     one ordering of the benefits orders every row. The walk over
-    ``EffortEngine.effort_pairs`` sees only the pairs of finite effort, and
-    an unreachable candidate is never a staircase point. Per tile, one sort
-    of the pairs by (row, effort) serves every model, which keeps each row's
-    staircase points from its pairs' ascending-benefit positions. The walk
-    also keeps the largest finite effort, the top of the bounded-effort
-    grid. Every measure is then answered from the staircases, with the same
-    bits as a scan of every pair. Asking about a model the audit was not
-    built with is a ``ValueError``.
+    ``EffortEngine.effort_reads`` takes each tile's feasible pairs from its
+    gates and reads the efforts of those pairs alone, so it sees only the
+    pairs of finite effort, and an unreachable candidate is never a
+    staircase point. Per tile, one sort of the pairs by (row, effort) serves
+    every model, which keeps each row's staircase points from its pairs'
+    ascending-benefit positions. The walk also keeps the largest finite
+    effort, the top of the bounded-effort grid. Every measure is then
+    answered from the staircases, with the same bits as a scan of every
+    pair. Asking about a model the audit was not built with is a
+    ``ValueError``.
     """
 
     def __init__(
@@ -186,8 +188,10 @@ class FairnessAudit:
         pieces: list[list] = [[] for _ in self.models]
         top = 0.0  # efforts are never negative
         self.pairs, self.tiles, self.feasible_pairs = n * n, 0, 0
-        for rows, r, j, e in EffortEngine(pop, params).effort_pairs(pop):
+        for rows, read, allowed in EffortEngine(pop, params).effort_reads(pop):
             self.tiles += 1
+            r, j = np.divmod(np.flatnonzero(allowed()), n)
+            e = read(pairs=(r, j))
             finite = np.isfinite(e)  # a sum that overflowed is as unreachable as a gated move
             if not finite.all():
                 r, j, e = r[finite], j[finite], e[finite]
@@ -213,6 +217,7 @@ class FairnessAudit:
                 keep = np.flatnonzero(key == np.maximum.accumulate(key)[run_end])
                 counts = np.bincount(r[keep], minlength=rows.shape[0])
                 parts.append((rows, counts, position[j[keep]], e[keep]))
+            del read, allowed  # see EffortEngine.effort_reads
         self.max_finite_effort = top
         self._staircases = {
             id(h): _Staircases.assemble(b, asc, parts)

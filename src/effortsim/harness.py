@@ -189,7 +189,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
                 features=json_string(md.get("features", ALL_FEATURES), "model features"),
                 ridge_lambda=json_number(md.get("lambda", 0.0), "lambda"),
                 max_depth=json_number(md.get("max_depth", 5), "max_depth", integer=True),
-                tau=json_number(md.get("tau", 0.0), "tau"),
+                tau=json_number(md.get("tau", 0.0), "tau") + 0.0,  # -0.0 + 0.0 is 0.0
             )
             idle = sorted(set(md) - {"name", "kind", "features", *MODEL_KNOBS[spec.kind]})
             if idle:
@@ -208,8 +208,8 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             models=tuple(models),
             effort=effort,
             delta_points=json_number(raw.get("delta_grid_points", 20), "delta_grid_points", integer=True),
-            tau_grid=tuple(
-                json_number(t, "tau_grid entry") for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
+            tau_grid=tuple(  # + 0.0 turns -0.0 into 0.0, so the entry names its stage tau_0
+                json_number(t, "tau_grid entry") + 0.0 for t in sweep.get("tau_grid", [0.0, 0.5, 1.0, 2.0, 5.0])
             ),
             sweep_features=json_string(sweep.get("features", ALL_FEATURES), "sweep features"),
             beta=json_number(raw.get("beta", MetricContext.beta), "beta"),

@@ -98,7 +98,7 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
     """Yield ``(lo, hi, tile)``: the distances from rows ``A[lo:hi]`` to every row of ``B``.
 
     ``A`` holds members of ``row_group``, ``B`` of ``col_group``. A view of
-    group g is one ``eps_tiles`` walk on g's tables over the unweighted
+    group g is one ``eps_reads`` walk on g's tables over the unweighted
     columns ``idx``: the mutable-feature efforts plus the positive
     label-rank gap. Entry (i, j) is the larger of i's group view and j's
     group view, so a same-group block needs one view and a cross-group
@@ -106,7 +106,7 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
     """
 
     def view(g):
-        return ctx.engine.eps_tiles(g, A, B, idx, weighted=False)
+        return ((lo, hi, read()) for lo, hi, read, _ in ctx.engine.eps_reads(g, A, B, idx, weighted=False))
 
     if row_group == col_group:
         yield from view(row_group)

@@ -23,6 +23,7 @@ from effortsim.dataset import (
     write_csv,
 )
 from effortsim.dynamics import simulate
+from effortsim.effort import EVERY, EffortEngine
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -90,6 +91,28 @@ def sweep_point(audit, h, measure: str, delta: float) -> tuple[dict, dict | None
         {g: vals[0] for g, vals in curve.per_group_values.items()},
         None if feas is None else {g: shares[0] for g, shares in feas.items()},
     )
+
+
+def count_effort_walks(monkeypatch) -> list:
+    """Record every ``EffortEngine.effort_reads`` walk as ``(mutable_only, forms)``: the set of its
+    read forms, ``"tiles"`` for a whole tile, ``"columns"`` for chosen columns, ``"pairs"`` for
+    chosen pairs."""
+    walks = []
+    reads = EffortEngine.effort_reads
+
+    def counting(self, pop, mutable_only=False):
+        forms: set = set()
+        walks.append((mutable_only, forms))
+        for rows, read, allowed in reads(self, pop, mutable_only):
+
+            def counted(cols=EVERY, pairs=None, read=read):
+                forms.add("pairs" if pairs is not None else "tiles" if cols is EVERY else "columns")
+                return read(cols, pairs)
+
+            yield rows, counted, allowed
+
+    monkeypatch.setattr(EffortEngine, "effort_reads", counting)
+    return walks
 
 
 def run_simulate(h, pop: Population, params):

@@ -122,14 +122,17 @@ class TestLoadCsv:
     def test_roundtrip_is_bit_exact(self, tmp_path, tiny_schema_file):
         csv_path = _write(
             tmp_path / "d.csv",
-            "g,cat,num,score\nx,A,1.230000000000000982,3.25\nx,B,-7,4\ny,A,0.1,5\n",
+            "g,cat,num,score\nx,A,1.230000000000000982,3.25\nx,B,-7,4\ny,A,0.1,5\ny,B,-0.0,-0\n",
         )
         pop = load_csv(csv_path, tiny_schema_file)
+        assert np.signbit(pop.X[3, 2]) and np.signbit(pop.y[3])
         out = tmp_path / "out.csv"
         write_csv(pop, out)
+        assert out.read_text().splitlines()[-1] == "y,B,-0,-0"
         again = load_csv(out, tiny_schema_file)
-        assert np.array_equal(pop.X, again.X)
-        assert np.array_equal(pop.y, again.y)
+        # every bit, the sign of a zero included (array_equal takes -0.0 == 0.0)
+        assert np.array_equal(pop.X.view(np.uint64), again.X.view(np.uint64))
+        assert np.array_equal(pop.y.view(np.uint64), again.y.view(np.uint64))
         assert pop.groups == again.groups
 
 

@@ -629,14 +629,15 @@ class TestDistinctValueGather:
         assert gated == 4  # grp, older, fewer, born
 
 
-def _scatter_pairs(walk, shape):
-    """The pairs of an ``eps_pairs`` walk written into an ``inf`` matrix, checked for order."""
+def _gated_pairs(walk, shape):
+    """The audit's read of an ``eps_reads`` walk: each tile's allowed pairs, read in pairs and
+    written into an ``inf`` matrix, with a mask of the pairs read."""
     out = np.full(shape, np.inf)
     seen = np.zeros(shape, bool)
-    for lo, hi, r, j, sums in walk:
-        flat = r * shape[1] + j
-        assert np.all(np.diff(flat) > 0) and np.all(r < hi - lo)  # row-major, no repeats
-        out[lo + r, j] = sums
+    for lo, hi, read, allowed in walk:
+        r, j = np.divmod(np.flatnonzero(allowed()), shape[1])
+        assert np.all(r < hi - lo)
+        out[lo + r, j] = read(pairs=(r, j))
         seen[lo + r, j] = True
     return out, seen
 
@@ -667,7 +668,7 @@ class TestDistinctRows:
 
 
 class TestPairForm:
-    """Gated walks compute only the finite pairs, and each keeps the bits of the dense kernel."""
+    """Reads of chosen pairs and masks of the gates keep the bits of the whole-tile read."""
 
     @staticmethod
     def _engine_pop(pattern):
@@ -693,19 +694,60 @@ class TestPairForm:
         for g in pop.group_names:
             for weighted in (True, False):
                 want = engine.eps_sum(g, pop.X, Xb, every, weighted)
-                got, seen = _scatter_pairs(engine.eps_pairs(g, pop.X, Xb, every, weighted), want.shape)
+                got, seen = _gated_pairs(engine.eps_reads(g, pop.X, Xb, every, weighted), want.shape)
                 assert np.array_equal(seen, np.isfinite(want))
                 assert _same_bits(got, want)
                 assert 0 < seen.sum() < seen.size
 
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    @pytest.mark.parametrize("pattern", ["heavy_ties", "all_distinct", "signed_zero", "nan_cell"])
+    def test_pair_reads_equal_the_whole_read(self, monkeypatch, pattern, height):
+        # Every pair of a tile, read in pairs, has the bits of the tile's
+        # whole read; gated and gate-free walks alike.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
+        reference, pop = self._engine_pop(pattern)
+        engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
+        Xb = np.vstack([pop.X, reference.X[::3]])
+        every = list(range(pop.schema.size))
+        mutable = [k for k in every if pop.schema.features[k].mutable]
+        for g in pop.group_names:
+            for idx, weighted in ((every, True), (every, False), (mutable, True)):
+                for lo, hi, read, _ in engine.eps_reads(g, pop.X, Xb, idx, weighted):
+                    whole = read().copy()
+                    r, j = np.divmod(np.arange(whole.size), Xb.shape[0])
+                    assert _same_bits(read(pairs=(r, j)), whole.reshape(-1))
+
+    def test_gates_are_apart_from_the_terms(self, monkeypatch):
+        # A gated walk's read holds only its finite terms, and its mask
+        # rules moves out; a gate-free walk's mask allows every move.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 3)
+        reference, pop = self._engine_pop("heavy_ties")
+        engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
+        every = list(range(pop.schema.size))
+        mutable = [k for k in every if pop.schema.features[k].mutable]
+        for g in pop.group_names:
+            want = engine.eps_sum(g, pop.X, reference.X, every, weighted=True)
+            ruled_out = 0
+            for lo, hi, read, allowed in engine.eps_reads(g, pop.X, reference.X, every, weighted=True):
+                tile, feasible = read(), allowed()
+                assert np.all(np.isfinite(tile))
+                assert np.array_equal(feasible, np.isfinite(want[lo:hi]))
+                assert _same_bits(tile[feasible], want[lo:hi][feasible])
+                ruled_out += int((~feasible).sum())
+            assert ruled_out > 0
+            for lo, hi, read, allowed in engine.eps_reads(g, pop.X, reference.X, mutable, weighted=True):
+                assert allowed().shape == (hi - lo, reference.size) and allowed().all()
+
     @pytest.mark.parametrize("height", [3, 1000])
-    def test_effort_pairs_match_pairwise_effort(self, monkeypatch, height):
+    def test_effort_reads_in_pairs_match_pairwise_effort(self, monkeypatch, height):
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
         reference, pop = self._engine_pop("heavy_ties")
         engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
         E = engine.pairwise_effort(pop)
         got = np.full_like(E, np.inf)
-        for rows, r, j, e in engine.effort_pairs(pop):
+        for rows, read, allowed in engine.effort_reads(pop):
+            r, j = np.divmod(np.flatnonzero(allowed()), pop.size)
+            e = read(pairs=(r, j))
             assert np.all(np.isfinite(e))
             got[rows[r], j] = e
         assert _same_bits(got, E)
@@ -724,7 +766,7 @@ class TestPairForm:
         for g, idx, weighted in (("g1", every, True), ("g2", mutable, True), ("g2", mutable, False)):
             want = engine.eps_sum(g, pop.X, reference.X, idx, weighted)
             assert np.all(np.isfinite(want))
-            got, seen = _scatter_pairs(engine.eps_pairs(g, pop.X, reference.X, idx, weighted), want.shape)
+            got, seen = _gated_pairs(engine.eps_reads(g, pop.X, reference.X, idx, weighted), want.shape)
             assert seen.all() and _same_bits(got, want)
 
 
@@ -742,36 +784,38 @@ class TestPairwiseEffortMemory:
             tracemalloc.stop()
         assert peak <= 8 * pop.size**2 + 4 * TILE_BYTES
 
-    def test_eps_tiles_walk_stays_under_four_tiles(self):
-        # Group F against everyone on a synthetic population: the few-valued
-        # columns' level tables share one tile's rows next to the
-        # accumulator, the gather tile and the rule mask.
+    @staticmethod
+    def _walk_peak(read_tile) -> int:
+        """Traced peak of group F's walk against everyone on a synthetic population, every feature,
+        with ``read_tile(read, allowed, n)`` reading each tile."""
         pop = synthetic_student_pop(3000, seed=1)
         tracemalloc.start()
         try:
             engine = EffortEngine(pop, EffortParams())
             Xa = pop.X[pop.group_rows("F")]
-            for _ in engine.eps_tiles("F", Xa, pop.X, range(pop.schema.size), weighted=True):
-                pass
+            for _, _, read, allowed in engine.eps_reads("F", Xa, pop.X, range(pop.schema.size), weighted=True):
+                read_tile(read, allowed, pop.size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * TILE_BYTES
+        return peak
 
-    def test_eps_pairs_walk_stays_under_four_tiles(self):
-        # The same walk in pairs: the feasibility mask reuses the rule's mask
-        # buffer, and no accumulator or gather tile is allocated.
-        pop = synthetic_student_pop(3000, seed=1)
-        tracemalloc.start()
-        try:
-            engine = EffortEngine(pop, EffortParams())
-            Xa = pop.X[pop.group_rows("F")]
-            for _ in engine.eps_pairs("F", Xa, pop.X, range(pop.schema.size), weighted=True):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * TILE_BYTES
+    def test_whole_tile_reads_stay_under_four_tiles(self):
+        # The few-valued columns' level tables share one tile's rows next to
+        # the accumulator, the gather tile and the gates' masks.
+        def whole(read, allowed, n):
+            feasible = allowed()
+            np.putmask(read(), np.logical_not(feasible, out=feasible), np.inf)
+
+        assert self._walk_peak(whole) < 4 * TILE_BYTES
+
+    def test_gated_pair_reads_stay_under_four_tiles(self):
+        # The audit's read: the feasible pairs of the gates' mask, read in
+        # pairs into arrays of their own size; no float tile is allocated.
+        def pairs(read, allowed, n):
+            read(pairs=np.divmod(np.flatnonzero(allowed()), n))
+
+        assert self._walk_peak(pairs) < 4 * TILE_BYTES
 
 
 class TestReversalInvariance:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import single_group_pop, sweep_point, synthetic_student_pop, toy_schema
+from conftest import count_effort_walks, single_group_pop, sweep_point, synthetic_student_pop, toy_schema
 from effortsim import effort, fairness
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
 from effortsim.effort import EffortEngine, EffortParams
@@ -29,24 +29,6 @@ def _skill_model(pop, weight=1.0, intercept=0.0):
 def _dense_efforts(pop, params):
     """The full n x n effort matrix, which the audit itself never holds."""
     return EffortEngine(pop, params).pairwise_effort(pop)
-
-
-def _count_walks(monkeypatch) -> list:
-    """Record every effort walk, dense (``effort_tiles``) or in pairs (``effort_pairs``)."""
-    walks = []
-    tiles, pairs = EffortEngine.effort_tiles, EffortEngine.effort_pairs
-
-    def counting_tiles(self, pop, mutable_only=False):
-        walks.append("tiles")
-        return tiles(self, pop, mutable_only)
-
-    def counting_pairs(self, pop):
-        walks.append("pairs")
-        return pairs(self, pop)
-
-    monkeypatch.setattr(EffortEngine, "effort_tiles", counting_tiles)
-    monkeypatch.setattr(EffortEngine, "effort_pairs", counting_pairs)
-    return walks
 
 
 def _two_group_skill_pop():
@@ -240,11 +222,11 @@ class TestSweep:
 
     def test_grid_top_is_scanned_once_per_audit(self, monkeypatch):
         pop, params, h, benefit = random_instance(23)
-        walks = _count_walks(monkeypatch)
+        walks = count_effort_walks(monkeypatch)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
         audit = FairnessAudit(pop, params, [h, flat])
         grids = [audit.default_grid(model, BOUNDED_EFFORT, 5) for model in (h, flat, h)]
-        assert walks == ["pairs"]
+        assert walks == [(False, {"pairs"})]  # every feature, feasible pairs alone
         efforts = _dense_efforts(pop, params)
         finite = efforts[np.isfinite(efforts)]
         assert grids[0] == grids[1] == grids[2]
@@ -462,9 +444,9 @@ class TestStaircases:
     def test_one_walk_serves_every_model(self, monkeypatch):
         pop, params, h, benefit = random_instance(44)
         flat = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 1.0)
-        walks = _count_walks(monkeypatch)
+        walks = count_effort_walks(monkeypatch)
         both = FairnessAudit(pop, params, [h, flat])
-        assert walks == ["pairs"]
+        assert walks == [(False, {"pairs"})]  # every feature, feasible pairs alone
         assert both.tiles == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
         for model in (h, flat):
             alone = FairnessAudit(pop, params, [model])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import harness_toy_schema, synthetic_student_pop
+from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
 import effortsim
 from effortsim import cli, data_path, harness, segregation
 from effortsim.dataset import format_number, load_csv, schema_to_dict, split, write_csv
@@ -57,6 +57,18 @@ class TestConfig:
         config = load_config(toy_dir / "config.json")
         assert config.dataset.exists() and config.schema.exists()
         assert config.tau_grid == (0.0, 1.0, 4.0)
+
+    def test_negative_zero_tau_is_zero(self, toy_dir):
+        # -0.0 == 0.0, so the grid entry names its stage tau_0, and a model's tau is +0.0 too
+        raw = json.loads((toy_dir / "config.json").read_text())
+        raw["sweep"]["tau_grid"] = [-0.0, 1.0]
+        raw["models"].append({"name": "fair", "kind": "constrained", "tau": -0.0, "features": "all"})
+        (toy_dir / "config.json").write_text(json.dumps(raw))
+        assert "-0.0" in (toy_dir / "config.json").read_text()
+        config = load_config(toy_dir / "config.json")
+        taus = [*config.tau_grid, config.models[-1].tau]
+        assert taus == [0.0, 1.0, 0.0] and not np.signbit(taus).any()
+        assert [f"tau_{format_number(t)}" for t in config.tau_grid] == ["tau_0", "tau_1"]
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert cli.main(["fairness", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path)]) == 2
@@ -336,6 +348,7 @@ class TestConfig:
             ("one_group_dataset", 3),
             ("one_group_dataset_fairness", 3),
             ("minority_not_in_data", 3),
+            ("dataset_repeats_a_column", 3),
         ],
     )
     def test_bad_input_file_exits_without_traceback(self, toy_dir, case, code):
@@ -392,6 +405,11 @@ class TestConfig:
                 argv[0] = "simulate"
         elif case == "minority_not_in_data":
             raw["minority"] = "c"
+        elif case == "dataset_repeats_a_column":
+            # a second "skill" column, with the same cells; the header line gains ",skill"
+            lines = (toy_dir / "toy.csv").read_text().splitlines()
+            k = lines[0].split(",").index("skill")
+            (toy_dir / "toy.csv").write_text("".join(f"{line},{line.split(',')[k]}\n" for line in lines))
         config.write_bytes(json.dumps(raw, ensure_ascii=False).encode("latin-1"))
         src = Path(effortsim.__file__).resolve().parents[1]
         proc = subprocess.run(
@@ -402,9 +420,14 @@ class TestConfig:
         )
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
-        if case.startswith(("one_group_dataset", "dataset_not_utf8")) or case == "minority_not_in_data":
+        if case.startswith(("one_group_dataset", "dataset_not_utf8")) or case in (
+            "minority_not_in_data",
+            "dataset_repeats_a_column",
+        ):
             assert proc.stderr.startswith("data error:"), proc.stderr
             assert not list((toy_dir / "o").rglob("*"))  # no stage file
+        if case == "dataset_repeats_a_column":
+            assert "toy.csv: column 'skill' appears 2 times" in proc.stderr
         if case == "dataset_not_utf8_past_64k":
             assert f"toy.csv: not UTF-8 text (invalid continuation byte at byte {len(good)})" in proc.stderr
 
@@ -641,34 +664,25 @@ class TestOneEffortMatrix:
 
     @pytest.mark.parametrize("command", [cmd_fairness, cmd_simulate, cmd_sweep_tau])
     def test_one_matrix_per_command(self, toy_dir, monkeypatch, command):
-        matrices, walks = [], []
+        matrices = []
         original_matrix = EffortEngine.pairwise_effort
-        original_reads = EffortEngine.effort_reads
-        original_pairs = EffortEngine.effort_pairs
 
         def counting_matrix(self, pop, mutable_only=False):
             matrices.append(mutable_only)
             return original_matrix(self, pop, mutable_only)
 
-        def counting_reads(self, pop, mutable_only=False):
-            walks.append(("reads", mutable_only))
-            return original_reads(self, pop, mutable_only)
-
-        def counting_pairs(self, pop):
-            walks.append(("pairs", False))
-            return original_pairs(self, pop)
-
         monkeypatch.setattr(EffortEngine, "pairwise_effort", counting_matrix)
-        monkeypatch.setattr(EffortEngine, "effort_reads", counting_reads)
-        monkeypatch.setattr(EffortEngine, "effort_pairs", counting_pairs)
+        walks = count_effort_walks(monkeypatch)
         config = load_config(toy_dir / "config.json")
         assert len(config.models) == 3 and len(config.tau_grid) == 3
         command(config, toy_dir / "out")
         assert matrices == []  # no command assembles an n x n effort matrix
-        # the audit walks the feasible pairs of every feature once, the
-        # imitation round the row tiles of the mutable ones (effort_tiles
-        # walks through effort_reads, so a dense walk would count here too)
-        assert walks == ([("pairs", False)] if command is cmd_fairness else [("reads", True)])
+        # the audit walks every feature once and reads its feasible pairs
+        # alone; the imitation round walks the row tiles of the mutable ones
+        if command is cmd_fairness:
+            assert walks == [(False, {"pairs"})]
+        else:
+            assert [mutable_only for mutable_only, _ in walks] == [True]
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_timings_record_the_imitation_walk(self, toy_dir, monkeypatch, command):
