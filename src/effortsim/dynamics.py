@@ -144,7 +144,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
         exerted[m, rows] = E[r, win if cols is EVERY else at[win]]
         utility[m, rows] = utils[r, win]
 
-    for rows, efforts, allowed in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
+    for rows, efforts, _, _ in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
         h = rows.shape[0]
         r = np.arange(h)
         held: list = []  # (model, candidate columns, its gains on them), awaiting their efforts
@@ -184,7 +184,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
             walk["subtile_cells"] += E.size
             for k, cols_k, gains_k in held:
                 settle(k, rows, gains_k, E, cols_k, np.searchsorted(union, cols_k))
-        del efforts, allowed, dense, E, held  # see EffortEngine.effort_reads
+        del efforts, dense, E, held  # see EffortEngine.effort_reads
     return best, reward, exerted, utility
 
 

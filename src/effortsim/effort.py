@@ -27,7 +27,10 @@ Feature k's effort from row i depends only on i's value of k, and most
 features take a handful of values. The pairwise kernel has one walk,
 ``EffortEngine.eps_reads``, in row tiles: each tile's terms are read over
 every pair of the tile, over the pairs of chosen columns, or over chosen
-pairs, and its gates over the whole tile. ``_tile`` is its one read of a
+pairs, and its gates over every column or over chosen ones. A tile's
+candidate columns bound where its gates can allow a move, and
+``effort_reads`` sorts each group's rows by their gate values so that a
+tile's candidates are few. ``_tile`` is its one read of a
 column: a column with few distinct values gets level tables, its weighted
 rule's row and its gate's row for each distinct value, which the read
 gathers from; every other column runs its rule or gate on the rows read.
@@ -283,10 +286,11 @@ class EffortEngine:
     belong to any population with the same schema. Every effort goes
     through ``eps_reads``: per row tile, a ``_fold`` of the finite rules of
     ``_eps_rule`` in the order given, read on demand for every column, chosen
-    columns or chosen pairs, and a ``_fold`` of its gates over the tile. A
-    caller that needs ``inf`` for a ruled-out move (``eps_sum``,
-    ``pairwise_effort``) writes it from the gates; the audit reads its
-    feasible pairs alone. A pair's sum has the same bits in every read.
+    columns or chosen pairs, and a ``_fold`` of its gates over every column
+    or chosen ones. A caller that needs ``inf`` for a ruled-out move
+    (``eps_sum``, ``pairwise_effort``) writes it from the gates; the audit
+    folds the gates on each tile's candidate columns and reads the feasible
+    pairs alone. A pair's sum has the same bits in every read.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -398,19 +402,26 @@ class EffortEngine:
         feature_indices: Sequence[int],
         weighted: bool,
     ):
-        """Yield ``(lo, hi, read, allowed)``, one per row tile of ``Xa``.
+        """Yield ``(lo, hi, read, allowed, cols)``, one per row tile of ``Xa``.
 
         ``read(cols=EVERY, pairs=None)`` gives the effort sums of rows
         ``Xa[lo:hi]`` to the rows ``cols`` of ``Xb`` (every row, or a sorted
         index array), or with ``pairs=(r, j)`` of row ``Xa[lo + r[t]]`` to row
         ``Xb[j[t]]``. It folds the finite terms only: each entry is
         ``acc + w * rule(a_i)``, feature by feature in the given order, so it
-        has the same bits whatever else is read with it. ``allowed()`` folds
-        the gates over the whole tile: whether each move of rows ``Xa[lo:hi]``
-        to every row of ``Xb`` can be made at all, all ``True`` for a walk
-        with no gate. Only the immutable kinds have gates, so a walk over
-        mutable columns and the label (column ``schema.size``, for unweighted
-        calls only) has none.
+        has the same bits whatever else is read with it. ``allowed(cols=EVERY)``
+        folds the gates over the same columns: whether each move of rows
+        ``Xa[lo:hi]`` to those rows of ``Xb`` can be made at all, all ``True``
+        for a walk with no gate. Only the immutable kinds have gates, so a walk
+        over mutable columns and the label (column ``schema.size``, for
+        unweighted calls only) has none.
+
+        ``cols`` holds the tile's candidate columns: a sorted index array of
+        the rows of ``Xb`` that pass a necessary bound of every gate over the
+        tile's rows (see ``_candidates``), so no move to another row is
+        allowed; ``EVERY`` for a walk with no gate. The fewer values the
+        tile's rows take in the gate columns, the fewer candidates it has,
+        which is why ``effort_reads`` sorts each group's rows by them.
 
         Each column's path is chosen once per call (see ``_terms``), and the
         level tables share a budget of one tile's rows. A read of every
@@ -422,25 +433,75 @@ class EffortEngine:
         change a read or a mask in place but must copy what it keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        ok, allow = np.empty(shape, bool), np.empty(shape, bool)
+        masks = np.empty(shape, bool), np.empty(shape, bool)
         scratch: list = []  # the float tile buffers, allocated by the first read that is not of pairs
         terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
+
+        def front(buffers, lo, hi, cols):
+            """Contiguous ``(hi - lo, len(cols))`` views of the front of each buffer."""
+            dims = (hi - lo, Xb.shape[0] if cols is EVERY else cols.shape[0])
+            return (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in buffers)
+
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
 
             def read(cols=EVERY, pairs=None, lo=lo, hi=hi):
                 if pairs is not None:
                     acc, eps = np.empty(pairs[0].shape), np.empty(pairs[0].shape)
                 else:
-                    dims = (hi - lo, Xb.shape[0] if cols is EVERY else cols.shape[0])
                     if not scratch:
                         scratch.extend((np.empty(shape), np.empty(shape)))
-                    acc, eps = (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in scratch)
+                    acc, eps = front(scratch, lo, hi, cols)
                 return _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
 
-            def allowed(lo=lo, hi=hi):
-                return _fold(gates, Xa, lo, hi, ok[: hi - lo], allow[: hi - lo], True, np.logical_and)
+            def allowed(cols=EVERY, lo=lo, hi=hi):
+                return _fold(gates, Xa, lo, hi, *front(masks, lo, hi, cols), True, np.logical_and, cols=cols)
 
-            yield lo, hi, read, allowed
+            yield lo, hi, read, allowed, self._candidates(gates, Xa[lo:hi], Xb)
+
+    def _candidates(self, gates, A: np.ndarray, B: np.ndarray):
+        """The rows of ``B`` that the gates may allow from some row of ``A``, as a sorted index array;
+        ``EVERY`` when there is no gate.
+
+        The bound is necessary, gate by gate: a conditionally immutable gate
+        allows a move only to a value at or past the row's own in the
+        desirable direction, so at or past the least such value of ``A``'s
+        rows (NaN ignored: a NaN row allows nothing); an immutable gate only
+        to the row's own value, so within ``A``'s range.
+        """
+        if not gates:
+            return EVERY
+        keep = np.ones(B.shape[0], bool)
+        for k, *_ in gates:
+            kind = self.schema.features[k].kind
+            a, b = A[:, k], B[:, k]
+            if kind.kind == IMMUTABLE or kind.direction == INCREASING:
+                keep &= b >= np.fmin.reduce(a)  # NaN when every row is NaN: nothing passes
+            if kind.kind == IMMUTABLE or kind.direction != INCREASING:
+                keep &= b <= np.fmax.reduce(a)
+        return np.flatnonzero(keep)
+
+    def _gate_order(self, group: str, Xa: np.ndarray, feature_indices: Sequence[int]):
+        """The order of ``Xa``'s rows by the weighted walk's gate columns; ``None`` when it has none.
+
+        Lexicographic by the conditionally immutable columns of nonzero weight
+        in feature order, each in its desirable direction, then by the
+        immutable ones: neighbouring rows share or nearly share their gate
+        values, so a row tile's ``_candidates`` are few. NaN sorts last.
+        """
+        conditional, fixed = [], []
+        for k in feature_indices:
+            feature = self.schema.features[k]
+            kind = feature.kind
+            if kind.kind not in (CONDITIONALLY_IMMUTABLE, IMMUTABLE):
+                continue
+            if self.params.weight_for(group, feature) == 0.0:
+                continue
+            if kind.kind == IMMUTABLE:
+                fixed.append(Xa[:, k])
+            else:
+                conditional.append(Xa[:, k] if kind.direction == INCREASING else -Xa[:, k])
+        keys = conditional + fixed
+        return np.lexsort(keys[::-1]) if keys else None  # lexsort's last key is the first
 
     def eps_sum(
         self,
@@ -453,40 +514,47 @@ class EffortEngine:
         """Sum of per-feature efforts over the given features, as one matrix: ``inf`` where a gate
         rules the move out."""
         out = np.empty((Xa.shape[0], Xb.shape[0]))
-        for lo, hi, read, allowed in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
+        for lo, hi, read, allowed, _ in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
             tile, feasible = read(), allowed()
             np.putmask(tile, np.logical_not(feasible, out=feasible), np.inf)
             out[lo:hi] = tile
         return out
 
     def effort_reads(self, pop: Population, mutable_only: bool = False):
-        """Yield ``(rows, read, allowed)``: ``read(cols=EVERY, pairs=None)`` gives the total efforts
-        from rows ``rows`` of ``pop`` to the rows ``cols`` of ``pop``, or of the pairs ``(r, j)``, and
-        ``allowed()`` whether each move of the rows to every row of ``pop`` can be made at all.
+        """Yield ``(rows, read, allowed, cols)``: ``read(cols=EVERY, pairs=None)`` gives the total
+        efforts from rows ``rows`` of ``pop`` to the rows ``cols`` of ``pop``, or of the pairs
+        ``(r, j)``; ``allowed(cols=EVERY)`` whether each move of the rows to those rows of ``pop``
+        can be made at all; and ``cols`` the tile's candidate columns, outside which no move is
+        allowed (``EVERY`` for a walk with no gate).
 
         Row i's own group supplies the quantile tables and base cost, and each
         total is ``base + sum / K`` over ``eps_reads``' sum, in place. With
         ``mutable_only`` the non-mutable features are skipped, which is the
         cost of an imitation target that keeps i's non-mutable entries; that
-        walk has no gate. The walk goes group by group in row tiles, so
-        ``rows`` is a slice of ``pop.group_rows(g)``. Reads and masks are
-        scratch as ``eps_reads`` says, and a consumer drops its reader and
-        reads before asking for the next row tile: a finished group's buffers
-        are then freed before the next group's are allocated.
+        walk has no gate. The walk goes group by group in row tiles, with
+        each group's rows in gate order (``_gate_order``), so ``rows`` is an
+        index array of members of one group; a walk with no gate takes them
+        in ``pop.group_rows(g)`` order. Reads and masks are scratch as
+        ``eps_reads`` says, and a consumer drops its reader and reads before
+        asking for the next row tile: a finished group's buffers are then
+        freed before the next group's are allocated.
         """
         K = self.schema.size
         idx = [k for k in range(K) if self.schema.features[k].mutable or not mutable_only]
         for g in pop.group_names:
             rows = pop.group_rows(g)
+            order = self._gate_order(g, pop.X[rows], idx)
+            if order is not None:
+                rows = rows[order]
             base = self.params.base_cost_for(g)
-            for lo, hi, read, allowed in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
+            for lo, hi, read, allowed, cols in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
 
                 def total(cols=EVERY, pairs=None, read=read):
                     acc = read(cols, pairs)
                     np.divide(acc, K, out=acc)
                     return np.add(base, acc, out=acc)
 
-                yield rows[lo:hi], total, allowed
+                yield rows[lo:hi], total, allowed, cols
             del read, allowed, total  # they hold the finished group's buffers
 
     def pairwise_effort(self, pop: Population, mutable_only: bool = False) -> np.ndarray:
@@ -497,7 +565,7 @@ class EffortEngine:
         benchmark's traced run wraps it by name.
         """
         out = np.empty((pop.size, pop.size))
-        for rows, read, allowed in self.effort_reads(pop, mutable_only):
+        for rows, read, allowed, _ in self.effort_reads(pop, mutable_only):
             tile, feasible = read(), allowed()
             np.putmask(tile, np.logical_not(feasible, out=feasible), np.inf)
             out[rows] = tile

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dataset import Population
-from .effort import EffortEngine, EffortParams
+from .effort import EVERY, EffortEngine, EffortParams
 
 BOUNDED_EFFORT = "bounded_effort"
 THRESHOLD_REWARD = "threshold_reward"
@@ -86,14 +86,22 @@ class _Staircases:
 
     @classmethod
     def assemble(cls, b: np.ndarray, asc: np.ndarray, tiles: list) -> "_Staircases":
-        """Join the walk's per-tile ``(rows, counts, pos, val)`` pieces in row order."""
+        """Join the walk's per-tile ``(rows, counts, pos, val)`` pieces in row order.
+
+        The tiles and their rows may come in any order. Each row sits in one
+        tile, whose piece holds the row's points together and in order, one
+        row after another as its ``rows`` lists them, so each row's run of
+        points moves whole to the row's place.
+        """
         rows, counts, pos, val = (np.concatenate(parts) for parts in zip(*tiles))
-        # Each row sits in one tile with its points in order, so a stable sort
-        # on the row puts every point in place.
-        take = np.argsort(np.repeat(rows, counts), kind="stable")
         starts = np.zeros(b.shape[0] + 1, dtype=np.intp)
         starts[rows + 1] = counts
-        return cls(b, b[asc], pos[take], val[take], np.cumsum(starts))
+        starts = np.cumsum(starts)
+        at = np.repeat(starts[rows] - (np.cumsum(counts) - counts), counts)
+        at += np.arange(at.shape[0])
+        points, efforts = np.empty_like(pos), np.empty_like(val)
+        points[at], efforts[at] = pos, val
+        return cls(b, b[asc], points, efforts, starts)
 
     def _count(self, hits: np.ndarray) -> np.ndarray:
         """Per row, the number of its points with ``hits`` set, for each column of ``hits``."""
@@ -156,10 +164,15 @@ class FairnessAudit:
     (``audit_benefits``, computed here unless given). The reward of moving
     from row i to candidate j is ``b[j] - b[i]``, monotone in ``b[j]``, so
     one ordering of the benefits orders every row. The walk over
-    ``EffortEngine.effort_reads`` takes each tile's feasible pairs from its
-    gates and reads the efforts of those pairs alone, so it sees only the
-    pairs of finite effort, and an unreachable candidate is never a
-    staircase point. Per tile, one sort of the pairs by (row, effort) serves
+    ``EffortEngine.effort_reads`` takes its rows in gate order, folds each
+    tile's gates on the tile's candidate columns alone (no move to another
+    column is allowed), and reads the efforts of the feasible pairs alone,
+    so it sees only the pairs of finite effort, and an unreachable candidate
+    is never a staircase point. ``gate_cells`` counts the cells the gate
+    folds read, between ``feasible_pairs`` and ``pairs``. Which tile a row
+    sits in and in what order its pairs come changes no bit: each pair's
+    effort is the same fold, and ties are settled by the highest position
+    over their run. Per tile, one sort of the pairs by (row, effort) serves
     every model, which keeps each row's staircase points from its pairs'
     ascending-benefit positions. The walk also keeps the largest finite
     effort, the top of the bounded-effort grid. Every measure is then
@@ -187,10 +200,14 @@ class FairnessAudit:
             position[asc] = np.arange(n)
         pieces: list[list] = [[] for _ in self.models]
         top = 0.0  # efforts are never negative
-        self.pairs, self.tiles, self.feasible_pairs = n * n, 0, 0
-        for rows, read, allowed in EffortEngine(pop, params).effort_reads(pop):
+        self.pairs, self.tiles, self.gate_cells, self.feasible_pairs = n * n, 0, 0, 0
+        for rows, read, allowed, cols in EffortEngine(pop, params).effort_reads(pop):
             self.tiles += 1
-            r, j = np.divmod(np.flatnonzero(allowed()), n)
+            width = n if cols is EVERY else cols.shape[0]
+            self.gate_cells += rows.shape[0] * width
+            r, j = np.divmod(np.flatnonzero(allowed(cols)), width)
+            if cols is not EVERY:
+                j = cols[j]
             e = read(pairs=(r, j))
             finite = np.isfinite(e)  # a sum that overflowed is as unreachable as a gated move
             if not finite.all():

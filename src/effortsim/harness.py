@@ -61,6 +61,11 @@ from .models import (
 from . import segregation
 from .segregation import MetricContext
 
+# The most points a delta grid may have. Each sweep holds a few (rows x
+# points) tables, so an unbounded grid ends in an allocation failure; a
+# thousand points already resolve a curve finer than any chart draws it.
+MAX_DELTA_POINTS = 1000
+
 # The config key each model kind reads besides name, kind and features; a
 # knob that a kind does not read is an error rather than a silent no-op.
 MODEL_KNOBS = {
@@ -120,8 +125,8 @@ class ExperimentConfig:
         segregation.check_settings(self.beta, self.connectivity_threshold, self.centralization_threshold)
         if self.seed < 0 or self.split_seed < 0:
             raise SchemaError(f"seed must be >= 0, got seed {self.seed} and split seed {self.split_seed}")
-        if self.delta_points < 2:
-            raise SchemaError(f"delta_grid_points must be >= 2, got {self.delta_points}")
+        if not 2 <= self.delta_points <= MAX_DELTA_POINTS:
+            raise SchemaError(f"delta_grid_points must lie in [2, {MAX_DELTA_POINTS}], got {self.delta_points}")
         if self.sweep_features not in FEATURE_SETS:
             raise SchemaError(f"unknown sweep feature set {self.sweep_features!r}")
         # Each tau keys tau_report.json and names a stage: finite, distinct (-0.0 == 0.0).
@@ -354,7 +359,12 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     def curves():
         audit = FairnessAudit(train, config.effort, models.values(), benefits)
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
-        walk = {"tiles": audit.tiles, "pairs": audit.pairs, "feasible_pairs": audit.feasible_pairs}
+        walk = {
+            "tiles": audit.tiles,
+            "pairs": audit.pairs,
+            "gate_cells": audit.gate_cells,
+            "feasible_pairs": audit.feasible_pairs,
+        }
         runner.timings.append({"audit": {**walk, "staircases": sizes}})
         for measure, fname in (
             (BOUNDED_EFFORT, "bounded_effort_curves.csv"),

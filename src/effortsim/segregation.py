@@ -106,7 +106,7 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
     """
 
     def view(g):
-        return ((lo, hi, read()) for lo, hi, read, _ in ctx.engine.eps_reads(g, A, B, idx, weighted=False))
+        return ((lo, hi, read()) for lo, hi, read, _, _ in ctx.engine.eps_reads(g, A, B, idx, weighted=False))
 
     if row_group == col_group:
         yield from view(row_group)

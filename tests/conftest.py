@@ -103,13 +103,13 @@ def count_effort_walks(monkeypatch) -> list:
     def counting(self, pop, mutable_only=False):
         forms: set = set()
         walks.append((mutable_only, forms))
-        for rows, read, allowed in reads(self, pop, mutable_only):
+        for rows, read, allowed, candidates in reads(self, pop, mutable_only):
 
             def counted(cols=EVERY, pairs=None, read=read):
                 forms.add("pairs" if pairs is not None else "tiles" if cols is EVERY else "columns")
                 return read(cols, pairs)
 
-            yield rows, counted, allowed
+            yield rows, counted, allowed, candidates
 
     monkeypatch.setattr(EffortEngine, "effort_reads", counting)
     return walks

@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import single_group_pop, synthetic_student_pop
@@ -630,12 +632,15 @@ class TestDistinctValueGather:
 
 
 def _gated_pairs(walk, shape):
-    """The audit's read of an ``eps_reads`` walk: each tile's allowed pairs, read in pairs and
-    written into an ``inf`` matrix, with a mask of the pairs read."""
+    """The audit's read of an ``eps_reads`` walk: each tile's allowed pairs among its candidate
+    columns, read in pairs and written into an ``inf`` matrix, with a mask of the pairs read."""
     out = np.full(shape, np.inf)
     seen = np.zeros(shape, bool)
-    for lo, hi, read, allowed in walk:
-        r, j = np.divmod(np.flatnonzero(allowed()), shape[1])
+    for lo, hi, read, allowed, cols in walk:
+        if cols is EVERY:
+            cols = np.arange(shape[1])
+        r, j = np.divmod(np.flatnonzero(allowed(cols)), cols.shape[0])
+        j = cols[j]
         assert np.all(r < hi - lo)
         out[lo + r, j] = read(pairs=(r, j))
         seen[lo + r, j] = True
@@ -712,7 +717,7 @@ class TestPairForm:
         mutable = [k for k in every if pop.schema.features[k].mutable]
         for g in pop.group_names:
             for idx, weighted in ((every, True), (every, False), (mutable, True)):
-                for lo, hi, read, _ in engine.eps_reads(g, pop.X, Xb, idx, weighted):
+                for lo, hi, read, _, _ in engine.eps_reads(g, pop.X, Xb, idx, weighted):
                     whole = read().copy()
                     r, j = np.divmod(np.arange(whole.size), Xb.shape[0])
                     assert _same_bits(read(pairs=(r, j)), whole.reshape(-1))
@@ -728,15 +733,15 @@ class TestPairForm:
         for g in pop.group_names:
             want = engine.eps_sum(g, pop.X, reference.X, every, weighted=True)
             ruled_out = 0
-            for lo, hi, read, allowed in engine.eps_reads(g, pop.X, reference.X, every, weighted=True):
+            for lo, hi, read, allowed, _ in engine.eps_reads(g, pop.X, reference.X, every, weighted=True):
                 tile, feasible = read(), allowed()
                 assert np.all(np.isfinite(tile))
                 assert np.array_equal(feasible, np.isfinite(want[lo:hi]))
                 assert _same_bits(tile[feasible], want[lo:hi][feasible])
                 ruled_out += int((~feasible).sum())
             assert ruled_out > 0
-            for lo, hi, read, allowed in engine.eps_reads(g, pop.X, reference.X, mutable, weighted=True):
-                assert allowed().shape == (hi - lo, reference.size) and allowed().all()
+            for lo, hi, read, allowed, cols in engine.eps_reads(g, pop.X, reference.X, mutable, weighted=True):
+                assert allowed().shape == (hi - lo, reference.size) and allowed().all() and cols is EVERY
 
     @pytest.mark.parametrize("height", [3, 1000])
     def test_effort_reads_in_pairs_match_pairwise_effort(self, monkeypatch, height):
@@ -745,8 +750,9 @@ class TestPairForm:
         engine = EffortEngine(reference, TestDistinctValueGather.PARAMS)
         E = engine.pairwise_effort(pop)
         got = np.full_like(E, np.inf)
-        for rows, read, allowed in engine.effort_reads(pop):
-            r, j = np.divmod(np.flatnonzero(allowed()), pop.size)
+        for rows, read, allowed, cols in engine.effort_reads(pop):
+            r, j = np.divmod(np.flatnonzero(allowed(cols)), cols.shape[0])
+            j = cols[j]
             e = read(pairs=(r, j))
             assert np.all(np.isfinite(e))
             got[rows[r], j] = e
@@ -770,6 +776,88 @@ class TestPairForm:
             assert seen.all() and _same_bits(got, want)
 
 
+@st.composite
+def _gated_rows(draw):
+    """Rows on ``_every_kind_pop``'s schema: every column draws NaN, -0.0, ties and continuous
+    values, and the group column holds 0.0 or -0.0 for g1 and 1.0 for g2."""
+    schema = _every_kind_pop().schema
+    n = draw(st.integers(1, 24))
+    groups = draw(st.lists(st.sampled_from(["g1", "g2"]), min_size=n, max_size=n))
+    value = st.one_of(st.sampled_from([np.nan, -0.0, 0.0, 1.0, 2.0]), st.floats(-2.0, 2.0))
+    X = np.array([[draw(value) for _ in range(schema.size)] for _ in range(n)])
+    X[:, 0] = [1.0 if g == "g2" else draw(st.sampled_from([0.0, -0.0])) for g in groups]
+    return Population(schema, X, np.zeros(n), groups)
+
+
+class TestGatePruning:
+    """The audit's walk folds the gates on each tile's candidate columns alone, with its rows in
+    gate order; it finds every feasible pair of the dense gate fold, with the same bits."""
+
+    # Both directions of conditionally immutable column ("older", "fewer"),
+    # two immutable ones ("grp", "born"), and "fewer" switched off for g1.
+    PARAMS = EffortParams(
+        base_cost={"g1": 0.25},
+        feature_weights={
+            "g1": {"fewer": 0.0, "older": 0.3, "num_up": 2.5},
+            "g2": {"born": 0.5, "num_down": 0.0, "fewer": 1.5},
+        },
+    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_gated_rows())
+    def test_pruned_walk_equals_the_dense_fold(self, pop):
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        for height in (1, 3, 7):
+            with mock.patch.object(effort, "tile_rows", lambda n_cols, height=height: height):
+                want = engine.pairwise_effort(pop)  # every tile's gates folded over every column
+                got, seen = np.full(want.shape, np.inf), np.zeros(want.shape, bool)
+                walked = []
+                for rows, read, allowed, cols in engine.effort_reads(pop):
+                    r, j = np.divmod(np.flatnonzero(allowed(cols)), cols.shape[0])
+                    got[rows[r], cols[j]] = read(pairs=(r, cols[j]))
+                    seen[rows[r], cols[j]] = True
+                    walked.extend(rows.tolist())
+            assert sorted(walked) == list(range(pop.size))
+            assert np.array_equal(seen, np.isfinite(want))
+            assert _same_bits(got, want)
+
+    def test_candidates_bound_each_gate(self):
+        # One tile's rows against single values: a conditionally immutable
+        # column keeps the values at or past the tile's least (NaN ignored),
+        # an immutable one the values within the tile's range.
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        k = {name: engine.schema.index(name) for name in ("grp", "older", "fewer", "born")}
+        A = np.zeros((3, engine.schema.size))
+        A[:, k["older"]] = [1.0, np.nan, 2.0]
+        A[:, k["fewer"]] = [np.nan, 0.5, -0.0]
+        A[:, k["born"]] = [3.0, 3.0, 3.0]
+        B = np.zeros((7, engine.schema.size))
+        B[:, k["older"]] = [0.5, 1.0, 2.0, np.nan, 9.0, 1.0, 1.0]
+        B[:, k["fewer"]] = [0.0, 0.5, 0.0, 0.0, 0.0, 0.6, 0.0]
+        B[:, k["born"]] = [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, -3.0]
+        gates = [(k[name], None, None, None) for name in ("grp", "older", "fewer", "born")]
+        assert engine._candidates(gates, A, B).tolist() == [1, 2, 4]
+        assert engine._candidates(gates[:1], A, B).tolist() == list(range(7))
+        assert engine._candidates([], A, B) is EVERY
+        A[:, k["older"]] = np.nan  # no row allows a move
+        assert engine._candidates(gates, A, B).tolist() == []
+
+    def test_rows_go_in_gate_order(self):
+        # "older" ascending first, then "fewer" descending, then the
+        # immutable columns; "fewer" has no weight for g1.
+        pop = _value_pattern_pop("heavy_ties", rows=40)
+        engine = EffortEngine(pop, self.PARAMS)
+        every = list(range(pop.schema.size))
+        older, fewer = pop.schema.index("older"), pop.schema.index("fewer")
+        for g, keys in (("g1", [older]), ("g2", [older, fewer])):
+            Xa = pop.X[pop.group_rows(g)]
+            order = engine._gate_order(g, Xa, every)
+            sorted_keys = [tuple(Xa[i, k] if k == older else -Xa[i, k] for k in keys) for i in order]
+            assert sorted_keys == sorted(sorted_keys)
+        mutable = [k for k in every if pop.schema.features[k].mutable]
+        assert engine._gate_order("g1", pop.X, mutable) is None
+
+
 class TestPairwiseEffortMemory:
     def test_peak_is_the_output_plus_a_few_tiles(self):
         # Each group's rows go straight into the output, tile by tile; no
@@ -787,14 +875,15 @@ class TestPairwiseEffortMemory:
     @staticmethod
     def _walk_peak(read_tile) -> int:
         """Traced peak of group F's walk against everyone on a synthetic population, every feature,
-        with ``read_tile(read, allowed, n)`` reading each tile."""
+        with ``read_tile(read, allowed, cols, n)`` reading each tile."""
         pop = synthetic_student_pop(3000, seed=1)
         tracemalloc.start()
         try:
             engine = EffortEngine(pop, EffortParams())
             Xa = pop.X[pop.group_rows("F")]
-            for _, _, read, allowed in engine.eps_reads("F", Xa, pop.X, range(pop.schema.size), weighted=True):
-                read_tile(read, allowed, pop.size)
+            walk = engine.eps_reads("F", Xa, pop.X, range(pop.schema.size), weighted=True)
+            for _, _, read, allowed, cols in walk:
+                read_tile(read, allowed, cols, pop.size)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -803,17 +892,19 @@ class TestPairwiseEffortMemory:
     def test_whole_tile_reads_stay_under_four_tiles(self):
         # The few-valued columns' level tables share one tile's rows next to
         # the accumulator, the gather tile and the gates' masks.
-        def whole(read, allowed, n):
+        def whole(read, allowed, cols, n):
             feasible = allowed()
             np.putmask(read(), np.logical_not(feasible, out=feasible), np.inf)
 
         assert self._walk_peak(whole) < 4 * TILE_BYTES
 
     def test_gated_pair_reads_stay_under_four_tiles(self):
-        # The audit's read: the feasible pairs of the gates' mask, read in
-        # pairs into arrays of their own size; no float tile is allocated.
-        def pairs(read, allowed, n):
-            read(pairs=np.divmod(np.flatnonzero(allowed()), n))
+        # The audit's read: the feasible pairs of the gates' mask over the
+        # candidate columns, read in pairs into arrays of their own size; no
+        # float tile is allocated.
+        def pairs(read, allowed, cols, n):
+            r, j = np.divmod(np.flatnonzero(allowed(cols)), cols.shape[0])
+            read(pairs=(r, cols[j]))
 
         assert self._walk_peak(pairs) < 4 * TILE_BYTES
 

@@ -469,6 +469,72 @@ class TestStaircases:
                 ask()
 
 
+class TestWalkOrder:
+    """The audit's answers do not depend on which rows share a tile or in what order the walk takes
+    them: each pair's effort is one fold, and ties go to the highest position over their run."""
+
+    ORDERS = {
+        "gate": EffortEngine._gate_order,
+        "given": lambda self, group, Xa, idx: None,
+        "reversed": lambda self, group, Xa, idx: np.arange(Xa.shape[0])[::-1],
+        "shuffled": lambda self, group, Xa, idx: np.random.default_rng(Xa.shape[0]).permutation(Xa.shape[0]),
+    }
+
+    def test_staircases_do_not_depend_on_walk_order(self, monkeypatch):
+        pop = synthetic_student_pop(240, seed=3)
+        rng = np.random.default_rng(8)
+        linear = LinearPredictor(pop.schema.names, rng.normal(size=pop.schema.size), 0.5)
+        models = [linear, fit_tree(pop, 3)]  # the tree's benefits tie, so effort ties decide
+        params = EffortParams(base_cost=0.05)
+        want = None
+        for height in (1, 7, 1000):
+            monkeypatch.setattr(effort, "tile_rows", lambda n_cols, height=height: height)
+            for name, order in self.ORDERS.items():
+                monkeypatch.setattr(EffortEngine, "_gate_order", order)
+                audit = FairnessAudit(pop, params, models)
+                got = [self._answers(audit, h) for h in models]
+                got.append((audit.feasible_pairs, audit.max_finite_effort))
+                if want is None:
+                    want = got
+                    assert max(audit.staircase_size(h)["max_row_points"] for h in models) > 1
+                assert got == want, (height, name)
+
+    @staticmethod
+    def _answers(audit, h) -> tuple:
+        """Model ``h``'s staircase arrays and its sweep tables, as bytes."""
+        stairs = audit._of(h)
+        arrays = [stairs.b, stairs.b_asc, stairs.pos, stairs.val, stairs.starts, stairs.best_utility()]
+        for measure in (BOUNDED_EFFORT, THRESHOLD_REWARD):
+            arrays.append(stairs.table(measure, audit.default_grid(h, measure, 9)))
+        return tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+
+class TestGateCells:
+    """``gate_cells`` counts the cells the audit's gate folds read: every feasible pair, and no
+    more than every pair."""
+
+    @staticmethod
+    def _pop(age):
+        schema = toy_schema(age=FeatureKind("conditionally_immutable", direction="increasing"))
+        skill = np.linspace(0.0, 1.0, age.shape[0])
+        X = np.column_stack([np.zeros_like(age), skill, age])
+        return Population(schema, X, skill.copy(), ["g1"] * age.shape[0])
+
+    def test_continuous_gate_prunes_the_fold(self, monkeypatch):
+        # One group, so the group column prunes nothing; a continuous
+        # conditionally immutable column does, once the rows span tiles.
+        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: 4)
+        pop = self._pop(np.random.default_rng(2).permutation(30) * 0.37)
+        h = _skill_model(pop)
+        audit = FairnessAudit(pop, EffortParams(), [h])
+        assert audit.feasible_pairs == np.isfinite(_dense_efforts(pop, EffortParams())).sum()
+        assert audit.feasible_pairs <= audit.gate_cells < audit.pairs
+        # with the column's weight at zero no gate bounds anything
+        free = EffortParams(feature_weights={"age": 0.0})
+        audit = FairnessAudit(pop, free, [h])
+        assert audit.feasible_pairs == audit.gate_cells == audit.pairs
+
+
 class TestTreePredictorIntegration:
     def test_audit_works_with_trees(self):
         pop, params, _, benefit = random_instance(27)

@@ -84,12 +84,18 @@ class TestConfig:
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
 
-    @pytest.mark.parametrize("points", [1, 0, 2.5, True, "20"])
+    @pytest.mark.parametrize("points", [1, 0, 2.5, True, "20", harness.MAX_DELTA_POINTS + 1, 10_000_000])
     def test_delta_grid_points_must_be_integer_of_at_least_two(self, toy_dir, points):
         raw = json.loads((toy_dir / "config.json").read_text())
         raw["delta_grid_points"] = points
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
+
+    def test_delta_grid_points_may_reach_the_cap(self, toy_dir):
+        raw = json.loads((toy_dir / "config.json").read_text())
+        raw["delta_grid_points"] = harness.MAX_DELTA_POINTS
+        (toy_dir / "config.json").write_text(json.dumps(raw))
+        assert load_config(toy_dir / "config.json").delta_points == harness.MAX_DELTA_POINTS
 
     @pytest.mark.parametrize(
         "command, edits",
@@ -502,6 +508,9 @@ class TestFairnessCommand:
         efforts = EffortEngine(train, config.effort).pairwise_effort(train)
         assert entry["pairs"] == train.size**2
         assert entry["feasible_pairs"] == np.isfinite(efforts).sum() < entry["pairs"]
+        # the gates are folded on each tile's candidate columns alone: the
+        # other group's rows are never read
+        assert entry["feasible_pairs"] <= entry["gate_cells"] < entry["pairs"]
         assert set(entry["staircases"]) == {"linear", "ridge", "stump"}
         for size in entry["staircases"].values():
             assert 1 <= size["max_row_points"] <= size["points"]
