@@ -9,8 +9,9 @@ every selection reads the original population.
 
 Effort does not depend on the model, so one walk over the effort row tiles
 scores every model of a command; no n x n array is held. Gains are cheap
-and efforts are not, so each tile reads efforts only for the candidates
-that can win, with the bits of a whole-tile walk (see ``_best_moves``).
+and efforts are not, so per tile each model reads efforts only for its own
+candidates that can win, with the bits of a whole-tile walk (see
+``_best_moves``).
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .dataset import Population
 from .effort import EVERY, EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
-# A row tile whose models' candidate columns add up to more than this share
-# of all columns reads its whole effort tile, once for every later model of
-# the tile. At most 1/2: the held gains take that share of a scoring buffer.
+# A model whose candidate columns in a row tile exceed this share of all
+# columns reads the whole effort tile, once for every later model of the tile.
 DENSE_SHARE = 0.5
 POSITIVE = np.nextafter(0.0, 1.0)  # the smallest positive float: x >= POSITIVE is x > 0
 
@@ -109,47 +109,43 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
     row has a gain >= ``L`` and > 0. Each row's winner and every candidate
     that ties it are among them, so the row's first maximum over the sorted
     columns is the lowest index, as a row-wise argmax over every column
-    picks. The models of a tile keep their gains on their candidate columns
-    and share one read of the efforts on the union of those columns. Once
-    their columns add up to more than ``DENSE_SHARE`` of all columns, the
-    tile's efforts are read whole instead, and every later model of the
-    tile scores against that read without a search. Every effort, reward
-    and utility has the bits of a whole-tile walk.
+    picks. Each model reads the efforts of its own candidate columns and
+    settles at once. A model whose columns exceed ``DENSE_SHARE`` of all
+    columns reads the tile's efforts whole instead, and every later model
+    of the tile scores against that read without a search. Every effort,
+    reward and utility has the bits of a whole-tile walk.
 
-    Only the entries of rows with utility > 0 are read; a tile where no row
-    gains leaves its rows at zero. ``walk`` receives the counts.
+    Only the entries of rows with utility > 0 are read; a model with no
+    candidate column leaves the tile's rows at zero. ``walk`` receives the
+    counts.
     """
     n = pop.size
     blocks = [h.imitation_block(pop.schema, pop.X) for h in models]
     best = np.zeros((len(models), n), dtype=np.intp)
     reward, exerted, utility = (np.zeros((len(models), n)) for _ in range(3))
     height = min(effort.tile_rows(n), n)  # effort_reads' tiles hold at most this many rows
-    gains_buf, keep_buf = np.empty((height, n)), np.empty((height, n), bool)
-    # The held gains fill ``scores`` from the front, at most DENSE_SHARE
-    # (<= 1/2) of it, and a held model's utilities are scored at the back.
-    scores = np.empty(height * n)
+    gains_buf, keep_buf, scores = np.empty((height, n)), np.empty((height, n), bool), np.empty(height * n)
     walk.update(pairs=n * n, candidate_columns=[0] * len(models), bound_pairs=0, subtile_cells=0, dense_cells=0)
 
-    def settle(m, rows, gains, E, cols=EVERY, at=EVERY):
-        """Model m's winners among the columns ``cols``, whose efforts are ``E``'s columns ``at``."""
+    def settle(m, rows, gains, E, cols=EVERY):
+        """Model m's winners among the columns ``cols``, whose efforts are ``E``."""
         r = np.arange(rows.shape[0])
+        utils = scores[: E.size].reshape(E.shape)
         if cols is EVERY:
-            utils = np.subtract(gains, E, out=scores[: E.size].reshape(E.shape))
+            np.subtract(gains, E, out=utils)
         else:
-            utils = np.take(E, at, axis=1, out=scores[scores.size - gains.size :].reshape(gains.shape))
-            np.subtract(gains, utils, out=utils)
+            np.subtract(np.take(gains, cols, axis=1, out=utils), E, out=utils)
         win = utils.argmax(axis=1)
-        best[m, rows] = win if cols is EVERY else cols[win]
-        reward[m, rows] = gains[r, win]
-        exerted[m, rows] = E[r, win if cols is EVERY else at[win]]
+        j = win if cols is EVERY else cols[win]
+        best[m, rows] = j
+        reward[m, rows] = gains[r, j]
+        exerted[m, rows] = E[r, win]
         utility[m, rows] = utils[r, win]
 
     for rows, efforts, _, _ in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
         h = rows.shape[0]
         r = np.arange(h)
-        held: list = []  # (model, candidate columns, its gains on them), awaiting their efforts
-        width = 0  # the held models' candidate columns, added up
-        dense = E = None  # the whole tile's efforts, once read; the read of the held columns
+        dense = E = None  # the whole tile's efforts, once read; the last model's column read
         for m, block in enumerate(blocks):
             gains = params.reward(pop.y, block(rows, out=gains_buf[:h]))
             own = gains[r, rows]  # a copy, taken before the subtraction
@@ -163,28 +159,16 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
                 walk["bound_pairs"] += h
                 walk["candidate_columns"][m] += cols.shape[0]
                 # (a NaN gain is where a row-wise argmax stops, so its row reads every column)
-                if width + cols.shape[0] <= DENSE_SHARE * n and not np.isnan(bound).any():
+                if cols.shape[0] <= DENSE_SHARE * n and not np.isnan(bound).any():
                     if cols.shape[0]:
-                        sub = scores[h * width : h * (width + cols.shape[0])].reshape(h, cols.shape[0])
-                        held.append((m, cols, np.take(gains, cols, axis=1, out=sub)))
-                        width += cols.shape[0]
+                        E = efforts(cols=cols)
+                        walk["subtile_cells"] += E.size
+                        settle(m, rows, gains, E, cols)
                     continue
                 dense = efforts()
                 walk["dense_cells"] += dense.size
-                for k, cols_k, gains_k in held:
-                    settle(k, rows, gains_k, dense, cols_k, cols_k)
-                held = []
             settle(m, rows, gains, dense)
-        if held:
-            wanted = np.zeros(n, bool)
-            for _, cols_k, _ in held:
-                wanted[cols_k] = True
-            union = np.flatnonzero(wanted)
-            E = efforts(cols=union)
-            walk["subtile_cells"] += E.size
-            for k, cols_k, gains_k in held:
-                settle(k, rows, gains_k, E, cols_k, np.searchsorted(union, cols_k))
-        del efforts, dense, E, held  # see EffortEngine.effort_reads
+        del efforts, dense, E  # see EffortEngine.effort_reads
     return best, reward, exerted, utility
 
 

@@ -103,10 +103,20 @@ class _Staircases:
         points[at], efforts[at] = pos, val
         return cls(b, b[asc], points, efforts, starts)
 
+    def _per_row(self, ufunc, values: np.ndarray, empty, dtype) -> np.ndarray:
+        """Per row, ``ufunc`` reduced over its points' ``values``; ``empty`` for a row with no point.
+
+        A row reaches itself unless a NaN in a gated column rules out all of
+        its moves, staying put included.
+        """
+        has = self.starts[:-1] < self.starts[1:]
+        out = np.full((has.shape[0],) + values.shape[1:], empty, dtype)
+        out[has] = ufunc.reduceat(values, self.starts[:-1][has], axis=0, dtype=dtype)
+        return out
+
     def _count(self, hits: np.ndarray) -> np.ndarray:
         """Per row, the number of its points with ``hits`` set, for each column of ``hits``."""
-        # Every row reaches itself, so it has a point and no segment of reduceat is empty.
-        return np.add.reduceat(hits, self.starts[:-1], axis=0, dtype=np.intp)
+        return self._per_row(np.add, hits, 0, np.intp)
 
     def rewards(self) -> np.ndarray:
         """``b[j] - b[i]`` at every point j of every row i."""
@@ -142,9 +152,10 @@ class _Staircases:
         Any candidate is matched by the staircase point at or after its
         position, which has no less benefit and no more effort. Rounded
         subtraction is monotone in both operands, so that point's utility
-        is no lower, and the maximum over the points is the row's maximum.
+        is no lower, and the maximum over the points is the row's maximum;
+        ``-inf`` for a row with no point.
         """
-        return np.maximum.reduceat(self.rewards() - self.val, self.starts[:-1])
+        return self._per_row(np.maximum, self.rewards() - self.val, -np.inf, np.float64)
 
 
 def audit_benefits(pop: Population, params: EffortParams, models: Iterable) -> list[np.ndarray]:

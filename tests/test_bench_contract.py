@@ -74,8 +74,15 @@ def test_traced_toy_commands_count_live_calls(bench, toy_dir):
     with spans.Instrumentation(tracer, targets):
         h.cmd_fairness(config, toy_dir / "out")
         h.cmd_simulate(config, toy_dir / "out")
+        h.cmd_sweep_tau(config, toy_dir / "out")
+        es["figures"].cmd_figures(toy_dir / "out")
     assert all(vars(owner)[attr] is original for owner, attr, original in originals)
     metrics = spans.iteration_metrics(tracer.spans)
+    assert metrics["harness.cmd_sweep_tau.total_s"] > 0
+    assert metrics["figures.cmd_figures.self_s"] > 0
+    # each of the three commands fits three models: the config's, or one per tau
+    assert len(config.models) == len(config.tau_grid) == 3
+    assert metrics["models.fit.calls"] == 9
     for name in (
         "effort.EffortEngine.eps_sum.feature_cells",
         "dataset.load_csv.rows",

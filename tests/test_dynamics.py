@@ -328,21 +328,22 @@ class TestCandidateColumns:
         return walks
 
     @pytest.mark.parametrize("rows_per_tile", [1, 3, 7, None])
-    def test_outcomes_equal_the_dense_round(self, monkeypatch, rows_per_tile):
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    def test_outcomes_equal_the_dense_round(self, monkeypatch, share, rows_per_tile):
         if rows_per_tile is not None:
             monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
-        walks = self._check(self._cases())
-        # both reads happen: the union of candidate columns, and whole tiles
-        assert any(w["subtile_cells"] for w in walks) and any(w["dense_cells"] for w in walks)
-        for w in walks:
-            assert w["subtile_cells"] + w["dense_cells"] <= w["pairs"]  # each tile is read once at most
-
-    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7])
-    def test_dense_tiles_give_the_same_outcomes(self, monkeypatch, rows_per_tile):
-        monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
-        monkeypatch.setattr(dynamics, "DENSE_SHARE", 0.0)
-        walks = self._check(self._cases())
-        assert not any(w["subtile_cells"] for w in walks)
+        monkeypatch.setattr(dynamics, "DENSE_SHARE", share)
+        cases = self._cases()
+        walks = self._check(cases)
+        # both reads happen: each model's own candidate columns, and whole tiles;
+        # at the ends of the range only one of them (no gain here is NaN)
+        assert any(w["subtile_cells"] for w in walks) == (share > 0.0)
+        assert any(w["dense_cells"] for w in walks) == (share < 1.0)
+        for (models, pop, _), w in zip(cases, walks):
+            # a tile is read whole once at most, and each model reads at most
+            # ``share`` of the columns of each tile it does not read whole
+            assert w["dense_cells"] <= w["pairs"] and w["dense_cells"] % pop.size == 0
+            assert w["subtile_cells"] <= len(models) * share * w["pairs"]
 
     def test_every_row_copies_one_profile(self):
         pop = _one_profile_pop()

@@ -421,6 +421,30 @@ class TestStaircases:
         assert audit.feasible_pairs == np.isfinite(dense).sum()
         assert audit.pairs == pop.size**2
 
+    @pytest.mark.parametrize("nan_row", range(4))
+    def test_a_row_with_no_move_equals_oracle(self, nan_row):
+        # A NaN in a gated column rules out every move of its row, staying
+        # put included, so the row has no staircase point at all.
+        schema = toy_schema(age=FeatureKind("conditionally_immutable", direction="increasing"))
+        skill = np.arange(1.0, 5.0)
+        age = skill.copy()
+        age[nan_row] = np.nan
+        pop = Population(schema, np.column_stack([np.zeros(4), skill, age]), skill.copy(), ["g1"] * 4)
+        h = LinearPredictor(("skill",), [1.0], 0.0)
+        params = EffortParams(base_cost=0.05)
+        audit = FairnessAudit(pop, params, [h])
+        stairs = audit._of(h)
+        assert np.diff(stairs.starts)[nan_row] == 0 and stairs.best_utility()[nan_row] == -np.inf
+        for delta in (0.0, 0.3, 1.0):
+            got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)
+            assert got == pytest.approx(oracles.bounded_effort(h, pop, params, "predicted", delta), abs=1e-12)
+        for delta in (0.0, 1.0, 2.0, 3.0):
+            got = sweep_point(audit, h, THRESHOLD_REWARD, delta)
+            want = oracles.threshold_reward(h, pop, params, "predicted", delta)
+            assert got[0] == pytest.approx(want[0], abs=1e-12) and got[1] == pytest.approx(want[1], abs=1e-12)
+        want = oracles.effort_reward(h, pop, params, "predicted")
+        assert audit.effort_reward(h).per_group_value == pytest.approx(want, abs=1e-12)
+
     def test_rising_effort_gives_a_point_per_candidate(self):
         # Effort rises strictly with benefit above each row, so row i's
         # staircase holds every candidate from i up: O(n) points per row.

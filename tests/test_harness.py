@@ -17,7 +17,7 @@ import pytest
 import oracles
 from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
 import effortsim
-from effortsim import cli, data_path, harness, segregation
+from effortsim import cli, data_path, dynamics, harness, segregation
 from effortsim.dataset import format_number, load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
@@ -720,9 +720,10 @@ class TestOneEffortMatrix:
         assert walk["pairs"] == n * n
         # every row searches with one model at least, and with each model at most
         assert n <= walk["bound_pairs"] <= n * len(runs)
-        # a row tile's efforts are read once at most: whole, or on its candidate columns
-        assert walk["subtile_cells"] + walk["dense_cells"] <= n * n
-        assert walk["dense_cells"] % n == 0
+        # a row tile is read whole once at most, and each model reads at most
+        # DENSE_SHARE of the columns of each tile it does not read whole
+        assert walk["dense_cells"] <= n * n and walk["dense_cells"] % n == 0
+        assert walk["subtile_cells"] <= len(runs) * dynamics.DENSE_SHARE * n * n
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):
