@@ -183,28 +183,28 @@ def json_string(value, what: str, optional: bool = False):
     return value
 
 
-# The keys a schema and each of its feature entries may hold; any other key is an error.
+def json_object(value, what: str, keys: Sequence[str]) -> Mapping:
+    """``value`` as a JSON object that holds only the keys ``keys``; any other key is an error."""
+    if not isinstance(value, Mapping):
+        raise SchemaError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise SchemaError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    return value
+
+
+# The keys a schema and each of its feature entries may hold.
 SCHEMA_KEYS = ("features", "sensitive", "label")
 FEATURE_KEYS = ("name", "kind", "direction", "levels", "mutable", "weight", "categorical_cost")
 
 
-def _check_keys(d: Mapping, allowed: Sequence[str], what: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise SchemaError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-
-
 def schema_from_dict(d: Mapping) -> FeatureSchema:
-    if not isinstance(d, Mapping):
-        raise SchemaError(f"schema must be a JSON object, got {type(d).__name__}")
-    _check_keys(d, SCHEMA_KEYS, "schema")
+    json_object(d, "schema", SCHEMA_KEYS)
     try:
         feats = []
-        for fd in d["features"]:
-            if not isinstance(fd, Mapping):
-                raise SchemaError(f"schema features must be JSON objects, got {type(fd).__name__}")
+        for k, fd in enumerate(d["features"]):
+            json_object(fd, f"schema features[{k}]", FEATURE_KEYS)
             what = f"schema feature {fd.get('name')!r}"
-            _check_keys(fd, FEATURE_KEYS, what)
             if not isinstance(fd["mutable"], bool):
                 raise SchemaError(f"{what} mutable must be true or false, got {fd['mutable']!r}")
             levels = fd.get("levels")

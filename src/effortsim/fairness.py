@@ -138,12 +138,13 @@ class _Staircases:
             if not np.all(deltas >= 0):
                 raise ValueError(f"effort budget must be >= 0, got {list(grid)}")
             fits = self._count(self.val[:, None] <= deltas)
-            last = self.pos[self.starts[:-1, None] + fits - 1]  # read only where fits > 0
+            # read only where fits > 0; with no point at all, fits is all 0 and stands in for it
+            last = self.pos[self.starts[:-1, None] + fits - 1] if self.pos.size else fits
             return np.where(fits > 0, self.b_asc[last] - self.b[:, None], 0.0)
         if measure == THRESHOLD_REWARD:
             first = self.starts[:-1, None] + self._count(self.rewards()[:, None] < deltas)
-            inside = first < self.starts[1:, None]
-            return np.where(inside, self.val[np.where(inside, first, 0)], np.inf)
+            inside = first < self.starts[1:, None]  # all False when no row has a point
+            return np.where(inside, self.val[np.where(inside, first, 0)] if self.val.size else np.inf, np.inf)
         raise ValueError(f"cannot sweep measure {measure!r}")
 
     def best_utility(self) -> np.ndarray:

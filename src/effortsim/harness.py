@@ -36,6 +36,7 @@ from .dataset import (
     write_table,
     generate_synthetic,
     json_number,
+    json_object,
     json_string,
 )
 from .dynamics import feature_shift_report, simulate
@@ -159,22 +160,12 @@ CONFIG_KEYS = {
 }
 
 
-def _object(value, what: str) -> dict:
-    """``value`` as config section ``what``: a JSON object holding only its known keys."""
-    if not isinstance(value, dict):
-        raise SchemaError(f"{what} must be a JSON object, got {type(value).__name__}")
-    unknown = sorted(set(value) - set(CONFIG_KEYS[what]))
-    if unknown:
-        raise SchemaError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-    return value
-
-
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     try:
-        _object(raw, "config")
+        json_object(raw, "config", CONFIG_KEYS["config"])
         seed = json_number(raw.get("seed", 0), "seed", integer=True)
-        split_cfg = _object(raw.get("split", {}), "split")
-        effort_cfg = _object(raw.get("effort", {}), "effort")
+        split_cfg = json_object(raw.get("split", {}), "split", CONFIG_KEYS["split"])
+        effort_cfg = json_object(raw.get("effort", {}), "effort", CONFIG_KEYS["effort"])
         # An absent key takes the default of the field it sets.
         effort = EffortParams(
             alpha=json_number(effort_cfg.get("alpha", EffortParams.alpha), "alpha"),
@@ -187,7 +178,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         )
         models = []
         for md in raw.get("models", []):
-            _object(md, "model")
+            json_object(md, "model", CONFIG_KEYS["model"])
             spec = ModelSpec(
                 name=json_string(md["name"], "model name"),
                 kind=json_string(md["kind"], "model kind"),
@@ -203,7 +194,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
             models.append(spec)
         if len({m.name for m in models}) != len(models):
             raise SchemaError("model names must be unique")
-        sweep = _object(raw.get("sweep", {}), "sweep")
+        sweep = json_object(raw.get("sweep", {}), "sweep", CONFIG_KEYS["sweep"])
         thresh = raw.get("centralization_threshold")
         return ExperimentConfig(
             dataset=(base_dir / raw["dataset"]).resolve(),
@@ -533,7 +524,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
 
 def cmd_synth(spec_path: Path, out_dir: Path) -> Path:
     """Generate a synthetic population CSV from a schema-plus-sizes spec."""
-    raw = _object(read_json(spec_path, "synthetic spec"), "synth")
+    raw = json_object(read_json(spec_path, "synthetic spec"), "synth", CONFIG_KEYS["synth"])
     for key in ("group_sizes", "seed"):
         if key not in raw:
             raise SchemaError(f"synthetic spec missing {key!r}")

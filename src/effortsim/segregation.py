@@ -10,11 +10,12 @@ the within-group similarity network.
 
 ACI and SSI are read off one walk of the closeness exp(-d) in row tiles,
 one (row group, column group) block at a time. A distance reads only the
-mutable features and the label, and one imitation round collapses a
-population onto few such profiles. A block whose groups hold few profiles
-computes each profile pair once and gathers its tiles from that table;
-the gathered tiles hold the dense walk's bits, so both paths give the
-same indices.
+mutable features and the label, so the members of a group that agree on
+them (a profile class) have equal distances to everyone. The walk goes
+over each group's classes, which one imitation round makes few: ACI's
+sums weight each class pair by its member counts, and SSI is read off the
+classes' quotient network. A population of distinct rows is its own
+classes, so its indices are the member-level ones bit for bit.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Population, SchemaError
-from .effort import TILE_BYTES, EffortEngine, EffortParams, _distinct_rows, row_tiles
+from .effort import EffortEngine, EffortParams, _distinct_rows, row_tiles
 
 # Power iteration stops once the residual is within POWER_TOL * max(1, |lambda|).
 POWER_TOL = 1e-10
 POWER_MAX_ITER = 10000
-
-# A block of the distance walk takes the profile path only if its table of
-# profile-pair closeness fits this many bytes (524 288 cells, 724 x 724).
-PROFILE_TABLE_BYTES = 4 * TILE_BYTES
 
 
 def check_settings(
@@ -115,56 +112,45 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
         yield lo, hi, np.maximum(own, other, out=own)
 
 
+def _classes(XY: np.ndarray, rows: np.ndarray, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The profile classes of ``XY[rows]`` on the columns ``idx``: one row of each, and their member counts.
+
+    The classes come in the order of their first member, so rows that are
+    all distinct are their own classes in the order of ``rows``.
+    """
+    first, of_row = _distinct_rows(XY[np.ix_(rows, idx)])
+    order = np.argsort(first)
+    return XY[rows[first[order]]], np.bincount(of_row, minlength=first.size)[order].astype(np.float64)
+
+
 def _closeness_tiles(ctx: MetricContext, pop: Population, walk: dict):
-    """Yield ``(row_group, col_group, lo, hi, tile)``: the closeness exp(-d), block by block.
+    """Yield ``(row_group, col_group, row_sizes, col_sizes, tiles)``: the closeness exp(-d), block by block.
 
-    The walk goes one (row group, column group) block at a time, in row
-    tiles: ``tile`` holds the closeness of the row group's members
-    ``lo:hi`` to every member of the column group, in ``group_rows``
-    order. The dense walk takes exp(-d) of each ``_block_tiles`` tile.
-
-    A view reads only its columns, so rows that agree on them (a profile)
-    have equal distances. A block whose groups have few profiles computes
-    its distances once per pair of profiles, through the same view, and
-    takes exp(-d) of that table once. Each row tile is then gathered from
-    the table, with the bounds and the layout of the dense walk's tile, so
-    it holds the same bits. The profile path is taken when its table has
-    at most half the block's cells and fits ``PROFILE_TABLE_BYTES``; any
-    other block runs the dense walk. ``walk`` receives the pairs, each
-    group's rows and profiles, and the cells each path computed. The tile
-    is scratch that the next step overwrites.
+    A view reads only its columns, so the members of a group that agree on
+    them (a profile class) have equal distances. Each group's classes are
+    taken once, ordered by their first member, with their member counts
+    ``*_sizes``; a group of distinct rows is its own classes, in
+    ``group_rows`` order. ``tiles`` yields ``(lo, hi, tile)``: the closeness
+    of the row group's classes ``lo:hi`` to every class of the column group,
+    the exp(-d) of one ``_block_tiles`` tile. ``walk`` receives the pairs,
+    each group's rows and classes, and the cells computed. The tile is
+    scratch that the next step overwrites.
     """
     idx, XY = _view(ctx, pop)
-    members = {g: XY[pop.group_rows(g)] for g in pop.group_names}
-    profiles = {g: _distinct_rows(A[:, idx]) for g, A in members.items()}
+    classes = {g: _classes(XY, pop.group_rows(g), idx) for g in pop.group_names}
     walk.update(
         pairs=pop.size**2,
-        rows={g: A.shape[0] for g, A in members.items()},
-        profiles={g: first.shape[0] for g, (first, _) in profiles.items()},
-        dense_cells=0,
-        profile_cells=0,
+        rows={g: pop.group_size(g) for g in pop.group_names},
+        classes={g: sizes.size for g, (_, sizes) in classes.items()},
+        cells=sum(sizes.size for _, sizes in classes.values()) ** 2,
     )
     for row_group, col_group in itertools.product(pop.group_names, repeat=2):
-        A, B = members[row_group], members[col_group]
-        (first_a, of_a), (first_b, of_b) = profiles[row_group], profiles[col_group]
-        cells = first_a.shape[0] * first_b.shape[0]
-        if 2 * cells > A.shape[0] * B.shape[0] or 8 * cells > PROFILE_TABLE_BYTES:
-            walk["dense_cells"] += A.shape[0] * B.shape[0]
-            for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B):
-                np.negative(tile, out=tile)
-                yield row_group, col_group, lo, hi, np.exp(tile, out=tile)
-            continue
-        walk["profile_cells"] += cells
-        table = np.empty((first_a.shape[0], first_b.shape[0]))
-        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A[first_a], B[first_b]):
-            table[lo:hi] = tile
-        np.exp(np.negative(table, out=table), out=table)
-        bounds = list(row_tiles(A.shape[0], B.shape[0]))
-        buf = np.empty((bounds[0][1], B.shape[0]))  # the first tile is the tallest
-        for lo, hi in bounds:
-            # mode="clip": see effort._tile; every index is in range.
-            tile = np.take(table[of_a[lo:hi]], of_b, axis=1, out=buf[: hi - lo], mode="clip")
-            yield row_group, col_group, lo, hi, tile
+        (A, row_sizes), (B, col_sizes) = classes[row_group], classes[col_group]
+        tiles = (
+            (lo, hi, np.exp(np.negative(tile, out=tile), out=tile))
+            for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B)
+        )
+        yield row_group, col_group, row_sizes, col_sizes, tiles
 
 
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
@@ -334,62 +320,75 @@ def _components(adj: np.ndarray) -> list[np.ndarray]:
 
 
 def spectral_segregation(
-    similarity: np.ndarray, connectivity_threshold: float = 1e-6
+    similarity: np.ndarray, sizes: np.ndarray, connectivity_threshold: float = 1e-6
 ) -> float | None:
-    """Spectral segregation index of a group's similarity network.
+    """Spectral segregation index of a group's similarity network, read off its profile classes.
 
-    ``similarity`` is the closeness exp(-d) of the group's within-group
-    distance block; it gets a zeroed diagonal and entries below the
-    connectivity threshold removed, in place. Each member of component c
-    scores lambda_c * v_i * |c|, with v the Perron vector normalized to sum
-    one, so the mean score over the m members is sum_c |c| * lambda_c / m and
-    needs no eigenvector. A component spanning the whole group is iterated on
-    in place, so ``similarity`` is consumed. Returns None if power iteration
-    fails to converge.
+    ``similarity`` is the closeness C of the group's profile classes and
+    ``sizes`` their member counts n (ones for a member-level block). The
+    member network ties members of classes a and b by C[a, b], with a zero
+    diagonal and entries below the connectivity threshold dropped. The
+    classes are an equitable partition of it (Godsil & Royle 2001), so the
+    quotient Q[a, b] = n_b * C[a, b] - [a = b] * C[a, a] has each
+    component's spectral radius lambda_c, and Q's components are the
+    members' ones, but for a class with no tie at all: its members are
+    isolated, and both score zero. Each member of component c scores
+    lambda_c * v_i * |c|, with v the Perron vector normalized to sum one
+    and |c| the members of c, so the mean over the m members is
+    sum_c |c| * lambda_c / m and needs no eigenvector. Q is built in place
+    and a component spanning every class is iterated on in place, so
+    ``similarity`` is consumed. Returns None if power iteration fails to
+    converge.
     """
-    B = similarity
-    np.fill_diagonal(B, 0.0)
-    B[B < connectivity_threshold] = 0.0
+    n = np.asarray(sizes, dtype=np.float64)
+    Q = similarity
+    Q[Q < connectivity_threshold] = 0.0
+    within = Q.diagonal().copy()
+    np.multiply(Q, n, out=Q)
+    Q.flat[:: n.size + 1] -= within  # no member has a tie to itself
     total = 0.0
-    for comp in _components(B):
-        sub = B if comp.size == B.shape[0] else B[np.ix_(comp, comp)]
+    for comp in _components(Q):
+        sub = Q if comp.size == Q.shape[0] else Q[np.ix_(comp, comp)]
         lam = _spectral_radius(sub)
         if lam is None:
             return None
-        total += comp.size * lam
-    return total / B.shape[0]
+        total += float(n[comp].sum()) * lam
+    return total / float(n.sum())
 
 
 def distance_indices(
     ctx: MetricContext, pop: Population, walk: dict | None = None
 ) -> tuple[float | None, float | None]:
-    """ACI and SSI of a population, read off its closeness tiles.
+    """ACI and SSI of a population, read off its closeness tiles over profile classes.
 
-    The walk never holds the n x n distance matrix: each tile's closeness
-    exp(-d) goes into ACI's three running sums, and only the closeness of
-    the minority x minority block is kept, for SSI. A population that the
-    imitation round collapsed onto few profiles is measured on them (see
-    ``_closeness_tiles``), with every tile, so every sum, bit for bit the
-    dense walk's. Both measures depend on the population alone, not on the
-    model, so a population shared by several runs is measured once.
-    ``walk``, if given, receives the walk's counts.
+    The walk never holds the n x n distance matrix. ACI's three sums are
+    sum_ab n_a * n_b * C[a, b] over the class pairs of a block: each tile
+    is weighted by its classes' sizes in place and then summed, and a size
+    of one keeps every bit. Only the minority's class x class closeness is
+    kept, copied before it is weighted, for SSI on its quotient (see
+    ``spectral_segregation``). Both measures depend on the population alone,
+    not on the model, so a population shared by several runs is measured
+    once. ``walk``, if given, receives the walk's counts.
     """
     minority = ctx.minority
-    m = pop.group_size(minority)
-    closeness = np.empty((m, m))
     total = minority_rows = minority_pairs = 0.0
-    for row_group, col_group, lo, hi, tile in _closeness_tiles(ctx, pop, {} if walk is None else walk):
-        s = float(tile.sum())
-        if row_group == col_group == minority:
-            closeness[lo:hi] = tile
-        total += s
-        if row_group == minority:
-            minority_rows += s
-            if col_group == minority:
-                minority_pairs += s
+    for row_group, col_group, row_sizes, col_sizes, tiles in _closeness_tiles(ctx, pop, {} if walk is None else walk):
+        kept = row_group == col_group == minority
+        if kept:
+            closeness, sizes = np.empty((row_sizes.size, col_sizes.size)), row_sizes
+        for lo, hi, tile in tiles:
+            if kept:
+                closeness[lo:hi] = tile
+            np.multiply(tile, row_sizes[lo:hi, None], out=tile)
+            s = float(np.multiply(tile, col_sizes, out=tile).sum())
+            total += s
+            if row_group == minority:
+                minority_rows += s
+                if col_group == minority:
+                    minority_pairs += s
     return (
-        absolute_clustering(pop.size, m, total, minority_rows, minority_pairs),
-        spectral_segregation(closeness, ctx.connectivity_threshold),
+        absolute_clustering(pop.size, pop.group_size(minority), total, minority_rows, minority_pairs),
+        spectral_segregation(closeness, sizes, ctx.connectivity_threshold),
     )
 
 

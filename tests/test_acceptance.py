@@ -393,6 +393,67 @@ def test_criterion_9_determinism_and_runtime(config, pipeline, tmp_path):
         )
 
 
+# A measure counts as moved only beyond this margin, so rounding noise of
+# about 1e-16 (ridge_combined's Atkinson after its round) reads as unchanged.
+MOVE_MARGIN = 1e-9
+
+
+def _moves(out: Path, schema: Path, train: Population) -> dict:
+    """``{measure: {model: (before, after)}}`` for ACI, Atkinson and each group's mean label.
+
+    ACI and Atkinson come from ``simulate_report.json``; the mean label after
+    the round from each ``impacted_<model>.csv``, before it from ``train``.
+    """
+    report = json.loads((out / "simulate_report.json").read_text())
+    moves: dict = {"aci": {}, "atkinson": {}}
+    for name, entry in report.items():
+        for measure in ("aci", "atkinson"):
+            moves[measure][name] = (entry["before"][measure], entry["after"][measure])
+        impacted = load_csv(out / f"impacted_{name}.csv", schema)
+        for g in train.group_names:
+            before, after = (float(np.mean(p.y[p.group_rows(g)])) for p in (train, impacted))
+            moves.setdefault(f"mean label {g}", {})[name] = (before, after)
+    return moves
+
+
+def _two_ways(pairs: dict) -> tuple[list, list]:
+    """The models that raise and the models that lower a measure by more than ``MOVE_MARGIN``."""
+    moved = {name: pair for name, pair in pairs.items() if None not in pair}
+    return (
+        [name for name, (before, after) in moved.items() if after - before > MOVE_MARGIN],
+        [name for name, (before, after) in moved.items() if before - after > MOVE_MARGIN],
+    )
+
+
+def test_criterion_10_models_shift_the_population_in_different_directions(
+    config, student_split, pipeline, tmp_path
+):
+    # The paper's finding: different models may shift the group-conditional
+    # distribution of qualifications in different directions.
+    with _record("10 models shift in different directions") as rec:
+        train, _ = student_split
+        out, _ = pipeline
+        moves = _moves(out, config.schema, train)
+        assert len(moves) == 2 + len(train.group_names)
+        lines = []
+        for measure, pairs in moves.items():
+            up, down = _two_ways(pairs)
+            assert up and down, (measure, pairs)
+            values = ", ".join(f"{name} {b:.4g}->{a:.4g}" for name, (b, a) in pairs.items() if a is not None)
+            lines.append(f"{measure} up {'/'.join(up)}, down {'/'.join(down)} ({values})")
+        # Not vacuous: the three linear-family models alone move ACI and
+        # Atkinson one way only.
+        linear = [spec for spec in _bundled_config()["models"] if spec["name"] != "tree"]
+        raw = _bundled_config(models=linear)
+        for key in ("dataset", "schema"):
+            raw[key] = str(data_path(raw[key]))
+        linear_out = _run_config(tmp_path, raw, [cmd_simulate])
+        linear_moves = _moves(linear_out, config.schema, train)
+        for measure in ("aci", "atkinson"):
+            assert not all(_two_ways(linear_moves[measure])), (measure, linear_moves[measure])
+        rec.detail = "; ".join(lines) + "; without tree, ACI and Atkinson move one way only"
+
+
 # sha256 of every output of the bundled pipeline apart from the timings. A
 # change that moves one of them is a declared output change: it says why in
 # CHANGES.md and updates the entry here.
@@ -408,22 +469,22 @@ BUNDLED_SHA256 = {
     "impacted_tree.csv": "83f7487fe9b47c0ab16e85989aece54455209965f73ec246a03c509a5d9c0001",
     "mae_report.json": "18f9677d6e5b103761bfaa9a4a247dea8412d76173d3d998c1188d77cba65a6f",
     "manifest_fairness.json": "5a29a8f16f5b9c365392dde4e5b4c27f1310701568483abb64b48d5cd45c3970",
-    "manifest_simulate.json": "a73af5f1785dc74d08dd4199e2cc2a3f0d82529259f8079983a1c4ae7296ad19",
-    "manifest_sweep_tau.json": "07c7128d7cd4483df57349ea213d4fb017fa4fca00a76ecb3dce26211b7934ab",
+    "manifest_simulate.json": "a0a95310403549b2bbd4a49930eb0708e7cb36b01562f2068d2b1b614ed9e033",
+    "manifest_sweep_tau.json": "8ecd88ee8a0ee6444f490b335547b6415b351987285c47cd679ae9e1957356e9",
     "models.json": "a72dc4072431b4ac29af91caaae85c8b16f118a41e2bc69dd4e81707842bc2ae",
     "outcomes_linear.json": "a77f9d4e26ae1cdcb58963aae9bd2d0223a678bd72ceadfe1015162623b79917",
     "outcomes_ridge_combined.json": "b5522da57ec4d3cfc8be7164a8956e6b8d44c67782ca11eda0967d02b2307d5c",
     "outcomes_ridge_mutable.json": "604328788099ac3219c4d4060b5243241ecd1aef65ec75367764b2eed0767be8",
     "outcomes_tree.json": "d346245f07c55b63c2bbd11b26a712819f89a19324d849d323038025c9ba5205",
-    "segregation.csv": "e93e36f76158dedb7e4c2d8a7ce9f150dea1b2c918fb2cdd54a03757ddaf8a55",
+    "segregation.csv": "b77d65f81da9eecc07c06f569dbfadc4a9d5e2fd47d2defa817998f91488102e",
     "segregation.svg": "800e867ea796588fc2e9bf69cc80f02842d61f2390bfa5e8f9537b881d260a0d",
     "shift_linear.json": "92c6f0de955d1bf65d308994180b3cd858d487f6980425252436a682ff683d88",
     "shift_ridge_combined.json": "8fa746841564b0d0759ff719a72d4534da91bd171596b6a73500b5358fcc438b",
     "shift_ridge_mutable.json": "7f0885edca66ca17dc04a3cb8dcece167ee5e0bf2097c95df4f27a304a7e2196",
     "shift_tree.json": "18e1a425ed43cfb33b7dfd0f600f6ad0dc6bc9817f60c736f8e91b76e7c9bbd5",
-    "simulate_report.json": "311e56a1a0e2082192b069609d6d58147c4083fab301c54bbf594892eca10d63",
-    "tau_report.json": "ea65f5c440adebd10b7d9740ed8deb6b5b7ae1fcffd7a0e164040cf9af840974",
-    "tau_sweep.csv": "0da30408b62c3e041c9dcb459d1c22ec48c4a9544ce042ef4293af75331b41c0",
+    "simulate_report.json": "d5172b91c8528f9725833cc6722d67d7676da268a56ae330cfaae27e90804ccc",
+    "tau_report.json": "73657595862832eb16d2b6309d903454acf7a951a563afca8080d384a4635bb3",
+    "tau_sweep.csv": "685abb22fa2211e445494b4db7c726003e931b7e35c4e9386ecd7f8106adb36d",
     "tau_sweep.svg": "be7cdb8c0ca48a3e21e9181827a7dd067ffee1b448f5de8b8ac0622e0d9f2ef6",
     "threshold_reward_curves.csv": "57134b1b06add62b5b7b16222fa7852f046551f0f6b9ee5f28bebd0b1752ff07",
     "threshold_reward_curves.svg": "9c800943ce6411f194770f16aa5ba6388f5918bccaca7a999b4dc81e331f39f1",
@@ -502,21 +563,21 @@ SYNTH_SHA256 = {
     },
     ("synth-impact", 3): {
         "impacted_tree.csv": "e2e076fe39ae29b43bb4753f14108ad2f47109d980ea5a37ba09132335c3c8e8",
-        "manifest_simulate.json": "db1757f2044c577260dc17d8cf6507bd5d1600aff25b189fbe26a46ebee7fb13",
+        "manifest_simulate.json": "97b5ef406de2fd633095fb1c57d814469d7492fdc23922919502fb360d79af8a",
         "outcomes_tree.json": "cfa0e2dc1072bb67c564b137395037f8c62c4e18a9492990181ae72c02746c72",
-        "segregation.csv": "41b14d6fcdf893e241ba89c52f401adc09c4732ee4f3bbc501e1fabe3e13ea9c",
+        "segregation.csv": "ab3a0054e35e7f74e019715a7e8498b83ecfd01cada75c634a891a99638d8ed4",
         "segregation.svg": "54fa3f444d4ea3320ce4b50d777cc834f27cc98e44b816bc2ae80b1766ae7999",
         "shift_tree.json": "9fd3c4c00161acc7f25723ff58d160c5be0ecae59db042192d594de25d45eafd",
-        "simulate_report.json": "b749c00c0d0a72afcab60154ec754e8f6a7527140bf8bb55a8fc4f2534a2c768",
+        "simulate_report.json": "e31c1f4de5b6a4430bbc151e2dcda6a1ed7b5a508b1ababce4f894b165c689a6",
     },
     ("synth-impact", 11): {
         "impacted_tree.csv": "9fd4f854d68029a2b02f4d7df37e0a1eb0cf9707cef2b449b7ea7e531fa50e8d",
-        "manifest_simulate.json": "f436542f41ffaa1c818158bc3e164c39e6099a45fd147313bf2d974a92fc4226",
+        "manifest_simulate.json": "c0b8afa0422eb3ae70540db38e686e99e7917d87a4742db120287a9eedd3023d",
         "outcomes_tree.json": "6a08f255ed66d2702646d002a577c7212f118730b7772ea5273a8a543348be44",
-        "segregation.csv": "c2a1fab915a95b4ad6ea431f1ff3a2b0ed7bff5db441ddd315e139cd67a4a84b",
+        "segregation.csv": "9cca7249a60b4d083a09646e9954a798d8a9a0a8654dea9a70c4bfc2b3568d72",
         "segregation.svg": "83b0f28fc6e44771ae12212a1ebafc61ccdfb2cca58c2fb917adad7d6dcf3052",
         "shift_tree.json": "330ca064f1b7cdc4fb054cbe55e66218def70c146882cbd76742b778632a5989",
-        "simulate_report.json": "4ee777f2c917a17b69f10b0e9b3352f3ee52553305796df90119c239f39de90e",
+        "simulate_report.json": "dfab0cb74e797419bcfe154529878498ca40e4703700d851dba83f332741f193",
     },
 }
 

@@ -445,6 +445,24 @@ class TestStaircases:
         want = oracles.effort_reward(h, pop, params, "predicted")
         assert audit.effort_reward(h).per_group_value == pytest.approx(want, abs=1e-12)
 
+    def test_no_row_with_a_move_equals_oracle(self):
+        # NaN in every row's gated column: no row has a staircase point.
+        schema = toy_schema(age=FeatureKind("conditionally_immutable", direction="increasing"))
+        skill = np.arange(1.0, 5.0)
+        pop = Population(schema, np.column_stack([np.zeros(4), skill, np.full(4, np.nan)]), skill.copy(), ["g1"] * 4)
+        h = LinearPredictor(("skill",), [1.0], 0.0)
+        params = EffortParams(base_cost=0.05)
+        audit = FairnessAudit(pop, params, [h])
+        assert audit._of(h).pos.size == 0
+        for delta in (0.0, 1.0):
+            got, _ = sweep_point(audit, h, BOUNDED_EFFORT, delta)
+            assert got == oracles.bounded_effort(h, pop, params, "predicted", delta) == {"g1": 0.0}
+        for delta in (0.0, 2.0):
+            got = sweep_point(audit, h, THRESHOLD_REWARD, delta)
+            assert got == oracles.threshold_reward(h, pop, params, "predicted", delta) == ({"g1": None}, {"g1": 0.0})
+        want = oracles.effort_reward(h, pop, params, "predicted")
+        assert audit.effort_reward(h).per_group_value == want == {"g1": 0.0}
+
     def test_rising_effort_gives_a_point_per_candidate(self):
         # Effort rises strictly with benefit above each row, so row i's
         # staircase holds every candidate from i up: O(n) points per row.

@@ -650,22 +650,16 @@ class TestInitialPopulationMeasuredOnce:
             XY = np.column_stack([pop.X, pop.y])
             view = [k for k, f in enumerate(pop.schema.features) if f.mutable] + [pop.schema.size]
             assert walk["rows"] == {g: pop.group_size(g) for g in pop.group_names}
-            assert walk["profiles"] == {
+            assert walk["classes"] == {
                 g: len({tuple(r) for r in XY[pop.group_rows(g)][:, view].tolist()}) for g in pop.group_names
             }
         for walk in walks:
-            # each block's cells are walked once, densely or through the profile table
-            dense = profile = 0
-            for a, b in itertools.product(walk["rows"], repeat=2):
-                cells, block = (walk[key][a] * walk[key][b] for key in ("profiles", "rows"))
-                if 2 * cells <= block and 8 * cells <= segregation.PROFILE_TABLE_BYTES:
-                    profile += cells
-                else:
-                    dense += block
+            # each (row group, column group) block is walked once, over its classes
             assert walk["pairs"] == sum(walk["rows"].values()) ** 2
-            assert (walk["dense_cells"], walk["profile_cells"]) == (dense, profile)
-        assert walks[0]["dense_cells"] == walks[0]["pairs"]  # the training rows are all distinct
-        assert any(w["profile_cells"] > 0 for w in walks[1:])
+            classes = walk["classes"]
+            assert walk["cells"] == sum(classes[a] * classes[b] for a, b in itertools.product(classes, repeat=2))
+        assert walks[0]["cells"] == walks[0]["pairs"]  # the training rows are all distinct
+        assert any(w["cells"] < w["pairs"] for w in walks[1:])
 
 
 class TestOneEffortMatrix:

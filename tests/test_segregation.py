@@ -398,28 +398,28 @@ class TestSpectralSegregation:
         X = np.array([[0, 0], [0, 1], [1, 0]], dtype=float)
         pop = Population(schema, X, np.zeros(3), ["g1", "g1", "g2"])
         ctx = MetricContext(pop, EffortParams(categorical_cost=0.5), "g1")
-        value = spectral_segregation(_closeness(ctx, pop, "g1"))
+        value = spectral_segregation(_closeness(ctx, pop, "g1"), np.ones(2))
         assert value == pytest.approx(math.exp(-0.5), abs=1e-8)
 
     def test_threshold_above_everything_gives_zero(self):
         pop = _two_feature_pop()
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(_closeness(ctx, pop, "g1"), connectivity_threshold=2.0) == 0.0
+        assert spectral_segregation(_closeness(ctx, pop, "g1"), np.ones(2), connectivity_threshold=2.0) == 0.0
 
     def test_singleton_group_scores_zero(self):
         pop = single_group_pop([1.0])
         ctx = MetricContext(pop, EffortParams(), "g1")
-        assert spectral_segregation(_closeness(ctx, pop, "g1")) == 0.0
+        assert spectral_segregation(_closeness(ctx, pop, "g1"), np.ones(1)) == 0.0
 
     def test_connected_block_iterated_without_a_copy(self):
         # A component spanning the whole block is shifted and iterated in
         # place: beyond its input, SSI allocates less than one more block.
         m = 600
         block = np.exp(-np.random.default_rng(0).random((m, m)))  # connected: every entry > 1e-6
-        want = spectral_segregation(block.copy())
+        want = spectral_segregation(block.copy(), np.ones(m))
         tracemalloc.start()
         try:
-            got = spectral_segregation(block)
+            got = spectral_segregation(block, np.ones(m))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -431,7 +431,7 @@ class TestSpectralSegregation:
             pop, params, _, _ = random_instance(seed)
             group = pop.group_names[0]
             ctx = MetricContext(pop, params, group)
-            got = spectral_segregation(_closeness(ctx, pop, group))
+            got = spectral_segregation(_closeness(ctx, pop, group), np.ones(pop.group_size(group)))
             D = np.array(oracles.distance_matrix(pop, params, pop))
             rows = pop.group_rows(group)
             B = np.exp(-D[np.ix_(rows, rows)])
@@ -457,7 +457,7 @@ class TestSpectralSegregation:
         B = B[np.ix_(perm, perm)]
         assert not np.array_equal(B, B.T)
         assert sum(comp.size > 1 for comp in _components(B)) >= 2
-        assert spectral_segregation(B.copy()) == pytest.approx(oracles.ssi(B), abs=1e-8)
+        assert spectral_segregation(B.copy(), np.ones(len(B))) == pytest.approx(oracles.ssi(B), abs=1e-8)
 
     @pytest.mark.parametrize(
         "M",
@@ -547,20 +547,19 @@ class TestStreamedIndices:
             ctx = MetricContext(pop, params, minority)
             flags = [1 if g == minority else 0 for g in pop.groups]
             want_aci = oracles.aci(D.tolist(), flags)
-            rows = pop.group_rows(minority)
-            B = np.exp(-D[np.ix_(rows, rows)])
-            np.fill_diagonal(B, 0.0)
-            B[B < 1e-6] = 0.0
-            want_ssi = oracles.ssi(B)
-            dense_ssi = spectral_segregation(_closeness(ctx, pop, minority))
+            want_ssi = oracles.ssi(_member_block(D, pop.group_rows(minority)))
+            dense_ssi = spectral_segregation(_closeness(ctx, pop, minority), np.ones(pop.group_size(minority)))
+            distinct = _class_count(ctx, pop, minority) == pop.group_size(minority)
             for height in (1, 3, 7):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(effort, "tile_rows", lambda n_cols: height)
                     aci, ssi = distance_indices(ctx, pop)
                 assert aci == pytest.approx(want_aci, abs=1e-12)
-                # bit for bit the dense definition's SSI; the eigensolver
-                # oracle agrees to the power iteration's tolerance
-                assert ssi == dense_ssi
+                # a minority of distinct rows is its own classes: bit for bit
+                # the dense definition's SSI; the eigensolver oracle agrees to
+                # the power iteration's tolerance
+                if distinct:
+                    assert ssi == dense_ssi
                 assert ssi == pytest.approx(want_ssi, abs=1e-8)
 
     def test_peak_memory_below_two_n_squared(self):
@@ -575,20 +574,25 @@ class TestStreamedIndices:
         assert peak < 2 * 8 * pop.size**2
 
 
-def _bits(indices):
-    return [None if v is None else v.hex() for v in indices]
+def _member_block(D, rows, threshold=1e-6):
+    """The member network of the rows ``rows`` of distance matrix ``D``."""
+    return _network(np.exp(-np.asarray(D)[np.ix_(rows, rows)]), threshold)
 
 
-def _profile_and_dense(ctx, pop, height=None):
-    """``distance_indices`` and its walk counts as the walk chooses, then with the profile path shut off."""
-    walks = ({}, {})
-    with pytest.MonkeyPatch.context() as mp:
-        if height is not None:
-            mp.setattr(effort, "tile_rows", lambda n_cols: height)
-        chosen = distance_indices(ctx, pop, walks[0])
-        mp.setattr(segregation, "PROFILE_TABLE_BYTES", 0)
-        dense = distance_indices(ctx, pop, walks[1])
-    return chosen, dense, walks
+def _network(closeness, threshold):
+    """A copy of a member-level ``closeness`` block with a zero diagonal and the entries below ``threshold`` dropped."""
+    B = np.array(closeness, dtype=float)
+    np.fill_diagonal(B, 0.0)
+    B[B < threshold] = 0.0
+    return B
+
+
+def _class_count(ctx, pop, group):
+    """The number of distinct (mutable, label) profiles in ``group``; -0.0 is 0.0, each NaN its own."""
+    idx, XY = segregation._view(ctx, pop)
+    rows = XY[pop.group_rows(group)][:, idx] + 0.0
+    nan = np.isnan(rows).any(axis=1)
+    return len({tuple(r) for r in rows[~nan].tolist()}) + int(nan.sum())
 
 
 def _repeated_profiles(pop, pattern, copies):
@@ -608,8 +612,14 @@ def _repeated_profiles(pop, pattern, copies):
     return Population(pop.schema, X, y, [pop.groups[i] for i in rows])
 
 
-class TestProfilePath:
-    """A population with repeated profiles is measured on them, with the dense walk's bits."""
+def _expanded(C, sizes, threshold):
+    """The member network of classes with closeness ``C`` and member counts ``sizes``."""
+    of_member = np.repeat(np.arange(len(sizes)), sizes)
+    return _network(C[np.ix_(of_member, of_member)], threshold)
+
+
+class TestProfileClasses:
+    """A population with repeated profiles is measured on its classes: the member-level indices."""
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -617,41 +627,94 @@ class TestProfilePath:
         st.sampled_from(["one_group", "one_group_identical", "signed_zero"]),
         st.integers(2, 4),
     )
-    def test_same_bits_as_the_dense_walk(self, case, pattern, copies):
+    def test_equal_the_oracles_on_the_member_block(self, case, pattern, copies):
         base, params = case
         pop = _repeated_profiles(base, pattern, copies)
+        D = np.array(oracles.distance_matrix(base, params, pop))
         for minority in pop.group_names:
             ctx = MetricContext(base, params, minority)
+            want_aci = oracles.aci(D.tolist(), [1 if g == minority else 0 for g in pop.groups])
+            want_ssi = oracles.ssi(_member_block(D, pop.group_rows(minority)))
             for height in (None, 1, 3, 7):
-                chosen, dense, (walk, dense_walk) = _profile_and_dense(ctx, pop, height)
-                assert _bits(chosen) == _bits(dense)
-                if pattern != "one_group_identical" or base.group_size("a") > 1:
-                    assert walk["profile_cells"] > 0  # block (a, a) at least
-                assert dense_walk["profile_cells"] == 0
-                assert dense_walk["dense_cells"] == pop.size**2
+                walk: dict = {}
+                with pytest.MonkeyPatch.context() as mp:
+                    if height is not None:
+                        mp.setattr(effort, "tile_rows", lambda n_cols: height)
+                    aci, ssi = distance_indices(ctx, pop, walk)
+                assert aci == pytest.approx(want_aci, abs=1e-12)
+                assert ssi == pytest.approx(want_ssi, abs=1e-8)
+                classes = {g: _class_count(ctx, pop, g) for g in pop.group_names}
+                assert walk["classes"] == classes
+                assert (walk["cells"], walk["pairs"]) == (sum(classes.values()) ** 2, pop.size**2)
 
-    def test_signed_zeros_are_one_profile(self):
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    def test_one_class_spanning_the_group_scores_m_minus_one(self, height):
+        pop = _two_feature_pop()
+        X, y = pop.X.copy(), pop.y.copy()
+        g1 = pop.group_rows("g1")
+        rows = np.concatenate([np.arange(pop.size)] + [g1] * 5)  # seven g1 members of one profile
+        X[g1], y[g1] = X[g1[0]], y[g1[0]]
+        pop = Population(pop.schema, X[rows], y[rows], [pop.groups[i] for i in rows])
+        ctx = MetricContext(_two_feature_pop(), EffortParams(), "g1")
+        walk: dict = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effort, "tile_rows", lambda n_cols: height)
+            _, ssi = distance_indices(ctx, pop, walk)
+        assert walk["classes"] == {"g1": 1, "g2": 2}
+        assert ssi == pop.group_size("g1") - 1 == 11
+
+    @pytest.mark.parametrize("height", [1, 3, 7])
+    def test_signed_zeros_are_one_class_and_nan_rows_each_their_own(self, height):
         pop = _two_feature_pop()
         X = pop.X.copy()
         X[:, 2] = 0.0  # the categorical column
         signed = X.copy()
         signed[:, 2] = -0.0
-        flipped = Population(pop.schema, np.vstack([X, signed]), np.tile(pop.y, 2), pop.groups * 2)
+        nan = X[[0, 0, 1]].copy()
+        nan[:, 1] = np.nan  # three g1 rows holding NaN, two of them identical: three classes
+        X = np.vstack([X, signed, nan])
+        y = np.concatenate([pop.y, pop.y, pop.y[[0, 0, 1]]])
+        groups = list(pop.groups) * 2 + ["g1"] * 3
+        pop2 = Population(pop.schema, X, y, groups)
         ctx = MetricContext(pop, EffortParams(), "g1")
-        chosen, dense, (walk, _) = _profile_and_dense(ctx, flipped)
-        assert walk["profiles"] == {"g1": 2, "g2": 2}
-        assert walk["profile_cells"] == 16 and walk["dense_cells"] == 0
-        assert _bits(chosen) == _bits(dense)
-
-    @pytest.mark.parametrize(
-        "pop", [_two_feature_pop(), synthetic_student_pop(300)], ids=["hand", "synthetic"]
-    )
-    def test_all_distinct_population_takes_the_dense_walk(self, pop):
         walk: dict = {}
-        distance_indices(MetricContext(pop, EffortParams(), pop.group_names[0]), pop, walk)
-        assert walk["profiles"] == walk["rows"] == {g: pop.group_size(g) for g in pop.group_names}
-        assert walk["pairs"] == walk["dense_cells"] == pop.size**2
-        assert walk["profile_cells"] == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effort, "tile_rows", lambda n_cols: height)
+            aci, ssi = distance_indices(ctx, pop2, walk)
+        assert walk["classes"] == {"g1": 5, "g2": 2}
+        assert walk["cells"] == 49
+        D = pairwise_distances(ctx, pop2)  # the dense definition, row by row
+        assert aci == pytest.approx(oracles.aci(D.tolist(), [int(g == "g1") for g in groups]), abs=1e-12)
+        assert ssi == pytest.approx(oracles.ssi(_member_block(D, pop2.group_rows("g1"))), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("threshold", [0.3, 1.5])
+    def test_quotient_equals_the_expanded_member_network(self, seed, threshold):
+        # Classes 0-2 and 3-5 are tied among themselves with closeness
+        # between 1.6 and 3, asymmetric, and 1 within each class; every other
+        # tie is 0.2, so both thresholds split the group into components.
+        # A threshold of 1.5 also removes every tie inside a class: class 6's
+        # members are isolated and the others tied only across classes.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=7)
+        C = np.full((7, 7), 0.2)
+        for block in (slice(0, 3), slice(3, 6)):
+            C[block, block] = rng.uniform(1.6, 3.0, (3, 3))
+        np.fill_diagonal(C, 1.0)
+        assert len(oracles.components(_expanded(C, sizes, 1e-6))) == 1
+        B = _expanded(C, sizes, threshold)
+        assert len(oracles.components(B)) >= 3
+        got = spectral_segregation(C.copy(), sizes, threshold)
+        assert got == pytest.approx(oracles.ssi(B), abs=1e-8)
+
+    def test_all_distinct_population_is_its_own_classes(self):
+        pop = synthetic_student_pop(300)
+        ctx = MetricContext(pop, EffortParams(), "F")
+        walk: dict = {}
+        _, ssi = distance_indices(ctx, pop, walk)
+        assert walk["classes"] == walk["rows"] == {g: pop.group_size(g) for g in pop.group_names}
+        assert walk["cells"] == walk["pairs"] == pop.size**2
+        assert ssi == spectral_segregation(_closeness(ctx, pop, "F"), np.ones(pop.group_size("F")))
 
 
 class TestComponents:
