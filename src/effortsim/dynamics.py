@@ -16,6 +16,7 @@ candidates that can win, with the bits of a whole-tile walk (see
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,6 +58,39 @@ class ImitationOutcome:
         }
 
 
+class Outcomes(abc.Sequence):
+    """Each row's ``ImitationOutcome`` of one model's round, held as columns and built when read.
+
+    ``role`` is each row's role model, -1 for a row that stays put, whose
+    reward, effort and utility are 0.0. Indexing, iteration and ``len``
+    work as on a list of outcomes, and ``+`` gives the list of both;
+    ``imitators`` counts the rows that move.
+    """
+
+    def __init__(self, role: np.ndarray, reward: np.ndarray, effort: np.ndarray, utility: np.ndarray):
+        self._columns = (role, reward, effort, utility)
+        self.imitators = int(np.count_nonzero(role >= 0))
+
+    @staticmethod
+    def _outcome(i: int, j: int, reward: float, effort: float, utility: float) -> ImitationOutcome:
+        return ImitationOutcome(i, None if j < 0 else j, reward, effort, utility, changed=j >= 0)
+
+    def __len__(self) -> int:
+        return self._columns[0].shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        i = range(len(self))[i]  # an int in range, or IndexError
+        return self._outcome(i, *(column[i].item() for column in self._columns))
+
+    def __iter__(self):
+        return map(self._outcome, range(len(self)), *(column.tolist() for column in self._columns))
+
+    def __add__(self, other) -> list:
+        return [*self, *other]
+
+
 @dataclass(frozen=True)
 class FocalPoint:
     vector: np.ndarray  # values in the mutable feature subspace
@@ -65,7 +99,7 @@ class FocalPoint:
 
 @dataclass(frozen=True)
 class ImpactResult:
-    outcomes: list
+    outcomes: Outcomes
     impacted: Population
     focal_points: list
     metadata: dict = field(default_factory=dict)
@@ -173,33 +207,39 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
 
 
 def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> ImpactResult:
-    """One model's impacted population, outcomes and focal points from its best moves."""
-    mutable = pop.schema.mutable_mask
+    """One model's impacted population, outcomes and focal points from its best moves.
+
+    A row moves on utility > 0: it takes its role model's mutable values and
+    label in one assignment over the movers. A focal point is one value of
+    the role models' mutable bytes (-0.0 and 0.0 differ), found by one
+    stable sort of those bytes and listed in the order of its first
+    imitator, with its number of imitators.
+    """
+    moved = utility > 0.0
+    movers = np.flatnonzero(moved)
+    cols = np.flatnonzero(pop.schema.mutable_mask)
+    taken = pop.X[best[movers, None], cols]  # each mover's role model's mutable values
     new_X = pop.X.copy()
+    new_X[movers[:, None], cols] = taken
     new_y = pop.y.copy()
-    outcomes: list[ImitationOutcome] = []
-    # role model's mutable values -> number of imitators, in first-seen order
-    focal_counts: dict[bytes, int] = {}
-    for i in range(pop.size):
-        if not utility[i] > 0.0:
-            outcomes.append(ImitationOutcome(i, None, 0.0, 0.0, 0.0, changed=False))
-            continue
-        j = int(best[i])
-        new_X[i, mutable] = pop.X[j, mutable]
-        new_y[i] = pop.y[j]
-        outcomes.append(
-            ImitationOutcome(
-                i, j, float(reward[i]), float(exerted[i]), float(utility[i]), changed=True
-            )
-        )
-        key = pop.X[j, mutable].tobytes()
-        focal_counts[key] = focal_counts.get(key, 0) + 1
+    new_y[movers] = pop.y[best[movers]]
+    focal_points = []
+    if movers.size:
+        keys = taken.view(np.dtype((np.void, taken.itemsize * cols.size)))[:, 0]
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        counts = np.diff(starts, append=movers.size)
+        firsts = order[starts]  # each key's first imitator: the sort is stable
+        seen = np.argsort(firsts)
+        focal_points = [
+            FocalPoint(vector=v, count=c) for v, c in zip(taken[firsts[seen]], counts[seen].tolist())
+        ]
+    outcomes = Outcomes(np.where(moved, best, -1), *(np.where(moved, a, 0.0) for a in (reward, exerted, utility)))
     return ImpactResult(
         outcomes=outcomes,
         impacted=Population(pop.schema, new_X, new_y, pop.groups),
-        focal_points=[
-            FocalPoint(vector=np.frombuffer(k).copy(), count=c) for k, c in focal_counts.items()
-        ],
+        focal_points=focal_points,
         metadata=metadata,
     )
 

@@ -464,7 +464,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
                 for measure, value in rep.values().items():
                     seg_rows.append([spec.name, measure, pop_name, value])
             report[spec.name] = {
-                "changed": sum(1 for o in impact.outcomes if o.changed),
+                "changed": impact.outcomes.imitators,
                 "focal_points": [
                     {"vector": fp.vector.tolist(), "count": fp.count}
                     for fp in impact.focal_points
@@ -497,7 +497,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
             lambda: {
                 "weights": h.to_dict(),
                 "benefit_gap": group_benefit_gap(h, train, config.effort, ctx.minority),
-                "changed": sum(1 for o in impact.outcomes if o.changed),
+                "changed": impact.outcomes.imitators,
             },
         )
         for spec, h, impact in runs

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import DataError, FeatureSchema, Population
-from .effort import EffortParams, benefit_value
+from .effort import EffortParams, _distinct_rows, benefit_value
 
 JITTER = 1e-8
 
@@ -169,27 +169,32 @@ class TreePredictor(Predictor):
         return out
 
     def imitation_block(self, schema: FeatureSchema, X: np.ndarray):
-        """``A_own[rows] @ A_cand.T`` over the tree's L leaves.
+        """A gather from the table of leaf values over (own pattern, candidate pattern).
 
         ``_leaves`` narrows, per leaf, a mask of rows i whose non-mutable
         entries pass the path's tests and a mask of rows j whose mutable
-        entries do. ``A_own`` (n, L) holds the first mask times the leaf
-        value, ``A_cand`` (n, L) the second as 0/1. Exactly one leaf fires
-        for each pair, so every product sums one leaf value and zeros and
-        equals ``predict_rows`` bit for bit.
+        entries do. A row's own pattern is the set of leaves its first masks
+        allow, its candidate pattern the set its second masks allow, and
+        exactly one leaf lies in both sets of any pair. ``table[p, c]`` holds
+        that leaf's value for each pair of distinct patterns, and a tile is
+        one ``np.take`` from the table's rows of its own patterns, so every
+        entry is a copied leaf value, as ``predict_rows`` writes it. No BLAS
+        routine runs. A table of more entries than two (n, L) matrices falls
+        back to the per-row predictions.
         """
         D = self._design(schema, X)
         mutable = schema.mutable_mask[self._column_indices(schema)]
-        own_cols: list[np.ndarray] = []
-        cand_cols: list[np.ndarray] = []
-        for value, own, cand in self._leaves(D, mutable):
-            own_cols.append(own * value)
-            cand_cols.append(cand)
-        A_own = np.column_stack(own_cols)
-        A_cand = np.column_stack(cand_cols).astype(np.float64)
+        values, own, cand = zip(*self._leaves(D, mutable))
+        own_first, own_code = _distinct_rows(np.packbits(np.column_stack(own), axis=1))
+        cand_first, cand_code = _distinct_rows(np.packbits(np.column_stack(cand), axis=1))
+        if own_first.shape[0] * cand_first.shape[0] > 2 * D.shape[0] * len(values):
+            return super().imitation_block(schema, X)
+        table = np.empty((own_first.shape[0], cand_first.shape[0]))
+        for value, o, c in zip(values, own, cand):
+            table[np.ix_(o[own_first], c[cand_first])] = value
 
         def block(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            return np.matmul(A_own[rows], A_cand.T, out=out)
+            return np.take(table[own_code[rows]], cand_code, axis=1, out=out, mode="clip")
 
         return block
 

@@ -266,13 +266,15 @@ def _spectral_radius(M: np.ndarray) -> float | None:
     iterate is. Each step takes one product with the shifted matrix: the
     product that checks a step's residual is the next step's iterate.
     Returns None when it does not converge within ``POWER_MAX_ITER`` steps.
-    The shift is added to M's diagonal in place, so M is consumed: callers
-    pass an array they own and drop afterwards.
+    The shift is added to M's diagonal in place, so M is consumed when the
+    iteration converges: callers pass an array they own and drop afterwards.
+    When it does not, M's diagonal is written back, for ``_perron_root``.
     """
     n = M.shape[0]
     shift = float(M.sum(axis=1).max())
     if shift == 0.0:
         return 0.0
+    diagonal = M.diagonal().copy()
     M.flat[:: n + 1] += shift  # M + shift * I, without a copy or an n x n temporary
     x = np.full(n, 1.0 / math.sqrt(n))
     y = M @ x
@@ -282,7 +284,71 @@ def _spectral_radius(M: np.ndarray) -> float | None:
         lam_shifted = float(x @ y)
         if float(np.abs(y - lam_shifted * x).max()) <= POWER_TOL * max(1.0, abs(lam_shifted)):
             return lam_shifted - shift
+    M.flat[:: n + 1] = diagonal
     return None  # did not converge
+
+
+def _strong_components(adj: np.ndarray) -> list[np.ndarray]:
+    """Strongly connected parts of the directed graph of ``adj``'s nonzero entries (Tarjan).
+
+    Each part is sorted. The depth-first search keeps its own stack of
+    (node, successor iterator), so a long one-way chain does not meet
+    Python's recursion limit.
+    """
+    succ = [np.flatnonzero(row).tolist() for row in adj != 0.0]
+    index, low, on_stack = [-1] * len(succ), [0] * len(succ), [False] * len(succ)
+    stack: list[int] = []
+    parts = []
+    visited = 0
+
+    def visit(v):
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        on_stack[v] = True
+        return v, iter(succ[v])
+
+    for root in range(len(succ)):
+        if index[root] >= 0:
+            continue
+        path = [visit(root)]
+        while path:
+            v, todo = path[-1]
+            for w in todo:
+                if index[w] < 0:
+                    path.append(visit(w))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    part = []
+                    while not part or part[-1] != v:
+                        part.append(stack.pop())
+                        on_stack[part[-1]] = False
+                    parts.append(np.sort(part))
+    return parts
+
+
+def _perron_root(M: np.ndarray) -> float | None:
+    """Perron root of a nonnegative matrix: by power iteration, else over its strongly connected parts.
+
+    Power iteration does not converge on a reducible matrix whose top root
+    is repeated, as on a chain of ties that runs one way only. A reducible
+    matrix's roots are those of the diagonal blocks of its strongly
+    connected parts, so its Perron root is the largest of theirs, and each
+    part is irreducible. M is consumed (see ``_spectral_radius``).
+    """
+    lam = _spectral_radius(M)
+    if lam is not None:
+        return lam
+    roots = [_spectral_radius(M[np.ix_(part, part)]) for part in _strong_components(M)]
+    return None if None in roots else max(roots)
 
 
 def _components(adj: np.ndarray) -> list[np.ndarray]:
@@ -337,8 +403,9 @@ def spectral_segregation(
     and |c| the members of c, so the mean over the m members is
     sum_c |c| * lambda_c / m and needs no eigenvector. Q is built in place
     and a component spanning every class is iterated on in place, so
-    ``similarity`` is consumed. Returns None if power iteration fails to
-    converge.
+    ``similarity`` is consumed. A component on which power iteration does
+    not converge takes the largest radius of its strongly connected parts
+    (``_perron_root``); returns None if that fails too.
     """
     n = np.asarray(sizes, dtype=np.float64)
     Q = similarity
@@ -349,7 +416,7 @@ def spectral_segregation(
     total = 0.0
     for comp in _components(Q):
         sub = Q if comp.size == Q.shape[0] else Q[np.ix_(comp, comp)]
-        lam = _spectral_radius(sub)
+        lam = _perron_root(sub)
         if lam is None:
             return None
         total += float(n[comp].sum()) * lam
@@ -363,9 +430,10 @@ def distance_indices(
 
     The walk never holds the n x n distance matrix. ACI's three sums are
     sum_ab n_a * n_b * C[a, b] over the class pairs of a block: each tile
-    is weighted by its classes' sizes in place and then summed, and a size
-    of one keeps every bit. Only the minority's class x class closeness is
-    kept, copied before it is weighted, for SSI on its quotient (see
+    is weighted by its classes' sizes in place and then summed; a side whose
+    sizes are all one is not weighted, since x * 1.0 == x. Only the
+    minority's class x class closeness is kept, copied before it is
+    weighted, for SSI on its quotient (see
     ``spectral_segregation``). Both measures depend on the population alone,
     not on the model, so a population shared by several runs is measured
     once. ``walk``, if given, receives the walk's counts.
@@ -376,11 +444,15 @@ def distance_indices(
         kept = row_group == col_group == minority
         if kept:
             closeness, sizes = np.empty((row_sizes.size, col_sizes.size)), row_sizes
+        weigh_rows, weigh_cols = (bool((w != 1.0).any()) for w in (row_sizes, col_sizes))
         for lo, hi, tile in tiles:
             if kept:
                 closeness[lo:hi] = tile
-            np.multiply(tile, row_sizes[lo:hi, None], out=tile)
-            s = float(np.multiply(tile, col_sizes, out=tile).sum())
+            if weigh_rows:
+                np.multiply(tile, row_sizes[lo:hi, None], out=tile)
+            if weigh_cols:
+                np.multiply(tile, col_sizes, out=tile)
+            s = float(tile.sum())
             total += s
             if row_group == minority:
                 minority_rows += s

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -267,6 +268,136 @@ class TestSharedRound:
 
     def test_no_models_no_results(self):
         assert simulate([], _toy_pop(), EffortParams()) == []
+
+
+def _per_row_impact(pop, best, reward, exerted, utility):
+    """One model's round applied row by row: (outcome dicts, impacted X, impacted y, focal points).
+
+    A row moves on utility > 0 and copies its role model's mutable values
+    and label; a focal point is one value of the role models' mutable bytes,
+    in the order of its first imitator, with its number of imitators.
+    """
+    mutable = pop.schema.mutable_mask
+    new_X, new_y = pop.X.copy(), pop.y.copy()
+    outcomes, focal = [], {}
+    for i in range(pop.size):
+        if not utility[i] > 0.0:
+            outcomes.append(dynamics.ImitationOutcome(i, None, 0.0, 0.0, 0.0, False).to_dict())
+            continue
+        j = int(best[i])
+        new_X[i, mutable] = pop.X[j, mutable]
+        new_y[i] = pop.y[j]
+        outcomes.append(
+            dynamics.ImitationOutcome(i, j, float(reward[i]), float(exerted[i]), float(utility[i]), True).to_dict()
+        )
+        key = pop.X[j, mutable].tobytes()
+        focal[key] = focal.get(key, 0) + 1
+    return outcomes, new_X, new_y, [(key, count) for key, count in focal.items()]
+
+
+def _impact_parts(result):
+    """The parts of an ``ImpactResult`` that ``_per_row_impact`` returns, focal vectors as bytes."""
+    return (
+        [o.to_dict() for o in result.outcomes],
+        result.impacted.X,
+        result.impacted.y,
+        [(fp.vector.tobytes(), fp.count) for fp in result.focal_points],
+    )
+
+
+def _same_parts(got, want):
+    assert got[0] == want[0]
+    assert [(v, type(v)) for o in got[0] for v in o.values()] == [(v, type(v)) for o in want[0] for v in o.values()]
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+    assert got[3] == want[3]
+
+
+def _signed_zero_pop():
+    """Role models 1 and 3 differ only by the sign of a zero skill; rows 0, 2, 4 and 5 can imitate."""
+    schema = _toy_pop().schema
+    X = np.array([[0, 3.0], [0, 0.0], [0, 4.0], [1, -0.0], [1, 2.0], [1, 6.0]])
+    return Population(schema, X, np.array([1.0, 5.0, 2.0, 6.0, 3.0, 4.0]), ["g1"] * 3 + ["g2"] * 3)
+
+
+class TestImpact:
+    """``_impact`` applies a round in one pass: the per-row loop's outcomes, rows and focal points."""
+
+    @pytest.mark.parametrize("seed", [40, 41, 42, 43, 60, 61])
+    def test_equals_the_per_row_loop_on_rounds(self, seed):
+        pop, params, h, _ = random_instance(seed)
+        models = [h, fit_tree(pop, 3)]
+        best, reward, exerted, utility = dynamics._best_moves(models, pop, params, {})
+        for m, result in enumerate(simulate(models, pop, params)):
+            want = _per_row_impact(pop, best[m], reward[m], exerted[m], utility[m])
+            _same_parts(_impact_parts(result), want)
+
+    def test_equals_the_per_row_loop_on_the_student_round(self, student_split):
+        train, _ = student_split
+        models = [fit_tree(train, 5), fit_ridge(train, 200.0)]
+        params = EffortParams(base_cost=0.05)
+        best, reward, exerted, utility = dynamics._best_moves(models, train, params, {})
+        results = simulate(models, train, params)
+        assert len(results[0].focal_points) >= 10  # the tree's movers copy many profiles
+        for m, result in enumerate(results):
+            _same_parts(_impact_parts(result), _per_row_impact(train, best[m], reward[m], exerted[m], utility[m]))
+
+    def test_equals_the_per_row_loop_on_any_moves(self):
+        # Utilities of every sign, NaN and -0.0; role models repeated, signed zeros among them.
+        pop = _signed_zero_pop()
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            best = rng.integers(0, pop.size, size=pop.size)
+            utility = rng.choice([-1.0, -0.0, 0.0, np.nan, 0.5, 2.0], size=pop.size)
+            reward, exerted = rng.normal(size=pop.size), rng.random(pop.size)
+            reward[::2] = -0.0
+            got = dynamics._impact(pop, best, reward, exerted, utility, {})
+            _same_parts(_impact_parts(got), _per_row_impact(pop, best, reward, exerted, utility))
+
+    def test_signed_zeros_are_two_focal_points(self):
+        pop = _signed_zero_pop()
+        best = np.array([1, 0, 3, 0, 1, 3])
+        utility = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        got = dynamics._impact(pop, best, utility, np.zeros(pop.size), utility, {})
+        assert [(fp.vector.tobytes(), fp.count) for fp in got.focal_points] == [
+            (np.array([0.0]).tobytes(), 2),
+            (np.array([-0.0]).tobytes(), 2),
+        ]
+        assert np.signbit(got.impacted.X[[2, 5], 1]).all() and not np.signbit(got.impacted.X[[0, 4], 1]).any()
+
+    def test_focal_points_keep_first_imitator_order(self):
+        # The first mover copies 6.0, then 0.0 and -0.0 follow, then 6.0 again:
+        # sorted bytes would put 0.0 first.
+        pop = _signed_zero_pop()
+        best = np.array([5, 0, 1, 0, 3, 5])
+        utility = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        got = dynamics._impact(pop, best, utility, np.zeros(pop.size), utility, {})
+        assert [(fp.vector.tolist(), fp.count) for fp in got.focal_points] == [([6.0], 2), ([0.0], 1), ([-0.0], 1)]
+        assert [np.signbit(fp.vector[0]) for fp in got.focal_points] == [False, False, True]
+
+    def test_outcomes_read_like_a_list(self):
+        pop = _signed_zero_pop()
+        best = np.array([5, 0, 1, 0, 3, 5])
+        utility = np.array([1.0, 0.0, 2.5, np.nan, -1.0, 0.5])
+        reward = np.array([1.5, 9.0, -0.0, 9.0, 9.0, 0.75])
+        outcomes = dynamics._impact(pop, best, reward, reward - utility, utility, {}).outcomes
+        items = list(outcomes)
+        assert len(outcomes) == len(items) == pop.size
+        assert [outcomes[i] for i in range(pop.size)] == items
+        assert outcomes[-1] == items[-1] and outcomes[1:5:2] == items[1:5:2]
+        with pytest.raises(IndexError):
+            outcomes[pop.size]
+        assert outcomes + outcomes == items + items
+        assert outcomes.imitators == sum(o.changed for o in items) == 3
+        assert [o.role_model_index for o in items] == [5, None, 1, None, None, 5]
+        assert math.copysign(1.0, items[2].reward) == -1.0  # a mover's -0.0 reward keeps its sign
+        assert all(isinstance(o.role_model_index, (int, type(None))) for o in items)
+        assert all(type(v) is float for o in items for v in (o.reward, o.effort, o.utility))
+
+    def test_nobody_moves(self):
+        pop = _signed_zero_pop()
+        got = dynamics._impact(pop, np.zeros(pop.size, np.intp), *np.zeros((3, pop.size)), {})
+        assert got.focal_points == [] and not any(o.changed for o in got.outcomes)
+        assert got.impacted.X.tobytes() == pop.X.tobytes() and got.impacted.y.tobytes() == pop.y.tobytes()
 
 
 def _dense_round(h, pop, params) -> list:

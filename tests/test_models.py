@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import single_group_pop
+from conftest import single_group_pop, synthetic_student_pop
 from effortsim import models
 from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, restrict_features
 from effortsim.effort import EffortParams
@@ -396,3 +396,93 @@ class TestImitationBlock:
             out = np.full((rows.shape[0], train.size), np.nan)
             assert block(rows, out=out) is out
             assert np.array_equal(out, full[rows])
+
+
+def _full_tree(pop, depth, mutable_level, seed, leaf_values=None):
+    """A hand-built tree of ``depth`` full levels: level l tests a mutable column when
+    ``mutable_level(l)``, a non-mutable one otherwise, each at one of the column's finite values.
+
+    Leaves take ``leaf_values`` left to right when given, standard normal draws otherwise.
+    """
+    rng = np.random.default_rng(seed)
+    columns = {
+        flag: np.flatnonzero(pop.schema.mutable_mask == flag) for flag in (True, False)
+    }
+    leaves = iter(leaf_values if leaf_values is not None else rng.normal(size=2**depth))
+    nodes: list[dict] = []
+
+    def build(level):
+        node_id = len(nodes)
+        nodes.append({"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": 0.0})
+        if level == depth:
+            nodes[node_id]["value"] = float(next(leaves))
+            return node_id
+        k = int(rng.choice(columns[bool(mutable_level(level))]))
+        finite = pop.X[np.isfinite(pop.X[:, k]), k]
+        threshold = float(rng.choice(finite))
+        left, right = build(level + 1), build(level + 1)
+        nodes[node_id].update(feature=k, threshold=threshold, left=left, right=right)
+        return node_id
+
+    build(0)
+    return models.TreePredictor(pop.schema.names, nodes)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _alternating(level):
+    return level % 2 == 0
+
+
+class TestTreeTableBlock:
+    """The tree's imitation block gathers leaf values: the bits ``predict_rows`` writes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nan_in_tested_columns(self, seed):
+        pop = synthetic_student_pop(80, seed=seed)
+        h = _full_tree(pop, 4, _alternating, seed)
+        tested = sorted({node["feature"] for node in h.nodes if node["feature"] >= 0})
+        assert pop.schema.mutable_mask[tested].any() and not pop.schema.mutable_mask[tested].all()
+        X = pop.X.copy()
+        rng = np.random.default_rng(seed)
+        for k in tested:
+            X[rng.choice(pop.size, size=10, replace=False), k] = np.nan
+        nan_pop = Population(pop.schema, X, pop.y, pop.groups)
+        block = h.imitation_block(nan_pop.schema, nan_pop.X)
+        assert block.__qualname__.startswith("TreePredictor.")
+        assert _same_bits(block(np.arange(pop.size)), _explicit_imitation_predictions(h, nan_pop))
+
+    @pytest.mark.parametrize("value", [3.25, -2.5, -0.0])
+    def test_single_leaf_tree(self, value):
+        pop = synthetic_student_pop(30)
+        h = models.TreePredictor(
+            pop.schema.names, [{"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": value}]
+        )
+        got = h.imitation_block(pop.schema, pop.X)(np.arange(pop.size))
+        assert _same_bits(got, np.full((pop.size, pop.size), value))
+        assert _same_bits(got, _explicit_imitation_predictions(h, pop))
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_negative_leaf_values(self, seed):
+        pop = synthetic_student_pop(60, seed=seed)
+        leaf_values = -np.abs(np.random.default_rng(seed).normal(size=2**3))
+        leaf_values[::3] = -0.0  # a leaf of -0.0 keeps its sign
+        h = _full_tree(pop, 3, _alternating, seed, leaf_values)
+        got = h.imitation_block(pop.schema, pop.X)(np.arange(pop.size))
+        want = _explicit_imitation_predictions(h, pop)
+        assert np.signbit(want).all() and (want == 0.0).any()
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("depth, path", [(2, "Predictor."), (4, "TreePredictor.")])
+    def test_table_beyond_two_leaf_matrices_takes_per_row_predictions(self, monkeypatch, depth, path):
+        # Coded as every row its own pattern, 30 rows make a 30 x 30 table:
+        # more than 2 * n * L = 240 entries for the 4 leaves of depth 2, not
+        # more than 960 for the 16 of depth 4. Either way the bits are kept.
+        pop = synthetic_student_pop(30, seed=6)
+        h = _full_tree(pop, depth, _alternating, 6)
+        monkeypatch.setattr(models, "_distinct_rows", lambda a: (np.arange(len(a)), np.arange(len(a))))
+        block = h.imitation_block(pop.schema, pop.X)
+        assert block.__qualname__.startswith(path)
+        assert _same_bits(block(np.arange(pop.size)), _explicit_imitation_predictions(h, pop))

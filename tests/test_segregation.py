@@ -25,7 +25,7 @@ from effortsim.segregation import (
     pairwise_distances,
     spectral_segregation,
 )
-from effortsim.segregation import _components, _spectral_radius
+from effortsim.segregation import _components, _spectral_radius, _strong_components
 from instances import oracle_cases, random_instance
 
 
@@ -707,6 +707,38 @@ class TestProfileClasses:
         got = spectral_segregation(C.copy(), sizes, threshold)
         assert got == pytest.approx(oracles.ssi(B), abs=1e-8)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 5])
+    def test_one_way_ties_match_the_expanded_member_network(self, seed):
+        # Within classes 0-2 and 3-5 the closeness is U(0.05, 3), so at 1.5
+        # some of their ties run one way only. Power iteration does not
+        # converge on such a component (on each of these seeds); its Perron
+        # root is the largest over its strongly connected parts.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 5, size=7)
+        C = np.full((7, 7), 0.2)
+        for block in (slice(0, 3), slice(3, 6)):
+            C[block, block] = rng.uniform(0.05, 3.0, (3, 3))
+        np.fill_diagonal(C, 1.0)
+        got = spectral_segregation(C.copy(), sizes, 1.5)
+        assert got == pytest.approx(oracles.ssi(_expanded(C, sizes, 1.5)), abs=1e-8)
+        if seed == 1:
+            assert got == pytest.approx(3.1883827117436336, abs=1e-8)
+
+    def test_one_way_ties_between_equal_classes(self):
+        # Two classes of two members, each tied within at closeness 1, a tie
+        # from the first to the second only, and one from the second to a
+        # class of one member: the quotient [[1, 1.6, 0], [0, 1, 0.7],
+        # [0, 0, 0]] repeats its top root 1, which power iteration does not
+        # find; its strongly connected parts have roots 1, 1 and 0.
+        C = np.array([[1.0, 0.8, 0.0], [0.1, 1.0, 0.7], [0.0, 0.1, 1.0]])
+        sizes = np.array([2, 2, 1])
+        B = _expanded(C, sizes, 0.3)
+        assert len(oracles.components(B)) == 1
+        Q = np.array([[1.0, 1.6, 0.0], [0.0, 1.0, 0.7], [0.0, 0.0, 0.0]])
+        assert _spectral_radius(Q.copy()) is None
+        assert spectral_segregation(C.copy(), sizes, 0.3) == pytest.approx(1.0, abs=1e-8)
+        assert oracles.ssi(B) == pytest.approx(1.0, abs=1e-6)  # eig on a repeated root
+
     def test_all_distinct_population_is_its_own_classes(self):
         pop = synthetic_student_pop(300)
         ctx = MetricContext(pop, EffortParams(), "F")
@@ -731,3 +763,36 @@ class TestComponents:
         ):
             got = [c.tolist() for c in _components(adj)]
             assert got == oracles.components(adj.tolist())
+
+
+def _strong_reference(adj) -> list[list[int]]:
+    """Strongly connected parts by a transitive closure: i and j share a part when each reaches the other."""
+    n = len(adj)
+    reach = (np.asarray(adj) != 0.0) | np.eye(n, dtype=bool)
+    for k in range(n):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    mutual = reach & reach.T
+    return sorted({tuple(np.flatnonzero(mutual[i]).tolist()) for i in range(n)})
+
+
+class TestStrongComponents:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_match_closure_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 40))
+        weights = rng.random((n, n))
+        for adj in (
+            np.zeros((n, n)),
+            np.ones((n, n)),
+            weights * (rng.random((n, n)) < 1.5 / max(n, 1)),  # sparse, asymmetric
+            np.triu(weights * (rng.random((n, n)) < 0.2), k=1),  # every edge one-way
+        ):
+            got = _strong_components(adj)
+            assert all(np.array_equal(part, np.sort(part)) for part in got)
+            assert sorted(tuple(part.tolist()) for part in got) == _strong_reference(adj)
+
+    def test_long_one_way_chain(self):
+        n = 1500  # deeper than Python's recursion limit
+        adj = np.zeros((n, n))
+        adj[np.arange(n - 1), np.arange(1, n)] = 1.0
+        assert [part.tolist() for part in _strong_components(adj)] == [[i] for i in reversed(range(n))]
