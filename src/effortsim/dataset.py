@@ -428,9 +428,14 @@ def load_csv(path: str | Path, schema_path: str | Path) -> Population:
 
 
 def format_number(value: float) -> str:
-    """``value`` as text that parses back to the same float: an integer without a point, ``-0`` for -0.0."""
+    """``value`` as text that parses back to the same float: an integer without a point, ``-0`` for -0.0.
+
+    NaN and ±infinity, which no reader here takes back, are a ``ValueError``.
+    """
     value = float(value)
     if not value.is_integer():
+        if not math.isfinite(value):
+            raise ValueError(f"{value} is not a finite number")
         return repr(value)
     return "-0" if value == 0 and math.copysign(1.0, value) < 0 else str(int(value))
 
@@ -438,13 +443,17 @@ def format_number(value: float) -> str:
 def write_table(path: str | Path, header: Sequence[str], rows) -> None:
     """Write ``header`` and ``rows`` to ``path`` as comma-separated text, quoted where needed.
 
-    A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``.
+    A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``;
+    a NaN or infinite number is a ``DataError`` naming the file.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
+        try:
+            for row in rows:
+                writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
+        except ValueError:  # format_number refuses NaN and ±infinity
+            raise DataError(f"{path}: a value to write is NaN or infinite") from None
 
 
 def write_csv(pop: Population, path: str | Path) -> None:

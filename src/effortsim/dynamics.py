@@ -16,6 +16,7 @@ candidates that can win, with the bits of a whole-tile walk (see
 
 from __future__ import annotations
 
+import operator
 from collections import abc
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -24,12 +25,9 @@ import numpy as np
 
 from . import effort
 from .dataset import Population
-from .effort import EVERY, EffortEngine, EffortParams
+from .effort import EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
-# A model whose candidate columns in a row tile exceed this share of all
-# columns reads the whole effort tile, once for every later model of the tile.
-DENSE_SHARE = 0.5
 POSITIVE = np.nextafter(0.0, 1.0)  # the smallest positive float: x >= POSITIVE is x > 0
 
 
@@ -62,9 +60,9 @@ class Outcomes(abc.Sequence):
     """Each row's ``ImitationOutcome`` of one model's round, held as columns and built when read.
 
     ``role`` is each row's role model, -1 for a row that stays put, whose
-    reward, effort and utility are 0.0. Indexing, iteration and ``len``
-    work as on a list of outcomes, and ``+`` gives the list of both;
-    ``imitators`` counts the rows that move.
+    reward, effort and utility are 0.0. Integer indexing, iteration and
+    ``len`` work as on a list of outcomes; ``imitators`` counts the rows
+    that move.
     """
 
     def __init__(self, role: np.ndarray, reward: np.ndarray, effort: np.ndarray, utility: np.ndarray):
@@ -78,17 +76,12 @@ class Outcomes(abc.Sequence):
     def __len__(self) -> int:
         return self._columns[0].shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(len(self))[i]]
-        i = range(len(self))[i]  # an int in range, or IndexError
+    def __getitem__(self, i: int) -> ImitationOutcome:
+        i = range(len(self))[operator.index(i)]  # an int in range, or IndexError (TypeError for a slice)
         return self._outcome(i, *(column[i].item() for column in self._columns))
 
     def __iter__(self):
         return map(self._outcome, range(len(self)), *(column.tolist() for column in self._columns))
-
-    def __add__(self, other) -> list:
-        return [*self, *other]
 
 
 @dataclass(frozen=True)
@@ -143,11 +136,11 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
     row has a gain >= ``L`` and > 0. Each row's winner and every candidate
     that ties it are among them, so the row's first maximum over the sorted
     columns is the lowest index, as a row-wise argmax over every column
-    picks. Each model reads the efforts of its own candidate columns and
-    settles at once. A model whose columns exceed ``DENSE_SHARE`` of all
-    columns reads the tile's efforts whole instead, and every later model
-    of the tile scores against that read without a search. Every effort,
-    reward and utility has the bits of a whole-tile walk.
+    picks. A row holding a NaN gain has a NaN bound, and a row-wise argmax
+    stops at its first NaN, so that row's NaN columns are candidates too.
+    Each model reads the efforts of its own candidate columns and settles
+    at once; every effort, reward and utility has the bits of a whole-tile
+    walk.
 
     Only the entries of rows with utility > 0 are read; a model with no
     candidate column leaves the tile's rows at zero. ``walk`` receives the
@@ -159,50 +152,37 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
     reward, exerted, utility = (np.zeros((len(models), n)) for _ in range(3))
     height = min(effort.tile_rows(n), n)  # effort_reads' tiles hold at most this many rows
     gains_buf, keep_buf, scores = np.empty((height, n)), np.empty((height, n), bool), np.empty(height * n)
-    walk.update(pairs=n * n, candidate_columns=[0] * len(models), bound_pairs=0, subtile_cells=0, dense_cells=0)
-
-    def settle(m, rows, gains, E, cols=EVERY):
-        """Model m's winners among the columns ``cols``, whose efforts are ``E``."""
-        r = np.arange(rows.shape[0])
-        utils = scores[: E.size].reshape(E.shape)
-        if cols is EVERY:
-            np.subtract(gains, E, out=utils)
-        else:
-            np.subtract(np.take(gains, cols, axis=1, out=utils), E, out=utils)
-        win = utils.argmax(axis=1)
-        j = win if cols is EVERY else cols[win]
-        best[m, rows] = j
-        reward[m, rows] = gains[r, j]
-        exerted[m, rows] = E[r, win]
-        utility[m, rows] = utils[r, win]
-
+    walk.update(pairs=n * n, candidate_columns=[0] * len(models), subtile_cells=0)
     for rows, efforts, _, _ in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
         h = rows.shape[0]
         r = np.arange(h)
-        dense = E = None  # the whole tile's efforts, once read; the last model's column read
         for m, block in enumerate(blocks):
             gains = params.reward(pop.y, block(rows, out=gains_buf[:h]))
             own = gains[r, rows]  # a copy, taken before the subtraction
             np.subtract(gains, own[:, None], out=gains)
-            if dense is None:
-                top = gains.argmax(axis=1)  # a row holding a NaN gain gets a NaN bound
-                bound = np.subtract(gains[r, top], efforts(pairs=(r, top)))
-                np.maximum(bound, POSITIVE, out=bound)
-                keep = np.greater_equal(gains, bound[:, None], out=keep_buf[:h])
-                cols = np.flatnonzero(keep.any(axis=0))
-                walk["bound_pairs"] += h
-                walk["candidate_columns"][m] += cols.shape[0]
-                # (a NaN gain is where a row-wise argmax stops, so its row reads every column)
-                if cols.shape[0] <= DENSE_SHARE * n and not np.isnan(bound).any():
-                    if cols.shape[0]:
-                        E = efforts(cols=cols)
-                        walk["subtile_cells"] += E.size
-                        settle(m, rows, gains, E, cols)
-                    continue
-                dense = efforts()
-                walk["dense_cells"] += dense.size
-            settle(m, rows, gains, dense)
-        del efforts, dense, E  # see EffortEngine.effort_reads
+            top = gains.argmax(axis=1)  # a row holding a NaN gain gets a NaN bound
+            bound = np.subtract(gains[r, top], efforts(pairs=(r, top)))
+            np.maximum(bound, POSITIVE, out=bound)
+            keep = np.greater_equal(gains, bound[:, None], out=keep_buf[:h])
+            if np.isnan(bound).any():
+                np.logical_or(keep, np.isnan(gains), out=keep)
+            cols = np.flatnonzero(keep.any(axis=0))
+            walk["candidate_columns"][m] += cols.shape[0]
+            if not cols.shape[0]:
+                continue
+            E = efforts(cols=cols)
+            walk["subtile_cells"] += E.size
+            utils = scores[: E.size].reshape(E.shape)
+            # mode="clip": the default "raise" buffers the output through a temporary
+            np.subtract(np.take(gains, cols, axis=1, out=utils, mode="clip"), E, out=utils)
+            win = utils.argmax(axis=1)
+            j = cols[win]
+            best[m, rows] = j
+            reward[m, rows] = gains[r, j]
+            exerted[m, rows] = E[r, win]
+            utility[m, rows] = utils[r, win]
+            del E  # see EffortEngine.effort_reads
+        del efforts
     return best, reward, exerted, utility
 
 

@@ -227,17 +227,21 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
 
 
 def fit_model(spec: ModelSpec, train: Population, config: ExperimentConfig) -> Predictor:
+    """``spec``'s model fitted on ``train``; a fit that fails is a ``DataError`` naming the model."""
     pop = restrict_features(train, spec.features)
-    if spec.kind == "linear":
-        return fit_linear(pop)
-    if spec.kind == "ridge":
-        return fit_ridge(pop, spec.ridge_lambda)
-    if spec.kind == "tree":
-        return fit_tree(pop, spec.max_depth)
-    if spec.kind == "mlp":
-        return fit_mlp(pop, seed=config.seed + 1)
-    # "constrained", the one kind left that ModelSpec admits
-    return fit_constrained_linear(pop, spec.tau, config.effort, _minority(config, train))
+    try:
+        if spec.kind == "linear":
+            return fit_linear(pop)
+        if spec.kind == "ridge":
+            return fit_ridge(pop, spec.ridge_lambda)
+        if spec.kind == "tree":
+            return fit_tree(pop, spec.max_depth)
+        if spec.kind == "mlp":
+            return fit_mlp(pop, seed=config.seed + 1)
+        # "constrained", the one kind left that ModelSpec admits
+        return fit_constrained_linear(pop, spec.tau, config.effort, _minority(config, train))
+    except DataError as exc:
+        raise DataError(f"model {spec.name!r}: {exc}") from None
 
 
 def _minority(config: ExperimentConfig, pop: Population) -> str:
@@ -245,7 +249,12 @@ def _minority(config: ExperimentConfig, pop: Population) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    """``obj`` as indented JSON; a NaN or infinite number is a ``DataError`` naming the file."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DataError(f"{path}: a value to write is NaN or infinite") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _make_out_dir(out_dir: Path) -> None:

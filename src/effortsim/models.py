@@ -233,7 +233,9 @@ def _solve_least_squares(
     """Normal equations with an unpenalized intercept (last column).
 
     Returns (coefficients, the matrix they solve, jitter_used). A singular
-    system at lam == 0 falls back to adding 1e-8 to the whole diagonal.
+    system at lam == 0 falls back to adding 1e-8 to the whole diagonal; one
+    that is still singular, or gives non-finite coefficients, is a
+    ``DataError``.
     """
     G = A.T @ A
     if lam:
@@ -241,20 +243,17 @@ def _solve_least_squares(
         penalty[-1] = 0.0
         G = G + np.diag(penalty)
     b = A.T @ y
-    jitter_used = False
-    try:
-        w = np.linalg.solve(G, b)
-        scale = float(np.abs(b).max()) if b.size else 1.0
-        ok = bool(np.all(np.isfinite(w))) and float(np.abs(G @ w - b).max()) <= 1e-6 * max(
-            scale, 1.0
-        )
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        jitter_used = True
-        G = G + JITTER * np.eye(A.shape[1])
-        w = np.linalg.solve(G, b)
-    return w, G, jitter_used
+    scale = max(float(np.abs(b).max()), 1.0)  # b holds the intercept's entry at least
+    for jitter_used in (False, True):
+        if jitter_used:
+            G = G + JITTER * np.eye(A.shape[1])
+        try:
+            w = np.linalg.solve(G, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(w)) and (jitter_used or float(np.abs(G @ w - b).max()) <= 1e-6 * scale):
+            return w, G, jitter_used
+    raise DataError("least-squares fit failed: the normal equations are singular or overflow")
 
 
 def fit_ridge(pop: Population, lam: float) -> LinearPredictor:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,7 +29,21 @@ from effortsim.effort import EVERY, EffortEngine
 ACCEPTANCE_LINES: list[str] = []
 
 
+def pytest_report_header(config):
+    """The BLAS build, its thread setting and the CPUs: SSI's bits depend on the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # an older numpy takes no ``mode``
+        library = "unknown"
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"BLAS: {library}, OPENBLAS_NUM_THREADS={threads}, nproc={cpus}"
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if exitstatus and config.option.verbose < 0:  # -q hides the report header; a failure needs it
+        terminalreporter.write_line(pytest_report_header(config))
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:

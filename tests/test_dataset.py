@@ -142,6 +142,13 @@ class TestWriteTable:
         write_table(out, ["model", "value"], [["lin,ear", 2.0], ['say "hi"', None], ["m", 0.1]])
         assert out.read_text() == 'model,value\n"lin,ear",2\n"say ""hi""",\nm,0.1\n'
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_non_finite_cells_are_refused(self, tmp_path, value):
+        out = tmp_path / "t.csv"
+        with pytest.raises(DataError, match="t.csv: a value to write is NaN or infinite"):
+            write_table(out, ["model", "value"], [["m", 1.5], ["m", value]])
+        assert out.read_text() == "model,value\nm,1.5\n"  # the rows before it, and no NaN
+
     def test_studentgen_reproduces_the_bundled_csv(self, tmp_path):
         studentgen.write_csv(tmp_path / "student.csv")
         bundled = data_path("student_por_synthetic.csv").read_bytes()

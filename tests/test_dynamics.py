@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,7 +202,7 @@ class TestTiledSimulate:
             cases += [(h, pop, params), (fit_tree(pop, 3), pop, params)]
         want = [run_simulate(*case) for case in cases]  # one tile: these populations are small
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
-        assert any(o.changed for o in want[0].outcomes + want[1].outcomes)
+        assert any(o.changed for w in want[:2] for o in w.outcomes)
         for case, w in zip(cases, want):
             _same_result(run_simulate(*case), w)
 
@@ -383,10 +384,11 @@ class TestImpact:
         items = list(outcomes)
         assert len(outcomes) == len(items) == pop.size
         assert [outcomes[i] for i in range(pop.size)] == items
-        assert outcomes[-1] == items[-1] and outcomes[1:5:2] == items[1:5:2]
+        assert outcomes[-1] == items[-1] and outcomes[np.int64(2)] == items[2]
         with pytest.raises(IndexError):
             outcomes[pop.size]
-        assert outcomes + outcomes == items + items
+        with pytest.raises(TypeError):
+            outcomes[1:3]  # integer indexing only
         assert outcomes.imitators == sum(o.changed for o in items) == 3
         assert [o.role_model_index for o in items] == [5, None, 1, None, None, 5]
         assert math.copysign(1.0, items[2].reward) == -1.0  # a mover's -0.0 reward keeps its sign
@@ -412,6 +414,44 @@ def _moves(result) -> list:
         (o.role_model_index, o.reward.hex(), o.effort.hex(), o.utility.hex()) if o.changed else None
         for o in result.outcomes
     ]
+
+
+def _record_reads(monkeypatch) -> list:
+    """Record the imitation walk's effort reads: per row tile, ``(height, reads)`` with each read's kind and width."""
+    tiles = []
+    walk = EffortEngine.effort_reads
+
+    def effort_reads(self, pop, mutable_only=False):
+        for rows, read, allowed, cols in walk(self, pop, mutable_only):
+            reads = []
+            tiles.append((rows.shape[0], reads))
+
+            def recording(cols=effort.EVERY, pairs=None, read=read, reads=reads):
+                out = read(cols, pairs)
+                kind = "pairs" if pairs is not None else "tile" if cols is effort.EVERY else "cols"
+                reads.append((kind, out.shape[-1]))
+                return out
+
+            yield rows, recording, allowed, cols
+
+    monkeypatch.setattr(EffortEngine, "effort_reads", effort_reads)
+    return tiles
+
+
+def _reads_per_model(tiles, models: int) -> list:
+    """Each model's column reads as ``(rows, columns)``, checking that per tile every model
+    makes one pair read, then at most one column read, and nothing reads the tile whole."""
+    per_model = [[] for _ in range(models)]
+    for height, reads in tiles:
+        assert re.fullmatch(f"(pc?){{{models}}}", "".join(kind[0] for kind, _ in reads))
+        m = -1
+        for kind, width in reads:
+            if kind == "pairs":
+                m += 1
+                assert width == height
+            else:
+                per_model[m].append((height, width))
+    return per_model
 
 
 def _hex(moves) -> list:
@@ -449,32 +489,24 @@ class TestCandidateColumns:
             cases.append(([_skill_model(one, weight=10.0), fit_tree(one, 2)], one, EffortParams(benefit=benefit)))
         return cases
 
-    def _check(self, cases):
-        walks = []
-        for models, pop, params in cases:
-            results = simulate(models, pop, params)
-            for h, result in zip(models, results):
-                assert _moves(result) == _hex(_dense_round(h, pop, params))
-            walks.append(results.walk)
-        return walks
-
     @pytest.mark.parametrize("rows_per_tile", [1, 3, 7, None])
-    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
-    def test_outcomes_equal_the_dense_round(self, monkeypatch, share, rows_per_tile):
+    def test_outcomes_equal_the_dense_round(self, monkeypatch, rows_per_tile):
         if rows_per_tile is not None:
             monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
-        monkeypatch.setattr(dynamics, "DENSE_SHARE", share)
-        cases = self._cases()
-        walks = self._check(cases)
-        # both reads happen: each model's own candidate columns, and whole tiles;
-        # at the ends of the range only one of them (no gain here is NaN)
-        assert any(w["subtile_cells"] for w in walks) == (share > 0.0)
-        assert any(w["dense_cells"] for w in walks) == (share < 1.0)
-        for (models, pop, _), w in zip(cases, walks):
-            # a tile is read whole once at most, and each model reads at most
-            # ``share`` of the columns of each tile it does not read whole
-            assert w["dense_cells"] <= w["pairs"] and w["dense_cells"] % pop.size == 0
-            assert w["subtile_cells"] <= len(models) * share * w["pairs"]
+        tiles = _record_reads(monkeypatch)
+        some_subtile = False
+        for models, pop, params in self._cases():
+            tiles.clear()
+            results = simulate(models, pop, params)
+            per_model = _reads_per_model(tiles, len(models))
+            for h, result in zip(models, results):
+                assert _moves(result) == _hex(_dense_round(h, pop, params))
+            assert results.walk["pairs"] == pop.size**2
+            assert results.walk["candidate_columns"] == [sum(width for _, width in reads) for reads in per_model]
+            cells = sum(height * width for reads in per_model for height, width in reads)
+            assert results.walk["subtile_cells"] == cells
+            some_subtile |= any(width < pop.size for reads in per_model for _, width in reads)
+        assert some_subtile  # some model reads fewer columns than the tile has
 
     def test_every_row_copies_one_profile(self):
         pop = _one_profile_pop()
@@ -498,8 +530,7 @@ class TestCandidateColumns:
         constant = LinearPredictor(pop.schema.names, np.zeros(pop.schema.size), 2.0)
         results = simulate([constant], pop, params)
         assert not any(o.changed for o in results.outcomes)
-        assert results.walk["subtile_cells"] == results.walk["dense_cells"] == 0
-        assert results.walk["bound_pairs"] == pop.size and results.walk["candidate_columns"] == [0]
+        assert results.walk["subtile_cells"] == 0 and results.walk["candidate_columns"] == [0]
 
     def test_a_tiny_gain_moves_a_row(self):
         # One mutable profile, labels one ulp-scale step apart: under the
@@ -514,7 +545,7 @@ class TestCandidateColumns:
         assert 0.0 < result.outcomes[1].utility < 1e-11
         assert _moves(result) == _hex(_dense_round(h, pop, params))
 
-    def test_nan_gains_read_every_column(self):
+    def test_nan_gains_read_their_nan_columns(self):
         # Rewards overflow to -inf and +inf (alpha 3). A row whose own reward
         # is -inf gains NaN (-inf - -inf) from the rows like it and +inf from
         # the others; a row-wise argmax stops at its first NaN, so every row
@@ -527,7 +558,27 @@ class TestCandidateColumns:
             want = _dense_round(h, pop, params)
         assert _moves(results[0]) == _hex(want)
         assert want == [None] * pop.size
-        assert results.walk["dense_cells"] > 0
+        assert results.walk["subtile_cells"] > 0  # no gain reaches a bound, yet the NaN columns are read
+
+    @pytest.mark.parametrize("rows_per_tile", [2, 3, None])
+    def test_nan_rows_and_movers_share_a_tile(self, monkeypatch, rows_per_tile):
+        # Rows with skill -1e200 reward -inf (alpha 3): they gain NaN from one
+        # another and +inf from everyone else, and stay put as the dense
+        # argmax has them. The other rows of their tiles gain finite amounts
+        # and move, each reading its own candidates only.
+        if rows_per_tile is not None:
+            monkeypatch.setattr(effort, "tile_rows", lambda n_cols: rows_per_tile)
+        schema = _toy_pop().schema
+        skill = np.array([1, 4, -1e200, 0, 3, -1e200, 1, 2, 5, -1e200, 0])
+        grp = np.array([0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1], dtype=float)
+        pop = Population(schema, np.column_stack([grp, skill]), np.zeros(11), ["g1"] * 2 + ["g2"] * 9)
+        h, params = _skill_model(pop), EffortParams(alpha=3.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            results = simulate([h], pop, params)
+            want = _dense_round(h, pop, params)
+        assert _moves(results[0]) == _hex(want)
+        assert [i for i, m in enumerate(want) if m is not None] == [0, 1, 3, 4, 6, 7, 10]
+        assert results.walk["subtile_cells"] < results.walk["pairs"]  # no tile is read whole
 
 
 class TestFeatureShiftReport:

@@ -6,6 +6,7 @@ import json
 from collections import Counter
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,8 +18,8 @@ import pytest
 import oracles
 from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
 import effortsim
-from effortsim import cli, data_path, dynamics, harness, segregation
-from effortsim.dataset import format_number, load_csv, schema_to_dict, split, write_csv
+from effortsim import cli, data_path, harness, segregation
+from effortsim.dataset import DataError, format_number, load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
 from effortsim.harness import (
@@ -710,14 +711,13 @@ class TestOneEffortMatrix:
             else [f"tau_{format_number(t)}" for t in config.tau_grid]
         )
         assert walk == {**round_.walk, "candidate_columns": dict(zip(runs, round_.walk["candidate_columns"]))}
+        assert set(walk) == {"pairs", "candidate_columns", "subtile_cells"}
         n = harness._load_and_split(config)[1].size
         assert walk["pairs"] == n * n
-        # every row searches with one model at least, and with each model at most
-        assert n <= walk["bound_pairs"] <= n * len(runs)
-        # a row tile is read whole once at most, and each model reads at most
-        # DENSE_SHARE of the columns of each tile it does not read whole
-        assert walk["dense_cells"] <= n * n and walk["dense_cells"] % n == 0
-        assert walk["subtile_cells"] <= len(runs) * dynamics.DENSE_SHARE * n * n
+        # each model reads, per row tile, its tile's rows times its candidate
+        # columns there, and a tile holds one row at least and n at most
+        columns = sum(walk["candidate_columns"].values())
+        assert columns <= walk["subtile_cells"] <= n * columns <= len(runs) * n * n
 
     @pytest.mark.parametrize("command", [cmd_simulate, cmd_sweep_tau])
     def test_mutable_matrix_freed_before_final_stage(self, tmp_path, monkeypatch, command):
@@ -819,6 +819,50 @@ class TestSweepCommand:
         raw["sweep"]["tau_grid"] = []
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["sweep-tau", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
+
+
+class TestHugeValues:
+    """One finite but huge cell gives exit 3 with a message naming the model or file, or a clean run."""
+
+    NOT_FINITE = re.compile(r"NaN|Infinity|\bnan\b|\binf\b")  # as json.dumps and format_number write them
+
+    @pytest.mark.parametrize("value", ["1e154", "1e308"])
+    @pytest.mark.parametrize("column", ["age", "absences"])
+    def test_no_traceback_and_no_nan_written(self, tmp_path, capsys, column, value):
+        lines = data_path("student_por_synthetic.csv").read_text().splitlines()
+        cells = lines[203].split(",")  # data row 203
+        cells[lines[0].split(",").index(column)] = value
+        lines[203] = ",".join(cells)
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        raw = {**_bundled_config(), "dataset": str(tmp_path / "data.csv")}
+        configs = {"bundled": raw, "tree": {**raw, "models": [m for m in raw["models"] if m["kind"] == "tree"]}}
+        codes = {}
+        for name, config in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(config))
+            for command in ("fairness", "simulate", "sweep-tau"):
+                out = tmp_path / f"{name}_{command}"
+                with np.errstate(all="ignore"):
+                    code = cli.main([command, "--config", str(tmp_path / f"{name}.json"), "--out", str(out)])
+                err = capsys.readouterr().err
+                assert code in (0, 3) and "Traceback" not in err, (name, command, err)
+                if code == 3:
+                    assert re.match(r"data error: (model '[a-z_0-9.]+': |\S+\.(json|csv): )", err), err
+                for f in out.iterdir():
+                    assert not self.NOT_FINITE.search(f.read_text()), (name, command, f.name)
+                codes[name, command] = code, err
+        if column == "age":  # every least-squares fit fails, and the error names the model
+            for command in ("fairness", "simulate", "sweep-tau"):
+                code, err = codes["bundled", command]
+                assert code == 3 and "model '" in err and "least-squares fit failed" in err
+        if value == "1e308":  # past the tree's fit, the writers refuse the infinite shift report
+            code, err = codes["tree", "simulate"]
+            assert code == 3 and "shift_tree.json: a value to write is NaN or infinite" in err
+
+    def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(DataError, match="report.json: a value to write is NaN or infinite"):
+                harness._write_json(tmp_path / "report.json", {"a": [1.0, value]})
+            assert not (tmp_path / "report.json").exists()
 
 
 class TestFiguresCommand:
