@@ -4,15 +4,18 @@ Effort to change feature k from value a to value b is measured on the
 quantile scale of the actor's own group: moving into territory that few
 group members occupy is expensive, moving where most of the group already
 is comes cheap. Rules give finite efforts and gates decide feasibility.
-Per kind, written once in ``EffortEngine._eps_rule``:
+The rule per kind is written once in ``EffortEngine._eps_rule``:
 
-* monotone numerical/ordinal: positive rank gap in the desirable
-  direction, free in the other direction;
+* monotone numerical/ordinal and conditionally immutable: positive rank
+  gap in the desirable direction, free in the other direction;
 * non-monotone: absolute rank gap (either direction costs);
 * categorical: a flat constant for any change;
-* immutable: no rule, and a gate that allows no change;
-* conditionally immutable: the monotone rule, and a gate that allows the
-  desirable direction only.
+* immutable: no rule.
+
+A walk's gates are decided once, in ``EffortEngine._gates``, as a list of
+``(column, direction)``: an immutable column allows no change (direction
+0), a conditionally immutable one the desirable direction only (+1 or -1).
+The mask, the candidate columns and the row order read that list alone.
 
 Column K, one past the schema's features, is the label: the segregation
 distance takes its positive rank gap on the group's label table, through
@@ -28,13 +31,13 @@ features take a handful of values. The pairwise kernel has one walk,
 ``EffortEngine.eps_reads``, in row tiles: each tile's terms are read over
 every pair of the tile, over the pairs of chosen columns, or over chosen
 pairs, and its gates over every column or over chosen ones. A tile's
-candidate columns bound where its gates can allow a move, and
-``effort_reads`` sorts each group's rows by their gate values so that a
-tile's candidates are few. ``_tile`` is its one read of a
-column: a column with few distinct values gets level tables, its weighted
-rule's row and its gate's row for each distinct value, which the read
-gathers from; every other column runs its rule or gate on the rows read.
-Both paths give the same bits. ``_fold`` is its one loop that combines
+candidate columns (``_candidates``) bound where its gates can allow a
+move, and ``effort_reads`` sorts each group's rows by their gate values
+(``_gate_order``) so that a tile's candidates are few. ``_tile`` is its one
+read of a column: a column with few distinct values gets level tables, its
+weighted rule's row and its gate's row for each distinct value, which the
+read gathers from; every other column runs its rule or gate on the rows
+read. Both paths give the same bits. ``_fold`` is its one loop that combines
 columns, in the order given: ``np.add`` for terms, ``np.logical_and`` for
 gates. So an entry has the same bits whatever else is read with it.
 """
@@ -50,12 +53,10 @@ import numpy as np
 
 from .dataset import (
     CATEGORICAL,
-    CONDITIONALLY_IMMUTABLE,
     IMMUTABLE,
     INCREASING,
     NUMERICAL_MONOTONE,
     NUMERICAL_NONMONOTONE,
-    ORDINAL_MONOTONE,
     ORDINAL_NONMONOTONE,
     Feature,
     Population,
@@ -279,18 +280,55 @@ def _fold(columns, Xa: np.ndarray, lo: int, hi: int, acc, buf, start, op, pairs=
     return acc
 
 
+def _gate(d: int, col_b: np.ndarray):
+    """The mask rule of a gate of direction ``d`` to the values ``col_b``: ``allowed(a, rows, cols,
+    out)`` writes whether each move from a in ``a[rows]`` to b in ``col_b[cols]`` is allowed, that
+    is b <= a, b == a or b >= a for ``d`` = -1, 0 or +1 (false where either is NaN)."""
+    compare = (np.less_equal, np.equal, np.greater_equal)[d + 1]
+    return lambda a, rows, cols, out: compare(col_b[cols], a[rows], out=out)
+
+
+def _candidates(gates, A: np.ndarray, B: np.ndarray):
+    """The rows of ``B`` that the gates ``(k, d)`` may allow from some row of ``A``, as a sorted
+    index array; ``EVERY`` when there is no gate.
+
+    The bound is necessary, gate by gate: a gate allows a move only to a value
+    at or past the row's own in its direction (both ways for ``d = 0``), so
+    at or past the least (``d >= 0``) or the greatest (``d <= 0``) such value
+    of ``A``'s rows. NaN is ignored: a NaN row allows nothing.
+    """
+    if not gates:
+        return EVERY
+    keep = np.ones(B.shape[0], bool)
+    for k, d in gates:
+        a, b = A[:, k], B[:, k]
+        if d >= 0:
+            keep &= b >= np.fmin.reduce(a)  # NaN when every row is NaN: nothing passes
+        if d <= 0:
+            keep &= b <= np.fmax.reduce(a)
+    return np.flatnonzero(keep)
+
+
+def _gate_order(gates, Xa: np.ndarray):
+    """The order of ``Xa``'s rows by the gates ``(k, d)``; ``None`` when there is none.
+
+    Lexicographic by the gate columns in the listed order, each negated for
+    ``d = -1``: neighbouring rows share or nearly share their gate values, so
+    a row tile's ``_candidates`` are few. NaN sorts last.
+    """
+    keys = [-Xa[:, k] if d < 0 else Xa[:, k] for k, d in gates]
+    return np.lexsort(keys[::-1]) if keys else None  # lexsort's last key is the first
+
+
 class EffortEngine:
     """Vectorized effort computations over a frozen reference population.
 
     Quantile tables come from ``reference`` and stay fixed; query rows may
     belong to any population with the same schema. Every effort goes
-    through ``eps_reads``: per row tile, a ``_fold`` of the finite rules of
-    ``_eps_rule`` in the order given, read on demand for every column, chosen
-    columns or chosen pairs, and a ``_fold`` of its gates over every column
-    or chosen ones. A caller that needs ``inf`` for a ruled-out move
-    (``eps_sum``, ``pairwise_effort``) writes it from the gates; the audit
-    folds the gates on each tile's candidate columns and reads the feasible
-    pairs alone. A pair's sum has the same bits in every read.
+    through ``eps_reads``. A caller that needs ``inf`` for a ruled-out move
+    (``eps_sum``, ``pairwise_effort``) writes it from the gates' mask; the
+    audit folds the mask on each tile's candidate columns and reads the
+    feasible pairs alone. A pair's sum has the same bits in every read.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -299,17 +337,18 @@ class EffortEngine:
         self.schema = reference.schema
 
     def _eps_rule(self, group: str, k: int, col_b: np.ndarray):
-        """Feature k's effort rule and gate from values a to the values ``col_b``: ``(fill, allowed)``.
+        """Feature k's finite effort rule from values a to the values ``col_b``: ``fill``, or ``None``
+        for an immutable column, which has no rule.
 
         Column ``k = schema.size`` is the label: the increasing monotone rule
         on the group's label table. ``col_b`` is ranked once here.
         ``fill(a, rows, cols, out)`` writes the finite efforts from
-        ``a[rows]`` to ``col_b[cols]``, ranking the 1-D ``a`` once, and
-        ``allowed(a, rows, cols, out)`` whether those moves can be made at
-        all. ``COLUMN`` and ``EVERY`` select a tile, every value of ``a``
-        against every value of ``col_b``; two equal-length index arrays
-        select pairs. An immutable column has no rule (``fill is None``), and
-        only the immutable kinds have a gate (else ``allowed is None``).
+        ``a[rows]`` to ``col_b[cols]``, ranking the 1-D ``a`` once. ``COLUMN``
+        and ``EVERY`` select a tile, every value of ``a`` against every value
+        of ``col_b``; two equal-length index arrays select pairs. The
+        monotone kinds (conditionally immutable included) and the
+        non-monotone ones share one fill: the rank gap, clamped at 0 or taken
+        absolute.
         """
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
@@ -318,6 +357,8 @@ class EffortEngine:
             feature = self.schema.features[k]
             kind, increasing = feature.kind.kind, feature.kind.direction == INCREASING
             table = self.reference.feature_table(group)[:, k]
+        if kind == IMMUTABLE:
+            return None
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
@@ -325,66 +366,62 @@ class EffortEngine:
                 np.not_equal(col_b[cols], a[rows], out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
-            return fill, None
-        if kind == IMMUTABLE:
-
-            def allowed(a, rows, cols, out):
-                np.equal(col_b[cols], a[rows], out=out)
-
-            return None, allowed
-        if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE) or increasing:
-            rank = _rank_asc
-        else:
-            rank = _rank_desc
+            return fill
+        absolute = kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE)
+        rank = _rank_asc if absolute or increasing else _rank_desc
         qb = rank(table, col_b)
-        if kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE):
-
-            def fill(a, rows, cols, out):
-                np.subtract(qb[cols], rank(table, a)[rows], out=out)
-                np.abs(out, out=out)
-
-            return fill, None
 
         def fill(a, rows, cols, out):
             np.subtract(qb[cols], rank(table, a)[rows], out=out)
-            np.maximum(0.0, out, out=out)
+            if absolute:
+                np.abs(out, out=out)
+            else:  # a gated move never lowers the rank, so its gap is already >= +0.0
+                np.maximum(0.0, out, out=out)
 
-        if kind in (NUMERICAL_MONOTONE, ORDINAL_MONOTONE):
-            return fill, None
-        if kind == CONDITIONALLY_IMMUTABLE:
-            # An allowed move never lowers the rank, so its gap is already
-            # >= +0.0; the gate rules out the other direction and NaN.
-            allowed_or_equal = np.greater_equal if increasing else np.less_equal
+        return fill
 
-            def allowed(a, rows, cols, out):
-                allowed_or_equal(col_b[cols], a[rows], out=out)
+    def _gates(self, group: str, feature_indices: Sequence[int], weighted: bool) -> list[tuple[int, int]]:
+        """The walk's gates as ``(k, d)`` (see ``_gate``), in the order of ``_gate_order``'s keys.
 
-            return fill, allowed
-        raise SchemaError(f"unhandled feature kind {kind!r}")
-
-    def _terms(self, group, Xa, Xb, feature_indices, weighted, budget: int):
-        """The effort terms and the gates of the weighted columns, each ``[(k, rule, table, codes)]``.
-
-        A term's rule is its column's ``fill`` times the weight, a gate's its
-        ``allowed``. A column whose distinct ``Xa`` values fit what is left of
-        the level budget (``budget`` rows, spent in the given order) gets a
-        level table per rule, one row for each distinct value (bool for a
-        gate), and ``codes`` holds each ``Xa`` row's table row. Any other
-        column gets ``table = codes = None``.
+        The conditionally immutable columns come first, in the given order,
+        each with its desirable direction (``d = +1`` or -1), then the
+        immutable ones (``d = 0``). A column of weight 0 in a weighted walk has
+        no gate, nor has a mutable column or the label.
         """
-        terms, gates = [], []
+        gates = []
+        for k in feature_indices:
+            feature = self.schema.features[k] if k < self.schema.size else None  # None: the label
+            if feature is None or feature.mutable or (weighted and self.params.weight_for(group, feature) == 0.0):
+                continue
+            kind = feature.kind
+            gates.append((k, 0 if kind.kind == IMMUTABLE else 1 if kind.direction == INCREASING else -1))
+        return sorted(gates, key=lambda gate: gate[1] == 0)  # stable: the immutable columns last
+
+    def _terms(self, group, Xa, Xb, feature_indices, weighted, gates, budget: int):
+        """The effort terms and the gates' masks, each ``[(k, rule, table, codes)]``.
+
+        A term's rule is its column's ``fill`` times the weight, a mask's the
+        compare of its gate in ``gates``. A column whose distinct ``Xa``
+        values fit what is left of the level budget (``budget`` rows, spent
+        in the given order) gets a level table per rule, one row for each
+        distinct value (bool for a mask), and ``codes`` holds each ``Xa``
+        row's table row. Any other column gets ``table = codes = None``.
+        """
+        directions = dict(gates)
+        terms, masks = [], []
         for k in feature_indices:
             w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
             if w == 0.0:
                 continue
-            fill, allowed = self._eps_rule(group, k, Xb[:, k])
+            fill = _weighted(self._eps_rule(group, k, Xb[:, k]), w)
+            allowed = _gate(directions[k], Xb[:, k]) if k in directions else None
             values, codes = _distinct(Xa[:, k]), None
             if values.shape[0] <= budget:
                 budget -= values.shape[0]
                 # Binary search matches values that compare equal (-0.0 and 0.0)
                 # and all NaNs to one row; every rule gives them equal rows.
                 codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
-            for rule, dtype, out in ((_weighted(fill, w), float, terms), (allowed, bool, gates)):
+            for rule, dtype, out in ((fill, float, terms), (allowed, bool, masks)):
                 if rule is None:
                     continue
                 table = None
@@ -392,7 +429,7 @@ class EffortEngine:
                     table = np.empty((values.shape[0], Xb.shape[0]), dtype)
                     rule(values, COLUMN, EVERY, table)
                 out.append((k, rule, table, codes))
-        return terms, gates
+        return terms, masks
 
     def eps_reads(
         self,
@@ -410,11 +447,11 @@ class EffortEngine:
         ``Xb[j[t]]``. It folds the finite terms only: each entry is
         ``acc + w * rule(a_i)``, feature by feature in the given order, so it
         has the same bits whatever else is read with it. ``allowed(cols=EVERY)``
-        folds the gates over the same columns: whether each move of rows
-        ``Xa[lo:hi]`` to those rows of ``Xb`` can be made at all, all ``True``
-        for a walk with no gate. Only the immutable kinds have gates, so a walk
-        over mutable columns and the label (column ``schema.size``, for
-        unweighted calls only) has none.
+        folds the masks of the walk's gates (``_gates``, listed once per call)
+        over the same columns: whether each move of rows ``Xa[lo:hi]`` to
+        those rows of ``Xb`` can be made at all, all ``True`` for a walk with
+        no gate, such as one over mutable columns and the label (column
+        ``schema.size``, for unweighted calls only).
 
         ``cols`` holds the tile's candidate columns: a sorted index array of
         the rows of ``Xb`` that pass a necessary bound of every gate over the
@@ -426,21 +463,25 @@ class EffortEngine:
         Each column's path is chosen once per call (see ``_terms``), and the
         level tables share a budget of one tile's rows. A read of every
         column or of chosen columns is a contiguous array in the walk's two
-        float tile buffers, allocated by the first such read and overwritten
-        by the next; a mask is one in two bool tile buffers, overwritten by
-        the next mask. A read of pairs is a new array sized to the pairs, so
-        a walk that reads pairs alone holds no float tile. A caller may
-        change a read or a mask in place but must copy what it keeps.
+        float tile buffers, a mask one in its two bool tile buffers; each pair
+        is allocated by its first use and overwritten by the next. A read of
+        pairs is a new array sized to the pairs. So a walk that reads pairs
+        alone holds no float tile, and one that asks for no mask no bool tile.
+        A caller may change a read or a mask in place but must copy what it
+        keeps.
         """
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
-        masks = np.empty(shape, bool), np.empty(shape, bool)
-        scratch: list = []  # the float tile buffers, allocated by the first read that is not of pairs
-        terms, gates = self._terms(group, Xa, Xb, feature_indices, weighted, shape[0])
+        buffers: dict = {float: [], bool: []}
+        gates = self._gates(group, feature_indices, weighted)
+        terms, masks = self._terms(group, Xa, Xb, feature_indices, weighted, gates, shape[0])
 
-        def front(buffers, lo, hi, cols):
-            """Contiguous ``(hi - lo, len(cols))`` views of the front of each buffer."""
+        def front(dtype, lo, hi, cols):
+            """Contiguous ``(hi - lo, len(cols))`` views of the front of the two ``dtype`` buffers."""
+            pair = buffers[dtype]
+            if not pair:
+                pair.extend((np.empty(shape, dtype), np.empty(shape, dtype)))
             dims = (hi - lo, Xb.shape[0] if cols is EVERY else cols.shape[0])
-            return (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in buffers)
+            return (b.reshape(-1)[: math.prod(dims)].reshape(dims) for b in pair)
 
         for lo, hi in row_tiles(Xa.shape[0], Xb.shape[0]):
 
@@ -448,60 +489,13 @@ class EffortEngine:
                 if pairs is not None:
                     acc, eps = np.empty(pairs[0].shape), np.empty(pairs[0].shape)
                 else:
-                    if not scratch:
-                        scratch.extend((np.empty(shape), np.empty(shape)))
-                    acc, eps = front(scratch, lo, hi, cols)
+                    acc, eps = front(float, lo, hi, cols)
                 return _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
 
             def allowed(cols=EVERY, lo=lo, hi=hi):
-                return _fold(gates, Xa, lo, hi, *front(masks, lo, hi, cols), True, np.logical_and, cols=cols)
+                return _fold(masks, Xa, lo, hi, *front(bool, lo, hi, cols), True, np.logical_and, cols=cols)
 
-            yield lo, hi, read, allowed, self._candidates(gates, Xa[lo:hi], Xb)
-
-    def _candidates(self, gates, A: np.ndarray, B: np.ndarray):
-        """The rows of ``B`` that the gates may allow from some row of ``A``, as a sorted index array;
-        ``EVERY`` when there is no gate.
-
-        The bound is necessary, gate by gate: a conditionally immutable gate
-        allows a move only to a value at or past the row's own in the
-        desirable direction, so at or past the least such value of ``A``'s
-        rows (NaN ignored: a NaN row allows nothing); an immutable gate only
-        to the row's own value, so within ``A``'s range.
-        """
-        if not gates:
-            return EVERY
-        keep = np.ones(B.shape[0], bool)
-        for k, *_ in gates:
-            kind = self.schema.features[k].kind
-            a, b = A[:, k], B[:, k]
-            if kind.kind == IMMUTABLE or kind.direction == INCREASING:
-                keep &= b >= np.fmin.reduce(a)  # NaN when every row is NaN: nothing passes
-            if kind.kind == IMMUTABLE or kind.direction != INCREASING:
-                keep &= b <= np.fmax.reduce(a)
-        return np.flatnonzero(keep)
-
-    def _gate_order(self, group: str, Xa: np.ndarray, feature_indices: Sequence[int]):
-        """The order of ``Xa``'s rows by the weighted walk's gate columns; ``None`` when it has none.
-
-        Lexicographic by the conditionally immutable columns of nonzero weight
-        in feature order, each in its desirable direction, then by the
-        immutable ones: neighbouring rows share or nearly share their gate
-        values, so a row tile's ``_candidates`` are few. NaN sorts last.
-        """
-        conditional, fixed = [], []
-        for k in feature_indices:
-            feature = self.schema.features[k]
-            kind = feature.kind
-            if kind.kind not in (CONDITIONALLY_IMMUTABLE, IMMUTABLE):
-                continue
-            if self.params.weight_for(group, feature) == 0.0:
-                continue
-            if kind.kind == IMMUTABLE:
-                fixed.append(Xa[:, k])
-            else:
-                conditional.append(Xa[:, k] if kind.direction == INCREASING else -Xa[:, k])
-        keys = conditional + fixed
-        return np.lexsort(keys[::-1]) if keys else None  # lexsort's last key is the first
+            yield lo, hi, read, allowed, _candidates(gates, Xa[lo:hi], Xb)
 
     def eps_sum(
         self,
@@ -543,7 +537,7 @@ class EffortEngine:
         idx = [k for k in range(K) if self.schema.features[k].mutable or not mutable_only]
         for g in pop.group_names:
             rows = pop.group_rows(g)
-            order = self._gate_order(g, pop.X[rows], idx)
+            order = _gate_order(self._gates(g, idx, weighted=True), pop.X[rows])
             if order is not None:
                 rows = rows[order]
             base = self.params.base_cost_for(g)

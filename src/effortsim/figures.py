@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from pathlib import Path
+from sys import float_info
 
 from .dataset import DataError, parse_column, read_table
 
@@ -63,18 +64,24 @@ def _frame(title: str, xlabel: str, ylabel: str) -> list[str]:
 
 
 def _span(values: list[float]) -> tuple[float, float]:
-    """The least and the greatest of ``values``, the greatest moved to least + 1 when they are equal."""
+    """The least and the greatest of ``values``. When they are equal the greatest is moved to
+    least + 1, or, where that rounds to the least itself, the span runs between 0 and the value."""
     lo, hi = min(values), max(values)
-    return lo, hi if hi != lo else lo + 1.0
+    if hi != lo:
+        return lo, hi
+    return (lo, lo + 1.0) if lo + 1.0 != lo else (min(lo, 0.0), max(lo, 0.0))
+
+
+def _scale(lo: float, hi: float, a: float, b: float):
+    """The map of ``[lo, hi]`` onto ``[a, b]``; its terms are halved where ``hi - lo`` overflows,
+    so that every finite value of the span maps to a finite coordinate."""
+    h = 1.0 if hi - lo <= float_info.max else 0.5
+    return lambda v: a + (h * v - h * lo) / (h * hi - h * lo) * (b - a)
 
 
 def _y_axis(y_lo: float, y_hi: float):
     """The scale from ``[y_lo, y_hi]`` onto the plot's height, and the axis's two end labels."""
-
-    def sy(y: float) -> float:
-        return (HEIGHT - MARGIN_B) - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - MARGIN_T - MARGIN_B)
-
-    return sy, [
+    return _scale(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T), [
         f'<text x="{MARGIN_L - 6}" y="{y + 4}" font-family="sans-serif" font-size="11" '
         f'text-anchor="end">{_f(v)}</text>'
         for y, v in ((HEIGHT - MARGIN_B, y_lo), (MARGIN_T, y_hi))
@@ -104,11 +111,9 @@ def line_chart(series: list[tuple[str, list[tuple[float, float | None]]]],
         raise DataError("no plottable points")
     x_lo, x_hi = _span(xs)
     y_lo, y_hi = _span(ys)
-    pad = 0.05 * (y_hi - y_lo)
-    sy, y_labels = _y_axis(y_lo - pad, y_hi + pad)
-
-    def sx(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * (WIDTH - MARGIN_L - MARGIN_R)
+    pad = 0.05 * (y_hi - y_lo)  # inf where the span overflows: the axis then ends at the largest floats
+    sy, y_labels = _y_axis(max(y_lo - pad, -float_info.max), min(y_hi + pad, float_info.max))
+    sx = _scale(x_lo, x_hi, MARGIN_L, WIDTH - MARGIN_R)
 
     elements = _frame(title, xlabel, ylabel) + [
         f'<text x="{x}" y="{HEIGHT - MARGIN_B + 16}" font-family="sans-serif" font-size="11" '

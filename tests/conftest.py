@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -27,6 +28,10 @@ from effortsim.dynamics import simulate
 from effortsim.effort import EVERY, EffortEngine
 
 ACCEPTANCE_LINES: list[str] = []
+
+# Every property test replays the same examples and has no per-example time limit.
+settings.register_profile("effortsim", derandomize=True, deadline=None)
+settings.load_profile("effortsim")
 
 
 def pytest_report_header(config):

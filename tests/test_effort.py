@@ -20,7 +20,10 @@ from effortsim.effort import (
     TILE_BYTES,
     EffortEngine,
     EffortParams,
+    _candidates,
     _distinct_rows,
+    _gate,
+    _gate_order,
     risk_adjusted,
     tile_rows,
 )
@@ -330,7 +333,7 @@ class TestVectorizedEngine:
 
 
 class TestOracleProperties:
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(oracle_cases())
     def test_pairwise_effort_equals_oracle(self, case):
         pop, params = case
@@ -340,7 +343,7 @@ class TestOracleProperties:
                 want = oracles.total_effort(pop, params, pop.groups[i], pop.X[i], pop.X[j])
                 assert E[i, j] == want, (i, j)
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(oracle_cases())
     def test_mutable_only_equals_oracle_on_imitation_target(self, case):
         pop, params = case
@@ -474,17 +477,18 @@ def _row_by_row(engine, group, Xa, Xb, idx, weighted):
     the kernel must reproduce bit for bit on both of its paths.
     """
     acc = np.zeros((Xa.shape[0], Xb.shape[0]))
+    gates = dict(engine._gates(group, idx, weighted))
     for k in idx:
         w = engine.params.weight_for(group, engine.schema.features[k]) if weighted else 1.0
         if w == 0.0:
             continue
         eps = np.zeros_like(acc)
-        fill, allowed = engine._eps_rule(group, k, Xb[:, k])
+        fill = engine._eps_rule(group, k, Xb[:, k])
         if fill is not None:
             fill(Xa[:, k], COLUMN, EVERY, eps)
-        if allowed is not None:
+        if k in gates:
             ok = np.empty(acc.shape, bool)
-            allowed(Xa[:, k], COLUMN, EVERY, ok)
+            _gate(gates[k], Xb[:, k])(Xa[:, k], COLUMN, EVERY, ok)
             eps[~ok] = np.inf
         acc = acc + w * eps
     return acc
@@ -553,22 +557,26 @@ class TestDistinctValueGather:
         mutable = [k for k in every if engine.schema.features[k].mutable]  # 1-7: all finite
         fills = []  # the column of every fill call, or of every gate call for a column without a rule
 
+        def counted(k, rule):
+            return lambda *args: (fills.append(k), rule(*args))
+
         def counted_rule(group, k, col_b):
-            fill, allowed = EffortEngine._eps_rule(engine, group, k, col_b)
+            fill = EffortEngine._eps_rule(engine, group, k, col_b)
+            return None if fill is None else counted(k, fill)
 
-            def counted(rule):
-                return lambda *args: (fills.append(k), rule(*args))
-
-            if fill is None:  # immutable: only a gate, called as often as a rule would be
-                return None, counted(allowed)
-            return counted(fill), allowed
+        def counted_gate(d, col_b):
+            # immutable: only a gate, called as often as a rule would be
+            k = next(k for k in every if np.shares_memory(col_b, Xb[:, k]))
+            allowed = _gate(d, col_b)
+            return allowed if engine.schema.features[k].kind.kind != "immutable" else counted(k, allowed)
 
         tiles = -(-Xa.shape[0] // height)
         for idx in (every, mutable):
             for weighted in (True, False):
                 fills.clear()
                 engine._eps_rule = counted_rule
-                got = engine.eps_sum("g1", Xa, Xb, idx, weighted)
+                with mock.patch.object(effort, "_gate", counted_gate):
+                    got = engine.eps_sum("g1", Xa, Xb, idx, weighted)
                 del engine._eps_rule
                 assert _same_bits(got, _row_by_row(engine, "g1", Xa, Xb, idx, weighted))
                 skipped = {6} if weighted else set()  # g1 weighs ord_free 0.0
@@ -590,21 +598,24 @@ class TestDistinctValueGather:
         Xb = np.vstack([pop.X, engine.reference.X[::3]])
         shape = (pop.size, Xb.shape[0])
         r, j = np.divmod(np.arange(pop.size * Xb.shape[0]), Xb.shape[0])
+        every = range(pop.schema.size)
         for g in pop.group_names:
             ruled_out = np.zeros(shape, bool)
+            gates, weighted_gates = dict(engine._gates(g, every, False)), dict(engine._gates(g, every, True))
             for k, feature in enumerate(pop.schema.features):
-                fill, allowed = engine._eps_rule(g, k, Xb[:, k])
+                fill = engine._eps_rule(g, k, Xb[:, k])
                 gated = feature.kind.kind in ("immutable", "conditionally_immutable")
                 assert (fill is None) == (feature.kind.kind == "immutable")
-                assert (allowed is not None) == gated
+                assert (k in gates) == gated
+                assert (k in weighted_gates) == (gated and params.weight_for(g, feature) != 0.0)
                 if fill is not None:
                     for rows, cols, size in ((COLUMN, EVERY, shape), (r, j, r.shape)):
                         out = np.full(size, np.nan)
                         fill(pop.X[:, k], rows, cols, out)
                         assert np.all(np.isfinite(out)), feature.name
-                if gated and params.weight_for(g, feature) != 0.0:
+                if k in weighted_gates:
                     ok = np.empty(shape, bool)
-                    allowed(pop.X[:, k], COLUMN, EVERY, ok)
+                    _gate(weighted_gates[k], Xb[:, k])(pop.X[:, k], COLUMN, EVERY, ok)
                     ruled_out |= ~ok
             got = engine.eps_sum(g, pop.X, Xb, range(pop.schema.size), weighted=True)
             assert np.array_equal(np.isinf(got), ruled_out)
@@ -618,8 +629,10 @@ class TestDistinctValueGather:
         col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
         gated = 0
+        gates = dict(engine._gates("g1", range(pop.schema.size), weighted=False))
         for k in range(pop.schema.size):
-            fill, allowed = engine._eps_rule("g1", k, pop.X[:, k])
+            fill = engine._eps_rule("g1", k, pop.X[:, k])
+            allowed = _gate(gates[k], pop.X[:, k]) if k in gates else None
             for rule, dtype in ((fill, float), (allowed, bool)):
                 if rule is None:
                     continue
@@ -803,7 +816,7 @@ class TestGatePruning:
         },
     )
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(_gated_rows())
     def test_pruned_walk_equals_the_dense_fold(self, pop):
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
@@ -835,12 +848,13 @@ class TestGatePruning:
         B[:, k["older"]] = [0.5, 1.0, 2.0, np.nan, 9.0, 1.0, 1.0]
         B[:, k["fewer"]] = [0.0, 0.5, 0.0, 0.0, 0.0, 0.6, 0.0]
         B[:, k["born"]] = [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, -3.0]
-        gates = [(k[name], None, None, None) for name in ("grp", "older", "fewer", "born")]
-        assert engine._candidates(gates, A, B).tolist() == [1, 2, 4]
-        assert engine._candidates(gates[:1], A, B).tolist() == list(range(7))
-        assert engine._candidates([], A, B) is EVERY
+        gates = engine._gates("g1", [k[name] for name in ("grp", "older", "fewer", "born")], weighted=False)
+        assert gates == [(k["older"], 1), (k["fewer"], -1), (k["grp"], 0), (k["born"], 0)]
+        assert _candidates(gates, A, B).tolist() == [1, 2, 4]
+        assert _candidates(gates[2:3], A, B).tolist() == list(range(7))
+        assert _candidates([], A, B) is EVERY
         A[:, k["older"]] = np.nan  # no row allows a move
-        assert engine._candidates(gates, A, B).tolist() == []
+        assert _candidates(gates, A, B).tolist() == []
 
     def test_rows_go_in_gate_order(self):
         # "older" ascending first, then "fewer" descending, then the
@@ -851,11 +865,66 @@ class TestGatePruning:
         older, fewer = pop.schema.index("older"), pop.schema.index("fewer")
         for g, keys in (("g1", [older]), ("g2", [older, fewer])):
             Xa = pop.X[pop.group_rows(g)]
-            order = engine._gate_order(g, Xa, every)
+            order = _gate_order(engine._gates(g, every, weighted=True), Xa)
             sorted_keys = [tuple(Xa[i, k] if k == older else -Xa[i, k] for k in keys) for i in order]
             assert sorted_keys == sorted(sorted_keys)
         mutable = [k for k in every if pop.schema.features[k].mutable]
-        assert engine._gate_order("g1", pop.X, mutable) is None
+        assert _gate_order(engine._gates("g1", mutable, weighted=True), pop.X) is None
+
+
+class TestGateList:
+    """Each walk's gates, listed once as ``(column, direction)``, and the mask built from them."""
+
+    # g1 weighs "older" and the immutable "born" 0.0; g2 weighs every gated column
+    PARAMS = EffortParams(feature_weights={"g1": {"older": 0.0, "born": 0.0}, "g2": {"fewer": 2.0}})
+
+    @pytest.mark.parametrize(
+        "group, columns, weighted, want",
+        [
+            # every gated kind and both directions: conditionally immutable first, then immutable
+            ("g2", "all", True, [("older", 1), ("fewer", -1), ("grp", 0), ("born", 0)]),
+            # weight 0 takes a column's gate away in a weighted walk only
+            ("g1", "all", True, [("fewer", -1), ("grp", 0)]),
+            ("g1", "all", False, [("older", 1), ("fewer", -1), ("grp", 0), ("born", 0)]),
+            # the given order is kept within each part
+            (
+                "g2", ["born", "fewer", "grp", "older"], True,
+                [("fewer", -1), ("older", 1), ("born", 0), ("grp", 0)],
+            ),
+            # mutable columns and the label have no gate
+            ("g2", ["num_up", "cat", "ord_free", "label"], False, []),
+            ("g1", ["older", "born"], True, []),
+        ],
+    )
+    def test_gate_list(self, group, columns, weighted, want):
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        schema = engine.schema
+        index = {**{name: k for k, name in enumerate(schema.names)}, "label": schema.size}
+        idx = range(schema.size) if columns == "all" else [index[name] for name in columns]
+        assert engine._gates(group, idx, weighted) == [(index[name], d) for name, d in want]
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_mask_matches_oracle_feasibility(self, weighted):
+        # NaN, -0.0 and ties in every column: the mask of the listed gates
+        # is the oracle's feasibility, move by move.
+        values = [np.nan, -0.0, 0.0, 1.0, 1.0, 2.0]
+        schema = _every_kind_pop().schema
+        X = np.array([[values[(i + 3 * k) % len(values)] for k in range(schema.size)] for i in range(18)])
+        X[:, 0] = np.repeat([0.0, -0.0, 1.0], 6)
+        pop = Population(schema, X, np.zeros(18), ["g1"] * 12 + ["g2"] * 6)
+        engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
+        for g in ("g1", "g2"):
+            rows = pop.group_rows(g)
+            mask = np.ones((rows.shape[0], pop.size), bool)
+            for k, d in engine._gates(g, range(schema.size), weighted):
+                ok = np.empty(mask.shape, bool)
+                _gate(d, pop.X[:, k])(pop.X[rows, k], COLUMN, EVERY, ok)
+                mask &= ok
+            params = self.PARAMS if weighted else EffortParams()  # unweighted: every gate counts
+            effort_of = lambda i, j: oracles.total_effort(engine.reference, params, g, pop.X[i], pop.X[j])
+            want = [[math.isfinite(effort_of(i, j)) for j in range(pop.size)] for i in rows]
+            assert np.array_equal(mask, np.array(want))
+            assert 0 < mask.sum() < mask.size
 
 
 class TestPairwiseEffortMemory:
@@ -907,6 +976,34 @@ class TestPairwiseEffortMemory:
             read(pairs=(r, cols[j]))
 
         assert self._walk_peak(pairs) < 4 * TILE_BYTES
+
+    @staticmethod
+    def _one_column_peak(ask_for_masks: bool) -> int:
+        """Traced peak of group F's walk over the gated "age" alone, its values made distinct so that
+        it has no level table, reading a few pairs per tile and asking for the masks or not."""
+        pop = synthetic_student_pop(3000, seed=1)
+        k = pop.schema.index("age")
+        Xa = pop.X[pop.group_rows("F")].copy()
+        Xa[:, k] = np.arange(Xa.shape[0]) * 0.01
+        engine = EffortEngine(pop, EffortParams())
+        engine.reference.feature_table("F")  # sorted and cached before tracing
+        tracemalloc.start()
+        try:
+            for _, _, read, allowed, cols in engine.eps_reads("F", Xa, pop.X, [k], weighted=True):
+                read(pairs=(np.zeros(4, np.intp), np.arange(4)))
+                if ask_for_masks:
+                    allowed(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_a_walk_that_asks_for_no_mask_holds_no_mask_tile(self):
+        # The two bool tiles are allocated by the first mask, as the float
+        # tiles are by the first read that is not of pairs.
+        mask_tile = tile_rows(3000) * 3000
+        assert self._one_column_peak(ask_for_masks=False) < mask_tile
+        assert self._one_column_peak(ask_for_masks=True) >= 2 * mask_tile
 
 
 class TestReversalInvariance:

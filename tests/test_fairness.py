@@ -516,10 +516,10 @@ class TestWalkOrder:
     them: each pair's effort is one fold, and ties go to the highest position over their run."""
 
     ORDERS = {
-        "gate": EffortEngine._gate_order,
-        "given": lambda self, group, Xa, idx: None,
-        "reversed": lambda self, group, Xa, idx: np.arange(Xa.shape[0])[::-1],
-        "shuffled": lambda self, group, Xa, idx: np.random.default_rng(Xa.shape[0]).permutation(Xa.shape[0]),
+        "gate": effort._gate_order,
+        "given": lambda gates, Xa: None,
+        "reversed": lambda gates, Xa: np.arange(Xa.shape[0])[::-1],
+        "shuffled": lambda gates, Xa: np.random.default_rng(Xa.shape[0]).permutation(Xa.shape[0]),
     }
 
     def test_staircases_do_not_depend_on_walk_order(self, monkeypatch):
@@ -532,7 +532,7 @@ class TestWalkOrder:
         for height in (1, 7, 1000):
             monkeypatch.setattr(effort, "tile_rows", lambda n_cols, height=height: height)
             for name, order in self.ORDERS.items():
-                monkeypatch.setattr(EffortEngine, "_gate_order", order)
+                monkeypatch.setattr(effort, "_gate_order", order)
                 audit = FairnessAudit(pop, params, models)
                 got = [self._answers(audit, h) for h in models]
                 got.append((audit.feasible_pairs, audit.max_finite_effort))

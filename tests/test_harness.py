@@ -1,19 +1,25 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 from collections import Counter
 import itertools
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
@@ -865,6 +871,56 @@ class TestHugeValues:
             assert not (tmp_path / "report.json").exists()
 
 
+_BUNDLED_LINES = data_path("student_por_synthetic.csv").read_text().splitlines()
+_BUNDLED_SCHEMA = json.loads(data_path("student_schema.json").read_text())
+_NUMBER_COLUMNS = [f["name"] for f in _BUNDLED_SCHEMA["features"] if "levels" not in f]
+_NUMBER_COLUMNS.append(_BUNDLED_SCHEMA["label"])
+
+
+@st.composite
+def _one_cell(draw):
+    """``(line, column, text)``: a data line of the bundled CSV, one of its numeric columns or the
+    label, and a value for that cell, a magnitude from 1e-320 to 1e308 of either sign, or -0."""
+    mantissa, exponent = draw(st.floats(1.0, 10.0, exclude_max=True)), draw(st.integers(-320, 308))
+    magnitude = min(float(f"{mantissa}e{exponent}"), 1e308)
+    value = draw(st.sampled_from(["-0", repr(magnitude), repr(-magnitude)]))
+    return draw(st.integers(1, len(_BUNDLED_LINES) - 1)), draw(st.sampled_from(_NUMBER_COLUMNS)), value
+
+
+class TestSingleCellMutations:
+    """One numeric cell of the bundled CSV set to any finite value: each experiment command exits 0
+    or 3, and a clean run's outputs and the figures drawn from them hold only finite numbers."""
+
+    @settings(max_examples=20)
+    @given(_one_cell())
+    def test_exit_0_or_3_and_finite_outputs(self, cell):
+        line, column, value = cell
+        lines = list(_BUNDLED_LINES)
+        cells = lines[line].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[line] = ",".join(cells)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "data.csv").write_text("\n".join(lines) + "\n")
+            (tmp / "config.json").write_text(json.dumps({**_bundled_config(), "dataset": str(tmp / "data.csv")}))
+            for command in ("fairness", "simulate", "sweep-tau"):
+                out, err = tmp / command, io.StringIO()
+                with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--config", str(tmp / "config.json"), "--out", str(out)])
+                    drawn = code == 0 and cli.main(["figures", "--out", str(out)])
+                assert code in (0, 3), (command, err.getvalue())
+                if code == 0:
+                    assert drawn == 0, (command, err.getvalue())
+                    for f in out.iterdir():
+                        assert not TestHugeValues.NOT_FINITE.search(f.read_text()), (command, f.name)
+
+
+def _svg_numbers(svg: str) -> list[float]:
+    """Every coordinate and size in ``svg``'s attributes, each point of a polyline included."""
+    values = re.findall(r' (?:x|y|cx|cy|x1|y1|x2|y2|width|height|points)="([^"]*)"', svg)
+    return [float(v) for value in values for point in value.split() for v in point.split(",")]
+
+
 class TestFiguresCommand:
     def test_svg_per_csv_with_polylines(self, toy_dir):
         out = toy_dir / "out"
@@ -963,6 +1019,32 @@ class TestFiguresCommand:
         assert hashlib.sha256(svg.encode()).hexdigest() == (
             "c0d91212e05f890b69e97b1bf927be5d9c5f303c9f6bb9b5f369fe8c95b1b736"
         )
+
+    def test_one_huge_tau_renders(self, tmp_path):
+        # 1e20 + 1.0 == 1e20, so the one-point tau axis cannot be widened by
+        # 1; it runs from 0 to 1e20 instead.
+        raw = {**_bundled_config(), "sweep": {"tau_grid": [1e20], "features": "all"}}
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert cli.main(["sweep-tau", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        assert cli.main(["figures", "--out", str(out)]) == 0
+        svg = (out / "tau_sweep.svg").read_text()
+        assert all(map(math.isfinite, _svg_numbers(svg)))
+        assert svg.count('<circle cx="480.00"') == svg.count("<circle") > 0
+
+    def test_huge_spans_give_finite_coordinates(self):
+        # The span from -1.8e308 to 1.8e308 overflows a float, and so would
+        # the line chart's padded y axis.
+        huge = [-1.7976931348623157e308, -1e308, -0.0, 5e-324, 1e308, 1.7976931348623157e308]
+        charts = [
+            line_chart([("a", list(zip(huge, huge[::-1]))), ("b", [(1e308, None), (0.0, 1e308)])], "Huge", "x", "y"),
+            line_chart([("a", [(-1e308, 1.0), (1e308, 2.0)])], "Huge", "x", "y"),
+            bar_chart(["a", "b", "c"], [("s", huge[:3]), ("t", huge[3:])], "Huge", "value"),
+        ]
+        for svg in charts:
+            numbers = _svg_numbers(svg)
+            assert len(numbers) > 20 and all(map(math.isfinite, numbers))
+            assert not TestHugeValues.NOT_FINITE.search(svg)
 
     def test_bar_chart_skips_missing_bars(self):
         series = [("s1", [1.0, None, -0.5]), ("s2", [None, None, 2.0]), ("s3", [None, None, None])]

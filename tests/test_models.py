@@ -176,7 +176,7 @@ class TestTree:
         t1, t2 = fit_tree(pop, 4), fit_tree(pop, 4)
         assert t1.nodes == t2.nodes
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(split_cases())
     @example((np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]), 1))  # equal SSEs
     def test_vectorised_scan_equals_scalar_oracle(self, case):

@@ -124,7 +124,7 @@ class TestDistance:
                 )
 
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(oracle_cases())
     def test_matrix_equals_oracle_on_random_schemas(self, case):
         pop, params = case
@@ -202,7 +202,7 @@ class TestFocalNeighborhoods:
         with pytest.raises(ValueError):
             build_focal_neighborhoods(ctx, [], pop)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(
         oracle_cases(max_individuals=10),
         st.sampled_from(["one_group", "one_group_identical", "signed_zero"]),
@@ -264,7 +264,7 @@ class TestAtkinson:
                 assert got == pytest.approx(want, abs=1e-12)
                 assert -1e-12 <= got <= 1.0 + 1e-12
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(oracle_cases(), st.data())
     def test_measure_population_matches_focal_oracle(self, case, data):
         pop, params = case
@@ -538,7 +538,7 @@ class TestCompare:
 
 
 class TestStreamedIndices:
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(st.one_of(oracle_cases(), oracle_cases(max_individuals=10, n_groups=3)))
     def test_equal_oracles_at_any_tile_height(self, case):
         pop, params = case
@@ -621,7 +621,7 @@ def _expanded(C, sizes, threshold):
 class TestProfileClasses:
     """A population with repeated profiles is measured on its classes: the member-level indices."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(
         oracle_cases(max_individuals=10),
         st.sampled_from(["one_group", "one_group_identical", "signed_zero"]),
