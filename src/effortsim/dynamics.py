@@ -16,9 +16,9 @@ candidates that can win, with the bits of a whole-tile walk (see
 
 from __future__ import annotations
 
-import operator
-from collections import abc
+import functools
 from dataclasses import dataclass, field
+from sys import float_info
 from typing import Sequence
 
 import numpy as np
@@ -56,46 +56,37 @@ class ImitationOutcome:
         }
 
 
-class Outcomes(abc.Sequence):
-    """Each row's ``ImitationOutcome`` of one model's round, held as columns and built when read.
-
-    ``role`` is each row's role model, -1 for a row that stays put, whose
-    reward, effort and utility are 0.0. Integer indexing, iteration and
-    ``len`` work as on a list of outcomes; ``imitators`` counts the rows
-    that move.
-    """
-
-    def __init__(self, role: np.ndarray, reward: np.ndarray, effort: np.ndarray, utility: np.ndarray):
-        self._columns = (role, reward, effort, utility)
-        self.imitators = int(np.count_nonzero(role >= 0))
-
-    @staticmethod
-    def _outcome(i: int, j: int, reward: float, effort: float, utility: float) -> ImitationOutcome:
-        return ImitationOutcome(i, None if j < 0 else j, reward, effort, utility, changed=j >= 0)
-
-    def __len__(self) -> int:
-        return self._columns[0].shape[0]
-
-    def __getitem__(self, i: int) -> ImitationOutcome:
-        i = range(len(self))[operator.index(i)]  # an int in range, or IndexError (TypeError for a slice)
-        return self._outcome(i, *(column[i].item() for column in self._columns))
-
-    def __iter__(self):
-        return map(self._outcome, range(len(self)), *(column.tolist() for column in self._columns))
-
-
 @dataclass(frozen=True)
 class FocalPoint:
     vector: np.ndarray  # values in the mutable feature subspace
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImpactResult:
-    outcomes: Outcomes
+    """One model's round: each row's role model (-1 for a row that stays put) and its reward,
+    effort and utility (0.0 for a row that stays put), the impacted population and its focal points."""
+
+    role_model: np.ndarray
+    reward: np.ndarray
+    effort: np.ndarray
+    utility: np.ndarray
     impacted: Population
     focal_points: list
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def imitators(self) -> int:
+        return int(np.count_nonzero(self.role_model >= 0))
+
+    @functools.cached_property
+    def outcomes(self) -> list[ImitationOutcome]:
+        """Each row's ``ImitationOutcome``, from the columns' Python floats: a -0.0 keeps its sign."""
+        columns = (c.tolist() for c in (self.role_model, self.reward, self.effort, self.utility))
+        return [
+            ImitationOutcome(i, None if j < 0 else j, r, e, u, changed=j >= 0)
+            for i, (j, r, e, u) in enumerate(zip(*columns))
+        ]
 
 
 class RoundResults(list):
@@ -187,7 +178,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
 
 
 def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> ImpactResult:
-    """One model's impacted population, outcomes and focal points from its best moves.
+    """One model's ``ImpactResult`` from its best moves: each row's move, the impacted population, focal points.
 
     A row moves on utility > 0: it takes its role model's mutable values and
     label in one assignment over the movers. A focal point is one value of
@@ -215,9 +206,9 @@ def _impact(pop: Population, best, reward, exerted, utility, metadata: dict) -> 
         focal_points = [
             FocalPoint(vector=v, count=c) for v, c in zip(taken[firsts[seen]], counts[seen].tolist())
         ]
-    outcomes = Outcomes(np.where(moved, best, -1), *(np.where(moved, a, 0.0) for a in (reward, exerted, utility)))
     return ImpactResult(
-        outcomes=outcomes,
+        np.where(moved, best, -1),
+        *(np.where(moved, a, 0.0) for a in (reward, exerted, utility)),
         impacted=Population(pop.schema, new_X, new_y, pop.groups),
         focal_points=focal_points,
         metadata=metadata,
@@ -261,7 +252,8 @@ def feature_shift_report(original: Population, impacted: Population) -> dict:
         hi = float(max(original.X[:, k].max(), impacted.X[:, k].max()))
         if hi == lo:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, SHIFT_BINS + 1)
+        h = 1.0 if hi - lo <= float_info.max else 0.5  # halved terms keep an overflowing span finite
+        edges = np.linspace(h * lo, h * hi, SHIFT_BINS + 1) / h
         per_group: dict = {}
         for g in original.group_names:
             rows_before = original.group_rows(g)

@@ -180,7 +180,8 @@ class FairnessAudit:
     tile's gates on the tile's candidate columns alone (no move to another
     column is allowed), and reads the efforts of the feasible pairs alone,
     so it sees only the pairs of finite effort, and an unreachable candidate
-    is never a staircase point. ``gate_cells`` counts the cells the gate
+    is never a staircase point. ``walk`` counts the walk's ``tiles``,
+    ``pairs``, ``feasible_pairs`` and ``gate_cells``, the cells the gate
     folds read, between ``feasible_pairs`` and ``pairs``. Which tile a row
     sits in and in what order its pairs come changes no bit: each pair's
     effort is the same fold, and ties are settled by the highest position
@@ -212,11 +213,11 @@ class FairnessAudit:
             position[asc] = np.arange(n)
         pieces: list[list] = [[] for _ in self.models]
         top = 0.0  # efforts are never negative
-        self.pairs, self.tiles, self.gate_cells, self.feasible_pairs = n * n, 0, 0, 0
+        self.walk = {"tiles": 0, "pairs": n * n, "gate_cells": 0, "feasible_pairs": 0}
         for rows, read, allowed, cols in EffortEngine(pop, params).effort_reads(pop):
-            self.tiles += 1
+            self.walk["tiles"] += 1
             width = n if cols is EVERY else cols.shape[0]
-            self.gate_cells += rows.shape[0] * width
+            self.walk["gate_cells"] += rows.shape[0] * width
             r, j = np.divmod(np.flatnonzero(allowed(cols)), width)
             if cols is not EVERY:
                 j = cols[j]
@@ -224,7 +225,7 @@ class FairnessAudit:
             finite = np.isfinite(e)  # a sum that overflowed is as unreachable as a gated move
             if not finite.all():
                 r, j, e = r[finite], j[finite], e[finite]
-            self.feasible_pairs += e.shape[0]
+            self.walk["feasible_pairs"] += e.shape[0]
             top = max(top, float(e.max(initial=0.0)))
             # One sort by (row, effort) serves every model: by effort, then a
             # stable radix sort by row (several times faster than lexsort). A

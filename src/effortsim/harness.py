@@ -359,13 +359,7 @@ def cmd_fairness(config: ExperimentConfig, out_dir: Path) -> Path:
     def curves():
         audit = FairnessAudit(train, config.effort, models.values(), benefits)
         sizes = {name: audit.staircase_size(h) for name, h in sorted(models.items())}
-        walk = {
-            "tiles": audit.tiles,
-            "pairs": audit.pairs,
-            "gate_cells": audit.gate_cells,
-            "feasible_pairs": audit.feasible_pairs,
-        }
-        runner.timings.append({"audit": {**walk, "staircases": sizes}})
+        runner.timings.append({"audit": {**audit.walk, "staircases": sizes}})
         for measure, fname in (
             (BOUNDED_EFFORT, "bounded_effort_curves.csv"),
             (THRESHOLD_REWARD, "threshold_reward_curves.csv"),
@@ -473,7 +467,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
                 for measure, value in rep.values().items():
                     seg_rows.append([spec.name, measure, pop_name, value])
             report[spec.name] = {
-                "changed": impact.outcomes.imitators,
+                "changed": impact.imitators,
                 "focal_points": [
                     {"vector": fp.vector.tolist(), "count": fp.count}
                     for fp in impact.focal_points
@@ -506,7 +500,7 @@ def cmd_sweep_tau(config: ExperimentConfig, out_dir: Path) -> Path:
             lambda: {
                 "weights": h.to_dict(),
                 "benefit_gap": group_benefit_gap(h, train, config.effort, ctx.minority),
-                "changed": impact.outcomes.imitators,
+                "changed": impact.imitators,
             },
         )
         for spec, h, impact in runs

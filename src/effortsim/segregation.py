@@ -123,36 +123,6 @@ def _classes(XY: np.ndarray, rows: np.ndarray, idx: list[int]) -> tuple[np.ndarr
     return XY[rows[first[order]]], np.bincount(of_row, minlength=first.size)[order].astype(np.float64)
 
 
-def _closeness_tiles(ctx: MetricContext, pop: Population, walk: dict):
-    """Yield ``(row_group, col_group, row_sizes, col_sizes, tiles)``: the closeness exp(-d), block by block.
-
-    A view reads only its columns, so the members of a group that agree on
-    them (a profile class) have equal distances. Each group's classes are
-    taken once, ordered by their first member, with their member counts
-    ``*_sizes``; a group of distinct rows is its own classes, in
-    ``group_rows`` order. ``tiles`` yields ``(lo, hi, tile)``: the closeness
-    of the row group's classes ``lo:hi`` to every class of the column group,
-    the exp(-d) of one ``_block_tiles`` tile. ``walk`` receives the pairs,
-    each group's rows and classes, and the cells computed. The tile is
-    scratch that the next step overwrites.
-    """
-    idx, XY = _view(ctx, pop)
-    classes = {g: _classes(XY, pop.group_rows(g), idx) for g in pop.group_names}
-    walk.update(
-        pairs=pop.size**2,
-        rows={g: pop.group_size(g) for g in pop.group_names},
-        classes={g: sizes.size for g, (_, sizes) in classes.items()},
-        cells=sum(sizes.size for _, sizes in classes.values()) ** 2,
-    )
-    for row_group, col_group in itertools.product(pop.group_names, repeat=2):
-        (A, row_sizes), (B, col_sizes) = classes[row_group], classes[col_group]
-        tiles = (
-            (lo, hi, np.exp(np.negative(tile, out=tile), out=tile))
-            for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B)
-        )
-        yield row_group, col_group, row_sizes, col_sizes, tiles
-
-
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     """(n, n) distance matrix of a population under the frozen context.
 
@@ -428,7 +398,10 @@ def distance_indices(
 ) -> tuple[float | None, float | None]:
     """ACI and SSI of a population, read off its closeness tiles over profile classes.
 
-    The walk never holds the n x n distance matrix. ACI's three sums are
+    The walk never holds the n x n distance matrix. It goes over each
+    group's profile classes (``_classes``), with their member counts n,
+    and takes the closeness C = exp(-d) of each ``_block_tiles`` tile of a
+    (row group, column group) block in place. ACI's three sums are
     sum_ab n_a * n_b * C[a, b] over the class pairs of a block: each tile
     is weighted by its classes' sizes in place and then summed; a side whose
     sizes are all one is not weighted, since x * 1.0 == x. Only the
@@ -436,16 +409,28 @@ def distance_indices(
     weighted, for SSI on its quotient (see
     ``spectral_segregation``). Both measures depend on the population alone,
     not on the model, so a population shared by several runs is measured
-    once. ``walk``, if given, receives the walk's counts.
+    once. ``walk``, if given, receives the pairs, each group's rows and
+    classes, and the cells computed.
     """
+    idx, XY = _view(ctx, pop)
+    classes = {g: _classes(XY, pop.group_rows(g), idx) for g in pop.group_names}
+    if walk is not None:
+        walk.update(
+            pairs=pop.size**2,
+            rows={g: pop.group_size(g) for g in pop.group_names},
+            classes={g: sizes.size for g, (_, sizes) in classes.items()},
+            cells=sum(sizes.size for _, sizes in classes.values()) ** 2,
+        )
     minority = ctx.minority
     total = minority_rows = minority_pairs = 0.0
-    for row_group, col_group, row_sizes, col_sizes, tiles in _closeness_tiles(ctx, pop, {} if walk is None else walk):
+    for row_group, col_group in itertools.product(pop.group_names, repeat=2):
+        (A, row_sizes), (B, col_sizes) = classes[row_group], classes[col_group]
         kept = row_group == col_group == minority
         if kept:
-            closeness, sizes = np.empty((row_sizes.size, col_sizes.size)), row_sizes
+            closeness = np.empty((row_sizes.size, col_sizes.size))
         weigh_rows, weigh_cols = (bool((w != 1.0).any()) for w in (row_sizes, col_sizes))
-        for lo, hi, tile in tiles:
+        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B):
+            np.exp(np.negative(tile, out=tile), out=tile)
             if kept:
                 closeness[lo:hi] = tile
             if weigh_rows:
@@ -460,7 +445,7 @@ def distance_indices(
                     minority_pairs += s
     return (
         absolute_clustering(pop.size, pop.group_size(minority), total, minority_rows, minority_pairs),
-        spectral_segregation(closeness, sizes, ctx.connectivity_threshold),
+        spectral_segregation(closeness, classes[minority][1], ctx.connectivity_threshold),
     )
 
 

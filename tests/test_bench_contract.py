@@ -64,6 +64,20 @@ def test_counters_read_live_results(bench):
     }
 
 
+def test_counters_read_a_round_of_two_models(bench):
+    # RoundResults chains its models' outcomes and focal points for the counter
+    spans, es = bench
+    dynamics, models = es["dynamics"], es["models"]
+    pop, params, h, _ = random_instance(3)
+    rounds = dynamics.simulate([h, models.fit_tree(pop, max_depth=2)], pop, params)
+    assert all(impact.imitators > 0 for impact in rounds)
+    assert spans._simulate((), {}, rounds) == {
+        "imitators": sum(impact.imitators for impact in rounds),
+        "scanned": 2 * pop.size,
+        "focal_points": sum(len(impact.focal_points) for impact in rounds),
+    }
+
+
 def test_traced_toy_commands_count_live_calls(bench, toy_dir):
     spans, es = bench
     h = es["harness"]

@@ -418,8 +418,8 @@ class TestStaircases:
                 for g in pop.group_names:
                     assert curve.per_group_values[g][col] == pytest.approx(want[g], rel=1e-12)
         np.testing.assert_array_equal(stairs.best_utility(), _dense_best_utility(E, b))
-        assert audit.feasible_pairs == np.isfinite(dense).sum()
-        assert audit.pairs == pop.size**2
+        assert audit.walk["feasible_pairs"] == np.isfinite(dense).sum()
+        assert audit.walk["pairs"] == pop.size**2
 
     @pytest.mark.parametrize("nan_row", range(4))
     def test_a_row_with_no_move_equals_oracle(self, nan_row):
@@ -489,7 +489,7 @@ class TestStaircases:
         walks = count_effort_walks(monkeypatch)
         both = FairnessAudit(pop, params, [h, flat])
         assert walks == [(False, {"pairs"})]  # every feature, feasible pairs alone
-        assert both.tiles == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
+        assert both.walk["tiles"] == -(-pop.group_size("a") // 3) + -(-pop.group_size("b") // 3)
         for model in (h, flat):
             alone = FairnessAudit(pop, params, [model])
             grid = both.default_grid(model, BOUNDED_EFFORT, 5)
@@ -535,7 +535,7 @@ class TestWalkOrder:
                 monkeypatch.setattr(effort, "_gate_order", order)
                 audit = FairnessAudit(pop, params, models)
                 got = [self._answers(audit, h) for h in models]
-                got.append((audit.feasible_pairs, audit.max_finite_effort))
+                got.append((audit.walk["feasible_pairs"], audit.max_finite_effort))
                 if want is None:
                     want = got
                     assert max(audit.staircase_size(h)["max_row_points"] for h in models) > 1
@@ -569,12 +569,12 @@ class TestGateCells:
         pop = self._pop(np.random.default_rng(2).permutation(30) * 0.37)
         h = _skill_model(pop)
         audit = FairnessAudit(pop, EffortParams(), [h])
-        assert audit.feasible_pairs == np.isfinite(_dense_efforts(pop, EffortParams())).sum()
-        assert audit.feasible_pairs <= audit.gate_cells < audit.pairs
+        assert audit.walk["feasible_pairs"] == np.isfinite(_dense_efforts(pop, EffortParams())).sum()
+        assert audit.walk["feasible_pairs"] <= audit.walk["gate_cells"] < audit.walk["pairs"]
         # with the column's weight at zero no gate bounds anything
         free = EffortParams(feature_weights={"age": 0.0})
         audit = FairnessAudit(pop, free, [h])
-        assert audit.feasible_pairs == audit.gate_cells == audit.pairs
+        assert audit.walk["feasible_pairs"] == audit.walk["gate_cells"] == audit.walk["pairs"]
 
 
 class TestTreePredictorIntegration:

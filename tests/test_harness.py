@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
 import effortsim
 from effortsim import cli, data_path, harness, segregation
-from effortsim.dataset import DataError, format_number, load_csv, schema_to_dict, split, write_csv
+from effortsim.dataset import DataError, Population, format_number, load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
 from effortsim.harness import (
@@ -864,6 +864,12 @@ class TestHugeValues:
             code, err = codes["tree", "simulate"]
             assert code == 3 and "shift_tree.json: a value to write is NaN or infinite" in err
 
+    def test_overflowing_span_in_the_shift_report(self):
+        # data rows 1 and 3 both train under the bundled split; absences spans 2e308 there
+        lines = _bundled_lines_with({(1, "absences"): "-1e308", (3, "absences"): "1e308"})
+        tree = [{"name": "tree", "kind": "tree", "max_depth": 5}]
+        _check_mutated_runs(lines, {"tree": {**_bundled_config(), "models": tree}})
+
     def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
         for value in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(DataError, match="report.json: a value to write is NaN or infinite"):
@@ -887,6 +893,38 @@ def _one_cell(draw):
     return draw(st.integers(1, len(_BUNDLED_LINES) - 1)), draw(st.sampled_from(_NUMBER_COLUMNS)), value
 
 
+def _bundled_lines_with(cells: dict) -> list[str]:
+    """The bundled CSV's lines with each ``(line, column)`` cell of ``cells`` set to its text."""
+    lines = list(_BUNDLED_LINES)
+    header = lines[0].split(",")
+    for (line, column), text in cells.items():
+        row = lines[line].split(",")
+        row[header.index(column)] = text
+        lines[line] = ",".join(row)
+    return lines
+
+
+def _check_mutated_runs(lines: list[str], configs: dict) -> None:
+    """Write ``lines`` as the data file of each config of ``configs`` and run ``fairness``,
+    ``simulate`` and ``sweep-tau``: each exits 0 or 3, and a clean run's files and the figures
+    drawn from them hold only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "data.csv").write_text("\n".join(lines) + "\n")
+        for name, config in configs.items():
+            (tmp / f"{name}.json").write_text(json.dumps({**config, "dataset": str(tmp / "data.csv")}))
+            for command in ("fairness", "simulate", "sweep-tau"):
+                out, err = tmp / f"{name}_{command}", io.StringIO()
+                with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--config", str(tmp / f"{name}.json"), "--out", str(out)])
+                    drawn = code == 0 and cli.main(["figures", "--out", str(out)])
+                assert code in (0, 3), (name, command, err.getvalue())
+                if code == 0:
+                    assert drawn == 0, (name, command, err.getvalue())
+                    for f in out.iterdir():
+                        assert not TestHugeValues.NOT_FINITE.search(f.read_text()), (name, command, f.name)
+
+
 class TestSingleCellMutations:
     """One numeric cell of the bundled CSV set to any finite value: each experiment command exits 0
     or 3, and a clean run's outputs and the figures drawn from them hold only finite numbers."""
@@ -895,24 +933,43 @@ class TestSingleCellMutations:
     @given(_one_cell())
     def test_exit_0_or_3_and_finite_outputs(self, cell):
         line, column, value = cell
-        lines = list(_BUNDLED_LINES)
-        cells = lines[line].split(",")
-        cells[lines[0].split(",").index(column)] = value
-        lines[line] = ",".join(cells)
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            (tmp / "data.csv").write_text("\n".join(lines) + "\n")
-            (tmp / "config.json").write_text(json.dumps({**_bundled_config(), "dataset": str(tmp / "data.csv")}))
-            for command in ("fairness", "simulate", "sweep-tau"):
-                out, err = tmp / command, io.StringIO()
-                with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
-                    code = cli.main([command, "--config", str(tmp / "config.json"), "--out", str(out)])
-                    drawn = code == 0 and cli.main(["figures", "--out", str(out)])
-                assert code in (0, 3), (command, err.getvalue())
-                if code == 0:
-                    assert drawn == 0, (command, err.getvalue())
-                    for f in out.iterdir():
-                        assert not TestHugeValues.NOT_FINITE.search(f.read_text()), (command, f.name)
+        _check_mutated_runs(_bundled_lines_with({(line, column): value}), {"bundled": _bundled_config()})
+
+
+def _training_lines() -> list[int]:
+    """The lines of the bundled CSV whose rows the bundled config's split puts in training."""
+    config = _bundled_config()
+    pop = load_csv(config["dataset"], config["schema"])
+    tagged = Population(pop.schema, pop.X, np.arange(pop.size), pop.groups)  # each label names its row
+    train, _ = split(tagged, config["split"]["train_fraction"], config["split"]["seed"])
+    return (train.y.astype(int) + 1).tolist()
+
+
+_TRAINING_LINES = _training_lines()
+
+
+@st.composite
+def _two_cells(draw):
+    """``(low, high, column, m)``: two training lines of the bundled CSV, one of its numeric
+    columns or the label, and a magnitude m from 1e154 to 1e308; ``low`` gets -m, ``high`` +m."""
+    low, high = draw(st.lists(st.sampled_from(_TRAINING_LINES), min_size=2, max_size=2, unique=True))
+    return low, high, draw(st.sampled_from(_NUMBER_COLUMNS)), draw(st.floats(1e154, 1e308))
+
+
+class TestPairedCellMutations:
+    """Two training cells of one numeric column set to -m and +m, so that the column's span may
+    overflow: each experiment command exits 0 or 3, under the bundled config and a tree-only one,
+    and a clean run's outputs and figures hold only finite numbers."""
+
+    @settings(max_examples=10)
+    @given(_two_cells())
+    @example((5, 4, "studytime", 1e308))  # two training rows, whose span overflows
+    def test_exit_0_or_3_and_finite_outputs(self, cells):
+        low, high, column, m = cells
+        raw = _bundled_config()
+        tree = {**raw, "models": [spec for spec in raw["models"] if spec["kind"] == "tree"]}
+        lines = _bundled_lines_with({(low, column): repr(-m), (high, column): repr(m)})
+        _check_mutated_runs(lines, {"bundled": raw, "tree": tree})
 
 
 def _svg_numbers(svg: str) -> list[float]:
