@@ -2,7 +2,9 @@
 
 A population bundles the raw feature matrix with per-group sorted value
 tables; those tables are what every downstream quantile-rank computation
-reads, so each is sorted on first use, cached and never mutated.
+reads, so each is sorted on first use, cached and never mutated. The same
+holds for each column's level codes and each group's distinct profiles,
+which the effort walks read.
 """
 
 from __future__ import annotations
@@ -279,14 +281,58 @@ def load_schema(path: str | Path) -> FeatureSchema:
     return schema_from_dict(read_json(path, "schema"))
 
 
+def level_codes(table: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, codes)``: the distinct values of the sorted 1-D ``table``, and the index among
+    them of each entry of ``column``, as the smallest unsigned type that holds it.
+
+    Values that compare equal are one value (-0.0 and 0.0), and every NaN is
+    one value, the last: NaN sorts last, and a binary search sends each NaN
+    to the first NaN. So every entry's value compares equal to its code's
+    (NaN to NaN). The sort is the caller's, so a population codes a group's
+    column off its group table, which it sorts anyway.
+    """
+    keep = np.ones(table.shape, bool)
+    np.not_equal(table[1:], table[:-1], out=keep[1:])
+    values = table[keep]
+    if values.shape[0] and values[-1] != values[-1]:  # NaN sorts last
+        values = values[: np.searchsorted(values, np.nan) + 1]
+    return values, np.searchsorted(values, column).astype(np.min_scalar_type(values.shape[0]))
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, inverse)`` for the rows of the 2-D ``a``: one row index per distinct row,
+    and the position in ``first`` of each row's own distinct row.
+
+    Rows that compare equal column by column are one row (-0.0 and 0.0 are
+    one value), and a row holding NaN is a row of its own, so
+    ``a[first][inverse]`` holds the values of ``a`` up to the sign of a zero.
+    The sort orders whole rows by their bytes once every zero is +0.0 (one
+    key, where a lexicographic sort takes a pass per column), so rows that
+    compare equal lie next to each other; ``first`` follows that order. It
+    takes no ``np.unique``: the first call of a process imports
+    ``numpy.ma``, which adds about 1.6 MB to the peak resident set of a run.
+    """
+    if not a.shape[1]:  # no columns: every row is the empty row
+        return np.zeros(min(a.shape[0], 1), np.intp), np.zeros(a.shape[0], np.intp)
+    rows = np.add(a, 0.0, order="C")  # -0.0 + 0.0 is 0.0; every other value keeps its bits
+    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(), kind="stable")
+    s = a[order]
+    new = np.ones(a.shape[0], bool)
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inverse = np.empty(a.shape[0], np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 class Population:
     """Immutable collection of individuals plus frozen per-group value tables.
 
     ``feature_table(s)`` returns an (n_s, K) array whose column k holds the
     sorted feature-k values of group s; ``label_table(s)`` the sorted labels.
-    Each table is sorted on first use and cached, so a population whose
-    tables nobody reads never sorts them. Row order of ``X``/``y``/``groups``
-    is the ingestion order.
+    ``levels`` codes a column's values and ``profiles`` finds a group's
+    distinct profiles. Each is built on first use and cached, so a
+    population whose tables nobody reads never sorts them. Row order of
+    ``X``/``y``/``groups`` is the ingestion order.
     """
 
     def __init__(self, schema: FeatureSchema, X: np.ndarray, y: np.ndarray, groups: Sequence[str]):
@@ -306,6 +352,8 @@ class Population:
         self._group_rows: dict[str, np.ndarray] = {}
         self._feature_tables: dict[str, np.ndarray] = {}
         self._label_tables: dict[str, np.ndarray] = {}
+        self._levels: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         garr = np.array(self.groups, dtype=object)
         for g in self.group_names:
             self._group_rows[g] = np.flatnonzero(garr == g)
@@ -335,6 +383,37 @@ class Population:
             table.setflags(write=False)
             cache[group] = table
         return cache[group]
+
+    def levels(self, group: str | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Column k's ``level_codes`` over the rows of ``group`` (``group_rows`` order), or over
+        every row for ``None``: its sorted distinct values and each row's code. Column
+        ``schema.size`` is the label.
+
+        Built once per (group, column): a group's values come off its sorted
+        table, and every row's off the groups' values.
+        """
+        if (group, k) not in self._levels:
+            self._levels[group, k] = self._code(group, k)
+        return self._levels[group, k]
+
+    def _code(self, group: str | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+        column = self.X[:, k] if k < self.schema.size else self.y
+        if group is None:
+            table = np.sort(np.concatenate([self.levels(g, k)[0] for g in self.group_names]))
+            return level_codes(table, column)
+        table = self.feature_table(group)[:, k] if k < self.schema.size else self.label_table(group)
+        return level_codes(table, column[self.group_rows(group)])
+
+    def profiles(self, group: str, label: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``_distinct_rows`` of the group's rows over the mutable features, and the label too
+        with ``label``: positions among ``group_rows(group)``. Built once per (group, label)."""
+        if (group, label) not in self._profiles:
+            view = np.flatnonzero(self.schema.mutable_mask)
+            rows = self.X[np.ix_(self.group_rows(group), view)]
+            if label:
+                rows = np.column_stack([rows, self.y[self.group_rows(group)]])
+            self._profiles[group, label] = _distinct_rows(rows)
+        return self._profiles[group, label]
 
     def take(self, rows: np.ndarray) -> "Population":
         return Population(self.schema, self.X[rows], self.y[rows], [self.groups[i] for i in rows])

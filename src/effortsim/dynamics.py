@@ -17,6 +17,7 @@ candidates that can win, with the bits of a whole-tile walk (see
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from sys import float_info
 from typing import Sequence
@@ -135,7 +136,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
 
     Only the entries of rows with utility > 0 are read; a model with no
     candidate column leaves the tile's rows at zero. ``walk`` receives the
-    counts.
+    counts, the engine's ``columns`` among them.
     """
     n = pop.size
     blocks = [h.imitation_block(pop.schema, pop.X) for h in models]
@@ -144,7 +145,8 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
     height = min(effort.tile_rows(n), n)  # effort_reads' tiles hold at most this many rows
     gains_buf, keep_buf, scores = np.empty((height, n)), np.empty((height, n), bool), np.empty(height * n)
     walk.update(pairs=n * n, candidate_columns=[0] * len(models), subtile_cells=0)
-    for rows, efforts, _, _ in EffortEngine(pop, params).effort_reads(pop, mutable_only=True):
+    engine = EffortEngine(pop, params)
+    for rows, efforts, _, _ in engine.effort_reads(pop, mutable_only=True):
         h = rows.shape[0]
         r = np.arange(h)
         for m, block in enumerate(blocks):
@@ -174,6 +176,7 @@ def _best_moves(models: Sequence, pop: Population, params: EffortParams, walk: d
             utility[m, rows] = utils[r, win]
             del E  # see EffortEngine.effort_reads
         del efforts
+    walk.update(engine.columns)
     return best, reward, exerted, utility
 
 
@@ -238,11 +241,34 @@ def simulate(models: Sequence, pop: Population, params: EffortParams) -> RoundRe
     )
 
 
+def _moments(x: np.ndarray) -> tuple[float, float]:
+    """The mean and the variance of ``x``, as ``np.mean`` and ``np.var`` give them.
+
+    Where finite values give a plain sum that overflows, the result comes
+    through scaled terms: the mean as s * mean(x / s) with s the largest
+    |x|, the variance as s² * mean(((x - mean) / s)²) with s the largest
+    |x - mean|. A true value past the float range stays infinite.
+    """
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        mean, var = float(np.mean(x)), float(np.var(x))
+    if math.isfinite(mean) and math.isfinite(var) or not np.isfinite(x).all():
+        return mean, var
+    if not math.isfinite(mean):
+        s = float(np.abs(x).max())
+        mean = s * float(np.mean(x / s))
+    if not math.isfinite(var):
+        d = x - mean
+        s = float(np.abs(d).max())
+        var = s * s * float(np.mean(np.square(d / s)))
+    return mean, var
+
+
 def feature_shift_report(original: Population, impacted: Population) -> dict:
     """Per-feature, per-group before/after summary: mean, variance, histogram.
 
     Each feature's histograms share ``SHIFT_BINS`` bins over its range in
-    both populations.
+    both populations. Means and variances whose plain sums overflow come
+    through scaled terms (``_moments``), as the bin edges do.
     """
     if original.schema.names != impacted.schema.names:
         raise ValueError("populations must share a schema")
@@ -260,11 +286,12 @@ def feature_shift_report(original: Population, impacted: Population) -> dict:
             rows_after = impacted.group_rows(g)
             before = original.X[rows_before, k]
             after = impacted.X[rows_after, k]
+            (mean_before, var_before), (mean_after, var_after) = _moments(before), _moments(after)
             per_group[g] = {
-                "mean_before": float(np.mean(before)),
-                "mean_after": float(np.mean(after)),
-                "var_before": float(np.var(before)),
-                "var_after": float(np.var(after)),
+                "mean_before": mean_before,
+                "mean_after": mean_after,
+                "var_before": var_before,
+                "var_after": var_after,
                 "hist_before": np.histogram(before, bins=edges)[0].tolist(),
                 "hist_after": np.histogram(after, bins=edges)[0].tolist(),
             }

@@ -27,23 +27,31 @@ where a gate of nonzero weight rules the move out. The brute-force
 reference lives in the test suite's oracles.
 
 Feature k's effort from row i depends only on i's value of k, and most
-features take a handful of values. The pairwise kernel has one walk,
-``EffortEngine.eps_reads``, in row tiles: each tile's terms are read over
-every pair of the tile, over the pairs of chosen columns, or over chosen
-pairs, and its gates over every column or over chosen ones. A tile's
-candidate columns (``_candidates``) bound where its gates can allow a
-move, and ``effort_reads`` sorts each group's rows by their gate values
-(``_gate_order``) so that a tile's candidates are few. ``_tile`` is its one
-read of a column: a column with few distinct values gets level tables, its
-weighted rule's row and its gate's row for each distinct value, which the
-read gathers from; every other column runs its rule or gate on the rows
-read. Both paths give the same bits. ``_fold`` is its one loop that combines
-columns, in the order given: ``np.add`` for terms, ``np.logical_and`` for
-gates. So an entry has the same bits whatever else is read with it.
+features take a handful of values. A walk reads each side's columns as
+level codes (``dataset.level_codes``): a population codes each (group,
+column) once (``Population.levels``, read through ``pop_levels``), and rows
+that are no population's are coded per walk (``own_levels``). A rule reads
+keys, one per distinct value: its rank on the group's table, ranked once
+per value set (``EffortEngine._keys``), or the value itself. The pairwise
+kernel has one walk, ``EffortEngine.eps_reads``, in row tiles: each tile's
+terms are read over every pair of the tile, over the pairs of chosen
+columns, or over chosen pairs, and its gates over every column or over
+chosen ones. A tile's candidate columns (``_candidates``) bound where its
+gates can allow a move, and ``effort_reads`` sorts each group's rows by
+their gate values (``_gate_order``) so that a tile's candidates are few.
+``_tile`` is its one read of a column: a column with few distinct values
+gets level tables, its weighted rule's row and its gate's row for each
+distinct value, filled on (distinct a x distinct b) keys and expanded to
+every row of b, which the read gathers from; every other column runs its
+rule or gate on the keys of the rows read. Both paths give the same bits.
+``_fold`` is its one loop that combines columns, in the order given:
+``np.add`` for terms, ``np.logical_and`` for gates. So an entry has the
+same bits whatever else is read with it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -61,6 +69,7 @@ from .dataset import (
     Feature,
     Population,
     SchemaError,
+    level_codes,
 )
 
 BENEFIT_PREDICTED = "predicted"
@@ -193,46 +202,25 @@ def tile_rows(n_cols: int) -> int:
     return max(1, TILE_BYTES // (8 * max(n_cols, 1)))
 
 
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``a``, sorted (each NaN counts as its own entry).
-
-    This is ``np.unique(a, equal_nan=False)`` bit for bit, but the first
-    ``np.unique`` call of a process imports ``numpy.ma``, which adds about
-    1.6 MB to the peak resident set of a run.
-    """
-    a = np.sort(a)
-    keep = np.ones(a.shape, bool)
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+def own_levels(X: np.ndarray):
+    """``k -> level_codes`` of column k of ``X``, each column coded on its first call: the levels
+    of rows that are no population's, such as focal vectors."""
+    return functools.cache(lambda k: level_codes(np.sort(X[:, k]), X[:, k]))
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(first, inverse)`` for the rows of the 2-D ``a``: one row index per distinct row,
-    and the position in ``first`` of each row's own distinct row.
+def pop_levels(pop: Population, group: str | None, positions: np.ndarray | None = None):
+    """``k -> (values, codes)`` of column k over the rows ``positions`` of ``pop.group_rows(group)``
+    (all of them for ``None``; every row of ``pop`` for group ``None``), off ``pop.levels``; each
+    column's codes are taken on its first call."""
 
-    Sort-based like ``_distinct``, and for the same reason. Rows that compare
-    equal column by column are one row (-0.0 and 0.0 are one value), and a
-    row holding NaN is a row of its own, so ``a[first][inverse]`` holds the
-    values of ``a`` up to the sign of a zero. The sort orders whole rows by
-    their bytes once every zero is +0.0 (one key, where a lexicographic sort
-    takes a pass per column), so rows that compare equal lie next to each
-    other; ``first`` follows that order.
-    """
-    if not a.shape[1]:  # no columns: every row is the empty row
-        return np.zeros(min(a.shape[0], 1), np.intp), np.zeros(a.shape[0], np.intp)
-    rows = np.add(a, 0.0, order="C")  # -0.0 + 0.0 is 0.0; every other value keeps its bits
-    order = np.argsort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel(), kind="stable")
-    s = a[order]
-    new = np.ones(a.shape[0], bool)
-    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
-    inverse = np.empty(a.shape[0], np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
+    def levels(k):
+        values, codes = pop.levels(group, k)
+        return values, codes if positions is None else codes[positions]
+
+    return functools.cache(levels)
 
 
-# Selections that make ``_eps_rule``'s fills and gates work on a whole tile:
-# each value of the tile's column against every value of ``col_b``.
-COLUMN = (slice(None), None)
+# Every column of a walk's other side: a tile's read of every column.
 EVERY = slice(None)
 
 
@@ -243,25 +231,30 @@ def row_tiles(n_rows: int, n_cols: int):
         yield lo, min(lo + step, n_rows)
 
 
-def _weighted(fill, w: float):
-    """``fill`` times ``w``; ``fill`` itself for 1.0 (``1.0 * x == x`` exactly) and for no rule."""
-    if fill is None or w == 1.0:
-        return fill
+def _weighted(op, w: float):
+    """``op`` times ``w``; ``op`` itself for 1.0 (``1.0 * x == x`` exactly)."""
+    if w == 1.0:
+        return op
 
-    def weighted_fill(a, rows, cols, out):
-        fill(a, rows, cols, out)
+    def weighted_op(ka, kb, out):
+        op(ka, kb, out)
         np.multiply(w, out, out=out)
 
-    return weighted_fill
+    return weighted_op
 
 
-def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray, pairs=None, cols=EVERY) -> None:
-    """Write a term's or a gate's entries into ``out``: rows ``Xa[lo:hi]`` to the columns ``cols``
-    (every column, or a sorted index array), or with ``pairs=(r, j)`` each pair t, row
-    ``Xa[lo + r[t]]`` to column ``j[t]``."""
-    k, rule, table, codes = column
+def _tile(column, lo: int, hi: int, out: np.ndarray, pairs=None, cols=EVERY) -> None:
+    """Write a term's or a gate's entries into ``out``: rows ``lo:hi`` of the walk's A side to the
+    columns ``cols`` (every column, or a sorted index array), or with ``pairs=(r, j)`` each pair
+    t, row ``lo + r[t]`` to column ``j[t]``."""
+    _, rule, table, codes = column
     if table is None:
-        rule(Xa[lo:hi, k], *((COLUMN, cols) if pairs is None else pairs), out)
+        op, key, a, kb = rule
+        ka = key(a[lo:hi])
+        if pairs is None:
+            op(ka[:, None], kb[cols], out)
+        else:
+            op(ka[pairs[0]], kb[pairs[1]], out)
     elif pairs is None:
         # mode="clip": with the default "raise", take buffers its output
         # through a temporary; every index is in range anyway.
@@ -271,21 +264,26 @@ def _tile(column, Xa: np.ndarray, lo: int, hi: int, out: np.ndarray, pairs=None,
         np.take(table, flat, out=out, mode="clip")
 
 
-def _fold(columns, Xa: np.ndarray, lo: int, hi: int, acc, buf, start, op, pairs=None, cols=EVERY) -> np.ndarray:
+def _fold(columns, lo: int, hi: int, acc, buf, start, op, pairs=None, cols=EVERY) -> np.ndarray:
     """``acc`` set to ``start``, then ``op``-ed in place with each column's ``_tile`` (read into ``buf``)."""
     acc.fill(start)
     for column in columns:
-        _tile(column, Xa, lo, hi, buf, pairs, cols)
+        _tile(column, lo, hi, buf, pairs, cols)
         op(acc, buf, out=acc)
     return acc
 
 
-def _gate(d: int, col_b: np.ndarray):
-    """The mask rule of a gate of direction ``d`` to the values ``col_b``: ``allowed(a, rows, cols,
-    out)`` writes whether each move from a in ``a[rows]`` to b in ``col_b[cols]`` is allowed, that
-    is b <= a, b == a or b >= a for ``d`` = -1, 0 or +1 (false where either is NaN)."""
+def _values(values: np.ndarray) -> np.ndarray:
+    """A rule's keys that are the values themselves."""
+    return values
+
+
+def _gate(d: int):
+    """The mask rule of a gate of direction ``d``, as ``(key, op)`` (see ``EffortEngine._eps_rule``):
+    ``op(a, b, out)`` writes whether each move from a value in ``a`` to one in ``b`` is allowed,
+    that is b <= a, b == a or b >= a for ``d`` = -1, 0 or +1 (false where either is NaN)."""
     compare = (np.less_equal, np.equal, np.greater_equal)[d + 1]
-    return lambda a, rows, cols, out: compare(col_b[cols], a[rows], out=out)
+    return _values, lambda a, b, out: compare(b, a, out=out)
 
 
 def _candidates(gates, A: np.ndarray, B: np.ndarray):
@@ -328,28 +326,49 @@ class EffortEngine:
     through ``eps_reads``. A caller that needs ``inf`` for a ruled-out move
     (``eps_sum``, ``pairwise_effort``) writes it from the gates' mask; the
     audit folds the mask on each tile's candidate columns and reads the
-    feasible pairs alone. A pair's sum has the same bits in every read.
+    feasible pairs alone. A pair's sum has the same bits in every read. An
+    engine makes each column's rule once per group and ranks each value set
+    once (``_keys``); ``columns`` counts its walks' column paths.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
         self.reference = reference
         self.params = params
         self.schema = reference.schema
+        # The term columns of every walk this engine made: read through a level table, or by rule.
+        self.columns = {"table_columns": 0, "rule_columns": 0}
+        self._ranks: dict = {}
+        self._rules: dict = {}
 
-    def _eps_rule(self, group: str, k: int, col_b: np.ndarray):
-        """Feature k's finite effort rule from values a to the values ``col_b``: ``fill``, or ``None``
-        for an immutable column, which has no rule.
+    def _keys(self, group: str, k: int, key, values: np.ndarray) -> np.ndarray:
+        """``key(values)`` for a value set of a walk's levels: ranked once per (group, column, value
+        set), since a population's sets are cached. The entry holds ``values``, so while it
+        lives no other array has its id. Values are their own keys."""
+        if key is _values:
+            return values
+        entry = (group, k, id(values))
+        if entry not in self._ranks:
+            self._ranks[entry] = (values, key(values))
+        return self._ranks[entry][1]
 
-        Column ``k = schema.size`` is the label: the increasing monotone rule
-        on the group's label table. ``col_b`` is ranked once here.
-        ``fill(a, rows, cols, out)`` writes the finite efforts from
-        ``a[rows]`` to ``col_b[cols]``, ranking the 1-D ``a`` once. ``COLUMN``
-        and ``EVERY`` select a tile, every value of ``a`` against every value
-        of ``col_b``; two equal-length index arrays select pairs. The
-        monotone kinds (conditionally immutable included) and the
-        non-monotone ones share one fill: the rank gap, clamped at 0 or taken
-        absolute.
+    def _eps_rule(self, group: str, k: int):
+        """Feature k's finite effort rule as ``(key, op)``, or ``None`` for an immutable column,
+        which has no rule; made once per (group, column) (``_rule``).
+
+        ``key(values)`` gives what the rule reads of each of the 1-D
+        ``values``: its rank on the group's table, or the value itself
+        (``_values``) for a categorical column. ``op(ka, kb, out)`` writes the
+        finite efforts from keys ``ka`` to keys ``kb``, elementwise and
+        broadcast. Column ``k = schema.size`` is the label: the increasing
+        monotone rule on the group's label table. The monotone kinds
+        (conditionally immutable included) and the non-monotone ones share
+        one op: the rank gap, clamped at 0 or taken absolute.
         """
+        if (group, k) not in self._rules:
+            self._rules[group, k] = self._rule(group, k)
+        return self._rules[group, k]
+
+    def _rule(self, group: str, k: int):
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
             table = self.reference.label_table(group)
@@ -362,23 +381,22 @@ class EffortEngine:
         if kind == CATEGORICAL:
             cost = self.params.categorical_cost_for(feature)
 
-            def fill(a, rows, cols, out):
-                np.not_equal(col_b[cols], a[rows], out=out)  # 1.0 or 0.0
+            def op(a, b, out):
+                np.not_equal(b, a, out=out)  # 1.0 or 0.0
                 np.multiply(out, cost, out=out)  # exact: cost is finite and >= 0
 
-            return fill
+            return _values, op
         absolute = kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE)
         rank = _rank_asc if absolute or increasing else _rank_desc
-        qb = rank(table, col_b)
 
-        def fill(a, rows, cols, out):
-            np.subtract(qb[cols], rank(table, a)[rows], out=out)
+        def op(qa, qb, out):
+            np.subtract(qb, qa, out=out)
             if absolute:
                 np.abs(out, out=out)
             else:  # a gated move never lowers the rank, so its gap is already >= +0.0
                 np.maximum(0.0, out, out=out)
 
-        return fill
+        return functools.partial(rank, table), op
 
     def _gates(self, group: str, feature_indices: Sequence[int], weighted: bool) -> list[tuple[int, int]]:
         """The walk's gates as ``(k, d)`` (see ``_gate``), in the order of ``_gate_order``'s keys.
@@ -397,15 +415,21 @@ class EffortEngine:
             gates.append((k, 0 if kind.kind == IMMUTABLE else 1 if kind.direction == INCREASING else -1))
         return sorted(gates, key=lambda gate: gate[1] == 0)  # stable: the immutable columns last
 
-    def _terms(self, group, Xa, Xb, feature_indices, weighted, gates, budget: int):
+    def _terms(self, group, Xa, Xb, levels, feature_indices, weighted, gates, budget: int):
         """The effort terms and the gates' masks, each ``[(k, rule, table, codes)]``.
 
-        A term's rule is its column's ``fill`` times the weight, a mask's the
-        compare of its gate in ``gates``. A column whose distinct ``Xa``
-        values fit what is left of the level budget (``budget`` rows, spent
-        in the given order) gets a level table per rule, one row for each
-        distinct value (bool for a mask), and ``codes`` holds each ``Xa``
-        row's table row. Any other column gets ``table = codes = None``.
+        A term's rule is its column's ``_eps_rule`` times the weight, a mask's
+        its gate in ``gates``; ``levels`` holds ``(levels_a, levels_b)``, which
+        code the columns of ``Xa`` and ``Xb`` (see ``eps_reads``). A column
+        whose distinct A values fit what is left of the level budget
+        (``budget`` rows, spent in the given order) gets a level table per
+        rule: filled once on the keys of (distinct a x distinct b) values and
+        expanded by B's codes to one row for each distinct a value and one
+        column for each row of B (bool for a mask); ``codes`` holds each A
+        row's table row. Values that compare equal have equal keys, so each
+        entry has the bits of the rule run on the two rows' values. Any other
+        column keeps ``rule = (op, key, a, kb)``: ``Xa``'s column, whose rows
+        a tile keys, and the keys of ``Xb``'s column; ``table = codes = None``.
         """
         directions = dict(gates)
         terms, masks = [], []
@@ -413,22 +437,25 @@ class EffortEngine:
             w = self.params.weight_for(group, self.schema.features[k]) if weighted else 1.0
             if w == 0.0:
                 continue
-            fill = _weighted(self._eps_rule(group, k, Xb[:, k]), w)
-            allowed = _gate(directions[k], Xb[:, k]) if k in directions else None
-            values, codes = _distinct(Xa[:, k]), None
-            if values.shape[0] <= budget:
-                budget -= values.shape[0]
-                # Binary search matches values that compare equal (-0.0 and 0.0)
-                # and all NaNs to one row; every rule gives them equal rows.
-                codes = np.searchsorted(values, Xa[:, k]).astype(np.min_scalar_type(values.shape[0]))
-            for rule, dtype, out in ((fill, float, terms), (allowed, bool, masks)):
+            values_a, codes_a = levels[0](k)
+            tabled = values_a.shape[0] <= budget
+            if tabled:
+                budget -= values_a.shape[0]
+                values_b, codes_b = levels[1](k)
+            term = self._eps_rule(group, k)
+            if term is not None:
+                term = term[0], _weighted(term[1], w)
+            gate = _gate(directions[k]) if k in directions else None
+            for rule, dtype, out in ((term, float, terms), (gate, bool, masks)):
                 if rule is None:
                     continue
-                table = None
-                if codes is not None:
-                    table = np.empty((values.shape[0], Xb.shape[0]), dtype)
-                    rule(values, COLUMN, EVERY, table)
-                out.append((k, rule, table, codes))
+                key, op = rule
+                if not tabled:
+                    out.append((k, (op, key, Xa[:, k], key(Xb[:, k])), None, None))
+                    continue
+                table = np.empty((values_a.shape[0], values_b.shape[0]), dtype)
+                op(self._keys(group, k, key, values_a)[:, None], self._keys(group, k, key, values_b), table)
+                out.append((k, None, table.take(codes_b, axis=1), codes_a))
         return terms, masks
 
     def eps_reads(
@@ -438,6 +465,7 @@ class EffortEngine:
         Xb: np.ndarray,
         feature_indices: Sequence[int],
         weighted: bool,
+        levels=None,
     ):
         """Yield ``(lo, hi, read, allowed, cols)``, one per row tile of ``Xa``.
 
@@ -460,10 +488,14 @@ class EffortEngine:
         tile's rows take in the gate columns, the fewer candidates it has,
         which is why ``effort_reads`` sorts each group's rows by them.
 
-        Each column's path is chosen once per call (see ``_terms``), and the
-        level tables share a budget of one tile's rows. A read of every
-        column or of chosen columns is a contiguous array in the walk's two
-        float tile buffers, a mask one in its two bool tile buffers; each pair
+        ``levels`` is ``(levels_a, levels_b)``, each ``k -> (values, codes)``
+        for the rows of ``Xa`` and ``Xb`` (``pop_levels``); without it both
+        sides are coded here (``own_levels``). Each column's path is chosen
+        once per call (see ``_terms``), the level tables share a budget of
+        one tile's rows (``tile_rows``, however few rows ``Xa`` has), and
+        ``columns`` counts the paths. A read of every column or of chosen
+        columns is a contiguous array in the walk's two float tile buffers,
+        a mask one in its two bool tile buffers; each pair
         is allocated by its first use and overwritten by the next. A read of
         pairs is a new array sized to the pairs. So a walk that reads pairs
         alone holds no float tile, and one that asks for no mask no bool tile.
@@ -473,7 +505,11 @@ class EffortEngine:
         shape = (min(tile_rows(Xb.shape[0]), Xa.shape[0]), Xb.shape[0])
         buffers: dict = {float: [], bool: []}
         gates = self._gates(group, feature_indices, weighted)
-        terms, masks = self._terms(group, Xa, Xb, feature_indices, weighted, gates, shape[0])
+        levels = levels or (own_levels(Xa), own_levels(Xb))
+        terms, masks = self._terms(group, Xa, Xb, levels, feature_indices, weighted, gates, tile_rows(Xb.shape[0]))
+        tables = sum(table is not None for _, _, table, _ in terms)
+        self.columns["table_columns"] += tables
+        self.columns["rule_columns"] += len(terms) - tables
 
         def front(dtype, lo, hi, cols):
             """Contiguous ``(hi - lo, len(cols))`` views of the front of the two ``dtype`` buffers."""
@@ -490,10 +526,10 @@ class EffortEngine:
                     acc, eps = np.empty(pairs[0].shape), np.empty(pairs[0].shape)
                 else:
                     acc, eps = front(float, lo, hi, cols)
-                return _fold(terms, Xa, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
+                return _fold(terms, lo, hi, acc, eps, 0.0, np.add, pairs, cols)
 
             def allowed(cols=EVERY, lo=lo, hi=hi):
-                return _fold(masks, Xa, lo, hi, *front(bool, lo, hi, cols), True, np.logical_and, cols=cols)
+                return _fold(masks, lo, hi, *front(bool, lo, hi, cols), True, np.logical_and, cols=cols)
 
             yield lo, hi, read, allowed, _candidates(gates, Xa[lo:hi], Xb)
 
@@ -504,11 +540,12 @@ class EffortEngine:
         Xb: np.ndarray,
         feature_indices: Sequence[int],
         weighted: bool,
+        levels=None,
     ) -> np.ndarray:
         """Sum of per-feature efforts over the given features, as one matrix: ``inf`` where a gate
-        rules the move out."""
+        rules the move out. ``levels`` as in ``eps_reads``."""
         out = np.empty((Xa.shape[0], Xb.shape[0]))
-        for lo, hi, read, allowed, _ in self.eps_reads(group, Xa, Xb, feature_indices, weighted):
+        for lo, hi, read, allowed, _ in self.eps_reads(group, Xa, Xb, feature_indices, weighted, levels):
             tile, feasible = read(), allowed()
             np.putmask(tile, np.logical_not(feasible, out=feasible), np.inf)
             out[lo:hi] = tile
@@ -528,7 +565,8 @@ class EffortEngine:
         walk has no gate. The walk goes group by group in row tiles, with
         each group's rows in gate order (``_gate_order``), so ``rows`` is an
         index array of members of one group; a walk with no gate takes them
-        in ``pop.group_rows(g)`` order. Reads and masks are scratch as
+        in ``pop.group_rows(g)`` order. Both sides read ``pop``'s cached level
+        codes (``pop_levels``). Reads and masks are scratch as
         ``eps_reads`` says, and a consumer drops its reader and reads before
         asking for the next row tile: a finished group's buffers are then
         freed before the next group's are allocated.
@@ -541,7 +579,8 @@ class EffortEngine:
             if order is not None:
                 rows = rows[order]
             base = self.params.base_cost_for(g)
-            for lo, hi, read, allowed, cols in self.eps_reads(g, pop.X[rows], pop.X, idx, weighted=True):
+            levels = (pop_levels(pop, g, order), pop_levels(pop, None))
+            for lo, hi, read, allowed, cols in self.eps_reads(g, pop.X[rows], pop.X, idx, True, levels):
 
                 def total(cols=EVERY, pairs=None, read=read):
                     acc = read(cols, pairs)

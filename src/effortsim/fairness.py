@@ -181,8 +181,9 @@ class FairnessAudit:
     column is allowed), and reads the efforts of the feasible pairs alone,
     so it sees only the pairs of finite effort, and an unreachable candidate
     is never a staircase point. ``walk`` counts the walk's ``tiles``,
-    ``pairs``, ``feasible_pairs`` and ``gate_cells``, the cells the gate
-    folds read, between ``feasible_pairs`` and ``pairs``. Which tile a row
+    ``pairs``, ``feasible_pairs``, ``gate_cells``, the cells the gate folds
+    read, between ``feasible_pairs`` and ``pairs``, and the engine's
+    ``columns``. Which tile a row
     sits in and in what order its pairs come changes no bit: each pair's
     effort is the same fold, and ties are settled by the highest position
     over their run. Per tile, one sort of the pairs by (row, effort) serves
@@ -214,7 +215,8 @@ class FairnessAudit:
         pieces: list[list] = [[] for _ in self.models]
         top = 0.0  # efforts are never negative
         self.walk = {"tiles": 0, "pairs": n * n, "gate_cells": 0, "feasible_pairs": 0}
-        for rows, read, allowed, cols in EffortEngine(pop, params).effort_reads(pop):
+        engine = EffortEngine(pop, params)
+        for rows, read, allowed, cols in engine.effort_reads(pop):
             self.walk["tiles"] += 1
             width = n if cols is EVERY else cols.shape[0]
             self.walk["gate_cells"] += rows.shape[0] * width
@@ -248,6 +250,7 @@ class FairnessAudit:
                 counts = np.bincount(r[keep], minlength=rows.shape[0])
                 parts.append((rows, counts, position[j[keep]], e[keep]))
             del read, allowed  # see EffortEngine.effort_reads
+        self.walk.update(engine.columns)
         self.max_finite_effort = top
         self._staircases = {
             id(h): _Staircases.assemble(b, asc, parts)

@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, FeatureSchema, Population
-from .effort import EffortParams, _distinct_rows, benefit_value
+from .dataset import DataError, FeatureSchema, Population, _distinct_rows
+from .effort import EffortParams, benefit_value
 
 JITTER = 1e-8
 
@@ -278,65 +278,78 @@ def _node_sse(y_sum, y_sq, n):
     return y_sq - y_sum * y_sum / n
 
 
-def _best_split(D: np.ndarray, y: np.ndarray) -> tuple[int, float, float] | None:
-    """Exhaustive midpoint scan; returns (feature, threshold, child SSE).
+def _best_split(D: np.ndarray, y: np.ndarray, order: np.ndarray) -> tuple[int, float, float] | None:
+    """Exhaustive midpoint scan of one node; returns (feature, threshold, child SSE).
 
-    Each feature scores every split position between distinct sorted
-    values at once; ``argmin`` keeps the first (lowest threshold) of equal
-    scores, and a later feature wins only with a strictly lower one.
+    ``order[k]`` holds the node's rows in ascending order of ``D[:, k]``,
+    ties in row order, as a stable sort of the node's rows gives them. Every
+    split position of every feature, between distinct sorted values, is
+    scored at once; the running sums go along each feature's order, in the
+    order a per-feature ``cumsum`` adds them. Each feature keeps its first
+    (lowest threshold) least score, as ``argmin`` picks it, NaN first, and a
+    later feature wins only with a strictly lower one.
     """
-    n = y.shape[0]
-    best: tuple[float, int, float] | None = None  # (sse, feature, threshold)
-    for k in range(D.shape[1]):
-        order = np.argsort(D[:, k], kind="stable")
-        xs = D[order, k]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        distinct = np.flatnonzero(xs[1:] != xs[:-1])  # split after position i
-        if distinct.size == 0:
-            continue
-        nl = distinct + 1
-        ls, lq = csum[distinct], csq[distinct]
-        rs, rq = csum[-1] - ls, csq[-1] - lq
-        sse = _node_sse(ls, lq, nl) + _node_sse(rs, rq, n - nl)
-        p = int(np.argmin(sse))
-        if best is None or sse[p] < best[0]:
-            i = distinct[p]
-            best = (sse[p], k, (xs[i] + xs[i + 1]) / 2.0)
+    n = order.shape[1]
+    xs = np.take_along_axis(D.T, order, axis=1)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    nl = np.arange(1, n)  # split after position nl - 1
+    ls, lq = csum[:, :-1], csq[:, :-1]
+    rs, rq = csum[:, -1:] - ls, csq[:, -1:] - lq
+    sse = _node_sse(ls, lq, nl) + _node_sse(rs, rq, n - nl)
+    distinct = xs[:, 1:] != xs[:, :-1]
+    scores = np.where(distinct, sse, np.inf)
+    at = np.argmin(scores, axis=1)
+    # a feature whose every split scores inf keeps its first split, not a masked position
+    at = np.where(scores[np.arange(at.shape[0]), at] == np.inf, np.argmax(distinct, axis=1), at)
+    best = None
+    for k in np.flatnonzero(distinct.any(axis=1)).tolist():
+        if best is None or sse[k, at[k]] < sse[best, at[best]]:
+            best = k
     if best is None:
         return None
-    return best[1], best[2], best[0]
+    i = at[best]
+    return best, (xs[best, i] + xs[best, i + 1]) / 2.0, sse[best, i]
 
 
 def fit_tree(pop: Population, max_depth: int = 5) -> TreePredictor:
     """Greedy CART minimizing child SSE, splitting only while it helps.
 
     Tie-breaking is lowest feature index, then lowest threshold (the scan
-    order), so fits are deterministic.
+    order), so fits are deterministic. Each feature is sorted once per fit
+    (stably). A node hands each child its rows in every feature's order by
+    a stable partition of its own: the order a stable sort of the child's
+    rows gives, since a node's rows are in index order. Nodes are numbered
+    in preorder. Only the stack holds a node's orders, so they are freed
+    once its children have theirs.
     """
     if max_depth < 0:
         raise DataError("max_depth must be >= 0")
     D = pop.X
     y = pop.y
     nodes: list[dict] = []
-
-    def build(rows: np.ndarray, depth: int) -> int:
-        node_id = len(nodes)
+    left_of = np.zeros(pop.size, bool)  # scratch: read only at the splitting node's rows
+    stack = [(np.arange(pop.size), np.argsort(D.T, axis=1, kind="stable"), 0, None, "")]
+    while stack:
+        rows, order, depth, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
         ys = y[rows]
         node = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": float(np.mean(ys))}
         nodes.append(node)  # a leaf unless a split below helps
         if depth < max_depth and rows.size >= 2 and not np.all(ys == ys[0]):
-            found = _best_split(D[rows], ys)
+            found = _best_split(D, y, order)
             node_sse = _node_sse(float(np.sum(ys)), float(np.sum(ys * ys)), rows.size)
             if found is not None and found[2] < node_sse:
                 k, thr, _ = found
                 mask = D[rows, k] <= thr
-                left, right = build(rows[mask], depth + 1), build(rows[~mask], depth + 1)
-                node.update(feature=int(k), threshold=float(thr), left=left, right=right)
-        return node_id
-
-    build(np.arange(pop.size), 0)
+                node.update(feature=int(k), threshold=float(thr))
+                left_of[rows] = mask
+                goes_left = left_of[order]
+                # right first, so the left subtree is numbered next
+                stack.append((rows[~mask], order[~goes_left].reshape(D.shape[1], -1), depth + 1, node, "right"))
+                stack.append((rows[mask], order[goes_left].reshape(D.shape[1], -1), depth + 1, node, "left"))
     return TreePredictor(pop.schema.names, nodes, {"max_depth": int(max_depth)})
 
 

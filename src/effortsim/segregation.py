@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Population, SchemaError
-from .effort import EffortEngine, EffortParams, _distinct_rows, row_tiles
+from .effort import EffortEngine, EffortParams, own_levels, pop_levels, row_tiles
 
 # Power iteration stops once the residual is within POWER_TOL * max(1, |lambda|).
 POWER_TOL = 1e-10
@@ -91,10 +91,11 @@ def _view(ctx: MetricContext, pop: Population) -> tuple[list[int], np.ndarray]:
     return ctx.mutable_indices + [pop.schema.size], np.column_stack([pop.X, pop.y])
 
 
-def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: str, A, B):
+def _block_tiles(engine: EffortEngine, idx: list[int], row_group: str, col_group: str, A, B, levels):
     """Yield ``(lo, hi, tile)``: the distances from rows ``A[lo:hi]`` to every row of ``B``.
 
-    ``A`` holds members of ``row_group``, ``B`` of ``col_group``. A view of
+    ``A`` holds members of ``row_group``, ``B`` of ``col_group``, and
+    ``levels`` their level codes (see ``EffortEngine.eps_reads``). A view of
     group g is one ``eps_reads`` walk on g's tables over the unweighted
     columns ``idx``: the mutable-feature efforts plus the positive
     label-rank gap. Entry (i, j) is the larger of i's group view and j's
@@ -103,7 +104,7 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
     """
 
     def view(g):
-        return ((lo, hi, read()) for lo, hi, read, _, _ in ctx.engine.eps_reads(g, A, B, idx, weighted=False))
+        return ((lo, hi, read()) for lo, hi, read, _, _ in engine.eps_reads(g, A, B, idx, False, levels))
 
     if row_group == col_group:
         yield from view(row_group)
@@ -112,15 +113,16 @@ def _block_tiles(ctx: MetricContext, idx: list[int], row_group: str, col_group: 
         yield lo, hi, np.maximum(own, other, out=own)
 
 
-def _classes(XY: np.ndarray, rows: np.ndarray, idx: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The profile classes of ``XY[rows]`` on the columns ``idx``: one row of each, and their member counts.
+def _classes(pop: Population, group: str) -> tuple[np.ndarray, np.ndarray]:
+    """The profile classes of ``group`` in the distance view (``pop.profiles`` with the label):
+    each one's first member, as a position among ``pop.group_rows(group)``, and their member counts.
 
     The classes come in the order of their first member, so rows that are
-    all distinct are their own classes in the order of ``rows``.
+    all distinct are their own classes in group row order.
     """
-    first, of_row = _distinct_rows(XY[np.ix_(rows, idx)])
+    first, of_row = pop.profiles(group, label=True)
     order = np.argsort(first)
-    return XY[rows[first[order]]], np.bincount(of_row, minlength=first.size)[order].astype(np.float64)
+    return first[order], np.bincount(of_row, minlength=first.size)[order].astype(np.float64)
 
 
 def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
@@ -137,7 +139,8 @@ def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     out = np.empty((pop.size, pop.size))
     for row_group, col_group in itertools.product(pop.group_names, repeat=2):
         rows, cols = pop.group_rows(row_group), pop.group_rows(col_group)
-        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, XY[rows], XY[cols]):
+        levels = (pop_levels(pop, row_group), pop_levels(pop, col_group))
+        for lo, hi, tile in _block_tiles(ctx.engine, idx, row_group, col_group, XY[rows], XY[cols], levels):
             out[np.ix_(rows[lo:hi], cols)] = tile
     return out
 
@@ -151,8 +154,8 @@ def build_focal_neighborhoods(
     the individual's own-group feature efforts toward the focal values
     (no label term). Ties go to the lowest-index focal vector. A row's
     distances depend on its mutable values alone, so each group's distinct
-    mutable profiles are measured once and their nearest vectors handed to
-    their rows: the same bits as measuring every row.
+    mutable profiles (``pop.profiles``) are measured once and their nearest
+    vectors handed to their rows: the same bits as measuring every row.
     """
     idx = ctx.mutable_indices
     if len(vectors) == 0:
@@ -163,10 +166,12 @@ def build_focal_neighborhoods(
     F = np.zeros((len(V), ctx.reference.schema.size))
     F[:, idx] = V
     nearest = np.empty(pop.size, np.intp)
+    focal_levels = own_levels(F)
     for g in pop.group_names:
         rows = pop.group_rows(g)
-        first, of_row = _distinct_rows(pop.X[rows][:, idx])
-        dist = ctx.engine.eps_sum(g, pop.X[rows[first]], F, idx, weighted=False)
+        first, of_row = pop.profiles(g, label=False)
+        levels = (pop_levels(pop, g, first), focal_levels)
+        dist = ctx.engine.eps_sum(g, pop.X[rows[first]], F, idx, False, levels)
         nearest[rows] = np.argmin(dist, axis=1)[of_row]  # first minimum wins
     return nearest
 
@@ -410,26 +415,24 @@ def distance_indices(
     ``spectral_segregation``). Both measures depend on the population alone,
     not on the model, so a population shared by several runs is measured
     once. ``walk``, if given, receives the pairs, each group's rows and
-    classes, and the cells computed.
+    classes, the cells computed and the walk's ``EffortEngine.columns``.
     """
     idx, XY = _view(ctx, pop)
-    classes = {g: _classes(XY, pop.group_rows(g), idx) for g in pop.group_names}
-    if walk is not None:
-        walk.update(
-            pairs=pop.size**2,
-            rows={g: pop.group_size(g) for g in pop.group_names},
-            classes={g: sizes.size for g, (_, sizes) in classes.items()},
-            cells=sum(sizes.size for _, sizes in classes.values()) ** 2,
-        )
+    classes = {}  # per group: one row of each class, their level codes and their member counts
+    for g in pop.group_names:
+        at, sizes = _classes(pop, g)
+        classes[g] = XY[pop.group_rows(g)[at]], pop_levels(pop, g, at), sizes
+    engine = EffortEngine(ctx.reference, ctx.params)  # counts this walk's columns
     minority = ctx.minority
     total = minority_rows = minority_pairs = 0.0
     for row_group, col_group in itertools.product(pop.group_names, repeat=2):
-        (A, row_sizes), (B, col_sizes) = classes[row_group], classes[col_group]
+        (A, row_levels, row_sizes), (B, col_levels, col_sizes) = classes[row_group], classes[col_group]
         kept = row_group == col_group == minority
         if kept:
             closeness = np.empty((row_sizes.size, col_sizes.size))
         weigh_rows, weigh_cols = (bool((w != 1.0).any()) for w in (row_sizes, col_sizes))
-        for lo, hi, tile in _block_tiles(ctx, idx, row_group, col_group, A, B):
+        levels = (row_levels, col_levels)
+        for lo, hi, tile in _block_tiles(engine, idx, row_group, col_group, A, B, levels):
             np.exp(np.negative(tile, out=tile), out=tile)
             if kept:
                 closeness[lo:hi] = tile
@@ -443,9 +446,17 @@ def distance_indices(
                 minority_rows += s
                 if col_group == minority:
                     minority_pairs += s
+    if walk is not None:
+        walk.update(
+            pairs=pop.size**2,
+            rows={g: pop.group_size(g) for g in pop.group_names},
+            classes={g: sizes.size for g, (_, _, sizes) in classes.items()},
+            cells=sum(sizes.size for _, _, sizes in classes.values()) ** 2,
+            **engine.columns,
+        )
     return (
         absolute_clustering(pop.size, pop.group_size(minority), total, minority_rows, minority_pairs),
-        spectral_segregation(closeness, classes[minority][1], ctx.connectivity_threshold),
+        spectral_segregation(closeness, classes[minority][2], ctx.connectivity_threshold),
     )
 
 

@@ -4,7 +4,11 @@ Everything here is deliberately written as plain Python loops over counts
 and values: ranks are counted directly, candidate scans enumerate every
 pair, the clustering index evaluates its double sums literally, and the
 spectral index uses dense eigendecomposition instead of power iteration.
-These functions never call the library's vectorized paths.
+These functions never call the library's vectorized paths. The last three
+(``walk_level_tables``, ``best_split_per_node``, ``fit_tree_per_node``)
+are the straightforward numpy forms that sort every column again where it
+is read: the bit-for-bit references for the library's cached level codes
+and its presorted tree fit.
 """
 
 from __future__ import annotations
@@ -399,3 +403,110 @@ def constrained_optimum(pop, tau, name, minority, jitter=0.0) -> float:
         np.linalg.solve(bordered, np.append(2.0 * b / n, -g0))[:-1],
     ]
     return min(constrained_objective(pop, tau, name, minority, w) for w in candidates)
+
+
+def walk_level_tables(reference, params, group, Xa, Xb, feature_indices, weighted, gates) -> dict:
+    """Each column's level tables as a walk built them from its own rows, with no codes kept
+    anywhere: ``{(k, "term" or "mask"): (table, codes)}``.
+
+    Column k's distinct ``Xa`` values are sorted, each NaN its own value;
+    each ``Xa`` row's code is its value's binary-search position among
+    them, which sends every NaN to the first NaN. A term's table runs the
+    weighted rule from each distinct value to every row of ``Xb`` (the rank
+    gap on the group's table, clamped at 0 or taken absolute, or the flat
+    categorical cost), a mask's table the gate's compare. ``gates`` maps a
+    gated column to its direction; column ``schema.size`` is the label. So
+    ``table[codes]`` is each ``Xa`` row's row of efforts or of allowed moves.
+    """
+    schema = reference.schema
+    out = {}
+    for k in feature_indices:
+        feature = schema.features[k] if k < schema.size else None
+        w = params.weight_for(group, feature) if weighted else 1.0
+        if w == 0.0:
+            continue
+        values = np.sort(Xa[:, k])
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        codes = np.searchsorted(values, Xa[:, k])
+        a, b = values[:, None], Xb[:, k][None, :]
+        if k in gates:
+            compare = (np.less_equal, np.equal, np.greater_equal)[gates[k] + 1]
+            out[k, "mask"] = (compare(b, a), codes)
+        kind = "numerical_monotone" if feature is None else feature.kind.kind
+        if kind == "immutable":
+            continue
+        if kind == "categorical":
+            cost = params.categorical_cost_for(feature)
+            eps = np.multiply(np.not_equal(b, a).astype(np.float64), cost)
+        else:
+            table = reference.label_table(group) if feature is None else reference.feature_table(group)[:, k]
+            n = table.shape[0]
+            absolute = kind in ("numerical_nonmonotone", "ordinal_nonmonotone")
+            if absolute or feature is None or feature.kind.direction == "increasing":
+                qa, qb = (np.searchsorted(table, x, side="right") / n for x in (a, b))
+            else:
+                qa, qb = ((n - np.searchsorted(table, x, side="left")) / n for x in (a, b))
+            eps = np.abs(qb - qa) if absolute else np.maximum(0.0, qb - qa)
+        out[k, "term"] = (eps if w == 1.0 else np.multiply(w, eps), codes)
+    return out
+
+
+def best_split_per_node(D, y):
+    """The CART split scan of one node from its own rows: ``(feature, threshold, child SSE)``.
+
+    Each feature's rows are sorted stably here, every split position
+    between distinct sorted values is scored at once, ``argmin`` keeps the
+    first least score and a later feature wins only with a strictly lower
+    one.
+    """
+    n = y.shape[0]
+    best = None  # (sse, feature, threshold)
+    for k in range(D.shape[1]):
+        order = np.argsort(D[:, k], kind="stable")
+        xs = D[order, k]
+        ys = y[order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        distinct = np.flatnonzero(xs[1:] != xs[:-1])
+        if distinct.size == 0:
+            continue
+        nl = distinct + 1
+        ls, lq = csum[distinct], csq[distinct]
+        rs, rq = csum[-1] - ls, csq[-1] - lq
+        sse = (lq - ls * ls / nl) + (rq - rs * rs / (n - nl))
+        p = int(np.argmin(sse))
+        if best is None or sse[p] < best[0]:
+            i = distinct[p]
+            best = (sse[p], k, (xs[i] + xs[i + 1]) / 2.0)
+    if best is None:
+        return None
+    return best[1], best[2], best[0]
+
+
+def fit_tree_per_node(pop, max_depth, best_split=best_split_per_node):
+    """CART as a recursion that scans each node's own rows with ``best_split(D[rows], y[rows])``.
+
+    Returns the preorder node list of ``TreePredictor`` and each scanned
+    node's ``best_split`` result, in preorder.
+    """
+    D, y = pop.X, pop.y
+    nodes, splits = [], []
+
+    def build(rows, depth):
+        node_id = len(nodes)
+        ys = y[rows]
+        node = {"feature": -1, "threshold": 0.0, "left": -1, "right": -1, "value": float(np.mean(ys))}
+        nodes.append(node)
+        if depth < max_depth and rows.size >= 2 and not np.all(ys == ys[0]):
+            found = best_split(D[rows], ys)
+            splits.append(found)
+            node_sse = float(np.sum(ys * ys)) - float(np.sum(ys)) * float(np.sum(ys)) / rows.size
+            if found is not None and found[2] < node_sse:
+                k, thr, _ = found
+                mask = D[rows, k] <= thr
+                left, right = build(rows[mask], depth + 1), build(rows[~mask], depth + 1)
+                node.update(feature=int(k), threshold=float(thr), left=left, right=right)
+        return node_id
+
+    build(np.arange(pop.size), 0)
+    return nodes, splits

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -13,15 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import single_group_pop, synthetic_student_pop
 from effortsim import effort
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population
+from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, _distinct_rows, level_codes
 from effortsim.effort import (
-    COLUMN,
     EVERY,
     TILE_BYTES,
     EffortEngine,
     EffortParams,
     _candidates,
-    _distinct_rows,
     _gate,
     _gate_order,
     risk_adjusted,
@@ -468,6 +467,12 @@ def _value_pattern_pop(pattern, rows=23, seed=4):
     return Population(schema, X, np.zeros(rows), groups)
 
 
+def _fill(rule, a, b, out):
+    """Run a ``(key, op)`` rule of ``_eps_rule`` or ``_gate`` from every value of ``a`` to every value of ``b``."""
+    key, op = rule
+    op(key(a)[:, None], key(b), out)
+
+
 def _row_by_row(engine, group, Xa, Xb, idx, weighted):
     """``acc + w * eps`` in the given feature order, each rule run on every row of ``Xa``.
 
@@ -483,12 +488,12 @@ def _row_by_row(engine, group, Xa, Xb, idx, weighted):
         if w == 0.0:
             continue
         eps = np.zeros_like(acc)
-        fill = engine._eps_rule(group, k, Xb[:, k])
-        if fill is not None:
-            fill(Xa[:, k], COLUMN, EVERY, eps)
+        rule = engine._eps_rule(group, k)
+        if rule is not None:
+            _fill(rule, Xa[:, k], Xb[:, k], eps)
         if k in gates:
             ok = np.empty(acc.shape, bool)
-            _gate(gates[k], Xb[:, k])(Xa[:, k], COLUMN, EVERY, ok)
+            _fill(_gate(gates[k]), Xa[:, k], Xb[:, k], ok)
             eps[~ok] = np.inf
         acc = acc + w * eps
     return acc
@@ -496,6 +501,10 @@ def _row_by_row(engine, group, Xa, Xb, idx, weighted):
 
 def _same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestDistinctValueGather:
@@ -542,7 +551,7 @@ class TestDistinctValueGather:
         # table; at height 1 column 2 already filled it), then one value over
         # an empty budget (runs per row). The other columns run per row.
         # Column 0 (immutable "grp") and column 10 have no rule, so their
-        # gate calls are counted instead.
+        # gates' paths are read instead.
         monkeypatch.setattr(effort, "tile_rows", lambda n_cols: height)
         weights = {"num_up": 1.5, "num_down": 2.5, "ord_free": 0.0}  # per row, table, skipped
         params = EffortParams(feature_weights={"g1": weights})
@@ -555,35 +564,22 @@ class TestDistinctValueGather:
         Xb = np.vstack([Xa, engine.reference.X[::3]])
         every = list(range(Xa.shape[1]))
         mutable = [k for k in every if engine.schema.features[k].mutable]  # 1-7: all finite
-        fills = []  # the column of every fill call, or of every gate call for a column without a rule
+        plans = []  # per walk, each column's path: whether it reads through a level table
 
-        def counted(k, rule):
-            return lambda *args: (fills.append(k), rule(*args))
+        def planned(*args):
+            terms, masks = EffortEngine._terms(engine, *args)
+            plans.append({k: table is not None for k, _, table, _ in terms + masks})
+            return terms, masks
 
-        def counted_rule(group, k, col_b):
-            fill = EffortEngine._eps_rule(engine, group, k, col_b)
-            return None if fill is None else counted(k, fill)
-
-        def counted_gate(d, col_b):
-            # immutable: only a gate, called as often as a rule would be
-            k = next(k for k in every if np.shares_memory(col_b, Xb[:, k]))
-            allowed = _gate(d, col_b)
-            return allowed if engine.schema.features[k].kind.kind != "immutable" else counted(k, allowed)
-
-        tiles = -(-Xa.shape[0] // height)
         for idx in (every, mutable):
             for weighted in (True, False):
-                fills.clear()
-                engine._eps_rule = counted_rule
-                with mock.patch.object(effort, "_gate", counted_gate):
-                    got = engine.eps_sum("g1", Xa, Xb, idx, weighted)
-                del engine._eps_rule
+                plans.clear()
+                engine._terms = planned
+                got = engine.eps_sum("g1", Xa, Xb, idx, weighted)
+                del engine._terms
                 assert _same_bits(got, _row_by_row(engine, "g1", Xa, Xb, idx, weighted))
                 skipped = {6} if weighted else set()  # g1 weighs ord_free 0.0
-                assert [fills.count(k) for k in every] == [
-                    0 if k in skipped or k not in idx else 1 if k in tabled else tiles
-                    for k in every
-                ]
+                assert plans == [{k: k in tabled for k in idx if k not in skipped}]
 
     @pytest.mark.parametrize(
         "pattern", ["one_value", "all_distinct", "heavy_ties", "signed_zero", "nan_cell"]
@@ -603,41 +599,47 @@ class TestDistinctValueGather:
             ruled_out = np.zeros(shape, bool)
             gates, weighted_gates = dict(engine._gates(g, every, False)), dict(engine._gates(g, every, True))
             for k, feature in enumerate(pop.schema.features):
-                fill = engine._eps_rule(g, k, Xb[:, k])
+                rule = engine._eps_rule(g, k)
                 gated = feature.kind.kind in ("immutable", "conditionally_immutable")
-                assert (fill is None) == (feature.kind.kind == "immutable")
+                assert (rule is None) == (feature.kind.kind == "immutable")
                 assert (k in gates) == gated
                 assert (k in weighted_gates) == (gated and params.weight_for(g, feature) != 0.0)
-                if fill is not None:
-                    for rows, cols, size in ((COLUMN, EVERY, shape), (r, j, r.shape)):
+                if rule is not None:
+                    key, op = rule
+                    ka, kb = key(pop.X[:, k]), key(Xb[:, k])
+                    for a, b, size in ((ka[:, None], kb, shape), (ka[r], kb[j], r.shape)):
                         out = np.full(size, np.nan)
-                        fill(pop.X[:, k], rows, cols, out)
+                        op(a, b, out)
                         assert np.all(np.isfinite(out)), feature.name
                 if k in weighted_gates:
                     ok = np.empty(shape, bool)
-                    _gate(weighted_gates[k], Xb[:, k])(pop.X[:, k], COLUMN, EVERY, ok)
+                    _fill(_gate(weighted_gates[k]), pop.X[:, k], Xb[:, k], ok)
                     ruled_out |= ~ok
             got = engine.eps_sum(g, pop.X, Xb, range(pop.schema.size), weighted=True)
             assert np.array_equal(np.isinf(got), ruled_out)
             assert not np.isnan(got).any()
 
     def test_merged_values_share_a_level_row(self):
-        # -0.0 and 0.0 compare equal and all NaNs sort together, so a level
-        # table gives each pair one row; every rule and every gate gives them
-        # equal rows too, the immutable group column's gate included.
+        # -0.0 and 0.0 compare equal and all NaNs sort together, so they take
+        # one code, and a level table gives each pair one row; every rule and
+        # every gate gives them equal rows too, the immutable group column's
+        # gate included.
         pop = _value_pattern_pop("signed_zero")
         col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
+        values, codes = level_codes(np.sort(col), col)
+        assert values.shape == (3,) and np.isnan(values[-1])
+        assert codes.tolist() == [0, 0, 2, 1, 2, 0]
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
         gated = 0
         gates = dict(engine._gates("g1", range(pop.schema.size), weighted=False))
         for k in range(pop.schema.size):
-            fill = engine._eps_rule("g1", k, pop.X[:, k])
-            allowed = _gate(gates[k], pop.X[:, k]) if k in gates else None
+            fill = engine._eps_rule("g1", k)
+            allowed = _gate(gates[k]) if k in gates else None
             for rule, dtype in ((fill, float), (allowed, bool)):
                 if rule is None:
                     continue
                 rows = np.empty((col.shape[0], pop.size), dtype)
-                rule(col, COLUMN, EVERY, rows)
+                _fill(rule, col, pop.X[:, k], rows)
                 for i, j in ((0, 1), (0, 5), (2, 4)):
                     assert np.array_equal(rows[i].view(np.uint8), rows[j].view(np.uint8))
                 gated += dtype is bool
@@ -683,6 +685,74 @@ class TestDistinctRows:
         assert len(first) == 3
         assert inverse[1] == inverse[3] and len({inverse[0], inverse[2], inverse[1]}) == 3
         assert first[inverse[0]] == 0 and first[inverse[2]] == 2
+
+
+# Column patterns of a coded population: one value (NaN included), ties with -0.0 beside 0.0,
+# ties with NaN, and distinct values.
+_COLUMN_POOLS = ((1.5,), (np.nan,), (-0.0, 0.0, 1.0, 2.0), (np.nan, 0.0, 1.0), None)
+
+
+@st.composite
+def _coded_pops(draw):
+    """A two-group population on ``_every_kind_pop``'s schema, each column and the label drawn
+    from one of ``_COLUMN_POOLS``, with its groups' sizes."""
+    schema = _every_kind_pop().schema
+    sizes = [draw(st.integers(1, 9)), draw(st.integers(1, 9))]
+    n = sum(sizes)
+    columns = []
+    for _ in range(schema.size + 1):
+        pool = draw(st.sampled_from(_COLUMN_POOLS))
+        if pool is None:
+            columns.append(np.array(draw(st.permutations(range(n)))) * 0.25 - 1.0)
+        else:
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))))
+    X = np.column_stack(columns[:-1])
+    X[:, 0] = np.repeat([0.0, 1.0], sizes)
+    return Population(schema, X, columns[-1], ["g1"] * sizes[0] + ["g2"] * sizes[1])
+
+
+class TestLevelCodes:
+    """A population codes each (group, column) once; the walks' level tables, filled on distinct
+    values and expanded by the codes, hold the bits of tables built from each walk's own rows."""
+
+    PARAMS = EffortParams(categorical_cost=0.45, feature_weights={"g1": {"num_up": 2.5, "ord_free": 0.0}})
+
+    @settings(max_examples=40, deadline=None)
+    @given(_coded_pops(), st.randoms(use_true_random=False))
+    def test_tables_equal_the_per_walk_construction(self, pop, rnd):
+        engine = EffortEngine(pop, self.PARAMS)
+        XY = np.column_stack([pop.X, pop.y])
+        every = list(range(pop.schema.size))
+        view = [k for k in every if pop.schema.features[k].mutable] + [pop.schema.size]
+        for g, other in itertools.permutations(pop.group_names):
+            rows = pop.group_rows(g)
+            # A: the group's rows in some order and some of them, as gate orders and classes take them
+            at = np.array(rnd.sample(range(rows.size), rnd.randint(1, rows.size)))
+            sides = [(None, XY), (other, XY[pop.group_rows(other)])]
+            for (b_group, Xb), (idx, weighted) in itertools.product(sides, ((every, True), (view, False))):
+                levels = (effort.pop_levels(pop, g, at), effort.pop_levels(pop, b_group))
+                gates = engine._gates(g, idx, weighted)
+                terms, masks = engine._terms(g, XY[rows[at]], Xb, levels, idx, weighted, gates, 1 << 30)
+                want = oracles.walk_level_tables(pop, self.PARAMS, g, XY[rows[at]], Xb, idx, weighted, dict(gates))
+                got = {(k, kind): (table, codes) for kind, entries in (("term", terms), ("mask", masks))
+                       for k, _, table, codes in entries}
+                assert got.keys() == want.keys()
+                for key, (table, codes) in got.items():
+                    want_table, want_codes = want[key]
+                    assert _same_bytes(table[codes], want_table[want_codes]), key
+
+    def test_levels_code_every_row(self):
+        # a group's column, every row's column and the label: each row's code names its value
+        pop = _value_pattern_pop("nan_cell")
+        for group, k in (("g1", 3), (None, 3), ("g2", pop.schema.size)):
+            column = pop.y if k == pop.schema.size else pop.X[:, k]
+            column = column if group is None else column[pop.group_rows(group)]
+            values, codes = pop.levels(group, k)
+            assert pop.levels(group, k)[1] is codes  # cached
+            assert np.array_equal(values[codes], column, equal_nan=True)
+            nan = np.isnan(values)
+            assert np.all(values[~nan][:-1] < values[~nan][1:])  # sorted and distinct
+            assert nan.sum() == np.isnan(column).any() and not nan[:-1].any()  # one NaN, the last
 
 
 class TestPairForm:
@@ -918,7 +988,7 @@ class TestGateList:
             mask = np.ones((rows.shape[0], pop.size), bool)
             for k, d in engine._gates(g, range(schema.size), weighted):
                 ok = np.empty(mask.shape, bool)
-                _gate(d, pop.X[:, k])(pop.X[rows, k], COLUMN, EVERY, ok)
+                _fill(_gate(d), pop.X[rows, k], pop.X[:, k], ok)
                 mask &= ok
             params = self.PARAMS if weighted else EffortParams()  # unweighted: every gate counts
             effort_of = lambda i, j: oracles.total_effort(engine.reference, params, g, pop.X[i], pop.X[j])

@@ -519,6 +519,9 @@ class TestFairnessCommand:
         # other group's rows are never read
         assert entry["feasible_pairs"] <= entry["gate_cells"] < entry["pairs"]
         assert set(entry["staircases"]) == {"linear", "ridge", "stump"}
+        assert set(entry) == {
+            "tiles", "pairs", "gate_cells", "feasible_pairs", "staircases", "table_columns", "rule_columns"
+        }
         for size in entry["staircases"].values():
             assert 1 <= size["max_row_points"] <= size["points"]
 
@@ -661,6 +664,7 @@ class TestInitialPopulationMeasuredOnce:
                 g: len({tuple(r) for r in XY[pop.group_rows(g)][:, view].tolist()}) for g in pop.group_names
             }
         for walk in walks:
+            assert set(walk) == {"population", "pairs", "rows", "classes", "cells", "table_columns", "rule_columns"}
             # each (row group, column group) block is walked once, over its classes
             assert walk["pairs"] == sum(walk["rows"].values()) ** 2
             classes = walk["classes"]
@@ -717,7 +721,7 @@ class TestOneEffortMatrix:
             else [f"tau_{format_number(t)}" for t in config.tau_grid]
         )
         assert walk == {**round_.walk, "candidate_columns": dict(zip(runs, round_.walk["candidate_columns"]))}
-        assert set(walk) == {"pairs", "candidate_columns", "subtile_cells"}
+        assert set(walk) == {"pairs", "candidate_columns", "subtile_cells", "table_columns", "rule_columns"}
         n = harness._load_and_split(config)[1].size
         assert walk["pairs"] == n * n
         # each model reads, per row tile, its tile's rows times its candidate
@@ -755,6 +759,37 @@ class TestOneEffortMatrix:
         want_models = len(config.models) if command is cmd_simulate else len(config.tau_grid)
         assert [m for m, _ in peaks] == [want_models]
         assert peaks[0][1] < 8 * rows**2 / 4, peaks
+
+
+class TestLevelCodes:
+    """Each column of a population is coded once, and the bundled walks read every column through
+    a level table."""
+
+    def test_each_population_group_and_column_coded_once(self, tmp_path, monkeypatch):
+        coded = []  # (population, group, column); each population is kept, so no two share an id
+        code = Population._code
+
+        def counting(self, group, k):
+            coded.append((self, group, k))
+            return code(self, group, k)
+
+        monkeypatch.setattr(Population, "_code", counting)
+        config = load_config(data_path("student_config.json"))
+        cmd_simulate(config, tmp_path)
+        keys = [(id(pop), group, k) for pop, group, k in coded]
+        assert len(keys) == len(set(keys))
+        assert len({id(pop) for pop, _, _ in coded}) == 1 + len(config.models)  # training and each impact
+
+    def test_every_bundled_column_reads_through_a_table(self, tmp_path):
+        config = load_config(data_path("student_config.json"))
+        walks = []
+        for command, tag in ((cmd_fairness, "fairness"), (cmd_simulate, "simulate"), (cmd_sweep_tau, "sweep_tau")):
+            command(config, tmp_path)
+            timings = json.loads((tmp_path / f"timings_{tag}.json").read_text())
+            walks += [entry[key] for entry in timings for key in ("audit", "imitation", "distances") if key in entry]
+        assert len(walks) == 1 + 2 + (1 + len(config.models)) + (1 + len(config.tau_grid))
+        for walk in walks:
+            assert walk["table_columns"] > 0 and walk["rule_columns"] == 0, walk
 
 
 class TestSweepCommand:
@@ -869,6 +904,21 @@ class TestHugeValues:
         lines = _bundled_lines_with({(1, "absences"): "-1e308", (3, "absences"): "1e308"})
         tree = [{"name": "tree", "kind": "tree", "max_depth": 5}]
         _check_mutated_runs(lines, {"tree": {**_bundled_config(), "models": tree}})
+
+    def test_overflowing_variance_in_the_shift_report(self, tmp_path):
+        # data rows 1 and 3 train in group F: age's sum of squared deviations there
+        # overflows, yet F's variance, about 7.7e305, is a finite number
+        lines = _bundled_lines_with({(1, "age"): "-1e154", (3, "age"): "1e154"})
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        tree = [{"name": "tree", "kind": "tree", "max_depth": 5}]
+        config = {**_bundled_config(), "dataset": str(tmp_path / "data.csv"), "models": tree}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        report = json.loads((out / "shift_tree.json").read_text())
+        assert not TestHugeValues.NOT_FINITE.search((out / "shift_tree.json").read_text())
+        spread = report["age"]["groups"]["F"]
+        assert spread["var_before"] == spread["var_after"] == pytest.approx(1e308 / 259 * 2, rel=1e-12)
 
     def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
         for value in (float("nan"), float("inf"), -float("inf")):

@@ -181,21 +181,74 @@ class TestTree:
     @example((np.array([[0.0], [1.0], [2.0]]), np.array([0.0, 1.0, 0.0]), 1))  # equal SSEs
     def test_vectorised_scan_equals_scalar_oracle(self, case):
         X, y, depth = case
-        n, n_cols = X.shape
-        assert models._best_split(X, y) == oracles.tree_split(X, y)
-        schema = FeatureSchema(
-            features=tuple(
-                Feature(f"x{k}", FeatureKind("numerical_nonmonotone"), mutable=True)
-                for k in range(n_cols)
-            )
-            + (Feature("grp", FeatureKind("immutable", levels=("a",)), mutable=False),),
-            sensitive="grp",
-            label="y",
-        )
-        pop = Population(schema, np.column_stack([X, np.zeros(n)]), y, ["a"] * n)
-        with mock.patch.object(models, "_best_split", oracles.tree_split):
-            want = fit_tree(pop, depth).to_dict()
-        assert fit_tree(pop, depth).to_dict() == want
+        assert models._best_split(X, y, np.argsort(X.T, axis=1, kind="stable")) == oracles.tree_split(X, y)
+        pop = _tree_pop(X, y)
+        want, _ = oracles.fit_tree_per_node(pop, depth, oracles.tree_split)
+        assert fit_tree(pop, depth).nodes == want
+
+
+def _tree_pop(X, y):
+    """A one-group population whose features are the columns of ``X``, then the group column."""
+    n, n_cols = X.shape
+    schema = FeatureSchema(
+        features=tuple(Feature(f"x{k}", FeatureKind("numerical_nonmonotone"), mutable=True) for k in range(n_cols))
+        + (Feature("grp", FeatureKind("immutable", levels=("a",)), mutable=False),),
+        sensitive="grp",
+        label="y",
+    )
+    return Population(schema, np.column_stack([X, np.zeros(n)]), y, ["a"] * n)
+
+
+def _hex(value):
+    """``value`` with every float as its hex text, so that NaN equals NaN and -0.0 differs from 0.0."""
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    return None if value is None else int(value)
+
+
+@st.composite
+def presort_cases(draw):
+    """``(X, y, depth)``: up to 60 rows of columns with ties, -0.0 beside 0.0, NaN or one value,
+    and labels whose sums round differently in different orders."""
+    n = draw(st.integers(1, 60))
+    pools = [(-0.0, 0.0, 1.0), (np.nan, 0.5, 1.5, 2.5), (3.0,), (np.nan,), (0.1, 0.2, 0.7, 1.3)]
+    columns = [
+        np.array(draw(st.lists(st.sampled_from(draw(st.sampled_from(pools))), min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    y = np.array(draw(st.lists(st.sampled_from([0.1, 0.7, 2.3, -1.9, 1e3]), min_size=n, max_size=n)))
+    return np.column_stack(columns), y, draw(st.integers(0, 6))
+
+
+class TestPresortedTree:
+    """One stable sort per feature and fit, and stable partitions at each node, fit the tree the
+    per-node scan fits: every node, and every node's scan with its SSE, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a NaN threshold leaves a child empty
+    @settings(max_examples=80, deadline=None)
+    @given(presort_cases())
+    @example((np.array([[-0.0], [0.0], [1.0], [0.0], [-0.0]]), np.array([0.1, 0.7, 0.1, 2.3, 0.7]), 3))
+    def test_fit_equals_the_per_node_fit(self, case):
+        X, y, depth = case
+        pop = _tree_pop(X, y)
+        want_nodes, want_splits = oracles.fit_tree_per_node(pop, depth)
+        splits, sorts = [], []
+        scan, argsort = models._best_split, np.argsort
+
+        def counted_argsort(a, *args, **kwargs):
+            sorts.append(a.shape)
+            return argsort(a, *args, **kwargs)
+
+        with mock.patch.object(models, "_best_split", lambda *args: splits.append(scan(*args)) or splits[-1]):
+            with mock.patch.object(models.np, "argsort", counted_argsort):
+                got = fit_tree(pop, depth)
+        assert _hex(got.nodes) == _hex(want_nodes)
+        assert _hex(splits) == _hex(want_splits)
+        assert sorts == [pop.X.T.shape]  # each feature sorted once
 
 
 class TestConstrained:
