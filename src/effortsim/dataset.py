@@ -289,7 +289,7 @@ def level_codes(table: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.n
     one value, the last: NaN sorts last, and a binary search sends each NaN
     to the first NaN. So every entry's value compares equal to its code's
     (NaN to NaN). The sort is the caller's, so a population codes a group's
-    column off its group table, which it sorts anyway.
+    column off its group table where it has built that table.
     """
     keep = np.ones(table.shape, bool)
     np.not_equal(table[1:], table[:-1], out=keep[1:])
@@ -297,6 +297,18 @@ def level_codes(table: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.n
     if values.shape[0] and values[-1] != values[-1]:  # NaN sorts last
         values = values[: np.searchsorted(values, np.nan) + 1]
     return values, np.searchsorted(values, column).astype(np.min_scalar_type(values.shape[0]))
+
+
+def scaled_mean(x: np.ndarray) -> float:
+    """``np.mean(x)``, or s * mean(x / s) with s the largest |x| where finite values give a plain
+    sum that overflows, so the mean of finite values is always finite (|mean(x / s)| <= 1). A
+    mean over a NaN or an infinity is the plain one."""
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again below
+        mean = float(np.mean(x))
+    if math.isfinite(mean) or not np.isfinite(x).all():
+        return mean
+    s = float(np.abs(x).max())
+    return s * float(np.mean(x / s))
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,7 +402,8 @@ class Population:
         ``schema.size`` is the label.
 
         Built once per (group, column): a group's values come off its sorted
-        table, and every row's off the groups' values.
+        table if it is built, else off a sort of the column alone, and every
+        row's off the groups' values.
         """
         if (group, k) not in self._levels:
             self._levels[group, k] = self._code(group, k)
@@ -401,8 +414,14 @@ class Population:
         if group is None:
             table = np.sort(np.concatenate([self.levels(g, k)[0] for g in self.group_names]))
             return level_codes(table, column)
-        table = self.feature_table(group)[:, k] if k < self.schema.size else self.label_table(group)
-        return level_codes(table, column[self.group_rows(group)])
+        column = column[self.group_rows(group)]
+        if k == self.schema.size:
+            table = self.label_table(group)
+        elif group in self._feature_tables:
+            table = self._feature_tables[group][:, k]
+        else:  # the column's own sort: coding a few columns sorts no other
+            table = np.sort(column)
+        return level_codes(table, column)
 
     def profiles(self, group: str, label: bool) -> tuple[np.ndarray, np.ndarray]:
         """``_distinct_rows`` of the group's rows over the mutable features, and the label too
@@ -519,38 +538,104 @@ def format_number(value: float) -> str:
     return "-0" if value == 0 and math.copysign(1.0, value) < 0 else str(int(value))
 
 
-def write_table(path: str | Path, header: Sequence[str], rows) -> None:
-    """Write ``header`` and ``rows`` to ``path`` as comma-separated text, quoted where needed.
+def format_numbers(values) -> list[str]:
+    """``format_number`` of each entry of the 1-D float array ``values``, a column at a time.
 
-    A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``;
-    a NaN or infinite number is a ``DataError`` naming the file.
+    Integral entries below 2**53 in magnitude take one int conversion, each
+    value of their span formatted once where the span is no longer than
+    they are many, and every other entry one ``repr`` pass; -0.0 and
+    integral entries of 2**53 and more then take ``format_number``'s text.
+    A NaN or an infinity is a ``ValueError``, as there.
     """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("a value to write is not a finite number")
+    integral = values == np.trunc(values)
+    small = integral & (np.abs(values) < 2.0**53)
+    text = np.empty(values.shape[0], dtype=object)
+    if small.any():
+        ints = values[small].astype(np.int64)
+        lo, hi = int(ints.min()), int(ints.max())
+        if hi - lo < ints.shape[0]:
+            text[small] = np.array(list(map(str, range(lo, hi + 1))), dtype=object)[ints - lo]
+        else:
+            text[small] = list(map(str, ints.tolist()))
+    if not small.all():
+        text[~small] = list(map(repr, values[~small].tolist()))
+    for i in np.flatnonzero(integral & ~small | (values == 0) & np.signbit(values)).tolist():
+        text[i] = format_number(values[i])
+    return text.tolist()
+
+
+def _format_cells(cells: Sequence) -> list[str]:
+    """``cells`` (a row or a column) as ``write_table`` writes them: all through ``format_numbers``
+    when they are numbers alone, else cell by cell."""
+    try:
+        numbers = np.array(cells)
+    except ValueError:  # a cell that is a sequence
+        numbers = None
+    if numbers is not None and numbers.ndim == 1 and numbers.dtype.kind in "biuf":
+        return format_numbers(numbers)
+    return [c if isinstance(c, str) else "" if c is None else format_number(c) for c in cells]
+
+
+@contextlib.contextmanager
+def _table_writer(path: str | Path, header: Sequence[str]):
+    """A CSV writer on file ``path`` that has written ``header``; a ``ValueError`` inside the
+    block (a NaN or infinite number to format) is a ``DataError`` naming the file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         try:
-            for row in rows:
-                writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
-        except ValueError:  # format_number refuses NaN and ±infinity
+            yield writer
+        except ValueError:
             raise DataError(f"{path}: a value to write is NaN or infinite") from None
+
+
+def write_table(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows`` to ``path`` as comma-separated text, quoted where needed.
+
+    A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``;
+    a NaN or infinite number is a ``DataError`` naming the file, written after the rows before it.
+    Rows of one width are formatted a column at a time (``_format_cells``), others row by row, as
+    are the rows of a table that holds a NaN or an infinity.
+    """
+    rows = [list(row) for row in rows]
+    columns = list(zip(*rows))
+    text = None
+    if columns and all(len(row) == len(columns) for row in rows):
+        try:
+            text = zip(*map(_format_cells, columns))
+        except ValueError:  # written row by row, up to the row that holds it
+            pass
+    with _table_writer(path, header) as writer:
+        writer.writerows(map(_format_cells, rows) if text is None else text)
+
+
+def _level_names(levels: Sequence[str], codes: np.ndarray) -> list[str]:
+    """``[levels[int(c)] for c in codes]``: one gather where every ``int(c)`` indexes ``levels``."""
+    if np.all((codes > -len(levels) - 1) & (codes < len(levels))):  # False for NaN: it raises below
+        return np.array(levels, dtype=object)[codes.astype(np.intp)].tolist()
+    return [levels[int(c)] for c in codes.tolist()]
+
+
+# Rows formatted and written at a time by write_csv.
+CSV_BLOCK = 512
 
 
 def write_csv(pop: Population, path: str | Path) -> None:
     """Serialize a population in the input CSV format, which ``load_csv`` re-ingests bit-exactly.
 
-    Cells are formatted a column at a time, 256 rows at a time to hold little text at once.
+    Cells are formatted a column at a time (``format_numbers``, or each
+    level's name), ``CSV_BLOCK`` rows at a time to hold little text at once.
     """
-    levels = [f.kind.levels for f in pop.schema.features] + [None]
-
-    def rows():
-        for start in range(0, pop.size, 256):
-            block = pop.X[start:start + 256].T.tolist() + [pop.y[start:start + 256].tolist()]
-            yield from zip(*(
-                list(map(format_number, col)) if lv is None else [lv[int(v)] for v in col]
-                for lv, col in zip(levels, block)
-            ))
-
-    write_table(path, [*pop.schema.names, pop.schema.label], rows())
+    levels = [f.kind.levels for f in pop.schema.features]
+    with _table_writer(path, [*pop.schema.names, pop.schema.label]) as writer:
+        for start in range(0, pop.size, CSV_BLOCK):
+            block = pop.X[start:start + CSV_BLOCK]
+            columns = [format_numbers(col) if lv is None else _level_names(lv, col) for lv, col in zip(levels, block.T)]
+            columns.append(format_numbers(pop.y[start:start + CSV_BLOCK]))
+            writer.writerows(zip(*columns))
 
 
 def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population, Population]:

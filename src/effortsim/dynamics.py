@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import effort
-from .dataset import Population
+from .dataset import Population, scaled_mean
 from .effort import EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
@@ -245,22 +245,43 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
     """The mean and the variance of ``x``, as ``np.mean`` and ``np.var`` give them.
 
     Where finite values give a plain sum that overflows, the result comes
-    through scaled terms: the mean as s * mean(x / s) with s the largest
-    |x|, the variance as s² * mean(((x - mean) / s)²) with s the largest
-    |x - mean|. A true value past the float range stays infinite.
+    through scaled terms: the mean as ``scaled_mean`` takes it, the variance
+    as s² * mean(((x - mean) / s)²) with s the largest |x - mean|. A true
+    value past the float range stays infinite.
     """
+    mean = scaled_mean(x)
     with np.errstate(over="ignore"):  # an overflowing sum is taken again below
-        mean, var = float(np.mean(x)), float(np.var(x))
-    if math.isfinite(mean) and math.isfinite(var) or not np.isfinite(x).all():
+        var = float(np.var(x))
+    if math.isfinite(var) or not np.isfinite(x).all():
         return mean, var
-    if not math.isfinite(mean):
-        s = float(np.abs(x).max())
-        mean = s * float(np.mean(x / s))
-    if not math.isfinite(var):
-        d = x - mean
-        s = float(np.abs(d).max())
-        var = s * s * float(np.mean(np.square(d / s)))
-    return mean, var
+    d = x - mean
+    s = float(np.abs(d).max())
+    return mean, s * s * float(np.mean(np.square(d / s)))
+
+
+def _summaries(X: np.ndarray, rows: np.ndarray, edges: list) -> tuple[list, list, list]:
+    """Each column's mean, variance and histogram on ``edges[k]`` over the rows ``rows`` of ``X``.
+
+    The columns are one contiguous (K, rows) block, so ``np.mean`` and
+    ``np.var`` along its rows sum each column pairwise as they do the column
+    alone, and give its bits; only a column whose plain moments are not
+    finite goes through ``_moments``. The block is then sorted in place, row
+    by row, and each histogram is a binary search of its edges, the last
+    edge inclusive: ``np.histogram``'s own algorithm for explicit edges.
+    """
+    block = np.ascontiguousarray(X.T[:, rows])
+    with np.errstate(over="ignore"):  # an overflowing sum is taken again by _moments
+        means, variances = np.mean(block, axis=1), np.var(block, axis=1)
+    plain = np.isfinite(means) & np.isfinite(variances)
+    means, variances = means.tolist(), variances.tolist()
+    for k in np.flatnonzero(~plain).tolist():
+        means[k], variances[k] = _moments(block[k])
+    block.sort(axis=1)
+    below = np.empty((len(edges), SHIFT_BINS + 1), np.intp)  # per edge, the values below it
+    for k, (x, e) in enumerate(zip(block, edges)):
+        below[k, :-1] = x.searchsorted(e[:-1], "left")
+        below[k, -1] = x.searchsorted(e[-1], "right")
+    return means, variances, np.diff(below, axis=1).tolist()
 
 
 def feature_shift_report(original: Population, impacted: Population) -> dict:
@@ -268,32 +289,31 @@ def feature_shift_report(original: Population, impacted: Population) -> dict:
 
     Each feature's histograms share ``SHIFT_BINS`` bins over its range in
     both populations. Means and variances whose plain sums overflow come
-    through scaled terms (``_moments``), as the bin edges do.
+    through scaled terms (``_moments``), as the bin edges do. One group's
+    rows are summarised at a time, every feature at once (``_summaries``).
     """
     if original.schema.names != impacted.schema.names:
         raise ValueError("populations must share a schema")
-    report: dict = {}
-    for k, feature in enumerate(original.schema.features):
-        lo = float(min(original.X[:, k].min(), impacted.X[:, k].min()))
-        hi = float(max(original.X[:, k].max(), impacted.X[:, k].max()))
+    los = zip(original.X.min(axis=0), impacted.X.min(axis=0))
+    his = zip(original.X.max(axis=0), impacted.X.max(axis=0))
+    edges = []
+    for (lo_o, lo_i), (hi_o, hi_i) in zip(los, his):
+        lo, hi = float(min(lo_o, lo_i)), float(max(hi_o, hi_i))
         if hi == lo:
             hi = lo + 1.0
         h = 1.0 if hi - lo <= float_info.max else 0.5  # halved terms keep an overflowing span finite
-        edges = np.linspace(h * lo, h * hi, SHIFT_BINS + 1) / h
-        per_group: dict = {}
-        for g in original.group_names:
-            rows_before = original.group_rows(g)
-            rows_after = impacted.group_rows(g)
-            before = original.X[rows_before, k]
-            after = impacted.X[rows_after, k]
-            (mean_before, var_before), (mean_after, var_after) = _moments(before), _moments(after)
-            per_group[g] = {
-                "mean_before": mean_before,
-                "mean_after": mean_after,
-                "var_before": var_before,
-                "var_after": var_after,
-                "hist_before": np.histogram(before, bins=edges)[0].tolist(),
-                "hist_after": np.histogram(after, bins=edges)[0].tolist(),
+        edges.append(np.linspace(h * lo, h * hi, SHIFT_BINS + 1) / h)
+    report: dict = {f.name: {"bin_edges": e.tolist(), "groups": {}} for f, e in zip(original.schema.features, edges)}
+    for g in original.group_names:
+        before = _summaries(original.X, original.group_rows(g), edges)
+        after = _summaries(impacted.X, impacted.group_rows(g), edges)
+        for k, feature in enumerate(original.schema.features):
+            report[feature.name]["groups"][g] = {
+                "mean_before": before[0][k],
+                "mean_after": after[0][k],
+                "var_before": before[1][k],
+                "var_after": after[1][k],
+                "hist_before": before[2][k],
+                "hist_after": after[2][k],
             }
-        report[feature.name] = {"bin_edges": edges.tolist(), "groups": per_group}
     return report

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import DataError, FeatureSchema, Population, _distinct_rows
+from .dataset import DataError, FeatureSchema, Population, _distinct_rows, scaled_mean
 from .effort import EffortParams, benefit_value
 
 JITTER = 1e-8
@@ -283,8 +283,9 @@ def _best_split(D: np.ndarray, y: np.ndarray, order: np.ndarray) -> tuple[int, f
 
     ``order[k]`` holds the node's rows in ascending order of ``D[:, k]``,
     ties in row order, as a stable sort of the node's rows gives them. Every
-    split position of every feature, between distinct sorted values, is
-    scored at once; the running sums go along each feature's order, in the
+    split position of every feature, between distinct sorted values that are
+    not NaN (NaN sorts last, and no threshold sends a NaN left), is scored
+    at once; the running sums go along each feature's order, in the
     order a per-feature ``cumsum`` adds them. Each feature keeps its first
     (lowest threshold) least score, as ``argmin`` picks it, NaN first, and a
     later feature wins only with a strictly lower one.
@@ -298,7 +299,7 @@ def _best_split(D: np.ndarray, y: np.ndarray, order: np.ndarray) -> tuple[int, f
     ls, lq = csum[:, :-1], csq[:, :-1]
     rs, rq = csum[:, -1:] - ls, csq[:, -1:] - lq
     sse = _node_sse(ls, lq, nl) + _node_sse(rs, rq, n - nl)
-    distinct = xs[:, 1:] != xs[:, :-1]
+    distinct = (xs[:, 1:] != xs[:, :-1]) & ~np.isnan(xs[:, 1:])  # NaN sorts last: no split below one
     scores = np.where(distinct, sse, np.inf)
     at = np.argmin(scores, axis=1)
     # a feature whose every split scores inf keeps its first split, not a masked position
@@ -510,13 +511,14 @@ def fit_mlp(
 
 
 def evaluate(h: Predictor, pop: Population) -> FitReport:
-    """MAE overall and per group on the given population."""
+    """MAE overall and per group on the given population; finite errors give a finite MAE
+    (``scaled_mean``)."""
     preds = h.predict(pop)
     err = np.abs(preds - pop.y)
-    per_group = {g: float(np.mean(err[pop.group_rows(g)])) for g in pop.group_names}
+    per_group = {g: scaled_mean(err[pop.group_rows(g)]) for g in pop.group_names}
     return FitReport(
         model_kind=h.kind,
         hyperparameters=dict(h.hyperparameters),
-        mae_overall=float(np.mean(err)),
+        mae_overall=scaled_mean(err),
         mae_per_group=per_group,
     )

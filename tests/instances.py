@@ -133,3 +133,49 @@ def oracle_cases(draw, max_individuals: int = 12, n_groups: int = 2):
         },
     )
     return pop, params
+
+
+# Value pools of one shift-report column: a constant, signed zeros, fractions, a span past
+# the float range, squared deviations past it and the largest floats.
+_SHIFT_POOLS = [
+    (3.0,),
+    (-0.0, 0.0, 1.0, 2.0),
+    (0.1, 0.7, 1.3, 2.9, -4.2),
+    (-1e308, 1e308, 0.0, 5.0),
+    (-1e154, 1e154, 1.0),
+    (np.finfo(float).max, -np.finfo(float).max, 0.5),
+]
+
+
+def shift_pops(X: np.ndarray, moved: np.ndarray, codes) -> tuple[Population, Population]:
+    """Two populations on one schema: column 0 is the group (``codes``), the others numbers."""
+    levels = ("g1", "g2", "g3")
+    schema = FeatureSchema(
+        features=(Feature("grp", FeatureKind("immutable", levels=levels), mutable=False),)
+        + tuple(
+            Feature(f"f{k}", FeatureKind("numerical_monotone", direction="increasing"), mutable=True)
+            for k in range(1, X.shape[1])
+        ),
+        sensitive="grp",
+        label="y",
+    )
+    groups = [levels[c] for c in codes]
+    y = np.zeros(X.shape[0])
+    return Population(schema, X, y, groups), Population(schema, moved, y, groups)
+
+
+@st.composite
+def shift_cases(draw):
+    """``(X, moved, codes)``: 1-3 groups of 1-12 rows in any order, and 1-4 columns before and
+    after, each drawn from one of ``_SHIFT_POOLS``."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    codes = draw(st.permutations(np.repeat(np.arange(len(sizes)), sizes).tolist()))
+    n, k = len(codes), draw(st.integers(1, 4))
+
+    def columns():
+        return [draw(st.lists(st.sampled_from(draw(st.sampled_from(_SHIFT_POOLS))), min_size=n, max_size=n))
+                for _ in range(k)]
+
+    X = np.column_stack([codes, *columns()]).astype(float)
+    moved = np.column_stack([codes, *columns()]).astype(float)
+    return X, moved, codes

@@ -8,14 +8,21 @@ These functions never call the library's vectorized paths. The last three
 (``walk_level_tables``, ``best_split_per_node``, ``fit_tree_per_node``)
 are the straightforward numpy forms that sort every column again where it
 is read: the bit-for-bit references for the library's cached level codes
-and its presorted tree fit.
+and its presorted tree fit. The writers' references
+(``outcomes_json``, ``feature_shift_report``, ``write_table``,
+``write_csv``) take one row, feature or cell at a time through the
+general encoders: the byte-for-byte references for the column writers.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
+
+from effortsim.dataset import DataError, format_number
 
 
 def rank_leq(values, x) -> float:
@@ -337,8 +344,8 @@ def ssi(similarity) -> float:
 def tree_split(D, y):
     """The CART split scan as one scalar loop: ``(feature, threshold, child SSE)`` or None.
 
-    Every position between distinct sorted values of every feature is scored
-    in turn, and a split replaces the best only with a strictly lower SSE,
+    Every position between distinct sorted values of every feature, below a
+    value that is not NaN (NaN sorts last), is scored in turn, and a split replaces the best only with a strictly lower SSE,
     so ties go to the lowest feature, then the lowest threshold.
     """
     n = y.shape[0]
@@ -351,7 +358,7 @@ def tree_split(D, y):
         csq = np.cumsum(ys * ys)
         total_sum = csum[-1]
         total_sq = csq[-1]
-        for i in np.flatnonzero(xs[1:] != xs[:-1]):  # split after position i
+        for i in np.flatnonzero((xs[1:] != xs[:-1]) & ~np.isnan(xs[1:])):  # split after position i
             nl = int(i) + 1
             nr = n - nl
             left = csq[i] - csum[i] * csum[i] / nl
@@ -455,7 +462,8 @@ def best_split_per_node(D, y):
     """The CART split scan of one node from its own rows: ``(feature, threshold, child SSE)``.
 
     Each feature's rows are sorted stably here, every split position
-    between distinct sorted values is scored at once, ``argmin`` keeps the
+    between distinct sorted values below a value that is not NaN is scored
+    at once, ``argmin`` keeps the
     first least score and a later feature wins only with a strictly lower
     one.
     """
@@ -467,7 +475,7 @@ def best_split_per_node(D, y):
         ys = y[order]
         csum = np.cumsum(ys)
         csq = np.cumsum(ys * ys)
-        distinct = np.flatnonzero(xs[1:] != xs[:-1])
+        distinct = np.flatnonzero((xs[1:] != xs[:-1]) & ~np.isnan(xs[1:]))
         if distinct.size == 0:
             continue
         nl = distinct + 1
@@ -510,3 +518,81 @@ def fit_tree_per_node(pop, max_depth, best_split=best_split_per_node):
 
     build(np.arange(pop.size), 0)
     return nodes, splits
+
+
+def outcomes_json(impact) -> str:
+    """``outcomes_<model>.json``'s text: every row's ``ImitationOutcome.to_dict()``, indented
+    by the general JSON encoder."""
+    return json.dumps([o.to_dict() for o in impact.outcomes], sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def moments(x):
+    """``np.mean(x)`` and ``np.var(x)``; where finite values give a plain sum that overflows, the
+    mean as s * mean(x / s) with s the largest |x|, the variance as s² * mean(((x - mean) / s)²)
+    with s the largest |x - mean|."""
+    with np.errstate(over="ignore"):
+        mean, var = float(np.mean(x)), float(np.var(x))
+    if math.isfinite(mean) and math.isfinite(var) or not np.isfinite(x).all():
+        return mean, var
+    if not math.isfinite(mean):
+        s = float(np.abs(x).max())
+        mean = s * float(np.mean(x / s))
+    if not math.isfinite(var):
+        d = x - mean
+        s = float(np.abs(d).max())
+        var = s * s * float(np.mean(np.square(d / s)))
+    return mean, var
+
+
+def feature_shift_report(original, impacted, bins=10) -> dict:
+    """The shift report one feature and one group at a time: ``moments`` of each group's column
+    and ``np.histogram`` on ``bins`` bins over the feature's range in both populations (halved
+    terms where the span overflows)."""
+    report = {}
+    for k, feature in enumerate(original.schema.features):
+        lo = float(min(original.X[:, k].min(), impacted.X[:, k].min()))
+        hi = float(max(original.X[:, k].max(), impacted.X[:, k].max()))
+        if hi == lo:
+            hi = lo + 1.0
+        h = 1.0 if hi - lo <= np.finfo(float).max else 0.5
+        edges = np.linspace(h * lo, h * hi, bins + 1) / h
+        per_group = {}
+        for g in original.group_names:
+            before = original.X[original.group_rows(g), k]
+            after = impacted.X[impacted.group_rows(g), k]
+            (mean_before, var_before), (mean_after, var_after) = moments(before), moments(after)
+            per_group[g] = {
+                "mean_before": mean_before,
+                "mean_after": mean_after,
+                "var_before": var_before,
+                "var_after": var_after,
+                "hist_before": np.histogram(before, bins=edges)[0].tolist(),
+                "hist_after": np.histogram(after, bins=edges)[0].tolist(),
+            }
+        report[feature.name] = {"bin_edges": edges.tolist(), "groups": per_group}
+    return report
+
+
+def write_table(path, header, rows) -> None:
+    """The CSV table writer cell by cell: a string as it is, ``None`` empty, any other cell
+    through ``format_number``; a NaN or infinite number is a ``DataError`` after the rows
+    before it."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        try:
+            for row in rows:
+                writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
+        except ValueError:
+            raise DataError(f"{path}: a value to write is NaN or infinite") from None
+
+
+def write_csv(pop, path) -> None:
+    """A population in the input CSV format, cell by cell: a level column's name of
+    ``levels[int(v)]``, any other cell through ``format_number``."""
+    levels = [f.kind.levels for f in pop.schema.features]
+    rows = (
+        [format_number(v) if lv is None else lv[int(v)] for lv, v in zip(levels, x)] + [format_number(y)]
+        for x, y in zip(pop.X.tolist(), pop.y.tolist())
+    )
+    write_table(path, [*pop.schema.names, pop.schema.label], rows)

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import effortsim
+import oracles
 from conftest import synthetic_student_pop
 from effortsim import data_path, studentgen
 from effortsim.dataset import (
@@ -18,6 +21,8 @@ from effortsim.dataset import (
     FeatureSchema,
     Population,
     SchemaError,
+    format_number,
+    format_numbers,
     generate_synthetic,
     load_csv,
     load_schema,
@@ -153,6 +158,73 @@ class TestWriteTable:
         studentgen.write_csv(tmp_path / "student.csv")
         bundled = data_path("student_por_synthetic.csv").read_bytes()
         assert (tmp_path / "student.csv").read_bytes() == bundled
+
+
+# Finite floats, the edge cases among them: signed zeros, integers about 2**53, the extremes.
+_SPECIAL = [-0.0, 0.0, 2.0**53, -(2.0**53), 2.0**53 - 1, 2.0**53 + 2, 1e16, 1e308, -1e308, 5e-324, -5e-324, 0.1, -7.0]
+_FINITE = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+    st.integers(-3, 40).map(float),
+)
+
+
+class TestColumnFormat:
+    """``format_numbers`` and the column-at-a-time writers give ``format_number``'s text, cell for cell."""
+
+    @settings(max_examples=150)
+    @given(st.lists(_FINITE, max_size=80))
+    @example(_SPECIAL)
+    @example([0.0, 1e15])  # a span longer than the column: each integer formatted alone
+    def test_each_entry_as_format_number_writes_it(self, values):
+        assert format_numbers(np.array(values, dtype=np.float64)) == [format_number(v) for v in values]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_nan_and_infinity_are_refused(self, bad):
+        with pytest.raises(ValueError):
+            format_numbers(np.array([1.0, bad]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.one_of(
+                    _FINITE,
+                    st.sampled_from(["m", "lin,ear", 'say "hi"', "1.50", "", None, True, 3, 2**70, np.float64(0.1)]),
+                ),
+                min_size=2,
+                max_size=2,
+            )
+            | st.lists(_FINITE, min_size=1, max_size=3),  # ragged tables are written row by row
+            max_size=12,
+        ),
+        st.sampled_from([None, float("nan"), float("inf")]),
+    )
+    def test_tables_equal_the_per_cell_writer(self, tmp_path_factory, rows, bad):
+        tmp = tmp_path_factory.mktemp("tables")
+        if bad is not None and rows:
+            rows[len(rows) // 2] = [*rows[len(rows) // 2][:-1], bad]
+        outcomes = []
+        for writer, name in ((write_table, "got.csv"), (oracles.write_table, "want.csv")):
+            try:
+                writer(tmp / name, ["a", "b"], [list(row) for row in rows])
+                outcomes.append(None)
+            except DataError as exc:
+                outcomes.append(str(exc).replace(name, "t.csv"))
+        assert outcomes[0] == outcomes[1]
+        assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows", [2, 511, 512, 513, 1100])
+    def test_csv_equals_the_per_cell_writer(self, tmp_path, rows):
+        pop = synthetic_student_pop(rows)
+        X = pop.X.copy()
+        X[:, -1] = np.random.default_rng(rows).normal(scale=1e3, size=rows)  # floats beside integer columns
+        X[0, -1] = -0.0
+        pop = Population(pop.schema, X, pop.y, pop.groups)
+        write_csv(pop, tmp_path / "got.csv")
+        oracles.write_csv(pop, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_only_dataset_imports_csv():

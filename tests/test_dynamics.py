@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
 from conftest import run_simulate, single_group_pop
@@ -22,7 +24,7 @@ from effortsim.models import (
     fit_ridge,
     fit_tree,
 )
-from instances import random_instance
+from instances import random_instance, shift_cases, shift_pops
 
 
 def _skill_model(pop, weight=1.0, intercept=0.0):
@@ -579,6 +581,33 @@ class TestCandidateColumns:
         assert _moves(results[0]) == _hex(want)
         assert [i for i, m in enumerate(want) if m is not None] == [0, 1, 3, 4, 6, 7, 10]
         assert results.walk["subtile_cells"] < results.walk["pairs"]  # no tile is read whole
+
+
+class TestShiftReportReference:
+    """The shift report, every feature of a group at once, equals the per-feature loop bit for bit."""
+
+    @staticmethod
+    def _check(original, impacted):
+        with np.errstate(all="ignore"):  # plain sums that overflow are taken again
+            got = feature_shift_report(original, impacted)
+            want = oracles.feature_shift_report(original, impacted, dynamics.SHIFT_BINS)
+        assert list(got) == list(want)
+        # repr tells -0.0 from 0.0 and gives every other float's bits back
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shift_cases())
+    def test_equals_the_per_feature_loop(self, case):
+        self._check(*shift_pops(*case))
+
+    def test_equals_the_per_feature_loop_at_scale(self):
+        rng = np.random.default_rng(36)
+        codes = rng.integers(0, 2, 2100)
+        X = np.column_stack([codes, rng.normal(scale=1e3, size=(2100, 5)), rng.integers(0, 5, 2100)]).astype(float)
+        moved = X.copy()
+        moved[::3, 1:] = X[1::3][: moved[::3].shape[0], 1:]
+        moved[[4, 9], 2] = [-1e154, 1e154]  # one feature's squared deviations overflow after the round
+        self._check(*shift_pops(X, moved, codes.tolist()))
 
 
 class TestFeatureShiftReport:

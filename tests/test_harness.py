@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import count_effort_walks, harness_toy_schema, synthetic_student_pop
 import effortsim
-from effortsim import cli, data_path, harness, segregation
+from effortsim import cli, data_path, dynamics, harness, segregation
 from effortsim.dataset import DataError, Population, format_number, load_csv, schema_to_dict, split, write_csv
 from effortsim.effort import EffortEngine, EffortParams
 from effortsim.figures import _esc, bar_chart, cmd_figures, line_chart
@@ -780,6 +780,34 @@ class TestLevelCodes:
         assert len(keys) == len(set(keys))
         assert len({id(pop) for pop, _, _ in coded}) == 1 + len(config.models)  # training and each impact
 
+    def test_simulate_builds_no_impacted_table_and_no_outcome_rows(self, tmp_path, monkeypatch):
+        """Impacted populations code their columns without sorting every column, and the outcomes
+        file comes from the round's columns, not from ``ImpactResult.outcomes``; bytes are kept."""
+        from test_acceptance import BUNDLED_SHA256
+
+        built = []  # (population, group) of every feature table built
+        table = Population.feature_table
+
+        def recording(self, group):
+            if group not in self._feature_tables:
+                built.append((self, group))
+            return table(self, group)
+
+        def no_rows(self):
+            raise AssertionError("ImpactResult.outcomes built")
+
+        monkeypatch.setattr(Population, "feature_table", recording)
+        monkeypatch.setattr(dynamics.ImpactResult, "outcomes", property(no_rows))
+        config = load_config(data_path("student_config.json"))
+        cmd_simulate(config, tmp_path)
+        assert len({id(pop) for pop, _ in built}) == 1  # the training population's alone
+        for name in ("impacted", "outcomes", "shift"):
+            for spec in config.models:
+                f = f"{name}_{spec.name}.{'csv' if name == 'impacted' else 'json'}"
+                assert hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() == BUNDLED_SHA256[f], f
+        for f in ("segregation.csv", "simulate_report.json"):
+            assert hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() == BUNDLED_SHA256[f], f
+
     def test_every_bundled_column_reads_through_a_table(self, tmp_path):
         config = load_config(data_path("student_config.json"))
         walks = []
@@ -790,6 +818,58 @@ class TestLevelCodes:
         assert len(walks) == 1 + 2 + (1 + len(config.models)) + (1 + len(config.tau_grid))
         for walk in walks:
             assert walk["table_columns"] > 0 and walk["rule_columns"] == 0, walk
+
+
+# Floats of one outcome column: signed zeros, the extremes, fractions and any other finite float.
+_OUTCOME_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1e16, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _impact(role_model, reward, effort, utility) -> dynamics.ImpactResult:
+    return dynamics.ImpactResult(*(np.array(c) for c in (role_model, reward, effort, utility)), None, [])
+
+
+@st.composite
+def outcome_columns(draw):
+    """An ``ImpactResult``'s four columns over 1-40 rows: a role model or -1 (None) per row."""
+    n = draw(st.integers(1, 40))
+    role = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    floats = [draw(st.lists(_OUTCOME_FLOATS, min_size=n, max_size=n)) for _ in range(3)]
+    return [np.array(role, dtype=np.intp), *floats]
+
+
+class TestOutcomesWriter:
+    """``outcomes_*.json`` comes from its columns with the bytes the general JSON writer gives it,
+    and refuses NaN and infinity the same way."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(outcome_columns())
+    def test_outcomes_equal_the_json_writer(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("outcomes") / "outcomes_m.json"
+        impact = _impact(*columns)
+        harness._write_outcomes(path, impact)
+        assert path.read_bytes() == oracles.outcomes_json(impact).encode()
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 2100])
+    def test_outcomes_of_long_rounds(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        role = np.where(rng.random(n) < 0.3, -1, rng.integers(0, n, n))
+        reward, effort = rng.normal(size=n), rng.random(n)
+        reward[::7] = -0.0
+        impact = _impact(role, *(np.where(role < 0, 0.0, c) for c in (reward, effort, reward - effort)))
+        harness._write_outcomes(tmp_path / "o.json", impact)
+        assert (tmp_path / "o.json").read_bytes() == oracles.outcomes_json(impact).encode()
+
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_outcomes_refuse_nan_and_infinity(self, tmp_path, column, bad):
+        columns = [np.array([1, -1]), np.array([0.5, 0.0]), np.array([0.25, 0.0]), np.array([0.25, 0.0])]
+        columns[column][0] = bad
+        with pytest.raises(DataError, match="outcomes_m.json: a value to write is NaN or infinite"):
+            harness._write_outcomes(tmp_path / "outcomes_m.json", _impact(*columns))
+        assert not (tmp_path / "outcomes_m.json").exists()
 
 
 class TestSweepCommand:
@@ -919,6 +999,22 @@ class TestHugeValues:
         assert not TestHugeValues.NOT_FINITE.search((out / "shift_tree.json").read_text())
         spread = report["age"]["groups"]["F"]
         assert spread["var_before"] == spread["var_after"] == pytest.approx(1e308 / 259 * 2, rel=1e-12)
+
+    def test_overflowing_mae(self, tmp_path):
+        # data rows 1 and 3 train; the tree's absolute errors there sum past the float range,
+        # yet their mean, about 4.2e305 over the training rows, is a finite number
+        lines = _bundled_lines_with({(1, "G3"): "-9.5e307", (3, "G3"): "9.5e307"})
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        tree = [{"name": "tree", "kind": "tree", "max_depth": 5}]
+        config = {**_bundled_config(), "dataset": str(tmp_path / "data.csv"), "models": tree}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):  # the tree scan's sums of squares overflow
+            assert cli.main(["fairness", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        text = (out / "mae_report.json").read_text()
+        assert not TestHugeValues.NOT_FINITE.search(text)
+        train = json.loads(text)["tree"]["train"]
+        assert 1e305 < train["mae_overall"] < 1e306 and 1e305 < train["mae_per_group"]["F"] < 1e307
 
     def test_json_writer_refuses_nan_and_infinity(self, tmp_path):
         for value in (float("nan"), float("inf"), -float("inf")):

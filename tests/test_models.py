@@ -251,6 +251,31 @@ class TestPresortedTree:
         assert sorts == [pop.X.T.shape]  # each feature sorted once
 
 
+class TestNanSplits:
+    """NaN sorts last, and no split lies below a NaN: a NaN-only feature is never split, and a
+    finite and NaN feature splits between its finite values only."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_nan_threshold_and_no_empty_leaf(self):
+        nan = np.nan
+        X = np.array([[nan, 1.0], [nan, 2.0], [nan, nan], [nan, 3.0], [nan, nan], [nan, 1.0]])
+        y = np.array([0.0, 5.0, 9.0, 5.0, 9.0, 0.0])
+        pop = _tree_pop(X, y)
+        tree = fit_tree(pop, 4)
+        splits = [node for node in tree.nodes if node["feature"] >= 0]
+        assert splits and all(node["feature"] == 1 and np.isfinite(node["threshold"]) for node in splits)
+        assert all(np.isfinite(node["value"]) for node in tree.nodes)
+        assert np.isfinite(tree.predict(pop)).all()
+        # every leaf holds a row: the rows reaching each node, as predict_rows sends them
+        rows = {0: np.arange(pop.size)}
+        for i, node in enumerate(tree.nodes):
+            assert rows[i].size > 0, (i, tree.nodes)
+            if node["feature"] >= 0:
+                left = pop.X[rows[i], node["feature"]] <= node["threshold"]
+                rows[node["left"]], rows[node["right"]] = rows[i][left], rows[i][~left]
+        assert models._best_split(X[:, :1], y, np.argsort(X[:, :1].T, axis=1, kind="stable")) is None
+
+
 class TestConstrained:
     def test_tau_zero_is_least_squares(self):
         pop = _two_group_pop(seed=7)
