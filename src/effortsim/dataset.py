@@ -567,18 +567,6 @@ def format_numbers(values) -> list[str]:
     return text.tolist()
 
 
-def _format_cells(cells: Sequence) -> list[str]:
-    """``cells`` (a row or a column) as ``write_table`` writes them: all through ``format_numbers``
-    when they are numbers alone, else cell by cell."""
-    try:
-        numbers = np.array(cells)
-    except ValueError:  # a cell that is a sequence
-        numbers = None
-    if numbers is not None and numbers.ndim == 1 and numbers.dtype.kind in "biuf":
-        return format_numbers(numbers)
-    return [c if isinstance(c, str) else "" if c is None else format_number(c) for c in cells]
-
-
 @contextlib.contextmanager
 def _table_writer(path: str | Path, header: Sequence[str]):
     """A CSV writer on file ``path`` that has written ``header``; a ``ValueError`` inside the
@@ -596,27 +584,11 @@ def write_table(path: str | Path, header: Sequence[str], rows) -> None:
     """Write ``header`` and ``rows`` to ``path`` as comma-separated text, quoted where needed.
 
     A string cell is written as it is, ``None`` as an empty cell, any other through ``format_number``;
-    a NaN or infinite number is a ``DataError`` naming the file, written after the rows before it.
-    Rows of one width are formatted a column at a time (``_format_cells``), others row by row, as
-    are the rows of a table that holds a NaN or an infinity.
+    a NaN or infinite number is a ``DataError`` naming the file.
     """
-    rows = [list(row) for row in rows]
-    columns = list(zip(*rows))
-    text = None
-    if columns and all(len(row) == len(columns) for row in rows):
-        try:
-            text = zip(*map(_format_cells, columns))
-        except ValueError:  # written row by row, up to the row that holds it
-            pass
     with _table_writer(path, header) as writer:
-        writer.writerows(map(_format_cells, rows) if text is None else text)
-
-
-def _level_names(levels: Sequence[str], codes: np.ndarray) -> list[str]:
-    """``[levels[int(c)] for c in codes]``: one gather where every ``int(c)`` indexes ``levels``."""
-    if np.all((codes > -len(levels) - 1) & (codes < len(levels))):  # False for NaN: it raises below
-        return np.array(levels, dtype=object)[codes.astype(np.intp)].tolist()
-    return [levels[int(c)] for c in codes.tolist()]
+        for row in rows:
+            writer.writerow([c if isinstance(c, str) else "" if c is None else format_number(c) for c in row])
 
 
 # Rows formatted and written at a time by write_csv.
@@ -626,14 +598,19 @@ CSV_BLOCK = 512
 def write_csv(pop: Population, path: str | Path) -> None:
     """Serialize a population in the input CSV format, which ``load_csv`` re-ingests bit-exactly.
 
-    Cells are formatted a column at a time (``format_numbers``, or each
-    level's name), ``CSV_BLOCK`` rows at a time to hold little text at once.
+    Cells are formatted a column at a time (``format_numbers``, or one
+    gather of the level names), ``CSV_BLOCK`` rows at a time to hold little
+    text at once. A level column's code that indexes no level is a
+    ``DataError`` naming the file, and no file is written.
     """
-    levels = [f.kind.levels for f in pop.schema.features]
+    names = [None if f.kind.levels is None else np.array(f.kind.levels, dtype=object) for f in pop.schema.features]
+    for f, lv, col in zip(pop.schema.features, names, pop.X.T):
+        if lv is not None and not ((col >= 0) & (col < lv.shape[0])).all():
+            raise DataError(f"{path}: column {f.name!r} holds a code that indexes no level")
     with _table_writer(path, [*pop.schema.names, pop.schema.label]) as writer:
         for start in range(0, pop.size, CSV_BLOCK):
             block = pop.X[start:start + CSV_BLOCK]
-            columns = [format_numbers(col) if lv is None else _level_names(lv, col) for lv, col in zip(levels, block.T)]
+            columns = [format_numbers(col) if lv is None else lv[col.astype(np.intp)].tolist() for lv, col in zip(names, block.T)]
             columns.append(format_numbers(pop.y[start:start + CSV_BLOCK]))
             writer.writerows(zip(*columns))
 

@@ -17,6 +17,7 @@ candidates that can win, with the bits of a whole-tile walk (see
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from sys import float_info
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import effort
-from .dataset import Population, scaled_mean
+from .dataset import DataError, Population, scaled_mean
 from .effort import EffortEngine, EffortParams
 
 SHIFT_BINS = 10  # histogram bins per feature in feature_shift_report
@@ -55,6 +56,13 @@ class ImitationOutcome:
             "utility": self.utility,
             "changed": self.changed,
         }
+
+
+# The keys of an outcomes file's row in the order a sorted JSON encoder writes them, and the row as
+# json.dumps(rows, sort_keys=True, indent=2) lays out one to_dict() in the list: a %s per key.
+OUTCOME_KEYS = sorted(ImitationOutcome(0, None, 0.0, 0.0, 0.0, False).to_dict())
+OUTCOME_ROW = "  {\n" + ",\n".join(f"    {json.dumps(k)}: %s" for k in OUTCOME_KEYS) + "\n  }"
+OUTCOME_BLOCK = 512  # rows encoded and written at a time by ImpactResult.write_outcomes
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,32 @@ class ImpactResult:
             ImitationOutcome(i, None if j < 0 else j, r, e, u, changed=j >= 0)
             for i, (j, r, e, u) in enumerate(zip(*columns))
         ]
+
+    def write_outcomes(self, path) -> None:
+        """Write ``[o.to_dict() for o in self.outcomes]`` to file ``path`` with the bytes of
+        ``json.dumps(rows, sort_keys=True, indent=2)`` and a newline, from the columns; builds no
+        ``ImitationOutcome``.
+
+        Per block of ``OUTCOME_BLOCK`` rows, each float column is one call of
+        the C JSON encoder, which writes a float as ``repr`` does, -0.0
+        included, and each row fills ``OUTCOME_ROW``. A NaN or infinite
+        number is a ``DataError`` naming the file, and no file is written.
+        """
+        floats = {"effort": self.effort, "reward": self.reward, "utility": self.utility}
+        if not all(np.isfinite(c).all() for c in floats.values()):
+            raise DataError(f"{path}: a value to write is NaN or infinite")
+        n = self.role_model.shape[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("[\n" if n else "[]\n")
+            for lo in range(0, n, OUTCOME_BLOCK):
+                hi = min(lo + OUTCOME_BLOCK, n)
+                role_model = self.role_model[lo:hi].tolist()
+                text = {k: json.dumps(c[lo:hi].tolist())[1:-1].split(", ") for k, c in floats.items()}
+                text["individual"] = range(lo, hi)
+                text["role_model"] = ["null" if j < 0 else j for j in role_model]
+                text["changed"] = ["false" if j < 0 else "true" for j in role_model]
+                rows = [OUTCOME_ROW % row for row in zip(*(text[k] for k in OUTCOME_KEYS))]
+                fh.write(",\n".join(rows) + (",\n" if hi < n else "\n]\n"))
 
 
 class RoundResults(list):

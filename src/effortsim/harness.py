@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dataset import (
     ALL_FEATURES,
@@ -259,39 +257,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-# One row of outcomes_<model>.json: ImitationOutcome.to_dict()'s keys, sorted, as _write_json lays them out.
-OUTCOME_ROW = (
-    '  {\n    "changed": %s,\n    "effort": %s,\n    "individual": %d,\n'
-    '    "reward": %s,\n    "role_model": %s,\n    "utility": %s\n  }'
-)
-OUTCOME_BLOCK = 512  # rows encoded and written at a time
-
-
-def _write_outcomes(path: Path, impact) -> None:
-    """``impact``'s rows as ``_write_json(path, [o.to_dict() for o in impact.outcomes])`` writes
-    them, byte for byte, from the result's columns; builds no ``ImitationOutcome``.
-
-    Per block of rows, each float column is one call of the C JSON encoder,
-    which writes a float as ``repr`` does, -0.0 included, and each row fills
-    ``OUTCOME_ROW``. A NaN or infinite number is a ``DataError`` naming the
-    file, and no file is written.
-    """
-    floats = (impact.effort, impact.reward, impact.utility)
-    if not all(np.isfinite(c).all() for c in floats):
-        raise DataError(f"{path}: a value to write is NaN or infinite")
-    n = impact.role_model.shape[0]
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("[\n" if n else "[]\n")
-        for lo in range(0, n, OUTCOME_BLOCK):
-            hi = min(lo + OUTCOME_BLOCK, n)
-            effort, reward, utility = (json.dumps(c[lo:hi].tolist())[1:-1].split(", ") for c in floats)
-            rows = [
-                OUTCOME_ROW % ("false", e, i, r, "null", u) if j < 0 else OUTCOME_ROW % ("true", e, i, r, j, u)
-                for i, j, e, r, u in zip(range(lo, hi), impact.role_model[lo:hi].tolist(), effort, reward, utility)
-            ]
-            fh.write(",\n".join(rows) + (",\n" if hi < n else "\n]\n"))
-
-
 def _make_out_dir(out_dir: Path) -> None:
     """Create the output directory; a path that cannot be one is a ``DataError``."""
     try:
@@ -489,7 +454,7 @@ def cmd_simulate(config: ExperimentConfig, out_dir: Path) -> Path:
     def emit_impact(name: str, impact):
         write_csv(impact.impacted, runner.file(f"impacted_{name}.csv"))
         _write_json(runner.file(f"shift_{name}.json"), feature_shift_report(train, impact.impacted))
-        _write_outcomes(runner.file(f"outcomes_{name}.json"), impact)
+        impact.write_outcomes(runner.file(f"outcomes_{name}.json"))
 
     for spec, _, impact in runs:
         runner.run(f"simulate_{spec.name}", lambda: emit_impact(spec.name, impact))

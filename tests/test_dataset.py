@@ -196,7 +196,7 @@ class TestColumnFormat:
                 min_size=2,
                 max_size=2,
             )
-            | st.lists(_FINITE, min_size=1, max_size=3),  # ragged tables are written row by row
+            | st.lists(_FINITE, min_size=1, max_size=3),  # ragged tables too
             max_size=12,
         ),
         st.sampled_from([None, float("nan"), float("inf")]),
@@ -225,6 +225,16 @@ class TestColumnFormat:
         write_csv(pop, tmp_path / "got.csv")
         oracles.write_csv(pop, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("code", [-1.0, 2.5e9, float("nan")])
+    def test_csv_refuses_a_code_that_indexes_no_level(self, tmp_path, code):
+        pop = synthetic_student_pop(4)
+        k = next(k for k, f in enumerate(pop.schema.features) if f.kind.levels is not None)
+        X = pop.X.copy()
+        X[2, k] = code
+        with pytest.raises(DataError, match=f"bad.csv: column {pop.schema.names[k]!r} holds a code that indexes no level"):
+            write_csv(Population(pop.schema, X, pop.y, pop.groups), tmp_path / "bad.csv")
+        assert not (tmp_path / "bad.csv").exists()
 
 
 def test_only_dataset_imports_csv():

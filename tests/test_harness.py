@@ -849,7 +849,7 @@ class TestOutcomesWriter:
     def test_outcomes_equal_the_json_writer(self, tmp_path_factory, columns):
         path = tmp_path_factory.mktemp("outcomes") / "outcomes_m.json"
         impact = _impact(*columns)
-        harness._write_outcomes(path, impact)
+        impact.write_outcomes(path)
         assert path.read_bytes() == oracles.outcomes_json(impact).encode()
 
     @pytest.mark.parametrize("n", [1, 511, 512, 513, 2100])
@@ -859,7 +859,7 @@ class TestOutcomesWriter:
         reward, effort = rng.normal(size=n), rng.random(n)
         reward[::7] = -0.0
         impact = _impact(role, *(np.where(role < 0, 0.0, c) for c in (reward, effort, reward - effort)))
-        harness._write_outcomes(tmp_path / "o.json", impact)
+        impact.write_outcomes(tmp_path / "o.json")
         assert (tmp_path / "o.json").read_bytes() == oracles.outcomes_json(impact).encode()
 
     @pytest.mark.parametrize("column", [1, 2, 3])
@@ -868,7 +868,7 @@ class TestOutcomesWriter:
         columns = [np.array([1, -1]), np.array([0.5, 0.0]), np.array([0.25, 0.0]), np.array([0.25, 0.0])]
         columns[column][0] = bad
         with pytest.raises(DataError, match="outcomes_m.json: a value to write is NaN or infinite"):
-            harness._write_outcomes(tmp_path / "outcomes_m.json", _impact(*columns))
+            _impact(*columns).write_outcomes(tmp_path / "outcomes_m.json")
         assert not (tmp_path / "outcomes_m.json").exists()
 
 
