@@ -1,10 +1,10 @@
 """Feature schemas, populations, CSV ingestion, splitting and synthetic data.
 
-A population bundles the raw feature matrix with per-group sorted value
-tables; those tables are what every downstream quantile-rank computation
-reads, so each is sorted on first use, cached and never mutated. The same
-holds for each column's level codes and each group's distinct profiles,
-which the effort walks read.
+A population bundles the raw feature matrix with each (group, column)'s
+level codes: the column's sorted distinct values and each row's index among
+them. They are the one sorted form of a column; every quantile rank and
+every effort walk reads them, so each is built on first use, cached and
+never mutated. The same holds for each group's distinct profiles.
 """
 
 from __future__ import annotations
@@ -175,7 +175,10 @@ def json_number(value, what: str, integer: bool = False):
     """``value`` as a JSON number, an int if ``integer`` and else a float; never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise SchemaError(f"{what} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value if integer else float(value)
+    try:
+        return value if integer else float(value)
+    except OverflowError:
+        raise SchemaError(f"{what} must be a finite number, got an integer beyond the float range") from None
 
 
 def json_string(value, what: str, optional: bool = False):
@@ -281,16 +284,16 @@ def load_schema(path: str | Path) -> FeatureSchema:
     return schema_from_dict(read_json(path, "schema"))
 
 
-def level_codes(table: np.ndarray, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, codes)``: the distinct values of the sorted 1-D ``table``, and the index among
-    them of each entry of ``column``, as the smallest unsigned type that holds it.
+def level_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, codes)``: the sorted distinct values of the 1-D ``column``, and the index among
+    them of each entry, as the smallest unsigned type that holds it.
 
     Values that compare equal are one value (-0.0 and 0.0), and every NaN is
     one value, the last: NaN sorts last, and a binary search sends each NaN
     to the first NaN. So every entry's value compares equal to its code's
-    (NaN to NaN). The sort is the caller's, so a population codes a group's
-    column off its group table where it has built that table.
+    (NaN to NaN).
     """
+    table = np.sort(column)
     keep = np.ones(table.shape, bool)
     np.not_equal(table[1:], table[:-1], out=keep[1:])
     values = table[keep]
@@ -337,13 +340,13 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Population:
-    """Immutable collection of individuals plus frozen per-group value tables.
+    """Immutable collection of individuals plus their cached level codes and profiles.
 
-    ``feature_table(s)`` returns an (n_s, K) array whose column k holds the
-    sorted feature-k values of group s; ``label_table(s)`` the sorted labels.
-    ``levels`` codes a column's values and ``profiles`` finds a group's
-    distinct profiles. Each is built on first use and cached, so a
-    population whose tables nobody reads never sorts them. Row order of
+    ``levels(group, k)`` codes column k over a group's rows (or every row):
+    its sorted distinct values and each row's code, the only sorted form of
+    a column, from which quantile ranks are read. ``profiles`` finds a
+    group's distinct profiles. Each is built on first use and cached, so a
+    population sorts only the columns that something reads. Row order of
     ``X``/``y``/``groups`` is the ingestion order.
     """
 
@@ -362,8 +365,6 @@ class Population:
         self.groups = tuple(str(g) for g in groups)
         self.group_names: tuple[str, ...] = tuple(sorted(set(self.groups)))
         self._group_rows: dict[str, np.ndarray] = {}
-        self._feature_tables: dict[str, np.ndarray] = {}
-        self._label_tables: dict[str, np.ndarray] = {}
         self._levels: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._profiles: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         garr = np.array(self.groups, dtype=object)
@@ -382,28 +383,11 @@ class Population:
     def group_size(self, group: str) -> int:
         return int(self.group_rows(group).size)
 
-    def feature_table(self, group: str) -> np.ndarray:
-        return self._sorted(self._feature_tables, group, self.X)
-
-    def label_table(self, group: str) -> np.ndarray:
-        return self._sorted(self._label_tables, group, self.y)
-
-    def _sorted(self, cache: dict, group: str, values: np.ndarray) -> np.ndarray:
-        """``values``' group rows sorted along axis 0, built once per group."""
-        if group not in cache:
-            table = np.sort(values[self.group_rows(group)], axis=0)
-            table.setflags(write=False)
-            cache[group] = table
-        return cache[group]
-
     def levels(self, group: str | None, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Column k's ``level_codes`` over the rows of ``group`` (``group_rows`` order), or over
         every row for ``None``: its sorted distinct values and each row's code. Column
-        ``schema.size`` is the label.
-
-        Built once per (group, column): a group's values come off its sorted
-        table if it is built, else off a sort of the column alone, and every
-        row's off the groups' values.
+        ``schema.size`` is the label. Built once per (group, column), off a sort of that column
+        alone, so coding a few columns sorts no other.
         """
         if (group, k) not in self._levels:
             self._levels[group, k] = self._code(group, k)
@@ -411,17 +395,7 @@ class Population:
 
     def _code(self, group: str | None, k: int) -> tuple[np.ndarray, np.ndarray]:
         column = self.X[:, k] if k < self.schema.size else self.y
-        if group is None:
-            table = np.sort(np.concatenate([self.levels(g, k)[0] for g in self.group_names]))
-            return level_codes(table, column)
-        column = column[self.group_rows(group)]
-        if k == self.schema.size:
-            table = self.label_table(group)
-        elif group in self._feature_tables:
-            table = self._feature_tables[group][:, k]
-        else:  # the column's own sort: coding a few columns sorts no other
-            table = np.sort(column)
-        return level_codes(table, column)
+        return level_codes(column if group is None else column[self.group_rows(group)])
 
     def profiles(self, group: str, label: bool) -> tuple[np.ndarray, np.ndarray]:
         """``_distinct_rows`` of the group's rows over the mutable features, and the label too
@@ -600,12 +574,13 @@ def write_csv(pop: Population, path: str | Path) -> None:
 
     Cells are formatted a column at a time (``format_numbers``, or one
     gather of the level names), ``CSV_BLOCK`` rows at a time to hold little
-    text at once. A level column's code that indexes no level is a
-    ``DataError`` naming the file, and no file is written.
+    text at once. A level column's code that indexes no level (negative,
+    too large, NaN or not an integer) is a ``DataError`` naming the file
+    and the column, and no file is written.
     """
     names = [None if f.kind.levels is None else np.array(f.kind.levels, dtype=object) for f in pop.schema.features]
     for f, lv, col in zip(pop.schema.features, names, pop.X.T):
-        if lv is not None and not ((col >= 0) & (col < lv.shape[0])).all():
+        if lv is not None and not ((col >= 0) & (col < lv.shape[0]) & (col == np.trunc(col))).all():
             raise DataError(f"{path}: column {f.name!r} holds a code that indexes no level")
     with _table_writer(path, [*pop.schema.names, pop.schema.label]) as writer:
         for start in range(0, pop.size, CSV_BLOCK):
@@ -618,8 +593,8 @@ def write_csv(pop: Population, path: str | Path) -> None:
 def split(pop: Population, train_fraction: float, seed: int) -> tuple[Population, Population]:
     """Deterministic shuffled partition into train/test parts.
 
-    Quantile tables are rebuilt per part. Raises if either part would lose
-    a group entirely.
+    Each part codes its own columns (``Population.levels``). Raises if
+    either part would lose a group entirely.
     """
     if not 0.0 < train_fraction < 1.0:
         raise DataError(f"train_fraction must be in (0,1), got {train_fraction}")

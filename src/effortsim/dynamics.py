@@ -257,7 +257,7 @@ def simulate(models: Sequence, pop: Population, params: EffortParams) -> RoundRe
 
     An imitation target keeps the individual's own non-mutable entries, so
     only mutable features cost; their efforts are measured on ``pop``'s own
-    quantile tables and streamed once for all models. Returns one
+    quantile ranks and streamed once for all models. Returns one
     ``ImpactResult`` per model, in order; each equals that model's result
     when simulated alone.
     """

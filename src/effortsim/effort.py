@@ -18,8 +18,8 @@ A walk's gates are decided once, in ``EffortEngine._gates``, as a list of
 The mask, the candidate columns and the row order read that list alone.
 
 Column K, one past the schema's features, is the label: the segregation
-distance takes its positive rank gap on the group's label table, through
-the increasing monotone rule.
+distance takes its positive rank gap among the group's labels, through the
+increasing monotone rule.
 
 Total effort is ``base_cost + (1/K) * sum_k weight_k * eps_k`` over the
 schema's K features, accumulated in ascending schema order, and ``inf``
@@ -31,8 +31,8 @@ features take a handful of values. A walk reads each side's columns as
 level codes (``dataset.level_codes``): a population codes each (group,
 column) once (``Population.levels``, read through ``pop_levels``), and rows
 that are no population's are coded per walk (``own_levels``). A rule reads
-keys, one per distinct value: its rank on the group's table, ranked once
-per value set (``EffortEngine._keys``), or the value itself. The pairwise
+keys, one per value: its quantile rank, read off the reference group's
+level codes of the column (``_rank``), or the value itself. The pairwise
 kernel has one walk, ``EffortEngine.eps_reads``, in row tiles: each tile's
 terms are read over every pair of the tile, over the pairs of chosen
 columns, or over chosen pairs, and its gates over every column or over
@@ -81,6 +81,14 @@ def _is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _finite(x) -> bool:
+    """``math.isfinite(x)``, false for an int beyond the float range instead of an ``OverflowError``."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class EffortParams:
     """The utility model: the benefit of a prediction, risk aversion and the cost model.
@@ -103,13 +111,13 @@ class EffortParams:
     def __post_init__(self) -> None:
         if self.benefit not in BENEFITS:
             raise SchemaError(f"unknown benefit {self.benefit!r}")
-        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+        if not (self.alpha > 0 and _finite(self.alpha)):
             raise SchemaError(f"alpha must be a positive finite real, got {self.alpha}")
-        if not (self.categorical_cost >= 0 and math.isfinite(self.categorical_cost)):
+        if not (self.categorical_cost >= 0 and _finite(self.categorical_cost)):
             raise SchemaError("categorical_cost must be finite and >= 0")
         costs = self.base_cost.values() if isinstance(self.base_cost, Mapping) else [self.base_cost]
         for c in costs:
-            if not (_is_number(c) and c >= 0 and math.isfinite(c)):
+            if not (_is_number(c) and c >= 0 and _finite(c)):
                 raise SchemaError("base costs must be finite and >= 0")
         if not (self.feature_weights is None or isinstance(self.feature_weights, Mapping)):
             raise SchemaError("feature_weights must map features or groups to weights")
@@ -118,7 +126,7 @@ class EffortParams:
         for key, value in (self.feature_weights or {}).items():
             group, entries = (key, value) if isinstance(value, Mapping) else (None, {key: value})
             for name, w in entries.items():
-                if not (_is_number(w) and w >= 0 and math.isfinite(w)):
+                if not (_is_number(w) and w >= 0 and _finite(w)):
                     raise SchemaError(f"weight for {name!r} must be finite and >= 0, got {w!r}")
             weights.setdefault(group, {}).update(entries)
         object.__setattr__(self, "_weights", weights)
@@ -159,16 +167,23 @@ class EffortParams:
         return float(self.categorical_cost)
 
 
-def _rank_desc(table: np.ndarray, x) -> np.ndarray | float:
-    """Fraction of values >= x (the mirrored CDF for decreasing features)."""
-    n = table.shape[0]
-    idx = np.searchsorted(table, x, side="left")
-    return (n - idx) / n
+def _rank(levels: tuple[np.ndarray, np.ndarray], increasing: bool):
+    """The quantile rank on a column from its ``level_codes`` ``(values, codes)``: ``x ->`` the
+    fraction of the column's entries <= x, or >= x when not ``increasing`` (the mirrored CDF of a
+    decreasing feature), elementwise over the array ``x``.
 
-
-def _rank_asc(table: np.ndarray, x) -> np.ndarray | float:
-    n = table.shape[0]
-    return np.searchsorted(table, x, side="right") / n
+    ``below[i]`` counts the entries of the first i distinct values, which is
+    where a binary search of the sorted column puts every x that the same
+    search of ``values`` puts at i. So each rank has the bits of
+    ``np.searchsorted(np.sort(column), x, side) / n``, NaN (one value, the
+    last) and -0.0/0.0 included.
+    """
+    values, codes = levels
+    n = codes.shape[0]
+    below = np.concatenate(([0], np.cumsum(np.bincount(codes))))
+    if increasing:
+        return lambda x: below[np.searchsorted(values, x, side="right")] / n
+    return lambda x: (n - below[np.searchsorted(values, x, side="left")]) / n
 
 
 def benefit_value(benefit: str, y, y_hat):
@@ -205,7 +220,7 @@ def tile_rows(n_cols: int) -> int:
 def own_levels(X: np.ndarray):
     """``k -> level_codes`` of column k of ``X``, each column coded on its first call: the levels
     of rows that are no population's, such as focal vectors."""
-    return functools.cache(lambda k: level_codes(np.sort(X[:, k]), X[:, k]))
+    return functools.cache(lambda k: level_codes(X[:, k]))
 
 
 def pop_levels(pop: Population, group: str | None, positions: np.ndarray | None = None):
@@ -321,14 +336,15 @@ def _gate_order(gates, Xa: np.ndarray):
 class EffortEngine:
     """Vectorized effort computations over a frozen reference population.
 
-    Quantile tables come from ``reference`` and stay fixed; query rows may
-    belong to any population with the same schema. Every effort goes
-    through ``eps_reads``. A caller that needs ``inf`` for a ruled-out move
+    Quantile ranks are read off ``reference``'s level codes
+    (``Population.levels``), which stay fixed; query rows may belong to any
+    population with the same schema. Every effort goes through
+    ``eps_reads``. A caller that needs ``inf`` for a ruled-out move
     (``eps_sum``, ``pairwise_effort``) writes it from the gates' mask; the
     audit folds the mask on each tile's candidate columns and reads the
     feasible pairs alone. A pair's sum has the same bits in every read. An
-    engine makes each column's rule once per group and ranks each value set
-    once (``_keys``); ``columns`` counts its walks' column paths.
+    engine makes each column's rule once per group; ``columns`` counts its
+    walks' column paths.
     """
 
     def __init__(self, reference: Population, params: EffortParams):
@@ -337,32 +353,21 @@ class EffortEngine:
         self.schema = reference.schema
         # The term columns of every walk this engine made: read through a level table, or by rule.
         self.columns = {"table_columns": 0, "rule_columns": 0}
-        self._ranks: dict = {}
         self._rules: dict = {}
-
-    def _keys(self, group: str, k: int, key, values: np.ndarray) -> np.ndarray:
-        """``key(values)`` for a value set of a walk's levels: ranked once per (group, column, value
-        set), since a population's sets are cached. The entry holds ``values``, so while it
-        lives no other array has its id. Values are their own keys."""
-        if key is _values:
-            return values
-        entry = (group, k, id(values))
-        if entry not in self._ranks:
-            self._ranks[entry] = (values, key(values))
-        return self._ranks[entry][1]
 
     def _eps_rule(self, group: str, k: int):
         """Feature k's finite effort rule as ``(key, op)``, or ``None`` for an immutable column,
         which has no rule; made once per (group, column) (``_rule``).
 
         ``key(values)`` gives what the rule reads of each of the 1-D
-        ``values``: its rank on the group's table, or the value itself
-        (``_values``) for a categorical column. ``op(ka, kb, out)`` writes the
-        finite efforts from keys ``ka`` to keys ``kb``, elementwise and
-        broadcast. Column ``k = schema.size`` is the label: the increasing
-        monotone rule on the group's label table. The monotone kinds
-        (conditionally immutable included) and the non-monotone ones share
-        one op: the rank gap, clamped at 0 or taken absolute.
+        ``values``: its quantile rank among the reference group's values of
+        the column (``_rank``), or the value itself (``_values``) for a
+        categorical column. ``op(ka, kb, out)`` writes the finite efforts from
+        keys ``ka`` to keys ``kb``, elementwise and broadcast. Column
+        ``k = schema.size`` is the label: the increasing monotone rule on the
+        group's labels. The monotone kinds (conditionally immutable included)
+        and the non-monotone ones share one op: the rank gap, clamped at 0 or
+        taken absolute.
         """
         if (group, k) not in self._rules:
             self._rules[group, k] = self._rule(group, k)
@@ -371,11 +376,9 @@ class EffortEngine:
     def _rule(self, group: str, k: int):
         if k == self.schema.size:
             feature, kind, increasing = None, NUMERICAL_MONOTONE, True
-            table = self.reference.label_table(group)
         else:
             feature = self.schema.features[k]
             kind, increasing = feature.kind.kind, feature.kind.direction == INCREASING
-            table = self.reference.feature_table(group)[:, k]
         if kind == IMMUTABLE:
             return None
         if kind == CATEGORICAL:
@@ -387,7 +390,6 @@ class EffortEngine:
 
             return _values, op
         absolute = kind in (NUMERICAL_NONMONOTONE, ORDINAL_NONMONOTONE)
-        rank = _rank_asc if absolute or increasing else _rank_desc
 
         def op(qa, qb, out):
             np.subtract(qb, qa, out=out)
@@ -396,7 +398,7 @@ class EffortEngine:
             else:  # a gated move never lowers the rank, so its gap is already >= +0.0
                 np.maximum(0.0, out, out=out)
 
-        return functools.partial(rank, table), op
+        return _rank(self.reference.levels(group, k), absolute or increasing), op
 
     def _gates(self, group: str, feature_indices: Sequence[int], weighted: bool) -> list[tuple[int, int]]:
         """The walk's gates as ``(k, d)`` (see ``_gate``), in the order of ``_gate_order``'s keys.
@@ -454,7 +456,7 @@ class EffortEngine:
                     out.append((k, (op, key, Xa[:, k], key(Xb[:, k])), None, None))
                     continue
                 table = np.empty((values_a.shape[0], values_b.shape[0]), dtype)
-                op(self._keys(group, k, key, values_a)[:, None], self._keys(group, k, key, values_b), table)
+                op(key(values_a)[:, None], key(values_b), table)
                 out.append((k, None, table.take(codes_b, axis=1), codes_a))
         return terms, masks
 
@@ -558,7 +560,7 @@ class EffortEngine:
         can be made at all; and ``cols`` the tile's candidate columns, outside which no move is
         allowed (``EVERY`` for a walk with no gate).
 
-        Row i's own group supplies the quantile tables and base cost, and each
+        Row i's own group supplies the quantile ranks and base cost, and each
         total is ``base + sum / K`` over ``eps_reads``' sum, in place. With
         ``mutable_only`` the non-mutable features are skipped, which is the
         cost of an imitation target that keeps i's non-mutable entries; that

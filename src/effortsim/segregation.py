@@ -60,7 +60,7 @@ def check_settings(
 class MetricContext:
     """Every setting of the segregation measures, frozen for before/after comparisons.
 
-    The quantile tables of ``reference``, the cost model, the protected group,
+    The quantile ranks of ``reference``, the cost model, the protected group,
     Atkinson's ``beta``, the least closeness SSI keeps as an edge, and the
     centralization threshold (``None``: each model's mean prediction on ``reference``).
     """
@@ -129,11 +129,11 @@ def pairwise_distances(ctx: MetricContext, pop: Population) -> np.ndarray:
     """(n, n) distance matrix of a population under the frozen context.
 
     Entry (i, j) is the larger of two directed views of the move i -> j,
-    one through each endpoint's group tables: the unweighted mutable-feature
-    efforts plus the positive label-rank gap. This dense form is the
-    definition, built one (row group, column group) block and row tile at
-    a time; ``distance_indices`` reads ACI and SSI off the same tiles
-    without building it.
+    one through each endpoint's group's quantile ranks: the unweighted
+    mutable-feature efforts plus the positive label-rank gap. This dense
+    form is the definition, built one (row group, column group) block and
+    row tile at a time; ``distance_indices`` reads ACI and SSI off the
+    same tiles without building it.
     """
     idx, XY = _view(ctx, pop)
     out = np.empty((pop.size, pop.size))

@@ -420,10 +420,11 @@ def walk_level_tables(reference, params, group, Xa, Xb, feature_indices, weighte
     each ``Xa`` row's code is its value's binary-search position among
     them, which sends every NaN to the first NaN. A term's table runs the
     weighted rule from each distinct value to every row of ``Xb`` (the rank
-    gap on the group's table, clamped at 0 or taken absolute, or the flat
-    categorical cost), a mask's table the gate's compare. ``gates`` maps a
-    gated column to its direction; column ``schema.size`` is the label. So
-    ``table[codes]`` is each ``Xa`` row's row of efforts or of allowed moves.
+    gap on the reference group's column, sorted here, clamped at 0 or taken
+    absolute, or the flat categorical cost), a mask's table the gate's
+    compare. ``gates`` maps a gated column to its direction; column
+    ``schema.size`` is the label. So ``table[codes]`` is each ``Xa`` row's
+    row of efforts or of allowed moves.
     """
     schema = reference.schema
     out = {}
@@ -446,7 +447,8 @@ def walk_level_tables(reference, params, group, Xa, Xb, feature_indices, weighte
             cost = params.categorical_cost_for(feature)
             eps = np.multiply(np.not_equal(b, a).astype(np.float64), cost)
         else:
-            table = reference.label_table(group) if feature is None else reference.feature_table(group)[:, k]
+            column = reference.y if feature is None else reference.X[:, k]
+            table = np.sort(column[reference.group_rows(group)])
             n = table.shape[0]
             absolute = kind in ("numerical_nonmonotone", "ordinal_nonmonotone")
             if absolute or feature is None or feature.kind.direction == "increasing":

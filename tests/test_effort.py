@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import single_group_pop, synthetic_student_pop
 from effortsim import effort
-from effortsim.dataset import Feature, FeatureKind, FeatureSchema, Population, _distinct_rows, level_codes
+from effortsim.dataset import (
+    Feature,
+    FeatureKind,
+    FeatureSchema,
+    Population,
+    SchemaError,
+    _distinct_rows,
+    level_codes,
+)
 from effortsim.effort import (
     EVERY,
     TILE_BYTES,
@@ -306,6 +314,23 @@ class TestRewardUtility:
         _, rewards = _rewards(h, pop, "shifted_gain")
         # b = y_hat - y + 1: (4 - 3 + 1) - (1 - 2 + 1) = 2
         assert rewards[0, 1] == 2.0
+
+
+class TestParamsCheck:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"alpha": 10**400},
+            {"categorical_cost": 10**400},
+            {"base_cost": 10**400},
+            {"base_cost": {"g1": 10**400}},
+            {"feature_weights": {"g1": {"x": 10**400}}},
+        ],
+        ids=["alpha", "categorical_cost", "base_cost", "group_base_cost", "feature_weight"],
+    )
+    def test_integer_beyond_the_float_range_is_schema_error(self, kwargs):
+        with pytest.raises(SchemaError, match="finite"):
+            EffortParams(**kwargs)
 
 
 class TestVectorizedEngine:
@@ -626,7 +651,8 @@ class TestDistinctValueGather:
         # gate included.
         pop = _value_pattern_pop("signed_zero")
         col = np.array([0.0, -0.0, np.nan, 1.0, np.nan, -0.0])
-        values, codes = level_codes(np.sort(col), col)
+        X = np.column_stack([np.zeros(col.shape[0])] + [col] * (pop.schema.size - 1))
+        values, codes = Population(pop.schema, X, col, ["g1"] * col.shape[0]).levels("g1", 1)
         assert values.shape == (3,) and np.isnan(values[-1])
         assert codes.tolist() == [0, 0, 2, 1, 2, 0]
         engine = EffortEngine(_every_kind_pop(n_per_group=12), self.PARAMS)
@@ -753,6 +779,55 @@ class TestLevelCodes:
             nan = np.isnan(values)
             assert np.all(values[~nan][:-1] < values[~nan][1:])  # sorted and distinct
             assert nan.sum() == np.isnan(column).any() and not nan[:-1].any()  # one NaN, the last
+
+
+# Query values beside a column's own: signed zeros, NaN, the infinities and values no pool holds.
+_QUERIES = st.lists(
+    st.one_of(st.sampled_from([-0.0, 0.0, np.nan, -np.inf, np.inf, 0.5, 1.5, -7.0, 1e300]), st.floats()),
+    max_size=12,
+)
+
+
+def _searched(column, x, increasing):
+    """The quantile rank of each ``x`` by a binary search of the sorted ``column``."""
+    n = column.shape[0]
+    if increasing:
+        return np.searchsorted(np.sort(column), x, side="right") / n
+    return (n - np.searchsorted(np.sort(column), x, side="left")) / n
+
+
+class TestRankFromLevels:
+    """A rank read off a column's level codes has the bits of a binary search of the sorted column,
+    for the column's own values and for values it does not hold (impacted and focal rows)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_COLUMN_POOLS), st.integers(1, 30), st.booleans(), st.data())
+    def test_rank_equals_the_sorted_column_search(self, pool, n, increasing, data):
+        if pool is None:
+            column = np.array(data.draw(st.permutations(range(n)))) * 0.25 - 1.0
+        else:
+            column = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        x = np.concatenate([column, np.array(data.draw(_QUERIES), dtype=np.float64)])
+        got = effort._rank(level_codes(column), increasing)(x)
+        assert _same_bytes(got, _searched(column, x, increasing))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_coded_pops(), _QUERIES)
+    def test_rules_rank_on_the_reference_groups_levels(self, pop, queries):
+        engine = EffortEngine(pop, EffortParams())
+        ranked = 0
+        for g in pop.group_names:
+            for k in range(pop.schema.size + 1):
+                rule = engine._eps_rule(g, k)
+                if rule is None or rule[0] is effort._values:
+                    continue
+                kind = pop.schema.features[k].kind if k < pop.schema.size else None
+                increasing = kind is None or kind.direction in (None, "increasing")
+                column = pop.y if kind is None else pop.X[:, k]
+                x = np.concatenate([column, queries])  # both groups' rows, and values neither holds
+                assert _same_bytes(rule[0](x), _searched(column[pop.group_rows(g)], x, increasing)), (g, k)
+                ranked += not increasing
+        assert ranked == 2 * 3  # num_down, ord_down and fewer in each group
 
 
 class TestPairForm:
@@ -1056,7 +1131,7 @@ class TestPairwiseEffortMemory:
         Xa = pop.X[pop.group_rows("F")].copy()
         Xa[:, k] = np.arange(Xa.shape[0]) * 0.01
         engine = EffortEngine(pop, EffortParams())
-        engine.reference.feature_table("F")  # sorted and cached before tracing
+        engine.reference.levels("F", k)  # coded and cached before tracing
         tracemalloc.start()
         try:
             for _, _, read, allowed, cols in engine.eps_reads("F", Xa, pop.X, [k], weighted=True):

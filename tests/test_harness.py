@@ -91,6 +91,39 @@ class TestConfig:
         (toy_dir / "config.json").write_text(json.dumps(raw))
         assert cli.main(["fairness", "--config", str(toy_dir / "config.json"), "--out", str(toy_dir / "o")]) == 2
 
+    # A config, schema or synthetic spec field set to an integer no float holds, and the name
+    # the error gives it.
+    HUGE = {
+        "beta": (("config", "beta"), "beta"),
+        "alpha": (("config", "effort", "alpha"), "alpha"),
+        "base_costs": (("config", "effort", "base_costs"), "base costs"),
+        "feature_weights": (("config", "effort", "feature_weights", "skill"), "weight for 'skill'"),
+        "lambda": (("config", "models", 1, "lambda"), "lambda"),
+        "tau_grid": (("config", "sweep", "tau_grid", 1), "tau_grid entry"),
+        "connectivity_threshold": (("config", "connectivity_threshold"), "connectivity_threshold"),
+        "weight": (("schema", "features", 1, "weight"), "schema feature 'skill' weight"),
+        "shift": (("spec", "shift"), "synthetic spec shift"),
+    }
+
+    @pytest.mark.parametrize("field", HUGE)
+    def test_integer_beyond_the_float_range_is_config_error(self, toy_dir, capsys, field):
+        path, name = self.HUGE[field]
+        spec = {**schema_to_dict(harness_toy_schema()), "group_sizes": [12, 8], "seed": 3}
+        docs = {"config": json.loads((toy_dir / "config.json").read_text()),
+                "schema": json.loads((toy_dir / "toy_schema.json").read_text()), "spec": spec}
+        docs["config"]["effort"]["feature_weights"] = {"skill": 1.0}
+        node = docs[path[0]]
+        for key in path[1:-1]:
+            node = node[key]
+        node[path[-1]] = 10**400
+        for doc, f in (("config", "config.json"), ("schema", "toy_schema.json"), ("spec", "spec.json")):
+            (toy_dir / f).write_text(json.dumps(docs[doc]))
+        argv = ["synth"] if path[0] == "spec" else ["fairness"]
+        config = "spec.json" if path[0] == "spec" else "config.json"
+        assert cli.main([*argv, "--config", str(toy_dir / config), "--out", str(toy_dir / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{name} must be " in err, err
+
     @pytest.mark.parametrize("points", [1, 0, 2.5, True, "20", harness.MAX_DELTA_POINTS + 1, 10_000_000])
     def test_delta_grid_points_must_be_integer_of_at_least_two(self, toy_dir, points):
         raw = json.loads((toy_dir / "config.json").read_text())
@@ -781,26 +814,35 @@ class TestLevelCodes:
         assert len({id(pop) for pop, _, _ in coded}) == 1 + len(config.models)  # training and each impact
 
     def test_simulate_builds_no_impacted_table_and_no_outcome_rows(self, tmp_path, monkeypatch):
-        """Impacted populations code their columns without sorting every column, and the outcomes
+        """Impacted populations code only their mutable columns and the label, and the outcomes
         file comes from the round's columns, not from ``ImpactResult.outcomes``; bytes are kept."""
         from test_acceptance import BUNDLED_SHA256
 
-        built = []  # (population, group) of every feature table built
-        table = Population.feature_table
+        coded = []  # (population, column) of every (group, column) coded
+        code, impact_runs = Population._code, harness._impact_runs
+        impacted = []
 
-        def recording(self, group):
-            if group not in self._feature_tables:
-                built.append((self, group))
-            return table(self, group)
+        def recording(self, group, k):
+            coded.append((self, k))
+            return code(self, group, k)
+
+        def recording_runs(*args):
+            train, ctx, runs = impact_runs(*args)
+            impacted.extend(impact.impacted for _, _, impact in runs)
+            return train, ctx, runs
 
         def no_rows(self):
             raise AssertionError("ImpactResult.outcomes built")
 
-        monkeypatch.setattr(Population, "feature_table", recording)
+        monkeypatch.setattr(Population, "_code", recording)
+        monkeypatch.setattr(harness, "_impact_runs", recording_runs)
         monkeypatch.setattr(dynamics.ImpactResult, "outcomes", property(no_rows))
         config = load_config(data_path("student_config.json"))
         cmd_simulate(config, tmp_path)
-        assert len({id(pop) for pop, _ in built}) == 1  # the training population's alone
+        assert len(impacted) == len(config.models)
+        for pop in impacted:
+            view = {k for k, f in enumerate(pop.schema.features) if f.mutable} | {pop.schema.size}
+            assert {k for p, k in coded if p is pop} == view
         for name in ("impacted", "outcomes", "shift"):
             for spec in config.models:
                 f = f"{name}_{spec.name}.{'csv' if name == 'impacted' else 'json'}"

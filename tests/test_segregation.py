@@ -139,7 +139,7 @@ def _distance_reference(ctx, pop):
     """The distance matrix from ``eps_sum`` and the label ranks, one full-matrix view per group."""
     views = {}
     for g in pop.group_names:
-        table = ctx.reference.label_table(g)
+        table = np.sort(ctx.reference.y[ctx.reference.group_rows(g)])
         rank = np.searchsorted(table, pop.y, side="right") / table.shape[0]
         gap = np.maximum(0.0, rank[None, :] - rank[:, None])
         views[g] = ctx.engine.eps_sum(g, pop.X, pop.X, ctx.mutable_indices, weighted=False) + gap
